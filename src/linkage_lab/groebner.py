@@ -67,12 +67,6 @@ def column_degree(col: dict, twists) -> int | None:
     return None
 
 
-def flat_degree(vec: dict, twists) -> int | None:
-    if not vec:
-        return None
-    return max(mono_deg(m) + twists[pos] for (pos, m) in vec)
-
-
 def _submul(field, target: dict, src: dict, mono, coeff):
     """target -= coeff * x^mono * src, in place."""
     zero = field.zero()

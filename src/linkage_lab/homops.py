@@ -6,6 +6,11 @@ generator) coordinate pairs; generators of Hom modules come with
 realizations (actual matrices), which downstream code uses to build
 evaluation maps, homothety maps and pushforwards.
 
+Ext into the canonical module (up to a twist) over a Cohen-Macaulay
+quotient ring is computed exactly through ambient duality over the
+polynomial ring, where resolutions are finite; the direct computation
+stays as a cross-checking oracle for i <= 1.
+
 The transpose dualizes a minimal presentation (dual twists negate); the
 linkage operator is the first syzygy of the transpose.  A test-only
 fault hook can disable the minimalization inside transpose to let the
@@ -21,10 +26,12 @@ from .config import DEFAULT_BUDGETS
 from .errors import ConsistencyError, InapplicableError
 from .modules import (
     ModulePresentation,
+    change_ring,
     column_syzygies,
     free_module,
     minimalize,
     subquotient,
+    twist_module,
     zero_module,
 )
 from .resolutions import minimal_free_resolution
@@ -232,7 +239,17 @@ def tensor(M, N, *, budgets=None) -> ModulePresentation:
 
 def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
         budgets=None) -> ModulePresentation:
-    """Ext^i(M, N): cohomology of Hom(minimal resolution of M, N)."""
+    """Ext^i(M, N) over the common ring R = S/I of M and N.
+
+    When R is a Cohen-Macaulay proper quotient of codimension c in n
+    variables and N = omega_R(a) (see `invariants.canonical_twist`), the
+    group is exact through ambient duality,
+    Ext^i_R(M, omega_R(a)) = Ext^(i+c)_S(M, S)(a - n), from the finite
+    resolution of M over S.  For i <= 1 the direct route runs as an
+    oracle, and a Hilbert-series disagreement raises ConsistencyError.
+    Every other case is the cohomology of Hom(minimal resolution of M, N)
+    over R.
+    """
     budgets = budgets or DEFAULT_BUDGETS
     if i < 0:
         raise ValueError("ext index must be >= 0")
@@ -241,14 +258,35 @@ def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
     hit = memo.get("ext", key)
     if hit is not None:
         return hit
+    from .invariants import canonical_twist, ring_codim
+
+    a = canonical_twist(B)
+    if a is None:
+        return memo.put("ext", key, _ext_direct(A, B, i, budgets))
+    ring = A.ring
+    E = ext_to_ambient(A, i + ring_codim(ring), budgets=budgets)
+    out = minimalize(change_ring(twist_module(E, a - ring.nvars), ring))
+    if i <= 1:
+        direct = _ext_direct(A, B, i, budgets).hilbert_series()
+        if direct != out.hilbert_series():
+            raise ConsistencyError(
+                f"Ext^{i} into the canonical module: ambient series "
+                f"{out.hilbert_series()} != direct series {direct}"
+            )
+    return memo.put("ext", key, out)
+
+
+def _ext_direct(A: ModulePresentation, B: ModulePresentation, i: int,
+                budgets) -> ModulePresentation:
+    """Ext^i(A, B) for minimal A, B: cohomology of Hom(resolution of A, B)."""
     ring = A.ring
     q = B.n_gens()
     if q == 0 or A.n_gens() == 0:
-        return memo.put("ext", key, zero_module(ring))
+        return zero_module(ring)
     res = minimal_free_resolution(A, i + 1, budgets=budgets)
     w_i = res.twists_at(i)
     if not w_i:
-        return memo.put("ext", key, zero_module(ring))
+        return zero_module(ring)
     h_i = _hom_twists(w_i, B.gen_twists)
     if i < res.length():
         d_next = res.maps[i]
@@ -271,7 +309,7 @@ def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
             img for img in _dual_map_images(d_i, len(w_prev), q) if img
         ]
     pres, _ = subquotient(ring, h_i, gens, rels, max_degree=budgets.max_degree)
-    return memo.put("ext", key, pres)
+    return pres
 
 
 def tor(M: ModulePresentation, N: ModulePresentation, i: int, *,
@@ -343,25 +381,7 @@ def ext_to_ambient(M: ModulePresentation, i: int, *,
     return ext(amb, free_module(S, [0]), i, budgets=budgets)
 
 
-# -- biduality and pushforward ----------------------------------------------
-
-
-@dataclass
-class BidualityDefect:
-    kernel_module: ModulePresentation
-    cokernel_module: ModulePresentation
-
-    def vanishes(self) -> bool:
-        return self.kernel_module.is_zero() and self.cokernel_module.is_zero()
-
-
-def biduality_defect(M: ModulePresentation, C: ModulePresentation, *,
-                     budgets=None) -> BidualityDefect:
-    """Kernel and cokernel of M -> Hom(Hom(M,C),C), via the C-transpose."""
-    T = transpose_wrt(M, C, budgets=budgets)
-    return BidualityDefect(
-        ext(T, C, 1, budgets=budgets), ext(T, C, 2, budgets=budgets)
-    )
+# -- pushforward ------------------------------------------------------------
 
 
 @dataclass

@@ -10,6 +10,13 @@ at the irrelevant maximal ideal is nonzero.  Everything else here
 Auslander classes, G-dimension) builds on that profile plus bounded
 Ext/Tor scans whose bounds are reported honestly.
 
+Ext into the canonical module over a Cohen-Macaulay ring R = S/I of
+codimension c is exact through the same duality:
+Ext^i_R(M, omega_R) = Ext^(i+c)_S(M, S)(-n).  `canonical_twist` is the
+gate `homops.ext` uses to take that route (the direct computation over R
+stays as an oracle for i <= 1), and `ext_vanishing_top` turns
+pd_S M = n - depth M into exact vanishing past dim R - depth M.
+
 Local data at primes is sampled on variable-subset primes, where
 support membership reduces to exact monomial tests on annihilators.
 """
@@ -148,7 +155,10 @@ def ring_codim(R: GradedRing) -> int:
 
 
 def ring_is_cm(R: GradedRing) -> bool:
-    return ring_depth(R) == ring_dim(R)
+    hit = memo.get("ring-cm", R.key())
+    if hit is not None:
+        return hit
+    return memo.put("ring-cm", R.key(), ring_depth(R) == ring_dim(R))
 
 
 def ring_is_gorenstein(R: GradedRing) -> bool:
@@ -190,6 +200,43 @@ def is_canonical_module(C: ModulePresentation) -> bool:
         return False
     a = min(omega.gen_twists) - min(Cmin.gen_twists)
     return is_isomorphic(Cmin, twist_module(omega, a)).is_isomorphic()
+
+
+def canonical_twist(C: ModulePresentation):
+    """The a with C = omega_R(a) over a CM proper quotient R, else None.
+
+    Exact but not complete, and no isomorphism search: C matches when its
+    minimal presentation has the content key of twist_module(omega, a),
+    or when R is Gorenstein and C is free of rank one (omega = R up to a
+    twist).  A polynomial ring never matches, which keeps the ambient
+    route of `homops.ext` from recursing.
+    """
+    R = C.ring
+    if R.is_polynomial or not ring_is_cm(R):
+        return None
+    B = minimalize(C)
+    if not B.n_gens():
+        return None
+    omega = canonical_module(R)
+    a = min(omega.gen_twists) - min(B.gen_twists)
+    if B.n_rels() == 0 and B.n_gens() == 1 and ring_is_gorenstein(R):
+        return a
+    if twist_module(omega, a).content_key() == B.content_key():
+        return a
+    return None
+
+
+def ext_vanishing_top(M: ModulePresentation, C: ModulePresentation):
+    """dim R - depth M when `canonical_twist(C)` is defined, else None.
+
+    Ext^i(M, C) = 0 exactly for every i above it: the ambient Ext
+    Ext^(i+c)_S(M, S) vanishes past pd_S M = n - depth M.
+    """
+    if canonical_twist(C) is None:
+        return None
+    if minimalize(M).is_zero():
+        return -1
+    return ring_dim(M.ring) - depth(M)
 
 
 # -- probe primes -------------------------------------------------------------
@@ -274,12 +321,6 @@ def dim_at_prime(M: ModulePresentation, prime: ProbePrime):
 
 def ring_depth_at_prime(R: GradedRing, prime: ProbePrime):
     return depth_at_prime(_ring_unit(R), prime)
-
-
-def x_locus(R: GradedRing, t: int, probes=None):
-    """Probe primes with depth R_p <= t (the locus X^t)."""
-    probes = probes if probes is not None else probe_primes(R)
-    return [p for p in probes if ring_depth_at_prime(R, p) <= t]
 
 
 # -- bounded verdicts ---------------------------------------------------------

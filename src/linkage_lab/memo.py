@@ -33,6 +33,3 @@ def put(op: str, key: str, value):
 def clear():
     _TABLE.clear()
 
-
-def stats():
-    return {"entries": len(_TABLE)}

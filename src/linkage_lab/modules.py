@@ -266,10 +266,6 @@ def span_series(ring: GradedRing, columns, ambient_twists) -> HilbertSeries:
     return free - quotient_series(ring, columns, ambient_twists)
 
 
-def member_of_span(ring: GradedRing, col, columns, ambient_twists) -> bool:
-    return span_gb(ring, columns, ambient_twists).contains(col)
-
-
 def lift_over_columns(ring: GradedRing, col, columns, ambient_twists):
     """Coefficients over columns (mod I) with col = sum coeffs*columns, or None."""
     gb = span_gb(ring, columns, ambient_twists, track=True)

@@ -51,10 +51,6 @@ def grevlex_key(a: Monomial):
     return (sum(a), tuple(-e for e in reversed(a)))
 
 
-def lex_key(a: Monomial):
-    return a
-
-
 def monomials_of_degree(n: int, d: int):
     """All degree-d monomials in n variables, grevlex-descending."""
     if n == 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .fields import Field, field_from_name
+from .fields import Field
 from .monomials import (
     grevlex_key,
     mono_deg,
@@ -323,10 +323,3 @@ class _PolyParser:
 def parse_poly(ring: PolyRing, text: str) -> Poly:
     return _PolyParser(ring, text).parse()
 
-
-def ring_from_key(key: str) -> PolyRing:
-    """Inverse of PolyRing.key()."""
-    m = re.fullmatch(r"(.+)\[(.*)\]", key.strip())
-    if not m:
-        raise ValueError(f"bad ring key {key!r}")
-    return PolyRing(field_from_name(m.group(1)), [v.strip() for v in m.group(2).split(",") if v.strip()])

@@ -37,10 +37,6 @@ def set_resolution_store(store):
     _STORE = store
 
 
-def get_resolution_store():
-    return _STORE
-
-
 class Resolution:
     """twists[i] are the degrees of F_i; maps[i] is d_{i+1} (columns in F_i)."""
 
@@ -192,15 +188,6 @@ def minimal_free_resolution(M: ModulePresentation, length: int, *,
         cache_key = memo.content_hash("resolution", Mmin.serialize(), str(length))
         _STORE.save(cache_key, _record_from_state(state))
     return Resolution(Mmin, state["twists"], state["maps"], state["complete"])
-
-
-def ambient_resolution(M: ModulePresentation) -> Resolution:
-    """Finite minimal resolution of M over the ambient polynomial ring."""
-    amb = M.over_ambient()
-    res = minimal_free_resolution(amb, amb.ring.nvars + 1)
-    if not res.complete:
-        raise RuntimeError("ambient resolution failed to terminate within n steps")
-    return res
 
 
 def betti(M: ModulePresentation, i: int) -> dict:

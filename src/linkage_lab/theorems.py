@@ -39,6 +39,7 @@ from .invariants import (
     depth,
     depth_at_prime,
     dim_at_prime,
+    ext_vanishing_top,
     gc_dim,
     in_auslander_class,
     induced_semidualizing,
@@ -59,6 +60,7 @@ from .invariants import (
     probe_primes,
     reduced_grade,
     ring_depth,
+    ring_codim,
     ring_depth_at_prime,
     ring_dim,
     ring_is_cm,
@@ -387,11 +389,21 @@ def _finite_gdim_lambda_hyp(lam, cfg):
 
 
 def _ext_window_vanishes(M, C, lo, hi, cfg):
-    """(all Ext^i(M, C) = 0 for lo <= i <= hi, witness index or None)."""
+    """(all Ext^i(M, C) = 0 for lo <= i <= hi, witness index or None, exact).
+
+    When C is the canonical module up to a twist over a CM ring, Ext^i(M, C)
+    vanishes exactly for i > dim R - depth M (ambient duality); the scan
+    stops there.  `exact` says the answer holds for the whole window
+    i >= lo, not only through hi: always after a witness, and after a
+    clean scan only when the ambient route bounded it.
+    """
+    top = ext_vanishing_top(M, C)
+    if top is not None:
+        hi = min(hi, top)
     for i in range(lo, hi + 1):
         if not ext(M, C, i, budgets=cfg.resolve_budgets()).is_zero():
-            return False, i
-    return True, None
+            return False, i, True
+    return True, None, top is not None
 
 
 def _serre_side(name, M, k, probes) -> Side:
@@ -504,7 +516,7 @@ def _check_prop_t1(bindings, cfg) -> TheoremReport:
     probes = cfg.probes_for(M.ring)
 
     TC = transpose_wrt(M, C, budgets=budgets)
-    i_ok, i_wit = _ext_window_vanishes(TC, C, 1, n, cfg)
+    i_ok, i_wit, _ = _ext_window_vanishes(TC, C, 1, n, cfg)
     side_i = _side_bool(f"Ext^i(Tr_C M, C) = 0 for 1..{n}", i_ok,
                         "" if i_ok else f"Ext^{i_wit} != 0")
     ok, step = is_nth_cosyzygy_witness(M, C, n, budgets=budgets)
@@ -615,7 +627,7 @@ def _check_prop_t13(bindings, cfg) -> TheoremReport:
     budgets = cfg.resolve_budgets()
     probes = cfg.probes_for(M.ring)
     T = transpose(M)
-    i_ok, i_wit = _ext_window_vanishes(T, C, 1, n, cfg)
+    i_ok, i_wit, _ = _ext_window_vanishes(T, C, 1, n, cfg)
     side_i = _side_bool(f"Ext^i(Tr M, C) = 0 for 1..{n}", i_ok,
                         "" if i_ok else f"Ext^{i_wit} != 0")
     MC = tensor(M, C, budgets=budgets)
@@ -707,10 +719,10 @@ def _check_thm_th5(bindings, cfg) -> TheoremReport:
     ring = M.ring
     probes = cfg.probes_for(ring)
     T = transpose(M)
-    i_ok, i_wit = _ext_window_vanishes(T, _unit(ring), 1, n, cfg)
+    i_ok, i_wit, _ = _ext_window_vanishes(T, _unit(ring), 1, n, cfg)
     side_i = _side_bool(f"Ext^i(Tr M, R) = 0 for 1..{n}", i_ok,
                         "" if i_ok else f"Ext^{i_wit} != 0")
-    ii_ok, ii_wit = _ext_window_vanishes(T, C, 1, n, cfg)
+    ii_ok, ii_wit, _ = _ext_window_vanishes(T, C, 1, n, cfg)
     side_ii = _side_bool(f"Ext^i(Tr M, C) = 0 for 1..{n}", ii_ok,
                          "" if ii_ok else f"Ext^{ii_wit} != 0")
     MC = tensor(M, C, budgets=budgets)
@@ -753,7 +765,7 @@ def _check_cor_cor7(bindings, cfg) -> TheoremReport:
     report = is_horizontally_linked(M, budgets=budgets, seed=cfg.seed)
     lam = lambda_module(M, budgets=budgets)
     if n >= 2:
-        e_ok, e_wit = _ext_window_vanishes(lam, C, 1, n - 1, cfg)
+        e_ok, e_wit, _ = _ext_window_vanishes(lam, C, 1, n - 1, cfg)
     else:
         e_ok, e_wit = True, None
     side_ii = _side_bool(
@@ -985,7 +997,7 @@ def _check_thm_th1(bindings, cfg) -> TheoremReport:
     report = is_horizontally_linked(M, budgets=budgets, seed=cfg.seed)
 
     side_a = _serre_side("M", M, n, probes)
-    rgr_ok, rgr_wit = _ext_window_vanishes(lam, _unit(ring), 1, n - 1, cfg)
+    rgr_ok, rgr_wit, _ = _ext_window_vanishes(lam, _unit(ring), 1, n - 1, cfg)
     side_b = _side_bool(
         f"linked and rgr(lambda M) >= {n}", report.linked and rgr_ok,
         f"linked={report.linked}"
@@ -993,7 +1005,7 @@ def _check_thm_th1(bindings, cfg) -> TheoremReport:
     claims = _equivalence_claims([side_a, side_b])
     notes = []
     if report.linked:
-        c_ok, c_wit = _ext_window_vanishes(M, C, 1, n - 1, cfg)
+        c_ok, c_wit, _ = _ext_window_vanishes(M, C, 1, n - 1, cfg)
         side_c = _side_bool(f"rgr(M, C) >= {n}", c_ok,
                             "" if c_ok else f"Ext^{c_wit}(M, C) != 0")
         side_d = _serre_side("lambda M", lam, n, probes)
@@ -1308,7 +1320,7 @@ def _check_thm_th6(bindings, cfg) -> TheoremReport:
     # rgr(M) <= rgr(M, C), equality under finite projective dimension
     if rg.value is not None:
         r = rg.value
-        ok, wit = _ext_window_vanishes(M, _unit(ring), 1, r - 1, cfg)
+        ok, wit, _ = _ext_window_vanishes(M, _unit(ring), 1, r - 1, cfg)
         first = wit if not ok else (
             r if not ext(M, _unit(ring), r, budgets=budgets).is_zero()
             else None)
@@ -1425,7 +1437,7 @@ def _check_thm_th7(bindings, cfg) -> TheoremReport:
     if any(h.label in ("Failed", "Unknown") for h in hyps):
         return _finish(tid, instance, hyps, [])
     n = gv.value
-    ok, wit = _ext_window_vanishes(M, C, 1, n - 1, cfg)
+    ok, wit, _ = _ext_window_vanishes(M, C, 1, n - 1, cfg)
     top = not ext(M, C, n, budgets=budgets).is_zero()
     side_red = _side_bool(
         f"M is reduced G_C-perfect (rgr(M, C) = {n})", ok and top,
@@ -1548,21 +1560,25 @@ def _check_g3_ab_formula(bindings, cfg) -> TheoremReport:
         f"Ext^{r}(M, C) != 0 (the supremum is attained)",
         "exact-true" if top else "exact-false",
         ""))
-    bound = cfg.resolve_bound(ring)
-    pd = _finite_pd(M, budgets=budgets)
-    ok, wit = _ext_window_vanishes(M, C, r + 1, max(r + 1, bound), cfg)
+    tail = f"Ext^i(M, C) = 0 for i > {r}"
+    bound = max(r + 1, cfg.resolve_bound(ring))
+    ok, wit, exact = _ext_window_vanishes(M, C, r + 1, bound, cfg)
+    pd = None if not ok or exact else _finite_pd(M, budgets=budgets)
     if not ok:
         claims.append(Claim(
-            f"Ext^i(M, C) = 0 for i > {r}", "exact-false",
+            tail, "exact-false",
             f"Ext^{wit}(M, C) != 0 above the G-dimension"))
+    elif exact:
+        claims.append(Claim(
+            tail, "exact-true",
+            f"ambient projective dimension {ring.nvars - depth(M)} bounds "
+            f"Ext^(i+{ring_codim(ring)})_S(M, S)"))
     elif pd is not None:
         claims.append(Claim(
-            f"Ext^i(M, C) = 0 for i > {r}", "exact-true",
+            tail, "exact-true",
             f"finite projective dimension {pd} truncates the resolution"))
     else:
-        claims.append(Claim(
-            f"Ext^i(M, C) = 0 for i > {r}", "partial-true",
-            f"scanned through {max(r + 1, bound)}"))
+        claims.append(Claim(tail, "partial-true", f"scanned through {bound}"))
     return _finish(tid, instance, hyps, claims)
 
 

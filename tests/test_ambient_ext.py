@@ -1,0 +1,149 @@
+"""Ext into the canonical module through the ambient polynomial ring.
+
+Over a Cohen-Macaulay quotient R = S/I of codimension c in n variables,
+Ext^i_R(M, omega_R(a)) = Ext^(i+c)_S(M, S)(a - n).  These tests hold the
+ambient route against the direct computation over R, check that the
+route stays off where its hypotheses fail, and that its oracle catches a
+wrong shift.
+"""
+
+import pytest
+
+from linkage_lab import homops, invariants, memo
+from linkage_lab.config import DEFAULT_BUDGETS
+from linkage_lab.corpus import generate_corpus
+from linkage_lab.errors import ConsistencyError
+from linkage_lab.fields import GF, QQ
+from linkage_lab.homops import ext
+from linkage_lab.invariants import (
+    canonical_module,
+    canonical_twist,
+    ext_vanishing_top,
+    ring_is_cm,
+)
+from linkage_lab.modules import cyclic_module, free_module, minimalize, twist_module
+from linkage_lab.rings import make_ring
+from linkage_lab.theorems import check, default_coefficient
+
+H = make_ring(QQ, ["x", "y"], ["x*y"])
+T = make_ring(QQ, ["x", "y", "z"], ["y*z", "x*z", "x*y"])
+N = make_ring(GF(32003), ["x", "y", "z", "w"],
+              ["x*z", "x*w", "y*z", "y*w"])
+
+
+def _direct(M, C, i):
+    return homops._ext_direct(minimalize(M), minimalize(C), i, DEFAULT_BUDGETS)
+
+
+def _count_direct_calls(monkeypatch, ring):
+    """Clear the memo and record i for every direct Ext over the ring."""
+    calls = []
+    direct = homops._ext_direct
+
+    def counting(A, B, i, budgets):
+        if A.ring == ring:
+            calls.append(i)
+        return direct(A, B, i, budgets)
+
+    memo.clear()
+    monkeypatch.setattr(homops, "_ext_direct", counting)
+    return calls
+
+
+def _assert_routes_agree(ring, C, top_index, modules):
+    nonzero = 0
+    for name, M in modules:
+        for i in range(top_index + 1):
+            amb = ext(M, C, i)
+            assert amb.ring == ring
+            assert amb.hilbert_series() == _direct(M, C, i).hilbert_series(), \
+                (name, i)
+            nonzero += not amb.is_zero()
+    return nonzero
+
+
+def test_routes_agree_on_three_lines_corpus():
+    omega = canonical_module(T)
+    assert canonical_twist(omega) == 0
+    nonzero = _assert_routes_agree(T, omega, 4, generate_corpus(T, 8))
+    assert nonzero == 8
+
+
+def test_routes_agree_on_hypersurface_with_free_coefficient():
+    R = free_module(H, [0])
+    assert canonical_twist(R) is not None
+    _assert_routes_agree(H, R, 4, generate_corpus(H, 8))
+
+
+@pytest.mark.parametrize("a", [1, -1])
+def test_routes_agree_with_twisted_canonical_module(a):
+    C = twist_module(canonical_module(T), a)
+    assert canonical_twist(C) == a
+    _assert_routes_agree(T, C, 2, generate_corpus(T, 4))
+
+
+def test_gorenstein_free_coefficient_takes_recorded_shift():
+    omega = canonical_module(H)
+    assert omega.n_rels() == 0 and omega.n_gens() == 1
+    for g in (-2, 0, 3):
+        assert canonical_twist(free_module(H, [g])) == omega.gen_twists[0] - g
+
+
+def test_shortcut_stays_off_on_polynomial_and_non_cm_rings(monkeypatch):
+    S = T.ambient()
+    assert canonical_twist(free_module(S, [0])) is None
+    assert not ring_is_cm(N)
+    C = default_coefficient(N)
+    assert canonical_twist(C) is None
+    calls = _count_direct_calls(monkeypatch, N)
+    k = cyclic_module(N, list(N.names))
+    for i in range(3):
+        ext(k, C, i)
+    assert calls == [0, 1, 2]
+    assert ext_vanishing_top(k, C) is None
+
+
+def test_oracle_runs_for_low_indices_only(monkeypatch):
+    omega = canonical_module(T)
+    k = cyclic_module(T, list(T.names))
+    calls = _count_direct_calls(monkeypatch, T)
+    for i in range(4):
+        ext(k, omega, i)
+    assert calls == [0, 1]
+
+
+def test_wrong_shift_raises_consistency_error(monkeypatch):
+    true_twist = invariants.canonical_twist
+
+    def off_by_one(C):
+        a = true_twist(C)
+        return None if a is None else a + 1
+
+    memo.clear()
+    monkeypatch.setattr(invariants, "canonical_twist", off_by_one)
+    k = cyclic_module(T, list(T.names))
+    try:
+        with pytest.raises(ConsistencyError):
+            ext(k, canonical_module(T), 1)
+    finally:
+        memo.clear()
+
+
+def test_vanishing_top_is_dim_minus_depth():
+    omega = canonical_module(T)
+    k = cyclic_module(T, list(T.names))
+    assert ext_vanishing_top(k, omega) == 1
+    assert ext_vanishing_top(free_module(T, [0]), omega) == 0
+    assert not ext(k, omega, 1).is_zero()
+    assert ext(k, omega, 2).is_zero()
+
+
+def test_ab_formula_on_residue_field_is_exact():
+    k = cyclic_module(T, list(T.names))
+    report = check("G3_AB_FORMULA",
+                   {"M": k, "C": default_coefficient(T),
+                    "label": "residue-field"})
+    assert report.verdict == "Verified"
+    assert all(h.label == "Exact" for h in report.hypothesis_status)
+    assert not report.notes
+    assert "budget" not in report.witness
