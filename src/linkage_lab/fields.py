@@ -2,8 +2,11 @@
 
 Everything downstream assumes exact arithmetic: rationals of arbitrary
 precision or a prime field GF(p) with p < 2**31.  Floats never appear.
-Field elements are opaque values (Fraction for QQ, int for GF(p)); all
-arithmetic goes through the field object so callers never branch.
+Field elements are opaque values (Fraction for QQ, int for GF(p)), and
+outside the Groebner kernel all arithmetic goes through the field object
+so callers never branch.  The kernel (groebner.py) runs its own per-field
+inner loops -- ints mod p, and over QQ ints while integral -- and hands
+back field elements again.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return 1 / Fraction(a)
 
     def to_str(self, a) -> str:
         return str(a)

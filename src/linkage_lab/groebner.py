@@ -1,9 +1,9 @@
 """Groebner bases for submodules of graded free modules over k[x_1..x_n].
 
-Vectors are flattened sparse dicts {(position, monomial): coeff}.  The
-module order is TOP(grevlex): compare monomials by grevlex, break ties by
-position with lower index greater.  Columns of matrices are sparse dicts
-{row: Poly}.
+Vectors cross the module boundary as flattened sparse dicts
+{(position, monomial): coeff}.  The module order is TOP(grevlex): compare
+monomials by grevlex, break ties by position with lower index greater.
+Columns of matrices are sparse dicts {row: Poly}.
 
 Two modes:
 
@@ -18,29 +18,36 @@ Two modes:
 
 All inputs are assumed homogeneous with respect to the given twists;
 pair degrees then increase monotonically and max_degree is an honest cap.
+
+Inside the kernel a term (pos, mono) is a plain int, its term key (see
+_TermKeys): integer order is the module order, and multiplying a term by
+x^q adds the key of q.  Reduction pops the largest live term from a heap
+of keys (Monagan-Pearce, CASC 2007) and pushes only the terms each
+subtraction creates.  Divisibility of a term by a leading term is one
+guard-bit test on packed exponents.  The keys stay exact while every
+monomial degree is below the key width's limit.  Before an S-pair, the
+interreduction, or a query, the kernel bounds the largest degree the step
+can create (the lcm's degree, or the input's, plus the largest excess of
+a representation's degree over its element's lead) and re-encodes its
+basis at a wider width when the bound reaches the limit.
+
+Coefficient arithmetic is specialised per field and never goes through
+the Field object in the inner loops: GF(p) uses ints with one `% p` per
+term; QQ keeps a coefficient an int while it is integral and a Fraction
+only otherwise.  Every coefficient leaving the kernel is a field element
+again (a Fraction over QQ), equal to what field arithmetic gives.
 """
 
 from __future__ import annotations
 
-import heapq
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import mul
 
 from .errors import BudgetError
-from .monomials import (
-    grevlex_key,
-    mono_coprime,
-    mono_deg,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    mono_one,
-)
+from .fields import PrimeField
+from .monomials import mono_coprime, mono_deg, mono_lcm, mono_one
 from .polynomials import Poly, PolyRing
-
-
-def term_key(term):
-    pos, mono = term
-    return (grevlex_key(mono), -pos)
 
 
 def flat_from_column(col: dict) -> dict:
@@ -67,26 +74,184 @@ def column_degree(col: dict, twists) -> int | None:
     return None
 
 
-def _submul(field, target: dict, src: dict, mono, coeff):
-    """target -= coeff * x^mono * src, in place."""
-    zero = field.zero()
-    for (pos, m), c in src.items():
-        key = (pos, mono_mul(m, mono))
-        acc = field.sub(target.get(key, zero), field.mul(coeff, c))
-        if acc == zero:
-            target.pop(key, None)
-        else:
-            target[key] = acc
+class _TermKeys:
+    """Integer keys of terms (pos, mono) for one kernel instance.
+
+    A monomial a in n variables packs its partial sums s_k = a_1 + .. + a_k
+    into n fields of `fbits` bits, the degree s_n on top; comparing s_n,
+    then s_{n-1} = deg - a_n, and so on, is grevlex.  The position sits in
+    the low `pbits` bits as pmask - pos, so equal monomials rank the lower
+    position higher.  Every field value must stay below `limit`; the top
+    bit of each field is spare and serves as the guard bit of the packed
+    exponent form `exps` used for divisibility.  The width is chosen so
+    that `limit` exceeds twice the `degree` asked for, and is at least 32.
+    """
+
+    __slots__ = ("nvars", "fbits", "pbits", "pmask", "limit", "dshift",
+                 "weights", "lowmask", "guard")
+
+    def __init__(self, nvars: int, degree: int, positions: int):
+        fbits = max(6, degree.bit_length() + 2)
+        self.nvars = nvars
+        self.fbits = fbits
+        self.pbits = max(positions, 1).bit_length()
+        self.pmask = (1 << self.pbits) - 1
+        self.limit = 1 << (fbits - 1)
+        self.dshift = self.pbits + fbits * max(nvars - 1, 0)
+        # x_i contributes 1 to the fields s_i .. s_n
+        self.weights = [sum(1 << (fbits * k) for k in range(i, nvars)) << self.pbits
+                        for i in range(nvars)]
+        self.lowmask = (1 << (fbits * max(nvars - 1, 0))) - 1
+        self.guard = sum(1 << (fbits * k + fbits - 1) for k in range(nvars))
+
+    def covers(self, degree: int, pos: int) -> bool:
+        return degree < self.limit and pos <= self.pmask
+
+    def key(self, term) -> int:
+        pos, mono = term
+        return sum(map(mul, mono, self.weights)) + self.pmask - pos
+
+    def term(self, key: int):
+        """The (pos, mono) a key encodes."""
+        pos = self.pmask - (key & self.pmask)
+        rest = key >> self.pbits
+        mono, prev, fmask = [], 0, (1 << self.fbits) - 1
+        for _ in range(self.nvars - 1):
+            s = rest & fmask
+            mono.append(s - prev)
+            prev = s
+            rest >>= self.fbits
+        if self.nvars:
+            mono.append(rest - prev)
+        return pos, tuple(mono)
+
+    def exps(self, key: int) -> int:
+        """Packed exponents a_1 + a_2 B + .. of a key's monomial, B = 2**fbits."""
+        s = key >> self.pbits
+        return s - ((s & self.lowmask) << self.fbits)
+
+    def degree(self, key: int) -> int:
+        return key >> self.dshift
+
+
+def _demote(v):
+    """An integral Fraction as an int; anything else unchanged."""
+    if type(v) is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
+
+
+class _QQ:
+    """Kernel arithmetic over QQ: ints while integral, Fractions otherwise."""
+
+    entering = staticmethod(_demote)
+    leaving = Fraction
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def inv(a):
+        if a == 1 or a == -1:
+            return a
+        return _demote(1 / Fraction(a))
+
+    @staticmethod
+    def div(a, b):
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return q if not r else Fraction(a, b)
+        return _demote(a / b)
+
+    @staticmethod
+    def scale(vec, a):
+        return {k: _demote(c * a) for k, c in vec.items()}
+
+    @staticmethod
+    def submul(target, src, shift, coeff, heap=None):
+        """target -= coeff * x^shift * src, in place; new keys go on heap."""
+        get = target.get
+        for k, c in src.items():
+            k += shift
+            old = get(k)
+            if old is None:
+                v = -(coeff * c)
+                if heap is not None:
+                    heappush(heap, -k)
+            else:
+                v = old - coeff * c
+                if not v:
+                    del target[k]
+                    continue
+            if type(v) is not int and v.denominator == 1:
+                v = v.numerator
+            target[k] = v
+
+
+class _GF:
+    """Kernel arithmetic over GF(p): ints in [0, p), one `% p` per term."""
+
+    entering = leaving = None  # field elements already are kernel values
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def div(self, a, b):
+        return a * pow(b, -1, self.p) % self.p
+
+    def scale(self, vec, a):
+        p = self.p
+        return {k: c * a % p for k, c in vec.items()}
+
+    def submul(self, target, src, shift, coeff, heap=None):
+        """target -= coeff * x^shift * src, in place; new keys go on heap."""
+        p = self.p
+        neg = p - coeff
+        get = target.get
+        for k, c in src.items():
+            k += shift
+            old = get(k)
+            if old is None:
+                target[k] = neg * c % p
+                if heap is not None:
+                    heappush(heap, -k)
+            else:
+                v = (old + neg * c) % p
+                if v:
+                    target[k] = v
+                else:
+                    del target[k]
 
 
 class _Elem:
-    __slots__ = ("vec", "rep", "lead", "lc")
+    """A basis element: leading key and coefficient, tail, representation."""
 
-    def __init__(self, vec, rep):
-        self.vec = vec
+    __slots__ = ("lead", "lc", "tail", "rep", "pos", "exps")
+
+    def __init__(self, keys: _TermKeys, vec: dict, rep):
+        self.set_vec(keys, vec)
         self.rep = rep
-        self.lead = max(vec, key=term_key)
-        self.lc = vec[self.lead]
+
+    def set_vec(self, keys: _TermKeys, vec: dict):
+        lead = max(vec)
+        tail = dict(vec)
+        self.lc = tail.pop(lead)
+        self.lead = lead
+        self.tail = tail
+        self.pos = keys.pmask - (lead & keys.pmask)
+        self.exps = keys.exps(lead)
+
+    def vec(self) -> dict:
+        out = {self.lead: self.lc}
+        out.update(self.tail)
+        return out
 
 
 class ModuleGB:
@@ -109,157 +274,256 @@ class ModuleGB:
         self._by_pos: dict = {}
         self._rank_one = len(self.twists) <= 1
         self._input_columns = list(columns)
-        self._run([flat_from_column(c) for c in columns])
+        field = ring.field
+        self._ar = _GF(field.p) if isinstance(field, PrimeField) else _QQ()
+        self._field_one = field.one()
+        # max over elements of (rep degree - lead degree), at least 0
+        self._excess = 0
+        self._keys = _TermKeys(ring.nvars, 0,
+                               max(len(self.twists), len(self._input_columns)))
+        self._run(flat_from_column(c) for c in self._input_columns)
+
+    # term keys ---------------------------------------------------------
+
+    @property
+    def term_key(self):
+        """Int sort key of (pos, mono) terms, exact for every term this
+        basis has produced or been given: integer order is TOP(grevlex)."""
+        return self._keys.key
+
+    def _ensure(self, degree: int, pos: int = 0):
+        """Widen the term keys so that `degree` and `pos` are exact."""
+        old = self._keys
+        if old.covers(degree, pos):
+            return
+        new = _TermKeys(self.ring.nvars, max(degree, old.limit),
+                        max(pos + 1, old.pmask))
+
+        def recode(d):
+            return {new.key(old.term(k)): c for k, c in d.items()}
+
+        for e in self._elems:
+            e.set_vec(new, recode(e.vec()))
+            if e.rep is not None:
+                e.rep = recode(e.rep)
+        self._keys = new
+
+    def _encode(self, vec: dict, extra_degree: int = 0) -> dict:
+        """Flat {(pos, mono): coeff} -> kernel dict, with room for terms of
+        degree up to the input's plus extra_degree.
+
+        A key's top field exceeds the degree of its monomial only when a
+        lower field overflowed, which needs a degree of at least `limit`;
+        so one look at the largest key tells whether the width sufficed.
+        """
+        if not vec:
+            return {}
+        keys = self._keys
+        top = max(vec)[0]
+        if top <= keys.pmask:
+            w, pmask, enter = keys.weights, keys.pmask, self._ar.entering
+            if enter is None:
+                out = {sum(map(mul, m, w)) + pmask - p: c for (p, m), c in vec.items()}
+            else:
+                out = {sum(map(mul, m, w)) + pmask - p: enter(c)
+                       for (p, m), c in vec.items()}
+            if keys.degree(max(out)) + extra_degree < keys.limit:
+                return out
+        self._ensure(max(mono_deg(m) for (_p, m) in vec) + extra_degree, top)
+        return self._encode(vec, extra_degree)
+
+    def _decode(self, vec: dict) -> dict:
+        term, leaving = self._keys.term, self._ar.leaving
+        if leaving is None:
+            return {term(k): c for k, c in vec.items()}
+        return {term(k): leaving(c) for k, c in vec.items()}
+
+    def _column(self, vec: dict) -> dict:
+        """Kernel dict -> {row: Poly}, as column_from_flat(_decode(vec))."""
+        term, leaving = self._keys.term, self._ar.leaving
+        cols: dict = {}
+        for k, c in vec.items():
+            pos, m = term(k)
+            cols.setdefault(pos, {})[m] = c if leaving is None else leaving(c)
+        return {pos: Poly(self.ring, terms) for pos, terms in sorted(cols.items())}
 
     # construction ---------------------------------------------------
 
-    def _add_elem(self, vec, rep):
-        e = _Elem(vec, rep)
-        idx = len(self._elems)
-        self._elems.append(e)
-        self._by_pos.setdefault(e.lead[0], []).append(idx)
-        return idx
-
-    def _pair_degree(self, i, j):
-        gi, gj = self._elems[i], self._elems[j]
-        lcm = mono_lcm(gi.lead[1], gj.lead[1])
-        return mono_deg(lcm) + self.twists[gi.lead[0]]
+    def _note_rep(self, e: _Elem):
+        """Raise the excess to cover e's representation."""
+        if e.rep:
+            keys = self._keys
+            self._excess = max(self._excess,
+                               keys.degree(max(e.rep)) - keys.degree(e.lead))
 
     def _run(self, vecs):
-        field = self.ring.field
+        ar = self._ar
+        one = mono_one(self.ring.nvars)
         pairs: list = []
+        monos: list = []  # lead monomials, parallel to self._elems
+
+        def add(vec, rep):
+            e = _Elem(self._keys, vec, rep)
+            self._note_rep(e)
+            idx = len(self._elems)
+            self._elems.append(e)
+            self._by_pos.setdefault(e.pos, []).append(idx)
+            monos.append(self._keys.term(e.lead)[1])
+            self._push_pairs(pairs, idx, monos)
+
         for t, vec in enumerate(vecs):
             if not vec:
                 if self.track:
-                    self.syzygies.append({(t, mono_one(self.ring.nvars)): field.one()})
+                    self.syzygies.append({(t, one): self._field_one})
                 continue
-            rep = {(t, mono_one(self.ring.nvars)): field.one()} if self.track else None
-            idx = self._add_elem(vec, rep)
-            self._push_pairs(pairs, idx)
+            add(self._encode(vec), {self._keys.key((t, one)): 1} if self.track else None)
         while pairs:
-            deg, i, j = heapq.heappop(pairs)
+            deg, i, j = heappop(pairs)
             if self.max_degree is not None and deg > self.max_degree:
                 raise BudgetError("groebner pair degree", self.max_degree)
-            if not self.track and self._chain_skip(i, j):
-                continue
             gi, gj = self._elems[i], self._elems[j]
-            if not self.track and self._rank_one and mono_coprime(gi.lead[1], gj.lead[1]):
+            lcm = mono_lcm(monos[i], monos[j])
+            # every term this pair creates has degree <= deg(lcm) + excess
+            self._ensure(mono_deg(lcm) + self._excess)
+            if not self.track and (
+                    self._chain_skip(i, j, lcm, monos)
+                    or self._rank_one and mono_coprime(monos[i], monos[j])):
                 continue
-            lcm = mono_lcm(gi.lead[1], gj.lead[1])
-            qi, qj = mono_div(lcm, gi.lead[1]), mono_div(lcm, gj.lead[1])
+            top = self._keys.key((gi.pos, lcm))
+            qi, qj = top - gi.lead, top - gj.lead
+            ci, cj = ar.neg(gj.lc), gi.lc
             vec: dict = {}
-            _submul(field, vec, gi.vec, qi, field.neg(gj.lc))
-            _submul(field, vec, gj.vec, qj, gi.lc)
+            ar.submul(vec, gi.tail, qi, ci)
+            ar.submul(vec, gj.tail, qj, cj)
             rep = None
             if self.track:
                 rep = {}
-                _submul(field, rep, gi.rep, qi, field.neg(gj.lc))
-                _submul(field, rep, gj.rep, qj, gi.lc)
+                ar.submul(rep, gi.rep, qi, ci)
+                ar.submul(rep, gj.rep, qj, cj)
             nf, rep = self._reduce(vec, rep)
             if nf:
-                idx = self._add_elem(nf, rep)
-                self._push_pairs(pairs, idx)
+                add(nf, rep)
             elif self.track and rep:
-                self.syzygies.append(rep)
+                self.syzygies.append(self._decode(rep))
         self._interreduce()
 
-    def _push_pairs(self, pairs, idx):
-        pos = self._elems[idx].lead[0]
-        for other in self._by_pos.get(pos, []):
+    def _push_pairs(self, pairs, idx, monos):
+        """Queue (idx, other) pairs by degree: deg lcm of leads + twist."""
+        pos = self._elems[idx].pos
+        mono, twist = monos[idx], self.twists[pos]
+        for other in self._by_pos[pos]:
             if other != idx:
-                heapq.heappush(pairs, (self._pair_degree(other, idx), other, idx))
+                degree = sum(map(max, monos[other], mono)) + twist
+                heappush(pairs, (degree, other, idx))
 
-    def _chain_skip(self, i, j):
-        gi, gj = self._elems[i], self._elems[j]
-        pos = gi.lead[0]
-        lcm = mono_lcm(gi.lead[1], gj.lead[1])
-        for k in self._by_pos.get(pos, []):
-            if k in (i, j):
+    def _chain_skip(self, i, j, lcm, monos):
+        keys = self._keys
+        guard = keys.guard
+        pos = self._elems[i].pos
+        # packed exponents of lcm with every guard bit set
+        target = keys.exps(keys.key((pos, lcm))) | guard
+        for k in self._by_pos[pos]:
+            if k == i or k == j:
                 continue
-            mk = self._elems[k].lead[1]
-            if mono_divides(mk, lcm):
-                if mono_lcm(mk, gi.lead[1]) != lcm and mono_lcm(mk, gj.lead[1]) != lcm:
+            if (target - self._elems[k].exps) & guard == guard:
+                mk = monos[k]
+                if mono_lcm(mk, monos[i]) != lcm and mono_lcm(mk, monos[j]) != lcm:
                     return True
         return False
 
     def _reduce(self, vec, rep, skip=None):
-        """Full normal form; updates rep alongside when tracking."""
-        field = self.ring.field
-        work = dict(vec)
-        out: dict = {}
-        while work:
-            term = max(work, key=term_key)
-            coeff = work[term]
-            red = self._find_reducer(term, skip)
-            if red is None:
-                out[term] = coeff
-                del work[term]
-                continue
-            q = mono_div(term[1], red.lead[1])
-            factor = field.div(coeff, red.lc)
-            _submul(field, work, red.vec, q, factor)
-            work.pop(term, None)
-            if rep is not None and red.rep is not None:
-                _submul(field, rep, red.rep, q, factor)
-        return out, rep
+        """Full normal form; updates rep alongside when tracking.
 
-    def _find_reducer(self, term, skip):
-        pos, mono = term
-        for idx in self._by_pos.get(pos, []):
-            if idx == skip:
+        Terms are taken largest first off a heap of negated keys.  A key
+        can sit on the heap more than once or after it cancelled; it is
+        live only while it is in `work`, and a reduction step only
+        creates keys smaller than the one it removes.
+        """
+        ar = self._ar
+        submul, div = ar.submul, ar.div
+        keys = self._keys
+        pmask, pbits, fbits = keys.pmask, keys.pbits, keys.fbits
+        lowmask, guard = keys.lowmask, keys.guard
+        elems, by_pos = self._elems, self._by_pos
+        work = dict(vec)
+        heap = [-k for k in work]
+        heapify(heap)
+        out: dict = {}
+        while heap:
+            k = -heappop(heap)
+            coeff = work.get(k)
+            if coeff is None:
                 continue
-            e = self._elems[idx]
-            if mono_divides(e.lead[1], mono):
-                return e
-        return None
+            red = None
+            cands = by_pos.get(pmask - (k & pmask))
+            if cands:
+                s = k >> pbits
+                target = (s - ((s & lowmask) << fbits)) | guard
+                for idx in cands:
+                    e = elems[idx]
+                    if (target - e.exps) & guard == guard and idx != skip:
+                        red = e
+                        break
+            del work[k]
+            if red is None:
+                out[k] = coeff
+                continue
+            shift = k - red.lead
+            factor = div(coeff, red.lc)
+            submul(work, red.tail, shift, factor, heap)
+            if rep is not None and red.rep is not None:
+                submul(rep, red.rep, shift, factor)
+        return out, rep
 
     def _interreduce(self):
         """Canonical reduced basis: minimal leads, reduced tails, monic."""
-        field = self.ring.field
-        order = sorted(range(len(self._elems)),
-                       key=lambda i: term_key(self._elems[i].lead))
+        ar = self._ar
+        elems = self._elems
+        order = sorted(range(len(elems)), key=lambda i: elems[i].lead)
+        guard = self._keys.guard
         keep = []
+        kept_exps: dict = {}  # pos -> packed exponents of kept leads
         for i in order:
-            li = self._elems[i].lead
-            redundant = False
-            for j in keep:
-                lj = self._elems[j].lead
-                if lj[0] == li[0] and mono_divides(lj[1], li[1]):
-                    redundant = True
-                    break
-            if not redundant:
+            ei = elems[i]
+            target = ei.exps | guard
+            same = kept_exps.setdefault(ei.pos, [])
+            if not any((target - x) & guard == guard for x in same):
+                same.append(ei.exps)
                 keep.append(i)
-        kept = [self._elems[i] for i in keep]
+        kept = [elems[i] for i in keep]
         self._elems = kept
         self._by_pos = {}
         for idx, e in enumerate(kept):
-            self._by_pos.setdefault(e.lead[0], []).append(idx)
+            self._by_pos.setdefault(e.pos, []).append(idx)
+        if kept:
+            self._ensure(max(self._keys.degree(e.lead) for e in kept) + self._excess)
         for idx, e in enumerate(kept):
-            nf, rep = self._reduce(e.vec, e.rep, skip=idx)
-            inv = field.inv(nf[max(nf, key=term_key)])
-            e.vec = {t: field.mul(c, inv) for t, c in nf.items()}
+            nf, rep = self._reduce(e.vec(), e.rep, skip=idx)
+            inv = ar.inv(nf[max(nf)])
+            e.set_vec(self._keys, ar.scale(nf, inv))
             if rep is not None:
-                e.rep = {t: field.mul(c, inv) for t, c in rep.items()}
-            e.lead = max(e.vec, key=term_key)
-            e.lc = e.vec[e.lead]
+                e.rep = ar.scale(rep, inv)
+                self._note_rep(e)
 
     # queries ---------------------------------------------------------
 
     def basis_columns(self):
-        return [column_from_flat(self.ring, e.vec) for e in self._elems]
+        return [self._column(e.vec()) for e in self._elems]
 
     def leading_terms(self):
-        return [e.lead for e in self._elems]
+        return [self._keys.term(e.lead) for e in self._elems]
 
     def normal_form_flat(self, vec: dict) -> dict:
-        nf, _ = self._reduce(vec, None)
-        return nf
+        nf, _ = self._reduce(self._encode(vec), None)
+        return self._decode(nf)
 
     def normal_form(self, col: dict) -> dict:
-        return column_from_flat(self.ring, self.normal_form_flat(flat_from_column(col)))
+        nf, _ = self._reduce(self._encode(flat_from_column(col)), None)
+        return self._column(nf)
 
     def contains(self, col: dict) -> bool:
-        return not self.normal_form_flat(flat_from_column(col))
+        nf, _ = self._reduce(self._encode(flat_from_column(col)), None)
+        return not nf
 
     def lift_flat(self, vec: dict):
         """Representation of vec over the input columns, or None.
@@ -268,12 +532,11 @@ class ModuleGB:
         """
         if not self.track:
             raise ValueError("lift requires a tracked basis")
-        field = self.ring.field
-        rep: dict = {}
-        nf, rep = self._reduce(dict(vec), rep)
+        nf, rep = self._reduce(self._encode(vec, self._excess), {})
         if nf:
             return None
-        return {t: field.neg(c) for t, c in rep.items()}
+        neg = self._ar.neg
+        return self._decode({k: neg(c) for k, c in rep.items()})
 
     def lift(self, col: dict):
         flat = self.lift_flat(flat_from_column(col))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_BUDGETS
 from .errors import ConsistencyError
-from .groebner import flat_from_column, term_key
+from .groebner import flat_from_column
 from .modules import (
     ModulePresentation,
     lift_over_columns,

@@ -21,10 +21,8 @@ from .groebner import (
     column_degree,
     flat_from_column,
     syzygy_columns,
-    term_key,
 )
 from .hilbert import HilbertSeries, monomial_quotient_numerator
-from .polynomials import Poly
 from .rings import GradedRing
 
 
@@ -339,6 +337,8 @@ def mingens_columns(ring: GradedRing, columns, ambient_twists, *,
         pivots: dict = {}
         for idx in group:
             nf = gb.normal_form_flat(flat_from_column(columns[idx]))
+            # exact on nf and on every pivot: all come from gb's normal forms
+            term_key = gb.term_key
             # k-linear elimination within the degree
             while nf:
                 t = max(nf, key=term_key)

@@ -8,6 +8,7 @@ ring order everywhere; lex only appears in canonical serialization.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from operator import add, le, mul
 
 Monomial = tuple
 
@@ -17,25 +18,15 @@ def mono_one(n: int) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial):
-    """a / b, or None when b does not divide a."""
-    q = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        q.append(x - y)
-    return tuple(q)
+    return tuple(map(add, a, b))
 
 
 def mono_divides(b: Monomial, a: Monomial) -> bool:
-    return all(y <= x for x, y in zip(a, b))
+    return all(map(le, b, a))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Monomial) -> int:
@@ -43,7 +34,7 @@ def mono_deg(a: Monomial) -> int:
 
 
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(mul, a, b))
 
 
 def grevlex_key(a: Monomial):

@@ -43,6 +43,7 @@ class GradedRing:
         if any(c[0].degree() == 0 for c in basis):
             raise ValueError("ring relations generate the unit ideal")
         self.reduced_relations = tuple(c[0] for c in basis)
+        self._leads = [mono for (_pos, mono) in self._gb.leading_terms()]
         self.is_polynomial = not self.reduced_relations
         self._key = (
             self.poly_ring.key()
@@ -79,6 +80,9 @@ class GradedRing:
     def nf(self, p: Poly) -> Poly:
         if self.is_polynomial or p.is_zero():
             return p
+        leads = self._leads
+        if not any(mono_divides(lead, m) for m in p.terms for lead in leads):
+            return p  # already reduced: the normal form is p itself
         out = self._gb.normal_form({0: p})
         return out.get(0, self.poly_ring.zero())
 
@@ -94,16 +98,12 @@ class GradedRing:
                 out.append({i: f})
         return out
 
-    def lead_monomials(self):
-        return [lead for (_pos, lead) in [e for e in self._gb.leading_terms()]]
-
     def standard_monomials(self, degree: int):
         """k-basis of R in one degree, grevlex-descending."""
-        leads = [mono for (_p, mono) in self._gb.leading_terms()]
         return [
             m
             for m in monomials_of_degree(self.nvars, degree)
-            if not any(mono_divides(l, m) for l in leads)
+            if not any(mono_divides(l, m) for l in self._leads)
         ]
 
     def hilbert_series(self) -> HilbertSeries:
@@ -111,8 +111,7 @@ class GradedRing:
         hit = memo.get("ring-hs", key)
         if hit is not None:
             return hit
-        leads = [mono for (_p, mono) in self._gb.leading_terms()]
-        hs = HilbertSeries(self.nvars, monomial_quotient_numerator(self.nvars, leads))
+        hs = HilbertSeries(self.nvars, monomial_quotient_numerator(self.nvars, self._leads))
         return memo.put("ring-hs", key, hs)
 
     def parse(self, text: str) -> Poly:

@@ -5,6 +5,7 @@ counts) before the implementation existed; they are frozen and must not
 be regenerated from the code under test.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -15,13 +16,18 @@ from hypothesis import strategies as st
 from linkage_lab.fields import GF, QQ
 from linkage_lab.groebner import (
     ModuleGB,
+    _TermKeys,
     column_degree,
+    flat_from_column,
     groebner_basis,
     syzygy_columns,
 )
 from linkage_lab.hilbert import HilbertSeries, monomial_quotient_numerator
 from linkage_lab.monomials import grevlex_key, monomials_of_degree
 from linkage_lab.polynomials import PolyRing
+from linkage_lab.rings import make_ring
+
+import kernel_golden
 
 
 def ring_xy():
@@ -305,3 +311,146 @@ def test_normal_form_idempotent_property():
         nf1 = gb.normal_form(col(p))
         nf2 = gb.normal_form(nf1 if nf1 else {0: R.zero()})
         assert {k: str(v) for k, v in nf1.items()} == {k: str(v) for k, v in nf2.items()}
+
+
+def test_rational_inverse_and_division_are_fractions():
+    for a in (2, -3, Fraction(2, 3), Fraction(-5, 1)):
+        inv = QQ.inv(a)
+        assert type(inv) is Fraction and inv * a == 1
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.div(1, 3)) is Fraction and QQ.div(1, 3) == Fraction(1, 3)
+    assert type(QQ.div(4, 2)) is Fraction and QQ.div(4, 2) == 2
+    assert QQ.div(Fraction(1, 2), Fraction(3, 4)) == Fraction(2, 3)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def _top_grevlex(term):
+    pos, mono = term
+    return (grevlex_key(mono), -pos)
+
+
+def test_int_term_keys_order_like_top_grevlex():
+    rng = random.Random(17)
+    for nvars in (1, 2, 3, 4):
+        keys = _TermKeys(nvars, 0, 5)
+        edge = keys.limit - 1
+        terms = set()
+        # monomials of the largest degree the width holds, and around it
+        for i in range(nvars):
+            for d in (edge, edge - 1, 1, 0):
+                e = [0] * nvars
+                e[i] = d
+                terms.add((rng.randrange(6), tuple(e)))
+        for _ in range(300):
+            cut = sorted(rng.randrange(edge + 1) for _ in range(nvars - 1))
+            mono = tuple(b - a for a, b in zip([0] + cut, cut + [edge]))
+            mono = tuple(rng.randrange(x + 1) for x in mono)
+            terms.add((rng.randrange(6), mono))
+        terms = sorted(terms)
+        for t in terms:
+            assert keys.term(keys.key(t)) == t
+        by_int = sorted(terms, key=keys.key)
+        assert by_int == sorted(terms, key=_top_grevlex)
+        # multiplying by a monomial adds its key at position bits zero
+        q = tuple(rng.randrange(3) for _ in range(nvars))
+        shift = keys.key((keys.pmask, q))
+        small = [t for t in terms if sum(t[1]) + sum(q) < keys.limit]
+        for pos, m in small:
+            prod = tuple(a + b for a, b in zip(m, q))
+            assert keys.key((pos, m)) + shift == keys.key((pos, prod))
+
+
+def test_int_term_keys_widen_past_the_packing_width():
+    R = ring_xyz()
+    gb = ModuleGB(R, [col(R.parse("x - y")), col(R.parse("z^2"))], [0])
+    limit = gb._keys.limit
+    big = (limit, 3 * limit + 1)
+    # a key of a degree at the limit shows it in the top field: the
+    # kernel sees the overflow instead of wrapping into a wrong order
+    assert gb._keys.degree(gb.term_key((0, (0, limit, 0)))) >= limit
+    for a, b in [big, (limit - 1, 1), (2, 4 * limit)]:
+        p = R.monomial((a, b, 0)) + R.monomial((0, 1, 1))
+        nf = gb.normal_form(col(p))
+        assert str(nf[0]) == str(R.monomial((0, a + b, 0)) + R.monomial((0, 1, 1)))
+        assert gb.contains(col(R.monomial((a, b, 2))))
+    assert gb._keys.limit > 4 * limit + 2
+    # degrees up to 4 * limit + 1, within what the basis has been given
+    terms = [(0, (a, b, c)) for a in (0, 1, 2 * limit) for b in (0, limit)
+             for c in (0, 1, limit)]
+    assert sorted(terms, key=gb.term_key) == sorted(terms, key=_top_grevlex)
+    # tracked bases widen their representations too
+    cols = [col(R.parse("x - y")), col(R.parse("y^2 - z^2"))]
+    gb = ModuleGB(R, cols, [0], track=True)
+    target = col(R.monomial((3 * limit, 0, 0)) - R.monomial((3 * limit - 2, 0, 2)))
+    lift = gb.lift(target)
+    acc = R.zero()
+    for t, q in lift.items():
+        acc = acc + q * cols[t][0]
+    assert acc == target[0]
+
+
+def test_kernel_reproduces_golden_outputs():
+    with open(kernel_golden.GOLDEN, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    names = {c["name"] for c in cases}
+    assert {"K-step0", "W-step0", "cubic-QQ", "cubic-GF"} <= names
+    for case in cases:
+        assert kernel_golden.run_case(case) == case["expected"], case["name"]
+
+
+def _column_coefficients(col):
+    return [c for p in col.values() for c in p.terms.values()]
+
+
+def test_coefficients_leaving_the_kernel_over_qq_are_fractions():
+    R = ring_xyz()
+    cols = [col(R.parse("2*x*y - 3*z^2")), col(R.parse("x^2 - 1/2*y*z")),
+            col(R.parse("y^2 - 5/3*x*z")), {0: R.parse("4*x"), 1: R.parse("2*y")}]
+    probes = [col(R.parse("x^3 + 6*x*y*z")), col(R.parse("2*x*(x^2 - 1/2*y*z)"))]
+    seen = []
+    for track in (False, True):
+        gb = ModuleGB(R, cols, [0, 1], track=track)
+        for c in gb.basis_columns():
+            seen += _column_coefficients(c)
+        for p in probes:
+            seen += list(gb.normal_form_flat(flat_from_column(p)).values())
+            seen += _column_coefficients(gb.normal_form(p))
+            if track:
+                lifted = gb.lift_flat(flat_from_column(p))
+                if lifted is not None:
+                    seen += list(lifted.values())
+                    seen += _column_coefficients(gb.lift(p))
+        for s in gb.syzygies:
+            seen += list(s.values())
+    for s in syzygy_columns(R, cols + [{0: R.zero()}], [0, 1]):
+        seen += _column_coefficients(s)
+    assert len(seen) > 100
+    assert all(type(c) is Fraction for c in seen)
+
+
+_T = make_ring(QQ, ["x", "y", "z"], ["y*z", "x*z", "x*y"])
+_N = make_ring(GF(32003), ["x", "y", "z", "w"], ["x*z", "x*w", "y*z", "y*w"])
+
+
+def _random_poly(ring, terms):
+    S = ring.poly_ring
+    p = S.zero()
+    for exps, c in terms:
+        p = p + S.monomial(exps[:S.nvars], S.field.from_int(c))
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([_T, _N]),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 4),
+                       st.integers(-5, 5).filter(bool)),
+             max_size=6),
+)
+def test_ring_nf_agrees_with_full_reduction(ring, terms):
+    p = _random_poly(ring, terms)
+    full = ring._gb.normal_form({0: p}).get(0, ring.poly_ring.zero())
+    nf = ring.nf(p)
+    assert nf == full
+    assert str(nf) == str(full)
