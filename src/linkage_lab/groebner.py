@@ -10,14 +10,23 @@ Two modes:
 * plain: reduced Groebner basis for normal forms and membership.  The
   coprime-lead skip is applied only to rank-1 inputs (its proof does not
   survive in modules); the lcm chain criterion is applied everywhere.
-* tracked: every basis element carries a representation over the original
-  input columns, every same-position pair is processed (no skips), and
-  each S-pair that reduces to zero donates its representation as a
-  syzygy.  Inputs enter the basis unreduced, which makes the harvested
-  set generate the full syzygy module of the inputs.
+* tracked: every basis element carries a representation over the tracked
+  input columns, no criterion skips a pair, and each S-pair that reduces
+  to zero donates its representation as a syzygy.  Inputs enter the basis
+  unreduced, which makes the harvested set generate the full syzygy module
+  of the inputs.  Fixed input columns join the span after the tracked
+  ones with an empty representation; representation arithmetic is linear
+  with coefficients taken from the vectors, so every representation is
+  the projection onto the tracked columns of the one a run tracking every
+  input would carry, and a syzygy whose projection is 0 is never built.
+
+In both modes an element is inert when it has no tail and an empty or
+absent representation, e.g. a monomial of I*F.  A pair of two inert
+elements has S-vector 0 and representation 0, so it is never queued.
 
 All inputs are assumed homogeneous with respect to the given twists;
-pair degrees then increase monotonically and max_degree is an honest cap.
+pair degrees then increase monotonically and max_degree is an honest cap:
+forming any pair above it, queued or not, raises BudgetError.
 
 Inside the kernel a term (pos, mono) is a plain int, its term key (see
 _TermKeys): integer order is the module order, and multiplying a term by
@@ -257,14 +266,16 @@ class _Elem:
 class ModuleGB:
     """Groebner basis of the column span inside a twisted free module.
 
-    twists[i] is the degree of the i-th free generator.  With track=True
-    the instance also exposes .syzygies (flat vectors over column indices,
-    a generating set of the syzygy module of the input columns) and
-    .lift() for expressing members over the inputs.
+    twists[i] is the degree of the i-th free generator.  The span is that
+    of `columns` followed by `fixed`.  With track=True the instance also
+    exposes .syzygies and .lift(), both over the indices of `columns`
+    alone: .syzygies generates the projection onto those coordinates of
+    the syzygy module of all inputs (only nonzero projections are kept),
+    and .lift() expresses members modulo span(fixed).
     """
 
     def __init__(self, ring: PolyRing, columns, twists, *, track=False,
-                 max_degree=None):
+                 fixed=(), max_degree=None):
         self.ring = ring
         self.twists = tuple(twists)
         self.track = track
@@ -273,14 +284,16 @@ class ModuleGB:
         self._elems: list[_Elem] = []
         self._by_pos: dict = {}
         self._rank_one = len(self.twists) <= 1
-        self._input_columns = list(columns)
+        columns = list(columns)
+        self._tracked = len(columns)
+        self._input_columns = columns + list(fixed)
         field = ring.field
         self._ar = _GF(field.p) if isinstance(field, PrimeField) else _QQ()
         self._field_one = field.one()
         # max over elements of (rep degree - lead degree), at least 0
         self._excess = 0
         self._keys = _TermKeys(ring.nvars, 0,
-                               max(len(self.twists), len(self._input_columns)))
+                               max(len(self.twists), self._tracked))
         self._run(flat_from_column(c) for c in self._input_columns)
 
     # term keys ---------------------------------------------------------
@@ -361,26 +374,49 @@ class ModuleGB:
         one = mono_one(self.ring.nvars)
         pairs: list = []
         monos: list = []  # lead monomials, parallel to self._elems
+        # per position: indices of the live (not inert) and inert elements,
+        # and the largest lead degree among the inert ones
+        live: dict = {}
+        inert: dict = {}
+        inert_top: dict = {}
 
         def add(vec, rep):
             e = _Elem(self._keys, vec, rep)
             self._note_rep(e)
-            idx = len(self._elems)
+            idx, pos = len(self._elems), e.pos
             self._elems.append(e)
-            self._by_pos.setdefault(e.pos, []).append(idx)
-            monos.append(self._keys.term(e.lead)[1])
-            self._push_pairs(pairs, idx, monos)
+            self._by_pos.setdefault(pos, []).append(idx)
+            mono = self._keys.term(e.lead)[1]
+            monos.append(mono)
+            twist = self.twists[pos]
+            self._push_pairs(pairs, idx, mono, twist, live.get(pos, ()), monos)
+            if e.tail or e.rep:
+                self._push_pairs(pairs, idx, mono, twist, inert.get(pos, ()), monos)
+                live.setdefault(pos, []).append(idx)
+                return
+            # pairs of two inert elements are not queued, but each counts
+            # against the budget; deg lcm <= the sum of the lead degrees
+            cap, deg, top = self.max_degree, mono_deg(mono), inert_top.get(pos)
+            if cap is not None and top is not None and deg + top + twist > cap:
+                for other in inert[pos]:
+                    if sum(map(max, monos[other], mono)) + twist > cap:
+                        raise BudgetError("groebner pair degree", cap)
+            inert.setdefault(pos, []).append(idx)
+            inert_top[pos] = deg if top is None else max(deg, top)
 
+        ntracked = self._tracked if self.track else 0
         for t, vec in enumerate(vecs):
             if not vec:
-                if self.track:
+                if t < ntracked:
                     self.syzygies.append({(t, one): self._field_one})
                 continue
-            add(self._encode(vec), {self._keys.key((t, one)): 1} if self.track else None)
+            vec = self._encode(vec)
+            rep = None
+            if self.track:
+                rep = {self._keys.key((t, one)): 1} if t < ntracked else {}
+            add(vec, rep)
         while pairs:
-            deg, i, j = heappop(pairs)
-            if self.max_degree is not None and deg > self.max_degree:
-                raise BudgetError("groebner pair degree", self.max_degree)
+            _deg, i, j = heappop(pairs)
             gi, gj = self._elems[i], self._elems[j]
             lcm = mono_lcm(monos[i], monos[j])
             # every term this pair creates has degree <= deg(lcm) + excess
@@ -407,14 +443,17 @@ class ModuleGB:
                 self.syzygies.append(self._decode(rep))
         self._interreduce()
 
-    def _push_pairs(self, pairs, idx, monos):
-        """Queue (idx, other) pairs by degree: deg lcm of leads + twist."""
-        pos = self._elems[idx].pos
-        mono, twist = monos[idx], self.twists[pos]
-        for other in self._by_pos[pos]:
-            if other != idx:
-                degree = sum(map(max, monos[other], mono)) + twist
-                heappush(pairs, (degree, other, idx))
+    def _push_pairs(self, pairs, idx, mono, twist, others, monos):
+        """Queue (other, idx) pairs by degree: deg lcm of leads + twist.
+
+        A pair above max_degree raises BudgetError as soon as it is formed.
+        """
+        cap = self.max_degree
+        for other in others:
+            degree = sum(map(max, monos[other], mono)) + twist
+            if cap is not None and degree > cap:
+                raise BudgetError("groebner pair degree", cap)
+            heappush(pairs, (degree, other, idx))
 
     def _chain_skip(self, i, j, lcm, monos):
         keys = self._keys
@@ -521,14 +560,43 @@ class ModuleGB:
         nf, _ = self._reduce(self._encode(flat_from_column(col)), None)
         return self._column(nf)
 
+    def independent(self, vecs) -> list:
+        """Indices i such that the normal form of vecs[i] (flat) is not a
+        k-linear combination of the normal forms of vecs[:i].
+
+        Gaussian elimination on kernel dicts: each kept normal form is
+        reduced by the earlier pivots and stored monic under its largest
+        key.  The keys are widened for all vecs up front, so every pivot
+        key stays valid.
+        """
+        ar = self._ar
+        terms = [t for v in vecs for t in v]
+        if terms:
+            self._ensure(max(mono_deg(m) for _p, m in terms),
+                         max(p for p, _m in terms))
+        pivots: dict = {}
+        kept = []
+        for i, vec in enumerate(vecs):
+            nf, _ = self._reduce(self._encode(vec), None)
+            while nf:
+                top = max(nf)
+                piv = pivots.get(top)
+                if piv is None:
+                    pivots[top] = ar.scale(nf, ar.inv(nf[top]))
+                    kept.append(i)
+                    break
+                ar.submul(nf, piv, 0, nf[top])
+        return kept
+
     def contains(self, col: dict) -> bool:
         nf, _ = self._reduce(self._encode(flat_from_column(col)), None)
         return not nf
 
     def lift_flat(self, vec: dict):
-        """Representation of vec over the input columns, or None.
+        """Representation of vec over the tracked columns, or None.
 
-        Requires track=True.  Invariant: vec == sum_t lift[t] * input[t].
+        Requires track=True.  Invariant: vec - sum_t lift[t] * columns[t]
+        lies in the span of the fixed columns.
         """
         if not self.track:
             raise ValueError("lift requires a tracked basis")
@@ -550,11 +618,13 @@ def groebner_basis(ring, columns, twists, *, max_degree=None):
     return ModuleGB(ring, columns, twists, max_degree=max_degree).basis_columns()
 
 
-def syzygy_columns(ring, columns, twists, *, max_degree=None):
-    """Generators of the syzygy module of the given columns.
+def syzygy_columns(ring, columns, twists, *, fixed=(), max_degree=None):
+    """Generators of {h : sum_t h[t] * columns[t] in span(fixed)}.
 
-    Returned as sparse columns over the column indices; entry degrees are
-    homogeneous for the twist list [column_degree(c) for c in columns].
+    Returned as sparse columns over the indices of `columns`; entry
+    degrees are homogeneous for the twist list
+    [column_degree(c) for c in columns].
     """
-    gb = ModuleGB(ring, columns, twists, track=True, max_degree=max_degree)
+    gb = ModuleGB(ring, columns, twists, track=True, fixed=fixed,
+                  max_degree=max_degree)
     return [column_from_flat(ring, s) for s in gb.syzygies]

@@ -151,26 +151,6 @@ def _tensor_map_images(d_cols, q):
     return out
 
 
-def _kernel_columns(ring, n_coords, images, target_twists, extra, max_degree):
-    """Generators of {h : map(h) in span(extra) + I*target}.
-
-    images[k] is the target column of the k-th source basis vector; the
-    result columns live on the source coordinates.
-    """
-    if not any(images):
-        one = ring.poly_ring.one()
-        return [{k: one} for k in range(n_coords)]
-    syz = column_syzygies(
-        ring, images + list(extra), target_twists, max_degree=max_degree
-    )
-    out = []
-    for s in syz:
-        col = {t: p for t, p in s.items() if t < n_coords}
-        if col:
-            out.append(col)
-    return out
-
-
 def hom_with_realizations(M: ModulePresentation, N: ModulePresentation, *,
                           budgets=None):
     """(presentation of Hom(M, N), generator matrices, coordinate twists).
@@ -196,7 +176,8 @@ def hom_with_realizations(M: ModulePresentation, N: ModulePresentation, *,
     h1 = _hom_twists(A.rel_twists, B.gen_twists)
     images = _dual_map_images(A.columns, p, q)
     v1 = _per_slot_relations(A.n_rels(), q, B)
-    gens = _kernel_columns(ring, p * q, images, h1, v1, budgets.max_degree)
+    gens = column_syzygies(ring, images, h1, extra=v1,
+                           max_degree=budgets.max_degree)
     rels = _per_slot_relations(p, q, B)
     pres, kept = subquotient(ring, h0, gens, rels, max_degree=budgets.max_degree)
     result = (pres, kept, h0)
@@ -294,9 +275,8 @@ def _ext_direct(A: ModulePresentation, B: ModulePresentation, i: int,
         h_next = _hom_twists(w_next, B.gen_twists)
         images = _dual_map_images(d_next, len(w_i), q)
         v_next = _per_slot_relations(len(w_next), q, B)
-        gens = _kernel_columns(
-            ring, len(w_i) * q, images, h_next, v_next, budgets.max_degree
-        )
+        gens = column_syzygies(ring, images, h_next, extra=v_next,
+                               max_degree=budgets.max_degree)
     else:
         one = ring.poly_ring.one()
         gens = [{k: one} for k in range(len(w_i) * q)]
@@ -339,9 +319,8 @@ def tor(M: ModulePresentation, N: ModulePresentation, i: int, *,
     h_prev = _tensor_twists(w_prev, B.gen_twists)
     images = _tensor_map_images(d_i, q)
     v_prev = _per_slot_relations(len(w_prev), q, B)
-    gens = _kernel_columns(
-        ring, len(w_i) * q, images, h_prev, v_prev, budgets.max_degree
-    )
+    gens = column_syzygies(ring, images, h_prev, extra=v_prev,
+                           max_degree=budgets.max_degree)
     rels = _per_slot_relations(len(w_i), q, B)
     if i < res.length():
         rels = rels + [img for img in _tensor_map_images(res.maps[i], q) if img]

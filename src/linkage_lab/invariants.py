@@ -31,7 +31,6 @@ from .errors import BudgetError, ConsistencyError, InapplicableError
 from .homops import (
     _dual_map_images,
     _hom_twists,
-    _kernel_columns,
     _per_slot_relations,
     ext,
     ext_to_ambient,
@@ -46,6 +45,7 @@ from .modules import (
     ModulePresentation,
     annihilator,
     change_ring,
+    column_syzygies,
     cyclic_module,
     free_module,
     ideal_in_prime,
@@ -606,7 +606,8 @@ def in_auslander_class(M: ModulePresentation, C: ModulePresentation,
     images = _dual_map_images(Bc.columns, qc, qT)
     h1 = _hom_twists(Bc.rel_twists, T_raw.gen_twists)
     v1 = _per_slot_relations(Bc.n_rels(), qT, T_raw)
-    gens = _kernel_columns(R, qc * qT, images, h1, v1, budgets.max_degree)
+    gens = column_syzygies(R, images, h1, extra=v1,
+                           max_degree=budgets.max_degree)
     rels = _per_slot_relations(qc, qT, T_raw)
     pres, kept = subquotient(R, h0, gens, rels, max_degree=budgets.max_degree)
     one = R.poly_ring.one()

@@ -230,14 +230,12 @@ def is_isomorphic(M: ModulePresentation, N: ModulePresentation, *,
         ok = True
         for i in range(B.n_gens()):
             lifted = lift_over_columns(
-                ring, {i: one}, phi_cols + list(B.columns), B.gen_twists
+                ring, {i: one}, phi_cols, B.gen_twists, extra=list(B.columns)
             )
             if lifted is None:
                 ok = False
                 break
-            psi_cols.append(
-                {t: q for t, q in lifted.items() if t < len(phi_cols)}
-            )
+            psi_cols.append(lifted)
         if not ok:
             raise ConsistencyError("surjective map with unliftable generator")
         if not _is_identity_mod(ring, _compose(ring, psi_cols, phi_cols), A):

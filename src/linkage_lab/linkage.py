@@ -30,12 +30,12 @@ from .modules import (
 )
 
 
-def stable_part(M: ModulePresentation, *, budgets=None) -> ModulePresentation:
+def stable_part(M: ModulePresentation) -> ModulePresentation:
     """The double transpose: M with free direct summands removed."""
     return transpose(transpose(M))
 
 
-def is_stable(M: ModulePresentation, *, budgets=None):
+def is_stable(M: ModulePresentation):
     """(stable?, free rank): free summands drop out of the double transpose."""
     A = minimalize(M)
     free_rank = A.n_gens() - minimalize(stable_part(M)).n_gens()
@@ -108,7 +108,7 @@ def is_horizontally_linked(M: ModulePresentation, *, cross_validate=True,
     budgets = budgets or DEFAULT_BUDGETS
     A = minimalize(M)
     ring = A.ring
-    stable, free_rank = is_stable(A, budgets=budgets)
+    stable, free_rank = is_stable(A)
     ext1 = ext(transpose(A), free_module(ring, [0]), 1, budgets=budgets)
     ext1_vanishes = ext1.is_zero()
     linked = stable and ext1_vanishes

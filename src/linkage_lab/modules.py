@@ -7,8 +7,10 @@ must be homogeneous of degree rel_twists[j] - gen_twists[i].
 
 All heavy lifting happens in the ambient polynomial ring: membership,
 syzygies and normal forms augment the column list with f*e_i for f in
-the reduced basis of I.  Syzygies over R are projections of ambient
-syzygies of the augmented list.
+the reduced basis of I.  The augmentation, and any further columns a
+caller only quotients by, enter the kernel as fixed columns: syzygies
+and lifts over R are computed over the caller's columns alone, as the
+projections of the ambient ones of the augmented list.
 """
 
 from __future__ import annotations
@@ -225,21 +227,25 @@ def serialize_columns(columns, twists) -> str:
 
 
 def span_gb(ring: GradedRing, columns, ambient_twists, *, track=False,
-            max_degree=None) -> ModuleGB:
-    """Groebner basis of span(columns) + I*F, memoized."""
+            extra=(), max_degree=None) -> ModuleGB:
+    """Groebner basis of span(columns) + span(extra) + I*F, memoized.
+
+    With track=True it lifts over `columns` alone; `extra` and the I*F
+    augmentation are fixed (untracked) columns.
+    """
     if max_degree is None:
         max_degree = DEFAULT_BUDGETS.max_degree
     key = memo.content_hash(
-        ring.key(), serialize_columns(columns, ambient_twists),
-        f"track={track}", f"maxdeg={max_degree}"
+        ring.key(), serialize_columns(list(columns) + list(extra), ambient_twists),
+        f"track={track}", f"extra={len(extra)}", f"maxdeg={max_degree}"
     )
     hit = memo.get("span-gb", key)
     if hit is not None:
         return hit
     aug = ring.aug_columns(ambient_twists)
     gb = ModuleGB(
-        ring.poly_ring, list(columns) + aug, ambient_twists,
-        track=track, max_degree=max_degree,
+        ring.poly_ring, list(columns), ambient_twists,
+        track=track, fixed=list(extra) + aug, max_degree=max_degree,
     )
     return memo.put("span-gb", key, gb)
 
@@ -264,47 +270,50 @@ def span_series(ring: GradedRing, columns, ambient_twists) -> HilbertSeries:
     return free - quotient_series(ring, columns, ambient_twists)
 
 
-def lift_over_columns(ring: GradedRing, col, columns, ambient_twists):
-    """Coefficients over columns (mod I) with col = sum coeffs*columns, or None."""
-    gb = span_gb(ring, columns, ambient_twists, track=True)
+def lift_over_columns(ring: GradedRing, col, columns, ambient_twists, *,
+                      extra=()):
+    """Coefficients over columns (mod I) with col - sum coeffs*columns in
+    span(extra) + I*F, or None."""
+    gb = span_gb(ring, columns, ambient_twists, track=True, extra=extra)
     lifted = gb.lift(col)
     if lifted is None:
         return None
+    return _reduced_entries(ring, lifted)
+
+
+def _reduced_entries(ring: GradedRing, col: dict) -> dict:
+    """col with its entries reduced mod I, zero entries dropped."""
     out = {}
-    for t, q in lifted.items():
-        if t < len(columns):
-            q = ring.nf(q)
-            if not q.is_zero():
-                out[t] = q
+    for t, q in col.items():
+        q = ring.nf(q)
+        if not q.is_zero():
+            out[t] = q
     return out
 
 
 def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
-                    max_degree=None) -> list:
-    """Generators of the syzygy module over R of the given columns.
+                    extra=(), max_degree=None) -> list:
+    """Generators of {h : sum_t h[t] * columns[t] in span(extra) + I*F}.
 
-    Projections of ambient syzygies of the I-augmented list; entries are
-    reduced mod I.  Column degrees [column_degree(c)] are the twists of
-    the ambient free module the result lives in.
+    These are the syzygies over R of the columns modulo span(extra): the
+    kernel tracks `columns` only, with `extra` and the I*F augmentation
+    fixed.  Entries are reduced mod I and zero generators dropped.
+    Column degrees [column_degree(c)] are the twists of the ambient free
+    module the result lives in.  When every column is zero, the result
+    is the unit vectors.
     """
+    if not any(columns):
+        one = ring.poly_ring.one()
+        return [{t: one} for t in range(len(columns))]
     if max_degree is None:
         max_degree = DEFAULT_BUDGETS.max_degree
     aug = ring.aug_columns(ambient_twists)
     syz = syzygy_columns(
-        ring.poly_ring, list(columns) + aug, ambient_twists, max_degree=max_degree
+        ring.poly_ring, list(columns), ambient_twists,
+        fixed=list(extra) + aug, max_degree=max_degree,
     )
-    out = []
-    k = len(columns)
-    for s in syz:
-        proj = {}
-        for t, q in s.items():
-            if t < k:
-                q = ring.nf(q)
-                if not q.is_zero():
-                    proj[t] = q
-        if proj:
-            out.append(proj)
-    return out
+    out = [_reduced_entries(ring, s) for s in syz]
+    return [s for s in out if s]
 
 
 def mingens_columns(ring: GradedRing, columns, ambient_twists, *,
@@ -316,7 +325,6 @@ def mingens_columns(ring: GradedRing, columns, ambient_twists, *,
     in U + (columns of strictly lower degree) + (kept columns of the same
     degree), the last reduced to k-linear elimination of normal forms.
     """
-    field = ring.field
     degs = []
     for c in columns:
         degs.append(column_degree(c, ambient_twists))
@@ -334,32 +342,11 @@ def mingens_columns(ring: GradedRing, columns, ambient_twists, *,
             group.append(order[i])
             i += 1
         gb = span_gb(ring, lower, ambient_twists, max_degree=max_degree)
-        pivots: dict = {}
-        for idx in group:
-            nf = gb.normal_form_flat(flat_from_column(columns[idx]))
-            # exact on nf and on every pivot: all come from gb's normal forms
-            term_key = gb.term_key
-            # k-linear elimination within the degree
-            while nf:
-                t = max(nf, key=term_key)
-                piv = pivots.get(t)
-                if piv is None:
-                    break
-                c = nf[t]
-                for pt, pc in piv.items():
-                    acc = field.sub(nf.get(pt, field.zero()), field.mul(c, pc))
-                    if acc == field.zero():
-                        nf.pop(pt, None)
-                    else:
-                        nf[pt] = acc
-            if nf:
-                t = max(nf, key=term_key)
-                inv = field.inv(nf[t])
-                pivots[t] = {k2: field.mul(v, inv) for k2, v in nf.items()}
-                kept.append(idx)
-        for idx in group:
-            if idx in kept:
-                lower.append(columns[idx])
+        # k-linear elimination of the normal forms within the degree
+        found = [group[j] for j in
+                 gb.independent([flat_from_column(columns[idx]) for idx in group])]
+        kept += found
+        lower += [columns[idx] for idx in found]
     return kept
 
 
@@ -445,13 +432,8 @@ def subquotient(ring: GradedRing, ambient_twists, gens, rels, *,
     if not gens_kept:
         return zero_module(ring), []
     gen_twists = [column_degree(c, ambient_twists) for c in gens_kept]
-    combined = gens_kept + list(rels)
-    syz = column_syzygies(ring, combined, ambient_twists, max_degree=max_degree)
-    rel_cols = []
-    for s in syz:
-        proj = {t: q for t, q in s.items() if t < len(gens_kept)}
-        if proj:
-            rel_cols.append(proj)
+    rel_cols = column_syzygies(ring, gens_kept, ambient_twists, extra=list(rels),
+                               max_degree=max_degree)
     kept_rels = mingens_columns(ring, rel_cols, gen_twists, max_degree=max_degree)
     rel_cols = [rel_cols[j] for j in kept_rels]
     rel_twists = [column_degree(c, gen_twists) for c in rel_cols]
@@ -481,14 +463,10 @@ def annihilator(M: ModulePresentation) -> list:
     for i in range(M.n_gens()):
         unit = {i: S.one()}
         syz = syzygy_columns(
-            S, [unit] + base_cols, list(M.gen_twists),
+            S, [unit], list(M.gen_twists), fixed=base_cols,
             max_degree=DEFAULT_BUDGETS.max_degree,
         )
-        q_i = []
-        for s in syz:
-            p = s.get(0)
-            if p is not None and not p.is_zero():
-                q_i.append(p)
+        q_i = [s[0] for s in syz]
         current = q_i if current is None else _intersect_ideals(S, current, q_i)
         if not current:
             break
@@ -502,16 +480,10 @@ def annihilator(M: ModulePresentation) -> list:
 def _intersect_ideals(S, gens_a, gens_b) -> list:
     if not gens_a or not gens_b:
         return []
-    cols = [{0: S.one(), 1: S.one()}]
-    cols += [{0: g} for g in gens_a]
-    cols += [{1: h} for h in gens_b]
-    syz = syzygy_columns(S, cols, [0, 0], max_degree=DEFAULT_BUDGETS.max_degree)
-    out = []
-    for s in syz:
-        p = s.get(0)
-        if p is not None and not p.is_zero():
-            out.append(p)
-    return out
+    fixed = [{0: g} for g in gens_a] + [{1: h} for h in gens_b]
+    syz = syzygy_columns(S, [{0: S.one(), 1: S.one()}], [0, 0], fixed=fixed,
+                         max_degree=DEFAULT_BUDGETS.max_degree)
+    return [s[0] for s in syz]
 
 
 def ideal_in_prime(ring: GradedRing, ideal_gens, prime_gens) -> bool:

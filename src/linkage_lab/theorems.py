@@ -487,7 +487,7 @@ def _check_thm_ms(bindings, cfg) -> TheoremReport:
     hyps = []
     budgets = cfg.resolve_budgets()
     ring = M.ring
-    stable, free_rank = is_stable(M, budgets=budgets)
+    stable, free_rank = is_stable(M)
     ext1 = ext(transpose(M), _unit(ring), 1, budgets=budgets).is_zero()
     syz = is_syzygy_module(M, budgets=budgets)
     lam2 = lambda_module(lambda_module(M, budgets=budgets), budgets=budgets)
@@ -752,7 +752,7 @@ def _check_cor_cor7(bindings, cfg) -> TheoremReport:
     instance = _instance(tid, bindings, M) + f", n={n}"
     budgets = cfg.resolve_budgets()
     ring = M.ring
-    stable, free_rank = is_stable(M, budgets=budgets)
+    stable, free_rank = is_stable(M)
     hyps = [
         _semidualizing_hyp(C, cfg),
         _hyp("M is stable", stable, f"free rank {free_rank}"),
@@ -983,7 +983,7 @@ def _check_thm_th1(bindings, cfg) -> TheoremReport:
     instance = _instance(tid, bindings, M) + f", n={n}"
     budgets = cfg.resolve_budgets()
     ring = M.ring
-    stable, free_rank = is_stable(M, budgets=budgets)
+    stable, free_rank = is_stable(M)
     hyps = [_hyp("M is stable", stable, f"free rank {free_rank}"),
             _hyp("n >= 1", n >= 1)]
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
@@ -1023,7 +1023,7 @@ def _check_cor_cor5(bindings, cfg) -> TheoremReport:
     budgets = cfg.resolve_budgets()
     ring = M.ring
     hyps = [_cm_ring_hyp(ring)]
-    stable, free_rank = is_stable(M, budgets=budgets)
+    stable, free_rank = is_stable(M)
     hyps.append(_hyp("M is stable", stable, f"free rank {free_rank}"))
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)

@@ -454,3 +454,79 @@ def test_ring_nf_agrees_with_full_reduction(ring, terms):
     nf = ring.nf(p)
     assert nf == full
     assert str(nf) == str(full)
+
+
+def _projected(vec, k):
+    """The terms of a flat vector on coordinates below k."""
+    return {key: c for key, c in vec.items() if key[0] < k}
+
+
+@st.composite
+def _split_columns(draw):
+    """(ring, twists, columns, fixed): random homogeneous columns over QQ
+    or GF(32003), split into tracked and fixed ones, with zero columns and
+    monomial as well as non-monomial fixed columns among them."""
+    S = PolyRing(draw(st.sampled_from([QQ, GF(32003)])), ["x", "y", "z"])
+    twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+
+    def poly(degree, monomial):
+        monos = monomials_of_degree(3, degree)
+        picks = draw(st.lists(st.sampled_from(monos), min_size=1,
+                              max_size=1 if monomial else 3, unique=True))
+        p = S.zero()
+        for m in picks:
+            p = p + S.monomial(m, S.field.from_int(draw(st.integers(-3, 3).filter(bool))))
+        return p
+
+    def column(monomial):
+        kind = draw(st.sampled_from(["zero", "entry", "entry", "full"]))
+        if kind == "zero":
+            return {}
+        degree = max(twists) + draw(st.integers(0, 2))
+        positions = range(len(twists)) if kind == "full" else \
+            [draw(st.integers(0, len(twists) - 1))]
+        return {pos: poly(degree - twists[pos], monomial) for pos in positions}
+
+    columns = [column(False) for _ in range(draw(st.integers(0, 3)))]
+    fixed = [column(draw(st.booleans())) for _ in range(draw(st.integers(0, 4)))]
+    return S, twists, columns, fixed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_split_columns(), st.data())
+def test_fixed_columns_track_the_projection_of_the_full_run(case, data):
+    S, twists, columns, fixed = case
+    k = len(columns)
+    gb = ModuleGB(S, columns, twists, track=True, fixed=fixed)
+    full = ModuleGB(S, columns + fixed, twists, track=True)
+    projections = [_projected(s, k) for s in full.syzygies]
+    want = [p for p in projections if p]
+    assert [list(s.items()) for s in gb.syzygies] == [list(p.items()) for p in want]
+    # lifts of span members and of a perturbed vector
+    gens = S.gens()
+    probes = []
+    for c in columns + fixed:
+        g = gens[data.draw(st.integers(0, 2))]
+        probes.append({pos: g * p for pos, p in c.items()})
+    probes.append({0: S.parse("x^2 + y*z")})
+    for probe in probes:
+        vec = flat_from_column({pos: p for pos, p in probe.items() if not p.is_zero()})
+        lifted, lifted_full = gb.lift_flat(vec), full.lift_flat(vec)
+        if lifted_full is None:
+            assert lifted is None
+        else:
+            assert list(lifted.items()) == list(_projected(lifted_full, k).items())
+
+
+def test_budget_error_on_an_inert_pair():
+    from linkage_lab.errors import BudgetError
+
+    R = ring_xy()
+    # lcm(x^3, y^3) has degree 6; the pair is never queued, yet counts
+    cubes = [col(R.parse("x^3")), col(R.parse("y^3"))]
+    with pytest.raises(BudgetError):
+        ModuleGB(R, cubes, [0], max_degree=5)
+    with pytest.raises(BudgetError):
+        ModuleGB(R, [], [0], track=True, fixed=cubes, max_degree=5)
+    assert sorted(ModuleGB(R, cubes, [0], max_degree=6).leading_terms()) == \
+        [(0, (0, 3)), (0, (3, 0))]
