@@ -17,6 +17,17 @@ gate `homops.ext` uses to take that route (the direct computation over R
 stays as an oracle for i <= 1), and `ext_vanishing_top` turns
 pd_S M = n - depth M into exact vanishing past dim R - depth M.
 
+The groups Ext^j_S(M, S), j = 0..n, are computed once per presentation
+and kept in the memo as M's ambient profile, with the indices where they
+are nonzero.  Depth, dimension, local cohomology degrees, generalized
+CM-ness, the CM branch of `serre_tilde` and the support tests at probe
+primes all read from it.  The verdicts of `in_auslander_class`,
+`serre_tilde`, `gc_dim` and `is_canonical_module` are memoized too,
+keyed by the content keys of the minimal inputs, the bound, the budgets
+and the probe set, so a suite asking the same question in several checks
+computes it once.  A hit hands every caller the same object, which is
+why the verdict classes are frozen.
+
 Local data at primes is sampled on variable-subset primes, where
 support membership reduces to exact monomial tests on annihilators.
 """
@@ -63,29 +74,39 @@ INFINITY = float("inf")
 # -- depth, dimension and local cohomology degrees ---------------------------
 
 
-def _nonvanishing_ambient(M: ModulePresentation) -> list:
-    n = M.ring.nvars
-    return [j for j in range(n + 1) if not ext_to_ambient(M, j).is_zero()]
+def _ambient_profile(M: ModulePresentation) -> tuple:
+    """(exts, nonzero): exts[j] = Ext^j_S(M, S) for j = 0..n, and the
+    ascending j with exts[j] != 0; computed once per presentation."""
+    key = M.content_key()
+    hit = memo.get("ambient-profile", key)
+    if hit is not None:
+        return hit
+    exts = tuple(ext_to_ambient(M, j) for j in range(M.ring.nvars + 1))
+    nonzero = tuple(j for j, E in enumerate(exts) if not E.is_zero())
+    return memo.put("ambient-profile", key, (exts, nonzero))
 
 
 def depth(M: ModulePresentation):
     """Depth at the irrelevant maximal ideal; INFINITY for the zero module."""
-    if minimalize(M).is_zero():
+    _, js = _ambient_profile(M)
+    if not js:
         return INFINITY
-    return M.ring.nvars - max(_nonvanishing_ambient(M))
+    return M.ring.nvars - max(js)
 
 
 def krull_dim(M: ModulePresentation) -> int:
     """Krull dimension; -1 for the zero module."""
-    if minimalize(M).is_zero():
+    _, js = _ambient_profile(M)
+    if not js:
         return -1
-    return M.ring.nvars - min(_nonvanishing_ambient(M))
+    return M.ring.nvars - min(js)
 
 
 def local_cohomology_degrees(M: ModulePresentation) -> list:
     """Sorted degrees i with H^i_m(M) != 0, through graded duality."""
     n = M.ring.nvars
-    return sorted(n - j for j in _nonvanishing_ambient(M))
+    _, js = _ambient_profile(M)
+    return sorted(n - j for j in js)
 
 
 def is_finite_length(M: ModulePresentation) -> bool:
@@ -125,8 +146,9 @@ def is_generalized_cm(M: ModulePresentation) -> bool:
     if d < 1:
         return False
     n = M.ring.nvars
+    exts, _ = _ambient_profile(M)
     for i in range(d):
-        E = ext_to_ambient(M, n - i)
+        E = exts[n - i]
         if not E.is_zero() and E.hilbert_series().dimension() > 0:
             return False
     return True
@@ -188,14 +210,27 @@ def canonical_module(R: GradedRing) -> ModulePresentation:
 
 
 def is_canonical_module(C: ModulePresentation) -> bool:
-    """Whether C is the canonical module up to a twist (exact iso test)."""
-    from .isomorphism import is_isomorphic
+    """Whether C is the canonical module up to a twist (exact).
 
-    R = C.ring
+    `canonical_twist` answers first; when it finds no match, an
+    isomorphism search against omega twisted by the same shift decides.
+    """
     Cmin = minimalize(C)
     if Cmin.is_zero():
         return False
-    omega = canonical_module(R)
+    key = Cmin.content_key()
+    hit = memo.get("is-canonical", key)
+    if hit is not None:
+        return hit
+    return memo.put("is-canonical", key, _is_canonical(Cmin))
+
+
+def _is_canonical(Cmin: ModulePresentation) -> bool:
+    from .isomorphism import is_isomorphic
+
+    if canonical_twist(Cmin) is not None:
+        return True
+    omega = canonical_module(Cmin.ring)
     if Cmin.n_gens() != omega.n_gens():
         return False
     a = min(omega.gen_twists) - min(Cmin.gen_twists)
@@ -294,13 +329,8 @@ def _ann_in_prime(E: ModulePresentation, prime: ProbePrime) -> bool:
 
 
 def _supported_indices(M: ModulePresentation, prime: ProbePrime) -> list:
-    n = M.ring.nvars
-    out = []
-    for j in range(n + 1):
-        E = ext_to_ambient(M, j)
-        if not E.is_zero() and _ann_in_prime(E, prime):
-            out.append(j)
-    return out
+    exts, js = _ambient_profile(M)
+    return [j for j in js if _ann_in_prime(exts[j], prime)]
 
 
 def depth_at_prime(M: ModulePresentation, prime: ProbePrime):
@@ -326,7 +356,7 @@ def ring_depth_at_prime(R: GradedRing, prime: ProbePrime):
 # -- bounded verdicts ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundedVerdict:
     kind: str  # "true" | "false" | "bounded" | "probe" | "unknown"
     witness: str = ""
@@ -370,23 +400,47 @@ def serre_tilde(M: ModulePresentation, k: int, *, probes=None) -> BoundedVerdict
     if k < 1:
         raise ValueError("the Serre-type condition needs k >= 1")
     R = M.ring
-    n = R.nvars
-    if minimalize(M).is_zero():
+    A = minimalize(M)
+    if A.is_zero():
         return BoundedVerdict("true", note="zero module")
-    if ring_is_cm(R):
-        c = ring_codim(R)
-        for j in range(c + 1, n + 1):
-            E = ext_to_ambient(M, j)
-            if E.is_zero():
-                continue
-            if E.hilbert_series().dimension() > n - j - k:
-                return BoundedVerdict(
-                    "false",
-                    witness=f"ambient Ext index {j} has dimension "
-                    f"{E.hilbert_series().dimension()} > {n - j - k}",
-                )
-        return BoundedVerdict("true")
-    probes = probes if probes is not None else probe_primes(R)
+    cm = ring_is_cm(R)
+    if not cm and probes is None:
+        probes = probe_primes(R)
+    key = memo.content_hash(A.content_key(), str(k),
+                            "cm" if cm else _probes_key(probes))
+    hit = memo.get("serre-tilde", key)
+    if hit is not None:
+        return hit
+    verdict = _serre_tilde_cm(A, k) if cm else _serre_tilde_probes(A, k, probes)
+    return memo.put("serre-tilde", key, verdict)
+
+
+def _probes_key(probes) -> str:
+    return "|".join(
+        f"{p.label}:{p.height}:{p.trusted}:{','.join(map(str, p.gens))}"
+        for p in probes
+    )
+
+
+def _serre_tilde_cm(M: ModulePresentation, k: int) -> BoundedVerdict:
+    R = M.ring
+    n = R.nvars
+    c = ring_codim(R)
+    exts, js = _ambient_profile(M)
+    for j in js:
+        if j <= c:
+            continue
+        dim = exts[j].hilbert_series().dimension()
+        if dim > n - j - k:
+            return BoundedVerdict(
+                "false",
+                witness=f"ambient Ext index {j} has dimension {dim} > {n - j - k}",
+            )
+    return BoundedVerdict("true")
+
+
+def _serre_tilde_probes(M: ModulePresentation, k: int, probes) -> BoundedVerdict:
+    R = M.ring
     for p in probes:
         need = min(k, ring_depth_at_prime(R, p))
         if depth_at_prime(M, p) < need:
@@ -596,10 +650,21 @@ def in_auslander_class(M: ModulePresentation, C: ModulePresentation,
     A = minimalize(M)
     if A.is_zero():
         return BoundedVerdict("true", note="zero module")
+    Cmin = minimalize(C)
+    key = memo.content_hash(A.content_key(), Cmin.content_key(), str(bound),
+                            repr(budgets))
+    hit = memo.get("auslander", key)
+    if hit is not None:
+        return hit
+    return memo.put("auslander", key, _auslander(A, Cmin, bound, budgets))
+
+
+def _auslander(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
+               budgets) -> BoundedVerdict:
+    R = A.ring
     pd = _finite_pd(A, budgets=budgets)
     if pd is not None:
         return BoundedVerdict("true", note=f"finite projective dimension {pd}")
-    Cmin = minimalize(C)
     T_raw, A2, Bc = tensor_raw(A, Cmin)
     qc, qT = Bc.n_gens(), T_raw.n_gens()
     h0 = _hom_twists(Bc.gen_twists, T_raw.gen_twists)
@@ -639,7 +704,7 @@ def in_auslander_class(M: ModulePresentation, C: ModulePresentation,
 # -- G-dimension with respect to a semidualizing module -----------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GcDimVerdict:
     kind: str  # "zero" | "finite" | "infinite" | "unknown"
     value: int | None
@@ -690,8 +755,19 @@ def gc_dim(M: ModulePresentation, C: ModulePresentation, bound=None, *,
     A = minimalize(M)
     if A.is_zero():
         return GcDimVerdict("zero", 0, None, "zero module")
-    r = ring_depth(R) - depth(M)
     Cmin = minimalize(C)
+    key = memo.content_hash(A.content_key(), Cmin.content_key(), str(bound),
+                            repr(budgets))
+    hit = memo.get("gc-dim", key)
+    if hit is not None:
+        return hit
+    return memo.put("gc-dim", key, _gc_dim(A, Cmin, bound, budgets))
+
+
+def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
+            budgets) -> GcDimVerdict:
+    R = A.ring
+    r = ring_depth(R) - depth(A)
     certificate = None
     if Cmin.n_rels() == 0 and Cmin.n_gens() == 1 and ring_is_gorenstein(R):
         certificate = "Gorenstein ring, free coefficient module"

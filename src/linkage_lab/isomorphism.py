@@ -3,7 +3,11 @@
 Strategy: compare exact invariants first (Hilbert series, generator and
 relation degree multisets of the minimal presentations); when they all
 agree, solve for the space of degree-zero homomorphisms by exact linear
-algebra and hunt for a surjective one.  Surjectivity plus equal Hilbert
+algebra and hunt for a surjective one.  Surjectivity is decided by the
+graded Nakayama lemma: a degree-zero map onto a minimal presentation B
+is onto iff its images span B/mB = k^(number of generators of B), i.e.
+iff the matrix of constant entries has full rank, a rank computation
+over the field with no Groebner basis.  Surjectivity plus equal Hilbert
 series forces bijectivity degreewise, so a hit yields both witness
 matrices; exhausting the search budget yields Unknown, never a guess.
 """
@@ -135,9 +139,31 @@ def _solution_to_columns(ring, sol, n_A_gens):
 
 
 def _is_surjective(ring, phi_cols, B: ModulePresentation) -> bool:
-    gb = span_gb(ring, phi_cols + list(B.columns), B.gen_twists)
-    one = ring.poly_ring.one()
-    return all(gb.contains({i: one}) for i in range(B.n_gens()))
+    """Whether a degree-zero map onto the minimal presentation B is onto.
+
+    Graded Nakayama: it is iff the images span B/mB = k^(B.n_gens()),
+    i.e. iff the constant entries of phi_cols have rank B.n_gens().
+    """
+    f = ring.field
+    const = (0,) * ring.nvars
+    pivots = []  # (position, row scaled so that row[position] = 1)
+    for col in phi_cols:
+        row = {i: p.terms[const] for i, p in col.items() if const in p.terms}
+        for pos, prow in pivots:
+            c = row.get(pos)
+            if c is None:
+                continue
+            for i, v in prow.items():
+                acc = f.sub(row.get(i, f.zero()), f.mul(c, v))
+                if acc == f.zero():
+                    row.pop(i, None)
+                else:
+                    row[i] = acc
+        if row:
+            pos = min(row)
+            inv = f.inv(row[pos])
+            pivots.append((pos, {i: f.mul(v, inv) for i, v in row.items()}))
+    return len(pivots) == B.n_gens()
 
 
 def _compose(ring, psi_cols, phi_cols):

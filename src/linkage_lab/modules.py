@@ -219,11 +219,16 @@ def direct_sum(M: ModulePresentation, N: ModulePresentation) -> ModulePresentati
 # -- span machinery ---------------------------------------------------------
 
 
-def serialize_columns(columns, twists) -> str:
-    parts = [repr(list(twists))]
-    for col in columns:
-        parts.append(";".join(f"{i}:{col[i]}" for i in sorted(col)))
-    return "\n".join(parts)
+def columns_key(columns, twists) -> str:
+    """Injective text of (twists, columns) built from the exact terms.
+
+    Each column is its sorted (position, sorted (exponents, coefficient)
+    terms) pairs; no polynomial is printed.
+    """
+    return repr((tuple(twists), tuple(
+        tuple(sorted((i, tuple(sorted(p.terms.items()))) for i, p in col.items()))
+        for col in columns
+    )))
 
 
 def span_gb(ring: GradedRing, columns, ambient_twists, *, track=False,
@@ -236,7 +241,7 @@ def span_gb(ring: GradedRing, columns, ambient_twists, *, track=False,
     if max_degree is None:
         max_degree = DEFAULT_BUDGETS.max_degree
     key = memo.content_hash(
-        ring.key(), serialize_columns(list(columns) + list(extra), ambient_twists),
+        ring.key(), columns_key(list(columns) + list(extra), ambient_twists),
         f"track={track}", f"extra={len(extra)}", f"maxdeg={max_degree}"
     )
     hit = memo.get("span-gb", key)

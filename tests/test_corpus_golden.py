@@ -1,0 +1,18 @@
+"""Corpus report gate: the full corpus suites are byte-identical to golden.
+
+`suite [] on corpus(R, 8)` over H, T and N (see tests/corpus_golden.py)
+runs through parse -> execute -> report_json and is compared with
+tests/golden/corpus_R.json.  A change that moves any verdict, witness,
+certificate or note of the default battery fails here until the golden
+file is regenerated on purpose.
+"""
+
+import pytest
+
+import corpus_golden
+
+
+@pytest.mark.parametrize("name", sorted(corpus_golden.RINGS))
+def test_corpus_suite_report_matches_golden(name):
+    with open(corpus_golden.golden_path(name), encoding="utf-8") as fh:
+        assert corpus_golden.report(name) == fh.read()

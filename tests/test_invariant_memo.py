@@ -1,0 +1,129 @@
+"""Each invariant is computed once per module and reused.
+
+The ambient-Ext profile and the memoized verdicts (Auslander class,
+Serre-type condition, G_C-dimension, canonical-module recognition) must
+be indistinguishable from recomputation: a hit returns the stored
+object, and after `memo.clear()` a fresh computation returns an equal
+value.  Keys separate every input the verdict depends on.
+"""
+
+import dataclasses
+
+import pytest
+
+from linkage_lab import isomorphism, memo
+from linkage_lab.config import DEFAULT_BUDGETS
+from linkage_lab.corpus import corpus_pool, maximal_ideal
+from linkage_lab.fields import GF, QQ
+from linkage_lab.invariants import (
+    BoundedVerdict,
+    GcDimVerdict,
+    _ambient_profile,
+    canonical_module,
+    gc_dim,
+    in_auslander_class,
+    is_canonical_module,
+    probe_primes,
+    serre_tilde,
+)
+from linkage_lab.modules import cyclic_module, free_module, minimalize, twist_module
+from linkage_lab.rings import make_ring
+
+H = make_ring(QQ, ["x", "y"], ["x*y"])
+T = make_ring(QQ, ["x", "y", "z"], ["y*z", "x*z", "x*y"])
+N = make_ring(GF(32003), ["x", "y", "z", "w"],
+              ["x*z", "x*w", "y*z", "y*w"])
+
+
+def _cases():
+    kH = cyclic_module(H, ["x", "y"])
+    kT = cyclic_module(T, ["x", "y", "z"])
+    mN = maximal_ideal(N)
+    omega = canonical_module(T)
+    unitH = free_module(H, [0])
+    return [
+        ("ambient-profile", lambda: _ambient_profile(kT)),
+        ("ambient-profile", lambda: _ambient_profile(mN)),
+        ("auslander", lambda: in_auslander_class(maximal_ideal(H), unitH)),
+        ("auslander", lambda: in_auslander_class(kT, omega, bound=2)),
+        ("serre-tilde", lambda: serre_tilde(maximal_ideal(T), 2)),
+        ("serre-tilde", lambda: serre_tilde(mN, 1)),
+        ("gc-dim", lambda: gc_dim(kH, unitH)),
+        ("gc-dim", lambda: gc_dim(kT, omega)),
+        ("is-canonical", lambda: is_canonical_module(twist_module(omega, 1))),
+        ("is-canonical", lambda: is_canonical_module(kT)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(_cases())))
+def test_memo_hit_equals_fresh_computation(index):
+    op, compute = _cases()[index]
+    memo.clear()
+    first = compute()
+    assert any(o == op for o, _ in memo._TABLE), op
+    hit = compute()
+    assert hit is first or (isinstance(hit, bool) and hit == first)
+    memo.clear()
+    fresh = compute()
+    assert fresh == first
+    if not isinstance(first, bool):
+        assert fresh is not first
+
+
+def test_verdicts_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BoundedVerdict("true").kind = "false"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        GcDimVerdict("zero", 0, None).note = "changed"
+
+
+def test_keys_separate_bound_budgets_and_probes():
+    memo.clear()
+    M, C = maximal_ideal(H), free_module(H, [0])
+    v2 = in_auslander_class(M, C, bound=2)
+    v3 = in_auslander_class(M, C, bound=3)
+    assert (v2.bound, v3.bound) == (2, 3)
+    tight = DEFAULT_BUDGETS.with_overrides(max_degree=3)
+    assert in_auslander_class(M, C, bound=3, budgets=tight) is not v3
+    g2, g3 = gc_dim(M, C, bound=2), gc_dim(M, C, bound=3)
+    assert g2 == g3 and g2 is not g3  # exact: equal, but separate entries
+    mN = maximal_ideal(N)
+    probes = probe_primes(N)
+    full = serre_tilde(mN, 1)
+    part = serre_tilde(mN, 1, probes=probes[:2])
+    assert full is serre_tilde(mN, 1, probes=probes)
+    assert (full.note, part.note) == (f"{len(probes)} probe primes",
+                                      "2 probe primes")
+
+
+def _iso_route(C):
+    """The isomorphism search alone, without `canonical_twist`."""
+    Cmin = minimalize(C)
+    omega = canonical_module(Cmin.ring)
+    if Cmin.n_gens() != omega.n_gens():
+        return False
+    a = min(omega.gen_twists) - min(Cmin.gen_twists)
+    return isomorphism.is_isomorphic(
+        Cmin, twist_module(omega, a)).is_isomorphic()
+
+
+def test_canonical_twist_answers_without_isomorphism_search(monkeypatch):
+    memo.clear()
+    omega = canonical_module(T)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("isomorphism search ran")
+
+    monkeypatch.setattr(isomorphism, "is_isomorphic", no_search)
+    assert is_canonical_module(twist_module(omega, -2))
+    assert is_canonical_module(free_module(H, [3]))  # Gorenstein: omega = R(a)
+
+
+def test_canonical_recognition_routes_agree():
+    for ring in (H, T):
+        omega = canonical_module(ring)
+        mods = [M for _, M in corpus_pool(ring)[:8]]
+        mods += [twist_module(omega, a) for a in (-1, 2)]
+        for M in mods:
+            memo.clear()
+            assert is_canonical_module(M) == _iso_route(M)
