@@ -208,7 +208,7 @@ def tensor_raw(M: ModulePresentation, N: ModulePresentation):
     return ModulePresentation(ring, gen_twists, rel_twists, cols), A, B
 
 
-def tensor(M, N, *, budgets=None) -> ModulePresentation:
+def tensor(M, N) -> ModulePresentation:
     key = memo.content_hash(minimalize(M).content_key(),
                             minimalize(N).content_key())
     hit = memo.get("tensor", key)
@@ -299,7 +299,7 @@ def tor(M: ModulePresentation, N: ModulePresentation, i: int, *,
     if i < 0:
         raise ValueError("tor index must be >= 0")
     if i == 0:
-        return tensor(M, N, budgets=budgets)
+        return tensor(M, N)
     A, B = minimalize(M), minimalize(N)
     key = memo.content_hash(A.content_key(), B.content_key(), str(i))
     hit = memo.get("tor", key)

@@ -515,7 +515,7 @@ def n_torsionfree_degree(M: ModulePresentation, cap: int, *, budgets=None):
 # -- explicit graded maps and their isomorphism tests -------------------------
 
 
-def _combine_columns(ring, cols, coeffs):
+def _combine_columns(cols, coeffs):
     acc: dict = {}
     for col, c in zip(cols, coeffs):
         if c is None or c.is_zero():
@@ -543,7 +543,7 @@ def graded_map_is_iso(domain: ModulePresentation, target_pres, target_kept,
     rel_gb = span_gb(ring, list(target_rels), list(target_twists))
     for col in D.columns:
         coeffs = [col.get(i) for i in range(D.n_gens())]
-        image = _combine_columns(ring, img_cols, coeffs)
+        image = _combine_columns(img_cols, coeffs)
         if image and not rel_gb.contains(image):
             raise ConsistencyError("candidate map is not well defined")
     full_gb = span_gb(ring, list(target_kept) + list(target_rels),

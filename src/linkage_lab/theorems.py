@@ -4,8 +4,11 @@ Each named check instantiates the hypotheses of one statement on a
 concrete module instance, evaluates both sides of the claimed
 equivalence or equality, and returns a report with verdict Verified,
 Refuted, Inapplicable, or PartiallyVerified.  Hypotheses are evaluated
-before conclusions: a failed hypothesis yields Inapplicable, never a
-vacuous confirmation.  Quantified claims over all primes are sampled on
+in stages before conclusions, and the claims are evaluated only after
+every hypothesis holds: a Failed or Unknown hypothesis yields
+Inapplicable, never a vacuous confirmation, and the claims of such an
+instance are never computed.  An index n <= 0 fails the hypothesis
+n >= 1 and is Inapplicable.  Quantified claims over all primes are sampled on
 the probe-prime set unless they reduce to an exact global criterion;
 such claims verify at best partially, while a violation found at a
 probe prime is a genuine refutation.  A Refuted verdict reached while
@@ -17,7 +20,6 @@ refutation is trusted.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BUDGETS, default_bound
@@ -173,7 +175,6 @@ class TheoremReport:
     witness: str = ""
     notes: list = field(default_factory=list)
     suspected_counterexample: bool = False
-    wall_ms: float = 0.0  # in-memory only, never serialized
 
     def to_dict(self):
         return {
@@ -206,6 +207,9 @@ def _describe(verdict) -> str:
 
 
 def _hyp_verdict(name: str, verdict) -> HypothesisStatus:
+    """The verdict's own status label.  A BoundedVerdict's label is its
+    bound or probes when it holds, Failed when it is false and Unknown
+    when it is undetermined, so callers need no Failed branch of their own."""
     return HypothesisStatus(name, verdict.status_label(), _describe(verdict))
 
 
@@ -272,21 +276,20 @@ def _equality_claim(name: str, lhs, rhs, detail: str = "") -> Claim:
     return Claim(name, "exact-false", f"{lhs} != {rhs}; {detail}")
 
 
-def _finish(tid, instance, hyps, claims, *, notes=()) -> TheoremReport:
-    notes = list(notes)
-    for h in hyps:
-        if h.label == "Failed":
-            return TheoremReport(
-                tid.value, instance, hyps, "Inapplicable",
-                witness=f"hypothesis failed: {h.name}"
-                + (f" ({h.detail})" if h.detail else ""),
-                notes=notes)
-        if h.label == "Unknown":
-            return TheoremReport(
-                tid.value, instance, hyps, "Inapplicable",
-                witness=f"hypothesis undetermined: {h.name}"
-                + (f" ({h.detail})" if h.detail else ""),
-                notes=notes)
+def _blocker(hyps):
+    """The first Failed or Unknown hypothesis, or None."""
+    return next((h for h in hyps if h.label in ("Failed", "Unknown")), None)
+
+
+def _finish(tid, instance, hyps, claims, notes) -> TheoremReport:
+    blocker = _blocker(hyps)
+    if blocker is not None:
+        word = "failed" if blocker.label == "Failed" else "undetermined"
+        return TheoremReport(
+            tid.value, instance, hyps, "Inapplicable",
+            witness=f"hypothesis {word}: {blocker.name}"
+            + (f" ({blocker.detail})" if blocker.detail else ""),
+            notes=notes)
     all_exact_hyps = all(h.label == "Exact" for h in hyps)
     for c in claims:
         if c.status == "exact-false":
@@ -318,7 +321,7 @@ def _label(bindings, M: ModulePresentation) -> str:
     return f"module({M.n_gens()} gens, twists {list(M.gen_twists)})"
 
 
-def _instance(tid, bindings, M) -> str:
+def _instance(bindings, M) -> str:
     return f"{_label(bindings, M)} over {M.ring.key()}"
 
 
@@ -342,29 +345,21 @@ def _semidualizing_hyp(C, cfg) -> HypothesisStatus:
                             "homothety exact; self-Ext vanishing scanned")
 
 
-def _linked_hyp(M, cfg):
+def _linked_hyp(M, cfg) -> HypothesisStatus:
     report = is_horizontally_linked(M, budgets=cfg.resolve_budgets(),
                                     seed=cfg.seed)
-    h = _hyp("M is horizontally linked", report.linked, report.describe())
-    return h, report
+    return _hyp("M is horizontally linked", report.linked, report.describe())
 
 
 def _auslander_hyp(name, M, C, cfg) -> HypothesisStatus:
-    v = in_auslander_class(M, C, bound=cfg.resolve_bound(M.ring),
-                           budgets=cfg.resolve_budgets())
-    if v.kind == "unknown":
-        return _hyp_unknown(name, v.describe())
-    if not v.holds():
-        return HypothesisStatus(name, "Failed", v.describe())
-    return _hyp_verdict(name, v)
+    return _hyp_verdict(name, in_auslander_class(
+        M, C, bound=cfg.resolve_bound(M.ring), budgets=cfg.resolve_budgets()))
 
 
 def _gcdim_hyp(name, M, C, cfg, *, positive=False):
     v = gc_dim(M, C, bound=cfg.resolve_bound(M.ring),
                budgets=cfg.resolve_budgets())
-    if v.kind == "unknown":
-        return _hyp_unknown(name, str(v)), v
-    if not v.is_finite():
+    if v.kind == "infinite":
         return HypothesisStatus(name, "Failed", str(v)), v
     if positive and v.kind == "zero":
         return HypothesisStatus(name, "Failed",
@@ -380,12 +375,10 @@ def _finite_gdim_lambda_hyp(lam, cfg):
                     "Gorenstein ring")
     v = gc_dim(lam, _unit(R), bound=cfg.resolve_bound(R),
                budgets=cfg.resolve_budgets())
-    if v.is_finite():
-        return _hyp_verdict("G-dim of the linked module is finite", v)
     if v.kind == "infinite":
         return HypothesisStatus("G-dim of the linked module is finite",
                                 "Failed", str(v))
-    return _hyp_unknown("G-dim of the linked module is finite", str(v))
+    return _hyp_verdict("G-dim of the linked module is finite", v)
 
 
 def _ext_window_vanishes(M, C, lo, hi, cfg):
@@ -425,6 +418,11 @@ def _cm_ring_hyp(R) -> HypothesisStatus:
 
 def _tensor_canonical(M):
     return tensor(M, canonical_module(M.ring))
+
+
+def _omega_s1_hyp(MW, probes) -> HypothesisStatus:
+    return _hyp_verdict("M (x) omega satisfies S~_1",
+                        serre_tilde(MW, 1, probes=probes))
 
 
 def _ideal_as_module(ring, gens) -> ModulePresentation:
@@ -478,13 +476,19 @@ def _ng_probes(M, probes):
 
 
 # -- the checks ---------------------------------------------------------------
+#
+# Every check is a generator `check(bindings, cfg)`.  It first yields the
+# report's instance line.  After that, each list it yields is one stage of
+# hypotheses (HypothesisStatus), and a later stage may need what an earlier
+# one computed; each string it yields is a report note.  After its last
+# stage it returns its claims.  `_run` stops at the first stage that holds
+# a Failed or Unknown hypothesis and never resumes the generator, so
+# nothing after that stage, the claims included, is computed.
 
 
-def _check_thm_ms(bindings, cfg) -> TheoremReport:
+def _check_thm_ms(bindings, cfg):
     M = minimalize(bindings["M"])
-    tid = TheoremId.THM_MS
-    instance = _instance(tid, bindings, M)
-    hyps = []
+    yield _instance(bindings, M)
     budgets = cfg.resolve_budgets()
     ring = M.ring
     stable, free_rank = is_stable(M)
@@ -492,7 +496,7 @@ def _check_thm_ms(bindings, cfg) -> TheoremReport:
     syz = is_syzygy_module(M, budgets=budgets)
     lam2 = lambda_module(lambda_module(M, budgets=budgets), budgets=budgets)
     iso = is_isomorphic(M, lam2, budgets=budgets, seed=cfg.seed)
-    sides = [
+    return _equivalence_claims([
         Side("M = lambda^2 M (horizontally linked)",
              iso.is_isomorphic() if iso.resolved() else None,
              iso.resolved(), iso.certificate),
@@ -501,20 +505,24 @@ def _check_thm_ms(bindings, cfg) -> TheoremReport:
                    f"Ext^1 vanishes={ext1}"),
         _side_bool("stable and a syzygy module", stable and syz,
                    f"stable={stable}, embeds in a free module={syz}"),
-    ]
-    return _finish(tid, instance, hyps, _equivalence_claims(sides))
+    ])
 
 
-def _check_prop_t1(bindings, cfg) -> TheoremReport:
+def _check_prop_t1(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     n = int(bindings["n"])
-    tid = TheoremId.PROP_T1
-    instance = _instance(tid, bindings, M) + f", n={n}"
+    yield _instance(bindings, M) + f", n={n}"
     hyps = [_semidualizing_hyp(C, cfg), _hyp("n >= 1", n >= 1)]
+    # converse under finite G_C-dimension on the small-depth locus
+    locus = _finite_gcdim_on_locus_hyp(M, C, n - 1)
+    if locus.label == "Exact":
+        hyps.append(locus)
+    else:
+        yield ("converse (S~_n => Ext vanishing) skipped: finite "
+               f"G_C-dimension on the depth <= {n - 1} locus not certified")
+    yield hyps
     budgets = cfg.resolve_budgets()
-    probes = cfg.probes_for(M.ring)
-
     TC = transpose_wrt(M, C, budgets=budgets)
     i_ok, i_wit, _ = _ext_window_vanishes(TC, C, 1, n, cfg)
     side_i = _side_bool(f"Ext^i(Tr_C M, C) = 0 for 1..{n}", i_ok,
@@ -524,23 +532,14 @@ def _check_prop_t1(bindings, cfg) -> TheoremReport:
         f"M is an {n}th C-syzygy", ok,
         "iterated universal pushforward succeeds" if ok
         else f"pushforward obstructed at step {step}")
-    side_iii = _serre_side("M", M, n, probes)
-
+    side_iii = _serre_side("M", M, n, cfg.probes_for(M.ring))
     claims = [
         _implication_claim(side_i, side_ii),
         _implication_claim(side_ii, side_iii),
     ]
-    notes = []
-    # converse under finite G_C-dimension on the small-depth locus
-    locus = _finite_gcdim_on_locus_hyp(M, C, n - 1)
     if locus.label == "Exact":
-        hyps.append(locus)
         claims.append(_implication_claim(side_iii, side_i))
-    else:
-        notes.append(
-            "converse (S~_n => Ext vanishing) skipped: finite G_C-dimension "
-            f"on the depth <= {n - 1} locus not certified")
-    return _finish(tid, instance, hyps, claims, notes=notes)
+    return claims
 
 
 def _finite_gcdim_on_locus_hyp(M, C, t) -> HypothesisStatus:
@@ -588,110 +587,92 @@ def _locus_finite_gdim_hyp(M, C, t) -> HypothesisStatus:
     return locus
 
 
-def _check_prop_p3(bindings, cfg) -> TheoremReport:
+def _check_prop_p3(bindings, cfg):
     M = minimalize(bindings["M"])
     n = int(bindings["n"])
-    tid = TheoremId.PROP_P3
-    instance = _instance(tid, bindings, M) + f", n={n}"
+    yield _instance(bindings, M) + f", n={n}"
     R = M.ring
-    hyps = [_cm_ring_hyp(R), _hyp("n >= 1", n >= 1)]
-    if hyps[0].label == "Failed":
-        return _finish(tid, instance, hyps, [])
+    yield [_cm_ring_hyp(R), _hyp("n >= 1", n >= 1)]
     d = ring_dim(R)
     probes = cfg.probes_for(R)
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps.append(linked_h)
+    linked_h = _linked_hyp(M, cfg)
     MW = _tensor_canonical(M)
-    s1 = serre_tilde(MW, 1, probes=probes)
-    hyps.append(_hyp_verdict("M (x) omega satisfies S~_1", s1)
-                if s1.holds() or s1.kind == "unknown"
-                else HypothesisStatus("M (x) omega satisfies S~_1",
-                                      "Failed", s1.describe()))
+    yield [linked_h, _omega_s1_hyp(MW, probes)]
     lam = lambda_module(M, budgets=cfg.resolve_budgets())
     side_i = _serre_side("lambda M", lam, n, probes)
     empty, degs = _lcd_window_empty(MW, d - n, d)
     side_ii = _side_bool(
         f"H^i_m(M (x) omega) = 0 for {d - n} < i < {d}", empty,
         "" if empty else f"nonvanishing local cohomology at {degs}")
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_i, side_ii]))
+    return _equivalence_claims([side_i, side_ii])
 
 
-def _check_prop_t13(bindings, cfg) -> TheoremReport:
+def _check_prop_t13(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     n = int(bindings["n"])
-    tid = TheoremId.PROP_T13
-    instance = _instance(tid, bindings, M) + f", n={n}"
+    yield _instance(bindings, M) + f", n={n}"
     hyps = [_semidualizing_hyp(C, cfg), _hyp("n >= 1", n >= 1)]
+    locus = _finite_injdim_on_locus_hyp(C, n - 1)
+    if locus.label == "Exact":
+        hyps.append(locus)
+    else:
+        yield ("converse skipped: finite injective dimension of C on "
+               f"the depth <= {n - 1} locus not certified")
+    yield hyps
     budgets = cfg.resolve_budgets()
-    probes = cfg.probes_for(M.ring)
     T = transpose(M)
     i_ok, i_wit, _ = _ext_window_vanishes(T, C, 1, n, cfg)
     side_i = _side_bool(f"Ext^i(Tr M, C) = 0 for 1..{n}", i_ok,
                         "" if i_ok else f"Ext^{i_wit} != 0")
-    MC = tensor(M, C, budgets=budgets)
+    MC = tensor(M, C)
     ok, step = is_nth_cosyzygy_witness(MC, C, n, budgets=budgets)
     side_ii = _side_bool(
         f"M (x) C is an {n}th C-syzygy", ok,
         "iterated universal pushforward succeeds" if ok
         else f"pushforward obstructed at step {step}")
-    side_iii = _serre_side("M (x) C", MC, n, probes)
+    side_iii = _serre_side("M (x) C", MC, n, cfg.probes_for(M.ring))
     claims = [
         _implication_claim(side_i, side_ii),
         _implication_claim(side_ii, side_iii),
     ]
-    notes = []
-    locus = _finite_injdim_on_locus_hyp(C, n - 1)
     if locus.label == "Exact":
-        hyps.append(locus)
         claims.append(_implication_claim(side_iii, side_i))
-    else:
-        notes.append("converse skipped: finite injective dimension of C on "
-                     f"the depth <= {n - 1} locus not certified")
-    return _finish(tid, instance, hyps, claims, notes=notes)
+    return claims
 
 
-def _check_cor_c2(bindings, cfg) -> TheoremReport:
+def _check_cor_c2(bindings, cfg):
     M = minimalize(bindings["M"])
     n = int(bindings["n"])
-    tid = TheoremId.COR_C2
-    instance = _instance(tid, bindings, M) + f", n={n}"
+    yield _instance(bindings, M) + f", n={n}"
     R = M.ring
-    hyps = [_cm_ring_hyp(R), _hyp("n >= 1", n >= 1)]
-    if hyps[0].label == "Failed":
-        return _finish(tid, instance, hyps, [])
+    yield [_cm_ring_hyp(R), _hyp("n >= 1", n >= 1)]
     d = ring_dim(R)
     probes = cfg.probes_for(R)
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps.append(linked_h)
+    linked_h = _linked_hyp(M, cfg)
     MW = _tensor_canonical(M)
-    s1 = serre_tilde(MW, 1, probes=probes)
-    hyps.append(_hyp_verdict("M (x) omega satisfies S~_1", s1)
-                if s1.holds() or s1.kind == "unknown"
-                else HypothesisStatus("M (x) omega satisfies S~_1",
-                                      "Failed", s1.describe()))
+    yield [linked_h, _omega_s1_hyp(MW, probes)]
     side_i = _serre_side("M (x) omega", MW, n, probes)
     lam = lambda_module(M, budgets=cfg.resolve_budgets())
     empty, degs = _lcd_window_empty(lam, d - n, d)
     side_ii = _side_bool(
         f"H^i_m(lambda M) = 0 for {d - n} < i < {d}", empty,
         "" if empty else f"nonvanishing local cohomology at {degs}")
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_i, side_ii]))
+    return _equivalence_claims([side_i, side_ii])
 
 
-def _check_lem_lem2(bindings, cfg) -> TheoremReport:
+def _check_lem_lem2(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     n = int(bindings.get("n", 1))
-    tid = TheoremId.LEM_LEM2
-    instance = _instance(tid, bindings, M) + f", n={n}"
-    hyps = [_semidualizing_hyp(C, cfg)]
-    hyps.append(_auslander_hyp("M is in the Auslander class of C", M, C, cfg))
-    budgets = cfg.resolve_budgets()
+    if n < 1:
+        raise InapplicableError(
+            f"the Serre-type condition S~_n needs n >= 1, got n={n}")
+    yield _instance(bindings, M) + f", n={n}"
+    yield [_semidualizing_hyp(C, cfg),
+           _auslander_hyp("M is in the Auslander class of C", M, C, cfg)]
     probes = cfg.probes_for(M.ring)
-    MC = tensor(M, C, budgets=budgets)
+    MC = tensor(M, C)
     claims = [
         _equality_claim("depth M = depth(M (x) C)", depth(M), depth(MC)),
         _equality_claim("dim M = dim(M (x) C)", krull_dim(M), krull_dim(MC)),
@@ -704,18 +685,23 @@ def _check_lem_lem2(bindings, cfg) -> TheoremReport:
         _side_bool("M is Cohen-Macaulay", is_cm(M)),
         _side_bool("M (x) C is Cohen-Macaulay", is_cm(MC)),
     ]))
-    return _finish(tid, instance, hyps, claims)
+    return claims
 
 
-def _check_thm_th5(bindings, cfg) -> TheoremReport:
+def _check_thm_th5(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     n = int(bindings["n"])
-    tid = TheoremId.THM_TH5
-    instance = _instance(tid, bindings, M) + f", n={n}"
-    hyps = [_semidualizing_hyp(C, cfg), _hyp("n >= 1", n >= 1)]
-    hyps.append(_auslander_hyp("M is in the Auslander class of C", M, C, cfg))
-    budgets = cfg.resolve_budgets()
+    yield _instance(bindings, M) + f", n={n}"
+    hyps = [_semidualizing_hyp(C, cfg), _hyp("n >= 1", n >= 1),
+            _auslander_hyp("M is in the Auslander class of C", M, C, cfg)]
+    locus = _locus_finite_gdim_hyp(M, C, n - 1)
+    if locus.label == "Exact":
+        hyps.append(locus)
+    else:
+        yield ("full four-way equivalence skipped: finite G-dimension "
+               f"on the depth <= {n - 1} locus not certified")
+    yield hyps
     ring = M.ring
     probes = cfg.probes_for(ring)
     T = transpose(M)
@@ -725,7 +711,7 @@ def _check_thm_th5(bindings, cfg) -> TheoremReport:
     ii_ok, ii_wit, _ = _ext_window_vanishes(T, C, 1, n, cfg)
     side_ii = _side_bool(f"Ext^i(Tr M, C) = 0 for 1..{n}", ii_ok,
                          "" if ii_ok else f"Ext^{ii_wit} != 0")
-    MC = tensor(M, C, budgets=budgets)
+    MC = tensor(M, C)
     side_iii = _serre_side("M (x) C", MC, n, probes)
     side_iv = _serre_side("M", M, n, probes)
     claims = [
@@ -733,35 +719,26 @@ def _check_thm_th5(bindings, cfg) -> TheoremReport:
         _implication_claim(side_ii, side_iii),
     ]
     claims.extend(_equivalence_claims([side_iii, side_iv]))
-    notes = []
-    locus = _locus_finite_gdim_hyp(M, C, n - 1)
     if locus.label == "Exact":
-        hyps.append(locus)
         claims.extend(_equivalence_claims([side_i, side_iv]))
-    else:
-        notes.append("full four-way equivalence skipped: finite G-dimension "
-                     f"on the depth <= {n - 1} locus not certified")
-    return _finish(tid, instance, hyps, claims, notes=notes)
+    return claims
 
 
-def _check_cor_cor7(bindings, cfg) -> TheoremReport:
+def _check_cor_cor7(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     n = int(bindings["n"])
-    tid = TheoremId.COR_COR7
-    instance = _instance(tid, bindings, M) + f", n={n}"
-    budgets = cfg.resolve_budgets()
-    ring = M.ring
+    yield _instance(bindings, M) + f", n={n}"
     stable, free_rank = is_stable(M)
-    hyps = [
+    yield [
         _semidualizing_hyp(C, cfg),
         _hyp("M is stable", stable, f"free rank {free_rank}"),
         _auslander_hyp("M is in the Auslander class of C", M, C, cfg),
         _locus_finite_gdim_hyp(M, C, n - 1),
         _hyp("n >= 1", n >= 1),
     ]
-    probes = cfg.probes_for(ring)
-    side_i = _serre_side("M", M, n, probes)
+    budgets = cfg.resolve_budgets()
+    side_i = _serre_side("M", M, n, cfg.probes_for(M.ring))
     report = is_horizontally_linked(M, budgets=budgets, seed=cfg.seed)
     lam = lambda_module(M, budgets=budgets)
     if n >= 2:
@@ -773,38 +750,25 @@ def _check_cor_cor7(bindings, cfg) -> TheoremReport:
         report.linked and e_ok,
         f"linked={report.linked}"
         + ("" if e_ok else f", Ext^{e_wit}(lambda M, C) != 0"))
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_i, side_ii]))
+    return _equivalence_claims([side_i, side_ii])
 
 
-def _check_thm_theorem1(bindings, cfg) -> TheoremReport:
+def _check_thm_theorem1(bindings, cfg):
     M = minimalize(bindings["M"])
-    tid = TheoremId.THM_THEOREM1
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     R = M.ring
-    hyps = [_cm_ring_hyp(R)]
-    if hyps[0].label == "Failed":
-        return _finish(tid, instance, hyps, [])
-    budgets = cfg.resolve_budgets()
+    yield [_cm_ring_hyp(R)]
     probes = cfg.probes_for(R)
     d = ring_dim(R)
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps.append(linked_h)
+    linked_h = _linked_hyp(M, cfg)
     MW = _tensor_canonical(M)
-    s1 = serre_tilde(MW, 1, probes=probes)
-    hyps.append(_hyp_verdict("M (x) omega satisfies S~_1", s1)
-                if s1.holds() or s1.kind == "unknown"
-                else HypothesisStatus("M (x) omega satisfies S~_1",
-                                      "Failed", s1.describe()))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
-    lam = lambda_module(M, budgets=budgets)
+    yield [linked_h, _omega_s1_hyp(MW, probes)]
+    lam = lambda_module(M, budgets=cfg.resolve_budgets())
     dep_lam = depth(lam)
     dep_mw = depth(MW)
     if dep_lam == INFINITY or dep_mw == INFINITY:
-        hyps.append(_hyp("the linked module and M (x) omega are nonzero",
-                         False, "a side is the zero module"))
-        return _finish(tid, instance, hyps, [])
+        yield [_hyp("the linked module and M (x) omega are nonzero",
+                    False, "a side is the zero module")]
     side_i = _side_bool("M (x) omega is maximal Cohen-Macaulay", is_mcm(MW),
                         f"depth {dep_mw} vs dim {d}")
     side_ii = _side_bool("lambda M is maximal Cohen-Macaulay", is_mcm(lam),
@@ -817,14 +781,12 @@ def _check_thm_theorem1(bindings, cfg) -> TheoremReport:
     side_iv = _serre_side(f"lambda M (at threshold {t4 + 1})",
                           lam, t4 + 1, probes)
     side_iv.name = f"lambda M satisfies S_n for some n > {t4}"
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_i, side_ii, side_iii, side_iv]))
+    return _equivalence_claims([side_i, side_ii, side_iii, side_iv])
 
 
-def _check_thm_the1(bindings, cfg) -> TheoremReport:
+def _check_thm_the1(bindings, cfg):
     M = minimalize(bindings["M"])
-    tid = TheoremId.THM_THE1
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     R = M.ring
     gens = _parse_ideal(R, bindings["omega_ideal"])
     hyps = [_cm_ring_hyp(R),
@@ -835,40 +797,30 @@ def _check_thm_the1(bindings, cfg) -> TheoremReport:
     budgets = cfg.resolve_budgets()
     probes = cfg.probes_for(R)
     hyps.append(_hyp("M is maximal Cohen-Macaulay", is_mcm(M)))
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps.append(linked_h)
-    MW = _tensor_canonical(M)
-    s1 = serre_tilde(MW, 1, probes=probes)
-    hyps.append(_hyp_verdict("M (x) omega satisfies S~_1", s1)
-                if s1.holds() or s1.kind == "unknown"
-                else HypothesisStatus("M (x) omega satisfies S~_1",
-                                      "Failed", s1.describe()))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    hyps.append(_linked_hyp(M, cfg))
+    yield hyps + [_omega_s1_hyp(_tensor_canonical(M), probes)]
     d = ring_dim(R)
     lam = lambda_module(M, budgets=budgets)
     side_i = _side_bool("lambda M is maximal Cohen-Macaulay", is_mcm(lam),
                         f"depth {depth(lam)} vs dim {d}")
-    Q = tensor(M, cyclic_module(R, gens), budgets=budgets)
+    Q = tensor(M, cyclic_module(R, gens))
     cm = is_cm(Q)
     dimq = krull_dim(Q)
     side_ii = _side_bool(
         f"M/(omega M) is Cohen-Macaulay of dimension {d - 1}",
         cm and dimq == d - 1,
         f"CM={cm}, dim={dimq}")
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_i, side_ii]))
+    return _equivalence_claims([side_i, side_ii])
 
 
-def _check_cor_theorem3(bindings, cfg) -> TheoremReport:
-    tid = TheoremId.COR_THEOREM3
+def _check_cor_theorem3(bindings, cfg):
     ring = bindings["ring"]
     I_gens = _parse_ideal(ring, bindings["I"])
     omega_gens = _parse_ideal(ring, bindings["omega_ideal"])
+    yield (f"ideal ({', '.join(str(g) for g in I_gens)}) "
+           f"over {ring.key()}")
     budgets = cfg.resolve_budgets()
     RI = minimalize(cyclic_module(ring, I_gens))
-    instance = (f"ideal ({', '.join(str(g) for g in I_gens)}) "
-                f"over {ring.key()}")
     hyps = [_cm_ring_hyp(ring),
             _hyp("the ring is not Gorenstein", not ring_is_gorenstein(ring))]
     ok, why = _matches_canonical_ideal(ring, omega_gens, cfg)
@@ -883,14 +835,12 @@ def _check_cor_theorem3(bindings, cfg) -> TheoremReport:
                   if not ring.nf(g).is_zero()]
     RJ = minimalize(cyclic_module(ring, J_gens))
     if lam.is_zero() or RJ.is_zero():
-        hyps.append(_hyp("R/I is linked to a cyclic module", False,
-                         "the linkage image or the candidate R/J is zero"))
-        return _finish(tid, instance, hyps, [])
+        yield hyps + [_hyp("R/I is linked to a cyclic module", False,
+                           "the linkage image or the candidate R/J is zero")]
     shift = min(RJ.gen_twists) - min(lam.gen_twists)
     link_iso = is_isomorphic(lam, twist_module(RJ, shift),
                              budgets=budgets, seed=cfg.seed)
-    linked_h, _ = _linked_hyp(RI, cfg)
-    hyps.append(linked_h)
+    hyps.append(_linked_hyp(RI, cfg))
     hyps.append(_hyp("the linkage image of R/I is R/J",
                      link_iso.is_isomorphic()
                      if link_iso.resolved() else False,
@@ -909,9 +859,7 @@ def _check_cor_theorem3(bindings, cfg) -> TheoremReport:
     hyps.append(_hyp("I * omega = I intersect omega", inter_ok,
                      "" if inter_ok
                      else "an intersection generator escapes the product"))
-    hyps.append(_hyp("R/I is Cohen-Macaulay", is_cm(RI)))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    yield hyps + [_hyp("R/I is Cohen-Macaulay", is_cm(RI))]
     d = ring_dim(ring)
     side_i = _side_bool("R/J is Cohen-Macaulay", is_cm(RJ))
     Q = minimalize(cyclic_module(ring, list(I_gens) + list(omega_gens)))
@@ -920,16 +868,14 @@ def _check_cor_theorem3(bindings, cfg) -> TheoremReport:
     side_ii = _side_bool(
         f"R/(I + omega) is Cohen-Macaulay of dimension {d - 1}",
         cm and dimq == d - 1, f"CM={cm}, dim={dimq}")
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_i, side_ii]))
+    return _equivalence_claims([side_i, side_ii])
 
 
-def _check_thm_prop_even(bindings, cfg) -> TheoremReport:
+def _check_thm_prop_even(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     n = int(bindings["n"])
-    tid = TheoremId.THM_PROP_EVEN
-    instance = _instance(tid, bindings, M) + f", n={n}"
+    yield _instance(bindings, M) + f", n={n}"
     R = M.ring
     budgets = cfg.resolve_budgets()
     bound = cfg.resolve_bound(R)
@@ -939,13 +885,9 @@ def _check_thm_prop_even(bindings, cfg) -> TheoremReport:
     links = []
     for key, label in (("ideal", "first"), ("ideal2", "second")):
         gens = _parse_ideal(R, bindings[key])
-        gor, g = is_gc_gorenstein_ideal(R, gens, C, bound=bound,
+        gor, _ = is_gc_gorenstein_ideal(R, gens, C, bound=bound,
                                         budgets=budgets)
-        hyps.append(
-            _hyp_verdict(f"the {label} ideal is G_C-Gorenstein", gor)
-            if gor.holds() else
-            HypothesisStatus(f"the {label} ideal is G_C-Gorenstein",
-                             "Failed", gor.describe()))
+        hyps.append(_hyp_verdict(f"the {label} ideal is G_C-Gorenstein", gor))
         ann = annihilator(M)
         inside = all(ideal_contains(R, ann, f) for f in gens)
         hyps.append(_hyp(f"the {label} ideal annihilates M", inside))
@@ -957,30 +899,27 @@ def _check_thm_prop_even(bindings, cfg) -> TheoremReport:
         hyps.append(_hyp(f"M is linked by the {label} ideal", rep.linked,
                          rep.describe()))
         links.append(lambda_module(Mq, budgets=budgets))
-    if any(h.label in ("Failed", "Unknown") for h in hyps) or len(links) != 2:
-        return _finish(tid, instance, hyps, [])
+    yield hyps
     M1, M2 = links
-    sides = [
+    claims = _equivalence_claims([
         _serre_side("M1 (link through the first ideal)", M1, n,
                     cfg.probes_for(M1.ring)),
         _serre_side("M2 (link through the second ideal)", M2, n,
                     cfg.probes_for(M2.ring)),
-    ]
-    claims = _equivalence_claims(sides)
+    ])
     if ring_is_cm(R):
         claims.extend(_equivalence_claims([
             _side_bool("M1 is Cohen-Macaulay", is_cm(M1)),
             _side_bool("M2 is Cohen-Macaulay", is_cm(M2)),
         ]))
-    return _finish(tid, instance, hyps, claims)
+    return claims
 
 
-def _check_thm_th1(bindings, cfg) -> TheoremReport:
+def _check_thm_th1(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     n = int(bindings["n"])
-    tid = TheoremId.THM_TH1
-    instance = _instance(tid, bindings, M) + f", n={n}"
+    yield _instance(bindings, M) + f", n={n}"
     budgets = cfg.resolve_budgets()
     ring = M.ring
     stable, free_rank = is_stable(M)
@@ -989,13 +928,10 @@ def _check_thm_th1(bindings, cfg) -> TheoremReport:
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
     lam = lambda_module(M, budgets=budgets)
-    hyps.append(_auslander_hyp("lambda M is in the Auslander class of C",
-                               lam, C, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
+                                 lam, C, cfg)]
     probes = cfg.probes_for(ring)
     report = is_horizontally_linked(M, budgets=budgets, seed=cfg.seed)
-
     side_a = _serre_side("M", M, n, probes)
     rgr_ok, rgr_wit, _ = _ext_window_vanishes(lam, _unit(ring), 1, n - 1, cfg)
     side_b = _side_bool(
@@ -1003,7 +939,6 @@ def _check_thm_th1(bindings, cfg) -> TheoremReport:
         f"linked={report.linked}"
         + ("" if rgr_ok else f", Ext^{rgr_wit}(lambda M, R) != 0"))
     claims = _equivalence_claims([side_a, side_b])
-    notes = []
     if report.linked:
         c_ok, c_wit, _ = _ext_window_vanishes(M, C, 1, n - 1, cfg)
         side_c = _side_bool(f"rgr(M, C) >= {n}", c_ok,
@@ -1011,15 +946,14 @@ def _check_thm_th1(bindings, cfg) -> TheoremReport:
         side_d = _serre_side("lambda M", lam, n, probes)
         claims.extend(_equivalence_claims([side_c, side_d]))
     else:
-        notes.append("part (ii) skipped: M is not horizontally linked")
-    return _finish(tid, instance, hyps, claims, notes=notes)
+        yield "part (ii) skipped: M is not horizontally linked"
+    return claims
 
 
-def _check_cor_cor5(bindings, cfg) -> TheoremReport:
+def _check_cor_cor5(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
-    tid = TheoremId.COR_COR5
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     budgets = cfg.resolve_budgets()
     ring = M.ring
     hyps = [_cm_ring_hyp(ring)]
@@ -1028,10 +962,8 @@ def _check_cor_cor5(bindings, cfg) -> TheoremReport:
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
     lam = lambda_module(M, budgets=budgets)
-    hyps.append(_auslander_hyp("lambda M is in the Auslander class of C",
-                               lam, C, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
+                                 lam, C, cfg)]
     d = ring_dim(ring)
     probes = cfg.probes_for(ring)
     report = is_horizontally_linked(M, budgets=budgets, seed=cfg.seed)
@@ -1050,15 +982,13 @@ def _check_cor_cor5(bindings, cfg) -> TheoremReport:
         s.exact(), s.describe())
     if not report.linked:
         side_iii = _side_bool(side_iii.name, False, "M is not linked")
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_i, side_ii, side_iii]))
+    return _equivalence_claims([side_i, side_ii, side_iii])
 
 
-def _check_cor_cor6(bindings, cfg) -> TheoremReport:
+def _check_cor_cor6(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
-    tid = TheoremId.COR_COR6
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     R = M.ring
     budgets = cfg.resolve_budgets()
     bound = cfg.resolve_bound(R)
@@ -1066,51 +996,36 @@ def _check_cor_cor6(bindings, cfg) -> TheoremReport:
     hyps = [_cm_ring_hyp(R), _semidualizing_hyp(C, cfg)]
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
-    perf, g, _v = is_gc_perfect_ideal(R, gens, C, bound=bound,
-                                      budgets=budgets)
-    hyps.append(_hyp_verdict("the ideal is G_C-perfect", perf)
-                if perf.holds()
-                else HypothesisStatus("the ideal is G_C-perfect", "Failed",
-                                      perf.describe()))
+    perf, _, _ = is_gc_perfect_ideal(R, gens, C, bound=bound, budgets=budgets)
+    hyps.append(_hyp_verdict("the ideal is G_C-perfect", perf))
     ann = annihilator(M)
     inside = all(ideal_contains(R, ann, f) for f in gens)
-    hyps.append(_hyp("the ideal annihilates M", inside))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    yield hyps + [_hyp("the ideal annihilates M", inside)]
     Rq = R.quotient_by(gens)
     Mq = minimalize(change_ring(M, Rq))
     rep = is_horizontally_linked(Mq, budgets=budgets, seed=cfg.seed)
-    hyps.append(_hyp("M is linked by the ideal", rep.linked, rep.describe()))
-    K, cert = induced_semidualizing(R, gens, C, bound=bound, budgets=budgets)
+    linked_h = _hyp("M is linked by the ideal", rep.linked, rep.describe())
+    K, _ = induced_semidualizing(R, gens, C, bound=bound, budgets=budgets)
     lamq = lambda_module(Mq, budgets=budgets)
-    hyps.append(_auslander_hyp(
+    yield [linked_h, _auslander_hyp(
         "the quotient link is in the Auslander class of the induced "
-        "semidualizing module", lamq, K, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
-    sides = [
+        "semidualizing module", lamq, K, cfg)]
+    return _equivalence_claims([
         _side_bool("M is Cohen-Macaulay", is_cm(M)),
         _side_bool("the quotient link of M is Cohen-Macaulay", is_cm(lamq)),
-    ]
-    return _finish(tid, instance, hyps, _equivalence_claims(sides))
+    ])
 
 
-def _check_thm_cor3(bindings, cfg) -> TheoremReport:
+def _check_thm_cor3(bindings, cfg):
     M = minimalize(bindings["M"])
-    tid = TheoremId.THM_COR3
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     R = M.ring
     budgets = cfg.resolve_budgets()
-    hyps = [_cm_ring_hyp(R)]
-    if hyps[0].label == "Failed":
-        return _finish(tid, instance, hyps, [])
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps.append(linked_h)
-    hyps.append(_hyp("M is not Cohen-Macaulay", not is_cm(M)))
+    yield [_cm_ring_hyp(R)]
+    hyps = [_linked_hyp(M, cfg),
+            _hyp("M is not Cohen-Macaulay", not is_cm(M))]
     lam = lambda_module(M, budgets=budgets)
-    hyps.append(_finite_gdim_lambda_hyp(lam, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    yield hyps + [_finite_gdim_lambda_hyp(lam, cfg)]
     d = ring_dim(R)
     cc = cohomological_deficiency(M)
     E = ext_to_ambient(M, R.nvars - cc, budgets=budgets)
@@ -1119,9 +1034,8 @@ def _check_thm_cor3(bindings, cfg) -> TheoremReport:
         "tested as dim of the ambient Ext module <= 0")
     dep_lam = depth(lam)
     eq = (dep_lam + cc == d) if dep_lam != INFINITY else False
-    probes = cfg.probes_for(R)
     bad = []
-    for p in _ncm_probes(M, probes):
+    for p in _ncm_probes(M, cfg.probes_for(R)):
         if p.height == R.nvars:
             continue
         dp = depth_at_prime(lam, p)
@@ -1136,26 +1050,20 @@ def _check_thm_cor3(bindings, cfg) -> TheoremReport:
         value, exact=not value,
         detail=f"depth(lambda M)={dep_lam}, cc={cc}"
         + (f", violated at probes {bad}" if bad else ""))
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_i, side_ii]))
+    return _equivalence_claims([side_i, side_ii])
 
 
-def _check_thm_th2(bindings, cfg) -> TheoremReport:
+def _check_thm_th2(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
-    tid = TheoremId.THM_TH2
-    instance = _instance(tid, bindings, M)
-    budgets = cfg.resolve_budgets()
+    yield _instance(bindings, M)
     ring = M.ring
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps = [linked_h]
+    hyps = [_linked_hyp(M, cfg)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
-    lam = lambda_module(M, budgets=budgets)
-    hyps.append(_auslander_hyp("lambda M is in the Auslander class of C",
-                               lam, C, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    lam = lambda_module(M, budgets=cfg.resolve_budgets())
+    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
+                                 lam, C, cfg)]
     side_zero = Side("G_C-dimension of M is zero", gv.kind == "zero",
                      gv.exact(), str(gv))
     probes = [p for p in cfg.probes_for(ring)
@@ -1173,27 +1081,24 @@ def _check_thm_th2(bindings, cfg) -> TheoremReport:
         not bad, exact=bool(bad),
         detail=f"violations at {bad}" if bad
         else f"holds at all {len(probes)} probe primes")
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_zero, side_probe]))
+    return _equivalence_claims([side_zero, side_probe])
 
 
-def _check_cor_self(bindings, cfg) -> TheoremReport:
+def _check_cor_self(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
-    tid = TheoremId.COR_SELF
-    instance = _instance(tid, bindings, M)
-    budgets = cfg.resolve_budgets()
+    yield _instance(bindings, M)
     ring = M.ring
     twist = int(bindings.get("self_twist", 0))
-    self_iso = is_self_linked(M, twist=twist, budgets=budgets, seed=cfg.seed)
+    self_iso = is_self_linked(M, twist=twist, budgets=cfg.resolve_budgets(),
+                              seed=cfg.seed)
     hyps = [_hyp("M is horizontally self-linked",
                  self_iso.is_isomorphic() if self_iso.resolved() else False,
                  self_iso.certificate)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
-    hyps.append(_auslander_hyp("M is in the Auslander class of C", M, C, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    yield hyps + [_auslander_hyp("M is in the Auslander class of C",
+                                 M, C, cfg)]
     side_zero = Side("G_C-dimension of M is zero", gv.kind == "zero",
                      gv.exact(), str(gv))
     probes = [p for p in cfg.probes_for(ring)
@@ -1210,8 +1115,7 @@ def _check_cor_self(bindings, cfg) -> TheoremReport:
         not bad, exact=bool(bad),
         detail=f"violations at {bad}" if bad
         else f"holds at all {len(probes)} probe primes")
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_zero, side_probe]))
+    return _equivalence_claims([side_zero, side_probe])
 
 
 _TH3_RATIONALE = (
@@ -1221,35 +1125,30 @@ _TH3_RATIONALE = (
     "syz(M) <= depth(M) is asserted on the computed values")
 
 
-def _check_thm_th3(bindings, cfg) -> TheoremReport:
+def _check_thm_th3(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
-    tid = TheoremId.THM_TH3
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
+    yield _TH3_RATIONALE
     budgets = cfg.resolve_budgets()
     ring = M.ring
-    gh, gv = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
-                        positive=True)
-    hyps = [gh]
+    gh, _ = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
+                       positive=True)
     lam = lambda_module(M, budgets=budgets)
-    hyps.append(_auslander_hyp("lambda M is in the Auslander class of C",
-                               lam, C, cfg))
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps.append(linked_h)
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [], notes=[_TH3_RATIONALE])
+    yield [gh,
+           _auslander_hyp("lambda M is in the Auslander class of C",
+                          lam, C, cfg),
+           _linked_hyp(M, cfg)]
     rg = reduced_grade(lam, _unit(ring), bound=cfg.resolve_bound(ring),
                        budgets=budgets)
     if rg.value is None:
-        hyps.append(_hyp_unknown("rgr(lambda M) is finite", str(rg)))
-        return _finish(tid, instance, hyps, [], notes=[_TH3_RATIONALE])
+        yield [_hyp_unknown("rgr(lambda M) is finite", str(rg))]
     t = rg.value
     dep = depth(M)
     cap = dep if dep != INFINITY else 0
-    ntf, saturated = n_torsionfree_degree(M, cap, budgets=budgets)
-    notes = [_TH3_RATIONALE,
-             f"computed chain: rgr(lambda M)={t} <= syz(M)={ntf} <= "
-             f"depth(M)={dep}"]
+    ntf, _ = n_torsionfree_degree(M, cap, budgets=budgets)
+    yield (f"computed chain: rgr(lambda M)={t} <= syz(M)={ntf} <= "
+           f"depth(M)={dep}")
     side_i = _side_bool(
         "depth(M) = syz(M) = rgr(lambda M)",
         dep == ntf == t, f"depth={dep}, syz={ntf}, rgr(lambda M)={t}")
@@ -1257,9 +1156,8 @@ def _check_thm_th3(bindings, cfg) -> TheoremReport:
     side_ii = _side_bool(
         f"the maximal ideal is associated to Ext^{t}(lambda M, R)",
         m_in_ass(Et))
-    probes = cfg.probes_for(ring)
     bad = []
-    for p in _ng_probes(M, probes):
+    for p in _ng_probes(M, cfg.probes_for(ring)):
         dp = depth_at_prime(M, p)
         if dp < dep:
             bad.append(p.label)
@@ -1267,31 +1165,23 @@ def _check_thm_th3(bindings, cfg) -> TheoremReport:
         "depth(M) <= depth M_p on the nonzero-G-dimension locus",
         not bad, exact=bool(bad),
         detail=f"violations at {bad}" if bad else "holds at all probes")
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_i, side_ii, side_iii]),
-                   notes=notes)
+    return _equivalence_claims([side_i, side_ii, side_iii])
 
 
-def _check_thm_th6(bindings, cfg) -> TheoremReport:
+def _check_thm_th6(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
-    tid = TheoremId.THM_TH6
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     budgets = cfg.resolve_budgets()
     ring = M.ring
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps = [linked_h]
+    hyps = [_linked_hyp(M, cfg)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
     lam = lambda_module(M, budgets=budgets)
-    hyps.append(_auslander_hyp("lambda M is in the Auslander class of C",
-                               lam, C, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
-    notes = []
+    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
+                                 lam, C, cfg)]
     claims = []
-    probes = cfg.probes_for(ring)
-    ng = _ng_probes(M, probes)
+    ng = _ng_probes(M, cfg.probes_for(ring))
     rg = reduced_grade(M, C, bound=cfg.resolve_bound(ring), budgets=budgets)
     if gv.kind == "zero":
         claims.append(Claim(
@@ -1338,35 +1228,31 @@ def _check_thm_th6(bindings, cfg) -> TheoremReport:
             claims.append(_equality_claim(
                 "rgr(M) = rgr(M, C) when pd(lambda M) is finite",
                 first, r, f"pd(lambda M) = {pd}"))
-    return _finish(tid, instance, hyps, claims, notes=notes)
+    return claims
 
 
-def _check_prop_xtm(bindings, cfg) -> TheoremReport:
+def _check_prop_xtm(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
-    tid = TheoremId.PROP_XTM
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     budgets = cfg.resolve_budgets()
     ring = M.ring
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps = [linked_h]
-    gh, _gv = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
-                         positive=True)
+    hyps = [_linked_hyp(M, cfg)]
+    gh, _ = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
+                       positive=True)
     hyps.append(gh)
     lam = lambda_module(M, budgets=budgets)
-    hyps.append(_auslander_hyp("lambda M is in the Auslander class of C",
-                               lam, C, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
+                                 lam, C, cfg)]
     bound = cfg.resolve_bound(ring)
     rg_c = reduced_grade(M, C, bound=bound, budgets=budgets)
     rg_l = reduced_grade(lam, _unit(ring), bound=bound, budgets=budgets)
     if rg_c.value is None or rg_l.value is None:
-        hyps.append(_hyp_unknown(
+        yield [_hyp_unknown(
             "both reduced grades are finite",
-            f"rgr(M, C)={rg_c}, rgr(lambda M)={rg_l}"))
-        return _finish(tid, instance, hyps, [])
+            f"rgr(M, C)={rg_c}, rgr(lambda M)={rg_l}")]
     t_m = rg_c.value + rg_l.value
+    yield f"t_M = rgr(M, C) + rgr(lambda M) = {t_m}"
     probes = [p for p in cfg.probes_for(ring)
               if ring_depth_at_prime(ring, p) <= t_m - 1]
     bad = []
@@ -1376,66 +1262,52 @@ def _check_prop_xtm(bindings, cfg) -> TheoremReport:
             continue
         if dp < ring_depth_at_prime(ring, p):
             bad.append(p.label)
-    claims = [Claim(
+    return [Claim(
         f"G_C-dimension of M vanishes at probe primes of depth <= {t_m - 1}",
         "exact-false" if bad else "partial-true",
         f"violations at {bad}" if bad
         else f"holds at all {len(probes)} probe primes in the locus")]
-    return _finish(tid, instance, hyps, claims,
-                   notes=[f"t_M = rgr(M, C) + rgr(lambda M) = {t_m}"])
 
 
-def _check_thm_th4(bindings, cfg) -> TheoremReport:
+def _check_thm_th4(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
-    tid = TheoremId.THM_TH4
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     budgets = cfg.resolve_budgets()
     ring = M.ring
     hyps = [_cm_ring_hyp(ring)]
-    red, gv, rg = is_reduced_gc_perfect(M, C, bound=cfg.resolve_bound(ring),
-                                        budgets=budgets)
-    hyps.append(_hyp_verdict("M is reduced G_C-perfect", red)
-                if red.holds()
-                else HypothesisStatus("M is reduced G_C-perfect", "Failed",
-                                      red.describe()))
+    red, gv, _ = is_reduced_gc_perfect(M, C, bound=cfg.resolve_bound(ring),
+                                       budgets=budgets)
+    hyps.append(_hyp_verdict("M is reduced G_C-perfect", red))
     lam = lambda_module(M, budgets=budgets)
-    hyps.append(_auslander_hyp("lambda M is in the Auslander class of C",
-                               lam, C, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
+                                 lam, C, cfg)]
     n = gv.value
     En = ext(M, C, n, budgets=budgets)
     dep_m, dep_l, dep_e = depth(M), depth(lam), depth(En)
     if INFINITY in (dep_m, dep_l, dep_e):
-        hyps.append(_hyp("all depth terms are finite", False,
-                         "a zero module appeared"))
-        return _finish(tid, instance, hyps, [])
-    claims = [_equality_claim(
+        yield [_hyp("all depth terms are finite", False,
+                    "a zero module appeared")]
+    return [_equality_claim(
         "depth M + depth lambda M = depth R + depth Ext^n(M, C)",
         dep_m + dep_l, ring_depth(ring) + dep_e,
         f"depth M={dep_m}, depth lambda M={dep_l}, depth R="
         f"{ring_depth(ring)}, depth Ext^{n}={dep_e}")]
-    return _finish(tid, instance, hyps, claims)
 
 
-def _check_thm_th7(bindings, cfg) -> TheoremReport:
+def _check_thm_th7(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
-    tid = TheoremId.THM_TH7
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     budgets = cfg.resolve_budgets()
     ring = M.ring
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps = [linked_h]
+    hyps = [_linked_hyp(M, cfg)]
     gh, gv = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
                         positive=True)
     hyps.append(gh)
     lam = lambda_module(M, budgets=budgets)
-    hyps.append(_auslander_hyp("lambda M is in the Auslander class of C",
-                               lam, C, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
+                                 lam, C, cfg)]
     n = gv.value
     ok, wit, _ = _ext_window_vanishes(M, C, 1, n - 1, cfg)
     top = not ext(M, C, n, budgets=budgets).is_zero()
@@ -1445,61 +1317,46 @@ def _check_thm_th7(bindings, cfg) -> TheoremReport:
         + ("" if ok else f" (Ext^{wit} != 0)")
         + f", Ext^{n}(M, C) != 0: {top}")
     side_serre = _serre_side("lambda M", lam, n, cfg.probes_for(ring))
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_red, side_serre]))
+    return _equivalence_claims([side_red, side_serre])
 
 
-def _check_cor_cor1(bindings, cfg) -> TheoremReport:
+def _check_cor_cor1(bindings, cfg):
     M = minimalize(bindings["M"])
-    tid = TheoremId.COR_COR1
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     R = M.ring
-    budgets = cfg.resolve_budgets()
-    hyps = [_cm_ring_hyp(R)]
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps.append(linked_h)
+    hyps = [_cm_ring_hyp(R), _linked_hyp(M, cfg)]
     d = ring_dim(R)
     n = depth(M)
     hyps.append(_hyp(f"depth M = {n} < dim R = {d}",
                      n != INFINITY and n < d))
-    lam = lambda_module(M, budgets=budgets)
-    hyps.append(_finite_gdim_lambda_hyp(lam, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    lam = lambda_module(M, budgets=cfg.resolve_budgets())
+    yield hyps + [_finite_gdim_lambda_hyp(lam, cfg)]
     side_em = _side_bool(
         "M is an Eilenberg-MacLane module", is_eilenberg_maclane(M),
         f"local cohomology degrees {local_cohomology_degrees(M)}")
     side_serre = _serre_side("lambda M", lam, d - int(n), cfg.probes_for(R))
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_em, side_serre]))
+    return _equivalence_claims([side_em, side_serre])
 
 
-def _check_cor_cor4(bindings, cfg) -> TheoremReport:
+def _check_cor_cor4(bindings, cfg):
     M = minimalize(bindings["M"])
-    tid = TheoremId.COR_COR4
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     R = M.ring
-    budgets = cfg.resolve_budgets()
-    hyps = [_cm_ring_hyp(R)]
-    linked_h, _ = _linked_hyp(M, cfg)
-    hyps.append(linked_h)
-    hyps.append(_hyp("M is not Cohen-Macaulay", not is_cm(M)))
-    hyps.append(_hyp("M is an Eilenberg-MacLane module",
-                     is_eilenberg_maclane(M),
-                     f"local cohomology degrees "
-                     f"{local_cohomology_degrees(M)}"))
-    lam = lambda_module(M, budgets=budgets)
-    hyps.append(_finite_gdim_lambda_hyp(lam, cfg))
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    hyps = [_cm_ring_hyp(R), _linked_hyp(M, cfg),
+            _hyp("M is not Cohen-Macaulay", not is_cm(M)),
+            _hyp("M is an Eilenberg-MacLane module",
+                 is_eilenberg_maclane(M),
+                 f"local cohomology degrees "
+                 f"{local_cohomology_degrees(M)}")]
+    lam = lambda_module(M, budgets=cfg.resolve_budgets())
+    yield hyps + [_finite_gdim_lambda_hyp(lam, cfg)]
     d = ring_dim(R)
     dep_m, dep_l = depth(M), depth(lam)
     side_gcm = _side_bool("M is generalized Cohen-Macaulay",
                           is_generalized_cm(M))
     eq = dep_l + dep_m == d if INFINITY not in (dep_l, dep_m) else False
-    probes = cfg.probes_for(R)
     bad = []
-    for p in _ncm_probes(M, probes):
+    for p in _ncm_probes(M, cfg.probes_for(R)):
         if p.height == R.nvars:
             continue
         dp = depth_at_prime(lam, p)
@@ -1512,44 +1369,35 @@ def _check_cor_cor4(bindings, cfg) -> TheoremReport:
         exact=(not eq) or bool(bad),
         detail=f"depth lambda M={dep_l}, depth M={dep_m}"
         + (f", violations at {bad}" if bad else ""))
-    return _finish(tid, instance, hyps,
-                   _equivalence_claims([side_gcm, side_rhs]))
+    return _equivalence_claims([side_gcm, side_rhs])
 
 
-def _check_remark3_i(bindings, cfg) -> TheoremReport:
+def _check_remark3_i(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
-    tid = TheoremId.REMARK3_I
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     budgets = cfg.resolve_budgets()
-    hyps = []
-    lhs = tensor(transpose(M), C, budgets=budgets)
+    lhs = tensor(transpose(M), C)
     rhs = transpose_wrt(M, C, budgets=budgets)
     v = is_isomorphic(lhs, rhs, budgets=budgets, seed=cfg.seed)
     if not v.resolved():
-        return _finish(tid, instance, hyps,
-                       [Claim("Tr M (x) C = Tr_C M", "open", v.certificate)])
-    claims = [Claim("Tr M (x) C = Tr_C M",
-                    "exact-true" if v.is_isomorphic() else "exact-false",
-                    v.certificate)]
-    return _finish(tid, instance, hyps, claims)
+        return [Claim("Tr M (x) C = Tr_C M", "open", v.certificate)]
+    return [Claim("Tr M (x) C = Tr_C M",
+                  "exact-true" if v.is_isomorphic() else "exact-false",
+                  v.certificate)]
 
 
-def _check_g3_ab_formula(bindings, cfg) -> TheoremReport:
+def _check_g3_ab_formula(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
-    tid = TheoremId.G3_AB_FORMULA
-    instance = _instance(tid, bindings, M)
+    yield _instance(bindings, M)
     budgets = cfg.resolve_budgets()
     ring = M.ring
-    hyps = [_semidualizing_hyp(C, cfg)]
+    sd = _semidualizing_hyp(C, cfg)
     if M.is_zero():
-        hyps.append(_hyp("M is nonzero", False))
-        return _finish(tid, instance, hyps, [])
+        yield [sd, _hyp("M is nonzero", False)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    hyps.append(gh)
-    if any(h.label in ("Failed", "Unknown") for h in hyps):
-        return _finish(tid, instance, hyps, [])
+    yield [sd, gh]
     r = gv.value
     claims = [_equality_claim(
         "G_C-dim(M) = depth R - depth M",
@@ -1579,7 +1427,7 @@ def _check_g3_ab_formula(bindings, cfg) -> TheoremReport:
             f"finite projective dimension {pd} truncates the resolution"))
     else:
         claims.append(Claim(tail, "partial-true", f"scanned through {bound}"))
-    return _finish(tid, instance, hyps, claims)
+    return claims
 
 
 _CHECKS = {
@@ -1621,35 +1469,46 @@ def resolve_id(tid) -> TheoremId:
     return TheoremId(str(tid))
 
 
+def _run(tid, bindings, cfg) -> TheoremReport:
+    """Drive one check: its hypothesis stages in order, then its claims,
+    which are computed only when every stage holds."""
+    stages = _CHECKS[tid][0](bindings, cfg)
+    instance = next(stages)
+    hyps, notes = [], []
+    try:
+        while _blocker(hyps) is None:
+            step = next(stages)
+            if isinstance(step, str):
+                notes.append(step)
+            else:
+                hyps += step
+    except StopIteration as done:
+        return _finish(tid, instance, hyps, done.value, notes)
+    return _finish(tid, instance, hyps, [], notes)
+
+
 def check(tid, bindings, config: HarnessConfig | None = None) -> TheoremReport:
     """Run one named check; missing bindings raise, budgets degrade."""
     tid = resolve_id(tid)
     cfg = config or HarnessConfig()
-    fn, required = _CHECKS[tid]
-    missing = [k for k in required if k not in bindings]
+    missing = [k for k in _CHECKS[tid][1] if k not in bindings]
     if missing:
         raise KeyError(
             f"{tid.value} needs bindings {missing}; got "
             f"{sorted(bindings.keys())}")
-    start = time.perf_counter()
     try:
-        report = fn(bindings, cfg)
-    except BudgetError as e:
+        return _run(tid, bindings, cfg)
+    except (BudgetError, InapplicableError) as e:
         M = bindings.get("M")
-        instance = (_instance(tid, bindings, minimalize(M))
+        instance = (_instance(bindings, minimalize(M))
                     if M is not None else str(bindings.get("label", "")))
-        report = TheoremReport(
-            tid.value, instance, [], "Inapplicable",
-            witness=f"budget exhausted: {e}",
-            notes=["Inapplicable-by-budget"])
-    except InapplicableError as e:
-        M = bindings.get("M")
-        instance = (_instance(tid, bindings, minimalize(M))
-                    if M is not None else str(bindings.get("label", "")))
-        report = TheoremReport(tid.value, instance, [], "Inapplicable",
-                               witness=str(e))
-    report.wall_ms = (time.perf_counter() - start) * 1000.0
-    return report
+        if isinstance(e, BudgetError):
+            return TheoremReport(
+                tid.value, instance, [], "Inapplicable",
+                witness=f"budget exhausted: {e}",
+                notes=["Inapplicable-by-budget"])
+        return TheoremReport(tid.value, instance, [], "Inapplicable",
+                             witness=str(e))
 
 
 def run_suite(instances, config: HarnessConfig | None = None):

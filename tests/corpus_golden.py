@@ -9,15 +9,21 @@ battery over the first eight corpus modules of R, for
 
 and the `report_json` of each run is stored in tests/golden/corpus_R.json.
 
+The checks that need explicit ideal data (THM_THE1, COR_THEOREM3, COR_COR6,
+THM_PROP_EVEN) are not in the default battery.  Their reports, from
+`special_instances` over S = QQ[x,y] and T plus bindings that stop at each
+stage of their hypotheses, are stored in tests/golden/special_instances.json.
+
     PYTHONPATH=src python tests/corpus_golden.py
 
-rewrites the three files from the library on the path.  Do that only for
+rewrites the four files from the library on the path.  Do that only for
 an intended change of a verdict or a report; the test in
-tests/test_corpus_golden.py reruns the scripts and byte-compares.
+tests/test_corpus_golden.py reruns them and byte-compares.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -47,10 +53,61 @@ def report(name: str) -> str:
     return report_json(execute(parse(script(name))))
 
 
+SPECIAL_PATH = os.path.join(GOLDEN_DIR, "special_instances.json")
+
+
+def special_bindings() -> list:
+    from linkage_lab.fields import QQ
+    from linkage_lab.modules import cyclic_module, free_module
+    from linkage_lab.rings import make_ring
+    from linkage_lab.theorems import default_coefficient, special_instances
+
+    S = make_ring(QQ, ["x", "y"])
+    T = make_ring(QQ, ["x", "y", "z"], ["y*z", "x*z", "x*y"])
+    C = default_coefficient(S)
+    omega = ["x - y", "y - z"]
+    Sx = cyclic_module(S, ["x"])
+    Tx = cyclic_module(T, ["x"])
+
+    def even(n, ideal2):
+        return ("THM_PROP_EVEN", {"M": Sx, "C": C, "n": n, "ideal": ["x*y"],
+                                  "ideal2": ideal2, "label": "S/(x)"})
+
+    return special_instances(S) + special_instances(T) + [
+        ("THM_THE1", {"M": free_module(T, [0]), "omega_ideal": omega,
+                      "label": "R"}),
+        ("THM_THE1", {"M": Tx, "omega_ideal": ["x"], "label": "R/(x)"}),
+        ("THM_THE1", {"M": Sx, "omega_ideal": ["x", "y"], "label": "S/(x)"}),
+        # the unit ideal: R/I and its linkage image are zero
+        ("COR_THEOREM3", {"ring": T, "I": ["1"], "omega_ideal": omega}),
+        ("COR_THEOREM3", {"ring": T, "I": ["x", "y"], "omega_ideal": omega}),
+        ("COR_THEOREM3", {"ring": T, "I": ["x"], "omega_ideal": ["x"]}),
+        ("COR_THEOREM3", {"ring": S, "I": ["x"], "omega_ideal": ["x"]}),
+        # stage 1 (the ideal does not annihilate M), stage 2 (the residue
+        # field is not linked over S/(xy)), and a second verified ideal
+        ("COR_COR6", {"M": Sx, "C": C, "ideal": ["y"], "label": "S/(x)"}),
+        ("COR_COR6", {"M": cyclic_module(S, ["x", "y"]), "C": C,
+                      "ideal": ["x*y"], "label": "k"}),
+        ("COR_COR6", {"M": Sx, "C": C, "ideal": ["x^2"], "label": "S/(x)"}),
+        even(1, ["x^2", "x*y"]),
+        even(0, ["x^2 + x*y"]),
+        even(1, ["y"]),
+    ]
+
+
+def special_report() -> str:
+    from linkage_lab.theorems import check
+
+    reports = [check(tid, b).to_dict() for tid, b in special_bindings()]
+    return json.dumps(reports, sort_keys=True, indent=2) + "\n"
+
+
 def main() -> None:
     for name in RINGS:
         with open(golden_path(name), "w", encoding="utf-8") as fh:
             fh.write(report(name))
+    with open(SPECIAL_PATH, "w", encoding="utf-8") as fh:
+        fh.write(special_report())
 
 
 if __name__ == "__main__":

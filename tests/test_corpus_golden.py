@@ -16,3 +16,8 @@ import corpus_golden
 def test_corpus_suite_report_matches_golden(name):
     with open(corpus_golden.golden_path(name), encoding="utf-8") as fh:
         assert corpus_golden.report(name) == fh.read()
+
+
+def test_special_instances_report_matches_golden():
+    with open(corpus_golden.SPECIAL_PATH, encoding="utf-8") as fh:
+        assert corpus_golden.special_report() == fh.read()

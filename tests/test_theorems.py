@@ -3,9 +3,16 @@ aggregation, fault-driven refutation, and budget degradation."""
 
 import pytest
 
+from linkage_lab import theorems
 from linkage_lab.config import Budgets
-from linkage_lab.corpus import classical_rings, corpus_pool, maximal_ideal
-from linkage_lab.fields import QQ
+from linkage_lab.corpus import (
+    classical_rings,
+    corpus_pool,
+    generate_corpus,
+    maximal_ideal,
+)
+from linkage_lab.dsl import parse
+from linkage_lab.fields import GF, QQ
 from linkage_lab.homops import set_fault
 from linkage_lab.modules import (
     cyclic_module,
@@ -13,6 +20,7 @@ from linkage_lab.modules import (
     free_module,
 )
 from linkage_lab.rings import make_ring
+from linkage_lab.runner import execute
 from linkage_lab.theorems import (
     SUITE_DEFAULT_IDS,
     HarnessConfig,
@@ -28,6 +36,8 @@ from linkage_lab.theorems import (
 S = make_ring(QQ, ["x", "y"])
 H = make_ring(QQ, ["x", "y"], ["x*y"])
 T = make_ring(QQ, ["x", "y", "z"], ["y*z", "x*z", "x*y"])
+N = make_ring(GF(32003), ["x", "y", "z", "w"],
+              ["x*z", "x*w", "y*z", "y*w"])
 
 
 def test_resolve_id_accepts_names_and_enum():
@@ -162,3 +172,60 @@ def test_serre_linkage_equivalence_on_hypersurface():
         assert report.verdict in ("Verified", "PartiallyVerified")
         assert not (report.verdict == "Refuted"
                     and not report.suspected_counterexample)
+
+
+N_CHECKS = ("PROP_T1", "PROP_P3", "PROP_T13", "COR_C2", "THM_TH5",
+            "COR_COR7", "THM_TH1")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("tid", N_CHECKS + ("LEM_LEM2",))
+def test_nonpositive_n_is_inapplicable(tid, n):
+    # over the hypersurface H with C = R every hypothesis before n >= 1
+    # holds for the linked module R/(x)
+    report = check(tid, {"M": cyclic_module(H, ["x"]),
+                         "C": free_module(H, [0]), "n": n})
+    assert report.verdict == "Inapplicable"
+    if tid == "LEM_LEM2":
+        assert "n >= 1" in report.witness
+    else:
+        assert report.witness == "hypothesis failed: n >= 1"
+
+
+def test_nonpositive_n_in_a_script_is_a_report():
+    result = execute(parse("ring B = poly(QQ, x, y);\n"
+                           "ring H = quotient(B, [x*y]);\n"
+                           "module M = coker(H, twists=[0], matrix=[[x]]);\n"
+                           "check PROP_P3(M = M, n = 0);\n"))
+    report = result.results[-1]["report"]
+    assert report["verdict"] == "Inapplicable"
+    assert report["witness"] == "hypothesis failed: n >= 1"
+
+
+CLAIM_HELPERS = ("_serre_side", "_ext_window_vanishes",
+                 "is_nth_cosyzygy_witness", "_equivalence_claims",
+                 "_implication_claim", "_equality_claim")
+
+
+@pytest.mark.parametrize("ring", [N, T], ids=["N", "T"])
+def test_claims_stay_unevaluated_when_a_hypothesis_blocks(ring, monkeypatch):
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in CLAIM_HELPERS:
+        monkeypatch.setattr(theorems, name,
+                            recording(name, getattr(theorems, name)))
+    blocked = 0
+    for tid, bindings in default_instances(ring, generate_corpus(ring, 2)):
+        calls.clear()
+        report = check(tid, bindings)
+        if report.witness.startswith(("hypothesis failed",
+                                      "hypothesis undetermined")):
+            blocked += 1
+            assert calls == [], (tid.value, bindings["label"], calls)
+    assert blocked > 0
