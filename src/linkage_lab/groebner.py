@@ -20,6 +20,28 @@ Two modes:
   the projection onto the tracked columns of the one a run tracking every
   input would carry, and a syzygy whose projection is 0 is never built.
 
+Either mode can admit its columns minimally (minimal=True; La Scala and
+Stillman, JSC 26, 1998).  The fixed columns enter first; the others are
+candidates.  A candidate of degree d waits until every pair of degree
+<= d has been reduced, and candidates enter in (degree, index) order.
+The basis then is a d-truncated Groebner basis of the fixed columns and
+the candidates kept so far (a reduced entry's pairs all have degree > d),
+so a candidate's normal form is zero exactly when it lies in that span.
+Such a candidate is dropped; otherwise its normal form joins the basis
+and its index goes to .kept, which is therefore the minimal generating
+subset that the greedy (degree, index) scan picks.  No interreduction
+runs: the basis only serves the run.  A plain minimal run stops at its
+last admission.  A tracked one runs every pair, and its representations
+and harvested syzygies are over the positions of .kept.  Why the harvest
+generates all syzygies of the kept columns modulo span(fixed): by
+Schreyer's theorem the syzygies of the final basis are generated by its
+pair syzygies, whose representations are the harvest, and a syzygy of
+the inputs is a combination of those plus the differences e_t - (the
+representation of input t's expression over the basis).  Input t entered
+as g = f_t - sum c_j g_j with representation e_t - sum c_j rep(g_j), so
+its expression g + sum c_j g_j has representation e_t, and every
+difference vanishes: the same holds for inputs entered unreduced.
+
 In both modes an element is inert when it has no tail and an empty or
 absent representation, e.g. a monomial of I*F.  A pair of two inert
 elements has S-vector 0 and representation 0, so it is never queued.
@@ -272,15 +294,22 @@ class ModuleGB:
     alone: .syzygies generates the projection onto those coordinates of
     the syzygy module of all inputs (only nonzero projections are kept),
     and .lift() expresses members modulo span(fixed).
+
+    With minimal=True `columns` are candidates: .kept lists, in (degree,
+    index) order, those outside the span of `fixed` and the earlier ones,
+    and .syzygies is over the positions of .kept.  Such an instance
+    answers nothing else; its basis is not reduced, and not complete
+    unless tracked.
     """
 
     def __init__(self, ring: PolyRing, columns, twists, *, track=False,
-                 fixed=(), max_degree=None):
+                 fixed=(), max_degree=None, minimal=False):
         self.ring = ring
         self.twists = tuple(twists)
         self.track = track
         self.max_degree = max_degree
         self.syzygies: list = []
+        self.kept: list = []
         self._elems: list[_Elem] = []
         self._by_pos: dict = {}
         self._rank_one = len(self.twists) <= 1
@@ -294,7 +323,7 @@ class ModuleGB:
         self._excess = 0
         self._keys = _TermKeys(ring.nvars, 0,
                                max(len(self.twists), self._tracked))
-        self._run(flat_from_column(c) for c in self._input_columns)
+        self._run(minimal)
 
     # term keys ---------------------------------------------------------
 
@@ -369,9 +398,10 @@ class ModuleGB:
             self._excess = max(self._excess,
                                keys.degree(max(e.rep)) - keys.degree(e.lead))
 
-    def _run(self, vecs):
+    def _run(self, minimal):
         ar = self._ar
         one = mono_one(self.ring.nvars)
+        vecs = [flat_from_column(c) for c in self._input_columns]
         pairs: list = []
         monos: list = []  # lead monomials, parallel to self._elems
         # per position: indices of the live (not inert) and inert elements,
@@ -405,7 +435,15 @@ class ModuleGB:
             inert_top[pos] = deg if top is None else max(deg, top)
 
         ntracked = self._tracked if self.track else 0
-        for t, vec in enumerate(vecs):
+        # minimal admission: fixed columns enter now, and each nonzero
+        # candidate waits, largest (degree, index) first, for its degree
+        waiting = []
+        if minimal:
+            waiting = sorted(((column_degree(c, self.twists), t) for t, c
+                              in enumerate(self._input_columns[:self._tracked])
+                              if vecs[t]), reverse=True)
+        for t in range(self._tracked if minimal else 0, len(vecs)):
+            vec = vecs[t]
             if not vec:
                 if t < ntracked:
                     self.syzygies.append({(t, one): self._field_one})
@@ -415,7 +453,18 @@ class ModuleGB:
             if self.track:
                 rep = {self._keys.key((t, one)): 1} if t < ntracked else {}
             add(vec, rep)
-        while pairs:
+        # a plain minimal run ends with its last admission
+        drain = self.track or not minimal
+        while waiting or (pairs and drain):
+            if waiting and (not pairs or pairs[0][0] > waiting[-1][0]):
+                _deg, t = waiting.pop()
+                vec = self._encode(vecs[t], self._excess)
+                rep = {self._keys.key((t, one)): 1} if self.track else None
+                nf, rep = self._reduce(vec, rep)
+                if nf:
+                    self.kept.append(t)
+                    add(nf, rep)
+                continue
             _deg, i, j = heappop(pairs)
             gi, gj = self._elems[i], self._elems[j]
             lcm = mono_lcm(monos[i], monos[j])
@@ -441,7 +490,12 @@ class ModuleGB:
                 add(nf, rep)
             elif self.track and rep:
                 self.syzygies.append(self._decode(rep))
-        self._interreduce()
+        if minimal:
+            where = {t: i for i, t in enumerate(self.kept)}
+            self.syzygies = [{(where[t], m): c for (t, m), c in s.items()}
+                             for s in self.syzygies]
+        else:
+            self._interreduce()
 
     def _push_pairs(self, pairs, idx, mono, twist, others, monos):
         """Queue (other, idx) pairs by degree: deg lcm of leads + twist.
@@ -559,34 +613,6 @@ class ModuleGB:
     def normal_form(self, col: dict) -> dict:
         nf, _ = self._reduce(self._encode(flat_from_column(col)), None)
         return self._column(nf)
-
-    def independent(self, vecs) -> list:
-        """Indices i such that the normal form of vecs[i] (flat) is not a
-        k-linear combination of the normal forms of vecs[:i].
-
-        Gaussian elimination on kernel dicts: each kept normal form is
-        reduced by the earlier pivots and stored monic under its largest
-        key.  The keys are widened for all vecs up front, so every pivot
-        key stays valid.
-        """
-        ar = self._ar
-        terms = [t for v in vecs for t in v]
-        if terms:
-            self._ensure(max(mono_deg(m) for _p, m in terms),
-                         max(p for p, _m in terms))
-        pivots: dict = {}
-        kept = []
-        for i, vec in enumerate(vecs):
-            nf, _ = self._reduce(self._encode(vec), None)
-            while nf:
-                top = max(nf)
-                piv = pivots.get(top)
-                if piv is None:
-                    pivots[top] = ar.scale(nf, ar.inv(nf[top]))
-                    kept.append(i)
-                    break
-                ar.submul(nf, piv, 0, nf[top])
-        return kept
 
     def contains(self, col: dict) -> bool:
         nf, _ = self._reduce(self._encode(flat_from_column(col)), None)

@@ -328,9 +328,15 @@ def _ann_in_prime(E: ModulePresentation, prime: ProbePrime) -> bool:
     return ideal_in_prime(E.ring, ann, list(prime.gens))
 
 
-def _supported_indices(M: ModulePresentation, prime: ProbePrime) -> list:
+def _supported_indices(M: ModulePresentation, prime: ProbePrime) -> tuple:
+    """The j with Ext^j_S(M, S) supported at the prime, ascending."""
+    key = memo.content_hash(M.content_key(), _probes_key([prime]))
+    hit = memo.get("supported", key)
+    if hit is not None:
+        return hit
     exts, js = _ambient_profile(M)
-    return [j for j in js if _ann_in_prime(exts[j], prime)]
+    return memo.put("supported", key,
+                    tuple(j for j in js if _ann_in_prime(exts[j], prime)))
 
 
 def depth_at_prime(M: ModulePresentation, prime: ProbePrime):
@@ -470,12 +476,6 @@ def grade_module(M: ModulePresentation) -> int:
 class ReducedGrade:
     value: int | None  # None = no nonvanishing Ext found
     bound: int | None  # None = exact; else scanned through this bound
-
-    def is_infinite_exact(self) -> bool:
-        return self.value is None and self.bound is None
-
-    def at_least(self, k: int) -> bool:
-        return self.value is None or self.value >= k
 
     def __str__(self):
         if self.value is not None:

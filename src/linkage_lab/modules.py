@@ -21,7 +21,7 @@ from .errors import ConsistencyError, HomogeneityError, InapplicableError
 from .groebner import (
     ModuleGB,
     column_degree,
-    flat_from_column,
+    column_from_flat,
     syzygy_columns,
 )
 from .hilbert import HilbertSeries, monomial_quotient_numerator
@@ -321,38 +321,47 @@ def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
     return [s for s in out if s]
 
 
+def _minimal_gb(ring: GradedRing, columns, ambient_twists, *, track,
+                extra=(), max_degree=None) -> ModuleGB:
+    """One minimal-admission run over `columns` with span(extra) + I*F
+    fixed."""
+    if max_degree is None:
+        max_degree = DEFAULT_BUDGETS.max_degree
+    aug = ring.aug_columns(ambient_twists)
+    return ModuleGB(
+        ring.poly_ring, list(columns), ambient_twists, track=track,
+        fixed=list(extra) + aug, max_degree=max_degree, minimal=True,
+    )
+
+
 def mingens_columns(ring: GradedRing, columns, ambient_twists, *,
                     extra_lower=(), max_degree=None) -> list:
     """Indices of a minimal generating subset of the column classes.
 
     Minimal generation of (span(columns) + U) / U with U = span(extra_lower)
-    plus I*F, computed degree by degree: a column is redundant iff it lies
-    in U + (columns of strictly lower degree) + (kept columns of the same
-    degree), the last reduced to k-linear elimination of normal forms.
+    plus I*F: scanning in (degree, index) order, a column is kept iff it
+    lies outside U + (the columns before it).  One plain minimal run.
     """
-    degs = []
-    for c in columns:
-        degs.append(column_degree(c, ambient_twists))
-    order = sorted(
-        [i for i in range(len(columns)) if degs[i] is not None],
-        key=lambda i: (degs[i], i),
-    )
-    lower = list(extra_lower)
-    kept: list = []
-    i = 0
-    while i < len(order):
-        d = degs[order[i]]
-        group = []
-        while i < len(order) and degs[order[i]] == d:
-            group.append(order[i])
-            i += 1
-        gb = span_gb(ring, lower, ambient_twists, max_degree=max_degree)
-        # k-linear elimination of the normal forms within the degree
-        found = [group[j] for j in
-                 gb.independent([flat_from_column(columns[idx]) for idx in group])]
-        kept += found
-        lower += [columns[idx] for idx in found]
-    return kept
+    return _minimal_gb(ring, columns, ambient_twists, track=False,
+                       extra=extra_lower, max_degree=max_degree).kept
+
+
+def minimal_step(ring: GradedRing, columns, ambient_twists, *, harvest,
+                 max_degree=None):
+    """(kept, syzygies): the indices mingens_columns keeps and, when
+    `harvest` is set, generators over R of the syzygies of the kept
+    columns modulo I*F, indexed by position in `kept` (else None).
+
+    One minimal run, tracked only to harvest.  Entries are reduced mod I
+    and zero generators dropped.
+    """
+    gb = _minimal_gb(ring, columns, ambient_twists, track=harvest,
+                     max_degree=max_degree)
+    if not harvest:
+        return gb.kept, None
+    syz = [_reduced_entries(ring, column_from_flat(ring.poly_ring, s))
+           for s in gb.syzygies]
+    return gb.kept, [s for s in syz if s]
 
 
 def minimalize(M: ModulePresentation) -> ModulePresentation:

@@ -154,12 +154,6 @@ class Poly:
             {mono_mul(m, mono): f.mul(c, coeff) for m, c in self.terms.items()},
         )
 
-    def monic(self):
-        lt = self.leading_term()
-        if lt is None:
-            return self
-        return self.scale(self.ring.field.inv(lt[1]))
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 

@@ -1484,7 +1484,20 @@ def _run(tid, bindings, cfg) -> TheoremReport:
                 hyps += step
     except StopIteration as done:
         return _finish(tid, instance, hyps, done.value, notes)
+    except (BudgetError, InapplicableError) as e:
+        return _stopped(tid, instance, e)
     return _finish(tid, instance, hyps, [], notes)
+
+
+def _stopped(tid, instance, e) -> TheoremReport:
+    """The report of a check that a budget or an inapplicability ended."""
+    if isinstance(e, BudgetError):
+        return TheoremReport(
+            tid.value, instance, [], "Inapplicable",
+            witness=f"budget exhausted: {e}",
+            notes=["Inapplicable-by-budget"])
+    return TheoremReport(tid.value, instance, [], "Inapplicable",
+                         witness=str(e))
 
 
 def check(tid, bindings, config: HarnessConfig | None = None) -> TheoremReport:
@@ -1499,16 +1512,11 @@ def check(tid, bindings, config: HarnessConfig | None = None) -> TheoremReport:
     try:
         return _run(tid, bindings, cfg)
     except (BudgetError, InapplicableError) as e:
+        # raised before the check yielded its instance line
         M = bindings.get("M")
         instance = (_instance(bindings, minimalize(M))
                     if M is not None else str(bindings.get("label", "")))
-        if isinstance(e, BudgetError):
-            return TheoremReport(
-                tid.value, instance, [], "Inapplicable",
-                witness=f"budget exhausted: {e}",
-                notes=["Inapplicable-by-budget"])
-        return TheoremReport(tid.value, instance, [], "Inapplicable",
-                             witness=str(e))
+        return _stopped(tid, instance, e)
 
 
 def run_suite(instances, config: HarnessConfig | None = None):

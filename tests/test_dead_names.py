@@ -1,16 +1,22 @@
 """Dead-name guard for the library: no unused parameter of a module-level
-function and no unused import outside a package's __init__.py.
+function, no unused import outside a package's __init__.py, and no
+module-level function or class method that nothing references.
 
 Standard library only (`ast`).  A parameter counts as used when its name is
 read anywhere in the function, nested functions included; an import counts
 as used when its bound name appears anywhere in the module or in __all__.
+A function or method counts as used when its name appears as a name, an
+attribute or an imported name anywhere in src/, tests/, demos/ or
+perfbench/, or in an __all__ list; dunder methods are called implicitly
+and always count as used.
 """
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                   "src", "linkage_lab")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src", "linkage_lab")
+REFERENCING = ("src", "tests", "demos", "perfbench")
 
 
 def _modules():
@@ -62,9 +68,55 @@ def unused_imports() -> list:
     return out
 
 
+def _referenced_names() -> set:
+    """Every name, attribute, imported name and __all__ entry in the tree."""
+    out = set()
+    for top in REFERENCING:
+        for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
+            for f in files:
+                if not f.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, f)
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=path)
+                for n in ast.walk(tree):
+                    if isinstance(n, ast.Name):
+                        out.add(n.id)
+                    elif isinstance(n, ast.Attribute):
+                        out.add(n.attr)
+                    elif isinstance(n, ast.alias):
+                        out.add(n.name.rsplit(".", 1)[-1])
+                    elif isinstance(n, ast.Assign) and any(
+                            isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in n.targets):
+                        out.update(e.value for e in n.value.elts)
+    return out
+
+
+def unused_functions() -> list:
+    referenced = _referenced_names()
+    out = []
+    for name, tree in _modules():
+        defs = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.", m) for m in node.body]
+            else:
+                defs.append(("", node))
+        out += [f"{name}:{fn.lineno} {owner}{fn.name}" for owner, fn in defs
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                and fn.name not in referenced]
+    return out
+
+
 def test_no_unused_parameters():
     assert unused_parameters() == []
 
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def test_no_unused_functions():
+    assert unused_functions() == []

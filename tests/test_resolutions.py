@@ -1,0 +1,254 @@
+"""Minimal free resolutions: exactness, Froberg's ranks, independence of
+history, the disk-store record format, and the minimal-admission run
+against the per-degree reference it replaced."""
+
+import json
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linkage_lab import memo, resolutions
+from linkage_lab.cache import install_cache
+from linkage_lab.corpus import generate_corpus
+from linkage_lab.fields import GF, QQ
+from linkage_lab.groebner import column_degree, flat_from_column
+from linkage_lab.modules import (
+    ModulePresentation,
+    cyclic_module,
+    mingens_columns,
+    minimal_step,
+    quotient_series,
+    span_gb,
+)
+from linkage_lab.monomials import monomials_of_degree
+from linkage_lab.resolutions import minimal_free_resolution, set_resolution_store
+from linkage_lab.rings import make_ring
+
+H = make_ring(QQ, ["x", "y"], ["x*y"])
+T = make_ring(QQ, ["x", "y", "z"], ["y*z", "x*z", "x*y"])
+N = make_ring(GF(32003), ["x", "y", "z", "w"], ["x*z", "x*w", "y*z", "y*w"])
+x, y, z = T.poly_ring.gens()
+# the modules of the resolve-qq benchmark: the residue field and a module
+# with a non-monomial relation
+K = cyclic_module(T, ["x", "y", "z"])
+W = ModulePresentation(T, [0, 0], [1, 1, 1],
+                       [{0: x}, {0: y, 1: y - z}, {1: x}])
+
+
+def _maps_text(res) -> list:
+    return [[sorted((i, str(p)) for i, p in col.items()) for col in cols]
+            for cols in res.maps]
+
+
+def _assert_exact(res):
+    """Every step is a complex and HS(im d_{i+1}) = HS(ker d_i), through
+    HS(F_i / im d_{i+1}) + HS(F_{i-1} / im d_i) = HS(F_{i-1})."""
+    ring = res.ring
+    maps = list(res.maps) + ([[]] if res.complete else [])
+    for i in range(1, len(maps)):
+        for col in maps[i]:
+            image: dict = {}
+            for j, p in col.items():
+                for r, q in res.maps[i - 1][j].items():
+                    image[r] = image.get(r, ring.poly_ring.zero()) + p * q
+            assert all(ring.nf(p).is_zero() for p in image.values())
+        left = quotient_series(ring, maps[i], res.twists[i])
+        right = quotient_series(ring, maps[i - 1], res.twists[i - 1])
+        assert left + right == quotient_series(ring, [], res.twists[i - 1])
+
+
+def test_resolutions_of_the_benchmark_modules_are_exact():
+    memo.clear()
+    for M in (K, W):
+        res = minimal_free_resolution(M, 8)
+        assert res.length() == 8
+        _assert_exact(res)
+
+
+def test_corpus_resolutions_are_exact():
+    memo.clear()
+    for ring in (H, T, N):
+        for _name, M in generate_corpus(ring, 8):
+            _assert_exact(minimal_free_resolution(M, 3))
+
+
+def test_residue_field_has_froberg_ranks():
+    """T is Koszul: P(t) = 1 / H_T(-t), all in linear degrees."""
+    memo.clear()
+    h = [T.hilbert_series().value(d) for d in range(9)]
+    p = [1]
+    for n in range(1, 9):
+        p.append(-sum(h[k] * (-1) ** k * p[n - k] for k in range(1, n + 1)))
+    res = minimal_free_resolution(K, 8)
+    assert p == [1, 3, 6, 12, 24, 48, 96, 192, 384]
+    assert [res.rank(i) for i in range(9)] == p
+    assert all(res.twists_at(i) == (i,) * p[i] for i in range(9))
+
+
+def test_maps_do_not_depend_on_history(tmp_path, monkeypatch):
+    steps = []
+    for name in ("minimal_step", "column_syzygies"):
+        fn = getattr(resolutions, name)
+        monkeypatch.setattr(resolutions, name,
+                            lambda *a, _fn=fn, **k: steps.append(1) or _fn(*a, **k))
+    try:
+        for M in (K, W):
+            memo.clear()
+            once = _maps_text(minimal_free_resolution(M, 8))
+            memo.clear()
+            minimal_free_resolution(M, 3)
+            assert _maps_text(minimal_free_resolution(M, 8)) == once
+            store = os.path.join(str(tmp_path), str(id(M)))
+            install_cache(store)
+            memo.clear()
+            minimal_free_resolution(M, 3)
+            assert len(os.listdir(store)) == 1
+            memo.clear()  # the store serves length 3, the rest is extended
+            steps.clear()
+            loaded = minimal_free_resolution(M, 3)
+            assert not steps
+            assert _maps_text(loaded) == once[:3]
+            assert _maps_text(minimal_free_resolution(M, 8)) == once
+            set_resolution_store(None)
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+def test_a_record_without_candidates_is_a_miss(tmp_path):
+    try:
+        install_cache(str(tmp_path))
+        memo.clear()
+        want = _maps_text(minimal_free_resolution(K, 4))
+        (name,) = os.listdir(str(tmp_path))
+        path = os.path.join(str(tmp_path), name)
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        assert record["candidates"] is not None
+        del record["candidates"]
+        record["maps"][-1] = record["maps"][-1][:1]  # wrong, if it were read
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh)
+        memo.clear()
+        assert _maps_text(minimal_free_resolution(K, 4)) == want
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+# -- the minimal-admission run against the per-degree reference ------------
+
+
+def _independent(field, vecs) -> list:
+    """Indices i such that vecs[i] (flat) is not a k-linear combination of
+    vecs[:i]: Gaussian elimination with the largest term as pivot."""
+    pivots: dict = {}
+    kept = []
+    for i, vec in enumerate(vecs):
+        vec = dict(vec)
+        while vec:
+            top = max(vec)
+            piv = pivots.get(top)
+            if piv is None:
+                inv = field.inv(vec[top])
+                pivots[top] = {k: field.mul(c, inv) for k, c in vec.items()}
+                kept.append(i)
+                break
+            factor = vec[top]
+            for k, c in piv.items():
+                v = field.sub(vec.get(k, field.zero()), field.mul(factor, c))
+                if v == field.zero():
+                    vec.pop(k, None)
+                else:
+                    vec[k] = v
+    return kept
+
+
+def _reference_mingens(ring, columns, ambient_twists, extra_lower=()) -> list:
+    """Degree by degree: a column is redundant iff it lies in U + (columns
+    of strictly lower degree) + (kept columns of the same degree), the
+    last by k-linear elimination of normal forms modulo the rest; one
+    fresh Groebner basis per degree group."""
+    degs = [column_degree(c, ambient_twists) for c in columns]
+    order = sorted((i for i in range(len(columns)) if degs[i] is not None),
+                   key=lambda i: (degs[i], i))
+    lower = list(extra_lower)
+    kept: list = []
+    i = 0
+    while i < len(order):
+        d = degs[order[i]]
+        group = []
+        while i < len(order) and degs[order[i]] == d:
+            group.append(order[i])
+            i += 1
+        gb = span_gb(ring, lower, ambient_twists)
+        nfs = [flat_from_column(gb.normal_form(columns[idx])) for idx in group]
+        found = [group[j] for j in _independent(ring.field, nfs)]
+        kept += found
+        lower += [columns[idx] for idx in found]
+    return kept
+
+
+@st.composite
+def _candidate_columns(draw):
+    """(ring, twists, columns, extra_lower): random homogeneous columns over
+    QQ or GF(32003), monomial and not, with zero columns, scalar and
+    variable multiples and sums of earlier columns among them."""
+    field = draw(st.sampled_from([QQ, GF(32003)]))
+    relations = draw(st.sampled_from([[], ["y*z", "x*z", "x*y"], ["x^2"]]))
+    ring = make_ring(field, ["x", "y", "z"], relations)
+    S = ring.poly_ring
+    twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    monomial = draw(st.booleans())
+
+    def poly(degree):
+        picks = draw(st.lists(st.sampled_from(monomials_of_degree(3, degree)),
+                              min_size=1, max_size=1 if monomial else 3,
+                              unique=True))
+        p = S.zero()
+        for m in picks:
+            p = p + S.monomial(m, field.from_int(draw(st.integers(-3, 3).filter(bool))))
+        return p
+
+    def column():
+        kind = draw(st.sampled_from(["zero", "entry", "entry", "full"]))
+        if kind == "zero":
+            return {}
+        degree = max(twists) + draw(st.integers(0, 2))
+        positions = range(len(twists)) if kind == "full" else \
+            [draw(st.integers(0, len(twists) - 1))]
+        return {pos: poly(degree - twists[pos]) for pos in positions}
+
+    columns = [column() for _ in range(draw(st.integers(1, 5)))]
+    for _ in range(draw(st.integers(0, 3))):
+        a = columns[draw(st.integers(0, len(columns) - 1))]
+        b = columns[draw(st.integers(0, len(columns) - 1))]
+        kind = draw(st.sampled_from(["scalar", "variable", "sum"]))
+        if kind == "scalar":
+            derived = {pos: p.scale(field.from_int(2)) for pos, p in a.items()}
+        elif kind == "variable":
+            v = S.var(draw(st.integers(0, 2)))
+            derived = {pos: v * p for pos, p in a.items()}
+        elif column_degree(a, twists) == column_degree(b, twists):
+            derived = {pos: a.get(pos, S.zero()) + b.get(pos, S.zero())
+                       for pos in set(a) | set(b)}
+        else:
+            derived = dict(b)
+        derived = {pos: p for pos, p in derived.items() if not p.is_zero()}
+        columns.insert(draw(st.integers(0, len(columns))), derived)
+    extra = [column() for _ in range(draw(st.integers(0, 2)))]
+    extra = [c for c in extra if c]
+    return ring, twists, columns, extra
+
+
+@settings(max_examples=80, deadline=None)
+@given(_candidate_columns())
+def test_minimal_run_keeps_what_the_per_degree_reference_keeps(case):
+    ring, twists, columns, extra = case
+    want = _reference_mingens(ring, columns, twists, extra)
+    assert mingens_columns(ring, columns, twists, extra_lower=extra) == want
+    if not extra:
+        want = _reference_mingens(ring, columns, twists)
+        kept, _syz = minimal_step(ring, columns, twists, harvest=True)
+        assert kept == want

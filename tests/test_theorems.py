@@ -3,7 +3,7 @@ aggregation, fault-driven refutation, and budget degradation."""
 
 import pytest
 
-from linkage_lab import theorems
+from linkage_lab import memo, theorems
 from linkage_lab.config import Budgets
 from linkage_lab.corpus import (
     classical_rings,
@@ -89,6 +89,19 @@ def test_budget_exhaustion_is_flagged_not_failed():
     report = check("THM_MS", {"M": maximal_ideal(T)}, cfg)
     assert report.verdict == "Inapplicable"
     assert "Inapplicable-by-budget" in report.notes
+
+
+def test_budget_exhaustion_keeps_the_instance_line():
+    """A budget that runs out after the check named its instance reports
+    that name, the ", n=..." suffix included."""
+    cfg = HarnessConfig(budgets=Budgets(max_degree=1, max_rank=4))
+    bindings = {"M": maximal_ideal(T), "C": free_module(T, [0]), "n": 2}
+    for tid in ("PROP_T1", "THM_TH1"):
+        memo.clear()
+        report = check(tid, bindings, cfg)
+        assert "Inapplicable-by-budget" in report.notes
+        assert report.instance == check(tid, bindings).instance
+        assert report.instance.endswith(", n=2")
 
 
 def test_fault_injection_refutes_ms_criterion():
