@@ -1,11 +1,14 @@
-"""Content-addressed disk cache for resolution records.
+"""Content-addressed disk cache for resolution entries.
 
-Entries are JSON files keyed by a content hash of the minimal
-presentation (which is Groebner-canonicalized), so the same module
-declared through different matrices hits the same entry.  The store is
-append-only and idempotent: a second save under an existing key is a
-no-op, writes go through a temporary file and an atomic rename, and a
-corrupt entry is ignored with a warning and recomputed.
+Entries are JSON files named by a content hash.  The resolution engine
+writes one entry per step and kind (map, candidates, completion), keyed
+by the minimal presentation (which is Groebner-canonicalized) and the
+step, so the same module declared through different matrices hits the
+same entries; resolutions.py documents their format and the checks a
+load runs.  The store is append-only and idempotent: a second save under
+an existing key is a no-op, writes go through a temporary file and an
+atomic rename, and a file that is not valid JSON is ignored with a
+warning, which the engine treats as a miss and recomputes.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class DiskStore:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, sort_keys=True)
+                fh.write(json.dumps(record, sort_keys=True))
             os.replace(tmp, path)
         except OSError:
             if os.path.exists(tmp):

@@ -67,7 +67,7 @@ class RationalField(Field):
         return Fraction(n)
 
     def from_fraction(self, num: int, den: int):
-        return Fraction(num, den)
+        return Fraction(num) if den == 1 else Fraction(num, den)
 
     def add(self, a, b):
         return a + b
@@ -120,6 +120,8 @@ class PrimeField(Field):
         return n % self.p
 
     def from_fraction(self, num: int, den: int):
+        if den == 1:
+            return num % self.p
         return self.mul(self.from_int(num), self.inv(self.from_int(den)))
 
     def add(self, a, b):

@@ -21,13 +21,35 @@ every map is a function of the module: neither the lengths asked for
 before nor a disk-store load changes it.
 
 Results memoize in process and, when a store is installed, persist in a
-content-addressed cache keyed by (ring presentation, minimal module
-presentation, length).  A record holds the twists, the maps, the
-completion flag and the candidates of the last map (null while that map
-is d_1); a record without candidates is a miss and is recomputed.
+content-addressed cache, one entry per step, keyed by the minimal
+presentation (which includes the ring) and the step i >= 2:
+
+- the map entry of step i holds the twists of F_i and the columns of
+  d_i; each polynomial entry is a list of terms [exponents, numerator,
+  denominator], so a load builds the polynomials directly, with the
+  field's own coefficient type, and never parses text;
+- the candidates entry of step i holds the candidates of step i in the
+  same form (with their degrees as twists); it is written for the last
+  step a call computes and read only when a resolution is extended past
+  the maps the store holds;
+- the completion entry holds the number of maps of a resolution that
+  ended.
+
+No entry depends on the length asked for, so a scan writes each step
+once and a shorter request is a pure load.  A loaded entry is checked,
+not trusted: its shape, and that every entry of every column is
+homogeneous of degree twist(F_i)[column] - twist(F_{i-1})[row] against
+the twists loaded before it.  A corrupt, malformed or inhomogeneous
+entry, or a candidates entry that is missing when it is needed or does
+not reproduce its stored map, is a miss: a warning names it on stderr
+and the resolution is recomputed from the last step the engine can
+continue from, at worst d_1.  Entries
+written in an older layout sit under other keys and are never read.
 """
 
 from __future__ import annotations
+
+import sys
 
 from . import memo
 from .config import DEFAULT_BUDGETS
@@ -41,8 +63,12 @@ from .modules import (
     minimalize,
     zero_module,
 )
+from .polynomials import Poly
 
 _STORE = None
+# state["candidates"] once the maps come from the store: the candidates
+# of the last step are read from it only if the state is extended
+_STORED = "stored"
 
 
 def set_resolution_store(store):
@@ -107,45 +133,142 @@ class Resolution:
         raise ValueError(f"resolution only computed to length {self.length()}")
 
 
-def _columns_text(cols) -> list:
-    return [{str(i): str(p) for i, p in col.items()} for col in cols]
+def _key(kind: str, module_key: str, step: int = 0) -> str:
+    return memo.content_hash("resolution-" + kind, module_key, str(step))
 
 
-def _columns_parsed(ring, cols) -> list:
-    return [{int(i): ring.poly_ring.parse(s) for i, s in col.items()}
-            for col in cols]
-
-
-def _record_from_state(state) -> dict:
-    cands = state["candidates"]
+def _entry(columns, degrees) -> dict:
+    """Columns with their degrees, in integer terms."""
     return {
-        "twists": [list(t) for t in state["twists"]],
-        "maps": [_columns_text(cols) for cols in state["maps"]],
-        "complete": state["complete"],
-        "candidates": None if cands is None else _columns_text(cands),
+        "twists": list(degrees),
+        "columns": [[[row, [[mono, c.numerator, c.denominator]
+                            for mono, c in p.terms.items()]]
+                     for row, p in col.items()] for col in columns],
     }
 
 
-def _state_from_record(ring, record) -> dict:
-    cands = record["candidates"]
-    return {
-        "twists": [tuple(t) for t in record["twists"]],
-        "maps": [_columns_parsed(ring, cols) for cols in record["maps"]],
-        "complete": bool(record["complete"]),
-        "candidates": None if cands is None else _columns_parsed(ring, cands),
-    }
+def _decoded(ring, entry, lower):
+    """(degrees, columns) of an entry whose columns live in the free
+    module with twists `lower`.  Raises ValueError, TypeError, KeyError
+    or ZeroDivisionError on any flaw: a shape other than _entry's, a
+    non-integer, an entry not homogeneous of the column's degree minus
+    the row's twist, a zero coefficient, a repeated monomial or row."""
+    S = ring.poly_ring
+    n, read, ctype = S.nvars, S.field.from_fraction, type(S.field.zero())
+    degrees, cols = entry["twists"], entry["columns"]
+    if type(degrees) is not list or type(cols) is not list \
+            or len(degrees) != len(cols):
+        raise ValueError("twists and columns do not match")
+    out = []
+    for degree, col in zip(degrees, cols):
+        if type(degree) is not int or not col:
+            raise ValueError("a twist is not an integer or a column is empty")
+        column = {}
+        for row, terms in col:
+            if type(row) is not int or not 0 <= row < len(lower) or not terms:
+                raise ValueError(f"bad row {row!r}")
+            want = degree - lower[row]
+            poly = {}
+            for exps, num, den in terms:
+                mono = tuple(exps)
+                d = sum(mono)
+                if d != want or type(d) is not int or len(mono) != n \
+                        or min(mono) < 0:
+                    raise ValueError(f"a term of degree {d!r} where the "
+                                     f"twists give {want}")
+                c = read(num, den)
+                if not c or type(c) is not ctype:
+                    raise ValueError(f"coefficient {num!r}/{den!r}")
+                poly[mono] = c
+            if len(poly) != len(terms):
+                raise ValueError("a repeated monomial")
+            column[row] = Poly(S, poly)
+        if len(column) != len(col):
+            raise ValueError("a repeated row")
+        out.append(column)
+    return tuple(degrees), out
 
 
-def _valid_record(record) -> bool:
-    return (
-        isinstance(record, dict)
-        and isinstance(record.get("twists"), list)
-        and isinstance(record.get("maps"), list)
-        and "complete" in record
-        and len(record["twists"]) == len(record["maps"]) + 1
-        and "candidates" in record
-        and isinstance(record["candidates"], list) == (len(record["maps"]) >= 2)
+def _loaded(ring, key: str, what: str, lower):
+    """The decoded entry under `key`, or None when it is missing or
+    flawed; a flawed one is named in a warning."""
+    entry = _STORE.load(key) if _STORE is not None else None
+    if entry is None:
+        return None
+    try:
+        return _decoded(ring, entry, lower)
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as e:
+        print(f"warning: ignoring invalid cache entry {key} ({what}): {e}",
+              file=sys.stderr)
+        return None
+
+
+def _load_maps(ring, module_key: str, state, length: int) -> None:
+    """Append the stored maps that follow the state's, up to `length`;
+    the state is complete when the store says it ends where they do."""
+    maps, twists = state["maps"], state["twists"]
+    while len(maps) < length:
+        step = len(maps) + 1
+        got = _loaded(ring, _key("map", module_key, step), f"d_{step}",
+                      twists[-1])
+        if got is None:
+            done = _STORE.load(_key("complete", module_key))
+            state["complete"] = done == {"maps": len(maps)}
+            return
+        twists.append(got[0])
+        maps.append(got[1])
+        state["candidates"] = _STORED
+
+
+def _rerun(ring, candidates, state, budgets):
+    """The state's last step re-run tracked over `candidates`: the
+    candidates of the next step, or None if the run keeps other columns
+    than the state's last map."""
+    kept, following = minimal_step(
+        ring, candidates, state["twists"][-2], harvest=True,
+        max_degree=budgets.max_degree,
     )
+    return following if [candidates[j] for j in kept] == state["maps"][-1] \
+        else None
+
+
+def _harvest(ring, module_key: str, state, budgets) -> list:
+    """The candidates of the step after the state's last one.
+
+    When the state's last map came from the store, its candidates come
+    from there too.  If the store lacks them, or their re-run does not
+    reproduce the map, a warning names the entry and the state is cut
+    back to the last step it can continue from: one whose candidates the
+    store holds, at worst d_1."""
+    maps, twists = state["maps"], state["twists"]
+    if state["candidates"] is not _STORED:
+        if state["candidates"] is None:  # the last map is d_1
+            return column_syzygies(ring, maps[-1], twists[-2],
+                                   max_degree=budgets.max_degree)
+        following = _rerun(ring, state["candidates"], state, budgets)
+        if following is None:
+            raise ConsistencyError(
+                "a resolution step kept other columns on its re-run")
+        return following
+    warn = True
+    while len(maps) > 1:
+        step = len(maps)
+        key = _key("candidates", module_key, step)
+        got = _loaded(ring, key, f"candidates of step {step}", twists[-2])
+        following = None if got is None else _rerun(ring, got[1], state,
+                                                    budgets)
+        if following is not None:
+            state["candidates"] = got[1]
+            return following
+        if warn:
+            print(f"warning: cache entry {key} (candidates of step {step}) "
+                  f"is missing or does not reproduce d_{step}; recomputing "
+                  f"from an earlier step", file=sys.stderr)
+            warn = False
+        del maps[-1], twists[-1]
+    state["candidates"] = None
+    return column_syzygies(ring, maps[-1], twists[-2],
+                           max_degree=budgets.max_degree)
 
 
 def minimal_free_resolution(M: ModulePresentation, length: int, *,
@@ -173,34 +296,17 @@ def minimal_free_resolution(M: ModulePresentation, length: int, *,
             }
         state = memo.put("resolution", key, state)
     if _STORE is not None and not state["complete"] and len(state["maps"]) < length:
-        cache_key = memo.content_hash("resolution", Mmin.serialize(), str(length))
-        record = _STORE.load(cache_key)
-        if record is not None and _valid_record(record):
-            cached = _state_from_record(ring, record)
-            if len(cached["maps"]) > len(state["maps"]):
-                state.update(cached)
-    dirty = False
+        _load_maps(ring, key, state, length)
     following = None  # candidates of the next step, once harvested
     while not state["complete"] and len(state["maps"]) < length:
-        twists = state["twists"]
         if following is None:
-            if state["candidates"] is None:
-                following = column_syzygies(
-                    ring, state["maps"][-1], twists[-2],
-                    max_degree=budgets.max_degree,
-                )
-            else:
-                kept, following = minimal_step(
-                    ring, state["candidates"], twists[-2], harvest=True,
-                    max_degree=budgets.max_degree,
-                )
-                if [state["candidates"][j] for j in kept] != state["maps"][-1]:
-                    raise ConsistencyError(
-                        "a resolution step kept other columns on its re-run")
+            following = _harvest(ring, key, state, budgets)
         candidates = following
-        dirty = True
+        twists = state["twists"]
         if not candidates:
             state["complete"] = True
+            if _STORE is not None:
+                _STORE.save(_key("complete", key), {"maps": len(state["maps"])})
             break
         kept, following = minimal_step(
             ring, candidates, twists[-1],
@@ -213,9 +319,13 @@ def minimal_free_resolution(M: ModulePresentation, length: int, *,
         state["maps"].append(new_cols)
         state["candidates"] = candidates
         twists.append(tuple(column_degree(c, twists[-1]) for c in new_cols))
-    if _STORE is not None and dirty:
-        cache_key = memo.content_hash("resolution", Mmin.serialize(), str(length))
-        _STORE.save(cache_key, _record_from_state(state))
+        if _STORE is not None:
+            step = len(state["maps"])
+            _STORE.save(_key("map", key, step), _entry(new_cols, twists[-1]))
+            if following is None:  # the last step: an extension reads these
+                _STORE.save(_key("candidates", key, step), _entry(
+                    candidates,
+                    [column_degree(c, twists[-2]) for c in candidates]))
     return Resolution(Mmin, state["twists"], state["maps"], state["complete"])
 
 

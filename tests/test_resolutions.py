@@ -1,23 +1,28 @@
 """Minimal free resolutions: exactness, Froberg's ranks, independence of
-history, the disk-store record format, and the minimal-admission run
-against the per-degree reference it replaced."""
+history, the disk store's per-step entries (round trips, one write per
+step, damaged entries as misses), and the minimal-admission run against
+the per-degree reference it replaced."""
 
 import json
 import os
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkage_lab import memo, resolutions
-from linkage_lab.cache import install_cache
+from linkage_lab.cache import DiskStore, install_cache
 from linkage_lab.corpus import generate_corpus
 from linkage_lab.fields import GF, QQ
 from linkage_lab.groebner import column_degree, flat_from_column
 from linkage_lab.modules import (
     ModulePresentation,
     cyclic_module,
+    from_matrix,
     mingens_columns,
     minimal_step,
+    minimalize,
     quotient_series,
     span_gb,
 )
@@ -36,9 +41,11 @@ W = ModulePresentation(T, [0, 0], [1, 1, 1],
                        [{0: x}, {0: y, 1: y - z}, {1: x}])
 
 
-def _maps_text(res) -> list:
-    return [[sorted((i, str(p)) for i, p in col.items()) for col in cols]
-            for cols in res.maps]
+def _terms(maps) -> list:
+    """Maps (or lists of candidates) term by term, with the type of each
+    coefficient, in the order the polynomials hold their terms."""
+    return [[{row: [(m, type(c), c) for m, c in p.terms.items()]
+              for row, p in col.items()} for col in cols] for cols in maps]
 
 
 def _assert_exact(res):
@@ -95,43 +102,197 @@ def test_maps_do_not_depend_on_history(tmp_path, monkeypatch):
     try:
         for M in (K, W):
             memo.clear()
-            once = _maps_text(minimal_free_resolution(M, 8))
+            once = _terms(minimal_free_resolution(M, 8).maps)
             memo.clear()
             minimal_free_resolution(M, 3)
-            assert _maps_text(minimal_free_resolution(M, 8)) == once
+            assert _terms(minimal_free_resolution(M, 8).maps) == once
             store = os.path.join(str(tmp_path), str(id(M)))
             install_cache(store)
             memo.clear()
             minimal_free_resolution(M, 3)
-            assert len(os.listdir(store)) == 1
+            # the map entries of d_2 and d_3, the candidates of step 3
+            assert len(os.listdir(store)) == 3
             memo.clear()  # the store serves length 3, the rest is extended
             steps.clear()
             loaded = minimal_free_resolution(M, 3)
             assert not steps
-            assert _maps_text(loaded) == once[:3]
-            assert _maps_text(minimal_free_resolution(M, 8)) == once
+            assert _terms(loaded.maps) == once[:3]
+            assert _terms(minimal_free_resolution(M, 8).maps) == once
+            memo.clear()
+            steps.clear()
+            assert _terms(minimal_free_resolution(M, 8).maps) == once
+            assert not steps
             set_resolution_store(None)
     finally:
         set_resolution_store(None)
         memo.clear()
 
 
-def test_a_record_without_candidates_is_a_miss(tmp_path):
+def test_a_record_without_candidates_is_a_miss(tmp_path, capsys):
+    """A stored d_4 with one column dropped passes the load checks (it is
+    well formed and homogeneous), but it is never extended: without the
+    candidates of step 4 the engine goes back to step 3, and with them
+    their re-run does not reproduce it."""
+    memo.clear()
+    want = _terms(minimal_free_resolution(K, 6).maps)
+    key = minimalize(K).content_key()
+    for drop_candidates in (True, False):
+        root = os.path.join(str(tmp_path), str(drop_candidates))
+        try:
+            store = install_cache(root)
+            memo.clear()
+            minimal_free_resolution(K, 4)
+            if drop_candidates:
+                os.remove(store._path(resolutions._key("candidates", key, 4)))
+            path = store._path(resolutions._key("map", key, 4))
+            with open(path, encoding="utf-8") as fh:
+                entry = json.load(fh)
+            entry["twists"] = entry["twists"][:1]
+            entry["columns"] = entry["columns"][:1]
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(entry, fh)
+            memo.clear()
+            assert _terms(minimal_free_resolution(K, 6).maps) == want
+            assert resolutions._key("candidates", key, 4) \
+                in capsys.readouterr().err
+        finally:
+            set_resolution_store(None)
+            memo.clear()
+
+
+# -- the disk store, one entry per step -------------------------------------
+
+
+S3 = make_ring(QQ, ["x", "y", "z"], [])
+# kernel_golden's "module-QQ" and "Q" inputs: non-monomial, with
+# non-integral coefficients over QQ, and over GF(32003)
+_MODULE_QQ = (["x^2 + 1/2*y*z", "y^2", "x*z - z^2", "x*y*z"],
+              ["3*x", "y - 2/5*z", "x + y + z", "2*z^2"])
+
+
+@pytest.mark.parametrize("ring, length", [(S3, 5), (T, 4), (N, 4)],
+                         ids=["QQ-complete", "QQ-quotient", "GF"])
+def test_store_round_trips_terms_and_coefficient_types(ring, length, tmp_path):
+    if ring is N:
+        M = cyclic_module(N, ["x + y", "z^2 - 2*w^2"])
+    else:
+        M = from_matrix(ring, [0, 1], _MODULE_QQ)
+    key = minimalize(M).content_key()
     try:
+        memo.clear()
+        cold = minimal_free_resolution(M, length)
+        # a scan: each call computes one step, the last, and stores its
+        # candidates, which the memo state still holds
+        store = install_cache(str(tmp_path))
+        candidates = {}
+        for step in range(2, cold.length() + 1):
+            memo.clear()
+            minimal_free_resolution(M, step)
+            candidates[step] = _terms([memo.get("resolution", key)["candidates"]])
+        memo.clear()
+        minimal_free_resolution(M, length)
+        memo.clear()
+        loaded = minimal_free_resolution(M, length)
+        assert loaded.twists == cold.twists
+        assert loaded.complete == cold.complete == (ring is S3)
+        assert _terms(loaded.maps) == _terms(cold.maps)
+        for step, want in candidates.items():
+            got = resolutions._loaded(
+                M.ring, resolutions._key("candidates", key, step), "",
+                cold.twists[step - 1])
+            assert _terms([got[1]]) == want
+        coeffs = [c for cols in cold.maps for col in cols
+                  for p in col.values() for c in p.terms.values()]
+        assert {type(c) for c in coeffs} == {int if ring is N else Fraction}
+        if ring is not N:
+            assert any(c.denominator != 1 for c in coeffs)
+        assert os.path.exists(store._path(resolutions._key("complete", key))) \
+            == (ring is S3)
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+def test_each_step_is_written_once(tmp_path, monkeypatch):
+    steps, saved, loaded = [], [], []
+    for name in ("minimal_step", "column_syzygies"):
+        fn = getattr(resolutions, name)
+        monkeypatch.setattr(resolutions, name,
+                            lambda *a, _fn=fn, **k: steps.append(1) or _fn(*a, **k))
+    save, load = DiskStore.save, DiskStore.load
+    monkeypatch.setattr(DiskStore, "save",
+                        lambda self, k, r: saved.append(k) or save(self, k, r))
+    monkeypatch.setattr(DiskStore, "load",
+                        lambda self, k: loaded.append(k) or load(self, k))
+    key = minimalize(W).content_key()
+    try:
+        memo.clear()
+        cold = _terms(minimal_free_resolution(W, 8).maps)
         install_cache(str(tmp_path))
+        for length in range(2, 9):
+            memo.clear()
+            assert _terms(minimal_free_resolution(W, length).maps) == cold[:length]
+        want = {resolutions._key(kind, key, step)
+                for kind in ("map", "candidates") for step in range(2, 9)}
+        assert sorted(saved) == sorted(want)
+        assert sorted(os.listdir(str(tmp_path))) == sorted(k + ".json" for k in want)
         memo.clear()
-        want = _maps_text(minimal_free_resolution(K, 4))
-        (name,) = os.listdir(str(tmp_path))
-        path = os.path.join(str(tmp_path), name)
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
-        assert record["candidates"] is not None
-        del record["candidates"]
-        record["maps"][-1] = record["maps"][-1][:1]  # wrong, if it were read
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(record, fh)
+        steps.clear()
+        saved.clear()
+        loaded.clear()
+        assert _terms(minimal_free_resolution(W, 3).maps) == cold[:3]
+        assert not steps and not saved
+        assert loaded == [resolutions._key("map", key, step) for step in (2, 3)]
+    finally:
+        set_resolution_store(None)
         memo.clear()
-        assert _maps_text(minimal_free_resolution(K, 4)) == want
+
+
+def _damage(kind, store, key):
+    """Damage the store's d_3 (or the candidates of step 4) of the module
+    with content key `key`; the name of the damaged entry."""
+    name = resolutions._key("candidates" if kind == "candidates" else "map",
+                            key, 4 if kind == "candidates" else 3)
+    path = store._path(name)
+    if kind == "candidates":
+        os.remove(path)
+        return name
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    entry = json.loads(text)
+    if kind == "degree":
+        entry["columns"][0][0][1][0][0][0] += 1
+    elif kind == "twists":
+        entry["twists"][0] += 1
+    elif kind == "row":
+        entry["columns"][0][0][0] = -1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text[:len(text) // 2] if kind == "truncated"
+                 else json.dumps(entry))
+    return name
+
+
+@pytest.mark.parametrize("kind",
+                         ["degree", "twists", "row", "truncated", "candidates"])
+def test_a_damaged_entry_is_a_miss(kind, tmp_path, capsys):
+    """A wrongly-degreed entry, a twist that disagrees with the entries, a
+    row outside F_{i-1}, a truncated file or a deleted candidates entry:
+    a warning names the entry, and the maps are the ones a cold run
+    builds."""
+    memo.clear()
+    cold = minimal_free_resolution(W, 6)
+    key = minimalize(W).content_key()
+    try:
+        store = install_cache(str(tmp_path))
+        memo.clear()
+        minimal_free_resolution(W, 4)
+        name = _damage(kind, store, key)
+        capsys.readouterr()
+        memo.clear()
+        res = minimal_free_resolution(W, 6)
+        assert name in capsys.readouterr().err
+        assert res.twists == cold.twists
+        assert _terms(res.maps) == _terms(cold.maps)
     finally:
         set_resolution_store(None)
         memo.clear()
