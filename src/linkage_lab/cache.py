@@ -5,10 +5,12 @@ writes one entry per step and kind (map, candidates, completion), keyed
 by the minimal presentation (which is Groebner-canonicalized) and the
 step, so the same module declared through different matrices hits the
 same entries; resolutions.py documents their format and the checks a
-load runs.  The store is append-only and idempotent: a second save under
-an existing key is a no-op, writes go through a temporary file and an
-atomic rename, and a file that is not valid JSON is ignored with a
-warning, which the engine treats as a miss and recomputes.
+load runs.  A valid entry is append-only: a second save under an
+existing key is a no-op, and writes go through a temporary file and an
+atomic rename.  A rejected entry is discarded: a file that is not valid
+JSON is removed with a warning, as is an entry the engine's load checks
+reject, so the engine recomputes the step and its save writes the entry
+again.
 """
 
 from __future__ import annotations
@@ -34,10 +36,14 @@ class DiskStore:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, ValueError) as e:
-            print(f"warning: ignoring corrupt cache entry {path}: {e}",
+        except OSError as e:
+            print(f"warning: ignoring unreadable cache entry {path}: {e}",
                   file=sys.stderr)
-            return None
+        except ValueError as e:
+            print(f"warning: discarding corrupt cache entry {path}: {e}",
+                  file=sys.stderr)
+            self.discard(key)
+        return None
 
     def save(self, key: str, record) -> None:
         path = self._path(key)
@@ -52,6 +58,15 @@ class DiskStore:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+
+    def discard(self, key: str) -> None:
+        """Remove the entry under `key`, if any: a rejected entry makes
+        room for the recomputed one."""
+        try:
+            os.unlink(self._path(key))
+        except FileNotFoundError:
+            pass
 
 
 def resolve_cache_dir(explicit: str | None = None) -> str | None:

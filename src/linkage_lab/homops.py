@@ -1,20 +1,24 @@
 """Homological operations on presented modules.
 
-Hom, tensor, Ext and Tor are computed as explicitly presented
-subquotients of free modules built on (cover generator, target
-generator) coordinate pairs; generators of Hom modules come with
-realizations (actual matrices), which downstream code uses to build
-evaluation maps, homothety maps and pushforwards.
+Hom, Ext and Tor are computed by one routine, `_homology`: the
+(co)homology at one spot of Hom(F., N) or F. (x) N, for a free
+resolution F. of M, as an explicitly presented subquotient of a free
+module built on (F-generator, N-generator) coordinate pairs.  Hom(M, N)
+is the spot 0 of Hom(F., N) with F_1 -> F_0 M's own presentation; its
+generators come with realizations (actual matrices): `evaluation_map`
+builds M -> sum_t N(tau_t) from them for pushforwards and the
+embedding-into-free test, and the homothety test reads them too.
 
 Ext into the canonical module (up to a twist) over a Cohen-Macaulay
 quotient ring is computed exactly through ambient duality over the
 polynomial ring, where resolutions are finite; the direct computation
 stays as a cross-checking oracle for i <= 1.
 
-The transpose dualizes a minimal presentation (dual twists negate); the
-linkage operator is the first syzygy of the transpose.  A test-only
-fault hook can disable the minimalization inside transpose to let the
-theorem harness demonstrate that it detects false statements.
+The transpose with respect to C is the cokernel of Hom(d_1, C) for a
+minimal presentation d_1; the transpose is Tr = Tr_R, and the linkage
+operator is the first syzygy of the transpose.  A test-only fault hook
+can disable the minimalization inside transpose to let the theorem
+harness demonstrate that it detects false statements.
 """
 
 from __future__ import annotations
@@ -55,30 +59,12 @@ def fault_active(name: str) -> bool:
 # -- transpose and the linkage operator -------------------------------------
 
 
-def _dualized_presentation(A: ModulePresentation) -> ModulePresentation:
-    """coker of the dualized map: gens from relations, twists negated."""
-    gen_twists = [-r for r in A.rel_twists]
-    rel_twists = [-g for g in A.gen_twists]
-    cols = []
-    for i in range(A.n_gens()):
-        col = {}
-        for j, c in enumerate(A.columns):
-            p = c.get(i)
-            if p is not None and not p.is_zero():
-                col[j] = p
-        cols.append(col)
-    return ModulePresentation(A.ring, gen_twists, rel_twists, cols)
-
-
 def transpose(M: ModulePresentation) -> ModulePresentation:
+    """Tr M = Tr_R M: the transpose with respect to the ring itself."""
+    unit = free_module(M.ring, [0])
     if fault_active("skip-minimalize-transpose"):
-        return _dualized_presentation(M.reduce_entries())
-    key = minimalize(M).content_key()
-    hit = memo.get("transpose", key)
-    if hit is not None:
-        return hit
-    out = minimalize(_dualized_presentation(minimalize(M)))
-    return memo.put("transpose", key, out)
+        return _transpose_raw(M.reduce_entries(), unit)
+    return _transpose_wrt(minimalize(M), unit)
 
 
 def syzygy(M: ModulePresentation, i: int, *, budgets=None) -> ModulePresentation:
@@ -151,6 +137,61 @@ def _tensor_map_images(d_cols, q):
     return out
 
 
+def _homology(ring, twists, images, image_twists, image_rels, rels, budgets):
+    """(presentation, kept cycles) of the homology at a free spot.
+
+    The spot has coordinate twists `twists`; its outgoing map sends
+    coordinate k to images[k] in a free module with twists
+    `image_twists`, modulo the columns `image_rels`.  The cycles are the
+    kernel of that map (every coordinate when all images are zero), and
+    the homology is their span modulo `rels`.
+    """
+    cycles = column_syzygies(ring, images, image_twists, extra=image_rels,
+                             max_degree=budgets.max_degree)
+    return subquotient(ring, twists, cycles, rels,
+                       max_degree=budgets.max_degree)
+
+
+def _spots(A: ModulePresentation, i: int, budgets):
+    """(twists, maps) of a free resolution of A long enough for spot i:
+    A's own presentation F_1 -> F_0 for i = 0, else the minimal one."""
+    if i == 0:
+        return [A.gen_twists, A.rel_twists], [A.columns]
+    res = minimal_free_resolution(A, i + 1, budgets=budgets)
+    return res.twists, res.maps
+
+
+def _hom_cohomology(A: ModulePresentation, B: ModulePresentation, i: int,
+                    budgets):
+    """H^i of Hom(F., B) for a free resolution F. of A (see _spots):
+    (presentation, cocycle realizations, coordinate twists of Hom(F_i, B)).
+
+    B may be any presentation; Hom(F_i, B) lives on the coordinates
+    (t, r) -> t*q + r over the generators of B.  For i = 0 this is
+    Hom(A, B), each realization the matrix of a homomorphism.
+    """
+    ring = A.ring
+    q = B.n_gens()
+    if q == 0 or A.n_gens() == 0:
+        return zero_module(ring), [], []
+    twists, maps = _spots(A, i, budgets)
+    w_i = twists[i] if i < len(twists) else ()
+    if not w_i:
+        return zero_module(ring), [], []
+    d_next, w_next = (maps[i], twists[i + 1]) if i < len(maps) else ([], ())
+    h_i = _hom_twists(w_i, B.gen_twists)
+    rels = _per_slot_relations(len(w_i), q, B)
+    if i > 0:
+        # images of Hom(F_{i-1}, B) basis vectors inside Hom(F_i, B)
+        rels += [img for img in _dual_map_images(maps[i - 1],
+                                                 len(twists[i - 1]), q) if img]
+    pres, kept = _homology(
+        ring, h_i, _dual_map_images(d_next, len(w_i), q),
+        _hom_twists(w_next, B.gen_twists),
+        _per_slot_relations(len(w_next), q, B), rels, budgets)
+    return pres, kept, h_i
+
+
 def hom_with_realizations(M: ModulePresentation, N: ModulePresentation, *,
                           budgets=None):
     """(presentation of Hom(M, N), generator matrices, coordinate twists).
@@ -159,29 +200,18 @@ def hom_with_realizations(M: ModulePresentation, N: ModulePresentation, *,
     (i, r) -> i*q + r: the matrix sending M's generator i to an element
     of N's cover.
     """
-    budgets = budgets or DEFAULT_BUDGETS
     if M.ring != N.ring:
         raise ValueError("hom over different rings")
-    A, B = minimalize(M), minimalize(N)
+    return _hom(minimalize(M), minimalize(N), budgets or DEFAULT_BUDGETS)
+
+
+def _hom(A: ModulePresentation, B: ModulePresentation, budgets):
+    """hom_with_realizations for minimal A and B."""
     key = memo.content_hash(A.content_key(), B.content_key())
     hit = memo.get("hom", key)
     if hit is not None:
         return hit
-    ring = A.ring
-    p, q = A.n_gens(), B.n_gens()
-    if p == 0 or q == 0:
-        result = (zero_module(ring), [], [])
-        return memo.put("hom", key, result)
-    h0 = _hom_twists(A.gen_twists, B.gen_twists)
-    h1 = _hom_twists(A.rel_twists, B.gen_twists)
-    images = _dual_map_images(A.columns, p, q)
-    v1 = _per_slot_relations(A.n_rels(), q, B)
-    gens = column_syzygies(ring, images, h1, extra=v1,
-                           max_degree=budgets.max_degree)
-    rels = _per_slot_relations(p, q, B)
-    pres, kept = subquotient(ring, h0, gens, rels, max_degree=budgets.max_degree)
-    result = (pres, kept, h0)
-    return memo.put("hom", key, result)
+    return memo.put("hom", key, _hom_cohomology(A, B, 0, budgets))
 
 
 def hom_module(M, N, *, budgets=None) -> ModulePresentation:
@@ -260,36 +290,7 @@ def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
 def _ext_direct(A: ModulePresentation, B: ModulePresentation, i: int,
                 budgets) -> ModulePresentation:
     """Ext^i(A, B) for minimal A, B: cohomology of Hom(resolution of A, B)."""
-    ring = A.ring
-    q = B.n_gens()
-    if q == 0 or A.n_gens() == 0:
-        return zero_module(ring)
-    res = minimal_free_resolution(A, i + 1, budgets=budgets)
-    w_i = res.twists_at(i)
-    if not w_i:
-        return zero_module(ring)
-    h_i = _hom_twists(w_i, B.gen_twists)
-    if i < res.length():
-        d_next = res.maps[i]
-        w_next = res.twists_at(i + 1)
-        h_next = _hom_twists(w_next, B.gen_twists)
-        images = _dual_map_images(d_next, len(w_i), q)
-        v_next = _per_slot_relations(len(w_next), q, B)
-        gens = column_syzygies(ring, images, h_next, extra=v_next,
-                               max_degree=budgets.max_degree)
-    else:
-        one = ring.poly_ring.one()
-        gens = [{k: one} for k in range(len(w_i) * q)]
-    rels = _per_slot_relations(len(w_i), q, B)
-    if i > 0:
-        d_i = res.maps[i - 1]
-        w_prev = res.twists_at(i - 1)
-        # images of Hom(F_{i-1}, N) basis vectors inside Hom(F_i, N)
-        rels = rels + [
-            img for img in _dual_map_images(d_i, len(w_prev), q) if img
-        ]
-    pres, _ = subquotient(ring, h_i, gens, rels, max_degree=budgets.max_degree)
-    return pres
+    return _hom_cohomology(A, B, i, budgets)[0]
 
 
 def tor(M: ModulePresentation, N: ModulePresentation, i: int, *,
@@ -309,47 +310,50 @@ def tor(M: ModulePresentation, N: ModulePresentation, i: int, *,
     q = B.n_gens()
     if q == 0 or A.n_gens() == 0:
         return memo.put("tor", key, zero_module(ring))
-    res = minimal_free_resolution(A, i + 1, budgets=budgets)
-    w_i = res.twists_at(i)
+    twists, maps = _spots(A, i, budgets)
+    w_i = twists[i] if i < len(twists) else ()
     if not w_i:
         return memo.put("tor", key, zero_module(ring))
-    h_i = _tensor_twists(w_i, B.gen_twists)
-    d_i = res.maps[i - 1]
-    w_prev = res.twists_at(i - 1)
-    h_prev = _tensor_twists(w_prev, B.gen_twists)
-    images = _tensor_map_images(d_i, q)
-    v_prev = _per_slot_relations(len(w_prev), q, B)
-    gens = column_syzygies(ring, images, h_prev, extra=v_prev,
-                           max_degree=budgets.max_degree)
+    w_prev = twists[i - 1]
     rels = _per_slot_relations(len(w_i), q, B)
-    if i < res.length():
-        rels = rels + [img for img in _tensor_map_images(res.maps[i], q) if img]
-    pres, _ = subquotient(ring, h_i, gens, rels, max_degree=budgets.max_degree)
+    if i < len(maps):
+        rels += [img for img in _tensor_map_images(maps[i], q) if img]
+    pres, _ = _homology(
+        ring, _tensor_twists(w_i, B.gen_twists),
+        _tensor_map_images(maps[i - 1], q),
+        _tensor_twists(w_prev, B.gen_twists),
+        _per_slot_relations(len(w_prev), q, B), rels, budgets)
     return memo.put("tor", key, pres)
 
 
-def transpose_wrt(M: ModulePresentation, C: ModulePresentation, *,
-                  budgets=None) -> ModulePresentation:
-    """Transpose with respect to C: coker of Hom(d_1, C)."""
-    budgets = budgets or DEFAULT_BUDGETS
-    A, B = minimalize(M), minimalize(C)
-    key = memo.content_hash(A.content_key(), B.content_key())
-    hit = memo.get("transpose-wrt", key)
-    if hit is not None:
-        return hit
-    ring = A.ring
+def _transpose_raw(A: ModulePresentation, B: ModulePresentation):
+    """coker of Hom(d_1, B) for A's presentation d_1, unminimalized."""
     q = B.n_gens()
-    if q == 0 or A.n_gens() == 0:
-        return memo.put("transpose-wrt", key, zero_module(ring))
-    h1 = _hom_twists(A.rel_twists, B.gen_twists)
-    cols = _dual_map_images(A.columns, A.n_gens(), q)
-    cols = cols + _per_slot_relations(A.n_rels(), q, B)
+    cols = (_dual_map_images(A.columns, A.n_gens(), q)
+            + _per_slot_relations(A.n_rels(), q, B))
     rel_twists = _hom_twists(A.gen_twists, B.gen_twists) + [
         B.rel_twists[s] - A.rel_twists[j]
         for j in range(A.n_rels()) for s in range(B.n_rels())
     ]
-    pres = ModulePresentation(ring, h1, rel_twists, cols)
-    return memo.put("transpose-wrt", key, minimalize(pres))
+    return ModulePresentation(A.ring, _hom_twists(A.rel_twists, B.gen_twists),
+                              rel_twists, cols)
+
+
+def _transpose_wrt(A: ModulePresentation, B: ModulePresentation):
+    """Tr_B A for minimal A and B."""
+    key = memo.content_hash(A.content_key(), B.content_key())
+    hit = memo.get("transpose-wrt", key)
+    if hit is not None:
+        return hit
+    if B.n_gens() == 0 or A.n_gens() == 0:
+        return memo.put("transpose-wrt", key, zero_module(A.ring))
+    return memo.put("transpose-wrt", key, minimalize(_transpose_raw(A, B)))
+
+
+def transpose_wrt(M: ModulePresentation,
+                  C: ModulePresentation) -> ModulePresentation:
+    """Transpose with respect to C: coker of Hom(d_1, C)."""
+    return _transpose_wrt(minimalize(M), minimalize(C))
 
 
 def ext_to_ambient(M: ModulePresentation, i: int, *,
@@ -361,6 +365,28 @@ def ext_to_ambient(M: ModulePresentation, i: int, *,
 
 
 # -- pushforward ------------------------------------------------------------
+
+
+def evaluation_map(M: ModulePresentation, N: ModulePresentation, *,
+                   budgets=None):
+    """(columns, taus) of the evaluation map M -> sum_t N(tau_t).
+
+    phi_1, ..., phi_m are the minimal generators of Hom(M, N), phi_t of
+    degree tau_t; generator i of minimalize(M) goes to columns[i], the
+    tuple (phi_t(generator i))_t on the coordinates (t, r) -> t*q + r
+    over the q generators of minimalize(N).
+    """
+    A, B = minimalize(M), minimalize(N)
+    q = B.n_gens()
+    _, kept, h0 = _hom(A, B, budgets or DEFAULT_BUDGETS)
+    taus = []
+    for phi in kept:
+        idx, p = next(iter(phi.items()))
+        taus.append(p.degree() + h0[idx])
+    columns = [{t * q + r: p for t, phi in enumerate(kept) for r in range(q)
+                if (p := phi.get(i * q + r)) is not None and not p.is_zero()}
+               for i in range(A.n_gens())]
+    return columns, taus
 
 
 @dataclass
@@ -380,43 +406,21 @@ def universal_pushforward(M: ModulePresentation, C: ModulePresentation, *,
     the first through an exact Hilbert-series identity.
     """
     budgets = budgets or DEFAULT_BUDGETS
-    obstruction = ext(transpose_wrt(M, C, budgets=budgets), C, 1, budgets=budgets)
+    obstruction = ext(transpose_wrt(M, C), C, 1, budgets=budgets)
     if not obstruction.is_zero():
         raise InapplicableError(
             "universal pushforward needs a vanishing biduality kernel; "
             "Ext^1(Tr_C M, C) is nonzero"
         )
     A, B = minimalize(M), minimalize(C)
-    ring = A.ring
     q = B.n_gens()
-    _, kept, h0 = hom_with_realizations(A, B, budgets=budgets)
-    taus = []
-    for col in kept:
-        d = None
-        for idx, poly in col.items():
-            d = poly.degree() + h0[idx]
-            break
-        taus.append(d)
-    m = len(kept)
-    # a hom generator of degree tau embeds into the copy C(tau), whose
-    # coordinate degrees are B.gen_twists[r] - tau
-    gen_twists = [B.gen_twists[r] - taus[t] for t in range(m) for r in range(q)]
-    cols = []
-    rel_twists = []
-    for i in range(A.n_gens()):
-        col = {}
-        for t in range(m):
-            for r in range(q):
-                p = kept[t].get(i * q + r)
-                if p is not None and not p.is_zero():
-                    col[t * q + r] = p
-        cols.append(col)
-        rel_twists.append(A.gen_twists[i])
-    for t in range(m):
-        for s, bcol in enumerate(B.columns):
-            cols.append({t * q + r: p for r, p in bcol.items()})
-            rel_twists.append(B.rel_twists[s] - taus[t])
-    N = minimalize(ModulePresentation(ring, gen_twists, rel_twists, cols))
+    cols, taus = evaluation_map(A, B, budgets=budgets)
+    m = len(taus)
+    gen_twists = [B.gen_twists[r] - tau for tau in taus for r in range(q)]
+    rel_twists = list(A.gen_twists) + [B.rel_twists[s] - tau for tau in taus
+                                       for s in range(B.n_rels())]
+    N = minimalize(ModulePresentation(
+        A.ring, gen_twists, rel_twists, cols + _per_slot_relations(m, q, B)))
     # injectivity certificate: HS(M) + HS(N) = sum_t HS(C) shifted by tau_t
     lhs = A.hilbert_series() + N.hilbert_series()
     rhs = A.hilbert_series() - A.hilbert_series()
@@ -426,7 +430,7 @@ def universal_pushforward(M: ModulePresentation, C: ModulePresentation, *,
         raise ConsistencyError("pushforward failed the exactness series check")
     if not ext(N, C, 1, budgets=budgets).is_zero():
         raise ConsistencyError("pushforward cokernel has nonvanishing Ext^1(-,C)")
-    return Pushforward(cols[: A.n_gens()], list(taus), N, m)
+    return Pushforward(cols, taus, N, m)
 
 
 def is_nth_cosyzygy_witness(M: ModulePresentation, C: ModulePresentation,
@@ -439,7 +443,7 @@ def is_nth_cosyzygy_witness(M: ModulePresentation, C: ModulePresentation,
     """
     X = minimalize(M)
     for step in range(1, n + 1):
-        if not ext(transpose_wrt(X, C, budgets=budgets), C, 1,
+        if not ext(transpose_wrt(X, C), C, 1,
                    budgets=budgets).is_zero():
             return False, step
         if X.is_zero():

@@ -40,8 +40,7 @@ from . import memo
 from .config import DEFAULT_BUDGETS, default_bound
 from .errors import BudgetError, ConsistencyError, InapplicableError
 from .homops import (
-    _dual_map_images,
-    _hom_twists,
+    _hom_cohomology,
     _per_slot_relations,
     ext,
     ext_to_ambient,
@@ -56,13 +55,11 @@ from .modules import (
     ModulePresentation,
     annihilator,
     change_ring,
-    column_syzygies,
     cyclic_module,
     free_module,
     ideal_in_prime,
     minimalize,
     span_gb,
-    subquotient,
     twist_module,
 )
 from .resolutions import minimal_free_resolution
@@ -665,16 +662,10 @@ def _auslander(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
     pd = _finite_pd(A, budgets=budgets)
     if pd is not None:
         return BoundedVerdict("true", note=f"finite projective dimension {pd}")
-    T_raw, A2, Bc = tensor_raw(A, Cmin)
+    T_raw, _, Bc = tensor_raw(A, Cmin)
     qc, qT = Bc.n_gens(), T_raw.n_gens()
-    h0 = _hom_twists(Bc.gen_twists, T_raw.gen_twists)
-    images = _dual_map_images(Bc.columns, qc, qT)
-    h1 = _hom_twists(Bc.rel_twists, T_raw.gen_twists)
-    v1 = _per_slot_relations(Bc.n_rels(), qT, T_raw)
-    gens = column_syzygies(R, images, h1, extra=v1,
-                           max_degree=budgets.max_degree)
+    pres, kept, h0 = _hom_cohomology(Bc, T_raw, 0, budgets)
     rels = _per_slot_relations(qc, qT, T_raw)
-    pres, kept = subquotient(R, h0, gens, rels, max_degree=budgets.max_degree)
     one = R.poly_ring.one()
     mu_cols = [
         {t * qT + (i * qc + t): one for t in range(qc)}
@@ -792,7 +783,7 @@ def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
         if Xmin.is_zero():
             return GcDimVerdict("finite" if r else "zero", r, None,
                                 "syzygy vanishes")
-        TX = transpose_wrt(Xmin, Cmin, budgets=budgets)
+        TX = transpose_wrt(Xmin, Cmin)
         for i in range(1, bound + 1):
             if not ext(Xmin, Cmin, i, budgets=budgets).is_zero():
                 return GcDimVerdict(

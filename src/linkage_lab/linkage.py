@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_BUDGETS
-from .homops import ext, hom_with_realizations, lambda_module, transpose
+from .homops import ext, evaluation_map, lambda_module, transpose
 from .isomorphism import IsoVerdict, is_isomorphic
 from .modules import (
     ModulePresentation,
@@ -52,30 +52,10 @@ def is_syzygy_module(M: ModulePresentation, *, budgets=None) -> bool:
     A = minimalize(M)
     if A.is_zero():
         return True
-    ring = A.ring
-    pres, kept, h0 = hom_with_realizations(A, free_module(ring, [0]),
-                                           budgets=budgets)
-    sigmas = []
-    reals = []
-    for col in kept:
-        entry = next(
-            ((idx, p) for idx, p in col.items() if not p.is_zero()), None)
-        if entry is None:
-            continue
-        idx, p = entry
-        sigmas.append(-(p.degree() + h0[idx]))
-        reals.append(col)
-    if not reals:
+    cols, taus = evaluation_map(A, free_module(A.ring, [0]), budgets=budgets)
+    if not taus:
         return False
-    cols = []
-    for i in range(A.n_gens()):
-        col = {}
-        for t, real in enumerate(reals):
-            p = real.get(i)
-            if p is not None and not p.is_zero():
-                col[t] = p
-        cols.append(col)
-    image = span_series(ring, [c for c in cols if c], sigmas)
+    image = span_series(A.ring, [c for c in cols if c], [-t for t in taus])
     return image == A.hilbert_series()
 
 
@@ -86,8 +66,8 @@ class LinkageReport:
     ext1_vanishes: bool
     syzygy_embedding: bool
     linked: bool
-    double_link: IsoVerdict | None
-    inconsistency: str = ""
+    double_link: IsoVerdict
+    inconsistency: str
 
     def describe(self) -> str:
         bits = [
@@ -95,39 +75,33 @@ class LinkageReport:
             f"Ext^1(Tr M, R)=0: {self.ext1_vanishes}",
             f"embeds in free: {self.syzygy_embedding}",
             f"linked: {self.linked}",
+            f"M ~ lambda^2 M: {self.double_link.kind}",
         ]
-        if self.double_link is not None:
-            bits.append(f"M ~ lambda^2 M: {self.double_link.kind}")
         if self.inconsistency:
             bits.append(f"INCONSISTENT: {self.inconsistency}")
         return "; ".join(bits)
 
 
-def is_horizontally_linked(M: ModulePresentation, *, cross_validate=True,
-                           budgets=None, seed=0) -> LinkageReport:
+def is_horizontally_linked(M: ModulePresentation, *, budgets=None,
+                           seed=0) -> LinkageReport:
     budgets = budgets or DEFAULT_BUDGETS
     A = minimalize(M)
-    ring = A.ring
     stable, free_rank = is_stable(A)
-    ext1 = ext(transpose(A), free_module(ring, [0]), 1, budgets=budgets)
-    ext1_vanishes = ext1.is_zero()
+    ext1_vanishes = ext(transpose(A), free_module(A.ring, [0]), 1,
+                        budgets=budgets).is_zero()
     linked = stable and ext1_vanishes
     syz = is_syzygy_module(A, budgets=budgets)
-    report = LinkageReport(stable, free_rank, ext1_vanishes, syz, linked, None)
+    lam2 = lambda_module(lambda_module(A, budgets=budgets), budgets=budgets)
+    double_link = is_isomorphic(A, lam2, budgets=budgets, seed=seed)
+    disagreements = []
     if (stable and syz) != linked:
-        report.inconsistency = (
-            "syzygy-embedding test disagrees with Ext^1 vanishing"
-        )
-    if cross_validate:
-        lam2 = lambda_module(lambda_module(A, budgets=budgets), budgets=budgets)
-        verdict = is_isomorphic(A, lam2, budgets=budgets, seed=seed)
-        report.double_link = verdict
-        if verdict.resolved() and verdict.is_isomorphic() != linked:
-            report.inconsistency = (
-                (report.inconsistency + "; " if report.inconsistency else "")
-                + "double-linkage isomorphism disagrees with the criterion"
-            )
-    return report
+        disagreements.append(
+            "syzygy-embedding test disagrees with Ext^1 vanishing")
+    if double_link.resolved() and double_link.is_isomorphic() != linked:
+        disagreements.append(
+            "double-linkage isomorphism disagrees with the criterion")
+    return LinkageReport(stable, free_rank, ext1_vanishes, syz, linked,
+                         double_link, "; ".join(disagreements))
 
 
 def link(M: ModulePresentation, *, budgets=None) -> ModulePresentation:

@@ -43,8 +43,15 @@ the twists loaded before it.  A corrupt, malformed or inhomogeneous
 entry, or a candidates entry that is missing when it is needed or does
 not reproduce its stored map, is a miss: a warning names it on stderr
 and the resolution is recomputed from the last step the engine can
-continue from, at worst d_1.  Entries
-written in an older layout sit under other keys and are never read.
+continue from, at worst d_1.  A corrupt, malformed or inhomogeneous
+entry is also discarded, as are the entries of every step the engine
+recomputes, so the recomputed steps write them again.
+Entries written in an older layout sit under other keys and are never
+read.
+
+A resolution served by the memo or the store is held to the same rank
+budget as a computed one: F_2 ... F_length are checked against
+`max_rank` before it is returned.
 """
 
 from __future__ import annotations
@@ -191,15 +198,17 @@ def _decoded(ring, entry, lower):
 
 def _loaded(ring, key: str, what: str, lower):
     """The decoded entry under `key`, or None when it is missing or
-    flawed; a flawed one is named in a warning."""
+    flawed; a flawed one is named in a warning and discarded, so the
+    recomputed step writes it again."""
     entry = _STORE.load(key) if _STORE is not None else None
     if entry is None:
         return None
     try:
         return _decoded(ring, entry, lower)
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as e:
-        print(f"warning: ignoring invalid cache entry {key} ({what}): {e}",
+        print(f"warning: discarding invalid cache entry {key} ({what}): {e}",
               file=sys.stderr)
+        _STORE.discard(key)
         return None
 
 
@@ -239,7 +248,8 @@ def _harvest(ring, module_key: str, state, budgets) -> list:
     from there too.  If the store lacks them, or their re-run does not
     reproduce the map, a warning names the entry and the state is cut
     back to the last step it can continue from: one whose candidates the
-    store holds, at worst d_1."""
+    store holds, at worst d_1.  The entries of the steps cut are
+    discarded; the caller recomputes and saves them."""
     maps, twists = state["maps"], state["twists"]
     if state["candidates"] is not _STORED:
         if state["candidates"] is None:  # the last map is d_1
@@ -265,6 +275,11 @@ def _harvest(ring, module_key: str, state, budgets) -> list:
                   f"is missing or does not reproduce d_{step}; recomputing "
                   f"from an earlier step", file=sys.stderr)
             warn = False
+        # the step is recomputed and saved again, so a stored map that
+        # is well formed but wrong does not outlive this run
+        if _STORE is not None:
+            for kind in ("map", "candidates"):
+                _STORE.discard(_key(kind, module_key, step))
         del maps[-1], twists[-1]
     state["candidates"] = None
     return column_syzygies(ring, maps[-1], twists[-2],
@@ -326,6 +341,9 @@ def minimal_free_resolution(M: ModulePresentation, length: int, *,
                 _STORE.save(_key("candidates", key, step), _entry(
                     candidates,
                     [column_degree(c, twists[-2]) for c in candidates]))
+    # steps served by the memo or the store were not counted above
+    if any(len(t) > budgets.max_rank for t in state["twists"][2:length + 1]):
+        raise BudgetError("resolution rank", budgets.max_rank)
     return Resolution(Mmin, state["twists"], state["maps"], state["complete"])
 
 

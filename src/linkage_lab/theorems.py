@@ -523,7 +523,7 @@ def _check_prop_t1(bindings, cfg):
                f"G_C-dimension on the depth <= {n - 1} locus not certified")
     yield hyps
     budgets = cfg.resolve_budgets()
-    TC = transpose_wrt(M, C, budgets=budgets)
+    TC = transpose_wrt(M, C)
     i_ok, i_wit, _ = _ext_window_vanishes(TC, C, 1, n, cfg)
     side_i = _side_bool(f"Ext^i(Tr_C M, C) = 0 for 1..{n}", i_ok,
                         "" if i_ok else f"Ext^{i_wit} != 0")
@@ -1378,7 +1378,7 @@ def _check_remark3_i(bindings, cfg):
     yield _instance(bindings, M)
     budgets = cfg.resolve_budgets()
     lhs = tensor(transpose(M), C)
-    rhs = transpose_wrt(M, C, budgets=budgets)
+    rhs = transpose_wrt(M, C)
     v = is_isomorphic(lhs, rhs, budgets=budgets, seed=cfg.seed)
     if not v.resolved():
         return [Claim("Tr M (x) C = Tr_C M", "open", v.certificate)]

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkage_lab.corpus import corpus_pool, maximal_ideal
+from linkage_lab.corpus import corpus_pool, generate_corpus, maximal_ideal
 from linkage_lab.errors import InapplicableError
-from linkage_lab.fields import QQ
+from linkage_lab.fields import GF, QQ
 from linkage_lab.hilbert import HilbertSeries
 from linkage_lab.homops import (
     dual,
+    evaluation_map,
     ext,
     fault_active,
     hom_module,
+    hom_with_realizations,
     is_nth_cosyzygy_witness,
     lambda_module,
     set_fault,
@@ -32,6 +34,7 @@ from linkage_lab.modules import (
     free_module,
     from_matrix,
     minimalize,
+    span_gb,
     twist_module,
 )
 from linkage_lab.resolutions import betti, minimal_free_resolution
@@ -40,6 +43,7 @@ from linkage_lab.rings import make_ring
 S = make_ring(QQ, ["x", "y"])
 H = make_ring(QQ, ["x", "y"], ["x*y"])
 T = make_ring(QQ, ["x", "y", "z"], ["y*z", "x*z", "x*y"])
+N = make_ring(GF(32003), ["x", "y", "z", "w"], ["x*z", "x*w", "y*z", "y*w"])
 
 
 def test_dual_of_free_negates_twists():
@@ -165,6 +169,43 @@ def test_transpose_wrt_free_matches_transpose():
     m = maximal_ideal(H)
     wrt = transpose_wrt(m, free_module(H, [0]))
     assert is_isomorphic(wrt, transpose(m)).is_isomorphic()
+
+
+def _combine(relation, columns):
+    """sum_i relation[i] * columns[i], zero entries dropped."""
+    out = {}
+    for i, c in relation.items():
+        for r, p in columns[i].items():
+            out[r] = out[r] + c * p if r in out else c * p
+    return {r: p for r, p in out.items() if not p.is_zero()}
+
+
+@pytest.mark.parametrize("ring", [H, T, N], ids=["H", "T", "N"])
+def test_hom_realizations_and_evaluation_maps_are_homomorphisms(ring):
+    """Every Hom generator sends each relation of M into the relations
+    of N (mod I), and the evaluation map into R(0) sends it to zero."""
+    corpus = [M for _, M in generate_corpus(ring, 8)]
+    unit = free_module(ring, [0])
+    n_reals = 0
+    for M in corpus:
+        A = minimalize(M)
+        cols, taus = evaluation_map(M, unit)
+        assert len(cols) == A.n_gens()
+        zero = span_gb(ring, [], [-t for t in taus])
+        for rel in A.columns:
+            assert zero.contains(_combine(rel, cols))
+        for Nm in corpus:
+            B = minimalize(Nm)
+            q = B.n_gens()
+            _, reals, _ = hom_with_realizations(M, Nm)
+            n_reals += len(reals)
+            rels = span_gb(ring, B.columns, B.gen_twists)
+            for phi in reals:
+                images = [{r: phi[i * q + r] for r in range(q)
+                           if i * q + r in phi} for i in range(A.n_gens())]
+                for rel in A.columns:
+                    assert rels.contains(_combine(rel, images))
+    assert n_reals
 
 
 def test_pushforward_exactness_and_twists():

@@ -5,6 +5,7 @@ the per-degree reference it replaced."""
 
 import json
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 from linkage_lab import memo, resolutions
 from linkage_lab.cache import DiskStore, install_cache
+from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import generate_corpus
+from linkage_lab.errors import BudgetError
 from linkage_lab.fields import GF, QQ
 from linkage_lab.groebner import column_degree, flat_from_column
 from linkage_lab.modules import (
@@ -293,6 +296,77 @@ def test_a_damaged_entry_is_a_miss(kind, tmp_path, capsys):
         assert name in capsys.readouterr().err
         assert res.twists == cold.twists
         assert _terms(res.maps) == _terms(cold.maps)
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+def _drop_last_column(store, key) -> str:
+    """Drop the last column of the store's d_3: the entry stays well
+    formed and homogeneous, so only its use can show it is wrong."""
+    name = resolutions._key("map", key, 3)
+    with open(store._path(name), encoding="utf-8") as fh:
+        entry = json.load(fh)
+    entry["twists"], entry["columns"] = entry["twists"][:-1], entry["columns"][:-1]
+    with open(store._path(name), "w", encoding="utf-8") as fh:
+        json.dump(entry, fh)
+    return name
+
+
+@pytest.mark.parametrize("kind", ["degree", "truncated", "column"])
+def test_a_damaged_entry_is_repaired(kind, tmp_path, capsys, monkeypatch):
+    """The run that rejects a damaged d_3, or recomputes it, writes it
+    again, so the next run loads every step: no warning and no Groebner
+    step."""
+    steps = []
+    for name in ("minimal_step", "column_syzygies"):
+        fn = getattr(resolutions, name)
+        monkeypatch.setattr(resolutions, name,
+                            lambda *a, _fn=fn, **k: steps.append(1) or _fn(*a, **k))
+    memo.clear()
+    cold = _terms(minimal_free_resolution(K, 6).maps)
+    key = minimalize(K).content_key()
+    try:
+        store = install_cache(str(tmp_path))
+        memo.clear()
+        minimal_free_resolution(K, 6)
+        if kind == "column":
+            _drop_last_column(store, key)
+        else:
+            name = _damage(kind, store, key)
+        capsys.readouterr()
+        memo.clear()
+        assert _terms(minimal_free_resolution(K, 6).maps) == cold
+        err = capsys.readouterr().err
+        assert "warning" in err and (kind == "column" or name in err)
+        memo.clear()
+        steps.clear()
+        assert _terms(minimal_free_resolution(K, 6).maps) == cold
+        assert capsys.readouterr().err == ""
+        assert not steps
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+@pytest.mark.parametrize("served_by", ["store", "memo"])
+def test_a_served_resolution_keeps_the_rank_budget(served_by, tmp_path):
+    """F_4 of K has rank 24: a rank budget of 20 stops K at length 6
+    whether its steps are computed, loaded or already in the memo."""
+    tight = replace(DEFAULT_BUDGETS, max_rank=20)
+    memo.clear()
+    with pytest.raises(BudgetError):
+        minimal_free_resolution(K, 6, budgets=tight)
+    try:
+        install_cache(str(tmp_path) if served_by == "store" else None)
+        memo.clear()
+        minimal_free_resolution(K, 6)
+        if served_by == "store":
+            memo.clear()
+        with pytest.raises(BudgetError, match="resolution rank"):
+            minimal_free_resolution(K, 6, budgets=tight)
+        # the steps within the budget are still served
+        assert minimal_free_resolution(K, 3, budgets=tight).rank(3) == 12
     finally:
         set_resolution_store(None)
         memo.clear()
