@@ -8,12 +8,16 @@ the public "reduced" form cancel the (1-t)-power dividing the numerator.
 The numerator of S/L for a monomial ideal L comes from the standard
 pivot recursion  num(L) = num(L + (v)) + t * num(L : v)  driven by the
 short exact sequence  0 -> (S/(L:v))(-1) -> S/L -> S/(L+(v)) -> 0.
+Each numerator of the recursion is memoized under the op "hilbert-num",
+keyed by (nvars, minimal generators), so `memo.clear()` empties it with
+every other cache.
 """
 
 from __future__ import annotations
 
 from math import comb
 
+from . import memo
 from .monomials import mono_deg, mono_divides
 
 
@@ -177,9 +181,6 @@ def _minimalize_monos(gens):
     return tuple(keep)
 
 
-_NUM_CACHE: dict = {}
-
-
 def monomial_quotient_numerator(nvars: int, gens) -> dict:
     """Numerator of the Hilbert series of S / (monomial ideal)."""
     gens = _minimalize_monos(gens)
@@ -191,10 +192,10 @@ def _num_rec(nvars: int, gens) -> dict:
         return {0: 1}
     if any(mono_deg(g) == 0 for g in gens):
         return {}
-    key = (nvars, gens)
-    hit = _NUM_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return memo.cached("hilbert-num", (nvars, gens), _num_pivot, nvars, gens)
+
+
+def _num_pivot(nvars: int, gens) -> dict:
     if all(mono_deg(g) == 1 for g in gens):
         # independent variables: numerator is (1-t)^{#gens}
         out = {0: 1}
@@ -204,7 +205,6 @@ def _num_rec(nvars: int, gens) -> dict:
                 nxt[d] = nxt.get(d, 0) + c
                 nxt[d + 1] = nxt.get(d + 1, 0) - c
             out = {d: c for d, c in nxt.items() if c != 0}
-        _NUM_CACHE[key] = out
         return out
     # pivot: the variable hitting the most generators, from a non-linear one
     counts = [0] * nvars
@@ -231,6 +231,4 @@ def _num_rec(nvars: int, gens) -> dict:
     out = dict(a)
     for d, c in b.items():
         out[d + 1] = out.get(d + 1, 0) + c
-    out = {d: c for d, c in out.items() if c != 0}
-    _NUM_CACHE[key] = out
-    return out
+    return {d: c for d, c in out.items() if c != 0}

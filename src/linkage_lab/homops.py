@@ -207,11 +207,8 @@ def hom_with_realizations(M: ModulePresentation, N: ModulePresentation, *,
 
 def _hom(A: ModulePresentation, B: ModulePresentation, budgets):
     """hom_with_realizations for minimal A and B."""
-    key = memo.content_hash(A.content_key(), B.content_key())
-    hit = memo.get("hom", key)
-    if hit is not None:
-        return hit
-    return memo.put("hom", key, _hom_cohomology(A, B, 0, budgets))
+    key = memo.content_hash(A.content_key(), B.content_key(), repr(budgets))
+    return memo.cached("hom", key, _hom_cohomology, A, B, 0, budgets)
 
 
 def hom_module(M, N, *, budgets=None) -> ModulePresentation:
@@ -241,11 +238,7 @@ def tensor_raw(M: ModulePresentation, N: ModulePresentation):
 def tensor(M, N) -> ModulePresentation:
     key = memo.content_hash(minimalize(M).content_key(),
                             minimalize(N).content_key())
-    hit = memo.get("tensor", key)
-    if hit is not None:
-        return hit
-    raw, _, _ = tensor_raw(M, N)
-    return memo.put("tensor", key, minimalize(raw))
+    return memo.cached("tensor", key, lambda: minimalize(tensor_raw(M, N)[0]))
 
 
 def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
@@ -265,15 +258,19 @@ def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
     if i < 0:
         raise ValueError("ext index must be >= 0")
     A, B = minimalize(M), minimalize(N)
-    key = memo.content_hash(A.content_key(), B.content_key(), str(i))
-    hit = memo.get("ext", key)
-    if hit is not None:
-        return hit
+    key = memo.content_hash(A.content_key(), B.content_key(), str(i),
+                            repr(budgets))
+    return memo.cached("ext", key, _ext, A, B, i, budgets)
+
+
+def _ext(A: ModulePresentation, B: ModulePresentation, i: int,
+         budgets) -> ModulePresentation:
+    """ext for minimal A and B."""
     from .invariants import canonical_twist, ring_codim
 
     a = canonical_twist(B)
     if a is None:
-        return memo.put("ext", key, _ext_direct(A, B, i, budgets))
+        return _ext_direct(A, B, i, budgets)
     ring = A.ring
     E = ext_to_ambient(A, i + ring_codim(ring), budgets=budgets)
     out = minimalize(change_ring(twist_module(E, a - ring.nvars), ring))
@@ -284,7 +281,7 @@ def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
                 f"Ext^{i} into the canonical module: ambient series "
                 f"{out.hilbert_series()} != direct series {direct}"
             )
-    return memo.put("ext", key, out)
+    return out
 
 
 def _ext_direct(A: ModulePresentation, B: ModulePresentation, i: int,
@@ -302,28 +299,31 @@ def tor(M: ModulePresentation, N: ModulePresentation, i: int, *,
     if i == 0:
         return tensor(M, N)
     A, B = minimalize(M), minimalize(N)
-    key = memo.content_hash(A.content_key(), B.content_key(), str(i))
-    hit = memo.get("tor", key)
-    if hit is not None:
-        return hit
+    key = memo.content_hash(A.content_key(), B.content_key(), str(i),
+                            repr(budgets))
+    return memo.cached("tor", key, _tor, A, B, i, budgets)
+
+
+def _tor(A: ModulePresentation, B: ModulePresentation, i: int,
+         budgets) -> ModulePresentation:
+    """tor for minimal A and B and i >= 1."""
     ring = A.ring
     q = B.n_gens()
     if q == 0 or A.n_gens() == 0:
-        return memo.put("tor", key, zero_module(ring))
+        return zero_module(ring)
     twists, maps = _spots(A, i, budgets)
     w_i = twists[i] if i < len(twists) else ()
     if not w_i:
-        return memo.put("tor", key, zero_module(ring))
+        return zero_module(ring)
     w_prev = twists[i - 1]
     rels = _per_slot_relations(len(w_i), q, B)
     if i < len(maps):
         rels += [img for img in _tensor_map_images(maps[i], q) if img]
-    pres, _ = _homology(
+    return _homology(
         ring, _tensor_twists(w_i, B.gen_twists),
         _tensor_map_images(maps[i - 1], q),
         _tensor_twists(w_prev, B.gen_twists),
-        _per_slot_relations(len(w_prev), q, B), rels, budgets)
-    return memo.put("tor", key, pres)
+        _per_slot_relations(len(w_prev), q, B), rels, budgets)[0]
 
 
 def _transpose_raw(A: ModulePresentation, B: ModulePresentation):
@@ -342,12 +342,13 @@ def _transpose_raw(A: ModulePresentation, B: ModulePresentation):
 def _transpose_wrt(A: ModulePresentation, B: ModulePresentation):
     """Tr_B A for minimal A and B."""
     key = memo.content_hash(A.content_key(), B.content_key())
-    hit = memo.get("transpose-wrt", key)
-    if hit is not None:
-        return hit
+    return memo.cached("transpose-wrt", key, _minimal_transpose, A, B)
+
+
+def _minimal_transpose(A: ModulePresentation, B: ModulePresentation):
     if B.n_gens() == 0 or A.n_gens() == 0:
-        return memo.put("transpose-wrt", key, zero_module(A.ring))
-    return memo.put("transpose-wrt", key, minimalize(_transpose_raw(A, B)))
+        return zero_module(A.ring)
+    return minimalize(_transpose_raw(A, B))
 
 
 def transpose_wrt(M: ModulePresentation,

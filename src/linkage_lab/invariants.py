@@ -74,13 +74,12 @@ INFINITY = float("inf")
 def _ambient_profile(M: ModulePresentation) -> tuple:
     """(exts, nonzero): exts[j] = Ext^j_S(M, S) for j = 0..n, and the
     ascending j with exts[j] != 0; computed once per presentation."""
-    key = M.content_key()
-    hit = memo.get("ambient-profile", key)
-    if hit is not None:
-        return hit
+    return memo.cached("ambient-profile", M.content_key(), _ambient_exts, M)
+
+
+def _ambient_exts(M: ModulePresentation) -> tuple:
     exts = tuple(ext_to_ambient(M, j) for j in range(M.ring.nvars + 1))
-    nonzero = tuple(j for j, E in enumerate(exts) if not E.is_zero())
-    return memo.put("ambient-profile", key, (exts, nonzero))
+    return exts, tuple(j for j, E in enumerate(exts) if not E.is_zero())
 
 
 def depth(M: ModulePresentation):
@@ -163,10 +162,7 @@ def ring_dim(R: GradedRing) -> int:
 
 
 def ring_depth(R: GradedRing):
-    hit = memo.get("ring-depth", R.key())
-    if hit is not None:
-        return hit
-    return memo.put("ring-depth", R.key(), depth(_ring_unit(R)))
+    return memo.cached("ring-depth", R.key(), lambda: depth(_ring_unit(R)))
 
 
 def ring_codim(R: GradedRing) -> int:
@@ -174,18 +170,13 @@ def ring_codim(R: GradedRing) -> int:
 
 
 def ring_is_cm(R: GradedRing) -> bool:
-    hit = memo.get("ring-cm", R.key())
-    if hit is not None:
-        return hit
-    return memo.put("ring-cm", R.key(), ring_depth(R) == ring_dim(R))
+    return memo.cached("ring-cm", R.key(),
+                       lambda: ring_depth(R) == ring_dim(R))
 
 
 def ring_is_gorenstein(R: GradedRing) -> bool:
-    hit = memo.get("ring-gor", R.key())
-    if hit is not None:
-        return hit
-    ans = ring_is_cm(R) and ext_to_ambient(_ring_unit(R), ring_codim(R)).n_gens() == 1
-    return memo.put("ring-gor", R.key(), ans)
+    return memo.cached("ring-gor", R.key(), lambda: ring_is_cm(R) and (
+        ext_to_ambient(_ring_unit(R), ring_codim(R)).n_gens() == 1))
 
 
 def is_mcm(M: ModulePresentation) -> bool:
@@ -197,13 +188,12 @@ def is_mcm(M: ModulePresentation) -> bool:
 
 def canonical_module(R: GradedRing) -> ModulePresentation:
     """Graded canonical module Ext^c_S(R, S) twisted so that omega_S = S(-n)."""
-    hit = memo.get("canonical", R.key())
-    if hit is not None:
-        return hit
-    c = ring_codim(R)
-    E = ext_to_ambient(_ring_unit(R), c)
-    omega = minimalize(change_ring(twist_module(E, -R.nvars), R))
-    return memo.put("canonical", R.key(), omega)
+    return memo.cached("canonical", R.key(), _canonical_module, R)
+
+
+def _canonical_module(R: GradedRing) -> ModulePresentation:
+    E = ext_to_ambient(_ring_unit(R), ring_codim(R))
+    return minimalize(change_ring(twist_module(E, -R.nvars), R))
 
 
 def is_canonical_module(C: ModulePresentation) -> bool:
@@ -215,11 +205,7 @@ def is_canonical_module(C: ModulePresentation) -> bool:
     Cmin = minimalize(C)
     if Cmin.is_zero():
         return False
-    key = Cmin.content_key()
-    hit = memo.get("is-canonical", key)
-    if hit is not None:
-        return hit
-    return memo.put("is-canonical", key, _is_canonical(Cmin))
+    return memo.cached("is-canonical", Cmin.content_key(), _is_canonical, Cmin)
 
 
 def _is_canonical(Cmin: ModulePresentation) -> bool:
@@ -293,9 +279,10 @@ def probe_primes(R: GradedRing, extra=()):
     exact monomial-divisibility test via Groebner containment.
     """
     key = memo.content_hash("probes", R.key(), *[str(p) for p in extra])
-    hit = memo.get("probes", key)
-    if hit is not None:
-        return hit
+    return memo.cached("probes", key, _probe_primes, R, extra)
+
+
+def _probe_primes(R: GradedRing, extra) -> list:
     S = R.poly_ring
     names = S.names
     rels = list(R.reduced_relations)
@@ -315,7 +302,7 @@ def probe_primes(R: GradedRing, extra=()):
         label = "(" + ",".join(str(p) for p in gens) + ")"
         ht = len(gens)  # trusted height hint for user primes
         out.append(ProbePrime(label, gens, ht, trusted=False))
-    return memo.put("probes", key, out)
+    return out
 
 
 def _ann_in_prime(E: ModulePresentation, prime: ProbePrime) -> bool:
@@ -328,12 +315,12 @@ def _ann_in_prime(E: ModulePresentation, prime: ProbePrime) -> bool:
 def _supported_indices(M: ModulePresentation, prime: ProbePrime) -> tuple:
     """The j with Ext^j_S(M, S) supported at the prime, ascending."""
     key = memo.content_hash(M.content_key(), _probes_key([prime]))
-    hit = memo.get("supported", key)
-    if hit is not None:
-        return hit
+    return memo.cached("supported", key, _supported, M, prime)
+
+
+def _supported(M: ModulePresentation, prime: ProbePrime) -> tuple:
     exts, js = _ambient_profile(M)
-    return memo.put("supported", key,
-                    tuple(j for j in js if _ann_in_prime(exts[j], prime)))
+    return tuple(j for j in js if _ann_in_prime(exts[j], prime))
 
 
 def depth_at_prime(M: ModulePresentation, prime: ProbePrime):
@@ -411,11 +398,9 @@ def serre_tilde(M: ModulePresentation, k: int, *, probes=None) -> BoundedVerdict
         probes = probe_primes(R)
     key = memo.content_hash(A.content_key(), str(k),
                             "cm" if cm else _probes_key(probes))
-    hit = memo.get("serre-tilde", key)
-    if hit is not None:
-        return hit
-    verdict = _serre_tilde_cm(A, k) if cm else _serre_tilde_probes(A, k, probes)
-    return memo.put("serre-tilde", key, verdict)
+    if cm:
+        return memo.cached("serre-tilde", key, _serre_tilde_cm, A, k)
+    return memo.cached("serre-tilde", key, _serre_tilde_probes, A, k, probes)
 
 
 def _probes_key(probes) -> str:
@@ -650,10 +635,7 @@ def in_auslander_class(M: ModulePresentation, C: ModulePresentation,
     Cmin = minimalize(C)
     key = memo.content_hash(A.content_key(), Cmin.content_key(), str(bound),
                             repr(budgets))
-    hit = memo.get("auslander", key)
-    if hit is not None:
-        return hit
-    return memo.put("auslander", key, _auslander(A, Cmin, bound, budgets))
+    return memo.cached("auslander", key, _auslander, A, Cmin, bound, budgets)
 
 
 def _auslander(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
@@ -749,10 +731,7 @@ def gc_dim(M: ModulePresentation, C: ModulePresentation, bound=None, *,
     Cmin = minimalize(C)
     key = memo.content_hash(A.content_key(), Cmin.content_key(), str(bound),
                             repr(budgets))
-    hit = memo.get("gc-dim", key)
-    if hit is not None:
-        return hit
-    return memo.put("gc-dim", key, _gc_dim(A, Cmin, bound, budgets))
+    return memo.cached("gc-dim", key, _gc_dim, A, Cmin, bound, budgets)
 
 
 def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation, bound: int,

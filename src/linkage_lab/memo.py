@@ -1,9 +1,15 @@
 """Process-level memo table for derived data.
 
-Append-only and content-addressed: keys are (operation, content-key)
-pairs where the content key is a canonical serialization hash of the
-mathematical inputs.  Storing the same key twice must store equal
-values, so hits are indistinguishable from recomputation.
+Every memoized computation goes through `cached`.  The key rule: a key
+covers every input the computation reads, budgets included, so a value
+depends on its key alone and a hit is indistinguishable from
+recomputation.  Keys are content hashes of the inputs; the Hilbert
+numerator recursion keys by its hashable inputs themselves.
+
+Entries are never replaced, with one exception: the state of a
+resolution (op "resolution") is a cursor that grows in place, since
+extending it appends maps and replaces the candidates of its last step.
+`clear()` empties every cache in the package.
 """
 
 from __future__ import annotations
@@ -21,15 +27,21 @@ def content_hash(*parts: str) -> str:
     return h.hexdigest()
 
 
-def get(op: str, key: str):
+def get(op: str, key):
     return _TABLE.get((op, key))
 
 
-def put(op: str, key: str, value):
-    _TABLE.setdefault((op, key), value)
-    return _TABLE[(op, key)]
+def cached(op: str, key, compute, *args):
+    """The value stored under (op, key), else compute(*args), stored.
+
+    Looks up through the module-level `get`, so a wrapper bound there
+    sees every lookup.
+    """
+    hit = get(op, key)
+    if hit is not None:
+        return hit
+    return _TABLE.setdefault((op, key), compute(*args))
 
 
 def clear():
     _TABLE.clear()
-

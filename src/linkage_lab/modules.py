@@ -104,12 +104,8 @@ class ModulePresentation:
         return ModulePresentation(self.ring, self.gen_twists, self.rel_twists, cols)
 
     def hilbert_series(self) -> HilbertSeries:
-        key = self.content_key()
-        hit = memo.get("hs", key)
-        if hit is not None:
-            return hit
-        hs = quotient_series(self.ring, list(self.columns), self.gen_twists)
-        return memo.put("hs", key, hs)
+        return memo.cached("hs", self.content_key(), quotient_series,
+                           self.ring, self.columns, self.gen_twists)
 
     def is_zero(self) -> bool:
         if not self.gen_twists:
@@ -244,15 +240,16 @@ def span_gb(ring: GradedRing, columns, ambient_twists, *, track=False,
         ring.key(), columns_key(list(columns) + list(extra), ambient_twists),
         f"track={track}", f"extra={len(extra)}", f"maxdeg={max_degree}"
     )
-    hit = memo.get("span-gb", key)
-    if hit is not None:
-        return hit
-    aug = ring.aug_columns(ambient_twists)
-    gb = ModuleGB(
+    return memo.cached("span-gb", key, _span_gb, ring, columns,
+                       ambient_twists, track, extra, max_degree)
+
+
+def _span_gb(ring, columns, ambient_twists, track, extra, max_degree):
+    return ModuleGB(
         ring.poly_ring, list(columns), ambient_twists,
-        track=track, fixed=list(extra) + aug, max_degree=max_degree,
+        track=track, fixed=list(extra) + ring.aug_columns(ambient_twists),
+        max_degree=max_degree,
     )
-    return memo.put("span-gb", key, gb)
 
 
 def quotient_series(ring: GradedRing, columns, ambient_twists) -> HilbertSeries:
@@ -370,10 +367,10 @@ def minimalize(M: ModulePresentation) -> ModulePresentation:
     Unit entries are pruned by the Schur complement step, then surviving
     columns are cut to a minimal generating set of the relation module.
     """
-    key = M.content_key()
-    hit = memo.get("minimalize", key)
-    if hit is not None:
-        return hit
+    return memo.cached("minimalize", M.content_key(), _minimalize, M)
+
+
+def _minimalize(M: ModulePresentation) -> ModulePresentation:
     ring = M.ring
     field = ring.field
     cols = [{i: ring.nf(p) for i, p in c.items() if not ring.nf(p).is_zero()}
@@ -423,10 +420,9 @@ def minimalize(M: ModulePresentation) -> ModulePresentation:
             out_cols.append(col)
             rel_twists.append(M.rel_twists[j])
     kept = mingens_columns(ring, out_cols, gen_twists)
-    pres = ModulePresentation(
+    return ModulePresentation(
         ring, gen_twists, [rel_twists[j] for j in kept], [out_cols[j] for j in kept]
     )
-    return memo.put("minimalize", key, pres)
 
 
 def subquotient(ring: GradedRing, ambient_twists, gens, rels, *,
@@ -463,14 +459,14 @@ def subquotient(ring: GradedRing, ambient_twists, gens, rels, *,
 
 def annihilator(M: ModulePresentation) -> list:
     """Generators (over the ambient S, containing I) of ann_R(M)."""
-    key = M.content_key()
-    hit = memo.get("ann", key)
-    if hit is not None:
-        return hit
+    return memo.cached("ann", M.content_key(), _annihilator, M)
+
+
+def _annihilator(M: ModulePresentation) -> list:
     ring = M.ring
     S = ring.poly_ring
     if M.n_gens() == 0:
-        return memo.put("ann", key, [S.one()])
+        return [S.one()]
     current = None
     aug = ring.aug_columns(M.gen_twists)
     base_cols = list(M.columns) + aug
@@ -487,8 +483,7 @@ def annihilator(M: ModulePresentation) -> list:
     if current is None:
         current = [S.one()]
     gb = ModuleGB(S, [{0: p} for p in current], [0]) if current else None
-    result = [c[0] for c in gb.basis_columns()] if gb else []
-    return memo.put("ann", key, result)
+    return [c[0] for c in gb.basis_columns()] if gb else []
 
 
 def _intersect_ideals(S, gens_a, gens_b) -> list:

@@ -20,9 +20,12 @@ same columns, and a harvest depends on the run's candidates alone, so
 every map is a function of the module: neither the lengths asked for
 before nor a disk-store load changes it.
 
-Results memoize in process and, when a store is installed, persist in a
-content-addressed cache, one entry per step, keyed by the minimal
-presentation (which includes the ring) and the step i >= 2:
+In process, a resolution's state is the one memo entry that grows in
+place, a cursor keyed by the minimal presentation: extending it appends
+maps and replaces the candidates of its last step.  With a store
+installed, results also persist in a content-addressed cache, one entry
+per step, keyed by the minimal presentation (which includes the ring)
+and the step i >= 2:
 
 - the map entry of step i holds the twists of F_i and the columns of
   d_i; each polynomial entry is a list of terms [exponents, numerator,
@@ -30,8 +33,9 @@ presentation (which includes the ring) and the step i >= 2:
   field's own coefficient type, and never parses text;
 - the candidates entry of step i holds the candidates of step i in the
   same form (with their degrees as twists); it is written for the last
-  step a call computes and read only when a resolution is extended past
-  the maps the store holds;
+  step a call computes, also when a budget stops the call before the
+  next step, and read only when a resolution is extended past the maps
+  the store holds;
 - the completion entry holds the number of maps of a resolution that
   ended.
 
@@ -286,32 +290,24 @@ def _harvest(ring, module_key: str, state, budgets) -> list:
                            max_degree=budgets.max_degree)
 
 
-def minimal_free_resolution(M: ModulePresentation, length: int, *,
-                            budgets=None) -> Resolution:
-    """Resolution with at least `length` maps, or complete with fewer."""
-    budgets = budgets or DEFAULT_BUDGETS
-    Mmin = minimalize(M)
-    ring = Mmin.ring
-    key = Mmin.content_key()
-    state = memo.get("resolution", key)
-    if state is None:
-        if Mmin.n_rels() == 0:
-            state = {
-                "twists": [Mmin.gen_twists],
-                "maps": [],
-                "complete": True,
-                "candidates": None,
-            }
-        else:
-            state = {
-                "twists": [Mmin.gen_twists, Mmin.rel_twists],
-                "maps": [list(Mmin.columns)],
-                "complete": False,
-                "candidates": None,
-            }
-        state = memo.put("resolution", key, state)
-    if _STORE is not None and not state["complete"] and len(state["maps"]) < length:
-        _load_maps(ring, key, state, length)
+def _start(Mmin: ModulePresentation) -> dict:
+    """The state of a resolution before its first extension: d_1."""
+    if Mmin.n_rels() == 0:
+        return {"twists": [Mmin.gen_twists], "maps": [], "complete": True,
+                "candidates": None}
+    return {"twists": [Mmin.gen_twists, Mmin.rel_twists],
+            "maps": [list(Mmin.columns)], "complete": False,
+            "candidates": None}
+
+
+def _save_candidates(key: str, state) -> None:
+    twists, candidates = state["twists"], state["candidates"]
+    _STORE.save(_key("candidates", key, len(state["maps"])), _entry(
+        candidates, [column_degree(c, twists[-2]) for c in candidates]))
+
+
+def _extend(ring, key: str, state, length: int, budgets) -> None:
+    """Compute the state's steps up to `length` maps, or to completion."""
     following = None  # candidates of the next step, once harvested
     while not state["complete"] and len(state["maps"]) < length:
         if following is None:
@@ -322,7 +318,7 @@ def minimal_free_resolution(M: ModulePresentation, length: int, *,
             state["complete"] = True
             if _STORE is not None:
                 _STORE.save(_key("complete", key), {"maps": len(state["maps"])})
-            break
+            return
         kept, following = minimal_step(
             ring, candidates, twists[-1],
             harvest=len(state["maps"]) + 1 < length,
@@ -338,9 +334,27 @@ def minimal_free_resolution(M: ModulePresentation, length: int, *,
             step = len(state["maps"])
             _STORE.save(_key("map", key, step), _entry(new_cols, twists[-1]))
             if following is None:  # the last step: an extension reads these
-                _STORE.save(_key("candidates", key, step), _entry(
-                    candidates,
-                    [column_degree(c, twists[-2]) for c in candidates]))
+                _save_candidates(key, state)
+
+
+def minimal_free_resolution(M: ModulePresentation, length: int, *,
+                            budgets=None) -> Resolution:
+    """Resolution with at least `length` maps, or complete with fewer."""
+    budgets = budgets or DEFAULT_BUDGETS
+    Mmin = minimalize(M)
+    ring = Mmin.ring
+    key = Mmin.content_key()
+    # the one memo entry that grows in place: see the module docstring
+    state = memo.cached("resolution", key, _start, Mmin)
+    if _STORE is not None and not state["complete"] and len(state["maps"]) < length:
+        _load_maps(ring, key, state, length)
+    try:
+        _extend(ring, key, state, length, budgets)
+    except BudgetError:
+        # save the last step's candidates, so a later call extends from it
+        if _STORE is not None and isinstance(state["candidates"], list):
+            _save_candidates(key, state)
+        raise
     # steps served by the memo or the store were not counted above
     if any(len(t) > budgets.max_rank for t in state["twists"][2:length + 1]):
         raise BudgetError("resolution rank", budgets.max_rank)

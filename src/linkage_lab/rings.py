@@ -107,12 +107,8 @@ class GradedRing:
         ]
 
     def hilbert_series(self) -> HilbertSeries:
-        key = self._key
-        hit = memo.get("ring-hs", key)
-        if hit is not None:
-            return hit
-        hs = HilbertSeries(self.nvars, monomial_quotient_numerator(self.nvars, self._leads))
-        return memo.put("ring-hs", key, hs)
+        return memo.cached("ring-hs", self._key, lambda: HilbertSeries(
+            self.nvars, monomial_quotient_numerator(self.nvars, self._leads)))
 
     def parse(self, text: str) -> Poly:
         """Parse and reduce mod I."""

@@ -14,7 +14,17 @@ import pytest
 from linkage_lab import isomorphism, memo
 from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import corpus_pool, maximal_ideal
+from linkage_lab.errors import BudgetError
 from linkage_lab.fields import GF, QQ
+from linkage_lab.hilbert import _num_rec
+from linkage_lab.homops import (
+    ext,
+    hom_module,
+    hom_with_realizations,
+    tensor,
+    tor,
+    transpose_wrt,
+)
 from linkage_lab.invariants import (
     BoundedVerdict,
     GcDimVerdict,
@@ -26,7 +36,13 @@ from linkage_lab.invariants import (
     probe_primes,
     serre_tilde,
 )
-from linkage_lab.modules import cyclic_module, free_module, minimalize, twist_module
+from linkage_lab.modules import (
+    annihilator,
+    cyclic_module,
+    free_module,
+    minimalize,
+    twist_module,
+)
 from linkage_lab.rings import make_ring
 
 H = make_ring(QQ, ["x", "y"], ["x*y"])
@@ -52,6 +68,14 @@ def _cases():
         ("gc-dim", lambda: gc_dim(kT, omega)),
         ("is-canonical", lambda: is_canonical_module(twist_module(omega, 1))),
         ("is-canonical", lambda: is_canonical_module(kT)),
+        ("hom", lambda: hom_with_realizations(maximal_ideal(T), omega)),
+        ("ext", lambda: ext(kT, omega, 1)),
+        ("ext", lambda: ext(kH, kH, 2)),
+        ("tor", lambda: tor(kT, kT, 2)),
+        ("tensor", lambda: tensor(maximal_ideal(H), maximal_ideal(H))),
+        ("transpose-wrt", lambda: transpose_wrt(kT, omega)),
+        ("ann", lambda: annihilator(omega)),
+        ("hilbert-num", lambda: _num_rec(3, ((0, 1, 1), (1, 0, 1), (1, 1, 0)))),
     ]
 
 
@@ -94,6 +118,27 @@ def test_keys_separate_bound_budgets_and_probes():
     assert full is serre_tilde(mN, 1, probes=probes)
     assert (full.note, part.note) == (f"{len(probes)} probe primes",
                                       "2 probe primes")
+
+
+@pytest.mark.parametrize("group", ["hom", "ext", "tor"])
+def test_keys_separate_budgets_of_derived_groups(group):
+    """A call under tight budgets raises on a cold memo and still raises
+    after the same call under the default budgets has filled it."""
+    kT = cyclic_module(T, ["x", "y", "z"])
+    call, tight = {
+        "hom": (lambda b: hom_module(maximal_ideal(T), maximal_ideal(T),
+                                     budgets=b),
+                DEFAULT_BUDGETS.with_overrides(max_degree=2)),
+        "ext": (lambda b: ext(kT, kT, 3, budgets=b),
+                DEFAULT_BUDGETS.with_overrides(max_rank=4)),
+        "tor": (lambda b: tor(kT, kT, 3, budgets=b),
+                DEFAULT_BUDGETS.with_overrides(max_rank=4)),
+    }[group]
+    with pytest.raises(BudgetError):
+        call(tight)
+    assert not call(None).is_zero()
+    with pytest.raises(BudgetError):
+        call(tight)
 
 
 def _iso_route(C):

@@ -372,6 +372,38 @@ def test_a_served_resolution_keeps_the_rank_budget(served_by, tmp_path):
         memo.clear()
 
 
+def test_a_budget_stop_leaves_the_store_extendable(tmp_path, capsys,
+                                                   monkeypatch):
+    """A rank budget of 20 stops K at F_4 after d_2 and d_3: the store then
+    holds what a run to length 3 writes, candidates of step 3 included, so
+    the next run extends from d_3 without a warning or a new d_1 syzygy."""
+    tight = replace(DEFAULT_BUDGETS, max_rank=20)
+    cold = _terms(minimal_free_resolution(K, 6).maps)
+    short, stopped = tmp_path / "short", tmp_path / "stopped"
+    try:
+        install_cache(str(short))
+        memo.clear()
+        minimal_free_resolution(K, 3)
+        install_cache(str(stopped))
+        memo.clear()
+        with pytest.raises(BudgetError, match="resolution rank"):
+            minimal_free_resolution(K, 6, budgets=tight)
+        assert sorted(os.listdir(stopped)) == sorted(os.listdir(short))
+        for name in os.listdir(short):
+            assert (stopped / name).read_bytes() == (short / name).read_bytes()
+        syzygies = []
+        fn = resolutions.column_syzygies
+        monkeypatch.setattr(resolutions, "column_syzygies",
+                            lambda *a, **k: syzygies.append(1) or fn(*a, **k))
+        capsys.readouterr()
+        memo.clear()
+        assert _terms(minimal_free_resolution(K, 6).maps) == cold
+        assert capsys.readouterr().err == "" and not syzygies
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
 # -- the minimal-admission run against the per-degree reference ------------
 
 
