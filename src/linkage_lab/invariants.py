@@ -17,16 +17,21 @@ gate `homops.ext` uses to take that route (the direct computation over R
 stays as an oracle for i <= 1), and `ext_vanishing_top` turns
 pd_S M = n - depth M into exact vanishing past dim R - depth M.
 
+`coefficient_facts(C)` is the one exact source of facts about a
+coefficient module C (free of rank one; canonical over a CM ring) that
+`is_semidualizing`, `in_auslander_class`, `gc_dim` and the theorem
+checks read before any bounded scan.
+
 The groups Ext^j_S(M, S), j = 0..n, are computed once per presentation
 and kept in the memo as M's ambient profile, with the indices where they
 are nonzero.  Depth, dimension, local cohomology degrees, generalized
 CM-ness, the CM branch of `serre_tilde` and the support tests at probe
-primes all read from it.  The verdicts of `in_auslander_class`,
-`serre_tilde`, `gc_dim` and `is_canonical_module` are memoized too,
-keyed by the content keys of the minimal inputs, the bound, the budgets
-and the probe set, so a suite asking the same question in several checks
-computes it once.  A hit hands every caller the same object, which is
-why the verdict classes are frozen.
+primes all read from it.  The verdicts of `is_semidualizing`,
+`in_auslander_class`, `serre_tilde`, `gc_dim` and `is_canonical_module`
+are memoized too, keyed by the content keys of the minimal inputs, the
+bound, the budgets and the probe set, so a suite asking the same
+question in several checks computes it once.  A hit hands every caller
+the same object, which is why the verdict classes are frozen.
 
 Local data at primes is sampled on variable-subset primes, where
 support membership reduces to exact monomial tests on annihilators.
@@ -44,8 +49,8 @@ from .homops import (
     _per_slot_relations,
     ext,
     ext_to_ambient,
-    hom_with_realizations,
     syzygy,
+    tensor,
     tensor_raw,
     tor,
     transpose,
@@ -213,11 +218,16 @@ def _is_canonical(Cmin: ModulePresentation) -> bool:
 
     if canonical_twist(Cmin) is not None:
         return True
-    omega = canonical_module(Cmin.ring)
-    if Cmin.n_gens() != omega.n_gens():
-        return False
-    a = min(omega.gen_twists) - min(Cmin.gen_twists)
-    return is_isomorphic(Cmin, twist_module(omega, a)).is_isomorphic()
+    omega, _ = _omega_like(Cmin)
+    return (Cmin.n_gens() == omega.n_gens()
+            and is_isomorphic(Cmin, omega).is_isomorphic())
+
+
+def _omega_like(B: ModulePresentation) -> tuple:
+    """(omega_R(a), a), twisted so that its lowest generator degree is B's."""
+    omega = canonical_module(B.ring)
+    a = min(omega.gen_twists) - min(B.gen_twists)
+    return twist_module(omega, a), a
 
 
 def canonical_twist(C: ModulePresentation):
@@ -225,9 +235,8 @@ def canonical_twist(C: ModulePresentation):
 
     Exact but not complete, and no isomorphism search: C matches when its
     minimal presentation has the content key of twist_module(omega, a),
-    or when R is Gorenstein and C is free of rank one (omega = R up to a
-    twist).  A polynomial ring never matches, which keeps the ambient
-    route of `homops.ext` from recursing.
+    as every free C of rank one does over a Gorenstein ring.  A polynomial
+    ring never matches, which keeps `homops.ext` from recursing.
     """
     R = C.ring
     if R.is_polynomial or not ring_is_cm(R):
@@ -235,13 +244,34 @@ def canonical_twist(C: ModulePresentation):
     B = minimalize(C)
     if not B.n_gens():
         return None
-    omega = canonical_module(R)
-    a = min(omega.gen_twists) - min(B.gen_twists)
-    if B.n_rels() == 0 and B.n_gens() == 1 and ring_is_gorenstein(R):
-        return a
-    if twist_module(omega, a).content_key() == B.content_key():
-        return a
-    return None
+    omega, a = _omega_like(B)
+    return a if omega.content_key() == B.content_key() else None
+
+
+@dataclass(frozen=True)
+class CoefficientFacts:
+    """C = R(a), and C = omega_R(a) over a Cohen-Macaulay R (a free C of
+    rank one is canonical exactly when R is Gorenstein).  Either makes C
+    semidualizing.  A free C puts every module in its Auslander class; a
+    canonical C has finite injective dimension and gives every module
+    finite G_C-dimension."""
+
+    free_rank_one: bool
+    canonical: bool
+
+    def certificate(self):
+        """Why every module has finite G_C-dimension, or None."""
+        if not self.canonical:
+            return None
+        return ("Gorenstein ring, free coefficient module"
+                if self.free_rank_one else "canonical coefficient module")
+
+
+def coefficient_facts(C: ModulePresentation) -> CoefficientFacts:
+    """The exact coefficient facts of C, read from its minimal presentation."""
+    B = minimalize(C)
+    free = B.n_rels() == 0 and B.n_gens() == 1
+    return CoefficientFacts(free, ring_is_cm(B.ring) and is_canonical_module(B))
 
 
 def ext_vanishing_top(M: ModulePresentation, C: ModulePresentation):
@@ -494,50 +524,42 @@ def n_torsionfree_degree(M: ModulePresentation, cap: int, *, budgets=None):
     return cap, True
 
 
-# -- explicit graded maps and their isomorphism tests -------------------------
+# -- the natural map M -> Hom(C, M (x) C) -------------------------------------
 
 
-def _combine_columns(cols, coeffs):
-    acc: dict = {}
-    for col, c in zip(cols, coeffs):
-        if c is None or c.is_zero():
-            continue
-        for i, p in col.items():
-            q = p * c
-            cur = acc.get(i)
-            acc[i] = q if cur is None else cur + q
-    return {i: p for i, p in acc.items() if not p.is_zero()}
+def _natural_map_is_iso(A: ModulePresentation, Cmin: ModulePresentation,
+                        budgets) -> tuple:
+    """(is it an iso, reason) for the natural map A -> Hom(C, A (x) C),
+    generator i to the identity onto slot i of A (x) C, on the coordinates
+    (t, s) -> t*qT + s; at A = R it is the homothety R -> Hom(C, C).
 
-
-def graded_map_is_iso(domain: ModulePresentation, target_pres, target_kept,
-                      target_twists, target_rels, img_cols) -> tuple:
-    """Decide exactly whether a degree-zero map into a subquotient is an iso.
-
-    The map sends generator i of minimalize(domain) to img_cols[i] (a
-    column in the subquotient's ambient coordinates).  Surjectivity is a
-    Groebner span test; with equal Hilbert series that forces bijectivity
-    degree by degree.
+    Exact for minimal A: surjectivity is a Groebner span test, and with
+    equal Hilbert series that forces bijectivity degree by degree.
     """
-    ring = domain.ring
-    D = minimalize(domain)
-    if len(img_cols) != D.n_gens():
-        raise ValueError("one image column per generator required")
-    rel_gb = span_gb(ring, list(target_rels), list(target_twists))
-    for col in D.columns:
-        coeffs = [col.get(i) for i in range(D.n_gens())]
-        image = _combine_columns(img_cols, coeffs)
-        if image and not rel_gb.contains(image):
-            raise ConsistencyError("candidate map is not well defined")
-    full_gb = span_gb(ring, list(target_kept) + list(target_rels),
-                      list(target_twists))
+    ring = A.ring
+    T_raw, _, Bc = tensor_raw(A, Cmin)
+    qc, qT = Bc.n_gens(), T_raw.n_gens()
+    pres, kept, h0 = _hom_cohomology(Bc, T_raw, 0, budgets)
+    twists = list(h0)
+    rels = _per_slot_relations(qc, qT, T_raw)
+
+    def image(col):
+        return {t * qT + i * qc + t: f for i, f in col.items()
+                if not f.is_zero() for t in range(qc)}
+
+    one = ring.poly_ring.one()
+    img_cols = [image({i: one}) for i in range(A.n_gens())]
+    rel_gb = span_gb(ring, rels, twists)
+    if not all(rel_gb.contains(image(col)) for col in A.columns):
+        raise ConsistencyError("candidate map is not well defined")
+    full_gb = span_gb(ring, list(kept) + rels, twists)
     for col in img_cols:
         if col and not full_gb.contains(col):
             raise ConsistencyError("image column leaves the target module")
-    if D.hilbert_series() != target_pres.hilbert_series():
+    if A.hilbert_series() != pres.hilbert_series():
         return False, "Hilbert series of source and target differ"
-    img_gb = span_gb(ring, [c for c in img_cols if c] + list(target_rels),
-                     list(target_twists))
-    for k in target_kept:
+    img_gb = span_gb(ring, [c for c in img_cols if c] + rels, twists)
+    for k in kept:
         if not img_gb.contains(k):
             return False, "map is not surjective"
     return True, "surjective with equal Hilbert series"
@@ -546,19 +568,23 @@ def graded_map_is_iso(domain: ModulePresentation, target_pres, target_kept,
 # -- semidualizing certificates ----------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SemidualizingCertificate:
     valid: bool
-    homothety_is_iso: bool
     ext_bound: int | None  # checked Ext^i(C,C)=0 for 1<=i<=bound; None = exact
     failure: str = ""
 
     def status_label(self) -> str:
         if not self.valid:
             return "Failed"
-        if self.ext_bound is None:
-            return "Exact"
-        return f"BoundedTrue({self.ext_bound})"
+        return ("Exact" if self.ext_bound is None
+                else f"BoundedTrue({self.ext_bound})")
+
+    def describe(self) -> str:
+        if not self.valid:
+            return self.failure
+        return ("exact certificate" if self.ext_bound is None
+                else "homothety exact; self-Ext vanishing scanned")
 
 
 def is_semidualizing(C: ModulePresentation, bound=None, *,
@@ -566,39 +592,29 @@ def is_semidualizing(C: ModulePresentation, bound=None, *,
     """Homothety R -> Hom(C, C) must be an iso and Ext^i(C,C) must vanish.
 
     The homothety test is exact; self-Ext vanishing is scanned through
-    the bound, except for free rank-one C where it is exact.
+    the bound, except where `coefficient_facts` certifies C exactly.
     """
-    R = C.ring
-    bound = bound if bound is not None else default_bound(R)
-    Cmin = minimalize(C)
-    if Cmin.is_zero():
-        return SemidualizingCertificate(False, False, None, "zero module")
+    return _verdict("semidualizing", _semidualizing,
+                    SemidualizingCertificate(False, None, "zero module"),
+                    (C,), bound, budgets)
+
+
+def _semidualizing(Cmin: ModulePresentation, bound: int,
+                   budgets) -> SemidualizingCertificate:
+    facts = coefficient_facts(Cmin)
+    if facts.free_rank_one or facts.canonical:
+        return SemidualizingCertificate(True, None)
     if Cmin.n_rels() == 0:
-        if Cmin.n_gens() == 1:
-            return SemidualizingCertificate(True, True, None)
         return SemidualizingCertificate(
-            False, False, None, "free of rank > 1 is not semidualizing"
+            False, None, "free of rank > 1 is not semidualizing"
         )
-    # the canonical module of a CM ring is semidualizing; exact certificate
-    if ring_is_cm(R) and is_canonical_module(Cmin):
-        return SemidualizingCertificate(True, True, None)
-    pres, kept, h0 = hom_with_realizations(Cmin, Cmin, budgets=budgets)
-    q = Cmin.n_gens()
-    rels = _per_slot_relations(q, q, Cmin)
-    one = R.poly_ring.one()
-    identity_col = {t * q + t: one for t in range(q)}
-    ok, reason = graded_map_is_iso(
-        _ring_unit(R), pres, kept, h0, rels, [identity_col]
-    )
+    ok, reason = _natural_map_is_iso(_ring_unit(Cmin.ring), Cmin, budgets)
     if not ok:
-        return SemidualizingCertificate(False, False, None,
-                                        f"homothety: {reason}")
+        return SemidualizingCertificate(False, None, f"homothety: {reason}")
     for i in range(1, bound + 1):
         if not ext(Cmin, Cmin, i, budgets=budgets).is_zero():
-            return SemidualizingCertificate(
-                False, True, None, f"Ext^{i}(C,C) != 0"
-            )
-    return SemidualizingCertificate(True, True, bound)
+            return SemidualizingCertificate(False, None, f"Ext^{i}(C,C) != 0")
+    return SemidualizingCertificate(True, bound)
 
 
 # -- Auslander class ----------------------------------------------------------
@@ -621,51 +637,49 @@ def in_auslander_class(M: ModulePresentation, C: ModulePresentation,
                        bound=None, *, budgets=None) -> BoundedVerdict:
     """Membership in the Auslander class of C.
 
-    Exact True for finite projective dimension; otherwise the natural
-    map M -> Hom(C, M (x) C) is tested exactly and the Tor/Ext vanishing
-    families are scanned through the bound, interleaved so that failures
-    surface at the smallest witness index.
+    Exact True for finite projective dimension or a free C of rank one;
+    otherwise the natural map M -> Hom(C, M (x) C) is tested exactly and
+    the Tor/Ext vanishing families are scanned through the bound,
+    interleaved so that failures surface at the smallest witness index.
     """
+    return _verdict("auslander", _auslander,
+                    BoundedVerdict("true", note="zero module"), (M, C),
+                    bound, budgets)
+
+
+def _verdict(op, compute, zero, modules, bound, budgets):
+    """`zero` when the first module is zero, else the memoized
+    compute(*minimal presentations, bound, budgets), keyed by their
+    content keys, the bound and the budgets."""
+    mins = [minimalize(M) for M in modules]
+    if mins[0].is_zero():
+        return zero
     budgets = budgets or DEFAULT_BUDGETS
-    R = M.ring
-    bound = bound if bound is not None else default_bound(R)
-    A = minimalize(M)
-    if A.is_zero():
-        return BoundedVerdict("true", note="zero module")
-    Cmin = minimalize(C)
-    key = memo.content_hash(A.content_key(), Cmin.content_key(), str(bound),
+    bound = bound if bound is not None else default_bound(mins[0].ring)
+    key = memo.content_hash(*[B.content_key() for B in mins], str(bound),
                             repr(budgets))
-    return memo.cached("auslander", key, _auslander, A, Cmin, bound, budgets)
+    return memo.cached(op, key, compute, *mins, bound, budgets)
 
 
 def _auslander(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
                budgets) -> BoundedVerdict:
-    R = A.ring
     pd = _finite_pd(A, budgets=budgets)
     if pd is not None:
         return BoundedVerdict("true", note=f"finite projective dimension {pd}")
-    T_raw, _, Bc = tensor_raw(A, Cmin)
-    qc, qT = Bc.n_gens(), T_raw.n_gens()
-    pres, kept, h0 = _hom_cohomology(Bc, T_raw, 0, budgets)
-    rels = _per_slot_relations(qc, qT, T_raw)
-    one = R.poly_ring.one()
-    mu_cols = [
-        {t * qT + (i * qc + t): one for t in range(qc)}
-        for i in range(A.n_gens())
-    ]
-    ok, reason = graded_map_is_iso(A, pres, kept, h0, rels, mu_cols)
+    # C = R(a): Tor_i(M, C) = 0, Ext^i(C, -) = 0 and M -> Hom(C, M(a)) is
+    # the identity
+    if coefficient_facts(Cmin).free_rank_one:
+        return BoundedVerdict("true", note="free coefficient module of rank one")
+    ok, reason = _natural_map_is_iso(A, Cmin, budgets)
     if not ok:
         return BoundedVerdict(
             "false", witness=f"natural map M -> Hom(C, M(x)C): {reason}"
         )
-    MC = None
     try:
         for i in range(1, bound + 1):
             if not tor(A, Cmin, i, budgets=budgets).is_zero():
                 return BoundedVerdict("false", witness=f"Tor_{i}(M, C) != 0")
-            if MC is None:
-                MC = minimalize(T_raw)
-            if not ext(Cmin, MC, i, budgets=budgets).is_zero():
+            if not ext(Cmin, tensor(A, Cmin), i, budgets=budgets).is_zero():
                 return BoundedVerdict("false",
                                       witness=f"Ext^{i}(C, M(x)C) != 0")
     except BudgetError as e:
@@ -693,22 +707,20 @@ class GcDimVerdict:
     def status_label(self) -> str:
         if self.kind == "unknown":
             return "Unknown"
+        if self.kind == "infinite":
+            return "Failed"
         if self.exact():
             return "Exact"
         return f"BoundedTrue({self.bound})"
 
-    def __str__(self):
-        if self.kind == "zero":
-            base = "0"
-        elif self.kind == "finite":
-            base = str(self.value)
-        elif self.kind == "infinite":
-            base = "infinite"
-        else:
-            base = "unknown"
+    def describe(self) -> str:
+        base = {"zero": "0", "finite": str(self.value)}.get(self.kind,
+                                                             self.kind)
         tag = "exact" if self.exact() else f"bound {self.bound}"
         note = f"; {self.note}" if self.note else ""
         return f"{base} ({tag}{note})"
+
+    __str__ = describe
 
 
 def gc_dim(M: ModulePresentation, C: ModulePresentation, bound=None, *,
@@ -716,41 +728,31 @@ def gc_dim(M: ModulePresentation, C: ModulePresentation, bound=None, *,
     """G-dimension of M with respect to C.
 
     When finite it equals depth R - depth M.  Exact certificates: the
-    ring is Gorenstein and C is free of rank one; C is the canonical
-    module; or M has finite projective dimension.  Otherwise vanishing
+    `coefficient_facts` of C, or finite projective dimension of M.
+    Otherwise vanishing
     of the defining Ext families for the (depth gap)-th syzygy is
     scanned through the bound, where any nonvanishing witness proves the
     dimension infinite exactly.
     """
-    budgets = budgets or DEFAULT_BUDGETS
-    R = M.ring
-    bound = bound if bound is not None else default_bound(R)
-    A = minimalize(M)
-    if A.is_zero():
-        return GcDimVerdict("zero", 0, None, "zero module")
-    Cmin = minimalize(C)
-    key = memo.content_hash(A.content_key(), Cmin.content_key(), str(bound),
-                            repr(budgets))
-    return memo.cached("gc-dim", key, _gc_dim, A, Cmin, bound, budgets)
+    return _verdict("gc-dim", _gc_dim,
+                    GcDimVerdict("zero", 0, None, "zero module"), (M, C),
+                    bound, budgets)
 
 
 def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
             budgets) -> GcDimVerdict:
-    R = A.ring
-    r = ring_depth(R) - depth(A)
-    certificate = None
-    if Cmin.n_rels() == 0 and Cmin.n_gens() == 1 and ring_is_gorenstein(R):
-        certificate = "Gorenstein ring, free coefficient module"
-    elif is_canonical_module(Cmin):
+    r = ring_depth(A.ring) - depth(A)
+    certificate = coefficient_facts(Cmin).certificate()
+    if certificate is None and is_canonical_module(Cmin):
+        # Unsound over a non-CM ring, where omega need not be semidualizing;
+        # kept until the suite-noncm-gf ledger is re-seeded (see ROADMAP.md).
         certificate = "canonical coefficient module"
-    else:
+    if certificate is None:
         pd = _finite_pd(A, budgets=budgets)
         if pd is not None:
             certificate = f"finite projective dimension {pd}"
     if certificate is not None:
-        if r == 0:
-            return GcDimVerdict("zero", 0, None, certificate)
-        return GcDimVerdict("finite", r, None, certificate)
+        return GcDimVerdict("finite" if r else "zero", r, None, certificate)
     if r < 0:
         return GcDimVerdict(
             "infinite", None, None,
@@ -776,9 +778,7 @@ def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
                 )
     except BudgetError as e:
         return GcDimVerdict("unknown", None, bound, f"budget exhausted: {e}")
-    if r == 0:
-        return GcDimVerdict("zero", 0, bound)
-    return GcDimVerdict("finite", r, bound)
+    return GcDimVerdict("finite" if r else "zero", r, bound)
 
 
 # -- perfect ideals and induced semidualizing modules -------------------------
@@ -786,55 +786,51 @@ def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
 
 def is_gc_perfect_ideal(R: GradedRing, ideal_gens, C: ModulePresentation,
                         bound=None, *, budgets=None):
-    """(verdict, grade, gc-dim verdict) for the cyclic module R/(ideal)."""
+    """(verdict, grade) for the cyclic module R/(ideal)."""
     Q = cyclic_module(R, ideal_gens)
     if minimalize(Q).is_zero():
         raise InapplicableError("the ideal is the unit ideal")
     g = grade_module(Q)
     v = gc_dim(Q, C, bound=bound, budgets=budgets)
     if not v.is_finite():
-        return BoundedVerdict("false", witness=str(v)), g, v
+        return BoundedVerdict("false", witness=str(v)), g
     if (v.value or 0) != g:
         return BoundedVerdict(
             "false", witness=f"grade {g} != G-dimension {v.value}"
-        ), g, v
+        ), g
     kind = "true" if v.exact() else "bounded"
-    return BoundedVerdict(kind, bound=v.bound), g, v
+    return BoundedVerdict(kind, bound=v.bound), g
 
 
 def is_gc_gorenstein_ideal(R: GradedRing, ideal_gens, C: ModulePresentation,
-                           bound=None, *, budgets=None):
+                           bound=None, *, budgets=None) -> BoundedVerdict:
     """G_C-perfect with cyclic top Ext module."""
-    perfect, g, v = is_gc_perfect_ideal(R, ideal_gens, C, bound=bound,
-                                        budgets=budgets)
+    perfect, g = is_gc_perfect_ideal(R, ideal_gens, C, bound=bound,
+                                     budgets=budgets)
     if not perfect.holds():
-        return perfect, g
+        return perfect
     K = ext(cyclic_module(R, ideal_gens), C, g, budgets=budgets)
     if minimalize(K).n_gens() != 1:
         return BoundedVerdict(
             "false", witness=f"Ext^{g}(R/ideal, C) is not cyclic"
-        ), g
-    return BoundedVerdict(perfect.kind, bound=perfect.bound), g
+        )
+    return perfect
 
 
 def induced_semidualizing(R: GradedRing, ideal_gens, C: ModulePresentation,
-                          bound=None, *, budgets=None):
-    """K = Ext^g(R/a, C) presented over R/a, with its own certificate.
+                          bound=None, *, budgets=None) -> ModulePresentation:
+    """K = Ext^g(R/a, C) presented over R/a.
 
     For a G_C-perfect ideal a this is semidualizing over R/a.
     """
-    perfect, g, _ = is_gc_perfect_ideal(R, ideal_gens, C, bound=bound,
-                                        budgets=budgets)
+    perfect, g = is_gc_perfect_ideal(R, ideal_gens, C, bound=bound,
+                                     budgets=budgets)
     if not perfect.holds():
         raise InapplicableError(
             f"ideal is not G_C-perfect: {perfect.describe()}"
         )
-    Q = cyclic_module(R, ideal_gens)
-    K = ext(Q, C, g, budgets=budgets)
-    Rq = R.quotient_by([g_ for g_ in ideal_gens])
-    Kq = minimalize(change_ring(minimalize(K), Rq))
-    cert = is_semidualizing(Kq, bound=bound, budgets=budgets)
-    return Kq, cert
+    K = ext(cyclic_module(R, ideal_gens), C, g, budgets=budgets)
+    return minimalize(change_ring(minimalize(K), R.quotient_by(ideal_gens)))
 
 
 def is_reduced_gc_perfect(M: ModulePresentation, C: ModulePresentation,
@@ -844,11 +840,11 @@ def is_reduced_gc_perfect(M: ModulePresentation, C: ModulePresentation,
     if v.kind != "finite" or not v.value:
         return BoundedVerdict(
             "false", witness=f"G-dimension {v} is not finite positive"
-        ), v, None
+        ), v
     rg = reduced_grade(M, C, bound=max(bound or 0, v.value), budgets=budgets)
     if rg.value != v.value:
         return BoundedVerdict(
             "false", witness=f"reduced grade {rg} != G-dimension {v.value}"
-        ), v, rg
+        ), v
     kind = "true" if v.exact() else "bounded"
-    return BoundedVerdict(kind, bound=v.bound), v, rg
+    return BoundedVerdict(kind, bound=v.bound), v

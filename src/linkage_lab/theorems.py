@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_BUDGETS, default_bound
+from .config import DEFAULT_BUDGETS, Budgets, default_bound
 from .errors import BudgetError, InapplicableError
 from .homops import (
     ext,
@@ -36,7 +36,9 @@ from .homops import (
 from .invariants import (
     INFINITY,
     _finite_pd,
+    _ring_unit,
     canonical_module,
+    coefficient_facts,
     cohomological_deficiency,
     depth,
     depth_at_prime,
@@ -45,7 +47,6 @@ from .invariants import (
     gc_dim,
     in_auslander_class,
     induced_semidualizing,
-    is_canonical_module,
     is_cm,
     is_eilenberg_maclane,
     is_finite_length,
@@ -81,7 +82,6 @@ from .modules import (
     annihilator,
     change_ring,
     cyclic_module,
-    free_module,
     ideal_contains,
     minimalize,
     subquotient,
@@ -122,16 +122,13 @@ class TheoremId(str, enum.Enum):
 
 @dataclass
 class HarnessConfig:
-    bound: int | None = None
-    budgets: object = None
+    bound: int | None = None  # None: each ring's default_bound
+    budgets: Budgets = DEFAULT_BUDGETS
     seed: int = 0
     extra_probes: tuple = ()  # extra probe primes, each a tuple of gens
 
     def resolve_bound(self, ring) -> int:
         return self.bound if self.bound is not None else default_bound(ring)
-
-    def resolve_budgets(self):
-        return self.budgets or DEFAULT_BUDGETS
 
     def probes_for(self, ring):
         return probe_primes(ring, extra=self.extra_probes)
@@ -201,16 +198,12 @@ def _hyp(name: str, ok: bool, detail: str = "") -> HypothesisStatus:
     return HypothesisStatus(name, "Exact" if ok else "Failed", detail)
 
 
-def _describe(verdict) -> str:
-    fn = getattr(verdict, "describe", None)
-    return fn() if fn is not None else str(verdict)
-
-
 def _hyp_verdict(name: str, verdict) -> HypothesisStatus:
-    """The verdict's own status label.  A BoundedVerdict's label is its
-    bound or probes when it holds, Failed when it is false and Unknown
-    when it is undetermined, so callers need no Failed branch of their own."""
-    return HypothesisStatus(name, verdict.status_label(), _describe(verdict))
+    """The verdict's own status label and description.  Every verdict's
+    label is Exact, its bound or its probes when it holds, Failed when it
+    fails and Unknown when it is undetermined, so callers need no Failed
+    branch of their own."""
+    return HypothesisStatus(name, verdict.status_label(), verdict.describe())
 
 
 def _hyp_unknown(name: str, detail: str = "") -> HypothesisStatus:
@@ -310,10 +303,6 @@ def _finish(tid, instance, hyps, claims, notes) -> TheoremReport:
 # -- shared sub-evaluations ---------------------------------------------------
 
 
-def _unit(ring) -> ModulePresentation:
-    return free_module(ring, [0])
-
-
 def _label(bindings, M: ModulePresentation) -> str:
     lab = bindings.get("label")
     if lab:
@@ -333,52 +322,78 @@ def _parse_ideal(ring, gens):
     return out
 
 
-def _semidualizing_hyp(C, cfg) -> HypothesisStatus:
-    cert = is_semidualizing(C, bound=cfg.resolve_bound(C.ring),
-                            budgets=cfg.resolve_budgets())
-    if not cert.valid:
-        return _hyp("C is semidualizing", False, cert.failure)
-    if cert.ext_bound is None:
-        return _hyp("C is semidualizing", True, "exact certificate")
-    return HypothesisStatus("C is semidualizing",
-                            f"BoundedTrue({cert.ext_bound})",
-                            "homothety exact; self-Ext vanishing scanned")
-
-
 def _linked_hyp(M, cfg) -> HypothesisStatus:
-    report = is_horizontally_linked(M, budgets=cfg.resolve_budgets(),
-                                    seed=cfg.seed)
+    report = is_horizontally_linked(M, budgets=cfg.budgets, seed=cfg.seed)
     return _hyp("M is horizontally linked", report.linked, report.describe())
 
 
 def _auslander_hyp(name, M, C, cfg) -> HypothesisStatus:
     return _hyp_verdict(name, in_auslander_class(
-        M, C, bound=cfg.resolve_bound(M.ring), budgets=cfg.resolve_budgets()))
+        M, C, bound=cfg.bound, budgets=cfg.budgets))
 
 
 def _gcdim_hyp(name, M, C, cfg, *, positive=False):
-    v = gc_dim(M, C, bound=cfg.resolve_bound(M.ring),
-               budgets=cfg.resolve_budgets())
-    if v.kind == "infinite":
-        return HypothesisStatus(name, "Failed", str(v)), v
+    v = gc_dim(M, C, bound=cfg.bound, budgets=cfg.budgets)
     if positive and v.kind == "zero":
-        return HypothesisStatus(name, "Failed",
-                                "G-dimension is zero, not positive"), v
+        return _hyp(name, False, "G-dimension is zero, not positive"), v
     return _hyp_verdict(name, v), v
 
 
-def _finite_gdim_lambda_hyp(lam, cfg):
-    """G-dimension (coefficient R) of the linked module is finite."""
-    R = lam.ring
-    if ring_is_gorenstein(R):
-        return _hyp("G-dim of the linked module is finite", True,
-                    "Gorenstein ring")
-    v = gc_dim(lam, _unit(R), bound=cfg.resolve_bound(R),
-               budgets=cfg.resolve_budgets())
-    if v.kind == "infinite":
-        return HypothesisStatus("G-dim of the linked module is finite",
-                                "Failed", str(v))
-    return _hyp_verdict("G-dim of the linked module is finite", v)
+def _lambda_auslander(M, C, cfg):
+    """The linked module lambda M and the hypothesis that it lies in the
+    Auslander class of C."""
+    lam = lambda_module(M, budgets=cfg.budgets)
+    return lam, _auslander_hyp("lambda M is in the Auslander class of C",
+                               lam, C, cfg)
+
+
+def _lambda_finite_gdim(M, cfg):
+    """The linked module lambda M and the hypothesis that its G-dimension
+    (coefficient R) is finite."""
+    lam = lambda_module(M, budgets=cfg.budgets)
+    name = "G-dim of the linked module is finite"
+    if ring_is_gorenstein(lam.ring):
+        return lam, _hyp(name, True, "Gorenstein ring")
+    return lam, _gcdim_hyp(name, lam, _ring_unit(lam.ring), cfg)[0]
+
+
+# A locus claim and its detail when C is the canonical module of a CM ring.
+_GCDIM_LOCUS = ("finite G_C-dimension", "canonical coefficient module")
+_INJDIM_LOCUS = ("C has finite injective dimension",
+                 "canonical module has finite injective dimension")
+
+
+def _locus_hyp(t, *routes) -> HypothesisStatus:
+    """A claim at every prime of depth <= t, from the first route
+    (locus claim, coefficient module) that `coefficient_facts` certifies.
+
+    Both claims hold everywhere when the coefficient module is free of
+    rank one over a Gorenstein ring or the canonical module of a
+    Cohen-Macaulay ring.  With no certificate the first route's claim is
+    Unknown.
+    """
+    for (claim, canonical), C in routes:
+        facts = coefficient_facts(C)
+        if facts.canonical:
+            detail = facts.certificate() if facts.free_rank_one else canonical
+            return _hyp(f"{claim} on the depth <= {t} locus", True, detail)
+    (claim, _), _ = routes[0]
+    return _hyp_unknown(f"{claim} on the depth <= {t} locus",
+                        "no exact certificate for the locus hypothesis")
+
+
+def _optional_converse(skipped, t, *routes):
+    """Generator for a converse that holds only on a certified locus.
+
+    Returns [the locus hypothesis] for the first stage when `_locus_hyp`
+    certifies it; otherwise yields the note `skipped` and returns [], and
+    the check leaves the converse claim out.
+    """
+    locus = _locus_hyp(t, *routes)
+    if locus.label == "Exact":
+        return [locus]
+    yield skipped
+    return []
 
 
 def _ext_window_vanishes(M, C, lo, hi, cfg):
@@ -394,14 +409,61 @@ def _ext_window_vanishes(M, C, lo, hi, cfg):
     if top is not None:
         hi = min(hi, top)
     for i in range(lo, hi + 1):
-        if not ext(M, C, i, budgets=cfg.resolve_budgets()).is_zero():
+        if not ext(M, C, i, budgets=cfg.budgets).is_zero():
             return False, i, True
     return True, None, top is not None
+
+
+def _ext_side(pair, X, C, n, cfg) -> Side:
+    """Ext^i(X, C) = 0 for 1 <= i <= n; `pair` names X and C."""
+    ok, wit, _ = _ext_window_vanishes(X, C, 1, n, cfg)
+    return _side_bool(f"Ext^i({pair}) = 0 for 1..{n}", ok,
+                      "" if ok else f"Ext^{wit} != 0")
+
+
+def _cosyzygy_side(name, X, C, n, cfg) -> Side:
+    """X is an n-th C-syzygy, by iterated universal pushforward."""
+    ok, step = is_nth_cosyzygy_witness(X, C, n, budgets=cfg.budgets)
+    return _side_bool(
+        f"{name} is an {n}th C-syzygy", ok,
+        "iterated universal pushforward succeeds" if ok
+        else f"pushforward obstructed at step {step}")
 
 
 def _serre_side(name, M, k, probes) -> Side:
     v = serre_tilde(M, k, probes=probes)
     return _side_verdict(f"{name} satisfies S~_{k}", v)
+
+
+def _probe_side(name, probes, violated, detail, base=True) -> Side:
+    """Holds when `base` holds and no probe prime is violated.
+
+    A True value rests on the probe set; a False one is exact, since a
+    violation at a probe prime is a genuine witness.  A prime outside a
+    module's support gives it depth INFINITY there, which violates no
+    depth inequality.  `detail` maps the violated labels to the detail.
+    """
+    bad = [p.label for p in probes if violated(p)]
+    value = base and not bad
+    return Side(name, value, exact=not value, detail=detail(bad))
+
+
+def _violations(held):
+    """The detail of a probe side: its violations, else `held`."""
+    return lambda bad: f"violations at {bad}" if bad else held
+
+
+def _depth_sum_side(name, M, lam, other, probes, detail) -> Side:
+    """depth(lambda M) + other = dim R, with depth (lambda M)_p + other >
+    dim R at every probe prime off the maximal ideal where M is not
+    locally Cohen-Macaulay."""
+    R = M.ring
+    d = ring_dim(R)
+    dep = depth(lam)
+    return _probe_side(
+        name, [p for p in _ncm_probes(M, probes) if p.height != R.nvars],
+        lambda p: depth_at_prime(lam, p) + other <= d, detail,
+        base=INFINITY not in (dep, other) and dep + other == d)
 
 
 def _lcd_window_empty(M, lo_excl, hi_excl) -> tuple:
@@ -440,7 +502,7 @@ def _matches_canonical_ideal(ring, gens, cfg):
         return False, "the ideal is zero"
     a = min(omega.gen_twists) - min(O.gen_twists)
     v = is_isomorphic(O, twist_module(omega, a),
-                      budgets=cfg.resolve_budgets(), seed=cfg.seed)
+                      budgets=cfg.budgets, seed=cfg.seed)
     if v.is_isomorphic():
         return True, f"ideal = canonical module twisted by {a}"
     return False, f"not isomorphic to the canonical module: {v.certificate}"
@@ -484,15 +546,30 @@ def _ng_probes(M, probes):
 # stage it returns its claims.  `_run` stops at the first stage that holds
 # a Failed or Unknown hypothesis and never resumes the generator, so
 # nothing after that stage, the claims included, is computed.
+#
+# Recurring pieces are written once.
+# * Hypotheses: every verdict becomes one through `_hyp_verdict`.
+#   `_lambda_auslander` and `_lambda_finite_gdim` compute lambda M with
+#   its Auslander-class or finite G-dimension hypothesis; `_gcdim_hyp`,
+#   `_linked_hyp` and `_cm_ring_hyp` state the others.  `_locus_hyp`
+#   states every locus hypothesis from `invariants.coefficient_facts`,
+#   and `_optional_converse` adds one to the first stage when it is
+#   certified, or else notes that the converse is skipped.
+# * Sides: `_ext_side` (Ext^i(X, C) = 0 for 1..n), `_cosyzygy_side` (an
+#   n-th C-syzygy), `_serre_side` (S~_k), `_probe_side` (no probe prime
+#   violates an inequality) and `_depth_sum_side` (the depth-sum form of
+#   a probe side).
+# * PROP_P3 and COR_C2 share one body, `_serre_versus_lcd`, with the
+#   roles of lambda M and M (x) omega exchanged.
 
 
 def _check_thm_ms(bindings, cfg):
     M = minimalize(bindings["M"])
     yield _instance(bindings, M)
-    budgets = cfg.resolve_budgets()
+    budgets = cfg.budgets
     ring = M.ring
     stable, free_rank = is_stable(M)
-    ext1 = ext(transpose(M), _unit(ring), 1, budgets=budgets).is_zero()
+    ext1 = ext(transpose(M), _ring_unit(ring), 1, budgets=budgets).is_zero()
     syz = is_syzygy_module(M, budgets=budgets)
     lam2 = lambda_module(lambda_module(M, budgets=budgets), budgets=budgets)
     iso = is_isomorphic(M, lam2, budgets=budgets, seed=cfg.seed)
@@ -513,81 +590,29 @@ def _check_prop_t1(bindings, cfg):
     C = minimalize(bindings["C"])
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
-    hyps = [_semidualizing_hyp(C, cfg), _hyp("n >= 1", n >= 1)]
-    # converse under finite G_C-dimension on the small-depth locus
-    locus = _finite_gcdim_on_locus_hyp(M, C, n - 1)
-    if locus.label == "Exact":
-        hyps.append(locus)
-    else:
-        yield ("converse (S~_n => Ext vanishing) skipped: finite "
-               f"G_C-dimension on the depth <= {n - 1} locus not certified")
-    yield hyps
-    budgets = cfg.resolve_budgets()
-    TC = transpose_wrt(M, C)
-    i_ok, i_wit, _ = _ext_window_vanishes(TC, C, 1, n, cfg)
-    side_i = _side_bool(f"Ext^i(Tr_C M, C) = 0 for 1..{n}", i_ok,
-                        "" if i_ok else f"Ext^{i_wit} != 0")
-    ok, step = is_nth_cosyzygy_witness(M, C, n, budgets=budgets)
-    side_ii = _side_bool(
-        f"M is an {n}th C-syzygy", ok,
-        "iterated universal pushforward succeeds" if ok
-        else f"pushforward obstructed at step {step}")
+    converse = yield from _optional_converse(
+        "converse (S~_n => Ext vanishing) skipped: finite G_C-dimension on "
+        f"the depth <= {n - 1} locus not certified",
+        n - 1, (_GCDIM_LOCUS, C))
+    yield [_hyp_verdict("C is semidualizing", is_semidualizing(
+               C, bound=cfg.bound, budgets=cfg.budgets)),
+           _hyp("n >= 1", n >= 1)] + converse
+    side_i = _ext_side("Tr_C M, C", transpose_wrt(M, C), C, n, cfg)
+    side_ii = _cosyzygy_side("M", M, C, n, cfg)
     side_iii = _serre_side("M", M, n, cfg.probes_for(M.ring))
     claims = [
         _implication_claim(side_i, side_ii),
         _implication_claim(side_ii, side_iii),
     ]
-    if locus.label == "Exact":
+    if converse:
         claims.append(_implication_claim(side_iii, side_i))
     return claims
 
 
-def _finite_gcdim_on_locus_hyp(M, C, t) -> HypothesisStatus:
-    """Finite G_C-dimension of M at all primes of depth <= t.
-
-    Exact certificates only: a Gorenstein ring with free rank-one C, or
-    C the canonical module over a Cohen-Macaulay ring (where every
-    module has finite G_C-dimension).
-    """
-    R = M.ring
-    name = f"finite G_C-dimension on the depth <= {t} locus"
-    Cmin = minimalize(C)
-    if Cmin.n_rels() == 0 and Cmin.n_gens() == 1 and ring_is_gorenstein(R):
-        return _hyp(name, True, "Gorenstein ring, free coefficient module")
-    if ring_is_cm(R) and is_canonical_module(Cmin):
-        return _hyp(name, True, "canonical coefficient module")
-    return _hyp_unknown(name, "no exact certificate for the locus hypothesis")
-
-
-def _finite_injdim_on_locus_hyp(C, t) -> HypothesisStatus:
-    """Finite injective dimension of C at all primes of depth <= t."""
-    R = C.ring
-    name = f"C has finite injective dimension on the depth <= {t} locus"
-    Cmin = minimalize(C)
-    if Cmin.n_rels() == 0 and Cmin.n_gens() == 1 and ring_is_gorenstein(R):
-        return _hyp(name, True, "Gorenstein ring, free coefficient module")
-    if ring_is_cm(R) and is_canonical_module(Cmin):
-        return _hyp(name, True, "canonical module has finite injective "
-                                "dimension")
-    return _hyp_unknown(name, "no exact certificate for the locus hypothesis")
-
-
-def _locus_finite_gdim_hyp(M, C, t) -> HypothesisStatus:
-    """gd(M_p) finite on the depth <= t locus, via either exact route.
-
-    Certified either directly (finite G-dimension of M against R) or
-    through finite injective dimension of C on the locus.
-    """
-    locus = _finite_gcdim_on_locus_hyp(M, _unit(M.ring), t)
-    if locus.label == "Exact":
-        return locus
-    alt = _finite_injdim_on_locus_hyp(C, t)
-    if alt.label == "Exact":
-        return alt
-    return locus
-
-
-def _check_prop_p3(bindings, cfg):
+def _serre_versus_lcd(bindings, cfg, serre_on_link):
+    """PROP_P3 (serre_on_link) and its mirror COR_C2: S~_n of one of
+    lambda M and M (x) omega against a local cohomology window of the
+    other."""
     M = minimalize(bindings["M"])
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
@@ -598,13 +623,19 @@ def _check_prop_p3(bindings, cfg):
     linked_h = _linked_hyp(M, cfg)
     MW = _tensor_canonical(M)
     yield [linked_h, _omega_s1_hyp(MW, probes)]
-    lam = lambda_module(M, budgets=cfg.resolve_budgets())
-    side_i = _serre_side("lambda M", lam, n, probes)
-    empty, degs = _lcd_window_empty(MW, d - n, d)
+    lam = lambda_module(M, budgets=cfg.budgets)
+    pair = [("lambda M", lam), ("M (x) omega", MW)]
+    (s_name, S), (h_name, H) = pair if serre_on_link else pair[::-1]
+    side_i = _serre_side(s_name, S, n, probes)
+    empty, degs = _lcd_window_empty(H, d - n, d)
     side_ii = _side_bool(
-        f"H^i_m(M (x) omega) = 0 for {d - n} < i < {d}", empty,
+        f"H^i_m({h_name}) = 0 for {d - n} < i < {d}", empty,
         "" if empty else f"nonvanishing local cohomology at {degs}")
     return _equivalence_claims([side_i, side_ii])
+
+
+def _check_prop_p3(bindings, cfg):
+    return (yield from _serre_versus_lcd(bindings, cfg, True))
 
 
 def _check_prop_t13(bindings, cfg):
@@ -612,64 +643,40 @@ def _check_prop_t13(bindings, cfg):
     C = minimalize(bindings["C"])
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
-    hyps = [_semidualizing_hyp(C, cfg), _hyp("n >= 1", n >= 1)]
-    locus = _finite_injdim_on_locus_hyp(C, n - 1)
-    if locus.label == "Exact":
-        hyps.append(locus)
-    else:
-        yield ("converse skipped: finite injective dimension of C on "
-               f"the depth <= {n - 1} locus not certified")
-    yield hyps
-    budgets = cfg.resolve_budgets()
-    T = transpose(M)
-    i_ok, i_wit, _ = _ext_window_vanishes(T, C, 1, n, cfg)
-    side_i = _side_bool(f"Ext^i(Tr M, C) = 0 for 1..{n}", i_ok,
-                        "" if i_ok else f"Ext^{i_wit} != 0")
+    converse = yield from _optional_converse(
+        "converse skipped: finite injective dimension of C on "
+        f"the depth <= {n - 1} locus not certified",
+        n - 1, (_INJDIM_LOCUS, C))
+    yield [_hyp_verdict("C is semidualizing", is_semidualizing(
+               C, bound=cfg.bound, budgets=cfg.budgets)),
+           _hyp("n >= 1", n >= 1)] + converse
+    side_i = _ext_side("Tr M, C", transpose(M), C, n, cfg)
     MC = tensor(M, C)
-    ok, step = is_nth_cosyzygy_witness(MC, C, n, budgets=budgets)
-    side_ii = _side_bool(
-        f"M (x) C is an {n}th C-syzygy", ok,
-        "iterated universal pushforward succeeds" if ok
-        else f"pushforward obstructed at step {step}")
+    side_ii = _cosyzygy_side("M (x) C", MC, C, n, cfg)
     side_iii = _serre_side("M (x) C", MC, n, cfg.probes_for(M.ring))
     claims = [
         _implication_claim(side_i, side_ii),
         _implication_claim(side_ii, side_iii),
     ]
-    if locus.label == "Exact":
+    if converse:
         claims.append(_implication_claim(side_iii, side_i))
     return claims
 
 
 def _check_cor_c2(bindings, cfg):
-    M = minimalize(bindings["M"])
-    n = int(bindings["n"])
-    yield _instance(bindings, M) + f", n={n}"
-    R = M.ring
-    yield [_cm_ring_hyp(R), _hyp("n >= 1", n >= 1)]
-    d = ring_dim(R)
-    probes = cfg.probes_for(R)
-    linked_h = _linked_hyp(M, cfg)
-    MW = _tensor_canonical(M)
-    yield [linked_h, _omega_s1_hyp(MW, probes)]
-    side_i = _serre_side("M (x) omega", MW, n, probes)
-    lam = lambda_module(M, budgets=cfg.resolve_budgets())
-    empty, degs = _lcd_window_empty(lam, d - n, d)
-    side_ii = _side_bool(
-        f"H^i_m(lambda M) = 0 for {d - n} < i < {d}", empty,
-        "" if empty else f"nonvanishing local cohomology at {degs}")
-    return _equivalence_claims([side_i, side_ii])
+    return (yield from _serre_versus_lcd(bindings, cfg, False))
 
 
 def _check_lem_lem2(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     n = int(bindings.get("n", 1))
-    if n < 1:
-        raise InapplicableError(
-            f"the Serre-type condition S~_n needs n >= 1, got n={n}")
     yield _instance(bindings, M) + f", n={n}"
-    yield [_semidualizing_hyp(C, cfg),
+    # n is optional here and defaults to 1, so only a failing n gets a line
+    n_hyps = [] if n >= 1 else [_hyp("n >= 1", False)]
+    yield [_hyp_verdict("C is semidualizing", is_semidualizing(
+               C, bound=cfg.bound, budgets=cfg.budgets)),
+           *n_hyps,
            _auslander_hyp("M is in the Auslander class of C", M, C, cfg)]
     probes = cfg.probes_for(M.ring)
     MC = tensor(M, C)
@@ -693,24 +700,20 @@ def _check_thm_th5(bindings, cfg):
     C = minimalize(bindings["C"])
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
-    hyps = [_semidualizing_hyp(C, cfg), _hyp("n >= 1", n >= 1),
-            _auslander_hyp("M is in the Auslander class of C", M, C, cfg)]
-    locus = _locus_finite_gdim_hyp(M, C, n - 1)
-    if locus.label == "Exact":
-        hyps.append(locus)
-    else:
-        yield ("full four-way equivalence skipped: finite G-dimension "
-               f"on the depth <= {n - 1} locus not certified")
-    yield hyps
     ring = M.ring
+    converse = yield from _optional_converse(
+        "full four-way equivalence skipped: finite G-dimension "
+        f"on the depth <= {n - 1} locus not certified",
+        n - 1, (_GCDIM_LOCUS, _ring_unit(ring)), (_INJDIM_LOCUS, C))
+    yield [_hyp_verdict("C is semidualizing", is_semidualizing(
+               C, bound=cfg.bound, budgets=cfg.budgets)),
+           _hyp("n >= 1", n >= 1),
+           _auslander_hyp("M is in the Auslander class of C", M, C, cfg)
+           ] + converse
     probes = cfg.probes_for(ring)
     T = transpose(M)
-    i_ok, i_wit, _ = _ext_window_vanishes(T, _unit(ring), 1, n, cfg)
-    side_i = _side_bool(f"Ext^i(Tr M, R) = 0 for 1..{n}", i_ok,
-                        "" if i_ok else f"Ext^{i_wit} != 0")
-    ii_ok, ii_wit, _ = _ext_window_vanishes(T, C, 1, n, cfg)
-    side_ii = _side_bool(f"Ext^i(Tr M, C) = 0 for 1..{n}", ii_ok,
-                         "" if ii_ok else f"Ext^{ii_wit} != 0")
+    side_i = _ext_side("Tr M, R", T, _ring_unit(ring), n, cfg)
+    side_ii = _ext_side("Tr M, C", T, C, n, cfg)
     MC = tensor(M, C)
     side_iii = _serre_side("M (x) C", MC, n, probes)
     side_iv = _serre_side("M", M, n, probes)
@@ -719,7 +722,7 @@ def _check_thm_th5(bindings, cfg):
         _implication_claim(side_ii, side_iii),
     ]
     claims.extend(_equivalence_claims([side_iii, side_iv]))
-    if locus.label == "Exact":
+    if converse:
         claims.extend(_equivalence_claims([side_i, side_iv]))
     return claims
 
@@ -731,13 +734,15 @@ def _check_cor_cor7(bindings, cfg):
     yield _instance(bindings, M) + f", n={n}"
     stable, free_rank = is_stable(M)
     yield [
-        _semidualizing_hyp(C, cfg),
+        _hyp_verdict("C is semidualizing", is_semidualizing(
+            C, bound=cfg.bound, budgets=cfg.budgets)),
         _hyp("M is stable", stable, f"free rank {free_rank}"),
         _auslander_hyp("M is in the Auslander class of C", M, C, cfg),
-        _locus_finite_gdim_hyp(M, C, n - 1),
+        _locus_hyp(n - 1, (_GCDIM_LOCUS, _ring_unit(M.ring)),
+                   (_INJDIM_LOCUS, C)),
         _hyp("n >= 1", n >= 1),
     ]
-    budgets = cfg.resolve_budgets()
+    budgets = cfg.budgets
     side_i = _serre_side("M", M, n, cfg.probes_for(M.ring))
     report = is_horizontally_linked(M, budgets=budgets, seed=cfg.seed)
     lam = lambda_module(M, budgets=budgets)
@@ -763,7 +768,7 @@ def _check_thm_theorem1(bindings, cfg):
     linked_h = _linked_hyp(M, cfg)
     MW = _tensor_canonical(M)
     yield [linked_h, _omega_s1_hyp(MW, probes)]
-    lam = lambda_module(M, budgets=cfg.resolve_budgets())
+    lam = lambda_module(M, budgets=cfg.budgets)
     dep_lam = depth(lam)
     dep_mw = depth(MW)
     if dep_lam == INFINITY or dep_mw == INFINITY:
@@ -794,13 +799,12 @@ def _check_thm_the1(bindings, cfg):
     ok, why = _matches_canonical_ideal(R, gens, cfg)
     hyps.append(_hyp("the canonical module embeds as the given ideal",
                      ok, why))
-    budgets = cfg.resolve_budgets()
     probes = cfg.probes_for(R)
     hyps.append(_hyp("M is maximal Cohen-Macaulay", is_mcm(M)))
     hyps.append(_linked_hyp(M, cfg))
     yield hyps + [_omega_s1_hyp(_tensor_canonical(M), probes)]
     d = ring_dim(R)
-    lam = lambda_module(M, budgets=budgets)
+    lam = lambda_module(M, budgets=cfg.budgets)
     side_i = _side_bool("lambda M is maximal Cohen-Macaulay", is_mcm(lam),
                         f"depth {depth(lam)} vs dim {d}")
     Q = tensor(M, cyclic_module(R, gens))
@@ -819,7 +823,7 @@ def _check_cor_theorem3(bindings, cfg):
     omega_gens = _parse_ideal(ring, bindings["omega_ideal"])
     yield (f"ideal ({', '.join(str(g) for g in I_gens)}) "
            f"over {ring.key()}")
-    budgets = cfg.resolve_budgets()
+    budgets = cfg.budgets
     RI = minimalize(cyclic_module(ring, I_gens))
     hyps = [_cm_ring_hyp(ring),
             _hyp("the ring is not Gorenstein", not ring_is_gorenstein(ring))]
@@ -877,16 +881,17 @@ def _check_thm_prop_even(bindings, cfg):
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
     R = M.ring
-    budgets = cfg.resolve_budgets()
-    bound = cfg.resolve_bound(R)
-    hyps = [_semidualizing_hyp(C, cfg), _hyp("n >= 1", n >= 1)]
+    budgets = cfg.budgets
+    hyps = [_hyp_verdict("C is semidualizing", is_semidualizing(
+                C, bound=cfg.bound, budgets=budgets)),
+            _hyp("n >= 1", n >= 1)]
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
     links = []
     for key, label in (("ideal", "first"), ("ideal2", "second")):
         gens = _parse_ideal(R, bindings[key])
-        gor, _ = is_gc_gorenstein_ideal(R, gens, C, bound=bound,
-                                        budgets=budgets)
+        gor = is_gc_gorenstein_ideal(R, gens, C, bound=cfg.bound,
+                                     budgets=budgets)
         hyps.append(_hyp_verdict(f"the {label} ideal is G_C-Gorenstein", gor))
         ann = annihilator(M)
         inside = all(ideal_contains(R, ann, f) for f in gens)
@@ -920,20 +925,18 @@ def _check_thm_th1(bindings, cfg):
     C = minimalize(bindings["C"])
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
-    budgets = cfg.resolve_budgets()
     ring = M.ring
     stable, free_rank = is_stable(M)
     hyps = [_hyp("M is stable", stable, f"free rank {free_rank}"),
             _hyp("n >= 1", n >= 1)]
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    hyps.append(gh)
-    lam = lambda_module(M, budgets=budgets)
-    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
-                                 lam, C, cfg)]
+    lam, ausl = _lambda_auslander(M, C, cfg)
+    yield hyps + [gh, ausl]
     probes = cfg.probes_for(ring)
-    report = is_horizontally_linked(M, budgets=budgets, seed=cfg.seed)
+    report = is_horizontally_linked(M, budgets=cfg.budgets, seed=cfg.seed)
     side_a = _serre_side("M", M, n, probes)
-    rgr_ok, rgr_wit, _ = _ext_window_vanishes(lam, _unit(ring), 1, n - 1, cfg)
+    rgr_ok, rgr_wit, _ = _ext_window_vanishes(lam, _ring_unit(ring), 1,
+                                              n - 1, cfg)
     side_b = _side_bool(
         f"linked and rgr(lambda M) >= {n}", report.linked and rgr_ok,
         f"linked={report.linked}"
@@ -954,19 +957,16 @@ def _check_cor_cor5(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     yield _instance(bindings, M)
-    budgets = cfg.resolve_budgets()
     ring = M.ring
     hyps = [_cm_ring_hyp(ring)]
     stable, free_rank = is_stable(M)
     hyps.append(_hyp("M is stable", stable, f"free rank {free_rank}"))
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    hyps.append(gh)
-    lam = lambda_module(M, budgets=budgets)
-    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
-                                 lam, C, cfg)]
+    lam, ausl = _lambda_auslander(M, C, cfg)
+    yield hyps + [gh, ausl]
     d = ring_dim(ring)
     probes = cfg.probes_for(ring)
-    report = is_horizontally_linked(M, budgets=budgets, seed=cfg.seed)
+    report = is_horizontally_linked(M, budgets=cfg.budgets, seed=cfg.seed)
     dep_m = depth(M)
     side_i = _side_bool("M is maximal Cohen-Macaulay", is_mcm(M),
                         f"depth {dep_m} vs dim {d}")
@@ -990,13 +990,14 @@ def _check_cor_cor6(bindings, cfg):
     C = minimalize(bindings["C"])
     yield _instance(bindings, M)
     R = M.ring
-    budgets = cfg.resolve_budgets()
-    bound = cfg.resolve_bound(R)
+    budgets, bound = cfg.budgets, cfg.bound
     gens = _parse_ideal(R, bindings["ideal"])
-    hyps = [_cm_ring_hyp(R), _semidualizing_hyp(C, cfg)]
+    hyps = [_cm_ring_hyp(R), _hyp_verdict(
+        "C is semidualizing",
+        is_semidualizing(C, bound=bound, budgets=budgets))]
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
-    perf, _, _ = is_gc_perfect_ideal(R, gens, C, bound=bound, budgets=budgets)
+    perf, _ = is_gc_perfect_ideal(R, gens, C, bound=bound, budgets=budgets)
     hyps.append(_hyp_verdict("the ideal is G_C-perfect", perf))
     ann = annihilator(M)
     inside = all(ideal_contains(R, ann, f) for f in gens)
@@ -1005,7 +1006,7 @@ def _check_cor_cor6(bindings, cfg):
     Mq = minimalize(change_ring(M, Rq))
     rep = is_horizontally_linked(Mq, budgets=budgets, seed=cfg.seed)
     linked_h = _hyp("M is linked by the ideal", rep.linked, rep.describe())
-    K, _ = induced_semidualizing(R, gens, C, bound=bound, budgets=budgets)
+    K = induced_semidualizing(R, gens, C, bound=bound, budgets=budgets)
     lamq = lambda_module(Mq, budgets=budgets)
     yield [linked_h, _auslander_hyp(
         "the quotient link is in the Auslander class of the induced "
@@ -1020,35 +1021,22 @@ def _check_thm_cor3(bindings, cfg):
     M = minimalize(bindings["M"])
     yield _instance(bindings, M)
     R = M.ring
-    budgets = cfg.resolve_budgets()
     yield [_cm_ring_hyp(R)]
     hyps = [_linked_hyp(M, cfg),
             _hyp("M is not Cohen-Macaulay", not is_cm(M))]
-    lam = lambda_module(M, budgets=budgets)
-    yield hyps + [_finite_gdim_lambda_hyp(lam, cfg)]
+    lam, gd = _lambda_finite_gdim(M, cfg)
+    yield hyps + [gd]
     d = ring_dim(R)
     cc = cohomological_deficiency(M)
-    E = ext_to_ambient(M, R.nvars - cc, budgets=budgets)
+    E = ext_to_ambient(M, R.nvars - cc, budgets=cfg.budgets)
     side_i = _side_bool(
         f"H^{cc}_m(M) is finitely generated", is_finite_length(E),
         "tested as dim of the ambient Ext module <= 0")
     dep_lam = depth(lam)
-    eq = (dep_lam + cc == d) if dep_lam != INFINITY else False
-    bad = []
-    for p in _ncm_probes(M, cfg.probes_for(R)):
-        if p.height == R.nvars:
-            continue
-        dp = depth_at_prime(lam, p)
-        if dp != INFINITY and dp + cc <= d:
-            bad.append(p.label)
-    value = eq and not bad
-    # a True value rests on probe sampling; a False value is an exact
-    # witness (either the depth equality fails or a probe violates)
-    side_ii = Side(
+    side_ii = _depth_sum_side(
         f"depth(lambda M) + cc(M) = {d} and strict inequality off the "
-        "maximal ideal",
-        value, exact=not value,
-        detail=f"depth(lambda M)={dep_lam}, cc={cc}"
+        "maximal ideal", M, lam, cc, cfg.probes_for(R),
+        lambda bad: f"depth(lambda M)={dep_lam}, cc={cc}"
         + (f", violated at probes {bad}" if bad else ""))
     return _equivalence_claims([side_i, side_ii])
 
@@ -1060,27 +1048,18 @@ def _check_thm_th2(bindings, cfg):
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    hyps.append(gh)
-    lam = lambda_module(M, budgets=cfg.resolve_budgets())
-    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
-                                 lam, C, cfg)]
+    lam, ausl = _lambda_auslander(M, C, cfg)
+    yield hyps + [gh, ausl]
     side_zero = Side("G_C-dimension of M is zero", gv.kind == "zero",
                      gv.exact(), str(gv))
     probes = [p for p in cfg.probes_for(ring)
               if ring_depth_at_prime(ring, p) >= 1]
-    bad = []
-    for p in probes:
-        dm = depth_at_prime(M, p)
-        dl = depth_at_prime(lam, p)
-        if dm == INFINITY or dl == INFINITY:
-            continue
-        if dm + dl <= ring_depth_at_prime(ring, p):
-            bad.append(p.label)
-    side_probe = Side(
+    side_probe = _probe_side(
         "depth M_p + depth (lambda M)_p > depth R_p off the depth-zero locus",
-        not bad, exact=bool(bad),
-        detail=f"violations at {bad}" if bad
-        else f"holds at all {len(probes)} probe primes")
+        probes,
+        lambda p: (depth_at_prime(M, p) + depth_at_prime(lam, p)
+                   <= ring_depth_at_prime(ring, p)),
+        _violations(f"holds at all {len(probes)} probe primes"))
     return _equivalence_claims([side_zero, side_probe])
 
 
@@ -1090,7 +1069,7 @@ def _check_cor_self(bindings, cfg):
     yield _instance(bindings, M)
     ring = M.ring
     twist = int(bindings.get("self_twist", 0))
-    self_iso = is_self_linked(M, twist=twist, budgets=cfg.resolve_budgets(),
+    self_iso = is_self_linked(M, twist=twist, budgets=cfg.budgets,
                               seed=cfg.seed)
     hyps = [_hyp("M is horizontally self-linked",
                  self_iso.is_isomorphic() if self_iso.resolved() else False,
@@ -1103,18 +1082,10 @@ def _check_cor_self(bindings, cfg):
                      gv.exact(), str(gv))
     probes = [p for p in cfg.probes_for(ring)
               if ring_depth_at_prime(ring, p) >= 1]
-    bad = []
-    for p in probes:
-        dm = depth_at_prime(M, p)
-        if dm == INFINITY:
-            continue
-        if 2 * dm <= ring_depth_at_prime(ring, p):
-            bad.append(p.label)
-    side_probe = Side(
-        "depth M_p > (depth R_p)/2 off the depth-zero locus",
-        not bad, exact=bool(bad),
-        detail=f"violations at {bad}" if bad
-        else f"holds at all {len(probes)} probe primes")
+    side_probe = _probe_side(
+        "depth M_p > (depth R_p)/2 off the depth-zero locus", probes,
+        lambda p: 2 * depth_at_prime(M, p) <= ring_depth_at_prime(ring, p),
+        _violations(f"holds at all {len(probes)} probe primes"))
     return _equivalence_claims([side_zero, side_probe])
 
 
@@ -1130,17 +1101,13 @@ def _check_thm_th3(bindings, cfg):
     C = minimalize(bindings["C"])
     yield _instance(bindings, M)
     yield _TH3_RATIONALE
-    budgets = cfg.resolve_budgets()
+    budgets = cfg.budgets
     ring = M.ring
     gh, _ = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
                        positive=True)
-    lam = lambda_module(M, budgets=budgets)
-    yield [gh,
-           _auslander_hyp("lambda M is in the Auslander class of C",
-                          lam, C, cfg),
-           _linked_hyp(M, cfg)]
-    rg = reduced_grade(lam, _unit(ring), bound=cfg.resolve_bound(ring),
-                       budgets=budgets)
+    lam, ausl = _lambda_auslander(M, C, cfg)
+    yield [gh, ausl, _linked_hyp(M, cfg)]
+    rg = reduced_grade(lam, _ring_unit(ring), bound=cfg.bound, budgets=budgets)
     if rg.value is None:
         yield [_hyp_unknown("rgr(lambda M) is finite", str(rg))]
     t = rg.value
@@ -1152,19 +1119,15 @@ def _check_thm_th3(bindings, cfg):
     side_i = _side_bool(
         "depth(M) = syz(M) = rgr(lambda M)",
         dep == ntf == t, f"depth={dep}, syz={ntf}, rgr(lambda M)={t}")
-    Et = ext(lam, _unit(ring), t, budgets=budgets)
+    Et = ext(lam, _ring_unit(ring), t, budgets=budgets)
     side_ii = _side_bool(
         f"the maximal ideal is associated to Ext^{t}(lambda M, R)",
         m_in_ass(Et))
-    bad = []
-    for p in _ng_probes(M, cfg.probes_for(ring)):
-        dp = depth_at_prime(M, p)
-        if dp < dep:
-            bad.append(p.label)
-    side_iii = Side(
+    side_iii = _probe_side(
         "depth(M) <= depth M_p on the nonzero-G-dimension locus",
-        not bad, exact=bool(bad),
-        detail=f"violations at {bad}" if bad else "holds at all probes")
+        _ng_probes(M, cfg.probes_for(ring)),
+        lambda p: depth_at_prime(M, p) < dep,
+        _violations("holds at all probes"))
     return _equivalence_claims([side_i, side_ii, side_iii])
 
 
@@ -1172,17 +1135,15 @@ def _check_thm_th6(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     yield _instance(bindings, M)
-    budgets = cfg.resolve_budgets()
+    budgets = cfg.budgets
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    hyps.append(gh)
-    lam = lambda_module(M, budgets=budgets)
-    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
-                                 lam, C, cfg)]
+    lam, ausl = _lambda_auslander(M, C, cfg)
+    yield hyps + [gh, ausl]
     claims = []
     ng = _ng_probes(M, cfg.probes_for(ring))
-    rg = reduced_grade(M, C, bound=cfg.resolve_bound(ring), budgets=budgets)
+    rg = reduced_grade(M, C, bound=cfg.bound, budgets=budgets)
     if gv.kind == "zero":
         claims.append(Claim(
             "rgr(M, C) = inf over the empty nonzero-G-dimension locus",
@@ -1210,9 +1171,10 @@ def _check_thm_th6(bindings, cfg):
     # rgr(M) <= rgr(M, C), equality under finite projective dimension
     if rg.value is not None:
         r = rg.value
-        ok, wit, _ = _ext_window_vanishes(M, _unit(ring), 1, r - 1, cfg)
+        unit = _ring_unit(ring)
+        ok, wit, _ = _ext_window_vanishes(M, unit, 1, r - 1, cfg)
         first = wit if not ok else (
-            r if not ext(M, _unit(ring), r, budgets=budgets).is_zero()
+            r if not ext(M, unit, r, budgets=budgets).is_zero()
             else None)
         if first is not None:
             claims.append(Claim(
@@ -1235,18 +1197,16 @@ def _check_prop_xtm(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     yield _instance(bindings, M)
-    budgets = cfg.resolve_budgets()
+    budgets = cfg.budgets
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
     gh, _ = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
                        positive=True)
-    hyps.append(gh)
-    lam = lambda_module(M, budgets=budgets)
-    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
-                                 lam, C, cfg)]
-    bound = cfg.resolve_bound(ring)
-    rg_c = reduced_grade(M, C, bound=bound, budgets=budgets)
-    rg_l = reduced_grade(lam, _unit(ring), bound=bound, budgets=budgets)
+    lam, ausl = _lambda_auslander(M, C, cfg)
+    yield hyps + [gh, ausl]
+    rg_c = reduced_grade(M, C, bound=cfg.bound, budgets=budgets)
+    rg_l = reduced_grade(lam, _ring_unit(ring), bound=cfg.bound,
+                         budgets=budgets)
     if rg_c.value is None or rg_l.value is None:
         yield [_hyp_unknown(
             "both reduced grades are finite",
@@ -1255,35 +1215,27 @@ def _check_prop_xtm(bindings, cfg):
     yield f"t_M = rgr(M, C) + rgr(lambda M) = {t_m}"
     probes = [p for p in cfg.probes_for(ring)
               if ring_depth_at_prime(ring, p) <= t_m - 1]
-    bad = []
-    for p in probes:
-        dp = depth_at_prime(M, p)
-        if dp == INFINITY:
-            continue
-        if dp < ring_depth_at_prime(ring, p):
-            bad.append(p.label)
-    return [Claim(
+    side = _probe_side(
         f"G_C-dimension of M vanishes at probe primes of depth <= {t_m - 1}",
-        "exact-false" if bad else "partial-true",
-        f"violations at {bad}" if bad
-        else f"holds at all {len(probes)} probe primes in the locus")]
+        probes, lambda p: depth_at_prime(M, p) < ring_depth_at_prime(ring, p),
+        _violations(f"holds at all {len(probes)} probe primes in the locus"))
+    return [Claim(side.name, "partial-true" if side.value else "exact-false",
+                  side.detail)]
 
 
 def _check_thm_th4(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     yield _instance(bindings, M)
-    budgets = cfg.resolve_budgets()
     ring = M.ring
     hyps = [_cm_ring_hyp(ring)]
-    red, gv, _ = is_reduced_gc_perfect(M, C, bound=cfg.resolve_bound(ring),
-                                       budgets=budgets)
+    red, gv = is_reduced_gc_perfect(M, C, bound=cfg.resolve_bound(ring),
+                                       budgets=cfg.budgets)
     hyps.append(_hyp_verdict("M is reduced G_C-perfect", red))
-    lam = lambda_module(M, budgets=budgets)
-    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
-                                 lam, C, cfg)]
+    lam, ausl = _lambda_auslander(M, C, cfg)
+    yield hyps + [ausl]
     n = gv.value
-    En = ext(M, C, n, budgets=budgets)
+    En = ext(M, C, n, budgets=cfg.budgets)
     dep_m, dep_l, dep_e = depth(M), depth(lam), depth(En)
     if INFINITY in (dep_m, dep_l, dep_e):
         yield [_hyp("all depth terms are finite", False,
@@ -1299,18 +1251,15 @@ def _check_thm_th7(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     yield _instance(bindings, M)
-    budgets = cfg.resolve_budgets()
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
     gh, gv = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
                         positive=True)
-    hyps.append(gh)
-    lam = lambda_module(M, budgets=budgets)
-    yield hyps + [_auslander_hyp("lambda M is in the Auslander class of C",
-                                 lam, C, cfg)]
+    lam, ausl = _lambda_auslander(M, C, cfg)
+    yield hyps + [gh, ausl]
     n = gv.value
     ok, wit, _ = _ext_window_vanishes(M, C, 1, n - 1, cfg)
-    top = not ext(M, C, n, budgets=budgets).is_zero()
+    top = not ext(M, C, n, budgets=cfg.budgets).is_zero()
     side_red = _side_bool(
         f"M is reduced G_C-perfect (rgr(M, C) = {n})", ok and top,
         f"Ext vanishing below {n}: {ok}"
@@ -1329,8 +1278,8 @@ def _check_cor_cor1(bindings, cfg):
     n = depth(M)
     hyps.append(_hyp(f"depth M = {n} < dim R = {d}",
                      n != INFINITY and n < d))
-    lam = lambda_module(M, budgets=cfg.resolve_budgets())
-    yield hyps + [_finite_gdim_lambda_hyp(lam, cfg)]
+    lam, gd = _lambda_finite_gdim(M, cfg)
+    yield hyps + [gd]
     side_em = _side_bool(
         "M is an Eilenberg-MacLane module", is_eilenberg_maclane(M),
         f"local cohomology degrees {local_cohomology_degrees(M)}")
@@ -1348,26 +1297,16 @@ def _check_cor_cor4(bindings, cfg):
                  is_eilenberg_maclane(M),
                  f"local cohomology degrees "
                  f"{local_cohomology_degrees(M)}")]
-    lam = lambda_module(M, budgets=cfg.resolve_budgets())
-    yield hyps + [_finite_gdim_lambda_hyp(lam, cfg)]
+    lam, gd = _lambda_finite_gdim(M, cfg)
+    yield hyps + [gd]
     d = ring_dim(R)
     dep_m, dep_l = depth(M), depth(lam)
     side_gcm = _side_bool("M is generalized Cohen-Macaulay",
                           is_generalized_cm(M))
-    eq = dep_l + dep_m == d if INFINITY not in (dep_l, dep_m) else False
-    bad = []
-    for p in _ncm_probes(M, cfg.probes_for(R)):
-        if p.height == R.nvars:
-            continue
-        dp = depth_at_prime(lam, p)
-        if dp != INFINITY and dp + dep_m <= d:
-            bad.append(p.label)
-    value = eq and not bad
-    side_rhs = Side(
+    side_rhs = _depth_sum_side(
         f"depth(lambda M) + depth(M) = {d} with strict local inequalities "
-        "off the maximal ideal", value,
-        exact=(not eq) or bool(bad),
-        detail=f"depth lambda M={dep_l}, depth M={dep_m}"
+        "off the maximal ideal", M, lam, dep_m, cfg.probes_for(R),
+        lambda bad: f"depth lambda M={dep_l}, depth M={dep_m}"
         + (f", violations at {bad}" if bad else ""))
     return _equivalence_claims([side_gcm, side_rhs])
 
@@ -1376,10 +1315,9 @@ def _check_remark3_i(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     yield _instance(bindings, M)
-    budgets = cfg.resolve_budgets()
     lhs = tensor(transpose(M), C)
     rhs = transpose_wrt(M, C)
-    v = is_isomorphic(lhs, rhs, budgets=budgets, seed=cfg.seed)
+    v = is_isomorphic(lhs, rhs, budgets=cfg.budgets, seed=cfg.seed)
     if not v.resolved():
         return [Claim("Tr M (x) C = Tr_C M", "open", v.certificate)]
     return [Claim("Tr M (x) C = Tr_C M",
@@ -1391,9 +1329,10 @@ def _check_g3_ab_formula(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     yield _instance(bindings, M)
-    budgets = cfg.resolve_budgets()
+    budgets = cfg.budgets
     ring = M.ring
-    sd = _semidualizing_hyp(C, cfg)
+    sd = _hyp_verdict("C is semidualizing", is_semidualizing(
+        C, bound=cfg.bound, budgets=cfg.budgets))
     if M.is_zero():
         yield [sd, _hyp("M is nonzero", False)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
@@ -1548,7 +1487,7 @@ def run_suite(instances, config: HarnessConfig | None = None):
 def default_coefficient(ring) -> ModulePresentation:
     """R itself over a Gorenstein ring, else the canonical module."""
     if ring_is_gorenstein(ring):
-        return free_module(ring, [0])
+        return _ring_unit(ring)
     return canonical_module(ring)
 
 

@@ -1,7 +1,8 @@
 """Each invariant is computed once per module and reused.
 
-The ambient-Ext profile and the memoized verdicts (Auslander class,
-Serre-type condition, G_C-dimension, canonical-module recognition) must
+The ambient-Ext profile and the memoized verdicts (semidualizing
+certificate, Auslander class, Serre-type condition, G_C-dimension,
+canonical-module recognition) must
 be indistinguishable from recomputation: a hit returns the stored
 object, and after `memo.clear()` a fresh computation returns an equal
 value.  Keys separate every input the verdict depends on.
@@ -28,11 +29,13 @@ from linkage_lab.homops import (
 from linkage_lab.invariants import (
     BoundedVerdict,
     GcDimVerdict,
+    SemidualizingCertificate,
     _ambient_profile,
     canonical_module,
     gc_dim,
     in_auslander_class,
     is_canonical_module,
+    is_semidualizing,
     probe_primes,
     serre_tilde,
 )
@@ -68,6 +71,8 @@ def _cases():
         ("gc-dim", lambda: gc_dim(kT, omega)),
         ("is-canonical", lambda: is_canonical_module(twist_module(omega, 1))),
         ("is-canonical", lambda: is_canonical_module(kT)),
+        ("semidualizing", lambda: is_semidualizing(omega)),
+        ("semidualizing", lambda: is_semidualizing(canonical_module(N))),
         ("hom", lambda: hom_with_realizations(maximal_ideal(T), omega)),
         ("ext", lambda: ext(kT, omega, 1)),
         ("ext", lambda: ext(kH, kH, 2)),
@@ -99,16 +104,25 @@ def test_verdicts_are_frozen():
         BoundedVerdict("true").kind = "false"
     with pytest.raises(dataclasses.FrozenInstanceError):
         GcDimVerdict("zero", 0, None).note = "changed"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SemidualizingCertificate(True, None).valid = False
 
 
 def test_keys_separate_bound_budgets_and_probes():
     memo.clear()
-    M, C = maximal_ideal(H), free_module(H, [0])
+    # over A = QQ[x,y,z]/(x^2, y^2, yz, z^2), CM but not Gorenstein, x is
+    # an exact zero-divisor: A/(x) has infinite projective dimension and
+    # lies in the Auslander class of omega, so the Tor/Ext scan runs
+    # through the whole bound
+    A = make_ring(QQ, ["x", "y", "z"], ["x^2", "y^2", "y*z", "z^2"])
+    M, C = cyclic_module(A, ["x"]), canonical_module(A)
     v2 = in_auslander_class(M, C, bound=2)
     v3 = in_auslander_class(M, C, bound=3)
     assert (v2.bound, v3.bound) == (2, 3)
-    tight = DEFAULT_BUDGETS.with_overrides(max_degree=3)
-    assert in_auslander_class(M, C, bound=3, budgets=tight) is not v3
+    tight = DEFAULT_BUDGETS.with_overrides(max_degree=4)
+    vt = in_auslander_class(M, C, bound=3, budgets=tight)
+    assert vt is not v3 and vt.kind == "unknown"
+    M, C = maximal_ideal(H), free_module(H, [0])
     g2, g3 = gc_dim(M, C, bound=2), gc_dim(M, C, bound=3)
     assert g2 == g3 and g2 is not g3  # exact: equal, but separate entries
     mN = maximal_ideal(N)

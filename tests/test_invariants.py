@@ -5,12 +5,15 @@ canonical and semidualizing modules, reduced grade."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkage_lab import invariants
 from linkage_lab.corpus import classical_rings, corpus_pool, maximal_ideal
 from linkage_lab.fields import QQ
 from linkage_lab.homops import tensor
 from linkage_lab.invariants import (
     INFINITY,
+    CoefficientFacts,
     canonical_module,
+    coefficient_facts,
     depth,
     gc_dim,
     grade_module,
@@ -166,6 +169,50 @@ def test_semidualizing_certificates():
     assert certw.valid and certw.ext_bound is None  # canonical over CM: exact
     bad = is_semidualizing(free_module(T, [0, 0]))
     assert not bad.valid  # rank two cannot be semidualizing
+
+
+def test_free_module_of_rank_two_has_no_coefficient_facts():
+    for ring in (S, H, T):
+        facts = coefficient_facts(free_module(ring, [0, 1]))
+        assert facts == CoefficientFacts(free_rank_one=False, canonical=False)
+        assert facts.certificate() is None
+
+
+def test_free_coefficient_over_a_non_gorenstein_ring():
+    R = free_module(T, [0])
+    cert = is_semidualizing(R)
+    assert (cert.status_label(), cert.describe()) == ("Exact",
+                                                      "exact certificate")
+    facts = coefficient_facts(R)
+    assert facts == CoefficientFacts(free_rank_one=True, canonical=False)
+    assert facts.certificate() is None  # G_C-dim is G-dim: no certificate
+
+
+def test_coefficient_certificates_over_cm_rings():
+    assert coefficient_facts(free_module(H, [2])).certificate() == \
+        "Gorenstein ring, free coefficient module"
+    assert coefficient_facts(canonical_module(T)).certificate() == \
+        "canonical coefficient module"
+
+
+def test_free_coefficient_auslander_class_needs_no_tor_or_ext(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(invariants, "tor", counted(invariants.tor))
+    monkeypatch.setattr(invariants, "ext", counted(invariants.ext))
+    for ring in (H, T):
+        # the residue field has infinite projective dimension over both
+        v = in_auslander_class(cyclic_module(ring, ring.poly_ring.names),
+                               free_module(ring, [1]))
+        assert (v.status_label(), v.note) == (
+            "Exact", "free coefficient module of rank one")
+    assert calls == []
 
 
 def test_auslander_class_membership():

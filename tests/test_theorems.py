@@ -14,6 +14,7 @@ from linkage_lab.corpus import (
 from linkage_lab.dsl import parse
 from linkage_lab.fields import GF, QQ
 from linkage_lab.homops import set_fault
+from linkage_lab.invariants import canonical_module, coefficient_facts
 from linkage_lab.modules import (
     cyclic_module,
     direct_sum,
@@ -199,10 +200,17 @@ def test_nonpositive_n_is_inapplicable(tid, n):
     report = check(tid, {"M": cyclic_module(H, ["x"]),
                          "C": free_module(H, [0]), "n": n})
     assert report.verdict == "Inapplicable"
-    if tid == "LEM_LEM2":
-        assert "n >= 1" in report.witness
-    else:
-        assert report.witness == "hypothesis failed: n >= 1"
+    assert report.witness == "hypothesis failed: n >= 1"
+    assert report.instance.endswith(f", n={n}")
+
+
+def test_canonical_module_of_a_non_cm_ring_gives_no_certificate():
+    C = canonical_module(N)
+    facts = coefficient_facts(C)
+    assert not facts.canonical and facts.certificate() is None
+    locus = theorems._locus_hyp(0, (theorems._GCDIM_LOCUS, C))
+    assert (locus.name, locus.label) == (
+        "finite G_C-dimension on the depth <= 0 locus", "Unknown")
 
 
 def test_nonpositive_n_in_a_script_is_a_report():
@@ -215,9 +223,11 @@ def test_nonpositive_n_in_a_script_is_a_report():
     assert report["witness"] == "hypothesis failed: n >= 1"
 
 
-CLAIM_HELPERS = ("_serre_side", "_ext_window_vanishes",
-                 "is_nth_cosyzygy_witness", "_equivalence_claims",
-                 "_implication_claim", "_equality_claim")
+CLAIM_HELPERS = ("_serre_side", "_ext_window_vanishes", "_ext_side",
+                 "_cosyzygy_side", "_probe_side", "_depth_sum_side",
+                 "_violations", "is_nth_cosyzygy_witness",
+                 "_equivalence_claims", "_implication_claim",
+                 "_equality_claim")
 
 
 @pytest.mark.parametrize("ring", [N, T], ids=["N", "T"])
