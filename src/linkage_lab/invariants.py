@@ -33,8 +33,9 @@ bound, the budgets and the probe set, so a suite asking the same
 question in several checks computes it once.  A hit hands every caller
 the same object, which is why the verdict classes are frozen.
 
-Local data at primes is sampled on variable-subset primes, where
-support membership reduces to exact monomial tests on annihilators.
+Local data at primes is sampled on variable-subset primes P, where
+Ext^j_S(M, S) is supported exactly when `annihilates(S/P, g)` holds for
+every generator g of its annihilator.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ from .homops import (
 )
 from .modules import (
     ModulePresentation,
+    annihilates,
     annihilator,
     change_ring,
     cyclic_module,
     free_module,
-    ideal_in_prime,
     minimalize,
     span_gb,
     twist_module,
@@ -305,8 +306,8 @@ def probe_primes(R: GradedRing, extra=()):
     """Variable-subset primes of S containing the defining ideal, plus extras.
 
     For a subset W the ideal (W) is prime in S; it is a probe for R when
-    it contains every defining relation, which for these generators is an
-    exact monomial-divisibility test via Groebner containment.
+    it contains every defining relation: `annihilates(S/(W), r)` for each
+    reduced relation r.  Extras (see `probe_generators`) are untrusted.
     """
     key = memo.content_hash("probes", R.key(), *[str(p) for p in extra])
     return memo.cached("probes", key, _probe_primes, R, extra)
@@ -315,31 +316,45 @@ def probe_primes(R: GradedRing, extra=()):
 def _probe_primes(R: GradedRing, extra) -> list:
     S = R.poly_ring
     names = S.names
-    rels = list(R.reduced_relations)
     out = []
     for mask in range(1 << len(names)):
         subset = [i for i in range(len(names)) if mask >> i & 1]
         gens = [S.var(i) for i in subset]
-        if rels and not all(
-            ideal_in_prime(R, [r], gens) for r in rels
-        ):
+        prime = cyclic_module(R.ambient(), gens)
+        if not all(annihilates(prime, r) for r in R.reduced_relations):
             continue
         label = "(" + ",".join(names[i] for i in subset) + ")" if subset else "(0)"
         out.append(ProbePrime(label, tuple(gens), len(subset)))
     out.sort(key=lambda p: (p.height, p.label))
     for g in extra:
-        gens = tuple(S.parse(t) if isinstance(t, str) else t for t in g)
+        gens = probe_generators(S, g)
         label = "(" + ",".join(str(p) for p in gens) + ")"
         ht = len(gens)  # trusted height hint for user primes
         out.append(ProbePrime(label, gens, ht, trusted=False))
     return out
 
 
+def probe_generators(S, group) -> tuple:
+    """One extra probe prime's generators over S.  ValueError names a
+    generator that does not parse over S, is zero or is not homogeneous."""
+    gens = []
+    for t in group:
+        try:
+            p = S.parse(t) if isinstance(t, str) else t
+        except ValueError as e:
+            raise ValueError(f"probe generator {str(t)!r}: {e}") from None
+        if p.is_zero() or not p.is_homogeneous():
+            raise ValueError(
+                f"probe generator {str(t)!r} is zero or not homogeneous")
+        gens.append(p)
+    return tuple(gens)
+
+
 def _ann_in_prime(E: ModulePresentation, prime: ProbePrime) -> bool:
     if minimalize(E).is_zero():
         return False
-    ann = annihilator(E)
-    return ideal_in_prime(E.ring, ann, list(prime.gens))
+    P = cyclic_module(E.ring.ambient(), prime.gens)
+    return all(annihilates(P, g) for g in annihilator(E))
 
 
 def _supported_indices(M: ModulePresentation, prime: ProbePrime) -> tuple:

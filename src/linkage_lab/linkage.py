@@ -20,10 +20,9 @@ from .homops import ext, evaluation_map, lambda_module, transpose
 from .isomorphism import IsoVerdict, is_isomorphic
 from .modules import (
     ModulePresentation,
-    annihilator,
+    annihilates,
     change_ring,
     free_module,
-    ideal_contains,
     minimalize,
     span_series,
     twist_module,
@@ -149,9 +148,8 @@ def linked_by_ideal(M: ModulePresentation, N: ModulePresentation, ideal_gens,
             for g in ideal_gens]
     gens = [g for g in gens if not ring.nf(g).is_zero()]
     for target, label in ((M, "first"), (N, "second")):
-        ann = annihilator(target)
         for g in gens:
-            if not ideal_contains(ring, ann, g):
+            if not annihilates(target, g):
                 return IdealLinkageReport(
                     False,
                     f"generator {g} does not annihilate the {label} module",

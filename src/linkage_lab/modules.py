@@ -457,6 +457,14 @@ def subquotient(ring: GradedRing, ambient_twists, gens, rels, *,
     return pres, gens_kept
 
 
+def annihilates(M: ModulePresentation, f) -> bool:
+    """Whether f (over the ambient S) kills M: f*e_j lies in span(columns)
+    + I*F for every generator e_j.  Exact; reads the memoized basis that
+    the Hilbert series of M builds."""
+    gb = span_gb(M.ring, M.columns, M.gen_twists)
+    return all(gb.contains({j: f}) for j in range(M.n_gens()))
+
+
 def annihilator(M: ModulePresentation) -> list:
     """Generators (over the ambient S, containing I) of ann_R(M)."""
     return memo.cached("ann", M.content_key(), _annihilator, M)
@@ -495,27 +503,12 @@ def _intersect_ideals(S, gens_a, gens_b) -> list:
     return [s[0] for s in syz]
 
 
-def ideal_in_prime(ring: GradedRing, ideal_gens, prime_gens) -> bool:
-    """Containment of (ideal_gens) in the prime (prime_gens), both over S."""
-    gb = ModuleGB(ring.poly_ring, [{0: p} for p in prime_gens], [0])
-    return all(gb.contains({0: g}) for g in ideal_gens)
-
-
-def ideal_contains(ring: GradedRing, ideal_gens, f) -> bool:
-    """Membership of f in the S-ideal spanned by ideal_gens."""
-    if f.is_zero():
-        return True
-    if not ideal_gens:
-        return False
-    gb = ModuleGB(ring.poly_ring, [{0: p} for p in ideal_gens], [0])
-    return gb.contains({0: f})
-
-
 def change_ring(M: ModulePresentation, new_ring: GradedRing) -> ModulePresentation:
     """Reinterpret M over a further quotient of its ring.
 
-    Valid only when the extra relations of new_ring annihilate M, in
-    which case the same presentation matrix presents the same module.
+    Valid only when every relation of new_ring annihilates M, checked
+    one by one with `annihilates` (no annihilator ideal is built); then
+    the same presentation matrix presents the same module.
     """
     ring = M.ring
     if new_ring.poly_ring.key() != ring.poly_ring.key():
@@ -523,11 +516,8 @@ def change_ring(M: ModulePresentation, new_ring: GradedRing) -> ModulePresentati
     for r in ring.reduced_relations:
         if not new_ring.contains_in_ideal(r):
             raise ValueError("target ring is not a quotient of the source ring")
-    ann = annihilator(M)
     for r in new_ring.reduced_relations:
-        if ring.contains_in_ideal(r):
-            continue
-        if not ideal_contains(ring, ann, r):
+        if not annihilates(M, r):
             raise InapplicableError(
                 f"relation {r} of the target ring does not annihilate the module"
             )

@@ -55,6 +55,7 @@ from .invariants import (
     is_mcm,
     is_semidualizing,
     krull_dim,
+    probe_generators,
     probe_primes,
     reduced_grade,
     serre_tilde,
@@ -330,6 +331,11 @@ class _Runner:
         cfg = self.config
         if isinstance(s, RingPolyDecl):
             ring = make_ring(field_from_name(s.field_name), s.variables)
+            for group in cfg.probe_primes:
+                try:
+                    probe_generators(ring.poly_ring, group)
+                except ValueError as e:
+                    raise ScriptError(str(e)) from None
             self.rings[s.name] = ring
             self.result.declarations.append(
                 {"kind": "ring", "name": s.name, "key": ring.key()})

@@ -79,10 +79,10 @@ from .linkage import (
 )
 from .modules import (
     ModulePresentation,
+    annihilates,
     annihilator,
     change_ring,
     cyclic_module,
-    ideal_contains,
     minimalize,
     subquotient,
     twist_module,
@@ -510,14 +510,8 @@ def _matches_canonical_ideal(ring, gens, cfg):
 
 def _ncm_probes(M, probes):
     """Probe primes where M is supported and not locally Cohen-Macaulay."""
-    out = []
-    for p in probes:
-        dep = depth_at_prime(M, p)
-        if dep == INFINITY:
-            continue
-        if dep != dim_at_prime(M, p):
-            out.append(p)
-    return out
+    return [p for p in probes
+            if depth_at_prime(M, p) not in (INFINITY, dim_at_prime(M, p))]
 
 
 def _ng_probes(M, probes):
@@ -525,16 +519,11 @@ def _ng_probes(M, probes):
 
     Valid under a finite global G_C-dimension hypothesis, where the
     local dimension is the local depth gap: nonzero exactly when
-    depth M_p < depth R_p (support misses count as zero).
+    depth M_p < depth R_p (support misses, of depth INFINITY, count as
+    zero).
     """
-    out = []
-    for p in probes:
-        dep = depth_at_prime(M, p)
-        if dep == INFINITY:
-            continue
-        if dep < ring_depth_at_prime(M.ring, p):
-            out.append(p)
-    return out
+    return [p for p in probes
+            if depth_at_prime(M, p) < ring_depth_at_prime(M.ring, p)]
 
 
 # -- the checks ---------------------------------------------------------------
@@ -856,10 +845,9 @@ def _check_cor_theorem3(bindings, cfg):
     inter = _intersect_ideals(S, list(I_gens) + rels,
                               list(omega_gens) + rels)
     # the product always sits inside the intersection; equality of the
-    # R-ideals is membership of every intersection generator in the
-    # product modulo the defining relations
-    product = [a * b for a in I_gens for b in omega_gens] + rels
-    inter_ok = all(ideal_contains(ring, product, f) for f in inter)
+    # R-ideals is: every intersection generator kills R/(I * omega)
+    product = cyclic_module(ring, [a * b for a in I_gens for b in omega_gens])
+    inter_ok = all(annihilates(product, f) for f in inter)
     hyps.append(_hyp("I * omega = I intersect omega", inter_ok,
                      "" if inter_ok
                      else "an intersection generator escapes the product"))
@@ -893,8 +881,7 @@ def _check_thm_prop_even(bindings, cfg):
         gor = is_gc_gorenstein_ideal(R, gens, C, bound=cfg.bound,
                                      budgets=budgets)
         hyps.append(_hyp_verdict(f"the {label} ideal is G_C-Gorenstein", gor))
-        ann = annihilator(M)
-        inside = all(ideal_contains(R, ann, f) for f in gens)
+        inside = all(annihilates(M, f) for f in gens)
         hyps.append(_hyp(f"the {label} ideal annihilates M", inside))
         if not inside or not gor.holds():
             continue
@@ -999,8 +986,7 @@ def _check_cor_cor6(bindings, cfg):
     hyps.append(gh)
     perf, _ = is_gc_perfect_ideal(R, gens, C, bound=bound, budgets=budgets)
     hyps.append(_hyp_verdict("the ideal is G_C-perfect", perf))
-    ann = annihilator(M)
-    inside = all(ideal_contains(R, ann, f) for f in gens)
+    inside = all(annihilates(M, f) for f in gens)
     yield hyps + [_hyp("the ideal annihilates M", inside)]
     Rq = R.quotient_by(gens)
     Mq = minimalize(change_ring(M, Rq))

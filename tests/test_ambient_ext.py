@@ -9,9 +9,9 @@ wrong shift.
 
 import pytest
 
-from linkage_lab import homops, invariants, memo
+from linkage_lab import homops, invariants, memo, modules
 from linkage_lab.config import DEFAULT_BUDGETS
-from linkage_lab.corpus import generate_corpus
+from linkage_lab.corpus import generate_corpus, maximal_ideal
 from linkage_lab.errors import ConsistencyError
 from linkage_lab.fields import GF, QQ
 from linkage_lab.homops import ext
@@ -29,6 +29,10 @@ H = make_ring(QQ, ["x", "y"], ["x*y"])
 T = make_ring(QQ, ["x", "y", "z"], ["y*z", "x*z", "x*y"])
 N = make_ring(GF(32003), ["x", "y", "z", "w"],
               ["x*z", "x*w", "y*z", "y*w"])
+# T after y -> x+y, z -> x+y+z: the same graded ring, but a non-monomial
+# ideal whose reduced basis has four generators
+U = make_ring(QQ, ["x", "y", "z"],
+              ["x^2+x*y", "x^2+x*y+x*z", "x^2+2*x*y+x*z+y^2+y*z"])
 
 
 def _direct(M, C, i):
@@ -127,6 +131,23 @@ def test_wrong_shift_raises_consistency_error(monkeypatch):
             ext(k, canonical_module(T), 1)
     finally:
         memo.clear()
+
+
+def test_ambient_route_on_non_monomial_ideal_builds_no_annihilator(
+        monkeypatch):
+    # change_ring checks that I kills Ext_S(M, S) relation by relation,
+    # so the route never needs the annihilator ideal
+    def refuse(M):
+        raise AssertionError("annihilator computed")
+
+    monkeypatch.setattr(modules, "_annihilator", refuse)
+    omega = canonical_module(U)
+    k = cyclic_module(U, list(U.names))
+    m = maximal_ideal(U)
+    assert [str(ext(k, omega, i).hilbert_series())
+            for i in range(3)] == ["0", "1", "0"]
+    assert [str(ext(m, omega, i).hilbert_series())
+            for i in range(3)] == ["(3)/(1-t)", "0", "0"]
 
 
 def test_vanishing_top_is_dim_minus_depth():

@@ -277,6 +277,34 @@ def test_cli_bad_bind_exit_two(tmp_path, capsys):
     assert "NAME=VALUE" in capsys.readouterr().err
 
 
+NONCM_SCRIPT = """\
+ring S = poly(GF(32003), x, y, z, w);
+ring N = quotient(S, [x*z, x*w, y*z, y*w]);
+module M = coker(N, twists=[0], matrix=[[x, y]]);
+assert serre_tilde(M, 1);
+"""
+
+
+@pytest.mark.parametrize("spec", ["v", "x-1", "x+y^2"])
+def test_cli_bad_probe_generator_exit_two(tmp_path, capsys, spec):
+    # unknown variables and inhomogeneous generators are usage errors:
+    # the engine is graded, and no report is written
+    script = tmp_path / "n.link"
+    script.write_text(NONCM_SCRIPT, encoding="utf-8")
+    assert main(["run", str(script), "--probe-primes", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("script error: ")
+    assert repr(spec) in captured.err
+
+
+def test_cli_probe_primes_still_run(tmp_path, capsys):
+    script = tmp_path / "n.link"
+    script.write_text(NONCM_SCRIPT, encoding="utf-8")
+    assert main(["run", str(script), "--probe-primes", "x,y"]) == 0
+    assert "[probe, 8 probe primes]" in capsys.readouterr().out
+
+
 # -- disk cache ---------------------------------------------------------------
 
 

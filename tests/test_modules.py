@@ -5,18 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkage_lab.corpus import classical_rings, corpus_pool, maximal_ideal
-from linkage_lab.errors import HomogeneityError
-from linkage_lab.fields import QQ
+from linkage_lab.corpus import (
+    classical_rings,
+    corpus_pool,
+    generate_corpus,
+    maximal_ideal,
+)
+from linkage_lab.errors import HomogeneityError, InapplicableError
+from linkage_lab.fields import GF, QQ
+from linkage_lab.groebner import ModuleGB
 from linkage_lab.hilbert import HilbertSeries
 from linkage_lab.modules import (
+    annihilates,
     annihilator,
     change_ring,
     cyclic_module,
     direct_sum,
     free_module,
     from_matrix,
-    ideal_contains,
     minimalize,
     subquotient,
     twist_module,
@@ -27,6 +33,8 @@ from linkage_lab.rings import make_ring
 S = make_ring(QQ, ["x", "y"])
 H = make_ring(QQ, ["x", "y"], ["x*y"])
 T = make_ring(QQ, ["x", "y", "z"], ["y*z", "x*z", "x*y"])
+N = make_ring(GF(32003), ["x", "y", "z", "w"],
+              ["x*z", "x*w", "y*z", "y*w"])
 
 
 def test_free_module_series():
@@ -122,15 +130,49 @@ def test_annihilator_of_free_vanishes_in_ring():
         assert H.nf(p).is_zero()
 
 
-def test_ideal_contains_is_ambient_level():
-    # membership is tested over the polynomial ring, without ring relations
+def test_annihilates_is_ambient_level():
+    # over the polynomial ring, without ring relations
+    A = T.ambient()
     x = T.poly_ring.parse("x")
     yz = T.poly_ring.parse("y*z")
-    assert ideal_contains(T, [x], T.poly_ring.parse("x^2"))
+    assert annihilates(cyclic_module(A, [x]), T.poly_ring.parse("x^2"))
     # y*z is zero in T, hence in (x) there, but not at the ambient level
-    assert not ideal_contains(T, [x], yz)
-    # appending the relations recovers containment in the quotient
-    assert ideal_contains(T, [x, yz], yz)
+    assert not annihilates(cyclic_module(A, [x]), yz)
+    # over T the ring relations recover containment in the quotient
+    assert annihilates(cyclic_module(T, [x]), yz)
+
+
+def _in_ideal(S, gens, f) -> bool:
+    """Membership of f in the S-ideal (gens) by a fresh basis: the
+    reference for `annihilates`."""
+    if f.is_zero():
+        return True
+    if not gens:
+        return False
+    return ModuleGB(S, [{0: p} for p in gens], [0]).contains({0: f})
+
+
+@pytest.mark.parametrize("ring", [H, T, N], ids=["H", "T", "N"])
+def test_annihilates_agrees_with_annihilator_membership(ring):
+    S = ring.poly_ring
+    xs = [S.var(i) for i in range(ring.nvars)]
+    fs = (xs + list(ring.reduced_relations)
+          + [a * b for i, a in enumerate(xs) for b in xs[i:]])
+    for name, M in generate_corpus(ring, 8):
+        ann = annihilator(M)
+        for f in fs:
+            assert annihilates(M, f) == _in_ideal(S, ann, f), (name, str(f))
+
+
+def test_annihilates_tests_every_generator():
+    # x kills the first summand of S/(x) + S/(y) but not the second
+    M = direct_sum(cyclic_module(S, ["x"]), cyclic_module(S, ["y"]))
+    assert not annihilates(M, S.poly_ring.parse("x"))
+    assert annihilates(M, S.poly_ring.parse("x*y"))
+    with pytest.raises(InapplicableError):
+        change_ring(M, S.quotient_by(["x"]))
+    moved = change_ring(M, S.quotient_by(["x*y"]))
+    assert moved.hilbert_series() == M.hilbert_series()
 
 
 def test_subquotient_ideal_as_module():
