@@ -1,11 +1,12 @@
 """Content-addressed disk cache for resolution entries.
 
 Entries are JSON files named by a content hash.  The resolution engine
-writes one entry per step and kind (map, candidates, completion), keyed
-by the minimal presentation (which is Groebner-canonicalized) and the
-step, so the same module declared through different matrices hits the
-same entries; resolutions.py documents their format and the checks a
-load runs.  A valid entry is append-only: a second save under an
+writes one map entry per step and one completion entry per resolution
+that ends, keyed by the minimal presentation (which is
+Groebner-canonicalized) and the step, so the same module declared
+through different matrices hits the same entries; resolutions.py
+documents their format, the checks a load runs and how a stored
+resolution is extended.  A valid entry is append-only: a second save under an
 existing key is a no-op, and writes go through a temporary file and an
 atomic rename.  A rejected entry is discarded: a file that is not valid
 JSON is removed with a warning, as is an entry the engine's load checks

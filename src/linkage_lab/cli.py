@@ -15,7 +15,9 @@ or failed assertion, 2 parse or usage error, 3 budget exhausted, 4 an
 Inapplicable verdict under --strict.
 
 A probe-prime SPEC is semicolon-separated groups of comma-separated
-generators, e.g. "x,y;y,z".  The resolution cache directory comes from
+homogeneous generators of positive degree, e.g. "x,y;y,z"; each group's
+height is read from the Hilbert series of S/(group), and its primality
+is not checked.  The resolution cache directory comes from
 --cache-dir or the LINKAGE_LAB_CACHE environment variable.
 """
 

@@ -15,6 +15,7 @@ every other cache.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 from . import memo
@@ -88,20 +89,7 @@ class HilbertSeries:
 
     def vanishing_order(self) -> int:
         """Largest v with (1-t)^v dividing the numerator (capped at nvars)."""
-        if not self.num:
-            return self.nvars
-        lo, coeffs = self._coeff_list()
-        order = 0
-        while order < self.nvars and sum(coeffs) == 0:
-            # synthetic division by (1 - t); remainder is the coefficient sum
-            out = []
-            acc = 0
-            for c in coeffs[:-1]:
-                acc += c
-                out.append(acc)
-            coeffs = out if out else [0]
-            order += 1
-        return order
+        return self.nvars - self.reduced()[1]
 
     def dimension(self) -> int:
         """Krull dimension of a module with this series; -1 for the zero module."""
@@ -116,12 +104,8 @@ class HilbertSeries:
         lo, coeffs = self._coeff_list()
         denom = self.nvars
         while denom > 0 and sum(coeffs) == 0:
-            out = []
-            acc = 0
-            for c in coeffs[:-1]:
-                acc += c
-                out.append(acc)
-            coeffs = out if out else [0]
+            # synthetic division by (1 - t); the remainder is the coefficient sum
+            coeffs = list(accumulate(coeffs[:-1])) or [0]
             denom -= 1
         num = {lo + i: c for i, c in enumerate(coeffs) if c != 0}
         return num, denom

@@ -329,14 +329,17 @@ def _probe_primes(R: GradedRing, extra) -> list:
     for g in extra:
         gens = probe_generators(S, g)
         label = "(" + ",".join(str(p) for p in gens) + ")"
-        ht = len(gens)  # trusted height hint for user primes
-        out.append(ProbePrime(label, gens, ht, trusted=False))
+        # the height of (gens) in S; primality is not checked
+        quotient = cyclic_module(R.ambient(), list(gens)).hilbert_series()
+        out.append(ProbePrime(label, gens, S.nvars - quotient.dimension(),
+                              trusted=False))
     return out
 
 
 def probe_generators(S, group) -> tuple:
     """One extra probe prime's generators over S.  ValueError names a
-    generator that does not parse over S, is zero or is not homogeneous."""
+    generator that does not parse over S, is zero, is not homogeneous or
+    has degree 0 (then it generates the unit ideal)."""
     gens = []
     for t in group:
         try:
@@ -346,6 +349,9 @@ def probe_generators(S, group) -> tuple:
         if p.is_zero() or not p.is_homogeneous():
             raise ValueError(
                 f"probe generator {str(t)!r} is zero or not homogeneous")
+        if p.degree() == 0:
+            raise ValueError(
+                f"probe generator {str(t)!r} is a unit: the ideal is not proper")
         gens.append(p)
     return tuple(gens)
 

@@ -52,24 +52,33 @@ def _degree_multiset(twists):
     return out
 
 
+def _echelon(rows, f) -> list:
+    """Forward elimination of sparse rows (dicts over orderable keys):
+    (pivot, row scaled so that row[pivot] = 1) pairs in order, each
+    row's pivot the least key left after reducing it by the earlier."""
+    pivots = []
+    for row in rows:
+        row = dict(row)
+        for pos, prow in pivots:
+            c = row.get(pos)
+            if c is None:
+                continue
+            for i, v in prow.items():
+                acc = f.sub(row.get(i, f.zero()), f.mul(c, v))
+                if acc == f.zero():
+                    row.pop(i, None)
+                else:
+                    row[i] = acc
+        if row:
+            pos = min(row)
+            inv = f.inv(row[pos])
+            pivots.append((pos, {i: f.mul(v, inv) for i, v in row.items()}))
+    return pivots
+
+
 def solve_nullspace(equations, unknowns, fieldobj):
     """Basis of {a : sum_u a_u * eq[u] = 0 for each equation dict}."""
-    rows = [dict(eq) for eq in equations if eq]
-    pivots = []  # (unknown, row) pairs, row normalized
-    for row in rows:
-        for pu, prow in pivots:
-            c = row.get(pu)
-            if c is not None:
-                for u, v in prow.items():
-                    acc = fieldobj.sub(row.get(u, fieldobj.zero()), fieldobj.mul(c, v))
-                    if acc == fieldobj.zero():
-                        row.pop(u, None)
-                    else:
-                        row[u] = acc
-        if row:
-            u0 = min(row)  # unknowns are orderable tuples
-            inv = fieldobj.inv(row[u0])
-            pivots.append((u0, {u: fieldobj.mul(v, inv) for u, v in row.items()}))
+    pivots = _echelon(equations, fieldobj)
     bound = {u for u, _ in pivots}
     basis = []
     for u_free in unknowns:
@@ -144,26 +153,10 @@ def _is_surjective(ring, phi_cols, B: ModulePresentation) -> bool:
     Graded Nakayama: it is iff the images span B/mB = k^(B.n_gens()),
     i.e. iff the constant entries of phi_cols have rank B.n_gens().
     """
-    f = ring.field
     const = (0,) * ring.nvars
-    pivots = []  # (position, row scaled so that row[position] = 1)
-    for col in phi_cols:
-        row = {i: p.terms[const] for i, p in col.items() if const in p.terms}
-        for pos, prow in pivots:
-            c = row.get(pos)
-            if c is None:
-                continue
-            for i, v in prow.items():
-                acc = f.sub(row.get(i, f.zero()), f.mul(c, v))
-                if acc == f.zero():
-                    row.pop(i, None)
-                else:
-                    row[i] = acc
-        if row:
-            pos = min(row)
-            inv = f.inv(row[pos])
-            pivots.append((pos, {i: f.mul(v, inv) for i, v in row.items()}))
-    return len(pivots) == B.n_gens()
+    rows = ({i: p.terms[const] for i, p in col.items() if const in p.terms}
+            for col in phi_cols)
+    return len(_echelon(rows, ring.field)) == B.n_gens()
 
 
 def _compose(ring, psi_cols, phi_cols):

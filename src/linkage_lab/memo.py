@@ -7,8 +7,9 @@ recomputation.  Keys are content hashes of the inputs; the Hilbert
 numerator recursion keys by its hashable inputs themselves.
 
 Entries are never replaced, with one exception: the state of a
-resolution (op "resolution") is a cursor that grows in place, since
-extending it appends maps and replaces the candidates of its last step.
+resolution (op "resolution") is a cursor that changes in place:
+extending it appends maps and replaces the candidates of its last step,
+and a state loaded from the disk store is first rebuilt from d_1.
 `clear()` empties every cache in the package.
 """
 

@@ -23,19 +23,13 @@ before nor a disk-store load changes it.
 In process, a resolution's state is the one memo entry that grows in
 place, a cursor keyed by the minimal presentation: extending it appends
 maps and replaces the candidates of its last step.  With a store
-installed, results also persist in a content-addressed cache, one entry
-per step, keyed by the minimal presentation (which includes the ring)
-and the step i >= 2:
+installed, results also persist in a content-addressed cache keyed by
+the minimal presentation (which includes the ring):
 
-- the map entry of step i holds the twists of F_i and the columns of
-  d_i; each polynomial entry is a list of terms [exponents, numerator,
-  denominator], so a load builds the polynomials directly, with the
-  field's own coefficient type, and never parses text;
-- the candidates entry of step i holds the candidates of step i in the
-  same form (with their degrees as twists); it is written for the last
-  step a call computes, also when a budget stops the call before the
-  next step, and read only when a resolution is extended past the maps
-  the store holds;
+- the map entry of step i >= 2 holds the twists of F_i and the columns
+  of d_i; each polynomial entry is a list of terms [exponents,
+  numerator, denominator], so a load builds the polynomials directly,
+  with the field's own coefficient type, and never parses text;
 - the completion entry holds the number of maps of a resolution that
   ended.
 
@@ -44,14 +38,17 @@ once and a shorter request is a pure load.  A loaded entry is checked,
 not trusted: its shape, and that every entry of every column is
 homogeneous of degree twist(F_i)[column] - twist(F_{i-1})[row] against
 the twists loaded before it.  A corrupt, malformed or inhomogeneous
-entry, or a candidates entry that is missing when it is needed or does
-not reproduce its stored map, is a miss: a warning names it on stderr
-and the resolution is recomputed from the last step the engine can
-continue from, at worst d_1.  A corrupt, malformed or inhomogeneous
-entry is also discarded, as are the entries of every step the engine
-recomputes, so the recomputed steps write them again.
-Entries written in an older layout sit under other keys and are never
-read.
+entry is a miss: a warning names it on stderr, it is discarded, and the
+step is recomputed and written again.
+
+The store holds no candidates, so a state whose last maps came from it
+(more than one map and no candidates) is extended by rebuilding it from
+d_1 in memory, every step tracked.  Each rebuilt map is compared with
+the stored one; on the first that differs, a warning names its entry,
+and it and every later entry are discarded and written again, so a
+stored map that is well formed but wrong does not outlive the
+extension.  Entries written in an older layout sit under other keys and
+are never read.
 
 A resolution served by the memo or the store is held to the same rank
 budget as a computed one: F_2 ... F_length are checked against
@@ -77,9 +74,6 @@ from .modules import (
 from .polynomials import Poly
 
 _STORE = None
-# state["candidates"] once the maps come from the store: the candidates
-# of the last step are read from it only if the state is extended
-_STORED = "stored"
 
 
 def set_resolution_store(store):
@@ -230,64 +224,22 @@ def _load_maps(ring, module_key: str, state, length: int) -> None:
             return
         twists.append(got[0])
         maps.append(got[1])
-        state["candidates"] = _STORED
+        state["candidates"] = None
 
 
-def _rerun(ring, candidates, state, budgets):
-    """The state's last step re-run tracked over `candidates`: the
-    candidates of the next step, or None if the run keeps other columns
-    than the state's last map."""
-    kept, following = minimal_step(
-        ring, candidates, state["twists"][-2], harvest=True,
-        max_degree=budgets.max_degree,
-    )
-    return following if [candidates[j] for j in kept] == state["maps"][-1] \
-        else None
-
-
-def _harvest(ring, module_key: str, state, budgets) -> list:
-    """The candidates of the step after the state's last one.
-
-    When the state's last map came from the store, its candidates come
-    from there too.  If the store lacks them, or their re-run does not
-    reproduce the map, a warning names the entry and the state is cut
-    back to the last step it can continue from: one whose candidates the
-    store holds, at worst d_1.  The entries of the steps cut are
-    discarded; the caller recomputes and saves them."""
-    maps, twists = state["maps"], state["twists"]
-    if state["candidates"] is not _STORED:
-        if state["candidates"] is None:  # the last map is d_1
-            return column_syzygies(ring, maps[-1], twists[-2],
+def _harvest(ring, state, budgets) -> list:
+    """The candidates of the step after the state's last one: the
+    syzygies of d_1, or the harvest of the last step re-run tracked."""
+    maps, twists, candidates = state["maps"], state["twists"], state["candidates"]
+    if candidates is None:  # the last map is d_1
+        return column_syzygies(ring, maps[-1], twists[-2],
+                               max_degree=budgets.max_degree)
+    kept, following = minimal_step(ring, candidates, twists[-2], harvest=True,
                                    max_degree=budgets.max_degree)
-        following = _rerun(ring, state["candidates"], state, budgets)
-        if following is None:
-            raise ConsistencyError(
-                "a resolution step kept other columns on its re-run")
-        return following
-    warn = True
-    while len(maps) > 1:
-        step = len(maps)
-        key = _key("candidates", module_key, step)
-        got = _loaded(ring, key, f"candidates of step {step}", twists[-2])
-        following = None if got is None else _rerun(ring, got[1], state,
-                                                    budgets)
-        if following is not None:
-            state["candidates"] = got[1]
-            return following
-        if warn:
-            print(f"warning: cache entry {key} (candidates of step {step}) "
-                  f"is missing or does not reproduce d_{step}; recomputing "
-                  f"from an earlier step", file=sys.stderr)
-            warn = False
-        # the step is recomputed and saved again, so a stored map that
-        # is well formed but wrong does not outlive this run
-        if _STORE is not None:
-            for kind in ("map", "candidates"):
-                _STORE.discard(_key(kind, module_key, step))
-        del maps[-1], twists[-1]
-    state["candidates"] = None
-    return column_syzygies(ring, maps[-1], twists[-2],
-                           max_degree=budgets.max_degree)
+    if [candidates[j] for j in kept] != maps[-1]:
+        raise ConsistencyError(
+            "a resolution step kept other columns on its re-run")
+    return following
 
 
 def _start(Mmin: ModulePresentation) -> dict:
@@ -300,41 +252,62 @@ def _start(Mmin: ModulePresentation) -> dict:
             "candidates": None}
 
 
-def _save_candidates(key: str, state) -> None:
-    twists, candidates = state["twists"], state["candidates"]
-    _STORE.save(_key("candidates", key, len(state["maps"])), _entry(
-        candidates, [column_degree(c, twists[-2]) for c in candidates]))
+def _is_stored(key: str, stored: dict, step: int, columns, length: int) -> bool:
+    """Whether the rebuilt d_step (None when the resolution ends before
+    it) is the stored map of that step.  On the first mismatch a warning
+    names the entry, and it and the entries of every later step up to
+    `length` are discarded, so the rebuild writes them again."""
+    if step not in stored:
+        return False
+    if stored.pop(step) == columns:
+        return True
+    name = _key("map", key, step)
+    print(f"warning: discarding cache entry {name} (d_{step}): the rebuild "
+          f"from d_1 computes another map", file=sys.stderr)
+    stored.clear()
+    if _STORE is not None:
+        for later in range(step, length + 1):
+            _STORE.discard(_key("map", key, later))
+    return False
 
 
 def _extend(ring, key: str, state, length: int, budgets) -> None:
-    """Compute the state's steps up to `length` maps, or to completion."""
+    """Compute the state's steps up to `length` maps, or to completion.
+
+    A state whose last maps came from the store is first cut back to d_1
+    and rebuilt, each step checked against its stored map."""
+    maps, twists = state["maps"], state["twists"]
+    if state["complete"] or len(maps) >= length:
+        return
+    stored = {}
+    if len(maps) > 1 and state["candidates"] is None:
+        stored = dict(enumerate(maps[1:], 2))
+        del maps[1:], twists[2:]
     following = None  # candidates of the next step, once harvested
-    while not state["complete"] and len(state["maps"]) < length:
+    while not state["complete"] and len(maps) < length:
         if following is None:
-            following = _harvest(ring, key, state, budgets)
+            following = _harvest(ring, state, budgets)
         candidates = following
-        twists = state["twists"]
+        step = len(maps) + 1
         if not candidates:
+            _is_stored(key, stored, step, None, length)
             state["complete"] = True
             if _STORE is not None:
-                _STORE.save(_key("complete", key), {"maps": len(state["maps"])})
+                _STORE.save(_key("complete", key), {"maps": len(maps)})
             return
         kept, following = minimal_step(
-            ring, candidates, twists[-1],
-            harvest=len(state["maps"]) + 1 < length,
+            ring, candidates, twists[-1], harvest=step < length,
             max_degree=budgets.max_degree,
         )
         if len(kept) > budgets.max_rank:
             raise BudgetError("resolution rank", budgets.max_rank)
         new_cols = [candidates[j] for j in kept]
-        state["maps"].append(new_cols)
+        maps.append(new_cols)
         state["candidates"] = candidates
         twists.append(tuple(column_degree(c, twists[-1]) for c in new_cols))
-        if _STORE is not None:
-            step = len(state["maps"])
+        if not _is_stored(key, stored, step, new_cols, length) \
+                and _STORE is not None:
             _STORE.save(_key("map", key, step), _entry(new_cols, twists[-1]))
-            if following is None:  # the last step: an extension reads these
-                _save_candidates(key, state)
 
 
 def minimal_free_resolution(M: ModulePresentation, length: int, *,
@@ -348,13 +321,7 @@ def minimal_free_resolution(M: ModulePresentation, length: int, *,
     state = memo.cached("resolution", key, _start, Mmin)
     if _STORE is not None and not state["complete"] and len(state["maps"]) < length:
         _load_maps(ring, key, state, length)
-    try:
-        _extend(ring, key, state, length, budgets)
-    except BudgetError:
-        # save the last step's candidates, so a later call extends from it
-        if _STORE is not None and isinstance(state["candidates"], list):
-            _save_candidates(key, state)
-        raise
+    _extend(ring, key, state, length, budgets)
     # steps served by the memo or the store were not counted above
     if any(len(t) > budgets.max_rank for t in state["twists"][2:length + 1]):
         raise BudgetError("resolution rank", budgets.max_rank)

@@ -56,7 +56,6 @@ from .invariants import (
     is_semidualizing,
     krull_dim,
     probe_generators,
-    probe_primes,
     reduced_grade,
     serre_tilde,
 )
@@ -225,9 +224,7 @@ class _Runner:
             return stable, f"free rank {free_rank}"
         if f == "serre_tilde":
             M = self._module(a[0])
-            v = serre_tilde(M, a[1],
-                            probes=probe_primes(M.ring,
-                                                extra=cfg.probe_primes))
+            v = serre_tilde(M, a[1], probes=cfg.harness().probes_for(M.ring))
             return v.holds(), v.describe()
         if f == "is_cm":
             M = self._module(a[0])

@@ -1477,31 +1477,13 @@ def default_coefficient(ring) -> ModulePresentation:
     return canonical_module(ring)
 
 
-SUITE_DEFAULT_IDS = (
-    TheoremId.THM_MS,
-    TheoremId.PROP_T1,
-    TheoremId.PROP_P3,
-    TheoremId.PROP_T13,
-    TheoremId.COR_C2,
-    TheoremId.LEM_LEM2,
-    TheoremId.THM_TH5,
-    TheoremId.COR_COR7,
-    TheoremId.THM_THEOREM1,
-    TheoremId.THM_TH1,
-    TheoremId.COR_COR5,
-    TheoremId.THM_COR3,
-    TheoremId.THM_TH2,
-    TheoremId.COR_SELF,
-    TheoremId.THM_TH3,
-    TheoremId.THM_TH6,
-    TheoremId.PROP_XTM,
-    TheoremId.THM_TH4,
-    TheoremId.THM_TH7,
-    TheoremId.COR_COR1,
-    TheoremId.COR_COR4,
-    TheoremId.REMARK3_I,
-    TheoremId.G3_AB_FORMULA,
-)
+def _binds_a_corpus_module(tid) -> bool:
+    """Whether the check needs only M, C and n, which a corpus module and
+    the defaults fill in."""
+    return set(_CHECKS[tid][1]) <= {"M", "C", "n"}
+
+
+SUITE_DEFAULT_IDS = tuple(tid for tid in _CHECKS if _binds_a_corpus_module(tid))
 
 
 def special_instances(ring):
@@ -1534,10 +1516,9 @@ def default_instances(ring, modules, ids=None, *, n: int = 1):
     for name, M in modules:
         for tid in ids:
             tid = resolve_id(tid)
-            _, required = _CHECKS[tid]
-            if any(k in required for k in
-                   ("ideal", "ideal2", "omega_ideal", "I", "ring")):
+            if not _binds_a_corpus_module(tid):
                 continue
+            required = _CHECKS[tid][1]
             b = {"M": M, "label": name}
             if "C" in required:
                 b["C"] = C

@@ -285,10 +285,11 @@ assert serre_tilde(M, 1);
 """
 
 
-@pytest.mark.parametrize("spec", ["v", "x-1", "x+y^2"])
+@pytest.mark.parametrize("spec", ["v", "x-1", "x+y^2", "2"])
 def test_cli_bad_probe_generator_exit_two(tmp_path, capsys, spec):
-    # unknown variables and inhomogeneous generators are usage errors:
-    # the engine is graded, and no report is written
+    # unknown variables, inhomogeneous generators and units (the unit
+    # ideal is no prime) are usage errors: the engine is graded, and no
+    # report is written
     script = tmp_path / "n.link"
     script.write_text(NONCM_SCRIPT, encoding="utf-8")
     assert main(["run", str(script), "--probe-primes", spec]) == 2

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from linkage_lab import invariants
 from linkage_lab.corpus import classical_rings, corpus_pool, maximal_ideal
-from linkage_lab.fields import QQ
+from linkage_lab.fields import GF, QQ
 from linkage_lab.homops import tensor
 from linkage_lab.invariants import (
     INFINITY,
@@ -111,6 +111,18 @@ def test_serre_tilde_probe_extension():
     assert len(extra) > len(base)
     v = serre_tilde(free_module(T, [0]), 2, probes=extra)
     assert v.holds()
+
+
+def test_extra_probe_height_comes_from_the_quotient_dimension():
+    """The height of an extra probe prime is nvars - dim S/(gens), not
+    the number of generators: a repeated generator adds nothing, and
+    (x^2, x*y) has height 1."""
+    N = make_ring(GF(32003), ["x", "y", "z", "w"],
+                  ["x*z", "x*w", "y*z", "y*w"])
+    extras = (("x", "y", "z", "w", "x"), ("x", "y"), ("x^2", "x*y"))
+    got = probe_primes(N, extra=extras)[-len(extras):]
+    assert [(p.height, p.trusted) for p in got] == [(4, False), (2, False),
+                                                    (1, False)]
 
 
 def test_gc_dim_over_gorenstein_is_ab_defect():

@@ -113,9 +113,9 @@ def test_maps_do_not_depend_on_history(tmp_path, monkeypatch):
             install_cache(store)
             memo.clear()
             minimal_free_resolution(M, 3)
-            # the map entries of d_2 and d_3, the candidates of step 3
-            assert len(os.listdir(store)) == 3
-            memo.clear()  # the store serves length 3, the rest is extended
+            # the map entries of d_2 and d_3
+            assert len(os.listdir(store)) == 2
+            memo.clear()  # the store serves length 3, the rest is rebuilt
             steps.clear()
             loaded = minimal_free_resolution(M, 3)
             assert not steps
@@ -129,38 +129,6 @@ def test_maps_do_not_depend_on_history(tmp_path, monkeypatch):
     finally:
         set_resolution_store(None)
         memo.clear()
-
-
-def test_a_record_without_candidates_is_a_miss(tmp_path, capsys):
-    """A stored d_4 with one column dropped passes the load checks (it is
-    well formed and homogeneous), but it is never extended: without the
-    candidates of step 4 the engine goes back to step 3, and with them
-    their re-run does not reproduce it."""
-    memo.clear()
-    want = _terms(minimal_free_resolution(K, 6).maps)
-    key = minimalize(K).content_key()
-    for drop_candidates in (True, False):
-        root = os.path.join(str(tmp_path), str(drop_candidates))
-        try:
-            store = install_cache(root)
-            memo.clear()
-            minimal_free_resolution(K, 4)
-            if drop_candidates:
-                os.remove(store._path(resolutions._key("candidates", key, 4)))
-            path = store._path(resolutions._key("map", key, 4))
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-            entry["twists"] = entry["twists"][:1]
-            entry["columns"] = entry["columns"][:1]
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
-            memo.clear()
-            assert _terms(minimal_free_resolution(K, 6).maps) == want
-            assert resolutions._key("candidates", key, 4) \
-                in capsys.readouterr().err
-        finally:
-            set_resolution_store(None)
-            memo.clear()
 
 
 # -- the disk store, one entry per step -------------------------------------
@@ -184,14 +152,11 @@ def test_store_round_trips_terms_and_coefficient_types(ring, length, tmp_path):
     try:
         memo.clear()
         cold = minimal_free_resolution(M, length)
-        # a scan: each call computes one step, the last, and stores its
-        # candidates, which the memo state still holds
+        # a scan: each call loads the steps before it and stores the last
         store = install_cache(str(tmp_path))
-        candidates = {}
         for step in range(2, cold.length() + 1):
             memo.clear()
             minimal_free_resolution(M, step)
-            candidates[step] = _terms([memo.get("resolution", key)["candidates"]])
         memo.clear()
         minimal_free_resolution(M, length)
         memo.clear()
@@ -199,11 +164,6 @@ def test_store_round_trips_terms_and_coefficient_types(ring, length, tmp_path):
         assert loaded.twists == cold.twists
         assert loaded.complete == cold.complete == (ring is S3)
         assert _terms(loaded.maps) == _terms(cold.maps)
-        for step, want in candidates.items():
-            got = resolutions._loaded(
-                M.ring, resolutions._key("candidates", key, step), "",
-                cold.twists[step - 1])
-            assert _terms([got[1]]) == want
         coeffs = [c for cols in cold.maps for col in cols
                   for p in col.values() for c in p.terms.values()]
         assert {type(c) for c in coeffs} == {int if ring is N else Fraction}
@@ -235,8 +195,7 @@ def test_each_step_is_written_once(tmp_path, monkeypatch):
         for length in range(2, 9):
             memo.clear()
             assert _terms(minimal_free_resolution(W, length).maps) == cold[:length]
-        want = {resolutions._key(kind, key, step)
-                for kind in ("map", "candidates") for step in range(2, 9)}
+        want = {resolutions._key("map", key, step) for step in range(2, 9)}
         assert sorted(saved) == sorted(want)
         assert sorted(os.listdir(str(tmp_path))) == sorted(k + ".json" for k in want)
         memo.clear()
@@ -252,14 +211,10 @@ def test_each_step_is_written_once(tmp_path, monkeypatch):
 
 
 def _damage(kind, store, key):
-    """Damage the store's d_3 (or the candidates of step 4) of the module
-    with content key `key`; the name of the damaged entry."""
-    name = resolutions._key("candidates" if kind == "candidates" else "map",
-                            key, 4 if kind == "candidates" else 3)
+    """Damage the store's d_3 of the module with content key `key`; the
+    name of the damaged entry."""
+    name = resolutions._key("map", key, 3)
     path = store._path(name)
-    if kind == "candidates":
-        os.remove(path)
-        return name
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     entry = json.loads(text)
@@ -275,13 +230,11 @@ def _damage(kind, store, key):
     return name
 
 
-@pytest.mark.parametrize("kind",
-                         ["degree", "twists", "row", "truncated", "candidates"])
+@pytest.mark.parametrize("kind", ["degree", "twists", "row", "truncated"])
 def test_a_damaged_entry_is_a_miss(kind, tmp_path, capsys):
     """A wrongly-degreed entry, a twist that disagrees with the entries, a
-    row outside F_{i-1}, a truncated file or a deleted candidates entry:
-    a warning names the entry, and the maps are the ones a cold run
-    builds."""
+    row outside F_{i-1} or a truncated file: a warning names the entry,
+    and the maps are the ones a cold run builds."""
     memo.clear()
     cold = minimal_free_resolution(W, 6)
     key = minimalize(W).content_key()
@@ -301,10 +254,10 @@ def test_a_damaged_entry_is_a_miss(kind, tmp_path, capsys):
         memo.clear()
 
 
-def _drop_last_column(store, key) -> str:
-    """Drop the last column of the store's d_3: the entry stays well
+def _drop_last_column(store, key, step) -> str:
+    """Drop the last column of the store's d_step: the entry stays well
     formed and homogeneous, so only its use can show it is wrong."""
-    name = resolutions._key("map", key, 3)
+    name = resolutions._key("map", key, step)
     with open(store._path(name), encoding="utf-8") as fh:
         entry = json.load(fh)
     entry["twists"], entry["columns"] = entry["twists"][:-1], entry["columns"][:-1]
@@ -313,11 +266,18 @@ def _drop_last_column(store, key) -> str:
     return name
 
 
-@pytest.mark.parametrize("kind", ["degree", "truncated", "column"])
+@pytest.mark.parametrize("kind", ["degree", "truncated", "column", "d4-column"])
 def test_a_damaged_entry_is_repaired(kind, tmp_path, capsys, monkeypatch):
-    """The run that rejects a damaged d_3, or recomputes it, writes it
-    again, so the next run loads every step: no warning and no Groebner
-    step."""
+    """The run that rejects a damaged d_3, or finds a wrong d_3 or d_4,
+    names it and writes it again, so the store is the cold run's and the
+    next run loads every step: no warning and no Groebner step.
+
+    A d_3 or d_4 with its last column dropped passes the load checks (it
+    is well formed and homogeneous); so does a d_6 with its last column
+    dropped, which is not loaded once the next map's rows fall outside
+    the shortened F_i.  Only the extension's rebuild from d_1 shows
+    them wrong, and it rewrites the first wrong map and every later
+    entry."""
     steps = []
     for name in ("minimal_step", "column_syzygies"):
         fn = getattr(resolutions, name)
@@ -330,15 +290,18 @@ def test_a_damaged_entry_is_repaired(kind, tmp_path, capsys, monkeypatch):
         store = install_cache(str(tmp_path))
         memo.clear()
         minimal_free_resolution(K, 6)
-        if kind == "column":
-            _drop_last_column(store, key)
+        files = {f: (tmp_path / f).read_bytes() for f in os.listdir(tmp_path)}
+        if kind.endswith("column"):
+            name = _drop_last_column(store, key, 4 if kind == "d4-column" else 3)
+            _drop_last_column(store, key, 6)
         else:
             name = _damage(kind, store, key)
         capsys.readouterr()
         memo.clear()
         assert _terms(minimal_free_resolution(K, 6).maps) == cold
-        err = capsys.readouterr().err
-        assert "warning" in err and (kind == "column" or name in err)
+        assert name in capsys.readouterr().err
+        assert {f: (tmp_path / f).read_bytes()
+                for f in os.listdir(tmp_path)} == files
         memo.clear()
         steps.clear()
         assert _terms(minimal_free_resolution(K, 6).maps) == cold
@@ -372,11 +335,10 @@ def test_a_served_resolution_keeps_the_rank_budget(served_by, tmp_path):
         memo.clear()
 
 
-def test_a_budget_stop_leaves_the_store_extendable(tmp_path, capsys,
-                                                   monkeypatch):
+def test_a_budget_stop_leaves_the_store_extendable(tmp_path, capsys):
     """A rank budget of 20 stops K at F_4 after d_2 and d_3: the store then
-    holds what a run to length 3 writes, candidates of step 3 included, so
-    the next run extends from d_3 without a warning or a new d_1 syzygy."""
+    holds what a run to length 3 writes, the maps d_2 and d_3, so the next
+    run extends them without a warning."""
     tight = replace(DEFAULT_BUDGETS, max_rank=20)
     cold = _terms(minimal_free_resolution(K, 6).maps)
     short, stopped = tmp_path / "short", tmp_path / "stopped"
@@ -391,14 +353,10 @@ def test_a_budget_stop_leaves_the_store_extendable(tmp_path, capsys,
         assert sorted(os.listdir(stopped)) == sorted(os.listdir(short))
         for name in os.listdir(short):
             assert (stopped / name).read_bytes() == (short / name).read_bytes()
-        syzygies = []
-        fn = resolutions.column_syzygies
-        monkeypatch.setattr(resolutions, "column_syzygies",
-                            lambda *a, **k: syzygies.append(1) or fn(*a, **k))
         capsys.readouterr()
         memo.clear()
         assert _terms(minimal_free_resolution(K, 6).maps) == cold
-        assert capsys.readouterr().err == "" and not syzygies
+        assert capsys.readouterr().err == ""
     finally:
         set_resolution_store(None)
         memo.clear()

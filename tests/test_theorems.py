@@ -167,7 +167,12 @@ def test_suite_flags_hard_refutation_under_fault():
 def test_suite_default_ids_cover_corpus_friendly_checks():
     assert TheoremId.THM_MS in SUITE_DEFAULT_IDS
     assert TheoremId.COR_THEOREM3 not in SUITE_DEFAULT_IDS
-    assert len(SUITE_DEFAULT_IDS) >= 20
+    # every check that binds only M, C and n, in the order of the table
+    assert [t.value for t in SUITE_DEFAULT_IDS] == (
+        "THM_MS PROP_T1 PROP_P3 PROP_T13 COR_C2 LEM_LEM2 THM_TH5 COR_COR7 "
+        "THM_THEOREM1 THM_TH1 COR_COR5 THM_COR3 THM_TH2 COR_SELF THM_TH3 "
+        "THM_TH6 PROP_XTM THM_TH4 THM_TH7 COR_COR1 COR_COR4 REMARK3_I "
+        "G3_AB_FORMULA").split()
 
 
 def test_ab_formula_check_verifies_on_pool():
