@@ -48,7 +48,16 @@ elements has S-vector 0 and representation 0, so it is never queued.
 
 All inputs are assumed homogeneous with respect to the given twists;
 pair degrees then increase monotonically and max_degree is an honest cap:
-forming any pair above it, queued or not, raises BudgetError.
+forming any pair above it, queued or not, raises BudgetError.  A run
+records the highest pair degree it formed (.top_degree, None before the
+first pair), so a caller serving a stored result can tell whether the
+run would have met a cap.  A minimal run also records it as of its last
+admission (.admitted_top): there a plain and a tracked run over the same
+columns agree, since through the degree of the last candidate both hold
+truncated Groebner bases of the same span, whose leading terms are the
+minimal generators of its initial module degree by degree, and every
+two elements at one position form a pair.  So the tracked run's
+.admitted_top is the plain run's .top_degree.
 
 Inside the kernel a term (pos, mono) is a plain int, its term key (see
 _TermKeys): integer order is the module order, and multiplying a term by
@@ -308,6 +317,8 @@ class ModuleGB:
         self.twists = tuple(twists)
         self.track = track
         self.max_degree = max_degree
+        self.top_degree = None
+        self.admitted_top = None
         self.syzygies: list = []
         self.kept: list = []
         self._elems: list[_Elem] = []
@@ -424,13 +435,13 @@ class ModuleGB:
                 self._push_pairs(pairs, idx, mono, twist, inert.get(pos, ()), monos)
                 live.setdefault(pos, []).append(idx)
                 return
-            # pairs of two inert elements are not queued, but each counts
-            # against the budget; deg lcm <= the sum of the lead degrees
-            cap, deg, top = self.max_degree, mono_deg(mono), inert_top.get(pos)
-            if cap is not None and top is not None and deg + top + twist > cap:
-                for other in inert[pos]:
-                    if sum(map(max, monos[other], mono)) + twist > cap:
-                        raise BudgetError("groebner pair degree", cap)
+            # pairs of two inert elements are not queued, but each is
+            # formed; deg lcm <= the sum of the lead degrees
+            deg, top = mono_deg(mono), inert_top.get(pos)
+            if top is not None and (self.top_degree is None
+                                    or deg + top + twist > self.top_degree):
+                self._form(max(sum(map(max, monos[other], mono)) + twist
+                               for other in inert[pos]))
             inert.setdefault(pos, []).append(idx)
             inert_top[pos] = deg if top is None else max(deg, top)
 
@@ -453,6 +464,7 @@ class ModuleGB:
             if self.track:
                 rep = {self._keys.key((t, one)): 1} if t < ntracked else {}
             add(vec, rep)
+        self.admitted_top = self.top_degree
         # a plain minimal run ends with its last admission
         drain = self.track or not minimal
         while waiting or (pairs and drain):
@@ -464,6 +476,7 @@ class ModuleGB:
                 if nf:
                     self.kept.append(t)
                     add(nf, rep)
+                self.admitted_top = self.top_degree
                 continue
             _deg, i, j = heappop(pairs)
             gi, gj = self._elems[i], self._elems[j]
@@ -498,16 +511,22 @@ class ModuleGB:
             self._interreduce()
 
     def _push_pairs(self, pairs, idx, mono, twist, others, monos):
-        """Queue (other, idx) pairs by degree: deg lcm of leads + twist.
-
-        A pair above max_degree raises BudgetError as soon as it is formed.
-        """
-        cap = self.max_degree
+        """Queue (other, idx) pairs by degree: deg lcm of leads + twist."""
+        top = self.top_degree
         for other in others:
             degree = sum(map(max, monos[other], mono)) + twist
-            if cap is not None and degree > cap:
-                raise BudgetError("groebner pair degree", cap)
+            if top is None or degree > top:
+                self._form(degree)
+                top = degree
             heappush(pairs, (degree, other, idx))
+
+    def _form(self, degree):
+        """Record a pair of this degree as formed: above max_degree it
+        raises BudgetError, above .top_degree it is the new top."""
+        if self.top_degree is None or degree > self.top_degree:
+            if self.max_degree is not None and degree > self.max_degree:
+                raise BudgetError("groebner pair degree", self.max_degree)
+            self.top_degree = degree
 
     def _chain_skip(self, i, j, lcm, monos):
         keys = self._keys

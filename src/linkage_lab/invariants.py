@@ -14,7 +14,8 @@ Ext into the canonical module over a Cohen-Macaulay ring R = S/I of
 codimension c is exact through the same duality:
 Ext^i_R(M, omega_R) = Ext^(i+c)_S(M, S)(-n).  `canonical_twist` is the
 gate `homops.ext` uses to take that route (the direct computation over R
-stays as an oracle for i <= 1), and `ext_vanishing_top` turns
+stays as an oracle for i = 0, and the route itself is certified per
+coefficient module and twist), and `ext_vanishing_top` turns
 pd_S M = n - depth M into exact vanishing past dim R - depth M.
 
 `coefficient_facts(C)` is the one exact source of facts about a
@@ -24,7 +25,10 @@ checks read before any bounded scan.
 
 The groups Ext^j_S(M, S), j = 0..n, are computed once per presentation
 and kept in the memo as M's ambient profile, with the indices where they
-are nonzero.  Depth, dimension, local cohomology degrees, generalized
+are nonzero.  The profile is checked when it is built: the alternating
+sum of their Hilbert series must be K_M(1/t) / (1-t)^n, where K_M is the
+numerator of HS(M), or ConsistencyError is raised.  Ext into the
+canonical module, depth, dimension, local cohomology degrees, generalized
 CM-ness, the CM branch of `serre_tilde` and the support tests at probe
 primes all read from it.  The verdicts of `is_semidualizing`,
 `in_auslander_class`, `serre_tilde`, `gc_dim` and `is_canonical_module`
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from . import memo
 from .config import DEFAULT_BUDGETS, default_bound
 from .errors import BudgetError, ConsistencyError, InapplicableError
+from .hilbert import HilbertSeries
 from .homops import (
     _hom_cohomology,
     _per_slot_relations,
@@ -77,14 +82,31 @@ INFINITY = float("inf")
 # -- depth, dimension and local cohomology degrees ---------------------------
 
 
-def _ambient_profile(M: ModulePresentation) -> tuple:
+def _ambient_profile(M: ModulePresentation, budgets=None) -> tuple:
     """(exts, nonzero): exts[j] = Ext^j_S(M, S) for j = 0..n, and the
-    ascending j with exts[j] != 0; computed once per presentation."""
-    return memo.cached("ambient-profile", M.content_key(), _ambient_exts, M)
+    ascending j with exts[j] != 0; computed once per presentation and
+    budgets."""
+    budgets = budgets or DEFAULT_BUDGETS
+    key = memo.content_hash(M.content_key(), repr(budgets))
+    return memo.cached("ambient-profile", key, _ambient_exts, M, budgets)
 
 
-def _ambient_exts(M: ModulePresentation) -> tuple:
-    exts = tuple(ext_to_ambient(M, j) for j in range(M.ring.nvars + 1))
+def _ambient_exts(M: ModulePresentation, budgets) -> tuple:
+    n = M.ring.nvars
+    exts = tuple(ext_to_ambient(M, j, budgets=budgets) for j in range(n + 1))
+    # Euler characteristic of Hom(F., S) for a free resolution F. of M:
+    # sum_j (-1)^j HS(Ext^j_S(M, S)) = K_M(1/t) / (1-t)^n, where K_M is the
+    # numerator of HS(M); a free summand S(-e) of F_j gives t^e to K_M
+    # and t^-e to the dual.
+    euler = HilbertSeries.zero(n)
+    for j, E in enumerate(exts):
+        euler = euler + E.hilbert_series().scale((-1) ** j)
+    dual = HilbertSeries(n, {-d: c for d, c in M.hilbert_series().num.items()})
+    if euler != dual:
+        raise ConsistencyError(
+            f"ambient Ext profile fails the Euler characteristic: "
+            f"sum (-1)^j HS(Ext^j_S(M, S)) = {euler}, K_M(1/t)/(1-t)^{n} "
+            f"= {dual}")
     return exts, tuple(j for j, E in enumerate(exts) if not E.is_zero())
 
 

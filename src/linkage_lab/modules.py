@@ -294,7 +294,7 @@ def _reduced_entries(ring: GradedRing, col: dict) -> dict:
 
 
 def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
-                    extra=(), max_degree=None) -> list:
+                    extra=(), max_degree=None, tops=None) -> list:
     """Generators of {h : sum_t h[t] * columns[t] in span(extra) + I*F}.
 
     These are the syzygies over R of the columns modulo span(extra): the
@@ -302,20 +302,29 @@ def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
     fixed.  Entries are reduced mod I and zero generators dropped.
     Column degrees [column_degree(c)] are the twists of the ambient free
     module the result lives in.  When every column is zero, the result
-    is the unit vectors.
+    is the unit vectors.  A dict `tops` receives the run's highest pair
+    degree under "harvest" (None when no run or no pair).
     """
     if not any(columns):
+        if tops is not None:
+            tops["harvest"] = None
         one = ring.poly_ring.one()
         return [{t: one} for t in range(len(columns))]
     if max_degree is None:
         max_degree = DEFAULT_BUDGETS.max_degree
-    aug = ring.aug_columns(ambient_twists)
-    syz = syzygy_columns(
-        ring.poly_ring, list(columns), ambient_twists,
-        fixed=list(extra) + aug, max_degree=max_degree,
-    )
-    out = [_reduced_entries(ring, s) for s in syz]
-    return [s for s in out if s]
+    gb = ModuleGB(ring.poly_ring, list(columns), ambient_twists, track=True,
+                  fixed=list(extra) + ring.aug_columns(ambient_twists),
+                  max_degree=max_degree)
+    if tops is not None:
+        tops["harvest"] = gb.top_degree
+    return _harvested(ring, gb)
+
+
+def _harvested(ring: GradedRing, gb: ModuleGB) -> list:
+    """The syzygies of a tracked run, entries reduced mod I, zeros dropped."""
+    syz = [_reduced_entries(ring, column_from_flat(ring.poly_ring, s))
+           for s in gb.syzygies]
+    return [s for s in syz if s]
 
 
 def _minimal_gb(ring: GradedRing, columns, ambient_twists, *, track,
@@ -344,21 +353,26 @@ def mingens_columns(ring: GradedRing, columns, ambient_twists, *,
 
 
 def minimal_step(ring: GradedRing, columns, ambient_twists, *, harvest,
-                 max_degree=None):
+                 max_degree=None, tops=None):
     """(kept, syzygies): the indices mingens_columns keeps and, when
     `harvest` is set, generators over R of the syzygies of the kept
     columns modulo I*F, indexed by position in `kept` (else None).
 
     One minimal run, tracked only to harvest.  Entries are reduced mod I
-    and zero generators dropped.
+    and zero generators dropped.  A dict `tops` receives the run's
+    highest pair degrees: under "plain" the one a plain run reaches (its
+    .admitted_top), and, when harvesting, under "harvest" the whole
+    run's.
     """
     gb = _minimal_gb(ring, columns, ambient_twists, track=harvest,
                      max_degree=max_degree)
+    if tops is not None:
+        tops["plain"] = gb.admitted_top
+        if harvest:
+            tops["harvest"] = gb.top_degree
     if not harvest:
         return gb.kept, None
-    syz = [_reduced_entries(ring, column_from_flat(ring.poly_ring, s))
-           for s in gb.syzygies]
-    return gb.kept, [s for s in syz if s]
+    return gb.kept, _harvested(ring, gb)
 
 
 def minimalize(M: ModulePresentation) -> ModulePresentation:
@@ -485,13 +499,23 @@ def _annihilator(M: ModulePresentation) -> list:
             max_degree=DEFAULT_BUDGETS.max_degree,
         )
         q_i = [s[0] for s in syz]
-        current = q_i if current is None else _intersect_ideals(S, current, q_i)
+        current = q_i if current is None else _trimmed(
+            S, _intersect_ideals(S, current, q_i))
         if not current:
             break
     if current is None:
         current = [S.one()]
     gb = ModuleGB(S, [{0: p} for p in current], [0]) if current else None
     return [c[0] for c in gb.basis_columns()] if gb else []
+
+
+def _trimmed(S, gens) -> list:
+    """A minimal generating subset of the homogeneous ideal (gens): one
+    plain minimal run, so the next intersection starts from fewer
+    generators."""
+    gb = ModuleGB(S, [{0: g} for g in gens], [0], minimal=True,
+                  max_degree=DEFAULT_BUDGETS.max_degree)
+    return [gens[t] for t in gb.kept]
 
 
 def _intersect_ideals(S, gens_a, gens_b) -> list:

@@ -3,16 +3,17 @@
 Over a Cohen-Macaulay quotient R = S/I of codimension c in n variables,
 Ext^i_R(M, omega_R(a)) = Ext^(i+c)_S(M, S)(a - n).  These tests hold the
 ambient route against the direct computation over R, check that the
-route stays off where its hypotheses fail, and that its oracle catches a
-wrong shift.
+route stays off where its hypotheses fail, that its twist certificate
+catches a wrong shift, and that the Euler characteristic identity of the
+ambient profile catches a wrong Ext^j_S(M, S).
 """
 
 import pytest
 
 from linkage_lab import homops, invariants, memo, modules
-from linkage_lab.config import DEFAULT_BUDGETS
+from linkage_lab.config import DEFAULT_BUDGETS, Budgets
 from linkage_lab.corpus import generate_corpus, maximal_ideal
-from linkage_lab.errors import ConsistencyError
+from linkage_lab.errors import BudgetError, ConsistencyError
 from linkage_lab.fields import GF, QQ
 from linkage_lab.homops import ext
 from linkage_lab.invariants import (
@@ -21,7 +22,13 @@ from linkage_lab.invariants import (
     ext_vanishing_top,
     ring_is_cm,
 )
-from linkage_lab.modules import cyclic_module, free_module, minimalize, twist_module
+from linkage_lab.modules import (
+    ModulePresentation,
+    cyclic_module,
+    free_module,
+    minimalize,
+    twist_module,
+)
 from linkage_lab.rings import make_ring
 from linkage_lab.theorems import check, default_coefficient
 
@@ -113,7 +120,7 @@ def test_oracle_runs_for_low_indices_only(monkeypatch):
     calls = _count_direct_calls(monkeypatch, T)
     for i in range(4):
         ext(k, omega, i)
-    assert calls == [0, 1]
+    assert calls == [0]
 
 
 def test_wrong_shift_raises_consistency_error(monkeypatch):
@@ -131,6 +138,69 @@ def test_wrong_shift_raises_consistency_error(monkeypatch):
             ext(k, canonical_module(T), 1)
     finally:
         memo.clear()
+
+
+def _drop_first_generator(E):
+    keep = [c for c in E.columns if 0 not in c]
+    return ModulePresentation(
+        E.ring, E.gen_twists[1:],
+        [t for c, t in zip(E.columns, E.rel_twists) if 0 not in c],
+        [{r - 1: p for r, p in c.items()} for c in keep])
+
+
+@pytest.mark.parametrize("fault", ["shift", "drop-generator"])
+@pytest.mark.parametrize("name, j", [("k", 3), ("m", 2)])
+def test_perturbed_ambient_ext_fails_euler_identity(monkeypatch, fault,
+                                                    name, j):
+    # the one nonzero Ext^j_S(M, S) of k and of the maximal ideal over T
+    M = {"k": cyclic_module(T, list(T.names)), "m": maximal_ideal(T)}[name]
+    true_ext = invariants.ext_to_ambient
+
+    def perturbed(X, index, **kw):
+        E = minimalize(true_ext(X, index, **kw))
+        if X.ring != T or index != j:
+            return E
+        assert not E.is_zero()
+        return twist_module(E, 1) if fault == "shift" \
+            else _drop_first_generator(E)
+
+    memo.clear()
+    assert invariants.depth(M) == 3 - j
+    memo.clear()
+    monkeypatch.setattr(invariants, "ext_to_ambient", perturbed)
+    try:
+        with pytest.raises(ConsistencyError, match="Euler characteristic"):
+            invariants.depth(M)
+    finally:
+        memo.clear()
+
+
+def test_twist_certificate_runs_once_per_coefficient_twist(monkeypatch):
+    calls = []
+    certify = homops._certify_twist
+
+    def counting(B, a):
+        calls.append(a)
+        return certify(B, a)
+
+    memo.clear()
+    monkeypatch.setattr(homops, "_certify_twist", counting)
+    omega = canonical_module(T)
+    for M in (cyclic_module(T, list(T.names)), maximal_ideal(T)):
+        for i in range(3):
+            ext(M, omega, i)
+    ext(maximal_ideal(T), twist_module(omega, 1), 0)
+    assert calls == [0, 1]
+
+
+def test_route_keeps_the_caller_budgets():
+    # the ambient groups are computed under the budgets of the call: the
+    # resolution of the maximal ideal over S forms a pair of degree 3
+    omega = canonical_module(T)
+    m = maximal_ideal(T)
+    with pytest.raises(BudgetError, match="groebner pair degree"):
+        ext(m, omega, 2, budgets=Budgets(max_degree=2))
+    assert ext(m, omega, 2, budgets=Budgets(max_degree=3)).is_zero()
 
 
 def test_ambient_route_on_non_monomial_ideal_builds_no_annihilator(

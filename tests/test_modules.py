@@ -13,7 +13,8 @@ from linkage_lab.corpus import (
 )
 from linkage_lab.errors import HomogeneityError, InapplicableError
 from linkage_lab.fields import GF, QQ
-from linkage_lab.groebner import ModuleGB
+from linkage_lab import modules
+from linkage_lab.groebner import ModuleGB, syzygy_columns
 from linkage_lab.hilbert import HilbertSeries
 from linkage_lab.modules import (
     annihilates,
@@ -35,6 +36,9 @@ H = make_ring(QQ, ["x", "y"], ["x*y"])
 T = make_ring(QQ, ["x", "y", "z"], ["y*z", "x*z", "x*y"])
 N = make_ring(GF(32003), ["x", "y", "z", "w"],
               ["x*z", "x*w", "y*z", "y*w"])
+# T after y -> x+y, z -> x+y+z: the same graded ring, non-monomial ideal
+U = make_ring(QQ, ["x", "y", "z"],
+              ["x^2+x*y", "x^2+x*y+x*z", "x^2+2*x*y+x*z+y^2+y*z"])
 
 
 def test_free_module_series():
@@ -162,6 +166,52 @@ def test_annihilates_agrees_with_annihilator_membership(ring):
         ann = annihilator(M)
         for f in fs:
             assert annihilates(M, f) == _in_ideal(S, ann, f), (name, str(f))
+
+
+def _reduced_ideal(S, gens) -> list:
+    if not gens:
+        return []
+    return [str(c[0]) for c in ModuleGB(S, [{0: p} for p in gens],
+                                        [0]).basis_columns()]
+
+
+def _untrimmed_annihilator(M) -> list:
+    """ann(M) as the intersection of the ann(e_i), never trimmed: the
+    reference for the trimmed loop of `annihilator`."""
+    S = M.ring.poly_ring
+    base = list(M.columns) + M.ring.aug_columns(M.gen_twists)
+    current = None
+    for i in range(M.n_gens()):
+        q_i = [s[0] for s in syzygy_columns(S, [{i: S.one()}],
+                                            list(M.gen_twists), fixed=base)]
+        current = q_i if current is None else modules._intersect_ideals(
+            S, current, q_i)
+    return _reduced_ideal(S, current)
+
+
+def _diagonal_annihilator(M) -> list:
+    """ann(M) in one syzygy run, with no intersection: f kills M exactly
+    when f * (e_0 in copy 0, ..., e_{m-1} in copy m-1) lies in m copies
+    of span(columns) + I*F, copy c twisted so that e_c has degree 0."""
+    S, m = M.ring.poly_ring, M.n_gens()
+    base = list(M.columns) + M.ring.aug_columns(M.gen_twists)
+    fixed = [{c * m + r: p for r, p in col.items()}
+             for c in range(m) for col in base]
+    twists = [g - M.gen_twists[c] for c in range(m) for g in M.gen_twists]
+    diag = {c * m + c: S.one() for c in range(m)}
+    return _reduced_ideal(S, [s[0] for s in syzygy_columns(
+        S, [diag], twists, fixed=fixed)])
+
+
+@pytest.mark.parametrize("ring, size", [(T, 8), (U, 4)], ids=["T", "U"])
+def test_trimmed_annihilator_equals_references(ring, size):
+    # the untrimmed loop over U's maximal ideal intersects 842 generators
+    # with 25 and does not finish in minutes; the diagonal run covers it
+    for name, M in generate_corpus(ring, size):
+        ann = [str(p) for p in annihilator(M)]
+        assert ann == _diagonal_annihilator(M), name
+        if ring is T:
+            assert ann == _untrimmed_annihilator(M), name
 
 
 def test_annihilates_tests_every_generator():

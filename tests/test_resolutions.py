@@ -21,6 +21,7 @@ from linkage_lab.fields import GF, QQ
 from linkage_lab.groebner import column_degree, flat_from_column
 from linkage_lab.modules import (
     ModulePresentation,
+    _minimal_gb,
     cyclic_module,
     from_matrix,
     mingens_columns,
@@ -335,6 +336,102 @@ def test_a_served_resolution_keeps_the_rank_budget(served_by, tmp_path):
         memo.clear()
 
 
+@pytest.mark.parametrize("served_by", ["store", "memo"])
+def test_a_served_resolution_keeps_the_degree_budget(served_by, tmp_path):
+    """With max_degree 3 the resolution of K to length 4 meets a pair of
+    degree 4: it stops whether its steps are computed, loaded or already
+    in the memo."""
+    tight = replace(DEFAULT_BUDGETS, max_degree=3)
+    memo.clear()
+    with pytest.raises(BudgetError, match="groebner pair degree"):
+        minimal_free_resolution(K, 4, budgets=tight)
+    try:
+        install_cache(str(tmp_path) if served_by == "store" else None)
+        memo.clear()
+        minimal_free_resolution(K, 4)
+        if served_by == "store":
+            memo.clear()
+        with pytest.raises(BudgetError, match="groebner pair degree"):
+            minimal_free_resolution(K, 4, budgets=tight)
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+# over the hypersurface x*y - z^2: the tracked run of step 2 forms a pair
+# of degree 10 after its last admission, where a plain run stops at 8
+HZ = make_ring(GF(101), ["x", "y", "z"], ["x*y - z^2"])
+G = cyclic_module(HZ, ["4*x^2*y + x^2*z + 6*x*z^2", "4*y*z + y^2"])
+
+
+def _outcome(M, length, budgets):
+    try:
+        res = minimal_free_resolution(M, length, budgets=budgets)
+    except BudgetError as e:
+        return str(e)
+    return [res.rank(i) for i in range(length + 1)]
+
+
+@pytest.mark.parametrize("M", [K, G], ids=["K", "G"])
+def test_served_budgets_answer_as_a_cold_run(M, tmp_path):
+    """For every length and pair-degree or rank budget, a resolution
+    served by the memo (computed further, with every step tracked) or by
+    the store answers as a cold run does: the same ranks, or the same
+    BudgetError first."""
+    budgets = [replace(DEFAULT_BUDGETS, max_degree=d) for d in range(3, 11)]
+    budgets += [replace(DEFAULT_BUDGETS, max_rank=r) for r in (2, 6)]
+    try:
+        for length in range(1, 5):
+            for tight in budgets:
+                memo.clear()
+                cold = _outcome(M, length, tight)
+                memo.clear()
+                minimal_free_resolution(M, 5)
+                assert _outcome(M, length, tight) == cold, (length, tight)
+                install_cache(str(tmp_path / f"{length}-{tight.max_degree}"
+                                  f"-{tight.max_rank}"))
+                memo.clear()
+                minimal_free_resolution(M, 5)
+                memo.clear()
+                assert _outcome(M, length, tight) == cold, (length, tight)
+                set_resolution_store(None)
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+@pytest.mark.parametrize("kind", ["map", "complete"])
+def test_an_entry_without_its_tops_is_a_miss(kind, tmp_path, capsys):
+    """A map entry without its plain top, or a completion entry without
+    its harvest top (as written before the tops were kept): a warning
+    names it, the resolution is the cold one, and the entry is written
+    again, so the next run is silent."""
+    M = K if kind == "map" else cyclic_module(S3, ["x", "y", "z"])
+    memo.clear()
+    cold = minimal_free_resolution(M, 4)
+    key = minimalize(M).content_key()
+    try:
+        store = install_cache(str(tmp_path))
+        memo.clear()
+        minimal_free_resolution(M, 4)
+        name = resolutions._key(kind, key, 3 if kind == "map" else 0)
+        with open(store._path(name), encoding="utf-8") as fh:
+            entry = json.load(fh)
+        del entry["plain_top" if kind == "map" else "harvest_top"]
+        with open(store._path(name), "w", encoding="utf-8") as fh:
+            json.dump(entry, fh)
+        for first in (True, False):
+            capsys.readouterr()
+            memo.clear()
+            res = minimal_free_resolution(M, 4)
+            assert (res.twists, res.complete) == (cold.twists, cold.complete)
+            assert _terms(res.maps) == _terms(cold.maps)
+            assert (name in capsys.readouterr().err) == first
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
 def test_a_budget_stop_leaves_the_store_extendable(tmp_path, capsys):
     """A rank budget of 20 stops K at F_4 after d_2 and d_3: the store then
     holds what a run to length 3 writes, the maps d_2 and d_3, so the next
@@ -477,3 +574,21 @@ def test_minimal_run_keeps_what_the_per_degree_reference_keeps(case):
         want = _reference_mingens(ring, columns, twists)
         kept, _syz = minimal_step(ring, columns, twists, harvest=True)
         assert kept == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(_candidate_columns())
+def test_a_run_records_its_highest_pair_degree(case):
+    """.top_degree is the highest deg lcm + twist over pairs of elements
+    at one position, and a tracked minimal run's .admitted_top is the
+    plain run's .top_degree."""
+    ring, twists, columns, extra = case
+    plain = _minimal_gb(ring, columns, twists, track=False, extra=extra)
+    tracked = _minimal_gb(ring, columns, twists, track=True, extra=extra)
+    assert tracked.admitted_top == plain.top_degree
+    for gb in (plain, tracked):
+        leads = gb.leading_terms()
+        degrees = [sum(map(max, a, b)) + twists[p]
+                   for i, (p, a) in enumerate(leads)
+                   for q, b in leads[:i] if p == q]
+        assert gb.top_degree == (max(degrees) if degrees else None)
