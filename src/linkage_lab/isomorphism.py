@@ -1,22 +1,33 @@
 """Graded isomorphism testing.
 
-Strategy: compare exact invariants first (Hilbert series, generator and
-relation degree multisets of the minimal presentations); when they all
-agree, solve for the space of degree-zero homomorphisms by exact linear
-algebra and hunt for a surjective one.  Surjectivity is decided by the
-graded Nakayama lemma: a degree-zero map onto a minimal presentation B
-is onto iff its images span B/mB = k^(number of generators of B), i.e.
-iff the matrix of constant entries has full rank, a rank computation
-over the field with no Groebner basis.  Surjectivity plus equal Hilbert
-series forces bijectivity degreewise, so a hit yields both witness
-matrices; exhausting the search budget yields Unknown, never a guess.
+Both modules are minimalized and the verdict is memoized per pair (op
+"isomorphic", keyed by the two minimal presentations, the seed and the
+budgets).  The steps, in order:
+
+1. exact invariants: generator and relation degree multisets of the
+   minimal presentations, then Hilbert series; a difference is an exact
+   NotIsomorphic certificate;
+2. free modules: equal generator degrees are matched by sorting;
+3. identical minimal presentations (equal content keys): the identity
+   matrix is a surjective degree-zero map that is its own inverse, so it
+   is both witnesses, with no search;
+4. the search: solve for the space of degree-zero homomorphisms by exact
+   linear algebra and hunt for a surjective one.  Surjectivity is
+   decided by the graded Nakayama lemma: a degree-zero map onto a
+   minimal presentation B is onto iff its images span
+   B/mB = k^(number of generators of B), i.e. iff the matrix of constant
+   entries has full rank, a rank computation over the field with no
+   Groebner basis.  Surjectivity plus equal Hilbert series forces
+   bijectivity degreewise, so a hit yields both witness matrices;
+   exhausting the search budget yields Unknown, never a guess.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from . import memo
 from .config import DEFAULT_BUDGETS
 from .errors import ConsistencyError
 from .groebner import flat_from_column
@@ -28,12 +39,12 @@ from .modules import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsoVerdict:
     kind: str  # "isomorphic" | "not_isomorphic" | "unknown"
     certificate: str = ""
-    forward: list = field(default_factory=list)
-    backward: list = field(default_factory=list)
+    forward: tuple = ()
+    backward: tuple = ()
 
     def is_isomorphic(self) -> bool:
         return self.kind == "isomorphic"
@@ -190,6 +201,13 @@ def is_isomorphic(M: ModulePresentation, N: ModulePresentation, *,
     if M.ring != N.ring:
         return IsoVerdict("not_isomorphic", "different rings")
     A, B = minimalize(M), minimalize(N)
+    key = memo.content_hash(A.content_key(), B.content_key(), str(seed),
+                            repr(budgets))
+    return memo.cached("isomorphic", key, _is_isomorphic, A, B, budgets, seed)
+
+
+def _is_isomorphic(A: ModulePresentation, B: ModulePresentation, budgets,
+                   seed) -> IsoVerdict:
     ring = A.ring
     if A.n_gens() == 0 and B.n_gens() == 0:
         return IsoVerdict("isomorphic", "both zero")
@@ -218,7 +236,14 @@ def is_isomorphic(M: ModulePresentation, N: ModulePresentation, *,
         for a_i, b_i in zip(order_a, order_b):
             fwd[a_i] = {b_i: one}
             bwd[b_i] = {a_i: one}
-        return IsoVerdict("isomorphic", "free modules of equal degrees", fwd, bwd)
+        return IsoVerdict("isomorphic", "free modules of equal degrees",
+                          tuple(fwd), tuple(bwd))
+    if A.content_key() == B.content_key():
+        # the identity is a surjective degree-zero map and its own inverse
+        one = ring.poly_ring.one()
+        identity = tuple({j: one} for j in range(A.n_gens()))
+        return IsoVerdict("isomorphic", "surjective degree-zero map with inverse",
+                          identity, identity)
     basis, _unknowns = hom_degree_zero_space(A, B)
     if not basis:
         return IsoVerdict("not_isomorphic", "no nonzero degree-zero homomorphisms")
@@ -262,7 +287,7 @@ def is_isomorphic(M: ModulePresentation, N: ModulePresentation, *,
         if not _is_identity_mod(ring, _compose(ring, phi_cols, psi_cols), B):
             raise ConsistencyError("right inverse failed identity check")
         return IsoVerdict("isomorphic", "surjective degree-zero map with inverse",
-                          phi_cols, psi_cols)
+                          tuple(phi_cols), tuple(psi_cols))
     return IsoVerdict(
         "unknown",
         f"no surjection among {len(candidates)} candidates "

@@ -1301,6 +1301,12 @@ def _check_remark3_i(bindings, cfg):
     M = minimalize(bindings["M"])
     C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    # The two constructions meet: Hom(F_1, C) = F_1^* (x) C for the free
+    # F_1 of M's minimal presentation d_1, so Tr M (x) C, presented by
+    # d_1^T (x) id and C's relations on each copy of C, has the very
+    # columns of Tr_C M = coker Hom(d_1, C).  Their minimal presentations
+    # agree and is_isomorphic answers by its identity certificate; the
+    # search would only run if the constructions ever drifted apart.
     lhs = tensor(transpose(M), C)
     rhs = transpose_wrt(M, C)
     v = is_isomorphic(lhs, rhs, budgets=cfg.budgets, seed=cfg.seed)

@@ -2,10 +2,10 @@
 
 The ambient-Ext profile and the memoized verdicts (semidualizing
 certificate, Auslander class, Serre-type condition, G_C-dimension,
-canonical-module recognition) must
-be indistinguishable from recomputation: a hit returns the stored
-object, and after `memo.clear()` a fresh computation returns an equal
-value.  Keys separate every input the verdict depends on.
+canonical-module recognition, isomorphism) must be indistinguishable
+from recomputation: a hit returns the stored object, and after
+`memo.clear()` a fresh computation returns an equal value.  Keys
+separate every input the verdict depends on.
 """
 
 import dataclasses
@@ -22,6 +22,7 @@ from linkage_lab.homops import (
     ext,
     hom_module,
     hom_with_realizations,
+    lambda_module,
     tensor,
     tor,
     transpose_wrt,
@@ -39,6 +40,7 @@ from linkage_lab.invariants import (
     probe_primes,
     serre_tilde,
 )
+from linkage_lab.isomorphism import IsoVerdict, is_isomorphic
 from linkage_lab.modules import (
     annihilator,
     cyclic_module,
@@ -60,6 +62,7 @@ def _cases():
     mN = maximal_ideal(N)
     omega = canonical_module(T)
     unitH = free_module(H, [0])
+    mH = maximal_ideal(H)
     return [
         ("ambient-profile", lambda: _ambient_profile(kT)),
         ("ambient-profile", lambda: _ambient_profile(mN)),
@@ -81,6 +84,12 @@ def _cases():
         ("transpose-wrt", lambda: transpose_wrt(kT, omega)),
         ("ann", lambda: annihilator(omega)),
         ("hilbert-num", lambda: _num_rec(3, ((0, 1, 1), (1, 0, 1), (1, 1, 0)))),
+        # identical minimal presentations: the identity certificate
+        ("isomorphic", lambda: is_isomorphic(
+            twist_module(twist_module(omega, 1), -1), omega)),
+        # different minimal presentations: the search
+        ("isomorphic", lambda: is_isomorphic(
+            mH, lambda_module(lambda_module(mH)))),
     ]
 
 
@@ -106,6 +115,8 @@ def test_verdicts_are_frozen():
         GcDimVerdict("zero", 0, None).note = "changed"
     with pytest.raises(dataclasses.FrozenInstanceError):
         SemidualizingCertificate(True, None).valid = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        IsoVerdict("unknown").kind = "isomorphic"
 
 
 def test_keys_separate_bound_budgets_and_probes():
@@ -132,6 +143,21 @@ def test_keys_separate_bound_budgets_and_probes():
     assert full is serre_tilde(mN, 1, probes=probes)
     assert (full.note, part.note) == (f"{len(probes)} probe primes",
                                       "2 probe primes")
+
+
+def test_isomorphism_keys_separate_seed_and_search_budget():
+    mH = maximal_ideal(H)
+    L2 = lambda_module(lambda_module(mH))
+    assert minimalize(mH).content_key() != minimalize(L2).content_key()
+    base = is_isomorphic(mH, L2)
+    assert base.is_isomorphic()
+    assert is_isomorphic(mH, L2, budgets=DEFAULT_BUDGETS, seed=0) is base
+    other_seed = is_isomorphic(mH, L2, seed=1)
+    fewer = is_isomorphic(
+        mH, L2, budgets=DEFAULT_BUDGETS.with_overrides(iso_search_tries=1))
+    assert other_seed is not base and fewer is not base
+    assert fewer is not other_seed
+    assert sum(op == "isomorphic" for op, _ in memo._TABLE) == 3
 
 
 @pytest.mark.parametrize("group", ["hom", "ext", "tor"])

@@ -1,10 +1,14 @@
-"""Surjectivity of degree-zero maps by graded Nakayama.
+"""Surjectivity of degree-zero maps by graded Nakayama, and the
+identity certificate for identical minimal presentations.
 
 `isomorphism._is_surjective` decides whether a degree-zero map onto a
 minimal presentation B is onto from the rank of its constant entries.
 The Groebner membership test it replaced is kept here as the oracle:
 the map is onto iff every generator of B lies in the span of the image
 columns and B's relations.
+
+Two presentations of one module with equal minimal presentations are
+isomorphic by the identity, with no search for a homomorphism.
 """
 
 import functools
@@ -12,15 +16,26 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkage_lab import memo, modules
+from linkage_lab import isomorphism, memo, modules
 from linkage_lab.corpus import corpus_pool
 from linkage_lab.fields import GF, QQ
 from linkage_lab.isomorphism import (
+    _compose,
+    _is_identity_mod,
     _is_surjective,
     _solution_to_columns,
     hom_degree_zero_space,
+    is_isomorphic,
 )
-from linkage_lab.modules import free_module, span_gb
+from linkage_lab.modules import (
+    ModulePresentation,
+    cyclic_module,
+    direct_sum,
+    free_module,
+    minimalize,
+    span_gb,
+    twist_module,
+)
 from linkage_lab.rings import make_ring
 
 H = make_ring(QQ, ["x", "y"], ["x*y"])
@@ -99,3 +114,68 @@ def test_basis_maps_cover_both_outcomes_without_a_groebner_basis(monkeypatch):
     monkeypatch.setattr(modules, "ModuleGB", no_kernel)
     for ring, phi, B, want in maps:
         assert _is_surjective(ring, phi, B) == want
+
+
+def _padded(M):
+    """A non-minimal presentation of M: a generator killed by the unit
+    relation in front, and x times M's first relation appended."""
+    ring = M.ring
+    P = direct_sum(cyclic_module(ring, ["1"]), M)
+    if not M.columns:
+        return P
+    x = ring.poly_ring.var(0)
+    extra = {i + 1: x * p for i, p in M.columns[0].items()}
+    return ModulePresentation(ring, P.gen_twists,
+                              P.rel_twists + (M.rel_twists[0] + 1,),
+                              list(P.columns) + [extra])
+
+
+def _is_degree_zero(ring, cols, A, B) -> bool:
+    """Whether cols (over A's generators, into B's) is a degree-zero map."""
+    return all(p.is_homogeneous()
+               and p.degree() == A.gen_twists[j] - B.gen_twists[i]
+               for j, col in enumerate(cols) for i, p in col.items())
+
+
+def test_identical_minimal_presentations_skip_the_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the isomorphism search ran")
+
+    monkeypatch.setattr(isomorphism, "hom_degree_zero_space", no_search)
+    for ring in (H, T, N):
+        n_identity = 0
+        for _, M in corpus_pool(ring):
+            P = _padded(M)
+            assert P.content_key() != M.content_key()
+            v = is_isomorphic(M, P)
+            A = minimalize(M)
+            assert v.is_isomorphic()
+            if A.n_rels() == 0:
+                assert v.certificate == "free modules of equal degrees"
+                continue
+            n_identity += 1
+            assert v.certificate == "surjective degree-zero map with inverse"
+            assert _is_identity_mod(ring, v.forward, A)
+            assert _is_identity_mod(ring, v.backward, A)
+        assert n_identity >= 8
+
+
+def test_twisted_modules_stay_apart():
+    for ring in (H, T, N):
+        for _, M in corpus_pool(ring)[:8]:
+            assert not is_isomorphic(M, twist_module(M, 1)).is_isomorphic()
+
+
+def test_generators_in_another_order_get_a_degree_zero_witness():
+    """R + R(-1) + R/(x) against R(-1) + R + R/(x): equal relation columns
+    and equal degree multisets, but not one presentation, so the
+    witnesses must come from the search and be of degree zero."""
+    kx = cyclic_module(H, ["x"])
+    A = minimalize(direct_sum(free_module(H, [0, 1]), kx))
+    B = minimalize(direct_sum(free_module(H, [1, 0]), kx))
+    assert A.columns == B.columns and A.content_key() != B.content_key()
+    v = is_isomorphic(A, B)
+    assert v.is_isomorphic()
+    assert _is_degree_zero(H, v.forward, A, B)
+    assert _is_degree_zero(H, v.backward, B, A)
+    assert _is_identity_mod(H, _compose(H, v.backward, v.forward), A)

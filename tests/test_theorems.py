@@ -3,7 +3,7 @@ aggregation, fault-driven refutation, and budget degradation."""
 
 import pytest
 
-from linkage_lab import memo, theorems
+from linkage_lab import isomorphism, memo, theorems
 from linkage_lab.config import Budgets
 from linkage_lab.corpus import (
     classical_rings,
@@ -257,3 +257,21 @@ def test_claims_stay_unevaluated_when_a_hypothesis_blocks(ring, monkeypatch):
             blocked += 1
             assert calls == [], (tid.value, bindings["label"], calls)
     assert blocked > 0
+
+
+def test_remark3_i_needs_no_isomorphism_search(monkeypatch):
+    """Tr M (x) C and Tr_C M have one minimal presentation over the
+    corpora of H, T and N, for C = omega and C = R: every REMARK3_I
+    instance is verified by the identity certificate."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("REMARK3_I searched for an isomorphism")
+
+    monkeypatch.setattr(isomorphism, "hom_degree_zero_space", no_search)
+    verdicts = [
+        check(TheoremId.REMARK3_I, {"M": M, "C": C}).verdict
+        for ring in (H, T, N)
+        for C in (canonical_module(ring), free_module(ring, [0]))
+        for _, M in generate_corpus(ring, 8)
+    ]
+    assert verdicts == ["Verified"] * 48
