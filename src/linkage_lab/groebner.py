@@ -42,9 +42,24 @@ as g = f_t - sum c_j g_j with representation e_t - sum c_j rep(g_j), so
 its expression g + sum c_j g_j has representation e_t, and every
 difference vanishes: the same holds for inputs entered unreduced.
 
+A run over a quotient ring R = S/I takes the reduced basis of I as
+`ideal`.  Right after the fixed columns it admits f*e_p for every
+position p and every f, positions outer: the elements, order and indices
+that the columns f*e_p appended to `fixed` would give, untracked like
+them.  Each f is keyed once per run, at position 0, and moving a key to
+position p subtracts p, so a monomial f enters as an inert element with
+no column built, encoded or decoded.
+
 In both modes an element is inert when it has no tail and an empty or
 absent representation, e.g. a monomial of I*F.  A pair of two inert
-elements has S-vector 0 and representation 0, so it is never queued.
+elements has S-vector 0 and representation 0, so it is never queued,
+but it is formed (see below).  The pairs among the monomials of I at
+position p are formed at once: their highest degree is pair_top +
+twists[p], where pair_top is the largest lcm degree of two monomial
+elements of `ideal`, found once per run.  A new inert element's pairs
+with the other inert elements of its position are formed by an exact
+scan of their lcm degrees, run only when the sum of the lead degrees
+could raise .top_degree.
 
 All inputs are assumed homogeneous with respect to the given twists;
 pair degrees then increase monotonically and max_degree is an honest cap:
@@ -82,6 +97,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from operator import mul
 
 from .errors import BudgetError
@@ -288,6 +304,15 @@ class _Elem:
         self.pos = keys.pmask - (lead & keys.pmask)
         self.exps = keys.exps(lead)
 
+    def moved(self, pos: int, rep) -> "_Elem":
+        """This element, keyed at position 0, moved to position pos: each
+        key drops by pos, and the packed exponents stay."""
+        e = _Elem.__new__(_Elem)
+        e.lead, e.lc, e.pos, e.exps = self.lead - pos, self.lc, pos, self.exps
+        e.tail = {k - pos: c for k, c in self.tail.items()}
+        e.rep = rep
+        return e
+
     def vec(self) -> dict:
         out = {self.lead: self.lc}
         out.update(self.tail)
@@ -298,21 +323,23 @@ class ModuleGB:
     """Groebner basis of the column span inside a twisted free module.
 
     twists[i] is the degree of the i-th free generator.  The span is that
-    of `columns` followed by `fixed`.  With track=True the instance also
+    of `columns` followed by `fixed` and then ideal*F, the products f*e_p
+    of the polynomials in `ideal` with the free generators.  With
+    track=True the instance also
     exposes .syzygies and .lift(), both over the indices of `columns`
     alone: .syzygies generates the projection onto those coordinates of
     the syzygy module of all inputs (only nonzero projections are kept),
-    and .lift() expresses members modulo span(fixed).
+    and .lift() expresses members modulo span(fixed) + ideal*F.
 
     With minimal=True `columns` are candidates: .kept lists, in (degree,
-    index) order, those outside the span of `fixed` and the earlier ones,
+    index) order, those outside span(fixed) + ideal*F and the earlier ones,
     and .syzygies is over the positions of .kept.  Such an instance
     answers nothing else; its basis is not reduced, and not complete
     unless tracked.
     """
 
     def __init__(self, ring: PolyRing, columns, twists, *, track=False,
-                 fixed=(), max_degree=None, minimal=False):
+                 fixed=(), ideal=(), max_degree=None, minimal=False):
         self.ring = ring
         self.twists = tuple(twists)
         self.track = track
@@ -327,6 +354,7 @@ class ModuleGB:
         columns = list(columns)
         self._tracked = len(columns)
         self._input_columns = columns + list(fixed)
+        self._ideal = tuple(ideal)
         field = ring.field
         self._ar = _GF(field.p) if isinstance(field, PrimeField) else _QQ()
         self._field_one = field.one()
@@ -421,13 +449,14 @@ class ModuleGB:
         inert: dict = {}
         inert_top: dict = {}
 
-        def add(vec, rep):
-            e = _Elem(self._keys, vec, rep)
+        def add(e, mono, scan=True):
+            """Append e (lead monomial mono) and queue or form its pairs.
+            An inert e forms its pairs with the inert elements before it
+            by an exact scan, which scan=False leaves to the caller."""
             self._note_rep(e)
             idx, pos = len(self._elems), e.pos
             self._elems.append(e)
             self._by_pos.setdefault(pos, []).append(idx)
-            mono = self._keys.term(e.lead)[1]
             monos.append(mono)
             twist = self.twists[pos]
             self._push_pairs(pairs, idx, mono, twist, live.get(pos, ()), monos)
@@ -435,15 +464,15 @@ class ModuleGB:
                 self._push_pairs(pairs, idx, mono, twist, inert.get(pos, ()), monos)
                 live.setdefault(pos, []).append(idx)
                 return
-            # pairs of two inert elements are not queued, but each is
-            # formed; deg lcm <= the sum of the lead degrees
             deg, top = mono_deg(mono), inert_top.get(pos)
-            if top is not None and (self.top_degree is None
-                                    or deg + top + twist > self.top_degree):
-                self._form(max(sum(map(max, monos[other], mono)) + twist
-                               for other in inert[pos]))
+            if scan:
+                self._form_inert(mono, twist, inert.get(pos, ()), top, monos)
             inert.setdefault(pos, []).append(idx)
             inert_top[pos] = deg if top is None else max(deg, top)
+
+        def add_vec(vec, rep):
+            e = _Elem(self._keys, vec, rep)
+            add(e, self._keys.term(e.lead)[1])
 
         ntracked = self._tracked if self.track else 0
         # minimal admission: fixed columns enter now, and each nonzero
@@ -463,7 +492,8 @@ class ModuleGB:
             rep = None
             if self.track:
                 rep = {self._keys.key((t, one)): 1} if t < ntracked else {}
-            add(vec, rep)
+            add_vec(vec, rep)
+        self._admit_ideal(add, inert, inert_top, monos)
         self.admitted_top = self.top_degree
         # a plain minimal run ends with its last admission
         drain = self.track or not minimal
@@ -475,7 +505,7 @@ class ModuleGB:
                 nf, rep = self._reduce(vec, rep)
                 if nf:
                     self.kept.append(t)
-                    add(nf, rep)
+                    add_vec(nf, rep)
                 self.admitted_top = self.top_degree
                 continue
             _deg, i, j = heappop(pairs)
@@ -500,7 +530,7 @@ class ModuleGB:
                 ar.submul(rep, gj.rep, qj, cj)
             nf, rep = self._reduce(vec, rep)
             if nf:
-                add(nf, rep)
+                add_vec(nf, rep)
             elif self.track and rep:
                 self.syzygies.append(self._decode(rep))
         if minimal:
@@ -509,6 +539,41 @@ class ModuleGB:
                              for s in self.syzygies]
         else:
             self._interreduce()
+
+    def _admit_ideal(self, add, inert, inert_top, monos):
+        """Admit ideal*F after the fixed columns (see the module doc)."""
+        if not self._ideal:
+            return
+        # widen first, so that no key of `base` goes stale
+        self._ensure(max(f.degree() for f in self._ideal))
+        keys = self._keys
+        base = [_Elem(keys, self._encode({(0, m): c for m, c in f.terms.items()}),
+                      None) for f in self._ideal]
+        leads = [keys.term(e.lead)[1] for e in base]
+        inert_leads = [m for e, m in zip(base, leads) if not e.tail]
+        pair_top = max((sum(map(max, a, b))
+                        for a, b in combinations(inert_leads, 2)), default=None)
+        for p, twist in enumerate(self.twists):
+            fixed, fixed_top = list(inert.get(p, ())), inert_top.get(p)
+            if pair_top is not None:
+                self._form(pair_top + twist)
+            for e0, mono in zip(base, leads):
+                e = e0.moved(p, {} if self.track else None)
+                add(e, mono, scan=False)
+                if not e.tail:
+                    self._form_inert(mono, twist, fixed, fixed_top, monos)
+
+    def _form_inert(self, mono, twist, others, others_top, monos):
+        """Form the pairs of an inert element (lead monomial mono) with
+        the inert elements `others` of its position, whose largest lead
+        degree is others_top.  Their S-vectors are 0, so none is queued;
+        deg lcm <= the sum of the lead degrees, and only a sum above
+        .top_degree calls for the exact lcm degrees."""
+        if others_top is not None and (
+                self.top_degree is None
+                or mono_deg(mono) + others_top + twist > self.top_degree):
+            self._form(max(sum(map(max, monos[other], mono)) + twist
+                           for other in others))
 
     def _push_pairs(self, pairs, idx, mono, twist, others, monos):
         """Queue (other, idx) pairs by degree: deg lcm of leads + twist."""
@@ -663,13 +728,14 @@ def groebner_basis(ring, columns, twists, *, max_degree=None):
     return ModuleGB(ring, columns, twists, max_degree=max_degree).basis_columns()
 
 
-def syzygy_columns(ring, columns, twists, *, fixed=(), max_degree=None):
-    """Generators of {h : sum_t h[t] * columns[t] in span(fixed)}.
+def syzygy_columns(ring, columns, twists, *, fixed=(), ideal=(),
+                   max_degree=None):
+    """Generators of {h : sum_t h[t] * columns[t] in span(fixed) + ideal*F}.
 
     Returned as sparse columns over the indices of `columns`; entry
     degrees are homogeneous for the twist list
     [column_degree(c) for c in columns].
     """
-    gb = ModuleGB(ring, columns, twists, track=True, fixed=fixed,
+    gb = ModuleGB(ring, columns, twists, track=True, fixed=fixed, ideal=ideal,
                   max_degree=max_degree)
     return [column_from_flat(ring, s) for s in gb.syzygies]

@@ -18,8 +18,12 @@ budgets).  The steps, in order:
    B/mB = k^(number of generators of B), i.e. iff the matrix of constant
    entries has full rank, a rank computation over the field with no
    Groebner basis.  Surjectivity plus equal Hilbert series forces
-   bijectivity degreewise, so a hit yields both witness matrices;
-   exhausting the search budget yields Unknown, never a guess.
+   bijectivity degreewise, so a hit yields both witness matrices.
+   When the search finds none, one more rank decides what it can: the
+   constant part of any degree-zero map is a combination of those of the
+   basis maps, so if together they have rank < the number of generators
+   of B, no map is onto and the answer is an exact NotIsomorphic;
+   otherwise the answer is Unknown, never a guess.
 """
 
 from __future__ import annotations
@@ -158,16 +162,20 @@ def _solution_to_columns(ring, sol, n_A_gens):
     return cols
 
 
+def _constant_rows(ring, phi_cols):
+    """The constant parts of a map's columns, as sparse rows."""
+    const = (0,) * ring.nvars
+    return [{i: p.terms[const] for i, p in col.items() if const in p.terms}
+            for col in phi_cols]
+
+
 def _is_surjective(ring, phi_cols, B: ModulePresentation) -> bool:
     """Whether a degree-zero map onto the minimal presentation B is onto.
 
     Graded Nakayama: it is iff the images span B/mB = k^(B.n_gens()),
     i.e. iff the constant entries of phi_cols have rank B.n_gens().
     """
-    const = (0,) * ring.nvars
-    rows = ({i: p.terms[const] for i, p in col.items() if const in p.terms}
-            for col in phi_cols)
-    return len(_echelon(rows, ring.field)) == B.n_gens()
+    return len(_echelon(_constant_rows(ring, phi_cols), ring.field)) == B.n_gens()
 
 
 def _compose(ring, psi_cols, phi_cols):
@@ -288,6 +296,17 @@ def _is_isomorphic(A: ModulePresentation, B: ModulePresentation, budgets,
             raise ConsistencyError("right inverse failed identity check")
         return IsoVerdict("isomorphic", "surjective degree-zero map with inverse",
                           tuple(phi_cols), tuple(psi_cols))
+    # every degree-zero map's constant part is a combination of the basis
+    # maps' ones: if those span less than B/mB, none is onto (Nakayama)
+    rows = [row for sol in basis for row in _constant_rows(
+        ring, _solution_to_columns(ring, sol, A.n_gens()))]
+    rank = len(_echelon(rows, fieldobj))
+    if rank < B.n_gens():
+        return IsoVerdict(
+            "not_isomorphic",
+            f"no degree-zero map is onto: the constant parts of Hom_0 have "
+            f"rank {rank} < {B.n_gens()} generators",
+        )
     return IsoVerdict(
         "unknown",
         f"no surjection among {len(candidates)} candidates "

@@ -6,11 +6,12 @@ relations to combinations of generators, and every nonzero entry (i, j)
 must be homogeneous of degree rel_twists[j] - gen_twists[i].
 
 All heavy lifting happens in the ambient polynomial ring: membership,
-syzygies and normal forms augment the column list with f*e_i for f in
-the reduced basis of I.  The augmentation, and any further columns a
-caller only quotients by, enter the kernel as fixed columns: syzygies
-and lifts over R are computed over the caller's columns alone, as the
-projections of the ambient ones of the augmented list.
+syzygies and normal forms work modulo I*F, the span of f*e_i for f in
+the reduced basis of I.  Every kernel run gets that basis as its
+`ideal` and admits I*F itself, after any further columns a caller only
+quotients by, which enter as fixed columns: syzygies and lifts over R
+are computed over the caller's columns alone, as the projections of the
+ambient ones of all the inputs.
 """
 
 from __future__ import annotations
@@ -231,8 +232,8 @@ def span_gb(ring: GradedRing, columns, ambient_twists, *, track=False,
             extra=(), max_degree=None) -> ModuleGB:
     """Groebner basis of span(columns) + span(extra) + I*F, memoized.
 
-    With track=True it lifts over `columns` alone; `extra` and the I*F
-    augmentation are fixed (untracked) columns.
+    With track=True it lifts over `columns` alone; `extra` and I*F
+    (the ring's ideal) enter untracked.
     """
     if max_degree is None:
         max_degree = DEFAULT_BUDGETS.max_degree
@@ -247,7 +248,7 @@ def span_gb(ring: GradedRing, columns, ambient_twists, *, track=False,
 def _span_gb(ring, columns, ambient_twists, track, extra, max_degree):
     return ModuleGB(
         ring.poly_ring, list(columns), ambient_twists,
-        track=track, fixed=list(extra) + ring.aug_columns(ambient_twists),
+        track=track, fixed=list(extra), ideal=ring.reduced_relations,
         max_degree=max_degree,
     )
 
@@ -298,8 +299,8 @@ def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
     """Generators of {h : sum_t h[t] * columns[t] in span(extra) + I*F}.
 
     These are the syzygies over R of the columns modulo span(extra): the
-    kernel tracks `columns` only, with `extra` and the I*F augmentation
-    fixed.  Entries are reduced mod I and zero generators dropped.
+    kernel tracks `columns` only, with `extra` and I*F untracked.
+    Entries are reduced mod I and zero generators dropped.
     Column degrees [column_degree(c)] are the twists of the ambient free
     module the result lives in.  When every column is zero, the result
     is the unit vectors.  A dict `tops` receives the run's highest pair
@@ -313,7 +314,7 @@ def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
     if max_degree is None:
         max_degree = DEFAULT_BUDGETS.max_degree
     gb = ModuleGB(ring.poly_ring, list(columns), ambient_twists, track=True,
-                  fixed=list(extra) + ring.aug_columns(ambient_twists),
+                  fixed=list(extra), ideal=ring.reduced_relations,
                   max_degree=max_degree)
     if tops is not None:
         tops["harvest"] = gb.top_degree
@@ -333,10 +334,10 @@ def _minimal_gb(ring: GradedRing, columns, ambient_twists, *, track,
     fixed."""
     if max_degree is None:
         max_degree = DEFAULT_BUDGETS.max_degree
-    aug = ring.aug_columns(ambient_twists)
     return ModuleGB(
         ring.poly_ring, list(columns), ambient_twists, track=track,
-        fixed=list(extra) + aug, max_degree=max_degree, minimal=True,
+        fixed=list(extra), ideal=ring.reduced_relations,
+        max_degree=max_degree, minimal=True,
     )
 
 
@@ -387,8 +388,7 @@ def minimalize(M: ModulePresentation) -> ModulePresentation:
 def _minimalize(M: ModulePresentation) -> ModulePresentation:
     ring = M.ring
     field = ring.field
-    cols = [{i: ring.nf(p) for i, p in c.items() if not ring.nf(p).is_zero()}
-            for c in M.columns]
+    cols = [_reduced_entries(ring, c) for c in M.columns]
     live_rows = list(range(M.n_gens()))
     live_cols = list(range(M.n_rels()))
     while True:
@@ -490,12 +490,11 @@ def _annihilator(M: ModulePresentation) -> list:
     if M.n_gens() == 0:
         return [S.one()]
     current = None
-    aug = ring.aug_columns(M.gen_twists)
-    base_cols = list(M.columns) + aug
     for i in range(M.n_gens()):
         unit = {i: S.one()}
         syz = syzygy_columns(
-            S, [unit], list(M.gen_twists), fixed=base_cols,
+            S, [unit], list(M.gen_twists), fixed=list(M.columns),
+            ideal=ring.reduced_relations,
             max_degree=DEFAULT_BUDGETS.max_degree,
         )
         q_i = [s[0] for s in syz]

@@ -1,10 +1,16 @@
 """Standard graded quotient rings R = k[x_1..x_n]/I.
 
 The kernel only ever divides in the ambient polynomial ring S; a quotient
-ring contributes the columns f*e_i (f running over the reduced Groebner
-basis of I, e_i over the free generators) to every module computation.
-That augmentation is what aug_columns provides, and it is the single
-convention the whole module layer is built on.
+ring contributes f*e_i (f running over the reduced Groebner basis of I,
+e_i over the free generators) to every module computation.  The module
+layer hands the kernel that basis, `reduced_relations`, as its `ideal`,
+and the kernel admits the products itself.  aug_columns builds them as
+explicit columns, which `ModulePresentation.over_ambient` needs for the
+relations of a presentation over S.
+
+Over a monomial ideal the reduced basis is the minimal monomial
+generators, and the normal form of p drops the terms of p that one of
+them divides; nf does that without the kernel.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ class GradedRing:
         self.reduced_relations = tuple(c[0] for c in basis)
         self._leads = [mono for (_pos, mono) in self._gb.leading_terms()]
         self.is_polynomial = not self.reduced_relations
+        self._monomial = all(len(f.terms) == 1 for f in self.reduced_relations)
         self._key = (
             self.poly_ring.key()
             + "/("
@@ -83,6 +90,11 @@ class GradedRing:
         leads = self._leads
         if not any(mono_divides(lead, m) for m in p.terms for lead in leads):
             return p  # already reduced: the normal form is p itself
+        if self._monomial:
+            # a term that a lead divides reduces to 0, and no other moves
+            return Poly(self.poly_ring, {
+                m: c for m, c in p.terms.items()
+                if not any(mono_divides(lead, m) for lead in leads)})
         out = self._gb.normal_form({0: p})
         return out.get(0, self.poly_ring.zero())
 
@@ -91,7 +103,8 @@ class GradedRing:
         return self.nf(p).is_zero()
 
     def aug_columns(self, gen_twists) -> list:
-        """Columns f*e_i for f in the reduced basis of I."""
+        """Columns f*e_i for f in the reduced basis of I, i outer (the
+        products a kernel run with ideal=reduced_relations admits)."""
         out = []
         for i in range(len(gen_twists)):
             for f in self.reduced_relations:

@@ -22,7 +22,8 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize(
-    "name", ["01_linked_pair", "02_canonical_module", "03_corpus_suite"]
+    "name", ["01_linked_pair", "02_canonical_module", "03_corpus_suite",
+             "05_nonmonomial_ring"]
 )
 def test_link_demo_report_matches_golden(name):
     source = (DEMOS / f"{name}.link").read_text(encoding="utf-8")

@@ -179,3 +179,18 @@ def test_generators_in_another_order_get_a_degree_zero_witness():
     assert _is_degree_zero(H, v.forward, A, B)
     assert _is_degree_zero(H, v.backward, B, A)
     assert _is_identity_mod(H, _compose(H, v.backward, v.forward), A)
+
+
+def test_constant_parts_of_low_rank_prove_modules_apart():
+    """R/(x) + R/(y)(-1) against R/(x)(-1) + R/(y) over H = QQ[x,y]/(xy):
+    equal degree multisets and Hilbert series, but every degree-zero map
+    sends the degree-0 generator R/(x) -> R/(y) to zero and the other
+    one into the maximal ideal, so its constant part has rank < 2 and no
+    map is onto (graded Nakayama): an exact not_isomorphic."""
+    kx, ky = cyclic_module(H, ["x"]), cyclic_module(H, ["y"])
+    A = direct_sum(kx, twist_module(ky, -1))
+    B = direct_sum(twist_module(kx, -1), ky)
+    assert A.hilbert_series() == B.hilbert_series()
+    v = is_isomorphic(A, B)
+    assert v.kind == "not_isomorphic"
+    assert v.certificate.startswith("no degree-zero map is onto")
