@@ -8,6 +8,13 @@ are the modules on which a broken stability test is detectable).
 Entries are (name, presentation) pairs; names record how each module
 was built.  Zero modules and exact duplicates are dropped, so the same
 call always yields the same list in the same order.
+
+Entries are generated lazily, one at a time: the base layer (free,
+residue field, maximal ideal, cyclic quotients), then the derived layer
+built from it.  `generate_corpus(R, k)` stops at the k-th distinct
+entry, so a prefix of the base layer builds no syzygy, transpose or
+linkage image; only a k past the end of the pool builds the whole pool,
+which it extends by twists.  `corpus_pool` is the whole list.
 """
 
 from __future__ import annotations
@@ -47,62 +54,61 @@ def maximal_ideal(ring: GradedRing) -> ModulePresentation:
 
 def _base_layer(ring: GradedRing):
     names = list(ring.names)
-    out = [
-        ("free[0]", free_module(ring, [0])),
-        ("residue-field", cyclic_module(ring, names)),
-        ("max-ideal", maximal_ideal(ring)),
-    ]
+    yield "free[0]", free_module(ring, [0])
+    yield "residue-field", cyclic_module(ring, names)
+    yield "max-ideal", maximal_ideal(ring)
     for v in names:
-        out.append((f"quot({v})", cyclic_module(ring, [v])))
+        yield f"quot({v})", cyclic_module(ring, [v])
     for v, w in itertools.combinations(names, 2):
-        out.append((f"quot({v},{w})", cyclic_module(ring, [v, w])))
+        yield f"quot({v},{w})", cyclic_module(ring, [v, w])
     for v in names:
-        out.append((f"quot({v}^2)", cyclic_module(ring, [f"{v}*{v}"])))
+        yield f"quot({v}^2)", cyclic_module(ring, [f"{v}*{v}"])
     for v, w in itertools.combinations(names, 2):
-        out.append((f"quot({v}+{w})", cyclic_module(ring, [f"{v}+{w}"])))
+        yield f"quot({v}+{w})", cyclic_module(ring, [f"{v}+{w}"])
     if len(names) > 2:
-        out.append(("quot(" + "+".join(names) + ")",
-                    cyclic_module(ring, ["+".join(names)])))
-    return out
+        yield ("quot(" + "+".join(names) + ")",
+               cyclic_module(ring, ["+".join(names)]))
 
 
-def _derived_layer(ring: GradedRing, base):
-    by_name = dict(base)
+def _derived_layer(ring: GradedRing, by_name):
     m = by_name["max-ideal"]
     k = by_name["residue-field"]
     free = by_name["free[0]"]
     first_var = ring.names[0]
     quot_v = by_name[f"quot({first_var})"]
 
-    out = []
     for name in ("residue-field", f"quot({first_var})", "max-ideal"):
-        out.append((f"syz1({name})", syzygy(by_name[name], 1)))
+        yield f"syz1({name})", syzygy(by_name[name], 1)
     for name in (f"quot({first_var})", "max-ideal"):
-        out.append((f"transpose({name})", transpose(by_name[name])))
+        yield f"transpose({name})", transpose(by_name[name])
     for name in ("residue-field", f"quot({first_var})"):
-        out.append((f"lambda({name})", lambda_module(by_name[name])))
-    out.append(("twist(max-ideal,1)", twist_module(m, 1)))
-    out.append(("twist(residue-field,-1)", twist_module(k, -1)))
-    out.append(("sum(free[0],max-ideal)", direct_sum(free, m)))
-    out.append(("sum(free[0],residue-field)", direct_sum(free, k)))
-    out.append((f"sum(quot({first_var}),free[0])", direct_sum(quot_v, free)))
-    out.append(("sum(max-ideal,max-ideal)", direct_sum(m, m)))
+        yield f"lambda({name})", lambda_module(by_name[name])
+    yield "twist(max-ideal,1)", twist_module(m, 1)
+    yield "twist(residue-field,-1)", twist_module(k, -1)
+    yield "sum(free[0],max-ideal)", direct_sum(free, m)
+    yield "sum(free[0],residue-field)", direct_sum(free, k)
+    yield f"sum(quot({first_var}),free[0])", direct_sum(quot_v, free)
+    yield "sum(max-ideal,max-ideal)", direct_sum(m, m)
     if len(ring.names) >= 2:
         second = ring.names[1]
-        out.append((
-            f"sum(quot({first_var}),quot({second}))",
-            direct_sum(quot_v, by_name[f"quot({second})"]),
-        ))
-    return out
+        yield (f"sum(quot({first_var}),quot({second}))",
+               direct_sum(quot_v, by_name[f"quot({second})"]))
 
 
-def corpus_pool(ring: GradedRing):
-    """All distinct corpus entries for a ring, in generation order."""
-    entries = _base_layer(ring)
-    entries += _derived_layer(ring, entries)
+def _stream(ring: GradedRing):
+    """Every corpus module in generation order, built one at a time: the
+    base layer, then the derived layer built from it."""
+    base = {}
+    for name, M in _base_layer(ring):
+        base[name] = M
+        yield name, M
+    yield from _derived_layer(ring, base)
+
+
+def _entries(ring: GradedRing):
+    """The distinct nonzero minimal modules of the stream."""
     seen = set()
-    out = []
-    for name, M in entries:
+    for name, M in _stream(ring):
         Mmin = minimalize(M)
         if Mmin.is_zero():
             continue
@@ -110,16 +116,21 @@ def corpus_pool(ring: GradedRing):
         if key in seen:
             continue
         seen.add(key)
-        out.append((name, Mmin))
-    return out
+        yield name, Mmin
+
+
+def corpus_pool(ring: GradedRing):
+    """All distinct corpus entries for a ring, in generation order."""
+    return list(_entries(ring))
 
 
 def generate_corpus(ring: GradedRing, size: int):
-    """First `size` corpus entries; the pool is extended by twisting."""
-    pool = corpus_pool(ring)
-    if size <= len(pool):
-        return pool[:size]
-    out = list(pool)
+    """First `size` corpus entries, built only up to the last one kept;
+    past the pool's end the pool is extended by twisting."""
+    if size < 0:  # a negative size cuts from the end, as a slice does
+        return corpus_pool(ring)[:size]
+    out = list(itertools.islice(_entries(ring), size))
+    pool = tuple(out)
     shift = 1
     while len(out) < size:
         for name, M in pool:

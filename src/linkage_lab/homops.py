@@ -1,13 +1,15 @@
 """Homological operations on presented modules.
 
-Hom, Ext and Tor are computed by one routine, `_homology`: the
-(co)homology at one spot of Hom(F., N) or F. (x) N, for a free
-resolution F. of M, as an explicitly presented subquotient of a free
-module built on (F-generator, N-generator) coordinate pairs.  Hom(M, N)
-is the spot 0 of Hom(F., N) with F_1 -> F_0 M's own presentation; its
-generators come with realizations (actual matrices): `evaluation_map`
-builds M -> sum_t N(tau_t) from them for pushforwards and the
-embedding-into-free test, and the homothety test reads them too.
+Hom, Ext and Tor are computed by one routine in two steps, `_cycles`
+then `_homology`: the (co)homology at one spot of Hom(F., N) or
+F. (x) N, for a free resolution F. of M, as an explicitly presented
+subquotient of a free module built on (F-generator, N-generator)
+coordinate pairs.  Hom(M, N) is the spot 0 of Hom(F., N) with
+F_1 -> F_0 M's own presentation; its generators come with realizations
+(actual matrices): `evaluation_map` builds M -> sum_t N(tau_t) from them
+for pushforwards and the embedding-into-free test.  `_hom_cycles` stops
+after the first step, for the natural-map and homothety test, which
+needs only the cycles and relations of Hom(C, M (x) C).
 
 Ext into the canonical module (up to a twist) over a Cohen-Macaulay
 quotient ring is computed exactly through ambient duality over the
@@ -140,17 +142,18 @@ def _tensor_map_images(d_cols, q):
     return out
 
 
-def _homology(ring, twists, images, image_twists, image_rels, rels, budgets):
-    """(presentation, kept cycles) of the homology at a free spot.
+def _cycles(ring, images, image_twists, image_rels, budgets):
+    """The cycles at a free spot whose outgoing map sends coordinate k to
+    images[k] in a free module with twists `image_twists`, modulo the
+    columns `image_rels`: the kernel of that map (every coordinate when
+    all images are zero)."""
+    return column_syzygies(ring, images, image_twists, extra=image_rels,
+                           max_degree=budgets.max_degree)
 
-    The spot has coordinate twists `twists`; its outgoing map sends
-    coordinate k to images[k] in a free module with twists
-    `image_twists`, modulo the columns `image_rels`.  The cycles are the
-    kernel of that map (every coordinate when all images are zero), and
-    the homology is their span modulo `rels`.
-    """
-    cycles = column_syzygies(ring, images, image_twists, extra=image_rels,
-                             max_degree=budgets.max_degree)
+
+def _homology(ring, twists, cycles, rels, budgets):
+    """(presentation, kept cycles) of the homology at a free spot with
+    coordinate twists `twists`: the span of `cycles` modulo `rels`."""
     return subquotient(ring, twists, cycles, rels,
                        max_degree=budgets.max_degree)
 
@@ -164,23 +167,21 @@ def _spots(A: ModulePresentation, i: int, budgets):
     return res.twists, res.maps
 
 
-def _hom_cohomology(A: ModulePresentation, B: ModulePresentation, i: int,
-                    budgets):
-    """H^i of Hom(F., B) for a free resolution F. of A (see _spots):
-    (presentation, cocycle realizations, coordinate twists of Hom(F_i, B)).
-
-    B may be any presentation; Hom(F_i, B) lives on the coordinates
-    (t, r) -> t*q + r over the generators of B.  For i = 0 this is
-    Hom(A, B), each realization the matrix of a homomorphism.
-    """
+def _hom_cycles(A: ModulePresentation, B: ModulePresentation, i: int,
+                budgets):
+    """(coordinate twists, cycles, relations) of spot i of Hom(F., B) for
+    a free resolution F. of A (see _spots): H^i is the span of the
+    cycles modulo the relations, on the coordinates (t, r) -> t*q + r of
+    Hom(F_i, B) over the generators of B.  No twists when the spot is
+    zero."""
     ring = A.ring
     q = B.n_gens()
     if q == 0 or A.n_gens() == 0:
-        return zero_module(ring), [], []
+        return [], [], []
     twists, maps = _spots(A, i, budgets)
     w_i = twists[i] if i < len(twists) else ()
     if not w_i:
-        return zero_module(ring), [], []
+        return [], [], []
     d_next, w_next = (maps[i], twists[i + 1]) if i < len(maps) else ([], ())
     h_i = _hom_twists(w_i, B.gen_twists)
     rels = _per_slot_relations(len(w_i), q, B)
@@ -188,10 +189,24 @@ def _hom_cohomology(A: ModulePresentation, B: ModulePresentation, i: int,
         # images of Hom(F_{i-1}, B) basis vectors inside Hom(F_i, B)
         rels += [img for img in _dual_map_images(maps[i - 1],
                                                  len(twists[i - 1]), q) if img]
-    pres, kept = _homology(
-        ring, h_i, _dual_map_images(d_next, len(w_i), q),
-        _hom_twists(w_next, B.gen_twists),
-        _per_slot_relations(len(w_next), q, B), rels, budgets)
+    cycles = _cycles(ring, _dual_map_images(d_next, len(w_i), q),
+                     _hom_twists(w_next, B.gen_twists),
+                     _per_slot_relations(len(w_next), q, B), budgets)
+    return h_i, cycles, rels
+
+
+def _hom_cohomology(A: ModulePresentation, B: ModulePresentation, i: int,
+                    budgets):
+    """H^i of Hom(F., B) for a free resolution F. of A (see _hom_cycles):
+    (presentation, cocycle realizations, coordinate twists of Hom(F_i, B)).
+
+    B may be any presentation.  For i = 0 this is Hom(A, B), each
+    realization the matrix of a homomorphism.
+    """
+    h_i, cycles, rels = _hom_cycles(A, B, i, budgets)
+    if not h_i:
+        return zero_module(A.ring), [], []
+    pres, kept = _homology(A.ring, h_i, cycles, rels, budgets)
     return pres, kept, h_i
 
 
@@ -353,11 +368,11 @@ def _tor(A: ModulePresentation, B: ModulePresentation, i: int,
     rels = _per_slot_relations(len(w_i), q, B)
     if i < len(maps):
         rels += [img for img in _tensor_map_images(maps[i], q) if img]
-    return _homology(
-        ring, _tensor_twists(w_i, B.gen_twists),
-        _tensor_map_images(maps[i - 1], q),
-        _tensor_twists(w_prev, B.gen_twists),
-        _per_slot_relations(len(w_prev), q, B), rels, budgets)[0]
+    cycles = _cycles(ring, _tensor_map_images(maps[i - 1], q),
+                     _tensor_twists(w_prev, B.gen_twists),
+                     _per_slot_relations(len(w_prev), q, B), budgets)
+    return _homology(ring, _tensor_twists(w_i, B.gen_twists), cycles, rels,
+                     budgets)[0]
 
 
 def _transpose_raw(A: ModulePresentation, B: ModulePresentation):

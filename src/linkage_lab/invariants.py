@@ -25,17 +25,23 @@ checks read before any bounded scan.
 
 The groups Ext^j_S(M, S), j = 0..n, are computed once per presentation
 and kept in the memo as M's ambient profile, with the indices where they
-are nonzero.  The profile is checked when it is built: the alternating
-sum of their Hilbert series must be K_M(1/t) / (1-t)^n, where K_M is the
-numerator of HS(M), or ConsistencyError is raised.  Ext into the
-canonical module, depth, dimension, local cohomology degrees, generalized
-CM-ness, the CM branch of `serre_tilde` and the support tests at probe
-primes all read from it.  The verdicts of `is_semidualizing`,
-`in_auslander_class`, `serre_tilde`, `gc_dim` and `is_canonical_module`
-are memoized too, keyed by the content keys of the minimal inputs, the
-bound, the budgets and the probe set, so a suite asking the same
-question in several checks computes it once.  A hit hands every caller
-the same object, which is why the verdict classes are frozen.
+are nonzero.  Only the window grade <= j <= pd is computed: Ext^j_S(M, S)
+vanishes below grade(ann M, S) = n - dim M (Rees) and above pd_S M,
+which the minimal resolution of M over S gives (Auslander-Buchsbaum
+bounds it by n); the profile holds the zero module at every other j.
+The profile is checked when it is built: the alternating sum of the
+Hilbert series must be K_M(1/t) / (1-t)^n, where K_M is the numerator of
+HS(M); then, for M != 0, both ends of the window must be nonzero, since
+grade and pd are attained.  Either failure raises ConsistencyError.
+Ext into the canonical module, depth, dimension, local cohomology
+degrees, generalized CM-ness, the CM branch of `serre_tilde` and the
+support tests at probe primes all read from it.  The verdicts of
+`is_semidualizing`, `in_auslander_class`, `serre_tilde`, `gc_dim` and
+`is_canonical_module` are memoized too, keyed by the content keys of
+the minimal inputs, the bound, the budgets and the probe set, so a suite
+asking the same question in several checks computes it once.  A hit
+hands every caller the same object, which is why the verdict classes
+are frozen.
 
 Local data at primes is sampled on variable-subset primes P, where
 Ext^j_S(M, S) is supported exactly when `annihilates(S/P, g)` holds for
@@ -51,8 +57,7 @@ from .config import DEFAULT_BUDGETS, default_bound
 from .errors import BudgetError, ConsistencyError, InapplicableError
 from .hilbert import HilbertSeries
 from .homops import (
-    _hom_cohomology,
-    _per_slot_relations,
+    _hom_cycles,
     ext,
     ext_to_ambient,
     syzygy,
@@ -70,8 +75,10 @@ from .modules import (
     cyclic_module,
     free_module,
     minimalize,
+    quotient_series,
     span_gb,
     twist_module,
+    zero_module,
 )
 from .resolutions import minimal_free_resolution
 from .rings import GradedRing
@@ -93,7 +100,18 @@ def _ambient_profile(M: ModulePresentation, budgets=None) -> tuple:
 
 def _ambient_exts(M: ModulePresentation, budgets) -> tuple:
     n = M.ring.nvars
-    exts = tuple(ext_to_ambient(M, j, budgets=budgets) for j in range(n + 1))
+    # Ext^j_S(M, S) = 0 outside grade <= j <= pd (Rees; Auslander-Buchsbaum),
+    # and grade = n - dim M over the polynomial ring S
+    res = minimal_free_resolution(M.over_ambient(), n + 1, budgets=budgets)
+    pd = res.projective_dimension()
+    if pd is None:
+        raise ConsistencyError(
+            f"the ambient resolution did not end within {n + 1} steps")
+    dim = M.hilbert_series().dimension()
+    lo = n - dim
+    zero = zero_module(res.ring)
+    exts = tuple(ext_to_ambient(M, j, budgets=budgets) if lo <= j <= pd
+                 else zero for j in range(n + 1))
     # Euler characteristic of Hom(F., S) for a free resolution F. of M:
     # sum_j (-1)^j HS(Ext^j_S(M, S)) = K_M(1/t) / (1-t)^n, where K_M is the
     # numerator of HS(M); a free summand S(-e) of F_j gives t^e to K_M
@@ -107,6 +125,11 @@ def _ambient_exts(M: ModulePresentation, budgets) -> tuple:
             f"ambient Ext profile fails the Euler characteristic: "
             f"sum (-1)^j HS(Ext^j_S(M, S)) = {euler}, K_M(1/t)/(1-t)^{n} "
             f"= {dual}")
+    # both ends of the window are attained: Ext^grade and Ext^pd are nonzero
+    if dim >= 0 and (exts[lo].is_zero() or exts[pd].is_zero()):
+        raise ConsistencyError(
+            f"ambient Ext profile: Ext^{lo}_S(M, S) (grade = n - dim M) or "
+            f"Ext^{pd}_S(M, S) (pd of the resolution) is zero")
     return exts, tuple(j for j, E in enumerate(exts) if not E.is_zero())
 
 
@@ -577,14 +600,17 @@ def _natural_map_is_iso(A: ModulePresentation, Cmin: ModulePresentation,
     (t, s) -> t*qT + s; at A = R it is the homothety R -> Hom(C, C).
 
     Exact for minimal A: surjectivity is a Groebner span test, and with
-    equal Hilbert series that forces bijectivity degree by degree.
+    equal Hilbert series that forces bijectivity degree by degree.  Hom
+    is never presented: it is span(cycles + rels) / span(rels) on the
+    coordinates above (`homops._hom_cycles`), so its Hilbert series is
+    HS(F / rels) - HS(F / (cycles + rels)), read from the two span bases
+    the test builds anyway, and the map is onto iff every cycle lies in
+    the span of its images and the relations.
     """
     ring = A.ring
     T_raw, _, Bc = tensor_raw(A, Cmin)
     qc, qT = Bc.n_gens(), T_raw.n_gens()
-    pres, kept, h0 = _hom_cohomology(Bc, T_raw, 0, budgets)
-    twists = list(h0)
-    rels = _per_slot_relations(qc, qT, T_raw)
+    twists, cycles, rels = _hom_cycles(Bc, T_raw, 0, budgets)
 
     def image(col):
         return {t * qT + i * qc + t: f for i, f in col.items()
@@ -595,14 +621,16 @@ def _natural_map_is_iso(A: ModulePresentation, Cmin: ModulePresentation,
     rel_gb = span_gb(ring, rels, twists)
     if not all(rel_gb.contains(image(col)) for col in A.columns):
         raise ConsistencyError("candidate map is not well defined")
-    full_gb = span_gb(ring, list(kept) + rels, twists)
+    full_gb = span_gb(ring, cycles + rels, twists)
     for col in img_cols:
         if col and not full_gb.contains(col):
             raise ConsistencyError("image column leaves the target module")
-    if A.hilbert_series() != pres.hilbert_series():
+    hom_series = (quotient_series(ring, rels, twists)
+                  - quotient_series(ring, cycles + rels, twists))
+    if A.hilbert_series() != hom_series:
         return False, "Hilbert series of source and target differ"
     img_gb = span_gb(ring, [c for c in img_cols if c] + rels, twists)
-    for k in kept:
+    for k in cycles:
         if not img_gb.contains(k):
             return False, "map is not surjective"
     return True, "surjective with equal Hilbert series"

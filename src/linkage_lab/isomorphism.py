@@ -11,19 +11,19 @@ budgets).  The steps, in order:
 3. identical minimal presentations (equal content keys): the identity
    matrix is a surjective degree-zero map that is its own inverse, so it
    is both witnesses, with no search;
-4. the search: solve for the space of degree-zero homomorphisms by exact
-   linear algebra and hunt for a surjective one.  Surjectivity is
-   decided by the graded Nakayama lemma: a degree-zero map onto a
-   minimal presentation B is onto iff its images span
-   B/mB = k^(number of generators of B), i.e. iff the matrix of constant
+4. the space of degree-zero homomorphisms, solved by exact linear
+   algebra, and one rank before any search: the constant part of any
+   degree-zero map is a combination of those of the basis maps, so if
+   together they have rank < the number of generators of B, no map is
+   onto B/mB = k^(number of generators of B) (graded Nakayama) and the
+   answer is an exact NotIsomorphic;
+5. the search: hunt for a surjective map among the basis maps and
+   random combinations of them.  By the same lemma a degree-zero map
+   onto a minimal presentation B is onto iff the matrix of its constant
    entries has full rank, a rank computation over the field with no
    Groebner basis.  Surjectivity plus equal Hilbert series forces
-   bijectivity degreewise, so a hit yields both witness matrices.
-   When the search finds none, one more rank decides what it can: the
-   constant part of any degree-zero map is a combination of those of the
-   basis maps, so if together they have rank < the number of generators
-   of B, no map is onto and the answer is an exact NotIsomorphic;
-   otherwise the answer is Unknown, never a guess.
+   bijectivity degreewise, so a hit yields both witness matrices.  When
+   the search finds none, the answer is Unknown, never a guess.
 """
 
 from __future__ import annotations
@@ -255,9 +255,20 @@ def _is_isomorphic(A: ModulePresentation, B: ModulePresentation, budgets,
     basis, _unknowns = hom_degree_zero_space(A, B)
     if not basis:
         return IsoVerdict("not_isomorphic", "no nonzero degree-zero homomorphisms")
+    fieldobj = ring.field
+    # every degree-zero map's constant part is a combination of the basis
+    # maps' ones: if those span less than B/mB, none is onto (Nakayama)
+    rows = [row for sol in basis for row in _constant_rows(
+        ring, _solution_to_columns(ring, sol, A.n_gens()))]
+    rank = len(_echelon(rows, fieldobj))
+    if rank < B.n_gens():
+        return IsoVerdict(
+            "not_isomorphic",
+            f"no degree-zero map is onto: the constant parts of Hom_0 have "
+            f"rank {rank} < {B.n_gens()} generators",
+        )
     rng = random.Random((seed, A.content_key(), B.content_key()).__repr__())
     candidates = list(basis)
-    fieldobj = ring.field
     for _ in range(budgets.iso_search_tries):
         combo: dict = {}
         for sol in basis:
@@ -296,17 +307,6 @@ def _is_isomorphic(A: ModulePresentation, B: ModulePresentation, budgets,
             raise ConsistencyError("right inverse failed identity check")
         return IsoVerdict("isomorphic", "surjective degree-zero map with inverse",
                           tuple(phi_cols), tuple(psi_cols))
-    # every degree-zero map's constant part is a combination of the basis
-    # maps' ones: if those span less than B/mB, none is onto (Nakayama)
-    rows = [row for sol in basis for row in _constant_rows(
-        ring, _solution_to_columns(ring, sol, A.n_gens()))]
-    rank = len(_echelon(rows, fieldobj))
-    if rank < B.n_gens():
-        return IsoVerdict(
-            "not_isomorphic",
-            f"no degree-zero map is onto: the constant parts of Hom_0 have "
-            f"rank {rank} < {B.n_gens()} generators",
-        )
     return IsoVerdict(
         "unknown",
         f"no surjection among {len(candidates)} candidates "

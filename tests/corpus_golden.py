@@ -1,4 +1,4 @@
-"""Golden reports for the full corpus suites over three rings.
+"""Golden reports for the full corpus suites over four rings.
 
 `suite [] on corpus(R, 8)` runs every theorem check of the default
 battery over the first eight corpus modules of R, for
@@ -6,6 +6,7 @@ battery over the first eight corpus modules of R, for
     H = QQ[x,y]/(xy)                          (Gorenstein hypersurface)
     T = QQ[x,y,z]/(yz,xz,xy)                  (CM, not Gorenstein)
     N = GF(32003)[x,y,z,w]/(xz,xw,yz,yw)      (not Cohen-Macaulay)
+    U = T after y -> x+y, z -> x+y+z          (an ideal with tails)
 
 and the `report_json` of each run is stored in tests/golden/corpus_R.json.
 
@@ -16,7 +17,7 @@ stage of their hypotheses, are stored in tests/golden/special_instances.json.
 
     PYTHONPATH=src python tests/corpus_golden.py
 
-rewrites the four files from the library on the path.  Do that only for
+rewrites the five files from the library on the path.  Do that only for
 an intended change of a verdict or a report; the test in
 tests/test_corpus_golden.py reruns them and byte-compares.
 """
@@ -32,6 +33,8 @@ RINGS = {
     "H": ("QQ", "x, y", "x*y"),
     "T": ("QQ", "x, y, z", "y*z, x*z, x*y"),
     "N": ("GF(32003)", "x, y, z, w", "x*z, x*w, y*z, y*w"),
+    "U": ("QQ", "x, y, z",
+          "x^2 + x*y, x^2 + x*y + x*z, x^2 + 2*x*y + x*z + y^2 + y*z"),
 }
 
 

@@ -5,7 +5,9 @@ Ext^i_R(M, omega_R(a)) = Ext^(i+c)_S(M, S)(a - n).  These tests hold the
 ambient route against the direct computation over R, check that the
 route stays off where its hypotheses fail, that its twist certificate
 catches a wrong shift, and that the Euler characteristic identity of the
-ambient profile catches a wrong Ext^j_S(M, S).
+ambient profile catches a wrong Ext^j_S(M, S).  The profile computes only
+its window grade <= j <= pd; it must equal Ext^j_S(M, S) computed at
+every j, and a wrong end of the window fails its end check.
 """
 
 import pytest
@@ -238,3 +240,42 @@ def test_ab_formula_on_residue_field_is_exact():
     assert all(h.label == "Exact" for h in report.hypothesis_status)
     assert not report.notes
     assert "budget" not in report.witness
+
+
+def _window_cases():
+    for label, ring, size in (("H", H, 8), ("T", T, 8), ("N", N, 8),
+                              ("U", U, 2)):
+        extra = [("zero", modules.zero_module(ring)),
+                 ("free[0,2]", free_module(ring, [0, 2]))]
+        for name, M in generate_corpus(ring, size) + extra:
+            yield pytest.param(M, id=f"{label}-{name}")
+
+
+@pytest.mark.parametrize("M", list(_window_cases()))
+def test_profile_window_matches_every_index(M):
+    # outside grade <= j <= pd the profile puts the zero module without
+    # computing; the reference computes Ext^j_S(M, S) at every j
+    exts, js = invariants._ambient_profile(M)
+    ref = [homops.ext_to_ambient(M, j) for j in range(M.ring.nvars + 1)]
+    assert [E.content_key() for E in exts] == [E.content_key() for E in ref]
+    assert js == tuple(j for j, E in enumerate(ref) if not E.is_zero())
+
+
+def test_window_ends_are_checked(monkeypatch):
+    # a resolution claiming pd one too high puts the computed, zero,
+    # Ext^(pd + 1) at the end of the window: the Euler identity holds and
+    # the end check fails
+    true_resolution = invariants.minimal_free_resolution
+
+    class OneTooLong:
+        def __init__(self, res):
+            self.res = res
+            self.ring = res.ring
+
+        def projective_dimension(self):
+            return self.res.projective_dimension() + 1
+
+    monkeypatch.setattr(invariants, "minimal_free_resolution",
+                        lambda *a, **kw: OneTooLong(true_resolution(*a, **kw)))
+    with pytest.raises(ConsistencyError, match=r"Ext\^3_S\(M, S\) \(pd"):
+        invariants.depth(maximal_ideal(T))

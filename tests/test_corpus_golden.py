@@ -1,6 +1,6 @@
 """Corpus report gate: the full corpus suites are byte-identical to golden.
 
-`suite [] on corpus(R, 8)` over H, T and N (see tests/corpus_golden.py)
+`suite [] on corpus(R, 8)` over H, T, N and U (see tests/corpus_golden.py)
 runs through parse -> execute -> report_json and is compared with
 tests/golden/corpus_R.json.  A change that moves any verdict, witness,
 certificate or note of the default battery fails here until the golden

@@ -6,9 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkage_lab import invariants
-from linkage_lab.corpus import classical_rings, corpus_pool, maximal_ideal
+from linkage_lab.config import DEFAULT_BUDGETS
+from linkage_lab.corpus import (
+    classical_rings,
+    corpus_pool,
+    generate_corpus,
+    maximal_ideal,
+)
 from linkage_lab.fields import GF, QQ
-from linkage_lab.homops import tensor
+from linkage_lab.homops import (
+    _hom_cohomology,
+    _per_slot_relations,
+    tensor,
+    tensor_raw,
+)
 from linkage_lab.invariants import (
     INFINITY,
     CoefficientFacts,
@@ -39,6 +50,7 @@ from linkage_lab.modules import (
     direct_sum,
     free_module,
     minimalize,
+    span_gb,
     twist_module,
     zero_module,
 )
@@ -269,3 +281,43 @@ def test_depth_of_direct_sum_is_minimum():
     f = free_module(H, [0])
     assert depth(direct_sum(k, f)) == 0
     assert krull_dim(direct_sum(k, f)) == 1
+
+
+def _reference_natural_map_is_iso(A, Cmin, budgets):
+    """The natural map test with Hom(C, A (x) C) presented by
+    `_hom_cohomology`: its Hilbert series from the presentation, and
+    surjectivity tested on the presentation's minimal generators."""
+    ring = A.ring
+    T_raw, _, Bc = tensor_raw(A, Cmin)
+    qc, qT = Bc.n_gens(), T_raw.n_gens()
+    pres, kept, twists = _hom_cohomology(Bc, T_raw, 0, budgets)
+    rels = _per_slot_relations(qc, qT, T_raw)
+    one = ring.poly_ring.one()
+    img_cols = [{t * qT + i * qc + t: one for t in range(qc)}
+                for i in range(A.n_gens())]
+    if A.hilbert_series() != pres.hilbert_series():
+        return False, "Hilbert series of source and target differ"
+    img_gb = span_gb(ring, [c for c in img_cols if c] + rels, list(twists))
+    if not all(img_gb.contains(k) for k in kept):
+        return False, "map is not surjective"
+    return True, "surjective with equal Hilbert series"
+
+
+def test_natural_map_reads_hom_from_its_cycles():
+    N = make_ring(GF(32003), ["x", "y", "z", "w"],
+                  ["x*z", "x*w", "y*z", "y*w"])
+    answers = []
+    for ring in (T, N):
+        Cmin = minimalize(canonical_module(ring))
+        # the corpus, then A = R: the homothety R -> Hom(C, C)
+        for M in [M for _, M in generate_corpus(ring, 8)] + [
+                free_module(ring, [0])]:
+            A = minimalize(M)
+            got = invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+            want = _reference_natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+            assert got == want, (str(ring), A.content_key())
+            answers.append(got[0])
+    # the homothety over T (omega is semidualizing) is an iso; over the
+    # non-CM ring N it is not
+    assert answers[8] and not answers[-1]
+    assert not all(answers)

@@ -181,16 +181,30 @@ def test_generators_in_another_order_get_a_degree_zero_witness():
     assert _is_identity_mod(H, _compose(H, v.backward, v.forward), A)
 
 
-def test_constant_parts_of_low_rank_prove_modules_apart():
+def test_constant_parts_of_low_rank_prove_modules_apart(monkeypatch):
     """R/(x) + R/(y)(-1) against R/(x)(-1) + R/(y) over H = QQ[x,y]/(xy):
     equal degree multisets and Hilbert series, but every degree-zero map
     sends the degree-0 generator R/(x) -> R/(y) to zero and the other
     one into the maximal ideal, so its constant part has rank < 2 and no
-    map is onto (graded Nakayama): an exact not_isomorphic."""
+    map is onto (graded Nakayama): an exact not_isomorphic, decided
+    before any candidate map is tried."""
+    tried = []
+
+    def counting(ring, phi_cols, B):
+        tried.append(phi_cols)
+        return _is_surjective(ring, phi_cols, B)
+
+    monkeypatch.setattr(isomorphism, "_is_surjective", counting)
     kx, ky = cyclic_module(H, ["x"]), cyclic_module(H, ["y"])
     A = direct_sum(kx, twist_module(ky, -1))
     B = direct_sum(twist_module(kx, -1), ky)
     assert A.hilbert_series() == B.hilbert_series()
     v = is_isomorphic(A, B)
     assert v.kind == "not_isomorphic"
-    assert v.certificate.startswith("no degree-zero map is onto")
+    assert v.certificate == ("no degree-zero map is onto: the constant parts "
+                             "of Hom_0 have rank 0 < 2 generators")
+    assert tried == []
+    # a pair that does reach the search still tries its candidates
+    C = minimalize(direct_sum(free_module(H, [0, 1]), kx))
+    D = minimalize(direct_sum(free_module(H, [1, 0]), kx))
+    assert is_isomorphic(C, D).is_isomorphic() and tried
