@@ -127,8 +127,8 @@ def corpus_pool(ring: GradedRing):
 def generate_corpus(ring: GradedRing, size: int):
     """First `size` corpus entries, built only up to the last one kept;
     past the pool's end the pool is extended by twisting."""
-    if size < 0:  # a negative size cuts from the end, as a slice does
-        return corpus_pool(ring)[:size]
+    if size < 0:
+        raise ValueError(f"corpus size must be >= 0, got {size}")
     out = list(itertools.islice(_entries(ring), size))
     pool = tuple(out)
     shift = 1

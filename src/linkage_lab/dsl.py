@@ -590,7 +590,10 @@ class _Parser:
         self.expect("sym", "(")
         ring = self._ring_ref()
         self.expect("sym", ",")
+        start = self.peek()
         size = self._signed_int()
+        if size < 0:
+            self.error(f"corpus size {size} is negative", start)
         self.expect("sym", ")")
         self.expect("sym", ";")
         return SuiteStmt(ids, ring, size, pos=(kw.line, kw.col))

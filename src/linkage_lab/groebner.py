@@ -336,10 +336,18 @@ class ModuleGB:
     and .syzygies is over the positions of .kept.  Such an instance
     answers nothing else; its basis is not reduced, and not complete
     unless tracked.
+
+    With mod_ideal=True and an `ideal` of monomials (every element
+    inert), each harvested representation drops, before it is decoded,
+    the keys whose packed exponents a lead of `ideal` divides: .syzygies
+    then holds normal forms mod the ideal, a syzygy that is 0 there is
+    dropped, and .syzygies_reduced is True.  It is True as well when
+    `ideal` is empty.
     """
 
     def __init__(self, ring: PolyRing, columns, twists, *, track=False,
-                 fixed=(), ideal=(), max_degree=None, minimal=False):
+                 fixed=(), ideal=(), max_degree=None, minimal=False,
+                 mod_ideal=False):
         self.ring = ring
         self.twists = tuple(twists)
         self.track = track
@@ -355,6 +363,14 @@ class ModuleGB:
         self._tracked = len(columns)
         self._input_columns = columns + list(fixed)
         self._ideal = tuple(ideal)
+        # a monomial f keys to one term: an inert element
+        self.syzygies_reduced = mod_ideal and all(
+            len(f.terms) == 1 for f in self._ideal)
+        # the monomials whose multiples a harvest drops, and their packed
+        # exponents under the term keys they were last packed with
+        self._harvest_leads = [next(iter(f.terms)) for f in self._ideal
+                               if track and self.syzygies_reduced]
+        self._harvest_exps = (None, [])
         field = ring.field
         self._ar = _GF(field.p) if isinstance(field, PrimeField) else _QQ()
         self._field_one = field.one()
@@ -532,7 +548,10 @@ class ModuleGB:
             if nf:
                 add_vec(nf, rep)
             elif self.track and rep:
-                self.syzygies.append(self._decode(rep))
+                if self._harvest_leads:
+                    rep = self._outside_ideal(rep)
+                if rep:
+                    self.syzygies.append(self._decode(rep))
         if minimal:
             where = {t: i for i, t in enumerate(self.kept)}
             self.syzygies = [{(where[t], m): c for (t, m), c in s.items()}
@@ -592,6 +611,27 @@ class ModuleGB:
             if self.max_degree is not None and degree > self.max_degree:
                 raise BudgetError("groebner pair degree", self.max_degree)
             self.top_degree = degree
+
+    def _outside_ideal(self, rep: dict) -> dict:
+        """rep without the keys whose monomial a lead of the (monomial)
+        ideal divides: its normal form mod the ideal."""
+        keys = self._keys
+        if self._harvest_exps[0] is not keys:
+            self._harvest_exps = (keys, [keys.exps(keys.key((0, m)))
+                                         for m in self._harvest_leads])
+        leads = self._harvest_exps[1]
+        pbits, fbits = keys.pbits, keys.fbits
+        lowmask, guard = keys.lowmask, keys.guard
+        out = {}
+        for k, c in rep.items():
+            s = k >> pbits
+            target = (s - ((s & lowmask) << fbits)) | guard
+            for x in leads:
+                if (target - x) & guard == guard:
+                    break
+            else:
+                out[k] = c
+        return out
 
     def _chain_skip(self, i, j, lcm, monos):
         keys = self._keys

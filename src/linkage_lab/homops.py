@@ -9,7 +9,9 @@ F_1 -> F_0 M's own presentation; its generators come with realizations
 (actual matrices): `evaluation_map` builds M -> sum_t N(tau_t) from them
 for pushforwards and the embedding-into-free test.  `_hom_cycles` stops
 after the first step, for the natural-map and homothety test, which
-needs only the cycles and relations of Hom(C, M (x) C).
+needs only the cycles and relations of Hom(C, M (x) C), and runs it only
+once the series of Hom read from the image side has matched HS(M) (see
+`invariants._natural_map_is_iso`).
 
 Ext into the canonical module (up to a twist) over a Cohen-Macaulay
 quotient ring is computed exactly through ambient duality over the

@@ -8,7 +8,10 @@ Ext^j_S(M,S) != 0} is exactly the set of degrees where local cohomology
 at the irrelevant maximal ideal is nonzero.  Everything else here
 (Serre conditions, canonical modules, semidualizing certificates,
 Auslander classes, G-dimension) builds on that profile plus bounded
-Ext/Tor scans whose bounds are reported honestly.
+Ext/Tor scans whose bounds are reported honestly.  The Auslander-class
+natural map M -> Hom(C, M (x) C) reads the Hilbert series of its target
+by rank-nullity along Hom(F_1 -> F_0 -> C, M (x) C), and computes the
+cycles of Hom only when that series equals HS(M).
 
 Ext into the canonical module over a Cohen-Macaulay ring R = S/I of
 codimension c is exact through the same duality:
@@ -55,9 +58,12 @@ from dataclasses import dataclass
 from . import memo
 from .config import DEFAULT_BUDGETS, default_bound
 from .errors import BudgetError, ConsistencyError, InapplicableError
+from .groebner import column_degree
 from .hilbert import HilbertSeries
 from .homops import (
     _hom_cycles,
+    _tensor_twists,
+    _transpose_raw,
     ext,
     ext_to_ambient,
     syzygy,
@@ -599,36 +605,94 @@ def _natural_map_is_iso(A: ModulePresentation, Cmin: ModulePresentation,
     generator i to the identity onto slot i of A (x) C, on the coordinates
     (t, s) -> t*qT + s; at A = R it is the homothety R -> Hom(C, C).
 
-    Exact for minimal A: surjectivity is a Groebner span test, and with
-    equal Hilbert series that forces bijectivity degree by degree.  Hom
-    is never presented: it is span(cycles + rels) / span(rels) on the
-    coordinates above (`homops._hom_cycles`), so its Hilbert series is
-    HS(F / rels) - HS(F / (cycles + rels)), read from the two span bases
-    the test builds anyway, and the map is onto iff every cycle lies in
+    Exact for minimal A: with equal Hilbert series, surjectivity (a
+    Groebner span test) forces bijectivity degree by degree.  The series
+    of Hom(C, X), X = A (x) C, is read from the image side first (see
+    `_image_side_series`): for a minimal presentation F_1 -> F_0 -> C
+    with F_0 = sum R(-a_t) and F_1 = sum R(-b_j), the sequence
+    0 -> Hom(C, X) -> Hom(F_0, X) -> Hom(F_1, X) -> Tr_X C -> 0 is exact,
+    Tr_X C = coker Hom(d_1, X), so by rank-nullity
+
+      HS(Hom(C, X)) = sum_t t^(-a_t) HS(X) - sum_j t^(-b_j) HS(X)
+                      + HS(Tr_X C),
+
+    with no kernel computed.  When it differs from HS(A) the map is not
+    an iso.  Only when they agree does the kernel route run
+    (`_natural_map_by_cycles`), whose own series must match.
+    """
+    series = _image_side_series(A, Cmin, budgets)
+    if A.hilbert_series() != series:
+        return False, "Hilbert series of source and target differ"
+    return _natural_map_by_cycles(A, Cmin, series, budgets)
+
+
+def _image_side_series(A: ModulePresentation, Cmin: ModulePresentation,
+                       budgets) -> HilbertSeries:
+    """HS(Hom(C, X)) for X = A (x) C by the formula of `_natural_map_is_iso`,
+    after the natural map's two consistency checks, slot by slot in X.
+
+    X is the memoized minimal tensor; for minimal A and C it keeps every
+    generator of `tensor_raw`, in order, so generator i*qc + t of X is
+    the image in slot t of A's generator i.  The checks read the basis of
+    X's relations that HS(X) builds.  HS(Tr_X C) is one plain run, under
+    the budgets, over the columns of `_transpose_raw(Cmin, X)` with X
+    presented by that basis: the same span in every slot of Hom(F_1, X),
+    entering already a Groebner basis.
+    """
+    ring = A.ring
+    X = tensor(A, Cmin)
+    qc = Cmin.n_gens()
+    if X.gen_twists != tuple(_tensor_twists(A.gen_twists, Cmin.gen_twists)):
+        raise ConsistencyError(
+            "minimal tensor of minimal modules pruned or moved a generator")
+    rel_gb = span_gb(ring, X.columns, X.gen_twists)
+    # slot t of the image of a relation of A
+    for col in A.columns:
+        for t in range(qc):
+            if not rel_gb.contains({i * qc + t: f for i, f in col.items()}):
+                raise ConsistencyError("candidate map is not well defined")
+    # slot j of Hom(d_1, X) applied to the image of generator i
+    for i in range(A.n_gens()):
+        for col in Cmin.columns:
+            if not rel_gb.contains({i * qc + t: f for t, f in col.items()}):
+                raise ConsistencyError("image column leaves the target module")
+    hs = X.hilbert_series()
+    out = HilbertSeries.zero(ring.nvars)
+    for a in Cmin.gen_twists:
+        out = out + hs.shift(-a)
+    for b in Cmin.rel_twists:
+        out = out - hs.shift(-b)
+    basis = rel_gb.basis_columns()
+    tr = _transpose_raw(Cmin, ModulePresentation(
+        ring, X.gen_twists, [column_degree(c, X.gen_twists) for c in basis],
+        basis))
+    return out + quotient_series(ring, tr.columns, tr.gen_twists,
+                                 max_degree=budgets.max_degree)
+
+
+def _natural_map_by_cycles(A: ModulePresentation, Cmin: ModulePresentation,
+                           series: HilbertSeries, budgets) -> tuple:
+    """The kernel route of `_natural_map_is_iso`, run when HS(A) equals
+    the image-side `series`.  Hom is never presented: it is
+    span(cycles + rels) / span(rels) on the coordinates of
+    `homops._hom_cycles`, so its Hilbert series is
+    HS(F / rels) - HS(F / (cycles + rels)), which must equal `series`
+    (else ConsistencyError), and the map is onto iff every cycle lies in
     the span of its images and the relations.
     """
     ring = A.ring
     T_raw, _, Bc = tensor_raw(A, Cmin)
     qc, qT = Bc.n_gens(), T_raw.n_gens()
     twists, cycles, rels = _hom_cycles(Bc, T_raw, 0, budgets)
-
-    def image(col):
-        return {t * qT + i * qc + t: f for i, f in col.items()
-                if not f.is_zero() for t in range(qc)}
-
-    one = ring.poly_ring.one()
-    img_cols = [image({i: one}) for i in range(A.n_gens())]
-    rel_gb = span_gb(ring, rels, twists)
-    if not all(rel_gb.contains(image(col)) for col in A.columns):
-        raise ConsistencyError("candidate map is not well defined")
-    full_gb = span_gb(ring, cycles + rels, twists)
-    for col in img_cols:
-        if col and not full_gb.contains(col):
-            raise ConsistencyError("image column leaves the target module")
     hom_series = (quotient_series(ring, rels, twists)
                   - quotient_series(ring, cycles + rels, twists))
-    if A.hilbert_series() != hom_series:
-        return False, "Hilbert series of source and target differ"
+    if hom_series != series:
+        raise ConsistencyError(
+            f"Hom(C, M (x) C): the cycles give series {hom_series}, "
+            f"the image side gives {series}")
+    one = ring.poly_ring.one()
+    img_cols = [{t * qT + i * qc + t: one for t in range(qc)}
+                for i in range(A.n_gens())]
     img_gb = span_gb(ring, [c for c in img_cols if c] + rels, twists)
     for k in cycles:
         if not img_gb.contains(k):

@@ -253,9 +253,10 @@ def _span_gb(ring, columns, ambient_twists, track, extra, max_degree):
     )
 
 
-def quotient_series(ring: GradedRing, columns, ambient_twists) -> HilbertSeries:
+def quotient_series(ring: GradedRing, columns, ambient_twists, *,
+                    max_degree=None) -> HilbertSeries:
     """Hilbert series of F / (span(columns) + I*F)."""
-    gb = span_gb(ring, columns, ambient_twists)
+    gb = span_gb(ring, columns, ambient_twists, max_degree=max_degree)
     per_pos: dict = {}
     for pos, mono in gb.leading_terms():
         per_pos.setdefault(pos, []).append(mono)
@@ -315,14 +316,19 @@ def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
         max_degree = DEFAULT_BUDGETS.max_degree
     gb = ModuleGB(ring.poly_ring, list(columns), ambient_twists, track=True,
                   fixed=list(extra), ideal=ring.reduced_relations,
-                  max_degree=max_degree)
+                  max_degree=max_degree, mod_ideal=True)
     if tops is not None:
         tops["harvest"] = gb.top_degree
     return _harvested(ring, gb)
 
 
 def _harvested(ring: GradedRing, gb: ModuleGB) -> list:
-    """The syzygies of a tracked run, entries reduced mod I, zeros dropped."""
+    """The syzygies of a tracked run, entries reduced mod I, zeros dropped.
+
+    A monomial I was reduced inside the run (`ModuleGB(mod_ideal=True)`);
+    an ideal with tails goes through `ring.nf`."""
+    if gb.syzygies_reduced:
+        return [column_from_flat(ring.poly_ring, s) for s in gb.syzygies]
     syz = [_reduced_entries(ring, column_from_flat(ring.poly_ring, s))
            for s in gb.syzygies]
     return [s for s in syz if s]
@@ -337,7 +343,7 @@ def _minimal_gb(ring: GradedRing, columns, ambient_twists, *, track,
     return ModuleGB(
         ring.poly_ring, list(columns), ambient_twists, track=track,
         fixed=list(extra), ideal=ring.reduced_relations,
-        max_degree=max_degree, minimal=True,
+        max_degree=max_degree, minimal=True, mod_ideal=True,
     )
 
 

@@ -45,3 +45,10 @@ def test_a_base_layer_prefix_builds_no_derived_module(monkeypatch):
         ["free[0]", "residue-field"]
     with pytest.raises(AssertionError, match="syzygy, transpose"):
         corpus_pool(T)
+
+
+def test_a_negative_size_is_refused():
+    H = RINGS["H"]
+    assert generate_corpus(H, 0) == []
+    with pytest.raises(ValueError, match="-1"):
+        generate_corpus(H, -1)

@@ -265,6 +265,35 @@ def test_cli_parse_error_exit_two(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+NEGATIVE_CORPUS = """\
+ring S = poly(QQ, x, y);
+ring H = quotient(S, [x*y]);
+suite [THM_MS] on corpus(H, -17);
+"""
+
+
+def test_negative_corpus_size_is_a_parse_error():
+    with pytest.raises(DslError, match="corpus size -17") as info:
+        parse(NEGATIVE_CORPUS)
+    assert (info.value.line, info.value.col) == (3, 29)
+
+
+def test_cli_negative_corpus_size_exit_two(tmp_path, capsys):
+    bad = tmp_path / "negative.link"
+    bad.write_text(NEGATIVE_CORPUS, encoding="utf-8")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "corpus size -17" in err
+
+
+def test_empty_corpus_suite_is_valid():
+    res = _run(NEGATIVE_CORPUS.replace("-17", "0"))
+    assert res.exit_code() == 0
+    (suite,) = res.results
+    assert suite["name"] == "corpus(H, 0)"
+    assert suite["report"]["reports"] == []
+
+
 def test_cli_missing_file_exit_two(capsys):
     assert main(["run", "/nonexistent/path.link"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -2,10 +2,11 @@
 Serre-type depth conditions, relative G-dimension, Auslander class,
 canonical and semidualizing modules, reduced grade."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkage_lab import invariants
+from linkage_lab import homops, invariants
 from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import (
     classical_rings,
@@ -13,6 +14,7 @@ from linkage_lab.corpus import (
     generate_corpus,
     maximal_ideal,
 )
+from linkage_lab.errors import ConsistencyError
 from linkage_lab.fields import GF, QQ
 from linkage_lab.homops import (
     _hom_cohomology,
@@ -46,6 +48,7 @@ from linkage_lab.invariants import (
 )
 from linkage_lab.isomorphism import is_isomorphic
 from linkage_lab.modules import (
+    ModulePresentation,
     cyclic_module,
     direct_sum,
     free_module,
@@ -321,3 +324,91 @@ def test_natural_map_reads_hom_from_its_cycles():
     # non-CM ring N it is not
     assert answers[8] and not answers[-1]
     assert not all(answers)
+
+
+N4 = make_ring(GF(32003), ["x", "y", "z", "w"], ["x*z", "x*w", "y*z", "y*w"])
+# T after y -> x+y, z -> x+y+z: the same graded ring, non-monomial ideal
+U = make_ring(QQ, ["x", "y", "z"],
+              ["x^2+x*y", "x^2+x*y+x*z", "x^2+2*x*y+x*z+y^2+y*z"])
+
+
+def _natural_map_inputs(ring, size):
+    """(A, Cmin) over the corpus and A = R, with C the canonical module."""
+    Cmin = minimalize(canonical_module(ring))
+    return [(minimalize(M), Cmin) for _, M in generate_corpus(ring, size)
+            + [("free[0]", free_module(ring, [0]))]]
+
+
+@pytest.mark.parametrize("ring, size", [(T, 8), (N4, 8), (U, 4)],
+                         ids=["T", "N", "U"])
+def test_image_side_series_is_the_series_of_hom(ring, size):
+    # rank-nullity along 0 -> Hom(C, X) -> Hom(F_0, X) -> Hom(F_1, X)
+    # -> Tr_X C -> 0 against Hom(C, X) presented from its cycles
+    for A, Cmin in _natural_map_inputs(ring, size):
+        got = invariants._image_side_series(A, Cmin, DEFAULT_BUDGETS)
+        want = _hom_cohomology(Cmin, tensor_raw(A, Cmin)[0], 0,
+                               DEFAULT_BUDGETS)[0].hilbert_series()
+        assert got == want, (str(ring), A.content_key())
+
+
+def test_differing_series_run_no_cycles(monkeypatch):
+    # over N every corpus answer is "the series differ", read from the
+    # image side alone
+    inputs = _natural_map_inputs(N4, 8)
+    want = [invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+            for A, Cmin in inputs]
+    assert not any(ok for ok, _ in want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_hom_cycles called")
+
+    monkeypatch.setattr(invariants, "_hom_cycles", refuse)
+    monkeypatch.setattr(homops, "_hom_cycles", refuse)
+    got = [invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+           for A, Cmin in inputs]
+    assert got == want
+
+
+def test_kernel_route_must_match_the_image_side_series():
+    # the homothety R -> Hom(omega, omega) over T is an iso; a series off
+    # by a factor t fails the cross-check of the cycles
+    R, Cmin = _natural_map_inputs(T, 0)[0]
+    series = invariants._image_side_series(R, Cmin, DEFAULT_BUDGETS)
+    assert invariants._natural_map_by_cycles(R, Cmin, series,
+                                             DEFAULT_BUDGETS)[0]
+    with pytest.raises(ConsistencyError, match="image side"):
+        invariants._natural_map_by_cycles(R, Cmin, series.shift(1),
+                                          DEFAULT_BUDGETS)
+
+
+def _split_tensor(A, Cmin):
+    """tensor_raw(A, C) as (relations from A's, relations from C's)."""
+    raw = tensor_raw(A, Cmin)[0]
+    k = A.n_rels() * Cmin.n_gens()
+
+    def part(cols):
+        return ModulePresentation(raw.ring, raw.gen_twists,
+                                  [raw.rel_twists[j] for j in cols],
+                                  [raw.columns[j] for j in cols])
+
+    return part(range(k)), part(range(k, raw.n_rels()))
+
+
+def test_slot_checks_catch_a_wrong_target(monkeypatch):
+    A = minimalize(cyclic_module(T, ["x"]))
+    Cmin = minimalize(canonical_module(T))
+    assert A.n_rels() and Cmin.n_rels()
+    from_a, from_c = _split_tensor(A, Cmin)
+    # without C's relations, Hom(d_1, X) moves an image off the cycles
+    monkeypatch.setattr(invariants, "tensor", lambda M, N: from_a)
+    with pytest.raises(ConsistencyError, match="leaves the target module"):
+        invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+    # without A's relations, the map does not factor through A
+    monkeypatch.setattr(invariants, "tensor", lambda M, N: from_c)
+    with pytest.raises(ConsistencyError, match="not well defined"):
+        invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+    # a tensor that lost or moved a generator
+    monkeypatch.setattr(invariants, "tensor",
+                        lambda M, N: twist_module(from_c, 1))
+    with pytest.raises(ConsistencyError, match="generator"):
+        invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import (
     classical_rings,
     corpus_pool,
@@ -14,7 +15,7 @@ from linkage_lab.corpus import (
 from linkage_lab.errors import HomogeneityError, InapplicableError
 from linkage_lab.fields import GF, QQ
 from linkage_lab import modules
-from linkage_lab.groebner import ModuleGB, syzygy_columns
+from linkage_lab.groebner import ModuleGB, column_from_flat, syzygy_columns
 from linkage_lab.hilbert import HilbertSeries
 from linkage_lab.modules import (
     annihilates,
@@ -24,6 +25,7 @@ from linkage_lab.modules import (
     direct_sum,
     free_module,
     from_matrix,
+    minimal_step,
     minimalize,
     subquotient,
     twist_module,
@@ -255,3 +257,45 @@ def test_hilbert_series_of_quadric_quotient():
     hs = free_module(R, [0]).hilbert_series()
     assert str(hs).replace(" ", "") == "(1+t)/(1-t)"
     assert [hs.value(d) for d in range(5)] == [1, 2, 2, 2, 2]
+
+
+def _nf_harvest(ring, gb):
+    """The reference harvest: every entry reduced by ring.nf, zeros
+    dropped."""
+    out = []
+    for s in gb.syzygies:
+        col = {t: ring.nf(p)
+               for t, p in column_from_flat(ring.poly_ring, s).items()}
+        col = {t: p for t, p in col.items() if not p.is_zero()}
+        if col:
+            out.append(col)
+    return out
+
+
+@pytest.mark.parametrize("ring", [T, N, U], ids=["T", "N", "U"])
+def test_harvest_reduced_in_the_kernel_matches_nf(ring):
+    # over a monomial ideal the run drops the harvested terms in I before
+    # decoding; an ideal with tails (U) keeps the nf path
+    monomial = all(len(f.terms) == 1 for f in ring.reduced_relations)
+    S, ideal = ring.poly_ring, ring.reduced_relations
+    checked = 0
+    for _, M in generate_corpus(ring, 8):
+        cols, twists = list(M.columns), list(M.gen_twists)
+        if not cols:
+            continue
+        plain = ModuleGB(S, cols, twists, track=True, ideal=ideal,
+                         max_degree=DEFAULT_BUDGETS.max_degree)
+        assert modules.column_syzygies(ring, cols, twists) == \
+            _nf_harvest(ring, plain)
+        reduced = ModuleGB(S, cols, twists, track=True, ideal=ideal,
+                           max_degree=DEFAULT_BUDGETS.max_degree,
+                           mod_ideal=True)
+        assert reduced.syzygies_reduced == monomial
+        minimal = ModuleGB(S, cols, twists, track=True, ideal=ideal,
+                           max_degree=DEFAULT_BUDGETS.max_degree,
+                           minimal=True)
+        kept, harvest = minimal_step(ring, cols, twists, harvest=True)
+        assert kept == minimal.kept
+        assert harvest == _nf_harvest(ring, minimal)
+        checked += 1
+    assert checked >= 6
