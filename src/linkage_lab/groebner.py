@@ -42,13 +42,30 @@ as g = f_t - sum c_j g_j with representation e_t - sum c_j rep(g_j), so
 its expression g + sum c_j g_j has representation e_t, and every
 difference vanishes: the same holds for inputs entered unreduced.
 
-A run over a quotient ring R = S/I takes the reduced basis of I as
-`ideal`.  Right after the fixed columns it admits f*e_p for every
-position p and every f, positions outer: the elements, order and indices
+A non-minimal run ends with a minimal basis: it keeps, in lead order,
+the elements whose leads no other kept lead divides.  Their tails are
+reduced, and the elements made monic, only on the first read of tails or
+representations (basis_columns, lift, lift_flat), once and in place.
+Leading terms, membership and normal forms need no reduced tails: the
+leads of a minimal basis are those of the reduced one, and the remainder
+of full reduction by any Groebner basis is the same (Cox, Little and
+O'Shea, Ideals, Varieties, and Algorithms, ch. 2 sec. 6, Prop. 1; under
+a TOP order the module case is the same).  A tail-less element is only
+made monic: its lead is minimal, so it is its own normal form.
+
+A run over a quotient ring R = S/I takes R as `quotient`.  Right after
+the fixed columns it admits f*e_p for every position p and every f in
+the reduced basis of I, positions outer: the elements, order and indices
 that the columns f*e_p appended to `fixed` would give, untracked like
-them.  Each f is keyed once per run, at position 0, and moving a key to
-position p subtracts p, so a monomial f enters as an inert element with
-no column built, encoded or decoded.
+them.  One loop per position appends the copies and does for each what
+admitting a column does: it queues the pairs with the live elements of
+the position, and a tailed f*e_p also those with the inert ones, while a
+monomial f*e_p forms its pairs with the inert fixed columns by the exact
+scan below.  Each f is keyed once per run, at position 0, and moving a
+key to position p subtracts p, so a monomial f enters as an inert
+element with no column built, encoded or decoded.  The leads of I,
+which of its generators are monomials and pair_top (below) do not
+depend on the run; R computes them once.
 
 In both modes an element is inert when it has no tail and an empty or
 absent representation, e.g. a monomial of I*F.  A pair of two inert
@@ -56,7 +73,7 @@ elements has S-vector 0 and representation 0, so it is never queued,
 but it is formed (see below).  The pairs among the monomials of I at
 position p are formed at once: their highest degree is pair_top +
 twists[p], where pair_top is the largest lcm degree of two monomial
-elements of `ideal`, found once per run.  A new inert element's pairs
+generators of I.  A new inert element's pairs
 with the other inert elements of its position are formed by an exact
 scan of their lcm degrees, run only when the sum of the lead degrees
 could raise .top_degree.
@@ -81,7 +98,7 @@ of keys (Monagan-Pearce, CASC 2007) and pushes only the terms each
 subtraction creates.  Divisibility of a term by a leading term is one
 guard-bit test on packed exponents.  The keys stay exact while every
 monomial degree is below the key width's limit.  Before an S-pair, the
-interreduction, or a query, the kernel bounds the largest degree the step
+tail reduction, or a query, the kernel bounds the largest degree the step
 can create (the lcm's degree, or the input's, plus the largest excess of
 a representation's degree over its element's lead) and re-encodes its
 basis at a wider width when the bound reaches the limit.
@@ -97,7 +114,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from operator import mul
 
 from .errors import BudgetError
@@ -125,8 +141,8 @@ def column_from_flat(ring: PolyRing, vec: dict) -> dict:
 def column_degree(col: dict, twists) -> int | None:
     """Twisted degree of a homogeneous column; None for zero."""
     for pos, poly in col.items():
-        if not poly.is_zero():
-            return poly.degree() + twists[pos]
+        for m in poly.terms:
+            return mono_deg(m) + twists[pos]
     return None
 
 
@@ -323,30 +339,30 @@ class ModuleGB:
     """Groebner basis of the column span inside a twisted free module.
 
     twists[i] is the degree of the i-th free generator.  The span is that
-    of `columns` followed by `fixed` and then ideal*F, the products f*e_p
-    of the polynomials in `ideal` with the free generators.  With
+    of `columns` followed by `fixed` and then I*F, the products f*e_p of
+    the reduced basis of the ideal I of `quotient` (a GradedRing over
+    `ring`; none when it is None) with the free generators.  With
     track=True the instance also
     exposes .syzygies and .lift(), both over the indices of `columns`
     alone: .syzygies generates the projection onto those coordinates of
     the syzygy module of all inputs (only nonzero projections are kept),
-    and .lift() expresses members modulo span(fixed) + ideal*F.
+    and .lift() expresses members modulo span(fixed) + I*F.
 
     With minimal=True `columns` are candidates: .kept lists, in (degree,
-    index) order, those outside span(fixed) + ideal*F and the earlier ones,
+    index) order, those outside span(fixed) + I*F and the earlier ones,
     and .syzygies is over the positions of .kept.  Such an instance
     answers nothing else; its basis is not reduced, and not complete
     unless tracked.
 
-    With mod_ideal=True and an `ideal` of monomials (every element
-    inert), each harvested representation drops, before it is decoded,
-    the keys whose packed exponents a lead of `ideal` divides: .syzygies
-    then holds normal forms mod the ideal, a syzygy that is 0 there is
-    dropped, and .syzygies_reduced is True.  It is True as well when
-    `ideal` is empty.
+    With mod_ideal=True and a monomial I (every element of I*F inert),
+    each harvested representation drops, before it is decoded, the keys
+    whose packed exponents a lead of I divides: .syzygies then holds
+    normal forms mod I, a syzygy that is 0 there is dropped, and
+    .syzygies_reduced is True.  It is True as well when I is 0.
     """
 
     def __init__(self, ring: PolyRing, columns, twists, *, track=False,
-                 fixed=(), ideal=(), max_degree=None, minimal=False,
+                 fixed=(), quotient=None, max_degree=None, minimal=False,
                  mod_ideal=False):
         self.ring = ring
         self.twists = tuple(twists)
@@ -362,15 +378,16 @@ class ModuleGB:
         columns = list(columns)
         self._tracked = len(columns)
         self._input_columns = columns + list(fixed)
-        self._ideal = tuple(ideal)
-        # a monomial f keys to one term: an inert element
-        self.syzygies_reduced = mod_ideal and all(
-            len(f.terms) == 1 for f in self._ideal)
+        q = None if quotient is None or quotient.is_polynomial else quotient
+        self._quotient = q
+        self.syzygies_reduced = mod_ideal and (q is None or q._monomial)
         # the monomials whose multiples a harvest drops, and their packed
         # exponents under the term keys they were last packed with
-        self._harvest_leads = [next(iter(f.terms)) for f in self._ideal
-                               if track and self.syzygies_reduced]
+        self._harvest_leads = q._leads if q is not None and track \
+            and self.syzygies_reduced else []
         self._harvest_exps = (None, [])
+        # set once the basis is minimal; its tails wait for the first read
+        self._tails_pending = False
         field = ring.field
         self._ar = _GF(field.p) if isinstance(field, PrimeField) else _QQ()
         self._field_one = field.one()
@@ -465,10 +482,10 @@ class ModuleGB:
         inert: dict = {}
         inert_top: dict = {}
 
-        def add(e, mono, scan=True):
+        def add(e, mono):
             """Append e (lead monomial mono) and queue or form its pairs.
             An inert e forms its pairs with the inert elements before it
-            by an exact scan, which scan=False leaves to the caller."""
+            by an exact scan."""
             self._note_rep(e)
             idx, pos = len(self._elems), e.pos
             self._elems.append(e)
@@ -481,8 +498,7 @@ class ModuleGB:
                 live.setdefault(pos, []).append(idx)
                 return
             deg, top = mono_deg(mono), inert_top.get(pos)
-            if scan:
-                self._form_inert(mono, twist, inert.get(pos, ()), top, monos)
+            self._form_inert(mono, twist, inert.get(pos, ()), top, monos)
             inert.setdefault(pos, []).append(idx)
             inert_top[pos] = deg if top is None else max(deg, top)
 
@@ -509,7 +525,7 @@ class ModuleGB:
             if self.track:
                 rep = {self._keys.key((t, one)): 1} if t < ntracked else {}
             add_vec(vec, rep)
-        self._admit_ideal(add, inert, inert_top, monos)
+        self._admit_ideal(pairs, live, inert, inert_top, monos)
         self.admitted_top = self.top_degree
         # a plain minimal run ends with its last admission
         drain = self.track or not minimal
@@ -557,30 +573,46 @@ class ModuleGB:
             self.syzygies = [{(where[t], m): c for (t, m), c in s.items()}
                              for s in self.syzygies]
         else:
-            self._interreduce()
+            self._minimize()
+            self._tails_pending = True
 
-    def _admit_ideal(self, add, inert, inert_top, monos):
-        """Admit ideal*F after the fixed columns (see the module doc)."""
-        if not self._ideal:
+    def _admit_ideal(self, pairs, live, inert, inert_top, monos):
+        """Admit I*F after the fixed columns (see the module doc): per
+        position, one loop appends the copies and does `add`'s pair work."""
+        q = self._quotient
+        if q is None:
             return
+        leads, monomial = q._leads, q._monomial_gens
         # widen first, so that no key of `base` goes stale
-        self._ensure(max(f.degree() for f in self._ideal))
+        self._ensure(max(map(mono_deg, leads)))
         keys = self._keys
         base = [_Elem(keys, self._encode({(0, m): c for m, c in f.terms.items()}),
-                      None) for f in self._ideal]
-        leads = [keys.term(e.lead)[1] for e in base]
-        inert_leads = [m for e, m in zip(base, leads) if not e.tail]
-        pair_top = max((sum(map(max, a, b))
-                        for a, b in combinations(inert_leads, 2)), default=None)
+                      None) for f in q.reduced_relations]
+        gens = list(zip(base, leads, monomial))
+        ideal_top = max((mono_deg(m) for m, inert_f in zip(leads, monomial)
+                         if inert_f), default=None)
+        elems, track, push = self._elems, self.track, self._push_pairs
         for p, twist in enumerate(self.twists):
-            fixed, fixed_top = list(inert.get(p, ())), inert_top.get(p)
-            if pair_top is not None:
-                self._form(pair_top + twist)
-            for e0, mono in zip(base, leads):
-                e = e0.moved(p, {} if self.track else None)
-                add(e, mono, scan=False)
-                if not e.tail:
+            by_pos = self._by_pos.setdefault(p, [])
+            live_p, inert_p = live.setdefault(p, []), inert.setdefault(p, [])
+            fixed, fixed_top = list(inert_p), inert_top.get(p)
+            if q._pair_top is not None:
+                self._form(q._pair_top + twist)
+            for e0, mono, inert_f in gens:
+                idx = len(elems)
+                elems.append(e0.moved(p, {} if track else None))
+                by_pos.append(idx)
+                monos.append(mono)
+                push(pairs, idx, mono, twist, live_p, monos)
+                if inert_f:
                     self._form_inert(mono, twist, fixed, fixed_top, monos)
+                    inert_p.append(idx)
+                else:
+                    push(pairs, idx, mono, twist, inert_p, monos)
+                    live_p.append(idx)
+            if ideal_top is not None:
+                inert_top[p] = ideal_top if fixed_top is None \
+                    else max(ideal_top, fixed_top)
 
     def _form_inert(self, mono, twist, others, others_top, monos):
         """Form the pairs of an inert element (lead monomial mono) with
@@ -692,9 +724,9 @@ class ModuleGB:
                 submul(rep, red.rep, shift, factor)
         return out, rep
 
-    def _interreduce(self):
-        """Canonical reduced basis: minimal leads, reduced tails, monic."""
-        ar = self._ar
+    def _minimize(self):
+        """Keep the elements whose leads no other kept lead divides, in
+        lead order: the leads of the reduced basis."""
         elems = self._elems
         order = sorted(range(len(elems)), key=lambda i: elems[i].lead)
         guard = self._keys.guard
@@ -712,12 +744,23 @@ class ModuleGB:
         self._by_pos = {}
         for idx, e in enumerate(kept):
             self._by_pos.setdefault(e.pos, []).append(idx)
-        if kept:
-            self._ensure(max(self._keys.degree(e.lead) for e in kept) + self._excess)
-        for idx, e in enumerate(kept):
-            nf, rep = self._reduce(e.vec(), e.rep, skip=idx)
-            inv = ar.inv(nf[max(nf)])
-            e.set_vec(self._keys, ar.scale(nf, inv))
+
+    def _reduce_tails(self):
+        """Finish the canonical reduced basis in place: reduced tails,
+        monic.  Runs once, on the first read of tails or representations;
+        a tail-less element is only made monic, its lead being minimal."""
+        if not self._tails_pending:
+            return
+        self._tails_pending = False
+        ar, elems = self._ar, self._elems
+        if elems:
+            self._ensure(max(self._keys.degree(e.lead) for e in elems) + self._excess)
+        for idx, e in enumerate(elems):
+            vec, rep = e.vec(), e.rep
+            if e.tail:
+                vec, rep = self._reduce(vec, rep, skip=idx)
+            inv = ar.inv(e.lc)
+            e.set_vec(self._keys, ar.scale(vec, inv))
             if rep is not None:
                 e.rep = ar.scale(rep, inv)
                 self._note_rep(e)
@@ -725,6 +768,7 @@ class ModuleGB:
     # queries ---------------------------------------------------------
 
     def basis_columns(self):
+        self._reduce_tails()
         return [self._column(e.vec()) for e in self._elems]
 
     def leading_terms(self):
@@ -750,6 +794,7 @@ class ModuleGB:
         """
         if not self.track:
             raise ValueError("lift requires a tracked basis")
+        self._reduce_tails()
         nf, rep = self._reduce(self._encode(vec, self._excess), {})
         if nf:
             return None
@@ -768,14 +813,15 @@ def groebner_basis(ring, columns, twists, *, max_degree=None):
     return ModuleGB(ring, columns, twists, max_degree=max_degree).basis_columns()
 
 
-def syzygy_columns(ring, columns, twists, *, fixed=(), ideal=(),
+def syzygy_columns(ring, columns, twists, *, fixed=(), quotient=None,
                    max_degree=None):
-    """Generators of {h : sum_t h[t] * columns[t] in span(fixed) + ideal*F}.
+    """Generators of {h : sum_t h[t] * columns[t] in span(fixed) + I*F},
+    I the ideal of `quotient` (none when it is None).
 
     Returned as sparse columns over the indices of `columns`; entry
     degrees are homogeneous for the twist list
     [column_degree(c) for c in columns].
     """
-    gb = ModuleGB(ring, columns, twists, track=True, fixed=fixed, ideal=ideal,
-                  max_degree=max_degree)
+    gb = ModuleGB(ring, columns, twists, track=True, fixed=fixed,
+                  quotient=quotient, max_degree=max_degree)
     return [column_from_flat(ring, s) for s in gb.syzygies]

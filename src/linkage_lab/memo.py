@@ -6,10 +6,13 @@ depends on its key alone and a hit is indistinguishable from
 recomputation.  Keys are content hashes of the inputs; the Hilbert
 numerator recursion keys by its hashable inputs themselves.
 
-Entries are never replaced, with one exception: the state of a
-resolution (op "resolution") is a cursor that changes in place:
-extending it appends maps and replaces the candidates of its last step,
-and a state loaded from the disk store is first rebuilt from d_1.
+Entries are never replaced, but two kinds change in place.  The state of
+a resolution (op "resolution") is a cursor: extending it appends maps and
+replaces the candidates of its last step, and a state loaded from the
+disk store is first rebuilt from d_1.  A Groebner basis (op "span-gb")
+finishes its tail reduction in place on the first read of tails or
+representations, as it already re-encodes its terms in place when a
+query needs wider keys; either way it answers every query as before.
 `clear()` empties every cache in the package.
 """
 

@@ -248,7 +248,7 @@ def span_gb(ring: GradedRing, columns, ambient_twists, *, track=False,
 def _span_gb(ring, columns, ambient_twists, track, extra, max_degree):
     return ModuleGB(
         ring.poly_ring, list(columns), ambient_twists,
-        track=track, fixed=list(extra), ideal=ring.reduced_relations,
+        track=track, fixed=list(extra), quotient=ring,
         max_degree=max_degree,
     )
 
@@ -315,7 +315,7 @@ def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
     if max_degree is None:
         max_degree = DEFAULT_BUDGETS.max_degree
     gb = ModuleGB(ring.poly_ring, list(columns), ambient_twists, track=True,
-                  fixed=list(extra), ideal=ring.reduced_relations,
+                  fixed=list(extra), quotient=ring,
                   max_degree=max_degree, mod_ideal=True)
     if tops is not None:
         tops["harvest"] = gb.top_degree
@@ -342,7 +342,7 @@ def _minimal_gb(ring: GradedRing, columns, ambient_twists, *, track,
         max_degree = DEFAULT_BUDGETS.max_degree
     return ModuleGB(
         ring.poly_ring, list(columns), ambient_twists, track=track,
-        fixed=list(extra), ideal=ring.reduced_relations,
+        fixed=list(extra), quotient=ring,
         max_degree=max_degree, minimal=True, mod_ideal=True,
     )
 
@@ -500,7 +500,7 @@ def _annihilator(M: ModulePresentation) -> list:
         unit = {i: S.one()}
         syz = syzygy_columns(
             S, [unit], list(M.gen_twists), fixed=list(M.columns),
-            ideal=ring.reduced_relations,
+            quotient=ring,
             max_degree=DEFAULT_BUDGETS.max_degree,
         )
         q_i = [s[0] for s in syz]

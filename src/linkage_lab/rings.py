@@ -3,8 +3,10 @@
 The kernel only ever divides in the ambient polynomial ring S; a quotient
 ring contributes f*e_i (f running over the reduced Groebner basis of I,
 e_i over the free generators) to every module computation.  The module
-layer hands the kernel that basis, `reduced_relations`, as its `ideal`,
-and the kernel admits the products itself.  aug_columns builds them as
+layer hands the kernel the ring as its `quotient`, and the kernel admits
+the products itself from `reduced_relations` and the data each ring
+keeps of them once: their leads, which of them are monomials, and the
+largest lcm degree of two monomial ones.  aug_columns builds them as
 explicit columns, which `ModulePresentation.over_ambient` needs for the
 relations of a presentation over S.
 
@@ -14,6 +16,8 @@ them divides; nf does that without the kernel.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from . import memo
 from .errors import HomogeneityError
@@ -51,7 +55,16 @@ class GradedRing:
         self.reduced_relations = tuple(c[0] for c in basis)
         self._leads = [mono for (_pos, mono) in self._gb.leading_terms()]
         self.is_polynomial = not self.reduced_relations
-        self._monomial = all(len(f.terms) == 1 for f in self.reduced_relations)
+        # what every kernel run over this ring reads of I (ModuleGB's
+        # `quotient`): which reduced generators are monomials, and the
+        # largest lcm degree of two of them
+        self._monomial_gens = tuple(len(f.terms) == 1
+                                    for f in self.reduced_relations)
+        self._monomial = all(self._monomial_gens)
+        self._pair_top = max(
+            (sum(map(max, a, b)) for a, b in combinations(
+                [m for m, f in zip(self._leads, self._monomial_gens) if f], 2)),
+            default=None)
         self._key = (
             self.poly_ring.key()
             + "/("
@@ -104,7 +117,7 @@ class GradedRing:
 
     def aug_columns(self, gen_twists) -> list:
         """Columns f*e_i for f in the reduced basis of I, i outer (the
-        products a kernel run with ideal=reduced_relations admits)."""
+        products a kernel run with quotient=self admits)."""
         out = []
         for i in range(len(gen_twists)):
             for f in self.reduced_relations:

@@ -277,21 +277,21 @@ def test_harvest_reduced_in_the_kernel_matches_nf(ring):
     # over a monomial ideal the run drops the harvested terms in I before
     # decoding; an ideal with tails (U) keeps the nf path
     monomial = all(len(f.terms) == 1 for f in ring.reduced_relations)
-    S, ideal = ring.poly_ring, ring.reduced_relations
+    S = ring.poly_ring
     checked = 0
     for _, M in generate_corpus(ring, 8):
         cols, twists = list(M.columns), list(M.gen_twists)
         if not cols:
             continue
-        plain = ModuleGB(S, cols, twists, track=True, ideal=ideal,
+        plain = ModuleGB(S, cols, twists, track=True, quotient=ring,
                          max_degree=DEFAULT_BUDGETS.max_degree)
         assert modules.column_syzygies(ring, cols, twists) == \
             _nf_harvest(ring, plain)
-        reduced = ModuleGB(S, cols, twists, track=True, ideal=ideal,
+        reduced = ModuleGB(S, cols, twists, track=True, quotient=ring,
                            max_degree=DEFAULT_BUDGETS.max_degree,
                            mod_ideal=True)
         assert reduced.syzygies_reduced == monomial
-        minimal = ModuleGB(S, cols, twists, track=True, ideal=ideal,
+        minimal = ModuleGB(S, cols, twists, track=True, quotient=ring,
                            max_degree=DEFAULT_BUDGETS.max_degree,
                            minimal=True)
         kept, harvest = minimal_step(ring, cols, twists, harvest=True)
