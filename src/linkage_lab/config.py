@@ -17,15 +17,6 @@ class Budgets:
     max_rank: int = 512
     iso_search_tries: int = 24
 
-    def with_overrides(self, **kw) -> "Budgets":
-        data = {
-            "max_degree": self.max_degree,
-            "max_rank": self.max_rank,
-            "iso_search_tries": self.iso_search_tries,
-        }
-        data.update({k: v for k, v in kw.items() if v is not None})
-        return Budgets(**data)
-
 
 DEFAULT_BUDGETS = Budgets()
 

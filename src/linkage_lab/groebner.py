@@ -1,9 +1,9 @@
 """Groebner bases for submodules of graded free modules over k[x_1..x_n].
 
-Vectors cross the module boundary as flattened sparse dicts
-{(position, monomial): coeff}.  The module order is TOP(grevlex): compare
-monomials by grevlex, break ties by position with lower index greater.
-Columns of matrices are sparse dicts {row: Poly}.
+Vectors cross the module boundary as columns, sparse dicts {row: Poly}:
+inputs, queries, bases, normal forms, lifts and syzygies alike.  The
+module order is TOP(grevlex): compare monomials by grevlex, break ties by
+position with lower index greater.
 
 Two modes:
 
@@ -45,7 +45,7 @@ difference vanishes: the same holds for inputs entered unreduced.
 A non-minimal run ends with a minimal basis: it keeps, in lead order,
 the elements whose leads no other kept lead divides.  Their tails are
 reduced, and the elements made monic, only on the first read of tails or
-representations (basis_columns, lift, lift_flat), once and in place.
+representations (basis_columns, lift), once and in place.
 Leading terms, membership and normal forms need no reduced tails: the
 leads of a minimal basis are those of the reduced one, and the remainder
 of full reduction by any Groebner basis is the same (Cox, Little and
@@ -93,9 +93,11 @@ two elements at one position form a pair.  So the tracked run's
 
 Inside the kernel a term (pos, mono) is a plain int, its term key (see
 _TermKeys): integer order is the module order, and multiplying a term by
-x^q adds the key of q.  Reduction pops the largest live term from a heap
-of keys (Monagan-Pearce, CASC 2007) and pushes only the terms each
-subtraction creates.  Divisibility of a term by a leading term is one
+x^q adds the key of q.  A column is packed straight into keys on the way
+in and unpacked into a column on the way out; no other module sees a
+key.  Reduction pops the largest live term from a heap of keys
+(Monagan-Pearce, CASC 2007) and pushes only the terms each subtraction
+creates.  Divisibility of a term by a leading term is one
 guard-bit test on packed exponents.  The keys stay exact while every
 monomial degree is below the key width's limit.  Before an S-pair, the
 tail reduction, or a query, the kernel bounds the largest degree the step
@@ -120,22 +122,6 @@ from .errors import BudgetError
 from .fields import PrimeField
 from .monomials import mono_coprime, mono_deg, mono_lcm, mono_one
 from .polynomials import Poly, PolyRing
-
-
-def flat_from_column(col: dict) -> dict:
-    """{row: Poly} -> {(row, mono): coeff}, dropping zero entries."""
-    out = {}
-    for pos, poly in col.items():
-        for m, c in poly.terms.items():
-            out[(pos, m)] = c
-    return out
-
-
-def column_from_flat(ring: PolyRing, vec: dict) -> dict:
-    cols: dict = {}
-    for (pos, m), c in vec.items():
-        cols.setdefault(pos, {})[m] = c
-    return {pos: Poly(ring, terms) for pos, terms in sorted(cols.items())}
 
 
 def column_degree(col: dict, twists) -> int | None:
@@ -342,28 +328,25 @@ class ModuleGB:
     of `columns` followed by `fixed` and then I*F, the products f*e_p of
     the reduced basis of the ideal I of `quotient` (a GradedRing over
     `ring`; none when it is None) with the free generators.  With
-    track=True the instance also
-    exposes .syzygies and .lift(), both over the indices of `columns`
-    alone: .syzygies generates the projection onto those coordinates of
-    the syzygy module of all inputs (only nonzero projections are kept),
-    and .lift() expresses members modulo span(fixed) + I*F.
+    track=True the instance also exposes .syzygies and .lift(), both
+    columns over the indices of `columns` alone: .syzygies generates the
+    projection onto those coordinates of the syzygy module of all inputs
+    (only nonzero projections are kept), and .lift() expresses members
+    modulo span(fixed) + I*F.  Over a monomial I (every element of I*F
+    inert) each harvested representation drops the keys whose packed
+    exponents a lead of I divides: .syzygies then holds normal forms mod
+    I, and a syzygy that is 0 there is dropped.  .syzygies_reduced says
+    whether the harvest is reduced mod I: True when I is monomial or 0.
 
     With minimal=True `columns` are candidates: .kept lists, in (degree,
     index) order, those outside span(fixed) + I*F and the earlier ones,
-    and .syzygies is over the positions of .kept.  Such an instance
-    answers nothing else; its basis is not reduced, and not complete
-    unless tracked.
-
-    With mod_ideal=True and a monomial I (every element of I*F inert),
-    each harvested representation drops, before it is decoded, the keys
-    whose packed exponents a lead of I divides: .syzygies then holds
-    normal forms mod I, a syzygy that is 0 there is dropped, and
-    .syzygies_reduced is True.  It is True as well when I is 0.
+    and .syzygies is over the positions of .kept, rows ascending.  Such
+    an instance answers nothing else; its basis is not reduced, and not
+    complete unless tracked.
     """
 
     def __init__(self, ring: PolyRing, columns, twists, *, track=False,
-                 fixed=(), quotient=None, max_degree=None, minimal=False,
-                 mod_ideal=False):
+                 fixed=(), quotient=None, max_degree=None, minimal=False):
         self.ring = ring
         self.twists = tuple(twists)
         self.track = track
@@ -380,17 +363,16 @@ class ModuleGB:
         self._input_columns = columns + list(fixed)
         q = None if quotient is None or quotient.is_polynomial else quotient
         self._quotient = q
-        self.syzygies_reduced = mod_ideal and (q is None or q._monomial)
+        self.syzygies_reduced = q is None or q._monomial
         # the monomials whose multiples a harvest drops, and their packed
         # exponents under the term keys they were last packed with
         self._harvest_leads = q._leads if q is not None and track \
-            and self.syzygies_reduced else []
+            and q._monomial else []
         self._harvest_exps = (None, [])
         # set once the basis is minimal; its tails wait for the first read
         self._tails_pending = False
         field = ring.field
         self._ar = _GF(field.p) if isinstance(field, PrimeField) else _QQ()
-        self._field_one = field.one()
         # max over elements of (rep degree - lead degree), at least 0
         self._excess = 0
         self._keys = _TermKeys(ring.nvars, 0,
@@ -398,12 +380,6 @@ class ModuleGB:
         self._run(minimal)
 
     # term keys ---------------------------------------------------------
-
-    @property
-    def term_key(self):
-        """Int sort key of (pos, mono) terms, exact for every term this
-        basis has produced or been given: integer order is TOP(grevlex)."""
-        return self._keys.key
 
     def _ensure(self, degree: int, pos: int = 0):
         """Widen the term keys so that `degree` and `pos` are exact."""
@@ -422,38 +398,32 @@ class ModuleGB:
                 e.rep = recode(e.rep)
         self._keys = new
 
-    def _encode(self, vec: dict, extra_degree: int = 0) -> dict:
-        """Flat {(pos, mono): coeff} -> kernel dict, with room for terms of
-        degree up to the input's plus extra_degree.
+    def _encode(self, col: dict, extra_degree: int = 0) -> dict:
+        """Column {pos: Poly} -> kernel dict, with room for terms of degree
+        up to the column's plus extra_degree.
 
         A key's top field exceeds the degree of its monomial only when a
         lower field overflowed, which needs a degree of at least `limit`;
         so one look at the largest key tells whether the width sufficed.
         """
-        if not vec:
-            return {}
         keys = self._keys
-        top = max(vec)[0]
+        top = max(col, default=-1)
         if top <= keys.pmask:
             w, pmask, enter = keys.weights, keys.pmask, self._ar.entering
             if enter is None:
-                out = {sum(map(mul, m, w)) + pmask - p: c for (p, m), c in vec.items()}
+                out = {sum(map(mul, m, w)) + pmask - pos: c
+                       for pos, poly in col.items() for m, c in poly.terms.items()}
             else:
-                out = {sum(map(mul, m, w)) + pmask - p: enter(c)
-                       for (p, m), c in vec.items()}
-            if keys.degree(max(out)) + extra_degree < keys.limit:
+                out = {sum(map(mul, m, w)) + pmask - pos: enter(c)
+                       for pos, poly in col.items() for m, c in poly.terms.items()}
+            if not out or keys.degree(max(out)) + extra_degree < keys.limit:
                 return out
-        self._ensure(max(mono_deg(m) for (_p, m) in vec) + extra_degree, top)
-        return self._encode(vec, extra_degree)
-
-    def _decode(self, vec: dict) -> dict:
-        term, leaving = self._keys.term, self._ar.leaving
-        if leaving is None:
-            return {term(k): c for k, c in vec.items()}
-        return {term(k): leaving(c) for k, c in vec.items()}
+        self._ensure(max(poly.degree() or 0 for poly in col.values())
+                     + extra_degree, top)
+        return self._encode(col, extra_degree)
 
     def _column(self, vec: dict) -> dict:
-        """Kernel dict -> {row: Poly}, as column_from_flat(_decode(vec))."""
+        """Kernel dict -> column {row: Poly}, rows ascending."""
         term, leaving = self._keys.term, self._ar.leaving
         cols: dict = {}
         for k, c in vec.items():
@@ -473,7 +443,7 @@ class ModuleGB:
     def _run(self, minimal):
         ar = self._ar
         one = mono_one(self.ring.nvars)
-        vecs = [flat_from_column(c) for c in self._input_columns]
+        columns = self._input_columns
         pairs: list = []
         monos: list = []  # lead monomials, parallel to self._elems
         # per position: indices of the live (not inert) and inert elements,
@@ -511,16 +481,16 @@ class ModuleGB:
         # candidate waits, largest (degree, index) first, for its degree
         waiting = []
         if minimal:
-            waiting = sorted(((column_degree(c, self.twists), t) for t, c
-                              in enumerate(self._input_columns[:self._tracked])
-                              if vecs[t]), reverse=True)
-        for t in range(self._tracked if minimal else 0, len(vecs)):
-            vec = vecs[t]
+            degrees = [column_degree(c, self.twists)
+                       for c in columns[:self._tracked]]
+            waiting = sorted(((d, t) for t, d in enumerate(degrees)
+                              if d is not None), reverse=True)
+        for t in range(self._tracked if minimal else 0, len(columns)):
+            vec = self._encode(columns[t])
             if not vec:
                 if t < ntracked:
-                    self.syzygies.append({(t, one): self._field_one})
+                    self.syzygies.append({t: self.ring.one()})
                 continue
-            vec = self._encode(vec)
             rep = None
             if self.track:
                 rep = {self._keys.key((t, one)): 1} if t < ntracked else {}
@@ -532,7 +502,7 @@ class ModuleGB:
         while waiting or (pairs and drain):
             if waiting and (not pairs or pairs[0][0] > waiting[-1][0]):
                 _deg, t = waiting.pop()
-                vec = self._encode(vecs[t], self._excess)
+                vec = self._encode(columns[t], self._excess)
                 rep = {self._keys.key((t, one)): 1} if self.track else None
                 nf, rep = self._reduce(vec, rep)
                 if nf:
@@ -567,10 +537,10 @@ class ModuleGB:
                 if self._harvest_leads:
                     rep = self._outside_ideal(rep)
                 if rep:
-                    self.syzygies.append(self._decode(rep))
+                    self.syzygies.append(self._column(rep))
         if minimal:
             where = {t: i for i, t in enumerate(self.kept)}
-            self.syzygies = [{(where[t], m): c for (t, m), c in s.items()}
+            self.syzygies = [{where[t]: s[t] for t in sorted(s, key=where.get)}
                              for s in self.syzygies]
         else:
             self._minimize()
@@ -586,8 +556,8 @@ class ModuleGB:
         # widen first, so that no key of `base` goes stale
         self._ensure(max(map(mono_deg, leads)))
         keys = self._keys
-        base = [_Elem(keys, self._encode({(0, m): c for m, c in f.terms.items()}),
-                      None) for f in q.reduced_relations]
+        base = [_Elem(keys, self._encode({0: f}), None)
+                for f in q.reduced_relations]
         gens = list(zip(base, leads, monomial))
         ideal_top = max((mono_deg(m) for m, inert_f in zip(leads, monomial)
                          if inert_f), default=None)
@@ -774,54 +744,25 @@ class ModuleGB:
     def leading_terms(self):
         return [self._keys.term(e.lead) for e in self._elems]
 
-    def normal_form_flat(self, vec: dict) -> dict:
-        nf, _ = self._reduce(self._encode(vec), None)
-        return self._decode(nf)
-
     def normal_form(self, col: dict) -> dict:
-        nf, _ = self._reduce(self._encode(flat_from_column(col)), None)
+        nf, _ = self._reduce(self._encode(col), None)
         return self._column(nf)
 
     def contains(self, col: dict) -> bool:
-        nf, _ = self._reduce(self._encode(flat_from_column(col)), None)
+        nf, _ = self._reduce(self._encode(col), None)
         return not nf
 
-    def lift_flat(self, vec: dict):
-        """Representation of vec over the tracked columns, or None.
+    def lift(self, col: dict):
+        """Representation of col over the tracked columns, or None.
 
-        Requires track=True.  Invariant: vec - sum_t lift[t] * columns[t]
+        Requires track=True.  Invariant: col - sum_t lift[t] * columns[t]
         lies in the span of the fixed columns.
         """
         if not self.track:
             raise ValueError("lift requires a tracked basis")
         self._reduce_tails()
-        nf, rep = self._reduce(self._encode(vec, self._excess), {})
+        nf, rep = self._reduce(self._encode(col, self._excess), {})
         if nf:
             return None
         neg = self._ar.neg
-        return self._decode({k: neg(c) for k, c in rep.items()})
-
-    def lift(self, col: dict):
-        flat = self.lift_flat(flat_from_column(col))
-        if flat is None:
-            return None
-        return column_from_flat(self.ring, flat)
-
-
-def groebner_basis(ring, columns, twists, *, max_degree=None):
-    """Canonical reduced Groebner basis, as sparse columns."""
-    return ModuleGB(ring, columns, twists, max_degree=max_degree).basis_columns()
-
-
-def syzygy_columns(ring, columns, twists, *, fixed=(), quotient=None,
-                   max_degree=None):
-    """Generators of {h : sum_t h[t] * columns[t] in span(fixed) + I*F},
-    I the ideal of `quotient` (none when it is None).
-
-    Returned as sparse columns over the indices of `columns`; entry
-    degrees are homogeneous for the twist list
-    [column_degree(c) for c in columns].
-    """
-    gb = ModuleGB(ring, columns, twists, track=True, fixed=fixed,
-                  quotient=quotient, max_degree=max_degree)
-    return [column_from_flat(ring, s) for s in gb.syzygies]
+        return self._column({k: neg(c) for k, c in rep.items()})

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from . import memo
 from .config import DEFAULT_BUDGETS
 from .errors import ConsistencyError
-from .groebner import flat_from_column
 from .modules import (
     ModulePresentation,
     lift_over_columns,
@@ -136,10 +135,11 @@ def hom_degree_zero_space(A: ModulePresentation, B: ModulePresentation):
             entry = col.get(j)
             if entry is None or entry.is_zero():
                 continue
-            vec = {i: entry.term_mul(mono, fieldobj.one())}
-            nf = target_gb.normal_form_flat(flat_from_column(vec))
-            for term, c in nf.items():
-                equations[(i, j, mono)][(jc, term)] = c
+            nf = target_gb.normal_form({i: entry.term_mul(mono, fieldobj.one())})
+            row = equations[(i, j, mono)]
+            for pos, poly in nf.items():
+                for m, c in poly.terms.items():
+                    row[(jc, (pos, m))] = c
     # reorganize into equations indexed by (relation column, term)
     eq_rows: dict = {}
     for u, contribs in equations.items():

@@ -7,8 +7,8 @@ must be homogeneous of degree rel_twists[j] - gen_twists[i].
 
 All heavy lifting happens in the ambient polynomial ring: membership,
 syzygies and normal forms work modulo I*F, the span of f*e_i for f in
-the reduced basis of I.  Every kernel run gets that basis as its
-`ideal` and admits I*F itself, after any further columns a caller only
+the reduced basis of I.  Every kernel run gets the ring as its
+`quotient` and admits I*F itself, after any further columns a caller only
 quotients by, which enter as fixed columns: syzygies and lifts over R
 are computed over the caller's columns alone, as the projections of the
 ambient ones of all the inputs.
@@ -19,12 +19,7 @@ from __future__ import annotations
 from . import memo
 from .config import DEFAULT_BUDGETS
 from .errors import ConsistencyError, HomogeneityError, InapplicableError
-from .groebner import (
-    ModuleGB,
-    column_degree,
-    column_from_flat,
-    syzygy_columns,
-)
+from .groebner import ModuleGB, column_degree
 from .hilbert import HilbertSeries, monomial_quotient_numerator
 from .rings import GradedRing
 
@@ -315,8 +310,7 @@ def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
     if max_degree is None:
         max_degree = DEFAULT_BUDGETS.max_degree
     gb = ModuleGB(ring.poly_ring, list(columns), ambient_twists, track=True,
-                  fixed=list(extra), quotient=ring,
-                  max_degree=max_degree, mod_ideal=True)
+                  fixed=list(extra), quotient=ring, max_degree=max_degree)
     if tops is not None:
         tops["harvest"] = gb.top_degree
     return _harvested(ring, gb)
@@ -325,12 +319,11 @@ def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
 def _harvested(ring: GradedRing, gb: ModuleGB) -> list:
     """The syzygies of a tracked run, entries reduced mod I, zeros dropped.
 
-    A monomial I was reduced inside the run (`ModuleGB(mod_ideal=True)`);
+    A monomial I was reduced inside the run (`ModuleGB.syzygies_reduced`);
     an ideal with tails goes through `ring.nf`."""
     if gb.syzygies_reduced:
-        return [column_from_flat(ring.poly_ring, s) for s in gb.syzygies]
-    syz = [_reduced_entries(ring, column_from_flat(ring.poly_ring, s))
-           for s in gb.syzygies]
+        return gb.syzygies
+    syz = [_reduced_entries(ring, s) for s in gb.syzygies]
     return [s for s in syz if s]
 
 
@@ -343,7 +336,7 @@ def _minimal_gb(ring: GradedRing, columns, ambient_twists, *, track,
     return ModuleGB(
         ring.poly_ring, list(columns), ambient_twists, track=track,
         fixed=list(extra), quotient=ring,
-        max_degree=max_degree, minimal=True, mod_ideal=True,
+        max_degree=max_degree, minimal=True,
     )
 
 
@@ -495,17 +488,15 @@ def _annihilator(M: ModulePresentation) -> list:
     S = ring.poly_ring
     if M.n_gens() == 0:
         return [S.one()]
+    # the harvest is reduced mod I, so I's generators join each q_i
+    ideal = list(ring.reduced_relations)
     current = None
     for i in range(M.n_gens()):
-        unit = {i: S.one()}
-        syz = syzygy_columns(
-            S, [unit], list(M.gen_twists), fixed=list(M.columns),
-            quotient=ring,
-            max_degree=DEFAULT_BUDGETS.max_degree,
-        )
-        q_i = [s[0] for s in syz]
+        syz = column_syzygies(ring, [{i: S.one()}], list(M.gen_twists),
+                              extra=M.columns)
+        q_i = [s[0] for s in syz] + ideal
         current = q_i if current is None else _trimmed(
-            S, _intersect_ideals(S, current, q_i))
+            S, _intersect_ideals(ring.ambient(), current, q_i))
         if not current:
             break
     if current is None:
@@ -523,12 +514,14 @@ def _trimmed(S, gens) -> list:
     return [gens[t] for t in gb.kept]
 
 
-def _intersect_ideals(S, gens_a, gens_b) -> list:
+def _intersect_ideals(ring: GradedRing, gens_a, gens_b) -> list:
+    """Generators of the intersection of the ideals (gens_a) and (gens_b)
+    of `ring`: the syzygies of (1, 1) modulo both."""
     if not gens_a or not gens_b:
         return []
+    one = ring.poly_ring.one()
     fixed = [{0: g} for g in gens_a] + [{1: h} for h in gens_b]
-    syz = syzygy_columns(S, [{0: S.one(), 1: S.one()}], [0, 0], fixed=fixed,
-                         max_degree=DEFAULT_BUDGETS.max_degree)
+    syz = column_syzygies(ring, [{0: one, 1: one}], [0, 0], extra=fixed)
     return [s[0] for s in syz]
 
 

@@ -100,13 +100,6 @@ class Poly:
         degs = {mono_deg(m) for m in self.terms}
         return len(degs) <= 1
 
-    def leading_term(self):
-        """(monomial, coeff) maximal under grevlex; None if zero."""
-        if not self.terms:
-            return None
-        m = max(self.terms, key=grevlex_key)
-        return m, self.terms[m]
-
     def __add__(self, other):
         f = self.ring.field
         t = dict(self.terms)

@@ -7,8 +7,9 @@ layer hands the kernel the ring as its `quotient`, and the kernel admits
 the products itself from `reduced_relations` and the data each ring
 keeps of them once: their leads, which of them are monomials, and the
 largest lcm degree of two monomial ones.  aug_columns builds them as
-explicit columns, which `ModulePresentation.over_ambient` needs for the
-relations of a presentation over S.
+explicit columns; it serves `ModulePresentation.over_ambient`, which
+needs them as relations of a presentation over S, and test references
+that run the kernel with I*F as ordinary fixed columns.
 
 Over a monomial ideal the reduced basis is the minimal monomial
 generators, and the normal form of p drops the terms of p that one of

@@ -840,9 +840,8 @@ def _check_cor_theorem3(bindings, cfg):
                      f"J = ({', '.join(str(g) for g in J_gens)}); "
                      + link_iso.certificate))
     # I * omega = I intersect omega
-    S = ring.poly_ring
     rels = list(ring.relations)
-    inter = _intersect_ideals(S, list(I_gens) + rels,
+    inter = _intersect_ideals(ring.ambient(), list(I_gens) + rels,
                               list(omega_gens) + rels)
     # the product always sits inside the intersection; equality of the
     # R-ideals is: every intersection generator kills R/(I * omega)

@@ -2,9 +2,13 @@
 
 A fixed set of inputs over QQ and GF(32003) -- including the Koszul
 module K and the module W of the `resolve-qq` benchmark, and later steps
-of their resolutions -- with the kernel's exact outputs: reduced bases,
-leading terms, tracked syzygies, normal forms and lifts, term by term in
-the order the kernel emits them.
+of minimal free resolutions of them -- with the kernel's exact outputs:
+reduced bases, leading terms, tracked syzygies, normal forms and lifts,
+term by term in the order the kernel emits them.  Each step after the
+first is a minimal generating subset of the syzygies of the step before
+(`column_syzygies`, then `mingens_columns`), not the map
+`minimal_free_resolution` picks, so the inputs stay put when the
+resolution engine changes its choice of basis.
 
     PYTHONPATH=src python tests/kernel_golden.py
 
@@ -20,7 +24,7 @@ import json
 import os
 
 from linkage_lab.fields import field_from_name
-from linkage_lab.groebner import ModuleGB, flat_from_column
+from linkage_lab.groebner import ModuleGB
 from linkage_lab.polynomials import PolyRing
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -56,8 +60,14 @@ def _probes(S, columns, twists) -> list:
 def _input_cases() -> list:
     """The fixed inputs, built once from the library's own constructors."""
     from linkage_lab.fields import GF, QQ
-    from linkage_lab.modules import ModulePresentation, cyclic_module
-    from linkage_lab.resolutions import minimal_free_resolution
+    from linkage_lab.groebner import column_degree
+    from linkage_lab.modules import (
+        ModulePresentation,
+        column_syzygies,
+        cyclic_module,
+        mingens_columns,
+        minimalize,
+    )
     from linkage_lab.rings import make_ring
 
     cases = []
@@ -71,18 +81,22 @@ def _input_cases() -> list:
         "Q": cyclic_module(N, ["x + y", "z^2 - 2*w^2"]),
     }
     for name, steps in (("K", 3), ("W", 3), ("Q", 2)):
-        M = env[name]
-        res = minimal_free_resolution(M, steps)
+        M = minimalize(env[name])
         ring = M.ring
-        for k in range(min(steps, len(res.maps))):
-            cols = list(res.maps[k])
-            twists = list(res.twists[k])
+        maps = [list(M.columns)]
+        twists = [list(M.gen_twists), list(M.rel_twists)]
+        while len(maps) < steps:
+            syz = column_syzygies(ring, maps[-1], twists[-2])
+            cols = [syz[t] for t in mingens_columns(ring, syz, twists[-1])]
+            maps.append(cols)
+            twists.append([column_degree(c, twists[-1]) for c in cols])
+        for k in range(steps):
             cases.append({
                 "name": f"{name}-step{k}",
                 "field": ring.field.name,
                 "vars": list(ring.names),
-                "twists": twists,
-                "columns": _columns_text(cols + ring.aug_columns(twists)),
+                "twists": twists[k],
+                "columns": _columns_text(maps[k] + ring.aug_columns(twists[k])),
             })
     extra = (
         ("cubic-QQ", "QQ", ["x", "y", "z"], [0],
@@ -111,10 +125,6 @@ def _parse_columns(S, text) -> list:
     return [{int(pos): S.parse(p) for pos, p in c.items()} for c in text]
 
 
-def _flat_text(vec) -> list:
-    return [[pos, list(mono), str(c)] for (pos, mono), c in vec.items()]
-
-
 def _column_text(col) -> list:
     return [[pos, [[list(m), str(c)] for m, c in p.terms.items()]]
             for pos, p in col.items()]
@@ -131,13 +141,12 @@ def run_case(case) -> dict:
         res = {
             "basis": [_column_text(c) for c in gb.basis_columns()],
             "leads": [[pos, list(m)] for pos, m in gb.leading_terms()],
-            "normal_forms": [_flat_text(gb.normal_form_flat(flat_from_column(p)))
-                             for p in probes],
+            "normal_forms": [_column_text(gb.normal_form(p)) for p in probes],
         }
         if track:
-            res["syzygies"] = [_flat_text(s) for s in gb.syzygies]
-            lifts = [gb.lift_flat(flat_from_column(p)) for p in probes]
-            res["lifts"] = [None if v is None else _flat_text(v) for v in lifts]
+            res["syzygies"] = [_column_text(s) for s in gb.syzygies]
+            lifts = [gb.lift(p) for p in probes]
+            res["lifts"] = [None if v is None else _column_text(v) for v in lifts]
         out[mode] = res
     return out
 

@@ -130,7 +130,7 @@ def test_keys_separate_bound_budgets_and_probes():
     v2 = in_auslander_class(M, C, bound=2)
     v3 = in_auslander_class(M, C, bound=3)
     assert (v2.bound, v3.bound) == (2, 3)
-    tight = DEFAULT_BUDGETS.with_overrides(max_degree=4)
+    tight = dataclasses.replace(DEFAULT_BUDGETS, max_degree=4)
     vt = in_auslander_class(M, C, bound=3, budgets=tight)
     assert vt is not v3 and vt.kind == "unknown"
     M, C = maximal_ideal(H), free_module(H, [0])
@@ -154,7 +154,7 @@ def test_isomorphism_keys_separate_seed_and_search_budget():
     assert is_isomorphic(mH, L2, budgets=DEFAULT_BUDGETS, seed=0) is base
     other_seed = is_isomorphic(mH, L2, seed=1)
     fewer = is_isomorphic(
-        mH, L2, budgets=DEFAULT_BUDGETS.with_overrides(iso_search_tries=1))
+        mH, L2, budgets=dataclasses.replace(DEFAULT_BUDGETS, iso_search_tries=1))
     assert other_seed is not base and fewer is not base
     assert fewer is not other_seed
     assert sum(op == "isomorphic" for op, _ in memo._TABLE) == 3
@@ -168,11 +168,11 @@ def test_keys_separate_budgets_of_derived_groups(group):
     call, tight = {
         "hom": (lambda b: hom_module(maximal_ideal(T), maximal_ideal(T),
                                      budgets=b),
-                DEFAULT_BUDGETS.with_overrides(max_degree=2)),
+                dataclasses.replace(DEFAULT_BUDGETS, max_degree=2)),
         "ext": (lambda b: ext(kT, kT, 3, budgets=b),
-                DEFAULT_BUDGETS.with_overrides(max_rank=4)),
+                dataclasses.replace(DEFAULT_BUDGETS, max_rank=4)),
         "tor": (lambda b: tor(kT, kT, 3, budgets=b),
-                DEFAULT_BUDGETS.with_overrides(max_rank=4)),
+                dataclasses.replace(DEFAULT_BUDGETS, max_rank=4)),
     }[group]
     with pytest.raises(BudgetError):
         call(tight)

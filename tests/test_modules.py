@@ -15,7 +15,7 @@ from linkage_lab.corpus import (
 from linkage_lab.errors import HomogeneityError, InapplicableError
 from linkage_lab.fields import GF, QQ
 from linkage_lab import modules
-from linkage_lab.groebner import ModuleGB, column_from_flat, syzygy_columns
+from linkage_lab.groebner import ModuleGB
 from linkage_lab.hilbert import HilbertSeries
 from linkage_lab.modules import (
     annihilates,
@@ -177,6 +177,11 @@ def _reduced_ideal(S, gens) -> list:
                                         [0]).basis_columns()]
 
 
+def _syzygies(S, columns, twists, fixed) -> list:
+    """Generators of {h : sum_t h[t] * columns[t] in span(fixed)} over S."""
+    return ModuleGB(S, columns, twists, track=True, fixed=fixed).syzygies
+
+
 def _untrimmed_annihilator(M) -> list:
     """ann(M) as the intersection of the ann(e_i), never trimmed: the
     reference for the trimmed loop of `annihilator`."""
@@ -184,10 +189,10 @@ def _untrimmed_annihilator(M) -> list:
     base = list(M.columns) + M.ring.aug_columns(M.gen_twists)
     current = None
     for i in range(M.n_gens()):
-        q_i = [s[0] for s in syzygy_columns(S, [{i: S.one()}],
-                                            list(M.gen_twists), fixed=base)]
+        q_i = [s[0] for s in _syzygies(S, [{i: S.one()}],
+                                       list(M.gen_twists), base)]
         current = q_i if current is None else modules._intersect_ideals(
-            S, current, q_i)
+            M.ring.ambient(), current, q_i)
     return _reduced_ideal(S, current)
 
 
@@ -201,8 +206,8 @@ def _diagonal_annihilator(M) -> list:
              for c in range(m) for col in base]
     twists = [g - M.gen_twists[c] for c in range(m) for g in M.gen_twists]
     diag = {c * m + c: S.one() for c in range(m)}
-    return _reduced_ideal(S, [s[0] for s in syzygy_columns(
-        S, [diag], twists, fixed=fixed)])
+    return _reduced_ideal(S, [s[0] for s in _syzygies(
+        S, [diag], twists, fixed)])
 
 
 @pytest.mark.parametrize("ring, size", [(T, 8), (U, 4)], ids=["T", "U"])
@@ -264,8 +269,7 @@ def _nf_harvest(ring, gb):
     dropped."""
     out = []
     for s in gb.syzygies:
-        col = {t: ring.nf(p)
-               for t, p in column_from_flat(ring.poly_ring, s).items()}
+        col = {t: ring.nf(p) for t, p in s.items()}
         col = {t: p for t, p in col.items() if not p.is_zero()}
         if col:
             out.append(col)
@@ -275,7 +279,8 @@ def _nf_harvest(ring, gb):
 @pytest.mark.parametrize("ring", [T, N, U], ids=["T", "N", "U"])
 def test_harvest_reduced_in_the_kernel_matches_nf(ring):
     # over a monomial ideal the run drops the harvested terms in I before
-    # decoding; an ideal with tails (U) keeps the nf path
+    # they leave the kernel; an ideal with tails (U) keeps the nf path.
+    # The references take I*F as fixed columns, so they drop nothing.
     monomial = all(len(f.terms) == 1 for f in ring.reduced_relations)
     S = ring.poly_ring
     checked = 0
@@ -283,15 +288,15 @@ def test_harvest_reduced_in_the_kernel_matches_nf(ring):
         cols, twists = list(M.columns), list(M.gen_twists)
         if not cols:
             continue
-        plain = ModuleGB(S, cols, twists, track=True, quotient=ring,
+        ideal = ring.aug_columns(twists)
+        plain = ModuleGB(S, cols, twists, track=True, fixed=ideal,
                          max_degree=DEFAULT_BUDGETS.max_degree)
         assert modules.column_syzygies(ring, cols, twists) == \
             _nf_harvest(ring, plain)
         reduced = ModuleGB(S, cols, twists, track=True, quotient=ring,
-                           max_degree=DEFAULT_BUDGETS.max_degree,
-                           mod_ideal=True)
+                           max_degree=DEFAULT_BUDGETS.max_degree)
         assert reduced.syzygies_reduced == monomial
-        minimal = ModuleGB(S, cols, twists, track=True, quotient=ring,
+        minimal = ModuleGB(S, cols, twists, track=True, fixed=ideal,
                            max_degree=DEFAULT_BUDGETS.max_degree,
                            minimal=True)
         kept, harvest = minimal_step(ring, cols, twists, harvest=True)

@@ -18,7 +18,7 @@ from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import generate_corpus
 from linkage_lab.errors import BudgetError
 from linkage_lab.fields import GF, QQ
-from linkage_lab.groebner import column_degree, flat_from_column
+from linkage_lab.groebner import column_degree
 from linkage_lab.modules import (
     ModulePresentation,
     _minimal_gb,
@@ -462,6 +462,11 @@ def test_a_budget_stop_leaves_the_store_extendable(tmp_path, capsys):
 # -- the minimal-admission run against the per-degree reference ------------
 
 
+def _flat(col) -> dict:
+    """A column as {(row, mono): coeff}."""
+    return {(pos, m): c for pos, p in col.items() for m, c in p.terms.items()}
+
+
 def _independent(field, vecs) -> list:
     """Indices i such that vecs[i] (flat) is not a k-linear combination of
     vecs[:i]: Gaussian elimination with the largest term as pivot."""
@@ -505,7 +510,7 @@ def _reference_mingens(ring, columns, ambient_twists, extra_lower=()) -> list:
             group.append(order[i])
             i += 1
         gb = span_gb(ring, lower, ambient_twists)
-        nfs = [flat_from_column(gb.normal_form(columns[idx])) for idx in group]
+        nfs = [_flat(gb.normal_form(columns[idx])) for idx in group]
         found = [group[j] for j in _independent(ring.field, nfs)]
         kept += found
         lower += [columns[idx] for idx in found]
