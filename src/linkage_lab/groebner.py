@@ -82,14 +82,14 @@ All inputs are assumed homogeneous with respect to the given twists;
 pair degrees then increase monotonically and max_degree is an honest cap:
 forming any pair above it, queued or not, raises BudgetError.  A run
 records the highest pair degree it formed (.top_degree, None before the
-first pair), so a caller serving a stored result can tell whether the
-run would have met a cap.  A minimal run also records it as of its last
-admission (.admitted_top): there a plain and a tracked run over the same
-columns agree, since through the degree of the last candidate both hold
-truncated Groebner bases of the same span, whose leading terms are the
-minimal generators of its initial module degree by degree, and every
-two elements at one position form a pair.  So the tracked run's
-.admitted_top is the plain run's .top_degree.
+first pair).  A plain minimal run never forms a higher pair than the
+tracked run over the same columns: it ends with its last admission, and
+up to there the two reach the same top, since through the degree of
+the last candidate both hold truncated Groebner bases of the same span,
+whose leading terms are the minimal generators of its initial module
+degree by degree, and every two elements at one position form a pair.
+So the plain run's .top_degree is at most the tracked run's, and a
+degree budget the tracked run stays within, the plain run does too.
 
 Inside the kernel a term (pos, mono) is a plain int, its term key (see
 _TermKeys): integer order is the module order, and multiplying a term by
@@ -352,7 +352,6 @@ class ModuleGB:
         self.track = track
         self.max_degree = max_degree
         self.top_degree = None
-        self.admitted_top = None
         self.syzygies: list = []
         self.kept: list = []
         self._elems: list[_Elem] = []
@@ -496,7 +495,6 @@ class ModuleGB:
                 rep = {self._keys.key((t, one)): 1} if t < ntracked else {}
             add_vec(vec, rep)
         self._admit_ideal(pairs, live, inert, inert_top, monos)
-        self.admitted_top = self.top_degree
         # a plain minimal run ends with its last admission
         drain = self.track or not minimal
         while waiting or (pairs and drain):
@@ -508,7 +506,6 @@ class ModuleGB:
                 if nf:
                     self.kept.append(t)
                     add_vec(nf, rep)
-                self.admitted_top = self.top_degree
                 continue
             _deg, i, j = heappop(pairs)
             gi, gj = self._elems[i], self._elems[j]

@@ -4,12 +4,14 @@ Every memoized computation goes through `cached`.  The key rule: a key
 covers every input the computation reads, budgets included, so a value
 depends on its key alone and a hit is indistinguishable from
 recomputation.  Keys are content hashes of the inputs; the Hilbert
-numerator recursion keys by its hashable inputs themselves.
+numerator recursion and the resolution cursor key by their hashable
+inputs themselves.
 
 Entries are never replaced, but two kinds change in place.  The state of
-a resolution (op "resolution") is a cursor: extending it appends maps and
-replaces the candidates of its last step, and a state loaded from the
-disk store is first rebuilt from d_1.  A Groebner basis (op "span-gb")
+a resolution (op "resolution", keyed by the minimal presentation and the
+budgets) is a cursor: extending it appends maps and replaces the
+candidates of its last step, and a state loaded from the disk store is
+first rebuilt from d_1.  A Groebner basis (op "span-gb")
 finishes its tail reduction in place on the first read of tails or
 representations, as it already re-encodes its terms in place when a
 query needs wider keys; either way it answers every query as before.

@@ -291,7 +291,7 @@ def _reduced_entries(ring: GradedRing, col: dict) -> dict:
 
 
 def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
-                    extra=(), max_degree=None, tops=None) -> list:
+                    extra=(), max_degree=None) -> list:
     """Generators of {h : sum_t h[t] * columns[t] in span(extra) + I*F}.
 
     These are the syzygies over R of the columns modulo span(extra): the
@@ -299,20 +299,15 @@ def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
     Entries are reduced mod I and zero generators dropped.
     Column degrees [column_degree(c)] are the twists of the ambient free
     module the result lives in.  When every column is zero, the result
-    is the unit vectors.  A dict `tops` receives the run's highest pair
-    degree under "harvest" (None when no run or no pair).
+    is the unit vectors.
     """
     if not any(columns):
-        if tops is not None:
-            tops["harvest"] = None
         one = ring.poly_ring.one()
         return [{t: one} for t in range(len(columns))]
     if max_degree is None:
         max_degree = DEFAULT_BUDGETS.max_degree
     gb = ModuleGB(ring.poly_ring, list(columns), ambient_twists, track=True,
                   fixed=list(extra), quotient=ring, max_degree=max_degree)
-    if tops is not None:
-        tops["harvest"] = gb.top_degree
     return _harvested(ring, gb)
 
 
@@ -353,23 +348,16 @@ def mingens_columns(ring: GradedRing, columns, ambient_twists, *,
 
 
 def minimal_step(ring: GradedRing, columns, ambient_twists, *, harvest,
-                 max_degree=None, tops=None):
+                 max_degree=None):
     """(kept, syzygies): the indices mingens_columns keeps and, when
     `harvest` is set, generators over R of the syzygies of the kept
     columns modulo I*F, indexed by position in `kept` (else None).
 
     One minimal run, tracked only to harvest.  Entries are reduced mod I
-    and zero generators dropped.  A dict `tops` receives the run's
-    highest pair degrees: under "plain" the one a plain run reaches (its
-    .admitted_top), and, when harvesting, under "harvest" the whole
-    run's.
+    and zero generators dropped.
     """
     gb = _minimal_gb(ring, columns, ambient_twists, track=harvest,
                      max_degree=max_degree)
-    if tops is not None:
-        tops["plain"] = gb.admitted_top
-        if harvest:
-            tops["harvest"] = gb.top_degree
     if not harvest:
         return gb.kept, None
     return gb.kept, _harvested(ring, gb)

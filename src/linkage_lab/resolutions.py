@@ -21,19 +21,19 @@ every map is a function of the module: neither the lengths asked for
 before nor a disk-store load changes it.
 
 In process, a resolution's state is the one memo entry that grows in
-place, a cursor keyed by the minimal presentation: extending it appends
-maps and replaces the candidates of its last step.  With a store
-installed, results also persist in a content-addressed cache keyed by
-the minimal presentation (which includes the ring):
+place, a cursor keyed, like every memo entry, by all it reads: the
+minimal presentation and the budgets.  Extending it appends maps and
+replaces the candidates of its last step.  With a store installed,
+results also persist in a content-addressed cache keyed by the minimal
+presentation (which includes the ring), the budgets and the step, so a
+store is per budget:
 
 - the map entry of step i >= 2 holds the twists of F_i and the columns
   of d_i; each polynomial entry is a list of terms [exponents,
   numerator, denominator], so a load builds the polynomials directly,
-  with the field's own coefficient type, and never parses text; and
-  the two pair-degree tops below: "harvest_top", of the run that
-  harvested the candidates of step i, and "plain_top", of step i;
+  with the field's own coefficient type, and never parses text;
 - the completion entry holds the number of maps of a resolution that
-  ended and the "harvest_top" of the run that found no further syzygy.
+  ended.
 
 No entry depends on the length asked for, so a scan writes each step
 once and a shorter request is a pure load.  A loaded entry is checked,
@@ -52,17 +52,15 @@ stored map that is well formed but wrong does not outlive the
 extension.  Entries written in an older layout sit under other keys and
 are never read.
 
-A resolution served by the memo or the store is held to the same
-budgets as a computed one.  The state keeps the highest Groebner pair
-degree (the "top") of each run that built it: ("harvest", i) of the
-tracked run that harvested the candidates of step i + 1 (for i = 1, the
-syzygies of d_1), and ("plain", i) of step i up to its last admission,
-which is all a plain run of step i forms.  A cold computation of length
+A resolution served by the memo or the store raises the BudgetError a
+cold one would, and no check is replayed.  A cold computation of length
 L runs the harvest of step 1, the tracked runs of steps 2 ... L-1 and
-the plain run of step L, checking the rank of each F_i after its run;
-`_served` replays exactly those checks, against `max_degree` and
-`max_rank` in that order, so a served resolution raises the BudgetError
-a cold one would.  An entry without its tops is a miss.
+the plain run of step L, checking the rank of each F_i after its run.
+A state built under the same budgets to length at least L has passed
+those same steps, each run tracked or plain, with the same rank checks;
+and a plain minimal run never forms a higher pair degree than the
+tracked run over the same candidates (see groebner), so the plain run
+of step L stays within any degree budget its tracked run met.
 """
 
 from __future__ import annotations
@@ -148,16 +146,17 @@ class Resolution:
         raise ValueError(f"resolution only computed to length {self.length()}")
 
 
-def _key(kind: str, module_key: str, step: int = 0) -> str:
-    return memo.content_hash("resolution-" + kind, module_key, str(step))
+def _key(kind: str, key, step: int = 0) -> str:
+    """The store key of an entry of the resolution memoized under `key`,
+    (content key of the minimal presentation, budgets)."""
+    module_key, budgets = key
+    return memo.content_hash("resolution-" + kind, module_key, repr(budgets),
+                             str(step))
 
 
-def _entry(columns, degrees, harvest_top, plain_top) -> dict:
-    """Columns with their degrees, in integer terms, and the tops of the
-    runs that built them."""
+def _entry(columns, degrees) -> dict:
+    """Columns with their degrees, in integer terms."""
     return {
-        "harvest_top": harvest_top,
-        "plain_top": plain_top,
         "twists": list(degrees),
         "columns": [[[row, [[mono, c.numerator, c.denominator]
                             for mono, c in p.terms.items()]]
@@ -165,24 +164,14 @@ def _entry(columns, degrees, harvest_top, plain_top) -> dict:
     }
 
 
-def _top(entry, name):
-    """A pair-degree top of an entry: an integer, or None for no pair."""
-    top = entry[name]
-    if top is not None and type(top) is not int:
-        raise ValueError(f"{name} {top!r} is not an integer")
-    return top
-
-
 def _decoded(ring, entry, lower):
-    """(degrees, columns, harvest top, plain top) of an entry whose
-    columns live in the free module with twists `lower`.  Raises
-    ValueError, TypeError, KeyError or ZeroDivisionError on any flaw: a
-    shape other than _entry's, a non-integer, an entry not homogeneous of
-    the column's degree minus the row's twist, a zero coefficient, a
-    repeated monomial or row."""
+    """(degrees, columns) of an entry whose columns live in the free
+    module with twists `lower`.  Raises ValueError, TypeError, KeyError
+    or ZeroDivisionError on any flaw: a shape other than _entry's, a
+    non-integer, an entry not homogeneous of the column's degree minus
+    the row's twist, a zero coefficient, a repeated monomial or row."""
     S = ring.poly_ring
     n, read, ctype = S.nvars, S.field.from_fraction, type(S.field.zero())
-    tops = _top(entry, "harvest_top"), _top(entry, "plain_top")
     degrees, cols = entry["twists"], entry["columns"]
     if type(degrees) is not list or type(cols) is not list \
             or len(degrees) != len(cols):
@@ -214,14 +203,14 @@ def _decoded(ring, entry, lower):
         if len(column) != len(col):
             raise ValueError("a repeated row")
         out.append(column)
-    return (tuple(degrees), out) + tops
+    return tuple(degrees), out
 
 
-def _completion(entry):
-    """(number of maps, harvest top) of a completion entry."""
+def _completion(entry) -> int:
+    """The number of maps of a completion entry."""
     if type(entry["maps"]) is not int:
         raise ValueError(f"maps {entry['maps']!r} is not an integer")
-    return entry["maps"], _top(entry, "harvest_top")
+    return entry["maps"]
 
 
 def _loaded(key: str, what: str, decode):
@@ -240,47 +229,36 @@ def _loaded(key: str, what: str, decode):
         return None
 
 
-def _load_maps(ring, module_key: str, state, length: int) -> None:
-    """Append the stored maps that follow the state's, with their tops,
-    up to `length`; the state is complete when the store says it ends
-    where they do."""
-    maps, twists, tops = state["maps"], state["twists"], state["tops"]
+def _load_maps(ring, key, state, length: int) -> None:
+    """Append the stored maps that follow the state's, up to `length`;
+    the state is complete when the store says it ends where they do."""
+    maps, twists = state["maps"], state["twists"]
     while len(maps) < length:
         step = len(maps) + 1
-        got = _loaded(_key("map", module_key, step), f"d_{step}",
+        got = _loaded(_key("map", key, step), f"d_{step}",
                       lambda entry: _decoded(ring, entry, twists[-1]))
         if got is None:
-            done = _loaded(_key("complete", module_key), "completion",
-                           _completion)
-            if done is not None and done[0] == len(maps):
+            if _loaded(_key("complete", key), "completion",
+                       _completion) == len(maps):
                 state["complete"] = True
-                tops[("harvest", len(maps))] = done[1]
             return
         twists.append(got[0])
         maps.append(got[1])
-        tops[("harvest", step - 1)], tops[("plain", step)] = got[2:]
         state["candidates"] = None
 
 
 def _harvest(ring, state, budgets) -> list:
     """The candidates of the step after the state's last one: the
-    syzygies of d_1, or the harvest of the last step re-run tracked.
-    Records the harvest's top."""
+    syzygies of d_1, or the harvest of the last step re-run tracked."""
     maps, twists, candidates = state["maps"], state["twists"], state["candidates"]
-    step, run = len(maps), {}
     if candidates is None:  # the last map is d_1
-        following = column_syzygies(ring, maps[-1], twists[-2],
-                                    max_degree=budgets.max_degree, tops=run)
-    else:
-        kept, following = minimal_step(ring, candidates, twists[-2],
-                                       harvest=True,
-                                       max_degree=budgets.max_degree, tops=run)
-        if [candidates[j] for j in kept] != maps[-1] \
-                or run["plain"] != state["tops"][("plain", step)]:
-            raise ConsistencyError(
-                "a resolution step kept other columns or reached another "
-                "pair degree on its re-run")
-    state["tops"][("harvest", step)] = run["harvest"]
+        return column_syzygies(ring, maps[-1], twists[-2],
+                               max_degree=budgets.max_degree)
+    kept, following = minimal_step(ring, candidates, twists[-2], harvest=True,
+                                   max_degree=budgets.max_degree)
+    if [candidates[j] for j in kept] != maps[-1]:
+        raise ConsistencyError(
+            "a resolution step kept other columns on its re-run")
     return following
 
 
@@ -288,37 +266,17 @@ def _start(Mmin: ModulePresentation) -> dict:
     """The state of a resolution before its first extension: d_1."""
     if Mmin.n_rels() == 0:
         return {"twists": [Mmin.gen_twists], "maps": [], "complete": True,
-                "candidates": None, "tops": {}}
+                "candidates": None}
     return {"twists": [Mmin.gen_twists, Mmin.rel_twists],
             "maps": [list(Mmin.columns)], "complete": False,
-            "candidates": None, "tops": {}}
+            "candidates": None}
 
 
-def _served(state, length: int, budgets) -> None:
-    """Raise the BudgetError a cold computation of `length` maps meets
-    within the steps the state holds, in its order: for each step i, the
-    top of its run (the plain one for i = length, else the harvest,
-    which for i = 1 is the syzygies of d_1), then the rank of F_i.  Stops
-    silently at a run the state has no top for; an extension runs it
-    under the budget."""
-    tops, twists = state["tops"], state["twists"]
-    cap = budgets.max_degree
-    for step in range(1, min(length, len(state["maps"])) + 1):
-        run = ("plain" if step == length else "harvest", step)
-        if run not in tops:
-            return
-        if tops[run] is not None and tops[run] > cap:
-            raise BudgetError("groebner pair degree", cap)
-        if step >= 2 and len(twists[step]) > budgets.max_rank:
-            raise BudgetError("resolution rank", budgets.max_rank)
-
-
-def _is_stored(key: str, stored: dict, step: int, rebuilt, length: int) -> bool:
-    """Whether the rebuilt (d_step, harvest top, plain top) (None when the
-    resolution ends before it) is the stored entry of that step.  On the
-    first mismatch a warning names the entry, and it and the entries of
-    every later step up to `length` are discarded, so the rebuild writes
-    them again."""
+def _is_stored(key, stored: dict, step: int, rebuilt, length: int) -> bool:
+    """Whether the rebuilt d_step (None when the resolution ends before
+    it) is the stored map of that step.  On the first mismatch a warning
+    names the entry, and it and the entries of every later step up to
+    `length` are discarded, so the rebuild writes them again."""
     if step not in stored:
         return False
     if stored.pop(step) == rebuilt:
@@ -333,41 +291,32 @@ def _is_stored(key: str, stored: dict, step: int, rebuilt, length: int) -> bool:
     return False
 
 
-def _extend(ring, key: str, state, length: int, budgets) -> None:
-    """Compute the state's steps up to `length` maps, or to completion.
+def _extend(ring, key, state, length: int) -> None:
+    """Compute the state's steps up to `length` maps, or to completion,
+    under the budgets of its key.
 
     A state whose last maps came from the store is first cut back to d_1
     and rebuilt, each step checked against its stored map."""
-    maps, twists, tops = state["maps"], state["twists"], state["tops"]
+    maps, twists = state["maps"], state["twists"]
     if state["complete"] or len(maps) >= length:
         return
+    budgets = key[1]
     stored = {}
     if len(maps) > 1 and state["candidates"] is None:
-        stored = {step: (maps[step - 1], tops[("harvest", step - 1)],
-                         tops[("plain", step)])
-                  for step in range(2, len(maps) + 1)}
+        stored = {step: maps[step - 1] for step in range(2, len(maps) + 1)}
         del maps[1:], twists[2:]
-        tops.clear()
-    following = None  # candidates of the next step, once harvested
-    while not state["complete"] and len(maps) < length:
-        _served(state, length, budgets)
-        if following is None:
-            following = _harvest(ring, state, budgets)
-            continue  # the harvested step's rank comes before the next run
-        candidates = following
+    candidates = _harvest(ring, state, budgets)
+    while len(maps) < length:
         step = len(maps) + 1
         if not candidates:
             _is_stored(key, stored, step, None, length)
             state["complete"] = True
             if _STORE is not None:
-                _STORE.save(_key("complete", key), {
-                    "maps": len(maps),
-                    "harvest_top": tops[("harvest", len(maps))]})
+                _STORE.save(_key("complete", key), {"maps": len(maps)})
             return
-        run = {}
         kept, following = minimal_step(
             ring, candidates, twists[-1], harvest=step < length,
-            max_degree=budgets.max_degree, tops=run,
+            max_degree=budgets.max_degree,
         )
         if len(kept) > budgets.max_rank:
             raise BudgetError("resolution rank", budgets.max_rank)
@@ -375,13 +324,10 @@ def _extend(ring, key: str, state, length: int, budgets) -> None:
         maps.append(new_cols)
         state["candidates"] = candidates
         twists.append(tuple(column_degree(c, twists[-1]) for c in new_cols))
-        for name, top in run.items():
-            tops[(name, step)] = top
-        rebuilt = (new_cols, tops[("harvest", step - 1)], run["plain"])
-        if not _is_stored(key, stored, step, rebuilt, length) \
+        if not _is_stored(key, stored, step, new_cols, length) \
                 and _STORE is not None:
-            _STORE.save(_key("map", key, step), _entry(new_cols, twists[-1],
-                                                       *rebuilt[1:]))
+            _STORE.save(_key("map", key, step), _entry(new_cols, twists[-1]))
+        candidates = following
 
 
 def minimal_free_resolution(M: ModulePresentation, length: int, *,
@@ -390,14 +336,12 @@ def minimal_free_resolution(M: ModulePresentation, length: int, *,
     budgets = budgets or DEFAULT_BUDGETS
     Mmin = minimalize(M)
     ring = Mmin.ring
-    key = Mmin.content_key()
+    key = (Mmin.content_key(), budgets)
     # the one memo entry that grows in place: see the module docstring
     state = memo.cached("resolution", key, _start, Mmin)
     if _STORE is not None and not state["complete"] and len(state["maps"]) < length:
         _load_maps(ring, key, state, length)
-    _extend(ring, key, state, length, budgets)
-    # steps served by the memo or the store met no budget above
-    _served(state, length, budgets)
+    _extend(ring, key, state, length)
     return Resolution(Mmin, state["twists"], state["maps"], state["complete"])
 
 

@@ -576,9 +576,9 @@ def _check_thm_ms(bindings, cfg):
 
 def _check_prop_t1(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
+    C = minimalize(bindings["C"])
     converse = yield from _optional_converse(
         "converse (S~_n => Ext vanishing) skipped: finite G_C-dimension on "
         f"the depth <= {n - 1} locus not certified",
@@ -629,9 +629,9 @@ def _check_prop_p3(bindings, cfg):
 
 def _check_prop_t13(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
+    C = minimalize(bindings["C"])
     converse = yield from _optional_converse(
         "converse skipped: finite injective dimension of C on "
         f"the depth <= {n - 1} locus not certified",
@@ -658,9 +658,9 @@ def _check_cor_c2(bindings, cfg):
 
 def _check_lem_lem2(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     n = int(bindings.get("n", 1))
     yield _instance(bindings, M) + f", n={n}"
+    C = minimalize(bindings["C"])
     # n is optional here and defaults to 1, so only a failing n gets a line
     n_hyps = [] if n >= 1 else [_hyp("n >= 1", False)]
     yield [_hyp_verdict("C is semidualizing", is_semidualizing(
@@ -686,9 +686,9 @@ def _check_lem_lem2(bindings, cfg):
 
 def _check_thm_th5(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
+    C = minimalize(bindings["C"])
     ring = M.ring
     converse = yield from _optional_converse(
         "full four-way equivalence skipped: finite G-dimension "
@@ -718,9 +718,9 @@ def _check_thm_th5(bindings, cfg):
 
 def _check_cor_cor7(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
+    C = minimalize(bindings["C"])
     stable, free_rank = is_stable(M)
     yield [
         _hyp_verdict("C is semidualizing", is_semidualizing(
@@ -864,9 +864,9 @@ def _check_cor_theorem3(bindings, cfg):
 
 def _check_thm_prop_even(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
+    C = minimalize(bindings["C"])
     R = M.ring
     budgets = cfg.budgets
     hyps = [_hyp_verdict("C is semidualizing", is_semidualizing(
@@ -908,9 +908,9 @@ def _check_thm_prop_even(bindings, cfg):
 
 def _check_thm_th1(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     n = int(bindings["n"])
     yield _instance(bindings, M) + f", n={n}"
+    C = minimalize(bindings["C"])
     ring = M.ring
     stable, free_rank = is_stable(M)
     hyps = [_hyp("M is stable", stable, f"free rank {free_rank}"),
@@ -941,8 +941,8 @@ def _check_thm_th1(bindings, cfg):
 
 def _check_cor_cor5(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    C = minimalize(bindings["C"])
     ring = M.ring
     hyps = [_cm_ring_hyp(ring)]
     stable, free_rank = is_stable(M)
@@ -973,8 +973,8 @@ def _check_cor_cor5(bindings, cfg):
 
 def _check_cor_cor6(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    C = minimalize(bindings["C"])
     R = M.ring
     budgets, bound = cfg.budgets, cfg.bound
     gens = _parse_ideal(R, bindings["ideal"])
@@ -1028,8 +1028,8 @@ def _check_thm_cor3(bindings, cfg):
 
 def _check_thm_th2(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    C = minimalize(bindings["C"])
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
@@ -1050,8 +1050,8 @@ def _check_thm_th2(bindings, cfg):
 
 def _check_cor_self(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    C = minimalize(bindings["C"])
     ring = M.ring
     twist = int(bindings.get("self_twist", 0))
     self_iso = is_self_linked(M, twist=twist, budgets=cfg.budgets,
@@ -1083,8 +1083,8 @@ _TH3_RATIONALE = (
 
 def _check_thm_th3(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    C = minimalize(bindings["C"])
     yield _TH3_RATIONALE
     budgets = cfg.budgets
     ring = M.ring
@@ -1118,8 +1118,8 @@ def _check_thm_th3(bindings, cfg):
 
 def _check_thm_th6(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    C = minimalize(bindings["C"])
     budgets = cfg.budgets
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
@@ -1180,8 +1180,8 @@ def _check_thm_th6(bindings, cfg):
 
 def _check_prop_xtm(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    C = minimalize(bindings["C"])
     budgets = cfg.budgets
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
@@ -1210,8 +1210,8 @@ def _check_prop_xtm(bindings, cfg):
 
 def _check_thm_th4(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    C = minimalize(bindings["C"])
     ring = M.ring
     hyps = [_cm_ring_hyp(ring)]
     red, gv = is_reduced_gc_perfect(M, C, bound=cfg.resolve_bound(ring),
@@ -1234,8 +1234,8 @@ def _check_thm_th4(bindings, cfg):
 
 def _check_thm_th7(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    C = minimalize(bindings["C"])
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
     gh, gv = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
@@ -1298,8 +1298,8 @@ def _check_cor_cor4(bindings, cfg):
 
 def _check_remark3_i(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    C = minimalize(bindings["C"])
     # The two constructions meet: Hom(F_1, C) = F_1^* (x) C for the free
     # F_1 of M's minimal presentation d_1, so Tr M (x) C, presented by
     # d_1^T (x) id and C's relations on each copy of C, has the very
@@ -1318,8 +1318,8 @@ def _check_remark3_i(bindings, cfg):
 
 def _check_g3_ab_formula(bindings, cfg):
     M = minimalize(bindings["M"])
-    C = minimalize(bindings["C"])
     yield _instance(bindings, M)
+    C = minimalize(bindings["C"])
     budgets = cfg.budgets
     ring = M.ring
     sd = _hyp_verdict("C is semidualizing", is_semidualizing(
@@ -1431,7 +1431,9 @@ def _stopped(tid, instance, e) -> TheoremReport:
 
 
 def check(tid, bindings, config: HarnessConfig | None = None) -> TheoremReport:
-    """Run one named check; missing bindings raise, budgets degrade."""
+    """Run one named check; missing bindings raise, and a budget or an
+    inapplicability met after the check names its instance degrades to
+    an Inapplicable report."""
     tid = resolve_id(tid)
     cfg = config or HarnessConfig()
     missing = [k for k in _CHECKS[tid][1] if k not in bindings]
@@ -1439,14 +1441,7 @@ def check(tid, bindings, config: HarnessConfig | None = None) -> TheoremReport:
         raise KeyError(
             f"{tid.value} needs bindings {missing}; got "
             f"{sorted(bindings.keys())}")
-    try:
-        return _run(tid, bindings, cfg)
-    except (BudgetError, InapplicableError) as e:
-        # raised before the check yielded its instance line
-        M = bindings.get("M")
-        instance = (_instance(bindings, minimalize(M))
-                    if M is not None else str(bindings.get("label", "")))
-        return _stopped(tid, instance, e)
+    return _run(tid, bindings, cfg)
 
 
 def run_suite(instances, config: HarnessConfig | None = None):

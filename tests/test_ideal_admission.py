@@ -103,8 +103,7 @@ def _reads(gb, probes, *, eager, reduce_by=None):
         basis = gb.basis_columns()
     lifts = [gb.lift(p) for p in probes] if gb.track else None
     syzygies = gb.syzygies if reduce_by is None else _reduced(reduce_by, gb.syzygies)
-    return out + (basis, lifts, gb.kept, syzygies, gb.top_degree,
-                  gb.admitted_top)
+    return out + (basis, lifts, gb.kept, syzygies, gb.top_degree)
 
 
 def _run(R, kind, columns, twists, extra, **mode):
@@ -145,7 +144,7 @@ def test_top_of_a_run_with_only_the_ideal_is_its_pair_top():
     # T's leads yz, xz, xy pair at xyz: degree 3, plus the twist 1
     T = RINGS["T"]
     a, b = (_run(T, kind, [], [0, 1], [], minimal=True) for kind in KINDS)
-    assert a.top_degree == a.admitted_top == 4
+    assert a.top_degree == 4
     assert _reads(a, [], eager=False) == _reads(b, [], eager=True)
     with pytest.raises(BudgetError):
         _run(T, "ideal", [], [0, 1], [], minimal=True, max_degree=3)

@@ -45,6 +45,12 @@ W = ModulePresentation(T, [0, 0], [1, 1, 1],
                        [{0: x}, {0: y, 1: y - z}, {1: x}])
 
 
+def _store_key(M):
+    """The key the engine files M's resolution under the default budgets,
+    in the memo and (through resolutions._key) in the store."""
+    return minimalize(M).content_key(), DEFAULT_BUDGETS
+
+
 def _terms(maps) -> list:
     """Maps (or lists of candidates) term by term, with the type of each
     coefficient, in the order the polynomials hold their terms."""
@@ -149,7 +155,7 @@ def test_store_round_trips_terms_and_coefficient_types(ring, length, tmp_path):
         M = cyclic_module(N, ["x + y", "z^2 - 2*w^2"])
     else:
         M = from_matrix(ring, [0, 1], _MODULE_QQ)
-    key = minimalize(M).content_key()
+    key = _store_key(M)
     try:
         memo.clear()
         cold = minimal_free_resolution(M, length)
@@ -188,7 +194,7 @@ def test_each_step_is_written_once(tmp_path, monkeypatch):
                         lambda self, k, r: saved.append(k) or save(self, k, r))
     monkeypatch.setattr(DiskStore, "load",
                         lambda self, k: loaded.append(k) or load(self, k))
-    key = minimalize(W).content_key()
+    key = _store_key(W)
     try:
         memo.clear()
         cold = _terms(minimal_free_resolution(W, 8).maps)
@@ -238,7 +244,7 @@ def test_a_damaged_entry_is_a_miss(kind, tmp_path, capsys):
     and the maps are the ones a cold run builds."""
     memo.clear()
     cold = minimal_free_resolution(W, 6)
-    key = minimalize(W).content_key()
+    key = _store_key(W)
     try:
         store = install_cache(str(tmp_path))
         memo.clear()
@@ -286,7 +292,7 @@ def test_a_damaged_entry_is_repaired(kind, tmp_path, capsys, monkeypatch):
                             lambda *a, _fn=fn, **k: steps.append(1) or _fn(*a, **k))
     memo.clear()
     cold = _terms(minimal_free_resolution(K, 6).maps)
-    key = minimalize(K).content_key()
+    key = _store_key(K)
     try:
         store = install_cache(str(tmp_path))
         memo.clear()
@@ -400,49 +406,19 @@ def test_served_budgets_answer_as_a_cold_run(M, tmp_path):
         memo.clear()
 
 
-@pytest.mark.parametrize("kind", ["map", "complete"])
-def test_an_entry_without_its_tops_is_a_miss(kind, tmp_path, capsys):
-    """A map entry without its plain top, or a completion entry without
-    its harvest top (as written before the tops were kept): a warning
-    names it, the resolution is the cold one, and the entry is written
-    again, so the next run is silent."""
-    M = K if kind == "map" else cyclic_module(S3, ["x", "y", "z"])
-    memo.clear()
-    cold = minimal_free_resolution(M, 4)
-    key = minimalize(M).content_key()
-    try:
-        store = install_cache(str(tmp_path))
-        memo.clear()
-        minimal_free_resolution(M, 4)
-        name = resolutions._key(kind, key, 3 if kind == "map" else 0)
-        with open(store._path(name), encoding="utf-8") as fh:
-            entry = json.load(fh)
-        del entry["plain_top" if kind == "map" else "harvest_top"]
-        with open(store._path(name), "w", encoding="utf-8") as fh:
-            json.dump(entry, fh)
-        for first in (True, False):
-            capsys.readouterr()
-            memo.clear()
-            res = minimal_free_resolution(M, 4)
-            assert (res.twists, res.complete) == (cold.twists, cold.complete)
-            assert _terms(res.maps) == _terms(cold.maps)
-            assert (name in capsys.readouterr().err) == first
-    finally:
-        set_resolution_store(None)
-        memo.clear()
-
-
 def test_a_budget_stop_leaves_the_store_extendable(tmp_path, capsys):
     """A rank budget of 20 stops K at F_4 after d_2 and d_3: the store then
-    holds what a run to length 3 writes, the maps d_2 and d_3, so the next
-    run extends them without a warning."""
+    holds what a run to length 3 under that budget writes, the maps d_2
+    and d_3, so a rerun under it raises without a warning, and a run
+    under the default budgets builds the cold maps."""
     tight = replace(DEFAULT_BUDGETS, max_rank=20)
+    memo.clear()
     cold = _terms(minimal_free_resolution(K, 6).maps)
     short, stopped = tmp_path / "short", tmp_path / "stopped"
     try:
         install_cache(str(short))
         memo.clear()
-        minimal_free_resolution(K, 3)
+        minimal_free_resolution(K, 3, budgets=tight)
         install_cache(str(stopped))
         memo.clear()
         with pytest.raises(BudgetError, match="resolution rank"):
@@ -452,8 +428,44 @@ def test_a_budget_stop_leaves_the_store_extendable(tmp_path, capsys):
             assert (stopped / name).read_bytes() == (short / name).read_bytes()
         capsys.readouterr()
         memo.clear()
+        with pytest.raises(BudgetError, match="resolution rank"):
+            minimal_free_resolution(K, 6, budgets=tight)
+        memo.clear()
         assert _terms(minimal_free_resolution(K, 6).maps) == cold
         assert capsys.readouterr().err == ""
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+def test_a_store_is_per_budget(tmp_path, monkeypatch):
+    """A store filled under the default budgets serves nothing to a run
+    under a rank budget of 20: every load misses, and the run raises the
+    BudgetError a cold one does."""
+    tight = replace(DEFAULT_BUDGETS, max_rank=20)
+    memo.clear()
+    with pytest.raises(BudgetError) as cold:
+        minimal_free_resolution(K, 6, budgets=tight)
+    hits = []
+    load = DiskStore.load
+
+    def counted(self, k):
+        entry = load(self, k)
+        if entry is not None:
+            hits.append(k)
+        return entry
+
+    monkeypatch.setattr(DiskStore, "load", counted)
+    try:
+        install_cache(str(tmp_path))
+        memo.clear()
+        minimal_free_resolution(K, 6)
+        memo.clear()
+        hits.clear()
+        with pytest.raises(BudgetError) as served:
+            minimal_free_resolution(K, 6, budgets=tight)
+        assert not hits
+        assert str(served.value) == str(cold.value)
     finally:
         set_resolution_store(None)
         memo.clear()
@@ -585,12 +597,12 @@ def test_minimal_run_keeps_what_the_per_degree_reference_keeps(case):
 @given(_candidate_columns())
 def test_a_run_records_its_highest_pair_degree(case):
     """.top_degree is the highest deg lcm + twist over pairs of elements
-    at one position, and a tracked minimal run's .admitted_top is the
-    plain run's .top_degree."""
+    at one position, and a plain minimal run's .top_degree is at most the
+    tracked run's (None when the plain run forms no pair)."""
     ring, twists, columns, extra = case
     plain = _minimal_gb(ring, columns, twists, track=False, extra=extra)
     tracked = _minimal_gb(ring, columns, twists, track=True, extra=extra)
-    assert tracked.admitted_top == plain.top_degree
+    assert plain.top_degree is None or plain.top_degree <= tracked.top_degree
     for gb in (plain, tracked):
         leads = gb.leading_terms()
         degrees = [sum(map(max, a, b)) + twists[p]

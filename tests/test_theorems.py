@@ -105,6 +105,27 @@ def test_budget_exhaustion_keeps_the_instance_line():
         assert report.instance.endswith(", n=2")
 
 
+def _binds_c_and_n(tid) -> bool:
+    needs = set(theorems._CHECKS[tid][1])
+    return {"C", "n"} <= needs or tid is TheoremId.LEM_LEM2
+
+
+@pytest.mark.parametrize("tid", [t.value for t in theorems._CHECKS
+                                 if _binds_c_and_n(t)])
+def test_a_coefficient_over_budget_keeps_the_instance_line(tid):
+    """C = S/(x^13, y^13) meets a pair of degree 26 when it is
+    minimalized: every check that binds C and n still names its instance
+    with the ", n=..." suffix."""
+    S3 = make_ring(QQ, ["x", "y", "z"])
+    bindings = {"M": cyclic_module(S3, ["x"]),
+                "C": cyclic_module(S3, ["x^13", "y^13"]), "n": 1,
+                "ideal": ["x*y"], "ideal2": ["x^2 + x*y"], "label": "S/(x)"}
+    memo.clear()
+    report = check(tid, bindings)
+    assert "Inapplicable-by-budget" in report.notes
+    assert report.instance == "S/(x) over QQ[x,y,z]/(), n=1"
+
+
 def test_fault_injection_refutes_ms_criterion():
     # with transpose minimalization disabled, a module with a free
     # summand passes the stability test but fails double linkage
