@@ -11,8 +11,8 @@ Two subcommands:
 and then runs a single named theorem check, with --bind values written
 as script expressions (module names, operator calls, integers, or
 bracketed ideal lists).  Exit codes: 0 pass or partial, 1 refuted claim
-or failed assertion, 2 parse or usage error, 3 budget exhausted, 4 an
-Inapplicable verdict under --strict.
+or failed assertion, 2 parse or usage error (a --bound below 1
+included), 3 budget exhausted, 4 an Inapplicable verdict under --strict.
 
 A probe-prime SPEC is semicolon-separated groups of comma-separated
 homogeneous generators of positive degree, e.g. "x,y;y,z"; each group's
@@ -48,11 +48,20 @@ def parse_probe_spec(spec: str) -> tuple:
     return tuple(groups)
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true",
                    help="emit the deterministic JSON report on stdout")
-    p.add_argument("--bound", type=int, default=None,
-                   help="vanishing-scan bound (default: ring-derived)")
+    p.add_argument("--bound", type=positive_int, default=None,
+                   help="vanishing-scan bound, at least 1 "
+                   "(default: ring-derived)")
     p.add_argument("--probe-primes", default="", metavar="SPEC",
                    help="extra probe primes, e.g. 'x,y;y,z'")
     p.add_argument("--cache-dir", default=None,

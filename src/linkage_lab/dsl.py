@@ -32,9 +32,9 @@ EXPR_FNS = {
     "lambda": ("module",),
     "transpose": ("module",),
     "transpose_wrt": ("module", "module"),
-    "syzygy": ("module", "int"),
-    "ext": ("module", "module", "int"),
-    "tor": ("module", "module", "int"),
+    "syzygy": ("module", "index"),
+    "ext": ("module", "module", "index"),
+    "tor": ("module", "module", "index"),
     "tensor": ("module", "module"),
     "hom": ("module", "module"),
     "canonical": ("ring",),
@@ -45,7 +45,7 @@ EXPR_FNS = {
 PREDICATE_FNS = {
     "is_horizontally_linked": ("module",),
     "is_stable": ("module",),
-    "serre_tilde": ("module", "int"),
+    "serre_tilde": ("module", "order"),
     "is_cm": ("module",),
     "is_mcm": ("module",),
     "in_auslander_class": ("module", "module"),
@@ -61,8 +61,12 @@ SCALAR_FNS = {
 
 PRINT_ONLY_FNS = {
     "hilbert": ("module",),
-    "betti": ("module", "int"),
+    "betti": ("module", "index"),
 }
+
+# The least value of an integer argument: a homological index or a
+# resolution length is at least 0, the order k of S~_k at least 1.
+INT_LEAST = {"index": 0, "order": 1}
 
 CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
@@ -405,6 +409,17 @@ class _Parser:
         t = self.expect("int")
         return -int(t.value) if neg else int(t.value)
 
+    def _int_at_least(self, least: int, what: str) -> int:
+        """A signed integer literal; below `least` it is an error at the
+        literal."""
+        start = self.peek()
+        value = self._signed_int()
+        if value < least:
+            self.error(f"{what} {value} is "
+                       + ("negative" if least == 0 else f"below {least}"),
+                       start)
+        return value
+
     def _matrix(self, variables):
         self.expect("sym", "[")
         rows = []
@@ -480,8 +495,9 @@ class _Parser:
         for k, kind in enumerate(sig):
             if k:
                 self.expect("sym", ",")
-            if kind == "int":
-                args.append(self._signed_int())
+            if kind in INT_LEAST:
+                args.append(self._int_at_least(
+                    INT_LEAST[kind], f"{t.value} {kind}"))
             elif kind == "ring":
                 args.append(Name(self._ring_ref()))
             else:
@@ -590,10 +606,7 @@ class _Parser:
         self.expect("sym", "(")
         ring = self._ring_ref()
         self.expect("sym", ",")
-        start = self.peek()
-        size = self._signed_int()
-        if size < 0:
-            self.error(f"corpus size {size} is negative", start)
+        size = self._int_at_least(0, "corpus size")
         self.expect("sym", ")")
         self.expect("sym", ";")
         return SuiteStmt(ids, ring, size, pos=(kw.line, kw.col))

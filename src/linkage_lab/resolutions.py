@@ -90,8 +90,16 @@ def set_resolution_store(store):
     _STORE = store
 
 
+def _index(i: int) -> int:
+    if i < 0:
+        raise ValueError(f"resolution index {i} is negative")
+    return i
+
+
 class Resolution:
-    """twists[i] are the degrees of F_i; maps[i] is d_{i+1} (columns in F_i)."""
+    """twists[i] are the degrees of F_i; maps[i] is d_{i+1} (columns in F_i).
+
+    Every accessor taking an index i raises ValueError for i < 0."""
 
     def __init__(self, module: ModulePresentation, twists, maps, complete: bool):
         self.module = module
@@ -114,12 +122,12 @@ class Resolution:
         return pd
 
     def rank(self, i: int) -> int:
-        if i < len(self.twists):
+        if _index(i) < len(self.twists):
             return len(self.twists[i])
         return 0
 
     def twists_at(self, i: int):
-        if i < len(self.twists):
+        if _index(i) < len(self.twists):
             return self.twists[i]
         if self.complete:
             return ()
@@ -133,7 +141,7 @@ class Resolution:
 
     def syzygy_module(self, i: int) -> ModulePresentation:
         """The i-th syzygy as a presentation (gens F_i, relations d_{i+1})."""
-        if i == 0:
+        if _index(i) == 0:
             return minimalize(self.module)
         if i < len(self.maps):
             return ModulePresentation(

@@ -154,7 +154,7 @@ class _Runner:
         for s in script.statements:
             if isinstance(s, CheckStmt):
                 tid = self._resolve(s.theorem_id)
-                fn, required = theorems._CHECKS[tid]
+                required = theorems._CHECKS[tid][1]
                 given = [k for k, _ in s.bindings]
                 if len(set(given)) != len(given):
                     raise ScriptError(

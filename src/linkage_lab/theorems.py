@@ -3,23 +3,31 @@
 Each named check instantiates the hypotheses of one statement on a
 concrete module instance, evaluates both sides of the claimed
 equivalence or equality, and returns a report with verdict Verified,
-Refuted, Inapplicable, or PartiallyVerified.  Hypotheses are evaluated
-in stages before conclusions, and the claims are evaluated only after
-every hypothesis holds: a Failed or Unknown hypothesis yields
-Inapplicable, never a vacuous confirmation, and the claims of such an
-instance are never computed.  An index n <= 0 fails the hypothesis
-n >= 1 and is Inapplicable.  Quantified claims over all primes are sampled on
-the probe-prime set unless they reduce to an exact global criterion;
-such claims verify at best partially, while a violation found at a
-probe prime is a genuine refutation.  A Refuted verdict reached while
-some hypothesis is only bounded or probe-verified carries the
-suspected-counterexample flag: the bound must be escalated before the
-refutation is trusted.
+Refuted, Inapplicable, or PartiallyVerified.
+
+A check declares the bindings it reads (M, C, n, ideals) as its
+parameters.  One driver, `_run`, is the prologue of every check: it
+minimalizes M and C, names the instance, and turns a budget met
+anywhere, minimalizing M included, into an Inapplicable report rather
+than an error.
+
+Hypotheses are evaluated in stages before conclusions, and the claims
+are evaluated only after every hypothesis holds: a Failed or Unknown
+hypothesis yields Inapplicable, never a vacuous confirmation, and the
+claims of such an instance are never computed.  An index n <= 0 fails
+the hypothesis n >= 1 and is Inapplicable.  Quantified claims over all
+primes are sampled on the probe-prime set unless they reduce to an
+exact global criterion; such claims verify at best partially, while a
+violation found at a probe prime is a genuine refutation.  A Refuted
+verdict reached while some hypothesis is only bounded or
+probe-verified carries the suspected-counterexample flag: the bound
+must be escalated before the refutation is trusted.
 """
 
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BUDGETS, Budgets, default_bound
@@ -126,6 +134,10 @@ class HarnessConfig:
     budgets: Budgets = DEFAULT_BUDGETS
     seed: int = 0
     extra_probes: tuple = ()  # extra probe primes, each a tuple of gens
+
+    def __post_init__(self):
+        if self.bound is not None and self.bound < 1:
+            raise ValueError(f"bound {self.bound} is below 1")
 
     def resolve_bound(self, ring) -> int:
         return self.bound if self.bound is not None else default_bound(ring)
@@ -303,23 +315,17 @@ def _finish(tid, instance, hyps, claims, notes) -> TheoremReport:
 # -- shared sub-evaluations ---------------------------------------------------
 
 
-def _label(bindings, M: ModulePresentation) -> str:
-    lab = bindings.get("label")
-    if lab:
-        return lab
-    return f"module({M.n_gens()} gens, twists {list(M.gen_twists)})"
-
-
-def _instance(bindings, M) -> str:
-    return f"{_label(bindings, M)} over {M.ring.key()}"
-
-
 def _parse_ideal(ring, gens):
     out = []
     for g in gens:
         p = ring.poly_ring.parse(g) if isinstance(g, str) else g
         out.append(p)
     return out
+
+
+def _sd_hyp(C, cfg) -> HypothesisStatus:
+    return _hyp_verdict("C is semidualizing", is_semidualizing(
+        C, bound=cfg.bound, budgets=cfg.budgets))
 
 
 def _linked_hyp(M, cfg) -> HypothesisStatus:
@@ -528,16 +534,22 @@ def _ng_probes(M, probes):
 
 # -- the checks ---------------------------------------------------------------
 #
-# Every check is a generator `check(bindings, cfg)`.  It first yields the
-# report's instance line.  After that, each list it yields is one stage of
-# hypotheses (HypothesisStatus), and a later stage may need what an earlier
-# one computed; each string it yields is a report note.  After its last
-# stage it returns its claims.  `_run` stops at the first stage that holds
-# a Failed or Unknown hypothesis and never resumes the generator, so
-# nothing after that stage, the claims included, is computed.
+# Every check is a generator `_check_x(cfg, M, C, n, ...)` whose
+# parameters after cfg are the bindings it reads: a parameter without a
+# default is a required binding, and `_CHECKS` reads them from the
+# signature.  `_run` is the one prologue: it hands every check M and C
+# minimalized and n as an int, and writes the instance line itself.
+# Each list a check yields is one stage of hypotheses (HypothesisStatus),
+# and a later stage may need what an earlier one computed; each string
+# it yields is a report note.  After its last stage it returns its
+# claims; a check without hypotheses yields one empty stage.  `_run`
+# stops at the first stage that holds a Failed or Unknown hypothesis and
+# never resumes the generator, so nothing after that stage, the claims
+# included, is computed.
 #
 # Recurring pieces are written once.
-# * Hypotheses: every verdict becomes one through `_hyp_verdict`.
+# * Hypotheses: every verdict becomes one through `_hyp_verdict`, and
+#   `_sd_hyp` states "C is semidualizing".
 #   `_lambda_auslander` and `_lambda_finite_gdim` compute lambda M with
 #   its Auslander-class or finite G-dimension hypothesis; `_gcdim_hyp`,
 #   `_linked_hyp` and `_cm_ring_hyp` state the others.  `_locus_hyp`
@@ -552,9 +564,8 @@ def _ng_probes(M, probes):
 #   roles of lambda M and M (x) omega exchanged.
 
 
-def _check_thm_ms(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
+def _check_thm_ms(cfg, M):
+    yield []  # no hypotheses: one empty stage
     budgets = cfg.budgets
     ring = M.ring
     stable, free_rank = is_stable(M)
@@ -574,18 +585,12 @@ def _check_thm_ms(bindings, cfg):
     ])
 
 
-def _check_prop_t1(bindings, cfg):
-    M = minimalize(bindings["M"])
-    n = int(bindings["n"])
-    yield _instance(bindings, M) + f", n={n}"
-    C = minimalize(bindings["C"])
+def _check_prop_t1(cfg, M, C, n):
     converse = yield from _optional_converse(
         "converse (S~_n => Ext vanishing) skipped: finite G_C-dimension on "
         f"the depth <= {n - 1} locus not certified",
         n - 1, (_GCDIM_LOCUS, C))
-    yield [_hyp_verdict("C is semidualizing", is_semidualizing(
-               C, bound=cfg.bound, budgets=cfg.budgets)),
-           _hyp("n >= 1", n >= 1)] + converse
+    yield [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1)] + converse
     side_i = _ext_side("Tr_C M, C", transpose_wrt(M, C), C, n, cfg)
     side_ii = _cosyzygy_side("M", M, C, n, cfg)
     side_iii = _serre_side("M", M, n, cfg.probes_for(M.ring))
@@ -598,13 +603,10 @@ def _check_prop_t1(bindings, cfg):
     return claims
 
 
-def _serre_versus_lcd(bindings, cfg, serre_on_link):
+def _serre_versus_lcd(cfg, M, n, serre_on_link):
     """PROP_P3 (serre_on_link) and its mirror COR_C2: S~_n of one of
     lambda M and M (x) omega against a local cohomology window of the
     other."""
-    M = minimalize(bindings["M"])
-    n = int(bindings["n"])
-    yield _instance(bindings, M) + f", n={n}"
     R = M.ring
     yield [_cm_ring_hyp(R), _hyp("n >= 1", n >= 1)]
     d = ring_dim(R)
@@ -623,22 +625,16 @@ def _serre_versus_lcd(bindings, cfg, serre_on_link):
     return _equivalence_claims([side_i, side_ii])
 
 
-def _check_prop_p3(bindings, cfg):
-    return (yield from _serre_versus_lcd(bindings, cfg, True))
+def _check_prop_p3(cfg, M, n):
+    return (yield from _serre_versus_lcd(cfg, M, n, True))
 
 
-def _check_prop_t13(bindings, cfg):
-    M = minimalize(bindings["M"])
-    n = int(bindings["n"])
-    yield _instance(bindings, M) + f", n={n}"
-    C = minimalize(bindings["C"])
+def _check_prop_t13(cfg, M, C, n):
     converse = yield from _optional_converse(
         "converse skipped: finite injective dimension of C on "
         f"the depth <= {n - 1} locus not certified",
         n - 1, (_INJDIM_LOCUS, C))
-    yield [_hyp_verdict("C is semidualizing", is_semidualizing(
-               C, bound=cfg.bound, budgets=cfg.budgets)),
-           _hyp("n >= 1", n >= 1)] + converse
+    yield [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1)] + converse
     side_i = _ext_side("Tr M, C", transpose(M), C, n, cfg)
     MC = tensor(M, C)
     side_ii = _cosyzygy_side("M (x) C", MC, C, n, cfg)
@@ -652,20 +648,14 @@ def _check_prop_t13(bindings, cfg):
     return claims
 
 
-def _check_cor_c2(bindings, cfg):
-    return (yield from _serre_versus_lcd(bindings, cfg, False))
+def _check_cor_c2(cfg, M, n):
+    return (yield from _serre_versus_lcd(cfg, M, n, False))
 
 
-def _check_lem_lem2(bindings, cfg):
-    M = minimalize(bindings["M"])
-    n = int(bindings.get("n", 1))
-    yield _instance(bindings, M) + f", n={n}"
-    C = minimalize(bindings["C"])
+def _check_lem_lem2(cfg, M, C, n=1):
     # n is optional here and defaults to 1, so only a failing n gets a line
     n_hyps = [] if n >= 1 else [_hyp("n >= 1", False)]
-    yield [_hyp_verdict("C is semidualizing", is_semidualizing(
-               C, bound=cfg.bound, budgets=cfg.budgets)),
-           *n_hyps,
+    yield [_sd_hyp(C, cfg), *n_hyps,
            _auslander_hyp("M is in the Auslander class of C", M, C, cfg)]
     probes = cfg.probes_for(M.ring)
     MC = tensor(M, C)
@@ -684,19 +674,13 @@ def _check_lem_lem2(bindings, cfg):
     return claims
 
 
-def _check_thm_th5(bindings, cfg):
-    M = minimalize(bindings["M"])
-    n = int(bindings["n"])
-    yield _instance(bindings, M) + f", n={n}"
-    C = minimalize(bindings["C"])
+def _check_thm_th5(cfg, M, C, n):
     ring = M.ring
     converse = yield from _optional_converse(
         "full four-way equivalence skipped: finite G-dimension "
         f"on the depth <= {n - 1} locus not certified",
         n - 1, (_GCDIM_LOCUS, _ring_unit(ring)), (_INJDIM_LOCUS, C))
-    yield [_hyp_verdict("C is semidualizing", is_semidualizing(
-               C, bound=cfg.bound, budgets=cfg.budgets)),
-           _hyp("n >= 1", n >= 1),
+    yield [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1),
            _auslander_hyp("M is in the Auslander class of C", M, C, cfg)
            ] + converse
     probes = cfg.probes_for(ring)
@@ -716,15 +700,10 @@ def _check_thm_th5(bindings, cfg):
     return claims
 
 
-def _check_cor_cor7(bindings, cfg):
-    M = minimalize(bindings["M"])
-    n = int(bindings["n"])
-    yield _instance(bindings, M) + f", n={n}"
-    C = minimalize(bindings["C"])
+def _check_cor_cor7(cfg, M, C, n):
     stable, free_rank = is_stable(M)
     yield [
-        _hyp_verdict("C is semidualizing", is_semidualizing(
-            C, bound=cfg.bound, budgets=cfg.budgets)),
+        _sd_hyp(C, cfg),
         _hyp("M is stable", stable, f"free rank {free_rank}"),
         _auslander_hyp("M is in the Auslander class of C", M, C, cfg),
         _locus_hyp(n - 1, (_GCDIM_LOCUS, _ring_unit(M.ring)),
@@ -747,9 +726,7 @@ def _check_cor_cor7(bindings, cfg):
     return _equivalence_claims([side_i, side_ii])
 
 
-def _check_thm_theorem1(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
+def _check_thm_theorem1(cfg, M):
     R = M.ring
     yield [_cm_ring_hyp(R)]
     probes = cfg.probes_for(R)
@@ -778,11 +755,9 @@ def _check_thm_theorem1(bindings, cfg):
     return _equivalence_claims([side_i, side_ii, side_iii, side_iv])
 
 
-def _check_thm_the1(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
+def _check_thm_the1(cfg, M, omega_ideal):
     R = M.ring
-    gens = _parse_ideal(R, bindings["omega_ideal"])
+    gens = _parse_ideal(R, omega_ideal)
     hyps = [_cm_ring_hyp(R),
             _hyp("the ring is not Gorenstein", not ring_is_gorenstein(R))]
     ok, why = _matches_canonical_ideal(R, gens, cfg)
@@ -806,12 +781,9 @@ def _check_thm_the1(bindings, cfg):
     return _equivalence_claims([side_i, side_ii])
 
 
-def _check_cor_theorem3(bindings, cfg):
-    ring = bindings["ring"]
-    I_gens = _parse_ideal(ring, bindings["I"])
-    omega_gens = _parse_ideal(ring, bindings["omega_ideal"])
-    yield (f"ideal ({', '.join(str(g) for g in I_gens)}) "
-           f"over {ring.key()}")
+def _check_cor_theorem3(cfg, ring, I, omega_ideal, J=None):
+    I_gens = _parse_ideal(ring, I)
+    omega_gens = _parse_ideal(ring, omega_ideal)
     budgets = cfg.budgets
     RI = minimalize(cyclic_module(ring, I_gens))
     hyps = [_cm_ring_hyp(ring),
@@ -821,8 +793,8 @@ def _check_cor_theorem3(bindings, cfg):
                      ok, why))
     # the linked ideal: lambda(R/I) must again be cyclic
     lam = minimalize(lambda_module(RI, budgets=budgets))
-    if "J" in bindings:
-        J_gens = _parse_ideal(ring, bindings["J"])
+    if J is not None:
+        J_gens = _parse_ideal(ring, J)
     else:
         J_gens = [g for g in annihilator(lam)
                   if not ring.nf(g).is_zero()]
@@ -862,21 +834,15 @@ def _check_cor_theorem3(bindings, cfg):
     return _equivalence_claims([side_i, side_ii])
 
 
-def _check_thm_prop_even(bindings, cfg):
-    M = minimalize(bindings["M"])
-    n = int(bindings["n"])
-    yield _instance(bindings, M) + f", n={n}"
-    C = minimalize(bindings["C"])
+def _check_thm_prop_even(cfg, M, C, n, ideal, ideal2):
     R = M.ring
     budgets = cfg.budgets
-    hyps = [_hyp_verdict("C is semidualizing", is_semidualizing(
-                C, bound=cfg.bound, budgets=budgets)),
-            _hyp("n >= 1", n >= 1)]
+    hyps = [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1)]
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
     links = []
-    for key, label in (("ideal", "first"), ("ideal2", "second")):
-        gens = _parse_ideal(R, bindings[key])
+    for given, label in ((ideal, "first"), (ideal2, "second")):
+        gens = _parse_ideal(R, given)
         gor = is_gc_gorenstein_ideal(R, gens, C, bound=cfg.bound,
                                      budgets=budgets)
         hyps.append(_hyp_verdict(f"the {label} ideal is G_C-Gorenstein", gor))
@@ -906,11 +872,7 @@ def _check_thm_prop_even(bindings, cfg):
     return claims
 
 
-def _check_thm_th1(bindings, cfg):
-    M = minimalize(bindings["M"])
-    n = int(bindings["n"])
-    yield _instance(bindings, M) + f", n={n}"
-    C = minimalize(bindings["C"])
+def _check_thm_th1(cfg, M, C, n):
     ring = M.ring
     stable, free_rank = is_stable(M)
     hyps = [_hyp("M is stable", stable, f"free rank {free_rank}"),
@@ -939,10 +901,7 @@ def _check_thm_th1(bindings, cfg):
     return claims
 
 
-def _check_cor_cor5(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
-    C = minimalize(bindings["C"])
+def _check_cor_cor5(cfg, M, C):
     ring = M.ring
     hyps = [_cm_ring_hyp(ring)]
     stable, free_rank = is_stable(M)
@@ -971,16 +930,11 @@ def _check_cor_cor5(bindings, cfg):
     return _equivalence_claims([side_i, side_ii, side_iii])
 
 
-def _check_cor_cor6(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
-    C = minimalize(bindings["C"])
+def _check_cor_cor6(cfg, M, C, ideal):
     R = M.ring
     budgets, bound = cfg.budgets, cfg.bound
-    gens = _parse_ideal(R, bindings["ideal"])
-    hyps = [_cm_ring_hyp(R), _hyp_verdict(
-        "C is semidualizing",
-        is_semidualizing(C, bound=bound, budgets=budgets))]
+    gens = _parse_ideal(R, ideal)
+    hyps = [_cm_ring_hyp(R), _sd_hyp(C, cfg)]
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
     perf, _ = is_gc_perfect_ideal(R, gens, C, bound=bound, budgets=budgets)
@@ -1002,9 +956,7 @@ def _check_cor_cor6(bindings, cfg):
     ])
 
 
-def _check_thm_cor3(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
+def _check_thm_cor3(cfg, M):
     R = M.ring
     yield [_cm_ring_hyp(R)]
     hyps = [_linked_hyp(M, cfg),
@@ -1026,10 +978,7 @@ def _check_thm_cor3(bindings, cfg):
     return _equivalence_claims([side_i, side_ii])
 
 
-def _check_thm_th2(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
-    C = minimalize(bindings["C"])
+def _check_thm_th2(cfg, M, C):
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
@@ -1048,13 +997,9 @@ def _check_thm_th2(bindings, cfg):
     return _equivalence_claims([side_zero, side_probe])
 
 
-def _check_cor_self(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
-    C = minimalize(bindings["C"])
+def _check_cor_self(cfg, M, C, self_twist=0):
     ring = M.ring
-    twist = int(bindings.get("self_twist", 0))
-    self_iso = is_self_linked(M, twist=twist, budgets=cfg.budgets,
+    self_iso = is_self_linked(M, twist=self_twist, budgets=cfg.budgets,
                               seed=cfg.seed)
     hyps = [_hyp("M is horizontally self-linked",
                  self_iso.is_isomorphic() if self_iso.resolved() else False,
@@ -1081,10 +1026,7 @@ _TH3_RATIONALE = (
     "syz(M) <= depth(M) is asserted on the computed values")
 
 
-def _check_thm_th3(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
-    C = minimalize(bindings["C"])
+def _check_thm_th3(cfg, M, C):
     yield _TH3_RATIONALE
     budgets = cfg.budgets
     ring = M.ring
@@ -1116,10 +1058,7 @@ def _check_thm_th3(bindings, cfg):
     return _equivalence_claims([side_i, side_ii, side_iii])
 
 
-def _check_thm_th6(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
-    C = minimalize(bindings["C"])
+def _check_thm_th6(cfg, M, C):
     budgets = cfg.budgets
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
@@ -1178,10 +1117,7 @@ def _check_thm_th6(bindings, cfg):
     return claims
 
 
-def _check_prop_xtm(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
-    C = minimalize(bindings["C"])
+def _check_prop_xtm(cfg, M, C):
     budgets = cfg.budgets
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
@@ -1208,10 +1144,7 @@ def _check_prop_xtm(bindings, cfg):
                   side.detail)]
 
 
-def _check_thm_th4(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
-    C = minimalize(bindings["C"])
+def _check_thm_th4(cfg, M, C):
     ring = M.ring
     hyps = [_cm_ring_hyp(ring)]
     red, gv = is_reduced_gc_perfect(M, C, bound=cfg.resolve_bound(ring),
@@ -1232,10 +1165,7 @@ def _check_thm_th4(bindings, cfg):
         f"{ring_depth(ring)}, depth Ext^{n}={dep_e}")]
 
 
-def _check_thm_th7(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
-    C = minimalize(bindings["C"])
+def _check_thm_th7(cfg, M, C):
     ring = M.ring
     hyps = [_linked_hyp(M, cfg)]
     gh, gv = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
@@ -1254,9 +1184,7 @@ def _check_thm_th7(bindings, cfg):
     return _equivalence_claims([side_red, side_serre])
 
 
-def _check_cor_cor1(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
+def _check_cor_cor1(cfg, M):
     R = M.ring
     hyps = [_cm_ring_hyp(R), _linked_hyp(M, cfg)]
     d = ring_dim(R)
@@ -1272,9 +1200,7 @@ def _check_cor_cor1(bindings, cfg):
     return _equivalence_claims([side_em, side_serre])
 
 
-def _check_cor_cor4(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
+def _check_cor_cor4(cfg, M):
     R = M.ring
     hyps = [_cm_ring_hyp(R), _linked_hyp(M, cfg),
             _hyp("M is not Cohen-Macaulay", not is_cm(M)),
@@ -1296,10 +1222,8 @@ def _check_cor_cor4(bindings, cfg):
     return _equivalence_claims([side_gcm, side_rhs])
 
 
-def _check_remark3_i(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
-    C = minimalize(bindings["C"])
+def _check_remark3_i(cfg, M, C):
+    yield []  # no hypotheses: one empty stage
     # The two constructions meet: Hom(F_1, C) = F_1^* (x) C for the free
     # F_1 of M's minimal presentation d_1, so Tr M (x) C, presented by
     # d_1^T (x) id and C's relations on each copy of C, has the very
@@ -1316,14 +1240,10 @@ def _check_remark3_i(bindings, cfg):
                   v.certificate)]
 
 
-def _check_g3_ab_formula(bindings, cfg):
-    M = minimalize(bindings["M"])
-    yield _instance(bindings, M)
-    C = minimalize(bindings["C"])
+def _check_g3_ab_formula(cfg, M, C):
     budgets = cfg.budgets
     ring = M.ring
-    sd = _hyp_verdict("C is semidualizing", is_semidualizing(
-        C, bound=cfg.bound, budgets=cfg.budgets))
+    sd = _sd_hyp(C, cfg)
     if M.is_zero():
         yield [sd, _hyp("M is nonzero", False)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
@@ -1360,37 +1280,43 @@ def _check_g3_ab_formula(bindings, cfg):
     return claims
 
 
-_CHECKS = {
-    TheoremId.THM_MS: (_check_thm_ms, ("M",)),
-    TheoremId.PROP_T1: (_check_prop_t1, ("M", "C", "n")),
-    TheoremId.PROP_P3: (_check_prop_p3, ("M", "n")),
-    TheoremId.PROP_T13: (_check_prop_t13, ("M", "C", "n")),
-    TheoremId.COR_C2: (_check_cor_c2, ("M", "n")),
-    TheoremId.LEM_LEM2: (_check_lem_lem2, ("M", "C")),
-    TheoremId.THM_TH5: (_check_thm_th5, ("M", "C", "n")),
-    TheoremId.COR_COR7: (_check_cor_cor7, ("M", "C", "n")),
-    TheoremId.THM_THEOREM1: (_check_thm_theorem1, ("M",)),
-    TheoremId.THM_THE1: (_check_thm_the1, ("M", "omega_ideal")),
-    TheoremId.COR_THEOREM3: (_check_cor_theorem3,
-                             ("ring", "I", "omega_ideal")),
-    TheoremId.THM_PROP_EVEN: (_check_thm_prop_even,
-                              ("M", "C", "n", "ideal", "ideal2")),
-    TheoremId.THM_TH1: (_check_thm_th1, ("M", "C", "n")),
-    TheoremId.COR_COR5: (_check_cor_cor5, ("M", "C")),
-    TheoremId.COR_COR6: (_check_cor_cor6, ("M", "C", "ideal")),
-    TheoremId.THM_COR3: (_check_thm_cor3, ("M",)),
-    TheoremId.THM_TH2: (_check_thm_th2, ("M", "C")),
-    TheoremId.COR_SELF: (_check_cor_self, ("M", "C")),
-    TheoremId.THM_TH3: (_check_thm_th3, ("M", "C")),
-    TheoremId.THM_TH6: (_check_thm_th6, ("M", "C")),
-    TheoremId.PROP_XTM: (_check_prop_xtm, ("M", "C")),
-    TheoremId.THM_TH4: (_check_thm_th4, ("M", "C")),
-    TheoremId.THM_TH7: (_check_thm_th7, ("M", "C")),
-    TheoremId.COR_COR1: (_check_cor_cor1, ("M",)),
-    TheoremId.COR_COR4: (_check_cor_cor4, ("M",)),
-    TheoremId.REMARK3_I: (_check_remark3_i, ("M", "C")),
-    TheoremId.G3_AB_FORMULA: (_check_g3_ab_formula, ("M", "C")),
-}
+def _bindings(fn) -> tuple:
+    """(required, defaults) of a check: its parameters after cfg, those
+    without a default in order, and the others with their defaults."""
+    params = list(inspect.signature(fn).parameters.values())[1:]
+    return (tuple(p.name for p in params if p.default is p.empty),
+            {p.name: p.default for p in params if p.default is not p.empty})
+
+
+_CHECKS = {tid: (fn, *_bindings(fn)) for tid, fn in {
+    TheoremId.THM_MS: _check_thm_ms,
+    TheoremId.PROP_T1: _check_prop_t1,
+    TheoremId.PROP_P3: _check_prop_p3,
+    TheoremId.PROP_T13: _check_prop_t13,
+    TheoremId.COR_C2: _check_cor_c2,
+    TheoremId.LEM_LEM2: _check_lem_lem2,
+    TheoremId.THM_TH5: _check_thm_th5,
+    TheoremId.COR_COR7: _check_cor_cor7,
+    TheoremId.THM_THEOREM1: _check_thm_theorem1,
+    TheoremId.THM_THE1: _check_thm_the1,
+    TheoremId.COR_THEOREM3: _check_cor_theorem3,
+    TheoremId.THM_PROP_EVEN: _check_thm_prop_even,
+    TheoremId.THM_TH1: _check_thm_th1,
+    TheoremId.COR_COR5: _check_cor_cor5,
+    TheoremId.COR_COR6: _check_cor_cor6,
+    TheoremId.THM_COR3: _check_thm_cor3,
+    TheoremId.THM_TH2: _check_thm_th2,
+    TheoremId.COR_SELF: _check_cor_self,
+    TheoremId.THM_TH3: _check_thm_th3,
+    TheoremId.THM_TH6: _check_thm_th6,
+    TheoremId.PROP_XTM: _check_prop_xtm,
+    TheoremId.THM_TH4: _check_thm_th4,
+    TheoremId.THM_TH7: _check_thm_th7,
+    TheoremId.COR_COR1: _check_cor_cor1,
+    TheoremId.COR_COR4: _check_cor_cor4,
+    TheoremId.REMARK3_I: _check_remark3_i,
+    TheoremId.G3_AB_FORMULA: _check_g3_ab_formula,
+}.items()}
 
 
 def resolve_id(tid) -> TheoremId:
@@ -1399,13 +1325,45 @@ def resolve_id(tid) -> TheoremId:
     return TheoremId(str(tid))
 
 
+def _instance(label, args) -> str:
+    """The report's instance line: M by its label, else by its
+    presentation, with ", n=..." when the check takes n; COR_THEOREM3,
+    which binds no M, is named by its ideal."""
+    if "M" not in args:
+        ring = args["ring"]
+        gens = ", ".join(str(g) for g in _parse_ideal(ring, args["I"]))
+        return f"ideal ({gens}) over {ring.key()}"
+    M = args["M"]
+    name = label or f"module({M.n_gens()} gens, twists {list(M.gen_twists)})"
+    line = f"{name} over {M.ring.key()}"
+    return f"{line}, n={args['n']}" if "n" in args else line
+
+
 def _run(tid, bindings, cfg) -> TheoremReport:
-    """Drive one check: its hypothesis stages in order, then its claims,
-    which are computed only when every stage holds."""
-    stages = _CHECKS[tid][0](bindings, cfg)
-    instance = next(stages)
+    """The one prologue and driver of every check.
+
+    The prologue reads the check's bindings, defaults filled in, makes n
+    an int, minimalizes M and names the instance, then minimalizes C.
+    The driver runs the hypothesis stages in order, then the claims,
+    which are computed only when every stage holds.  A budget or an
+    inapplicability met anywhere, minimalizing M included, ends the check
+    with an Inapplicable report; its instance line names M by the given
+    presentation when M itself could not be minimalized.
+    """
+    fn, required, defaults = _CHECKS[tid]
+    args = {k: bindings[k] for k in required}
+    args.update((k, bindings.get(k, d)) for k, d in defaults.items())
+    if "n" in args:
+        args["n"] = int(args["n"])
+    label = bindings.get("label")
     hyps, notes = [], []
     try:
+        if "M" in args:
+            args["M"] = minimalize(args["M"])
+        instance = _instance(label, args)
+        if "C" in args:
+            args["C"] = minimalize(args["C"])
+        stages = fn(cfg, **args)
         while _blocker(hyps) is None:
             step = next(stages)
             if isinstance(step, str):
@@ -1415,7 +1373,7 @@ def _run(tid, bindings, cfg) -> TheoremReport:
     except StopIteration as done:
         return _finish(tid, instance, hyps, done.value, notes)
     except (BudgetError, InapplicableError) as e:
-        return _stopped(tid, instance, e)
+        return _stopped(tid, _instance(label, args), e)
     return _finish(tid, instance, hyps, [], notes)
 
 
@@ -1432,8 +1390,7 @@ def _stopped(tid, instance, e) -> TheoremReport:
 
 def check(tid, bindings, config: HarnessConfig | None = None) -> TheoremReport:
     """Run one named check; missing bindings raise, and a budget or an
-    inapplicability met after the check names its instance degrades to
-    an Inapplicable report."""
+    inapplicability degrades to an Inapplicable report."""
     tid = resolve_id(tid)
     cfg = config or HarnessConfig()
     missing = [k for k in _CHECKS[tid][1] if k not in bindings]

@@ -286,6 +286,64 @@ def test_cli_negative_corpus_size_exit_two(tmp_path, capsys):
     assert "parse error" in err and "corpus size -17" in err
 
 
+ONE_MODULE = """\
+ring S = poly(QQ, x, y);
+ring H = quotient(S, [x*y]);
+module M = coker(H, twists=[0], matrix=[[x]]);
+"""
+
+
+@pytest.mark.parametrize("stmt, message", [
+    ("let L = syzygy(M, -1);", "syzygy index -1 is negative"),
+    ("let L = ext(M, M, -1);", "ext index -1 is negative"),
+    ("let L = tor(M, M, -2);", "tor index -2 is negative"),
+    ("print betti(M, -1);", "betti index -1 is negative"),
+    ("assert serre_tilde(M, 0);", "serre_tilde order 0 is below 1"),
+])
+def test_an_index_below_its_least_is_a_parse_error(stmt, message, tmp_path,
+                                                   capsys):
+    with pytest.raises(DslError, match=message) as info:
+        parse(ONE_MODULE + stmt + "\n")
+    assert info.value.line == 4
+    bad = tmp_path / "index.link"
+    bad.write_text(ONE_MODULE + stmt + "\n", encoding="utf-8")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and message in err
+
+
+def test_the_least_indices_still_parse():
+    res = _run(ONE_MODULE + "let L = syzygy(M, 0);\n"
+               "assert serre_tilde(M, 1);\nprint betti(M, 0);\n")
+    assert res.exit_code() == 0
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_cli_bound_below_one_exit_two(bound, tmp_path, capsys):
+    script = tmp_path / "ok.link"
+    script.write_text(ONE_MODULE, encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--bound", bound, str(script)])
+    assert info.value.code == 2
+    assert f"--bound: {bound} is below 1" in capsys.readouterr().err
+
+
+def test_a_module_over_budget_is_a_check_report(tmp_path, capsys):
+    """Minimalizing M itself runs out of budget: the check still reports,
+    Inapplicable-by-budget, and the run exits 3."""
+    script = tmp_path / "budget.link"
+    script.write_text("ring S = poly(QQ, x, y, z);\n"
+                      "module B = coker(S, twists=[0], "
+                      "matrix=[[x^13, y^13]]);\n"
+                      "check THM_MS(M = B);\n", encoding="utf-8")
+    memo.clear()
+    assert main(["run", "--json", str(script)]) == 3
+    (entry,) = json.loads(capsys.readouterr().out)["results"]
+    assert entry["kind"] == "check"
+    assert entry["report"]["verdict"] == "Inapplicable"
+    assert entry["report"]["notes"] == ["Inapplicable-by-budget"]
+
+
 def test_empty_corpus_suite_is_valid():
     res = _run(NEGATIVE_CORPUS.replace("-17", "0"))
     assert res.exit_code() == 0

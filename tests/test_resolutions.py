@@ -609,3 +609,15 @@ def test_a_run_records_its_highest_pair_degree(case):
                    for i, (p, a) in enumerate(leads)
                    for q, b in leads[:i] if p == q]
         assert gb.top_degree == (max(degrees) if degrees else None)
+
+
+def test_a_negative_index_is_refused():
+    """Every accessor taking an index refuses i < 0 rather than reading
+    F_i from the end of the resolution."""
+    H = make_ring(QQ, ["x", "y"], ["x*y"])
+    res = minimal_free_resolution(cyclic_module(H, ["x"]), 3)
+    for read in (res.rank, res.twists_at, res.betti_row, res.syzygy_module):
+        with pytest.raises(ValueError, match="-1 is negative"):
+            read(-1)
+    with pytest.raises(ValueError, match="-1 is negative"):
+        resolutions.betti(cyclic_module(H, ["x"]), -1)

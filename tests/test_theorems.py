@@ -1,6 +1,8 @@
 """Theorem harness behavior: verdict taxonomy, curated instances, suite
 aggregation, fault-driven refutation, and budget degradation."""
 
+import inspect
+
 import pytest
 
 from linkage_lab import isomorphism, memo, theorems
@@ -106,8 +108,8 @@ def test_budget_exhaustion_keeps_the_instance_line():
 
 
 def _binds_c_and_n(tid) -> bool:
-    needs = set(theorems._CHECKS[tid][1])
-    return {"C", "n"} <= needs or tid is TheoremId.LEM_LEM2
+    _, required, defaults = theorems._CHECKS[tid]
+    return {"C", "n"} <= {*required, *defaults}
 
 
 @pytest.mark.parametrize("tid", [t.value for t in theorems._CHECKS
@@ -124,6 +126,48 @@ def test_a_coefficient_over_budget_keeps_the_instance_line(tid):
     report = check(tid, bindings)
     assert "Inapplicable-by-budget" in report.notes
     assert report.instance == "S/(x) over QQ[x,y,z]/(), n=1"
+
+
+def test_required_bindings_are_the_parameters_without_default():
+    for tid, (fn, required, defaults) in theorems._CHECKS.items():
+        params = list(inspect.signature(fn).parameters.values())[1:]
+        assert required == tuple(
+            p.name for p in params if p.default is p.empty), tid
+        assert defaults == {
+            p.name: p.default for p in params
+            if p.default is not p.empty}, tid
+
+
+def test_lem_lem2_names_the_n_it_is_given():
+    bindings = {"M": cyclic_module(H, ["x"]), "C": free_module(H, [0])}
+    assert check("LEM_LEM2", bindings).instance.endswith(", n=1")
+    report = check("LEM_LEM2", {**bindings, "n": 2})
+    assert report.instance.endswith(", n=2")
+
+
+def test_a_module_over_budget_is_one_inapplicable_report_of_a_suite():
+    """Minimalizing M = S/(x^13, y^13) meets a pair of degree 26: that
+    instance alone is Inapplicable-by-budget, named by its label, and the
+    suite goes on."""
+    S3 = make_ring(QQ, ["x", "y", "z"])
+    instances = [
+        (TheoremId.THM_MS, {"M": cyclic_module(S3, gens), "label": label})
+        for gens, label in ((["x"], "S/(x)"),
+                            (["x^13", "y^13"], "S/(x^13, y^13)"),
+                            (["x"], "S/(x)"))]
+    memo.clear()
+    reports, summary = run_suite(instances)
+    assert [r.verdict for r in reports] == [
+        "Verified", "Inapplicable", "Verified"]
+    assert reports[1].notes == ["Inapplicable-by-budget"]
+    assert reports[1].instance == "S/(x^13, y^13) over QQ[x,y,z]/()"
+    assert summary["total"] == 3
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_a_bound_below_one_is_refused(bound):
+    with pytest.raises(ValueError, match="below 1"):
+        HarnessConfig(bound=bound)
 
 
 def test_fault_injection_refutes_ms_criterion():
