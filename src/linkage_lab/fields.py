@@ -44,9 +44,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def to_str(self, a) -> str:
         raise NotImplementedError
 

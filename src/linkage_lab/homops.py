@@ -11,7 +11,9 @@ for pushforwards and the embedding-into-free test.  `_hom_cycles` stops
 after the first step, for the natural-map and homothety test, which
 needs only the cycles and relations of Hom(C, M (x) C), and runs it only
 once the series of Hom read from the image side has matched HS(M) (see
-`invariants._natural_map_is_iso`).
+`invariants._natural_map_is_iso`), and for the isomorphism search, which
+spans Hom(A, B)_0 by monomial multiples of the cycles (see
+`isomorphism.degree_zero_maps`).
 
 Ext into the canonical module (up to a twist) over a Cohen-Macaulay
 quotient ring is computed exactly through ambient duality over the

@@ -11,19 +11,29 @@ budgets).  The steps, in order:
 3. identical minimal presentations (equal content keys): the identity
    matrix is a surjective degree-zero map that is its own inverse, so it
    is both witnesses, with no search;
-4. the space of degree-zero homomorphisms, solved by exact linear
-   algebra, and one rank before any search: the constant part of any
-   degree-zero map is a combination of those of the basis maps, so if
-   together they have rank < the number of generators of B, no map is
-   onto B/mB = k^(number of generators of B) (graded Nakayama) and the
-   answer is an exact NotIsomorphic;
-5. the search: hunt for a surjective map among the basis maps and
-   random combinations of them.  By the same lemma a degree-zero map
-   onto a minimal presentation B is onto iff the matrix of its constant
-   entries has full rank, a rank computation over the field with no
-   Groebner basis.  Surjectivity plus equal Hilbert series forces
+4. the degree-zero homomorphisms, read from the first step of the one
+   routine that computes Hom (`homops._hom_cycles`): its cycles phi_t,
+   of degrees tau_t, generate Hom(A, B) inside Hom(F_0, B), so the maps
+   mono * phi_t for tau_t <= 0 and the standard monomials mono of degree
+   -tau_t span Hom(A, B)_0; those that are zero in Hom(A, B) (every
+   column in B's relations) are dropped, and none left is an exact
+   NotIsomorphic.  Like the Auslander-class test, the search stops at
+   the cycles: it reads no minimal presentation of Hom.  One rank comes before any search: the constant part
+   of any degree-zero map is a combination of those of the spanning maps
+   (the constant parts of a spanning set span what those of a basis
+   span), so if together they have rank < the number of generators of B,
+   no map is onto B/mB = k^(number of generators of B) (graded Nakayama)
+   and the answer is an exact NotIsomorphic;
+5. the search: hunt for a surjective map among the spanning maps and
+   seeded random combinations of them.  By the same lemma a degree-zero
+   map onto a minimal presentation B is onto iff the matrix of its
+   constant entries has full rank, a rank computation over the field
+   with no Groebner basis.  Surjectivity plus equal Hilbert series forces
    bijectivity degreewise, so a hit yields both witness matrices.  When
    the search finds none, the answer is Unknown, never a guess.
+
+Hom is computed under the call's budgets, which are part of the memo
+key, so the key covers everything the search reads.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from dataclasses import dataclass
 from . import memo
 from .config import DEFAULT_BUDGETS
 from .errors import ConsistencyError
+from .homops import _hom_cycles
 from .modules import (
     ModulePresentation,
     lift_over_columns,
@@ -90,76 +101,43 @@ def _echelon(rows, f) -> list:
     return pivots
 
 
-def solve_nullspace(equations, unknowns, fieldobj):
-    """Basis of {a : sum_u a_u * eq[u] = 0 for each equation dict}."""
-    pivots = _echelon(equations, fieldobj)
-    bound = {u for u, _ in pivots}
-    basis = []
-    for u_free in unknowns:
-        if u_free in bound:
-            continue
-        sol = {u_free: fieldobj.one()}
-        # back-substitute in reverse pivot order
-        for pu, prow in reversed(pivots):
-            acc = fieldobj.zero()
-            for u, v in prow.items():
-                if u != pu and u in sol:
-                    acc = fieldobj.add(acc, fieldobj.mul(v, sol[u]))
-            if acc != fieldobj.zero():
-                sol[pu] = fieldobj.neg(acc)
-        basis.append(sol)
-    return basis
-
-
-def hom_degree_zero_space(A: ModulePresentation, B: ModulePresentation):
-    """Basis of Hom(A, B)_0 as matrices (columns over A-gens into B-cover).
-
-    Both arguments must be minimal presentations over the same ring.
-    """
+def degree_zero_maps(A: ModulePresentation, B: ModulePresentation,
+                     budgets) -> list:
+    """A spanning set of Hom(A, B)_0 for minimal A and B (step 4 above):
+    maps as columns over A's generators into B's cover, none of them
+    zero in Hom(A, B), and none at all exactly when Hom(A, B)_0 = 0."""
     ring = A.ring
-    fieldobj = ring.field
-    unknowns = []
-    for j, gj in enumerate(A.gen_twists):
-        for i, gi in enumerate(B.gen_twists):
-            d = gj - gi
-            if d < 0:
-                continue
-            for mono in ring.standard_monomials(d):
-                unknowns.append((i, j, mono))
-    if not unknowns:
-        return [], []
-    target_gb = span_gb(ring, list(B.columns), B.gen_twists)
-    equations: dict = {u: {} for u in unknowns}
-    for jc, col in enumerate(A.columns):
-        for (i, j, mono) in unknowns:
-            entry = col.get(j)
-            if entry is None or entry.is_zero():
-                continue
-            nf = target_gb.normal_form({i: entry.term_mul(mono, fieldobj.one())})
-            row = equations[(i, j, mono)]
-            for pos, poly in nf.items():
-                for m, c in poly.terms.items():
-                    row[(jc, (pos, m))] = c
-    # reorganize into equations indexed by (relation column, term)
-    eq_rows: dict = {}
-    for u, contribs in equations.items():
-        for rowkey, c in contribs.items():
-            eq_rows.setdefault(rowkey, {})[u] = c
-    basis = solve_nullspace(list(eq_rows.values()), unknowns, fieldobj)
-    return basis, unknowns
+    q = B.n_gens()
+    twists, cycles, _ = _hom_cycles(A, B, 0, budgets)
+    gb = span_gb(ring, list(B.columns), B.gen_twists)
+    maps = []
+    for c in cycles:
+        i, p = next(iter(c.items()))
+        tau = p.degree() + twists[i]
+        if tau > 0:
+            continue
+        for mono in ring.standard_monomials(-tau):
+            m = ring.poly_ring.monomial(mono)
+            phi = [{r: e for r in range(q)
+                    if (p := c.get(j * q + r)) is not None
+                    and not (e := ring.nf(m * p)).is_zero()}
+                   for j in range(A.n_gens())]
+            if any(col and not gb.contains(col) for col in phi):
+                maps.append(phi)
+    return maps
 
 
-def _solution_to_columns(ring, sol, n_A_gens):
-    cols = []
-    for j in range(n_A_gens):
-        col: dict = {}
-        for (i, jj, mono), c in sol.items():
-            if jj != j:
-                continue
-            p = ring.poly_ring.monomial(mono, c)
-            col[i] = col.get(i, ring.poly_ring.zero()) + p
-        cols.append({i: p for i, p in col.items() if not p.is_zero()})
-    return cols
+def _combine(ring, maps, coeffs):
+    """sum_k coeffs[k] * maps[k] for integer coefficients, as columns."""
+    out = []
+    for j in range(len(maps[0])):
+        acc: dict = {}
+        for phi, c in zip(maps, coeffs):
+            c = ring.field.from_int(c)
+            for i, p in phi[j].items():
+                acc[i] = acc.get(i, ring.poly_ring.zero()) + p.scale(c)
+        out.append({i: p for i, p in acc.items() if not p.is_zero()})
+    return out
 
 
 def _constant_rows(ring, phi_cols):
@@ -252,15 +230,13 @@ def _is_isomorphic(A: ModulePresentation, B: ModulePresentation, budgets,
         identity = tuple({j: one} for j in range(A.n_gens()))
         return IsoVerdict("isomorphic", "surjective degree-zero map with inverse",
                           identity, identity)
-    basis, _unknowns = hom_degree_zero_space(A, B)
-    if not basis:
+    maps = degree_zero_maps(A, B, budgets)
+    if not maps:
         return IsoVerdict("not_isomorphic", "no nonzero degree-zero homomorphisms")
-    fieldobj = ring.field
-    # every degree-zero map's constant part is a combination of the basis
+    # every degree-zero map's constant part is a combination of the spanning
     # maps' ones: if those span less than B/mB, none is onto (Nakayama)
-    rows = [row for sol in basis for row in _constant_rows(
-        ring, _solution_to_columns(ring, sol, A.n_gens()))]
-    rank = len(_echelon(rows, fieldobj))
+    rows = [row for phi in maps for row in _constant_rows(ring, phi)]
+    rank = len(_echelon(rows, ring.field))
     if rank < B.n_gens():
         return IsoVerdict(
             "not_isomorphic",
@@ -268,23 +244,12 @@ def _is_isomorphic(A: ModulePresentation, B: ModulePresentation, budgets,
             f"rank {rank} < {B.n_gens()} generators",
         )
     rng = random.Random((seed, A.content_key(), B.content_key()).__repr__())
-    candidates = list(basis)
+    candidates = list(maps)
     for _ in range(budgets.iso_search_tries):
-        combo: dict = {}
-        for sol in basis:
-            c = fieldobj.from_int(rng.randint(-2, 2))
-            if c == fieldobj.zero():
-                continue
-            for u, v in sol.items():
-                acc = fieldobj.add(combo.get(u, fieldobj.zero()), fieldobj.mul(c, v))
-                if acc == fieldobj.zero():
-                    combo.pop(u, None)
-                else:
-                    combo[u] = acc
-        if combo:
+        combo = _combine(ring, maps, [rng.randint(-2, 2) for _ in maps])
+        if any(combo):
             candidates.append(combo)
-    for sol in candidates:
-        phi_cols = _solution_to_columns(ring, sol, A.n_gens())
+    for phi_cols in candidates:
         if not _is_surjective(ring, phi_cols, B):
             continue
         # surjective + equal Hilbert series = isomorphism; build the inverse

@@ -137,16 +137,6 @@ class Poly:
             return self.ring.zero()
         return Poly(self.ring, {m: f.mul(c, coeff) for m, c in self.terms.items()})
 
-    def term_mul(self, mono, coeff):
-        """Multiply by coeff * x^mono."""
-        f = self.ring.field
-        if coeff == f.zero():
-            return self.ring.zero()
-        return Poly(
-            self.ring,
-            {mono_mul(m, mono): f.mul(c, coeff) for m, c in self.terms.items()},
-        )
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 

@@ -32,7 +32,7 @@ from .dsl import (
     SuiteStmt,
     _fmt_value,
 )
-from .errors import BudgetError, InapplicableError
+from .errors import BudgetError, HomogeneityError, InapplicableError
 from .fields import field_from_name
 from .homops import (
     dual,
@@ -325,36 +325,14 @@ class _Runner:
             return True
 
     def _dispatch(self, s) -> bool:
+        if isinstance(s, (RingPolyDecl, RingQuotientDecl, ModuleDecl)):
+            kind = "module" if isinstance(s, ModuleDecl) else "ring"
+            try:
+                self._declare(s)
+            except (ValueError, HomogeneityError) as e:
+                raise ScriptError(f"{kind} {s.name}: {e}") from None
+            return False
         cfg = self.config
-        if isinstance(s, RingPolyDecl):
-            ring = make_ring(field_from_name(s.field_name), s.variables)
-            for group in cfg.probe_primes:
-                try:
-                    probe_generators(ring.poly_ring, group)
-                except ValueError as e:
-                    raise ScriptError(str(e)) from None
-            self.rings[s.name] = ring
-            self.result.declarations.append(
-                {"kind": "ring", "name": s.name, "key": ring.key()})
-            return False
-        if isinstance(s, RingQuotientDecl):
-            base = self.rings[s.base]
-            ring = make_ring(base.field, base.names,
-                             list(base.relations) + list(s.polys))
-            self.rings[s.name] = ring
-            self.result.declarations.append(
-                {"kind": "ring", "name": s.name, "key": ring.key()})
-            return False
-        if isinstance(s, ModuleDecl):
-            ring = self.rings[s.ring]
-            rows = ([list(row) for row in s.matrix]
-                    or [[] for _ in s.twists])  # no relations: free module
-            M = from_matrix(ring, s.twists, rows)
-            self.values[s.name] = M
-            self.result.declarations.append(
-                {"kind": "module", "name": s.name,
-                 "presentation": M.serialize()})
-            return False
         if isinstance(s, LetBinding):
             M = self._module(s.expr)
             self.values[s.name] = M
@@ -422,6 +400,37 @@ class _Runner:
             })
             return failed
         raise ScriptError(f"unknown statement {type(s).__name__}")
+
+    def _declare(self, s):
+        """Build a ring or module declaration; a bad field, variable list,
+        unit ideal or inhomogeneous matrix raises ValueError or
+        HomogeneityError."""
+        if isinstance(s, RingPolyDecl):
+            ring = make_ring(field_from_name(s.field_name), s.variables)
+            for group in self.config.probe_primes:
+                try:
+                    probe_generators(ring.poly_ring, group)
+                except ValueError as e:
+                    raise ScriptError(str(e)) from None
+            self.rings[s.name] = ring
+            self.result.declarations.append(
+                {"kind": "ring", "name": s.name, "key": ring.key()})
+        elif isinstance(s, RingQuotientDecl):
+            base = self.rings[s.base]
+            ring = make_ring(base.field, base.names,
+                             list(base.relations) + list(s.polys))
+            self.rings[s.name] = ring
+            self.result.declarations.append(
+                {"kind": "ring", "name": s.name, "key": ring.key()})
+        else:
+            ring = self.rings[s.ring]
+            rows = ([list(row) for row in s.matrix]
+                    or [[] for _ in s.twists])  # no relations: free module
+            M = from_matrix(ring, s.twists, rows)
+            self.values[s.name] = M
+            self.result.declarations.append(
+                {"kind": "module", "name": s.name,
+                 "presentation": M.serialize()})
 
     def _note_report(self, report) -> bool:
         if "Inapplicable-by-budget" in report.notes:

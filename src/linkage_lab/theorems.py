@@ -83,7 +83,6 @@ from .linkage import (
     is_horizontally_linked,
     is_self_linked,
     is_stable,
-    is_syzygy_module,
 )
 from .modules import (
     ModulePresentation,
@@ -566,22 +565,19 @@ def _ng_probes(M, probes):
 
 def _check_thm_ms(cfg, M):
     yield []  # no hypotheses: one empty stage
-    budgets = cfg.budgets
-    ring = M.ring
-    stable, free_rank = is_stable(M)
-    ext1 = ext(transpose(M), _ring_unit(ring), 1, budgets=budgets).is_zero()
-    syz = is_syzygy_module(M, budgets=budgets)
-    lam2 = lambda_module(lambda_module(M, budgets=budgets), budgets=budgets)
-    iso = is_isomorphic(M, lam2, budgets=budgets, seed=cfg.seed)
+    r = is_horizontally_linked(M, budgets=cfg.budgets, seed=cfg.seed)
+    iso = r.double_link
     return _equivalence_claims([
         Side("M = lambda^2 M (horizontally linked)",
              iso.is_isomorphic() if iso.resolved() else None,
              iso.resolved(), iso.certificate),
-        _side_bool("stable and Ext^1(Tr M, R) = 0", stable and ext1,
-                   f"stable={stable} (free rank {free_rank}), "
-                   f"Ext^1 vanishes={ext1}"),
-        _side_bool("stable and a syzygy module", stable and syz,
-                   f"stable={stable}, embeds in a free module={syz}"),
+        _side_bool("stable and Ext^1(Tr M, R) = 0", r.linked,
+                   f"stable={r.stable} (free rank {r.free_rank}), "
+                   f"Ext^1 vanishes={r.ext1_vanishes}"),
+        _side_bool("stable and a syzygy module",
+                   r.stable and r.syzygy_embedding,
+                   f"stable={r.stable}, "
+                   f"embeds in a free module={r.syzygy_embedding}"),
     ])
 
 
@@ -1466,7 +1462,9 @@ def special_instances(ring):
 
 
 def default_instances(ring, modules, ids=None, *, n: int = 1):
-    """Suite bindings for corpus modules: C and n filled with defaults."""
+    """Suite bindings for corpus modules: C is the default coefficient
+    module, and n is given to every check that takes it, required or
+    optional."""
     ids = list(ids) if ids is not None else list(SUITE_DEFAULT_IDS)
     C = default_coefficient(ring)
     out = []
@@ -1475,11 +1473,11 @@ def default_instances(ring, modules, ids=None, *, n: int = 1):
             tid = resolve_id(tid)
             if not _binds_a_corpus_module(tid):
                 continue
-            required = _CHECKS[tid][1]
+            _, required, defaults = _CHECKS[tid]
             b = {"M": M, "label": name}
             if "C" in required:
                 b["C"] = C
-            if "n" in required:
+            if "n" in required or "n" in defaults:
                 b["n"] = n
             out.append((tid, b))
     return out

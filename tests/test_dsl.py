@@ -393,6 +393,27 @@ def test_cli_probe_primes_still_run(tmp_path, capsys):
     assert "[probe, 8 probe primes]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("source, message", [
+    ("ring R = poly(GF(4), x, y);\n", "ring R: 4 is not prime"),
+    ("ring R = poly(GF(1), x);\n", "ring R: prime must satisfy"),
+    ("ring R = poly(QQ, x, x);\n", "ring R: repeated variable names"),
+    ("ring S = poly(QQ, x, y);\nring R = quotient(S, [1]);\n",
+     "ring R: ring relations generate the unit ideal"),
+    ("ring R = poly(QQ, x, y);\n"
+     "module M = coker(R, twists=[0, 0], matrix=[[x], [x^2]]);\n",
+     "module M: column 0 mixes relation degrees 1 and 2"),
+])
+def test_cli_bad_declaration_exit_two(tmp_path, capsys, source, message):
+    # a declaration that names no ring or module is a script error (exit
+    # 2, no report), not a refuted claim
+    script = tmp_path / "bad.link"
+    script.write_text(source, encoding="utf-8")
+    assert main(["run", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"script error: {message}")
+
+
 # -- disk cache ---------------------------------------------------------------
 
 

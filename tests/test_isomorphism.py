@@ -9,6 +9,10 @@ columns and B's relations.
 
 Two presentations of one module with equal minimal presentations are
 isomorphic by the identity, with no search for a homomorphism.
+
+The maps the search reads from the cycles of Hom(A, B) are checked to
+span Hom(A, B)_0 against the degree-0 coefficient of the Hilbert series
+of the full Hom(A, B).
 """
 
 import functools
@@ -17,14 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkage_lab import isomorphism, memo, modules
+from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import corpus_pool
 from linkage_lab.fields import GF, QQ
+from linkage_lab.homops import evaluation_map, hom_module
 from linkage_lab.isomorphism import (
+    _combine,
     _compose,
+    _echelon,
     _is_identity_mod,
     _is_surjective,
-    _solution_to_columns,
-    hom_degree_zero_space,
+    degree_zero_maps,
     is_isomorphic,
 )
 from linkage_lab.modules import (
@@ -52,58 +59,100 @@ def _groebner_surjective(ring, phi_cols, B):
 
 @functools.lru_cache(maxsize=None)
 def _hom_spaces():
-    """(A, B, basis of Hom(A, B)_0) for corpus pairs with nonzero maps.
+    """(A, B, spanning maps of Hom(A, B)_0) for corpus pairs with nonzero
+    maps.
 
     Sources are the first corpus modules and the free cover of each
     target, so that both onto and not-onto maps occur.
     """
     out = []
     for ring in (H, T, N):
-        pool = [M for _, M in corpus_pool(ring)[:5]]
+        pool = [minimalize(M) for _, M in corpus_pool(ring)[:5]]
         for B in pool:
             for A in pool + [free_module(ring, B.gen_twists)]:
-                basis, _ = hom_degree_zero_space(A, B)
-                if basis:
-                    out.append((A, B, basis))
+                maps = degree_zero_maps(A, B, DEFAULT_BUDGETS)
+                if maps:
+                    out.append((A, B, maps))
     return out
 
 
-def _combine(field, basis, coeffs):
-    combo: dict = {}
-    for sol, c in zip(basis, coeffs):
-        c = field.from_int(c)
-        for u, v in sol.items():
-            acc = field.add(combo.get(u, field.zero()), field.mul(c, v))
-            if acc == field.zero():
-                combo.pop(u, None)
-            else:
-                combo[u] = acc
-    return combo
+def _rank_mod_relations(B, maps):
+    """dim_k of the span of maps, each reduced modulo B's relations."""
+    ring = B.ring
+    gb = span_gb(ring, list(B.columns), B.gen_twists)
+    rows = []
+    for phi in maps:
+        row = {}
+        for j, col in enumerate(phi):
+            for pos, p in (gb.normal_form(col) if col else {}).items():
+                row.update(((j, pos, m), c) for m, c in p.terms.items())
+        rows.append(row)
+    return len(_echelon([r for r in rows if r], ring.field))
+
+
+def _reaches_the_search(A, B) -> bool:
+    """Whether is_isomorphic(A, B) for minimal A != B with relations gets
+    past the degree, Hilbert series and identity steps."""
+    return (A.n_rels() > 0 and A.content_key() != B.content_key()
+            and sorted(A.gen_twists) == sorted(B.gen_twists)
+            and sorted(A.rel_twists) == sorted(B.rel_twists)
+            and A.hilbert_series() == B.hilbert_series())
+
+
+def test_spanning_maps_span_degree_zero_hom():
+    """Over H, T and N, for corpus pairs, pairs whose source is a target
+    raised one degree (so that Hom has generators of degree -1), and two
+    pairs with equal invariants but other generator orders: the spanning
+    maps, reduced modulo B's relations, have rank equal to the degree-0
+    coefficient of HS(Hom(A, B)), there are none exactly when it is 0, and
+    the search reports "no nonzero degree-zero homomorphisms" exactly
+    then."""
+    negative = searched = certified = 0
+    for ring in (H, T, N):
+        pool = [minimalize(M) for _, M in corpus_pool(ring)[:6]]
+        kx, ky = cyclic_module(ring, ["x"]), cyclic_module(ring, ["y"])
+        pairs = [(A, B) for B in pool
+                 for A in pool + [minimalize(twist_module(B, -1))]]
+        pairs += [tuple(map(minimalize, pair)) for pair in (
+            (direct_sum(kx, twist_module(ky, -1)),
+             direct_sum(twist_module(kx, -1), ky)),
+            (direct_sum(free_module(ring, [0, 1]), kx),
+             direct_sum(free_module(ring, [1, 0]), kx)))]
+        for A, B in pairs:
+            h0 = hom_module(A, B).hilbert_series().value(0)
+            maps = degree_zero_maps(A, B, DEFAULT_BUDGETS)
+            assert _rank_mod_relations(B, maps) == h0, (A, B)
+            assert (maps == []) == (h0 == 0), (A, B)
+            _, taus = evaluation_map(A, B)
+            negative += h0 > 0 and min(taus) < 0
+            if _reaches_the_search(A, B):
+                searched += 1
+                v = is_isomorphic(A, B)
+                none = v.certificate == "no nonzero degree-zero homomorphisms"
+                assert none == (h0 == 0), (A, B, v)
+                certified += none
+    assert negative >= 3 and searched > certified >= 3
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_nakayama_agrees_with_groebner_membership(data):
     spaces = _hom_spaces()
-    A, B, basis = spaces[data.draw(st.integers(0, len(spaces) - 1))]
-    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis),
-                                max_size=len(basis)))
+    A, B, maps = spaces[data.draw(st.integers(0, len(spaces) - 1))]
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(maps),
+                                max_size=len(maps)))
     ring = A.ring
-    phi = _solution_to_columns(ring, _combine(ring.field, basis, coeffs),
-                               A.n_gens())
+    phi = _combine(ring, maps, coeffs)
     assert _is_surjective(ring, phi, B) == _groebner_surjective(ring, phi, B)
 
 
-def test_basis_maps_cover_both_outcomes_without_a_groebner_basis(monkeypatch):
+def test_spanning_maps_cover_both_outcomes_without_a_groebner_basis(
+        monkeypatch):
     spaces = _hom_spaces()
     assert {A.ring.field.name for A, _, _ in spaces} == {"QQ", "GF(32003)"}
     maps = []
-    for A, B, basis in spaces:
-        for coeffs in [[1] * len(basis)] + [
-                [int(j == k) for j in range(len(basis))]
-                for k in range(len(basis))]:
-            phi = _solution_to_columns(
-                A.ring, _combine(A.ring.field, basis, coeffs), A.n_gens())
+    for A, B, span in spaces:
+        for phi in [_combine(A.ring, span, [1] * len(span))] + span:
             maps.append((A.ring, phi, B, _groebner_surjective(A.ring, phi, B)))
     assert {want for *_, want in maps} == {True, False}
     memo.clear()
@@ -141,7 +190,7 @@ def test_identical_minimal_presentations_skip_the_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the isomorphism search ran")
 
-    monkeypatch.setattr(isomorphism, "hom_degree_zero_space", no_search)
+    monkeypatch.setattr(isomorphism, "degree_zero_maps", no_search)
     for ring in (H, T, N):
         n_identity = 0
         for _, M in corpus_pool(ring):

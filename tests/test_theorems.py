@@ -206,6 +206,18 @@ def test_default_instances_skip_ideal_bound_ids():
     assert len(instances) == 3
 
 
+def test_default_instances_give_n_to_every_check_that_takes_it():
+    """LEM_LEM2 takes n as an optional binding and PROP_T1 requires it:
+    both run at the n handed to default_instances."""
+    free0 = [(name, M) for name, M in corpus_pool(H) if name == "free[0]"]
+    instances = default_instances(H, free0, [TheoremId.PROP_T1,
+                                             TheoremId.LEM_LEM2], n=2)
+    assert [b["n"] for _, b in instances] == [2, 2]
+    reports, _ = run_suite(instances, HarnessConfig())
+    assert [r.instance for r in reports] == [
+        "free[0] over QQ[x,y]/(x*y), n=2"] * 2
+
+
 def test_run_suite_counts_and_pass_flag():
     instances = default_instances(H, corpus_pool(H)[:4],
                                   [TheoremId.THM_MS, TheoremId.PROP_T1])
@@ -332,7 +344,7 @@ def test_remark3_i_needs_no_isomorphism_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("REMARK3_I searched for an isomorphism")
 
-    monkeypatch.setattr(isomorphism, "hom_degree_zero_space", no_search)
+    monkeypatch.setattr(isomorphism, "degree_zero_maps", no_search)
     verdicts = [
         check(TheoremId.REMARK3_I, {"M": M, "C": C}).verdict
         for ring in (H, T, N)
