@@ -112,10 +112,9 @@ def _entries(ring: GradedRing):
         Mmin = minimalize(M)
         if Mmin.is_zero():
             continue
-        key = Mmin.content_key()
-        if key in seen:
+        if Mmin in seen:
             continue
-        seen.add(key)
+        seen.add(Mmin)
         yield name, Mmin
 
 

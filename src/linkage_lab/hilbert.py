@@ -9,8 +9,8 @@ The numerator of S/L for a monomial ideal L comes from the standard
 pivot recursion  num(L) = num(L + (v)) + t * num(L : v)  driven by the
 short exact sequence  0 -> (S/(L:v))(-1) -> S/L -> S/(L+(v)) -> 0.
 Each numerator of the recursion is memoized under the op "hilbert-num",
-keyed by (nvars, minimal generators), so `memo.clear()` empties it with
-every other cache.
+its arguments (nvars, minimal generators) the key like every memo entry's,
+so `memo.clear()` empties it with every other cache.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def _num_rec(nvars: int, gens) -> dict:
         return {0: 1}
     if any(mono_deg(g) == 0 for g in gens):
         return {}
-    return memo.cached("hilbert-num", (nvars, gens), _num_pivot, nvars, gens)
+    return memo.cached("hilbert-num", _num_pivot, nvars, gens)
 
 
 def _num_pivot(nvars: int, gens) -> dict:

@@ -229,8 +229,7 @@ def hom_with_realizations(M: ModulePresentation, N: ModulePresentation, *,
 
 def _hom(A: ModulePresentation, B: ModulePresentation, budgets):
     """hom_with_realizations for minimal A and B."""
-    key = memo.content_hash(A.content_key(), B.content_key(), repr(budgets))
-    return memo.cached("hom", key, _hom_cohomology, A, B, 0, budgets)
+    return memo.cached("hom", _hom_cohomology, A, B, 0, budgets)
 
 
 def hom_module(M, N, *, budgets=None) -> ModulePresentation:
@@ -258,9 +257,12 @@ def tensor_raw(M: ModulePresentation, N: ModulePresentation):
 
 
 def tensor(M, N) -> ModulePresentation:
-    key = memo.content_hash(minimalize(M).content_key(),
-                            minimalize(N).content_key())
-    return memo.cached("tensor", key, lambda: minimalize(tensor_raw(M, N)[0]))
+    return memo.cached("tensor", _tensor, minimalize(M), minimalize(N))
+
+
+def _tensor(A: ModulePresentation, B: ModulePresentation):
+    """tensor for minimal A and B."""
+    return minimalize(tensor_raw(A, B)[0])
 
 
 def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
@@ -278,13 +280,13 @@ def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
     other case is the cohomology of Hom(minimal resolution of M, N) over
     R.
     """
+    if M.ring != N.ring:
+        raise ValueError("ext over different rings")
     budgets = budgets or DEFAULT_BUDGETS
     if i < 0:
         raise ValueError("ext index must be >= 0")
     A, B = minimalize(M), minimalize(N)
-    key = memo.content_hash(A.content_key(), B.content_key(), str(i),
-                            repr(budgets))
-    return memo.cached("ext", key, _ext, A, B, i, budgets)
+    return memo.cached("ext", _ext, A, B, i, budgets)
 
 
 def _ext(A: ModulePresentation, B: ModulePresentation, i: int,
@@ -295,8 +297,7 @@ def _ext(A: ModulePresentation, B: ModulePresentation, i: int,
     a = canonical_twist(B)
     if a is None:
         return _ext_direct(A, B, i, budgets)
-    key = memo.content_hash(B.content_key(), str(a))
-    memo.cached("twist-certificate", key, _certify_twist, B, a)
+    memo.cached("twist-certificate", _certify_twist, B, a)
     out = _ambient_route(A, i, a, budgets)
     if i == 0:
         direct = _ext_direct(A, B, i, budgets).hilbert_series()
@@ -346,15 +347,15 @@ def _ext_direct(A: ModulePresentation, B: ModulePresentation, i: int,
 def tor(M: ModulePresentation, N: ModulePresentation, i: int, *,
         budgets=None) -> ModulePresentation:
     """Tor_i(M, N): homology of (minimal resolution of M) (x) N."""
+    if M.ring != N.ring:
+        raise ValueError("tor over different rings")
     budgets = budgets or DEFAULT_BUDGETS
     if i < 0:
         raise ValueError("tor index must be >= 0")
     if i == 0:
         return tensor(M, N)
     A, B = minimalize(M), minimalize(N)
-    key = memo.content_hash(A.content_key(), B.content_key(), str(i),
-                            repr(budgets))
-    return memo.cached("tor", key, _tor, A, B, i, budgets)
+    return memo.cached("tor", _tor, A, B, i, budgets)
 
 
 def _tor(A: ModulePresentation, B: ModulePresentation, i: int,
@@ -394,8 +395,7 @@ def _transpose_raw(A: ModulePresentation, B: ModulePresentation):
 
 def _transpose_wrt(A: ModulePresentation, B: ModulePresentation):
     """Tr_B A for minimal A and B."""
-    key = memo.content_hash(A.content_key(), B.content_key())
-    return memo.cached("transpose-wrt", key, _minimal_transpose, A, B)
+    return memo.cached("transpose-wrt", _minimal_transpose, A, B)
 
 
 def _minimal_transpose(A: ModulePresentation, B: ModulePresentation):
@@ -407,6 +407,8 @@ def _minimal_transpose(A: ModulePresentation, B: ModulePresentation):
 def transpose_wrt(M: ModulePresentation,
                   C: ModulePresentation) -> ModulePresentation:
     """Transpose with respect to C: coker of Hom(d_1, C)."""
+    if M.ring != C.ring:
+        raise ValueError("transpose_wrt over different rings")
     return _transpose_wrt(minimalize(M), minimalize(C))
 
 

@@ -40,11 +40,10 @@ Ext into the canonical module, depth, dimension, local cohomology
 degrees, generalized CM-ness, the CM branch of `serre_tilde` and the
 support tests at probe primes all read from it.  The verdicts of
 `is_semidualizing`, `in_auslander_class`, `serre_tilde`, `gc_dim` and
-`is_canonical_module` are memoized too, keyed by the content keys of
-the minimal inputs, the bound, the budgets and the probe set, so a suite
-asking the same question in several checks computes it once.  A hit
-hands every caller the same object, which is why the verdict classes
-are frozen.
+`is_canonical_module` are memoized too, keyed by the minimal inputs,
+the bound, the budgets and the probe set, so a suite asking the same
+question in several checks computes it once.  A hit hands every caller
+the same object, which is why the verdict classes are frozen.
 
 Local data at primes is sampled on variable-subset primes P, where
 Ext^j_S(M, S) is supported exactly when `annihilates(S/P, g)` holds for
@@ -100,8 +99,7 @@ def _ambient_profile(M: ModulePresentation, budgets=None) -> tuple:
     ascending j with exts[j] != 0; computed once per presentation and
     budgets."""
     budgets = budgets or DEFAULT_BUDGETS
-    key = memo.content_hash(M.content_key(), repr(budgets))
-    return memo.cached("ambient-profile", key, _ambient_exts, M, budgets)
+    return memo.cached("ambient-profile", _ambient_exts, M, budgets)
 
 
 def _ambient_exts(M: ModulePresentation, budgets) -> tuple:
@@ -219,7 +217,11 @@ def ring_dim(R: GradedRing) -> int:
 
 
 def ring_depth(R: GradedRing):
-    return memo.cached("ring-depth", R.key(), lambda: depth(_ring_unit(R)))
+    return memo.cached("ring-depth", _ring_depth, R)
+
+
+def _ring_depth(R: GradedRing):
+    return depth(_ring_unit(R))
 
 
 def ring_codim(R: GradedRing) -> int:
@@ -227,13 +229,20 @@ def ring_codim(R: GradedRing) -> int:
 
 
 def ring_is_cm(R: GradedRing) -> bool:
-    return memo.cached("ring-cm", R.key(),
-                       lambda: ring_depth(R) == ring_dim(R))
+    return memo.cached("ring-cm", _ring_is_cm, R)
+
+
+def _ring_is_cm(R: GradedRing) -> bool:
+    return ring_depth(R) == ring_dim(R)
 
 
 def ring_is_gorenstein(R: GradedRing) -> bool:
-    return memo.cached("ring-gor", R.key(), lambda: ring_is_cm(R) and (
-        ext_to_ambient(_ring_unit(R), ring_codim(R)).n_gens() == 1))
+    return memo.cached("ring-gor", _ring_is_gorenstein, R)
+
+
+def _ring_is_gorenstein(R: GradedRing) -> bool:
+    return ring_is_cm(R) and (
+        ext_to_ambient(_ring_unit(R), ring_codim(R)).n_gens() == 1)
 
 
 def is_mcm(M: ModulePresentation) -> bool:
@@ -245,7 +254,7 @@ def is_mcm(M: ModulePresentation) -> bool:
 
 def canonical_module(R: GradedRing) -> ModulePresentation:
     """Graded canonical module Ext^c_S(R, S) twisted so that omega_S = S(-n)."""
-    return memo.cached("canonical", R.key(), _canonical_module, R)
+    return memo.cached("canonical", _canonical_module, R)
 
 
 def _canonical_module(R: GradedRing) -> ModulePresentation:
@@ -262,7 +271,7 @@ def is_canonical_module(C: ModulePresentation) -> bool:
     Cmin = minimalize(C)
     if Cmin.is_zero():
         return False
-    return memo.cached("is-canonical", Cmin.content_key(), _is_canonical, Cmin)
+    return memo.cached("is-canonical", _is_canonical, Cmin)
 
 
 def _is_canonical(Cmin: ModulePresentation) -> bool:
@@ -297,7 +306,7 @@ def canonical_twist(C: ModulePresentation):
     if not B.n_gens():
         return None
     omega, a = _omega_like(B)
-    return a if omega.content_key() == B.content_key() else None
+    return a if omega == B else None
 
 
 @dataclass(frozen=True)
@@ -360,11 +369,10 @@ def probe_primes(R: GradedRing, extra=()):
     it contains every defining relation: `annihilates(S/(W), r)` for each
     reduced relation r.  Extras (see `probe_generators`) are untrusted.
     """
-    key = memo.content_hash("probes", R.key(), *[str(p) for p in extra])
-    return memo.cached("probes", key, _probe_primes, R, extra)
+    return memo.cached("probes", _probe_primes, R, tuple(map(tuple, extra)))
 
 
-def _probe_primes(R: GradedRing, extra) -> list:
+def _probe_primes(R: GradedRing, extra) -> tuple:
     S = R.poly_ring
     names = S.names
     out = []
@@ -384,7 +392,7 @@ def _probe_primes(R: GradedRing, extra) -> list:
         quotient = cyclic_module(R.ambient(), list(gens)).hilbert_series()
         out.append(ProbePrime(label, gens, S.nvars - quotient.dimension(),
                               trusted=False))
-    return out
+    return tuple(out)
 
 
 def probe_generators(S, group) -> tuple:
@@ -416,8 +424,7 @@ def _ann_in_prime(E: ModulePresentation, prime: ProbePrime) -> bool:
 
 def _supported_indices(M: ModulePresentation, prime: ProbePrime) -> tuple:
     """The j with Ext^j_S(M, S) supported at the prime, ascending."""
-    key = memo.content_hash(M.content_key(), _probes_key([prime]))
-    return memo.cached("supported", key, _supported, M, prime)
+    return memo.cached("supported", _supported, M, prime)
 
 
 def _supported(M: ModulePresentation, prime: ProbePrime) -> tuple:
@@ -498,18 +505,10 @@ def serre_tilde(M: ModulePresentation, k: int, *, probes=None) -> BoundedVerdict
     cm = ring_is_cm(R)
     if not cm and probes is None:
         probes = probe_primes(R)
-    key = memo.content_hash(A.content_key(), str(k),
-                            "cm" if cm else _probes_key(probes))
     if cm:
-        return memo.cached("serre-tilde", key, _serre_tilde_cm, A, k)
-    return memo.cached("serre-tilde", key, _serre_tilde_probes, A, k, probes)
-
-
-def _probes_key(probes) -> str:
-    return "|".join(
-        f"{p.label}:{p.height}:{p.trusted}:{','.join(map(str, p.gens))}"
-        for p in probes
-    )
+        return memo.cached("serre-tilde", _serre_tilde_cm, A, k)
+    return memo.cached("serre-tilde", _serre_tilde_probes, A, k,
+                       tuple(probes))
 
 
 def _serre_tilde_cm(M: ModulePresentation, k: int) -> BoundedVerdict:
@@ -784,16 +783,13 @@ def in_auslander_class(M: ModulePresentation, C: ModulePresentation,
 
 def _verdict(op, compute, zero, modules, bound, budgets):
     """`zero` when the first module is zero, else the memoized
-    compute(*minimal presentations, bound, budgets), keyed by their
-    content keys, the bound and the budgets."""
+    compute(*minimal presentations, bound, budgets)."""
     mins = [minimalize(M) for M in modules]
     if mins[0].is_zero():
         return zero
     budgets = budgets or DEFAULT_BUDGETS
     bound = bound if bound is not None else default_bound(mins[0].ring)
-    key = memo.content_hash(*[B.content_key() for B in mins], str(bound),
-                            repr(budgets))
-    return memo.cached(op, key, compute, *mins, bound, budgets)
+    return memo.cached(op, compute, *mins, bound, budgets)
 
 
 def _auslander(A: ModulePresentation, Cmin: ModulePresentation, bound: int,

@@ -31,9 +31,6 @@ budgets).  The steps, in order:
    with no Groebner basis.  Surjectivity plus equal Hilbert series forces
    bijectivity degreewise, so a hit yields both witness matrices.  When
    the search finds none, the answer is Unknown, never a guess.
-
-Hom is computed under the call's budgets, which are part of the memo
-key, so the key covers everything the search reads.
 """
 
 from __future__ import annotations
@@ -187,9 +184,7 @@ def is_isomorphic(M: ModulePresentation, N: ModulePresentation, *,
     if M.ring != N.ring:
         return IsoVerdict("not_isomorphic", "different rings")
     A, B = minimalize(M), minimalize(N)
-    key = memo.content_hash(A.content_key(), B.content_key(), str(seed),
-                            repr(budgets))
-    return memo.cached("isomorphic", key, _is_isomorphic, A, B, budgets, seed)
+    return memo.cached("isomorphic", _is_isomorphic, A, B, budgets, seed)
 
 
 def _is_isomorphic(A: ModulePresentation, B: ModulePresentation, budgets,
@@ -224,7 +219,7 @@ def _is_isomorphic(A: ModulePresentation, B: ModulePresentation, budgets,
             bwd[b_i] = {a_i: one}
         return IsoVerdict("isomorphic", "free modules of equal degrees",
                           tuple(fwd), tuple(bwd))
-    if A.content_key() == B.content_key():
+    if A == B:
         # the identity is a surjective degree-zero map and its own inverse
         one = ring.poly_ring.one()
         identity = tuple({j: one} for j in range(A.n_gens()))

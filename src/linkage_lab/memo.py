@@ -1,11 +1,16 @@
 """Process-level memo table for derived data.
 
-Every memoized computation goes through `cached`.  The key rule: a key
-covers every input the computation reads, budgets included, so a value
-depends on its key alone and a hit is indistinguishable from
-recomputation.  Keys are content hashes of the inputs; the Hilbert
-numerator recursion and the resolution cursor key by their hashable
-inputs themselves.
+Every memoized computation goes through `cached(op, compute, *args)`,
+and the arguments are the key: the value is stored under (op, args), and
+`compute` is a module-level function whose parameters are the whole key.
+So a key covers every input the computation reads, budgets included, by
+construction (the dead-name test sees a key part that is never read),
+and a hit is indistinguishable from recomputation.  Keys are hashable
+and compare by content: presentations by their content keys, rings by
+`key()`, polynomials by ring and terms, `Budgets` and `ProbePrime` as
+frozen dataclasses, a list of columns as a tuple of per-column (row,
+entry) items in the column's own order, ints, strings, bools, and
+tuples of these.
 
 Entries are never replaced, but two kinds change in place.  The state of
 a resolution (op "resolution", keyed by the minimal presentation and the
@@ -37,16 +42,16 @@ def get(op: str, key):
     return _TABLE.get((op, key))
 
 
-def cached(op: str, key, compute, *args):
-    """The value stored under (op, key), else compute(*args), stored.
+def cached(op: str, compute, *args):
+    """The value stored under (op, args), else compute(*args), stored.
 
     Looks up through the module-level `get`, so a wrapper bound there
     sees every lookup.
     """
-    hit = get(op, key)
+    hit = get(op, args)
     if hit is not None:
         return hit
-    return _TABLE.setdefault((op, key), compute(*args))
+    return _TABLE.setdefault((op, args), compute(*args))
 
 
 def clear():

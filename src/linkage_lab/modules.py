@@ -69,10 +69,8 @@ class ModulePresentation:
         return self._key
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ModulePresentation)
-            and other.serialize() == self.serialize()
-        )
+        return (isinstance(other, ModulePresentation)
+                and other.content_key() == self.content_key())
 
     def __hash__(self):
         return hash(self.content_key())
@@ -100,8 +98,7 @@ class ModulePresentation:
         return ModulePresentation(self.ring, self.gen_twists, self.rel_twists, cols)
 
     def hilbert_series(self) -> HilbertSeries:
-        return memo.cached("hs", self.content_key(), quotient_series,
-                           self.ring, self.columns, self.gen_twists)
+        return memo.cached("hs", _hilbert_series, self)
 
     def is_zero(self) -> bool:
         if not self.gen_twists:
@@ -211,18 +208,6 @@ def direct_sum(M: ModulePresentation, N: ModulePresentation) -> ModulePresentati
 # -- span machinery ---------------------------------------------------------
 
 
-def columns_key(columns, twists) -> str:
-    """Injective text of (twists, columns) built from the exact terms.
-
-    Each column is its sorted (position, sorted (exponents, coefficient)
-    terms) pairs; no polynomial is printed.
-    """
-    return repr((tuple(twists), tuple(
-        tuple(sorted((i, tuple(sorted(p.terms.items()))) for i, p in col.items()))
-        for col in columns
-    )))
-
-
 def span_gb(ring: GradedRing, columns, ambient_twists, *, track=False,
             extra=(), max_degree=None) -> ModuleGB:
     """Groebner basis of span(columns) + span(extra) + I*F, memoized.
@@ -232,20 +217,25 @@ def span_gb(ring: GradedRing, columns, ambient_twists, *, track=False,
     """
     if max_degree is None:
         max_degree = DEFAULT_BUDGETS.max_degree
-    key = memo.content_hash(
-        ring.key(), columns_key(list(columns) + list(extra), ambient_twists),
-        f"track={track}", f"extra={len(extra)}", f"maxdeg={max_degree}"
-    )
-    return memo.cached("span-gb", key, _span_gb, ring, columns,
-                       ambient_twists, track, extra, max_degree)
+    return memo.cached("span-gb", _span_gb, ring, _items(columns),
+                       tuple(ambient_twists), track, _items(extra), max_degree)
+
+
+def _items(columns) -> tuple:
+    """Columns as a memo key: each one's (row, entry) items, in its order."""
+    return tuple(tuple(col.items()) for col in columns)
 
 
 def _span_gb(ring, columns, ambient_twists, track, extra, max_degree):
     return ModuleGB(
-        ring.poly_ring, list(columns), ambient_twists,
-        track=track, fixed=list(extra), quotient=ring,
+        ring.poly_ring, [dict(c) for c in columns], ambient_twists,
+        track=track, fixed=[dict(c) for c in extra], quotient=ring,
         max_degree=max_degree,
     )
+
+
+def _hilbert_series(M: ModulePresentation) -> HilbertSeries:
+    return quotient_series(M.ring, M.columns, M.gen_twists)
 
 
 def quotient_series(ring: GradedRing, columns, ambient_twists, *,
@@ -369,7 +359,7 @@ def minimalize(M: ModulePresentation) -> ModulePresentation:
     Unit entries are pruned by the Schur complement step, then surviving
     columns are cut to a minimal generating set of the relation module.
     """
-    return memo.cached("minimalize", M.content_key(), _minimalize, M)
+    return memo.cached("minimalize", _minimalize, M)
 
 
 def _minimalize(M: ModulePresentation) -> ModulePresentation:
@@ -468,7 +458,7 @@ def annihilates(M: ModulePresentation, f) -> bool:
 
 def annihilator(M: ModulePresentation) -> list:
     """Generators (over the ambient S, containing I) of ann_R(M)."""
-    return memo.cached("ann", M.content_key(), _annihilator, M)
+    return memo.cached("ann", _annihilator, M)
 
 
 def _annihilator(M: ModulePresentation) -> list:

@@ -155,7 +155,7 @@ class Resolution:
 
 
 def _key(kind: str, key, step: int = 0) -> str:
-    """The store key of an entry of the resolution memoized under `key`,
+    """The store key of an entry of the resolution filed under `key`,
     (content key of the minimal presentation, budgets)."""
     module_key, budgets = key
     return memo.content_hash("resolution-" + kind, module_key, repr(budgets),
@@ -270,14 +270,14 @@ def _harvest(ring, state, budgets) -> list:
     return following
 
 
-def _start(Mmin: ModulePresentation) -> dict:
+def _start(Mmin: ModulePresentation, budgets) -> dict:
     """The state of a resolution before its first extension: d_1."""
     if Mmin.n_rels() == 0:
         return {"twists": [Mmin.gen_twists], "maps": [], "complete": True,
-                "candidates": None}
+                "candidates": None, "budgets": budgets}
     return {"twists": [Mmin.gen_twists, Mmin.rel_twists],
             "maps": [list(Mmin.columns)], "complete": False,
-            "candidates": None}
+            "candidates": None, "budgets": budgets}
 
 
 def _is_stored(key, stored: dict, step: int, rebuilt, length: int) -> bool:
@@ -301,14 +301,14 @@ def _is_stored(key, stored: dict, step: int, rebuilt, length: int) -> bool:
 
 def _extend(ring, key, state, length: int) -> None:
     """Compute the state's steps up to `length` maps, or to completion,
-    under the budgets of its key.
+    under its budgets; `key` files them in the store.
 
     A state whose last maps came from the store is first cut back to d_1
     and rebuilt, each step checked against its stored map."""
     maps, twists = state["maps"], state["twists"]
     if state["complete"] or len(maps) >= length:
         return
-    budgets = key[1]
+    budgets = state["budgets"]
     stored = {}
     if len(maps) > 1 and state["candidates"] is None:
         stored = {step: maps[step - 1] for step in range(2, len(maps) + 1)}
@@ -344,9 +344,9 @@ def minimal_free_resolution(M: ModulePresentation, length: int, *,
     budgets = budgets or DEFAULT_BUDGETS
     Mmin = minimalize(M)
     ring = Mmin.ring
-    key = (Mmin.content_key(), budgets)
     # the one memo entry that grows in place: see the module docstring
-    state = memo.cached("resolution", key, _start, Mmin)
+    state = memo.cached("resolution", _start, Mmin, budgets)
+    key = (Mmin.content_key(), budgets)
     if _STORE is not None and not state["complete"] and len(state["maps"]) < length:
         _load_maps(ring, key, state, length)
     _extend(ring, key, state, length)

@@ -134,8 +134,7 @@ class GradedRing:
         ]
 
     def hilbert_series(self) -> HilbertSeries:
-        return memo.cached("ring-hs", self._key, lambda: HilbertSeries(
-            self.nvars, monomial_quotient_numerator(self.nvars, self._leads)))
+        return memo.cached("ring-hs", _ring_series, self)
 
     def parse(self, text: str) -> Poly:
         """Parse and reduce mod I."""
@@ -149,6 +148,11 @@ class GradedRing:
                 p = self.poly_ring.parse(p)
             polys.append(p)
         return GradedRing(self.poly_ring, list(self.relations) + polys)
+
+
+def _ring_series(R: GradedRing) -> HilbertSeries:
+    return HilbertSeries(R.nvars,
+                         monomial_quotient_numerator(R.nvars, R._leads))
 
 
 def make_ring(field: Field, names, relations=()) -> GradedRing:

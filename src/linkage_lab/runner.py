@@ -31,6 +31,7 @@ from .dsl import (
     Script,
     SuiteStmt,
     _fmt_value,
+    pretty_print,
 )
 from .errors import BudgetError, HomogeneityError, InapplicableError
 from .fields import field_from_name
@@ -84,7 +85,8 @@ EXIT_INAPPLICABLE = 4
 
 
 class ScriptError(Exception):
-    """Static error found while preparing a parsed script to run."""
+    """A script that cannot run: a static error, an unknown name, or an
+    operator that refuses its operands."""
 
 
 @dataclass
@@ -323,6 +325,12 @@ class _Runner:
                 "value": f"operation not applicable: {e}",
             })
             return True
+        except ValueError as e:
+            if not isinstance(s, (LetBinding, AssertStmt, PrintStmt)):
+                raise
+            # an operator refused its operands (two rings, say)
+            stmt = pretty_print(Script([s])).rstrip(";\n")
+            raise ScriptError(f"{stmt}: {e}") from None
 
     def _dispatch(self, s) -> bool:
         if isinstance(s, (RingPolyDecl, RingQuotientDecl, ModuleDecl)):

@@ -460,3 +460,41 @@ def test_cached_resolution_round_trips(tmp_path):
     finally:
         set_resolution_store(None)
         memo.clear()
+
+
+CROSS_RING = """\
+ring S = poly(QQ, x, y);
+ring Q = quotient(S, [x*y]);
+module M = coker(S, twists=[0], matrix=[[x]]);
+module N = coker(Q, twists=[0], matrix=[[y]]);
+"""
+
+
+@pytest.mark.parametrize("stmt, message", [
+    ("print ext(N, M, 1);", "print ext(N, M, 1): ext over different rings"),
+    ("print tor(M, N, 1);", "print tor(M, N, 1): tor over different rings"),
+    ("print rgr(M, N);", "print rgr(M, N): ext over different rings"),
+    ("let X = hom(M, N);", "let X = hom(M, N): hom over different rings"),
+    ("let X = tensor(M, N);",
+     "let X = tensor(M, N): tensor over different rings"),
+    ("assert rgr(M, N) >= 1;",
+     "assert rgr(M, N) >= 1: ext over different rings"),
+])
+def test_operands_over_different_rings_are_a_script_error(stmt, message,
+                                                         tmp_path, capsys):
+    from linkage_lab.runner import ScriptError
+    with pytest.raises(ScriptError) as e:
+        _run(CROSS_RING + stmt + "\n")
+    assert str(e.value) == message
+    bad = tmp_path / "cross.link"
+    bad.write_text(CROSS_RING + stmt + "\n", encoding="utf-8")
+    assert main(["run", str(bad)]) == 2
+    assert f"script error: {message}" in capsys.readouterr().err
+
+
+def test_iso_over_different_rings_is_still_a_verdict():
+    res = _run(CROSS_RING + "assert iso(M, N);\n")
+    (entry,) = res.results
+    assert entry["value"] == {"passed": False,
+                              "detail": "not_isomorphic: different rings"}
+    assert res.exit_code() == 1

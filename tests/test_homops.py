@@ -261,3 +261,19 @@ def test_resolution_differentials_compose_to_zero(idx):
     for i in range(1, 3):
         Om = res.syzygy_module(i)
         assert Om.n_gens() == res.rank(i)
+
+
+@pytest.mark.parametrize("op, call", [
+    ("hom", lambda M, N: hom_module(M, N)),
+    ("tensor", lambda M, N: tensor(M, N)),
+    ("ext", lambda M, N: ext(N, M, 1)),
+    ("ext", lambda M, N: ext(M, N, 0)),
+    ("tor", lambda M, N: tor(M, N, 1)),
+    ("tor", lambda M, N: tor(M, N, 0)),
+    ("transpose_wrt", lambda M, N: transpose_wrt(M, N)),
+], ids=["hom", "tensor", "ext-1", "ext-0", "tor-1", "tor-0", "transpose_wrt"])
+def test_operators_refuse_modules_over_different_rings(op, call):
+    M = cyclic_module(S, ["x"])
+    N = cyclic_module(H, ["y"])
+    with pytest.raises(ValueError, match=f"^{op} over different rings$"):
+        call(M, N)

@@ -9,12 +9,14 @@ separate every input the verdict depends on.
 """
 
 import dataclasses
+import sys
 
 import pytest
 
 from linkage_lab import isomorphism, memo
 from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import corpus_pool, maximal_ideal
+from linkage_lab.dsl import parse
 from linkage_lab.errors import BudgetError
 from linkage_lab.fields import GF, QQ
 from linkage_lab.hilbert import _num_rec
@@ -49,6 +51,7 @@ from linkage_lab.modules import (
     twist_module,
 )
 from linkage_lab.rings import make_ring
+from linkage_lab.runner import execute
 
 H = make_ring(QQ, ["x", "y"], ["x*y"])
 T = make_ring(QQ, ["x", "y", "z"], ["y*z", "x*z", "x*y"])
@@ -212,3 +215,58 @@ def test_canonical_recognition_routes_agree():
         for M in mods:
             memo.clear()
             assert is_canonical_module(M) == _iso_route(M)
+
+
+@pytest.mark.parametrize("script", [
+    "ring S = poly(QQ, x, y);\n"
+    "ring H = quotient(S, [x*y]);\n"
+    "suite [] on corpus(H, 4);\n",
+    "ring S = poly(GF(32003), x, y, z, w);\n"
+    "ring N = quotient(S, [x*z, x*w, y*z, y*w]);\n"
+    "suite [] on corpus(N, 4);\n",
+], ids=["H", "N"])
+def test_every_compute_is_a_module_level_function(script, monkeypatch):
+    """memo.cached(op, compute, *args) keys by the arguments alone, so a
+    compute may read nothing else: no closure, no lambda, no local."""
+    seen = {}
+    real = memo.cached
+
+    def spy(op, compute, *args):
+        seen.setdefault(op, set()).add(compute)
+        return real(op, compute, *args)
+
+    monkeypatch.setattr(memo, "cached", spy)
+    memo.clear()
+    execute(parse(script))
+    assert {"span-gb", "minimalize", "ext", "ring-cm", "tensor"} <= set(seen)
+    for op, computes in seen.items():
+        for f in computes:
+            name = getattr(f, "__qualname__", repr(f))
+            assert callable(f) and f.__closure__ is None, (op, name)
+            assert "<lambda>" not in name and "<locals>" not in name, (op, name)
+            assert getattr(sys.modules[f.__module__], name) is f, (op, name)
+
+
+@pytest.mark.parametrize("ring", [H, T, N], ids=["H", "T", "N"])
+def test_presentations_compare_and_hash_by_content_key(ring):
+    pool = [M for _, M in corpus_pool(ring)]
+    copies = [type(M)(M.ring, M.gen_twists, M.rel_twists,
+                      [dict(c) for c in M.columns]) for M in pool]
+    for A in pool + copies:
+        for B in pool:
+            same = A.content_key() == B.content_key()
+            assert (A == B) is same and (A != B) is not same
+            if same:
+                assert hash(A) == hash(B)
+    assert all(A == B and A is not B for A, B in zip(pool, copies))
+
+
+def test_equal_presentations_built_apart_share_one_ext_entry():
+    memo.clear()
+    M1, M2 = cyclic_module(T, ["x", "y"]), cyclic_module(T, ["x", "y"])
+    assert M1 is not M2 and M1 == M2
+    C = canonical_module(T)
+    first = ext(M1, C, 1)
+    entries = sum(op == "ext" for op, _ in memo._TABLE)
+    assert ext(M2, C, 1) is first
+    assert sum(op == "ext" for op, _ in memo._TABLE) == entries

@@ -46,8 +46,8 @@ W = ModulePresentation(T, [0, 0], [1, 1, 1],
 
 
 def _store_key(M):
-    """The key the engine files M's resolution under the default budgets,
-    in the memo and (through resolutions._key) in the store."""
+    """The key the engine files M's resolution under the default budgets
+    in the store, through resolutions._key."""
     return minimalize(M).content_key(), DEFAULT_BUDGETS
 
 
