@@ -10,79 +10,60 @@ battery of linkage theorems on concrete instances, reporting exact or
 bounded evidence for every claim.
 """
 
-from .config import Budgets, default_bound
-from .corpus import classical_rings, corpus_pool, generate_corpus, maximal_ideal
-from .dsl import DslError, parse, pretty_print
-from .errors import BudgetError, HomogeneityError, InapplicableError
-from .fields import GF, QQ, field_from_name
-from .homops import (
-    dual,
-    ext,
-    hom_module,
-    is_nth_cosyzygy_witness,
-    lambda_module,
-    syzygy,
-    tensor,
-    tor,
-    transpose,
-    transpose_wrt,
-    universal_pushforward,
-)
-from .invariants import (
-    INFINITY,
-    canonical_module,
-    depth,
-    gc_dim,
-    grade_module,
-    in_auslander_class,
-    is_cm,
-    is_mcm,
-    is_semidualizing,
-    krull_dim,
-    local_cohomology_degrees,
-    probe_primes,
-    reduced_grade,
-    ring_depth,
-    ring_dim,
-    ring_is_cm,
-    ring_is_gorenstein,
-    serre_tilde,
-)
-from .isomorphism import is_isomorphic
-from .linkage import (
-    is_horizontally_linked,
-    is_self_linked,
-    link,
-    linked_by_ideal,
-    stable_part,
-)
-from .modules import (
-    ModulePresentation,
-    cyclic_module,
-    direct_sum,
-    free_module,
-    from_matrix,
-    minimalize,
-    twist_module,
-    zero_module,
-)
-from .resolutions import betti, minimal_free_resolution
-from .rings import GradedRing, make_ring
-from .runner import RunConfig, execute, report_json, report_text
-from .theorems import (
-    HarnessConfig,
-    TheoremId,
-    TheoremReport,
-    check,
-    default_instances,
-    run_suite,
-    special_instances,
-)
+import importlib
+
+# Each public name and the module that defines it.  A module is imported
+# the first time one of its names is read (PEP 562), so a script pays
+# only for the layers it uses: `import linkage_lab` imports no submodule.
+_EXPORTS = {
+    "config": ("Budgets", "INFINITY", "default_bound"),
+    "corpus": ("classical_rings", "corpus_pool", "generate_corpus",
+               "maximal_ideal"),
+    "dsl": ("DslError", "parse", "pretty_print"),
+    "errors": ("BudgetError", "HomogeneityError", "InapplicableError"),
+    "fields": ("GF", "QQ", "field_from_name"),
+    "homops": ("dual", "ext", "hom_module", "is_nth_cosyzygy_witness",
+               "lambda_module", "syzygy", "tensor", "tor", "transpose",
+               "transpose_wrt", "universal_pushforward"),
+    "invariants": ("canonical_module", "depth", "gc_dim", "grade_module",
+                   "in_auslander_class", "is_cm", "is_mcm",
+                   "is_semidualizing", "krull_dim",
+                   "local_cohomology_degrees", "probe_primes",
+                   "reduced_grade", "ring_depth", "ring_dim", "ring_is_cm",
+                   "ring_is_gorenstein", "serre_tilde"),
+    "isomorphism": ("is_isomorphic",),
+    "linkage": ("is_horizontally_linked", "is_self_linked", "link",
+                "linked_by_ideal", "stable_part"),
+    "modules": ("ModulePresentation", "cyclic_module", "direct_sum",
+                "free_module", "from_matrix", "minimalize", "twist_module",
+                "zero_module"),
+    "resolutions": ("betti", "minimal_free_resolution"),
+    "rings": ("GradedRing", "make_ring"),
+    "runner": ("RunConfig", "execute", "report_json", "report_text"),
+    "theorems": ("HarnessConfig", "TheoremId", "TheoremReport", "check",
+                 "default_instances", "run_suite", "special_instances"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Budgets", "default_bound",
+    "Budgets", "INFINITY", "default_bound",
     "classical_rings", "corpus_pool", "generate_corpus", "maximal_ideal",
     "DslError", "parse", "pretty_print",
     "BudgetError", "HomogeneityError", "InapplicableError",
@@ -90,7 +71,7 @@ __all__ = [
     "dual", "ext", "hom_module", "is_nth_cosyzygy_witness", "lambda_module",
     "syzygy", "tensor", "tor", "transpose", "transpose_wrt",
     "universal_pushforward",
-    "INFINITY", "canonical_module", "depth", "gc_dim", "grade_module",
+    "canonical_module", "depth", "gc_dim", "grade_module",
     "in_auslander_class", "is_cm", "is_mcm", "is_semidualizing", "krull_dim",
     "local_cohomology_degrees", "probe_primes", "reduced_grade",
     "ring_depth", "ring_dim", "ring_is_cm", "ring_is_gorenstein",

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# The value of an infinite invariant (the depth of the zero module, say);
+# reports write it as the string "infinity".
+INFINITY = float("inf")
+
 
 @dataclass(frozen=True)
 class Budgets:

@@ -580,9 +580,7 @@ class _Parser:
         return self._expr()
 
     def _binding_ring_vars(self, seen):
-        for bname, value in seen:
-            if bname == "ring" and isinstance(value, Name):
-                return self.rings[value.ident]
+        for _, value in seen:
             ring = self._ring_of(value) if isinstance(value,
                                                       (Name, Call)) else None
             if ring in self.rings:

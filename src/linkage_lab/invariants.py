@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import memo
-from .config import DEFAULT_BUDGETS, default_bound
+from .config import DEFAULT_BUDGETS, INFINITY, default_bound
 from .errors import BudgetError, ConsistencyError, InapplicableError
 from .groebner import column_degree
 from .hilbert import HilbertSeries
@@ -87,8 +87,6 @@ from .modules import (
 )
 from .resolutions import minimal_free_resolution
 from .rings import GradedRing
-
-INFINITY = float("inf")
 
 
 # -- depth, dimension and local cohomology degrees ---------------------------
@@ -776,6 +774,8 @@ def in_auslander_class(M: ModulePresentation, C: ModulePresentation,
     the Tor/Ext vanishing families are scanned through the bound,
     interleaved so that failures surface at the smallest witness index.
     """
+    if M.ring != C.ring:
+        raise ValueError("in_auslander_class over different rings")
     return _verdict("auslander", _auslander,
                     BoundedVerdict("true", note="zero module"), (M, C),
                     bound, budgets)
@@ -865,6 +865,8 @@ def gc_dim(M: ModulePresentation, C: ModulePresentation, bound=None, *,
     scanned through the bound, where any nonvanishing witness proves the
     dimension infinite exactly.
     """
+    if M.ring != C.ring:
+        raise ValueError("gc_dim over different rings")
     return _verdict("gc-dim", _gc_dim,
                     GcDimVerdict("zero", 0, None, "zero module"), (M, C),
                     bound, budgets)

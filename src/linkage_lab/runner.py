@@ -14,9 +14,11 @@ import json
 import operator
 from dataclasses import dataclass, field
 
-from . import theorems
+from .config import INFINITY
 from .corpus import generate_corpus
 from .dsl import (
+    PREDICATE_FNS,
+    SCALAR_FNS,
     AssertStmt,
     Call,
     CheckStmt,
@@ -47,24 +49,13 @@ from .homops import (
     transpose_wrt,
     universal_pushforward,
 )
-from .invariants import (
-    INFINITY,
-    canonical_module,
-    depth,
-    in_auslander_class,
-    is_cm,
-    is_mcm,
-    is_semidualizing,
-    krull_dim,
-    probe_generators,
-    reduced_grade,
-    serre_tilde,
-)
-from .isomorphism import is_isomorphic
-from .linkage import is_horizontally_linked, is_stable
 from .modules import from_matrix
 from .resolutions import betti
 from .rings import make_ring
+
+# The theorem, invariant, isomorphism and linkage layers are imported in
+# the branches that use them, so a script that only declares, resolves or
+# prints presentations never loads them.
 
 VERSION = "0.1.0"
 
@@ -97,9 +88,11 @@ class RunConfig:
     fail_fast: bool = False
     strict: bool = False
 
-    def harness(self) -> theorems.HarnessConfig:
-        return theorems.HarnessConfig(bound=self.bound, seed=self.seed,
-                                      extra_probes=self.probe_primes)
+    def harness(self):
+        from .theorems import HarnessConfig
+
+        return HarnessConfig(bound=self.bound, seed=self.seed,
+                             extra_probes=self.probe_primes)
 
     def to_dict(self) -> dict:
         return {
@@ -130,6 +123,24 @@ class RunResult:
         return EXIT_OK
 
 
+# The kind of value each check binding takes; every other binding is an
+# ideal, written as a list of polynomials.
+_BINDING_KINDS = {"M": "a module", "C": "a module", "ring": "a ring",
+                  "n": "an integer", "self_twist": "an integer"}
+
+
+def _binding_kind(value, rings: set) -> str:
+    """What a parsed binding value is: a ring named in `rings`, an
+    integer, a polynomial list or a module expression."""
+    if isinstance(value, int):
+        return "an integer"
+    if isinstance(value, PolyList):
+        return "a polynomial list"
+    if isinstance(value, Name) and value.ident in rings:
+        return "a ring"
+    return "a module"
+
+
 def _jsonable(v):
     if isinstance(v, bool) or isinstance(v, int):
         return v
@@ -153,29 +164,50 @@ class _Runner:
     # ---- static validation
 
     def validate(self, script: Script):
+        rings = set()
         for s in script.statements:
-            if isinstance(s, CheckStmt):
-                tid = self._resolve(s.theorem_id)
-                required = theorems._CHECKS[tid][1]
-                given = [k for k, _ in s.bindings]
-                if len(set(given)) != len(given):
-                    raise ScriptError(
-                        f"check {s.theorem_id}: duplicate binding")
-                missing = [r for r in required if r not in given]
-                if missing:
-                    raise ScriptError(
-                        f"check {s.theorem_id}: missing bindings "
-                        + ", ".join(missing))
+            if isinstance(s, (RingPolyDecl, RingQuotientDecl)):
+                rings.add(s.name)
+            elif isinstance(s, CheckStmt):
+                self._validate_check(s, rings)
             elif isinstance(s, SuiteStmt):
                 for t in s.theorem_ids:
                     self._resolve(t)
 
+    def _validate_check(self, s: CheckStmt, rings: set):
+        """A check's bindings: each one a name the check takes, none
+        repeated, none missing, each of the kind its name asks for."""
+        from .theorems import _CHECKS
+
+        _, required, defaults = _CHECKS[self._resolve(s.theorem_id)]
+        given = [k for k, _ in s.bindings]
+        if len(set(given)) != len(given):
+            raise ScriptError(f"check {s.theorem_id}: duplicate binding")
+        for name, value in s.bindings:
+            if name not in required and name not in defaults:
+                takes = ", ".join([*required, *defaults])
+                raise ScriptError(
+                    f"check {s.theorem_id}: unknown binding {name} "
+                    f"(it takes {takes})")
+            want = _BINDING_KINDS.get(name, "a polynomial list")
+            got = _binding_kind(value, rings)
+            if got != want:
+                raise ScriptError(
+                    f"check {s.theorem_id}: binding {name} = "
+                    f"{_fmt_value(value)} is {got}, not {want}")
+        missing = [r for r in required if r not in given]
+        if missing:
+            raise ScriptError(
+                f"check {s.theorem_id}: missing bindings " + ", ".join(missing))
+
     @staticmethod
     def _resolve(tid: str):
+        from .theorems import TheoremId, resolve_id
+
         try:
-            return theorems.resolve_id(tid)
+            return resolve_id(tid)
         except ValueError:
-            known = ", ".join(t.value for t in theorems.TheoremId)
+            known = ", ".join(t.value for t in TheoremId)
             raise ScriptError(
                 f"unknown theorem id {tid!r} (known: {known})") from None
 
@@ -206,6 +238,8 @@ class _Runner:
         if f == "hom":
             return hom_module(self._module(a[0]), self._module(a[1]))
         if f == "canonical":
+            from .invariants import canonical_module
+
             return canonical_module(self.rings[a[0].ident])
         if f == "dual":
             return dual(self._module(a[0]))
@@ -219,11 +253,34 @@ class _Runner:
         cfg = self.config
         f, a = call.fn, call.args
         if f == "is_horizontally_linked":
+            from .linkage import is_horizontally_linked
+
             rep = is_horizontally_linked(self._module(a[0]), seed=cfg.seed)
             return rep.linked, rep.describe()
         if f == "is_stable":
+            from .linkage import is_stable
+
             stable, free_rank = is_stable(self._module(a[0]))
             return stable, f"free rank {free_rank}"
+        if f == "iso":
+            from .isomorphism import is_isomorphic
+
+            v = is_isomorphic(self._module(a[0]), self._module(a[1]),
+                              seed=cfg.seed)
+            detail = v.kind
+            if v.certificate:
+                detail += f": {v.certificate}"
+            return v.is_isomorphic(), detail
+        from .invariants import (
+            depth,
+            in_auslander_class,
+            is_cm,
+            is_mcm,
+            is_semidualizing,
+            krull_dim,
+            serre_tilde,
+        )
+
         if f == "serre_tilde":
             M = self._module(a[0])
             v = serre_tilde(M, a[1], probes=cfg.harness().probes_for(M.ring))
@@ -244,17 +301,12 @@ class _Runner:
             if cert.failure:
                 detail += f": {cert.failure}"
             return cert.valid, detail
-        if f == "iso":
-            v = is_isomorphic(self._module(a[0]), self._module(a[1]),
-                              seed=cfg.seed)
-            detail = v.kind
-            if v.certificate:
-                detail += f": {v.certificate}"
-            return v.is_isomorphic(), detail
         raise ScriptError(f"unknown predicate {f!r}")
 
     def _scalar(self, call: Call):
         """(numeric value, display value) for a scalar call."""
+        from .invariants import depth, krull_dim, reduced_grade
+
         f, a = call.fn, call.args
         if f == "depth":
             d = depth(self._module(a[0]))
@@ -270,7 +322,6 @@ class _Runner:
         raise ScriptError(f"unknown scalar {f!r}")
 
     def _print_value(self, item):
-        from .dsl import PREDICATE_FNS, SCALAR_FNS
         if isinstance(item, Call):
             if item.fn in SCALAR_FNS:
                 _, display = self._scalar(item)
@@ -326,9 +377,10 @@ class _Runner:
             })
             return True
         except ValueError as e:
-            if not isinstance(s, (LetBinding, AssertStmt, PrintStmt)):
+            if not isinstance(s, (LetBinding, AssertStmt, PrintStmt,
+                                  CheckStmt)):
                 raise
-            # an operator refused its operands (two rings, say)
+            # an operator or a check refused its operands (two rings, say)
             stmt = pretty_print(Script([s])).rstrip(";\n")
             raise ScriptError(f"{stmt}: {e}") from None
 
@@ -374,6 +426,8 @@ class _Runner:
             self.result.results.append(entry)
             return False
         if isinstance(s, CheckStmt):
+            from . import theorems
+
             tid = theorems.resolve_id(s.theorem_id)
             bindings = {k: self._binding(v) for k, v in s.bindings}
             report = theorems.check(tid, bindings, cfg.harness())
@@ -386,6 +440,8 @@ class _Runner:
             })
             return self._note_report(report)
         if isinstance(s, SuiteStmt):
+            from . import theorems
+
             ring = self.rings[s.ring]
             modules = generate_corpus(ring, s.size)
             ids = ([theorems.resolve_id(t) for t in s.theorem_ids]
@@ -416,6 +472,8 @@ class _Runner:
         if isinstance(s, RingPolyDecl):
             ring = make_ring(field_from_name(s.field_name), s.variables)
             for group in self.config.probe_primes:
+                from .invariants import probe_generators
+
                 try:
                     probe_generators(ring.poly_ring, group)
                 except ValueError as e:

@@ -1344,11 +1344,15 @@ def _run(tid, bindings, cfg) -> TheoremReport:
     which are computed only when every stage holds.  A budget or an
     inapplicability met anywhere, minimalizing M included, ends the check
     with an Inapplicable report; its instance line names M by the given
-    presentation when M itself could not be minimalized.
+    presentation when M itself could not be minimalized.  Modules over
+    different rings raise ValueError.
     """
     fn, required, defaults = _CHECKS[tid]
     args = {k: bindings[k] for k in required}
     args.update((k, bindings.get(k, d)) for k, d in defaults.items())
+    if len({v.ring for v in args.values()
+            if isinstance(v, ModulePresentation)}) > 1:
+        raise ValueError(f"{tid.value} over different rings")
     if "n" in args:
         args["n"] = int(args["n"])
     label = bindings.get("label")
@@ -1385,8 +1389,9 @@ def _stopped(tid, instance, e) -> TheoremReport:
 
 
 def check(tid, bindings, config: HarnessConfig | None = None) -> TheoremReport:
-    """Run one named check; missing bindings raise, and a budget or an
-    inapplicability degrades to an Inapplicable report."""
+    """Run one named check; missing bindings and modules over different
+    rings raise, and a budget or an inapplicability degrades to an
+    Inapplicable report."""
     tid = resolve_id(tid)
     cfg = config or HarnessConfig()
     missing = [k for k in _CHECKS[tid][1] if k not in bindings]

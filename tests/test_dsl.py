@@ -479,6 +479,11 @@ module N = coker(Q, twists=[0], matrix=[[y]]);
      "let X = tensor(M, N): tensor over different rings"),
     ("assert rgr(M, N) >= 1;",
      "assert rgr(M, N) >= 1: ext over different rings"),
+    ("check LEM_LEM2(M = M, C = N);",
+     "check LEM_LEM2(M = M, C = N): LEM_LEM2 over different rings"),
+    ("assert in_auslander_class(M, N);",
+     "assert in_auslander_class(M, N): in_auslander_class over different "
+     "rings"),
 ])
 def test_operands_over_different_rings_are_a_script_error(stmt, message,
                                                          tmp_path, capsys):
@@ -490,6 +495,36 @@ def test_operands_over_different_rings_are_a_script_error(stmt, message,
     bad.write_text(CROSS_RING + stmt + "\n", encoding="utf-8")
     assert main(["run", str(bad)]) == 2
     assert f"script error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stmt, message", [
+    ("check THM_MS(M = S);",
+     "check THM_MS: binding M = S is a ring, not a module"),
+    ("check PROP_T1(M = M, C = M, n = M);",
+     "check PROP_T1: binding n = M is a module, not an integer"),
+    ("check LEM_LEM2(M = M, C = M, n = [x]);",
+     "check LEM_LEM2: binding n = [x] is a polynomial list, not an integer"),
+    ("check COR_COR6(M = M, C = M, ideal = 2);",
+     "check COR_COR6: binding ideal = 2 is an integer, not a polynomial list"),
+    ("check COR_THEOREM3(ring = M, I = [x], omega_ideal = [x]);",
+     "check COR_THEOREM3: binding ring = M is a module, not a ring"),
+    ("check THM_MS(M = M, C = M);",
+     "check THM_MS: unknown binding C (it takes M)"),
+])
+def test_malformed_check_bindings_are_a_script_error(stmt, message, tmp_path,
+                                                     capsys):
+    # each binding is a name the check takes, of the kind that name asks
+    # for; anything else stops the script before any statement runs
+    from linkage_lab.runner import ScriptError
+    with pytest.raises(ScriptError) as e:
+        _run(CROSS_RING + stmt + "\n")
+    assert str(e.value) == message
+    bad = tmp_path / "binding.link"
+    bad.write_text(CROSS_RING + stmt + "\n", encoding="utf-8")
+    assert main(["run", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"script error: {message}" in captured.err
 
 
 def test_iso_over_different_rings_is_still_a_verdict():

@@ -157,6 +157,17 @@ def test_gc_dim_matches_projective_dimension_over_poly_ring():
     assert v.is_finite() and v.value == 2
 
 
+def test_relative_invariants_refuse_modules_over_different_rings():
+    # M = S/(x) has finite projective dimension, which once answered
+    # before the rings were compared
+    M, C = cyclic_module(S, ["x"]), cyclic_module(H, ["y"])
+    with pytest.raises(ValueError, match="gc_dim over different rings"):
+        gc_dim(M, C)
+    with pytest.raises(ValueError,
+                       match="in_auslander_class over different rings"):
+        in_auslander_class(M, C)
+
+
 def test_reduced_grade_frozen():
     R1 = free_module(H, [0])
     rx = cyclic_module(H, ["x"])

@@ -55,6 +55,13 @@ def test_missing_binding_raises_keyerror():
         check("THM_MS", {})
 
 
+def test_modules_over_different_rings_raise():
+    # M over S and C over H: no check may answer for such a pair
+    M, C = cyclic_module(S, ["x"]), cyclic_module(H, ["y"])
+    with pytest.raises(ValueError, match="LEM_LEM2 over different rings"):
+        check("LEM_LEM2", {"M": M, "C": C})
+
+
 def test_ms_criterion_verified_on_swap_module():
     report = check("THM_MS", {"M": cyclic_module(H, ["x"])})
     assert report.verdict == "Verified"
