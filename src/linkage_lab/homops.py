@@ -55,6 +55,11 @@ _ACTIVE_FAULTS: set = set()
 
 
 def set_fault(name: str, active: bool):
+    """Switch a fault on or off.  Memo entries computed through transpose
+    (the linkage report, say) do not name the faults in their keys, so
+    the memo is emptied: no value computed on one side is served on the
+    other."""
+    memo.clear()
     if active:
         _ACTIVE_FAULTS.add(name)
     else:

@@ -293,7 +293,7 @@ def canonical_twist(C: ModulePresentation):
     """The a with C = omega_R(a) over a CM proper quotient R, else None.
 
     Exact but not complete, and no isomorphism search: C matches when its
-    minimal presentation has the content key of twist_module(omega, a),
+    minimal presentation equals twist_module(omega, a) entry for entry,
     as every free C of rank one does over a Gorenstein ring.  A polynomial
     ring never matches, which keeps `homops.ext` from recursing.
     """

@@ -8,9 +8,9 @@ budgets).  The steps, in order:
    minimal presentations, then Hilbert series; a difference is an exact
    NotIsomorphic certificate;
 2. free modules: equal generator degrees are matched by sorting;
-3. identical minimal presentations (equal content keys): the identity
-   matrix is a surjective degree-zero map that is its own inverse, so it
-   is both witnesses, with no search;
+3. identical minimal presentations (equal ring, twists and entries):
+   the identity matrix is a surjective degree-zero map that is its own
+   inverse, so it is both witnesses, with no search;
 4. the degree-zero homomorphisms, read from the first step of the one
    routine that computes Hom (`homops._hom_cycles`): its cycles phi_t,
    of degrees tau_t, generate Hom(A, B) inside Hom(F_0, B), so the maps

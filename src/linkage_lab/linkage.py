@@ -8,13 +8,17 @@ carry two independent cross-checks: an embedding-into-free test run
 through the evaluation map into the bidual cover, and a direct
 isomorphism test against the double linkage image.  Disagreement among
 exact criteria is recorded on the report rather than raised, so the
-theorem harness can surface it as a refutation.
+theorem harness can surface it as a refutation.  A report is frozen and
+memoized (op "horizontally-linked", keyed by the minimal presentation,
+the budgets and the seed), so every check that assumes M is linked
+reads one report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import memo
 from .config import DEFAULT_BUDGETS
 from .homops import ext, evaluation_map, lambda_module, transpose
 from .isomorphism import IsoVerdict, is_isomorphic
@@ -58,7 +62,7 @@ def is_syzygy_module(M: ModulePresentation, *, budgets=None) -> bool:
     return image == A.hilbert_series()
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkageReport:
     stable: bool
     free_rank: int
@@ -83,8 +87,14 @@ class LinkageReport:
 
 def is_horizontally_linked(M: ModulePresentation, *, budgets=None,
                            seed=0) -> LinkageReport:
+    """The report for minimalize(M), memoized under its budgets and seed."""
     budgets = budgets or DEFAULT_BUDGETS
-    A = minimalize(M)
+    return memo.cached("horizontally-linked", _horizontally_linked,
+                       minimalize(M), budgets, seed)
+
+
+def _horizontally_linked(A: ModulePresentation, budgets,
+                         seed) -> LinkageReport:
     stable, free_rank = is_stable(A)
     ext1_vanishes = ext(transpose(A), free_module(A.ring, [0]), 1,
                         budgets=budgets).is_zero()

@@ -6,11 +6,17 @@ and the arguments are the key: the value is stored under (op, args), and
 So a key covers every input the computation reads, budgets included, by
 construction (the dead-name test sees a key part that is never read),
 and a hit is indistinguishable from recomputation.  Keys are hashable
-and compare by content: presentations by their content keys, rings by
-`key()`, polynomials by ring and terms, `Budgets` and `ProbePrime` as
+and compare by structure, so a hit costs one dict lookup: presentations
+by ring, twists and entries (their hash computed once and kept), rings
+by `key()`, polynomials by ring and terms, `Budgets` and `ProbePrime` as
 frozen dataclasses, a list of columns as a tuple of per-column (row,
 entry) items in the column's own order, ints, strings, bools, and
-tuples of these.
+tuples of these.  No key prints a presentation: its content key is
+derived only where a name must be the same in every process (the
+resolution store's file names and the isomorphism search's seed).
+
+`homops.set_fault` empties the table whenever it is called, since the
+test-only faults change what transpose computes and no key names them.
 
 Entries are never replaced, but two kinds change in place.  The state of
 a resolution (op "resolution", keyed by the minimal presentation and the

@@ -25,7 +25,12 @@ from .rings import GradedRing
 
 
 class ModulePresentation:
-    __slots__ = ("ring", "gen_twists", "rel_twists", "columns", "_key")
+    """Equal presentations have the same ring, twists and entries; zero
+    entries are dropped on construction, so an explicit zero is an
+    absent one.  The hash is computed on first use and kept."""
+
+    __slots__ = ("ring", "gen_twists", "rel_twists", "columns", "_key",
+                 "_hash")
 
     def __init__(self, ring: GradedRing, gen_twists, rel_twists, columns):
         self.ring = ring
@@ -54,6 +59,7 @@ class ModulePresentation:
             cols.append(clean)
         self.columns = tuple(cols)
         self._key = None
+        self._hash = None
 
     # identity ---------------------------------------------------------
 
@@ -64,16 +70,25 @@ class ModulePresentation:
         return "\n".join(parts)
 
     def content_key(self) -> str:
+        """A name for the presentation that is the same in every process
+        (it names store entries and seeds the isomorphism search)."""
         if self._key is None:
             self._key = memo.content_hash(self.serialize())
         return self._key
 
     def __eq__(self, other):
         return (isinstance(other, ModulePresentation)
-                and other.content_key() == self.content_key())
+                and other.gen_twists == self.gen_twists
+                and other.rel_twists == self.rel_twists
+                and other.ring == self.ring
+                and other.columns == self.columns)
 
     def __hash__(self):
-        return hash(self.content_key())
+        if self._hash is None:
+            self._hash = hash((self.ring, self.gen_twists, self.rel_twists,
+                               tuple(frozenset(c.items())
+                                     for c in self.columns)))
+        return self._hash
 
     def __repr__(self):
         return (

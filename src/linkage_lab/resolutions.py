@@ -156,10 +156,12 @@ class Resolution:
 
 def _key(kind: str, key, step: int = 0) -> str:
     """The store key of an entry of the resolution filed under `key`,
-    (content key of the minimal presentation, budgets)."""
-    module_key, budgets = key
-    return memo.content_hash("resolution-" + kind, module_key, repr(budgets),
-                             str(step))
+    (minimal presentation, budgets): named by the presentation's content
+    key, which is the same in every process and is derived only here, so
+    a run with no store attached never prints a presentation."""
+    Mmin, budgets = key
+    return memo.content_hash("resolution-" + kind, Mmin.content_key(),
+                             repr(budgets), str(step))
 
 
 def _entry(columns, degrees) -> dict:
@@ -346,7 +348,7 @@ def minimal_free_resolution(M: ModulePresentation, length: int, *,
     ring = Mmin.ring
     # the one memo entry that grows in place: see the module docstring
     state = memo.cached("resolution", _start, Mmin, budgets)
-    key = (Mmin.content_key(), budgets)
+    key = (Mmin, budgets)
     if _STORE is not None and not state["complete"] and len(state["maps"]) < length:
         _load_maps(ring, key, state, length)
     _extend(ring, key, state, length)

@@ -10,6 +10,11 @@ battery over the first eight corpus modules of R, for
 
 and the `report_json` of each run is stored in tests/golden/corpus_R.json.
 
+What a report says must not depend on the field: the same script over
+the other field (`OTHER_FIELD`: H, T and U over GF(32003), N over QQ)
+gives the same `field_free` part of every report, its theorem id,
+verdict, module label, and hypothesis names and labels.
+
 The checks that need explicit ideal data (THM_THE1, COR_THEOREM3, COR_COR6,
 THM_PROP_EVEN) are not in the default battery.  Their reports, from
 `special_instances` over S = QQ[x,y] and T plus bindings that stop at each
@@ -38,22 +43,39 @@ RINGS = {
 }
 
 
-def script(name: str) -> str:
-    field, names, rels = RINGS[name]
-    return (f"ring {name}0 = poly({field}, {names});\n"
+OTHER_FIELD = {"H": "GF(32003)", "T": "GF(32003)", "N": "QQ",
+               "U": "GF(32003)"}
+
+
+def script(name: str, size: int = 8, field: str | None = None) -> str:
+    own, names, rels = RINGS[name]
+    return (f"ring {name}0 = poly({field or own}, {names});\n"
             f"ring {name} = quotient({name}0, [{rels}]);\n"
-            f"suite [] on corpus({name}, 8);\n")
+            f"suite [] on corpus({name}, {size});\n")
 
 
 def golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, f"corpus_{name}.json")
 
 
-def report(name: str) -> str:
+def report(name: str, size: int = 8, field: str | None = None) -> str:
     from linkage_lab.dsl import parse
     from linkage_lab.runner import execute, report_json
 
-    return report_json(execute(parse(script(name))))
+    return report_json(execute(parse(script(name, size, field))))
+
+
+def field_free(text: str) -> list:
+    """Per report of a suite run's `report_json`, what must be the same
+    over every field: (theorem id, verdict, module label, [(hypothesis
+    name, label)]).  The module label is the instance line up to the
+    ring, whose key names the field."""
+    return [
+        (r["theorem_id"], r["verdict"], r["instance"].split(" over ")[0],
+         [(h["name"], h["label"]) for h in r["hypothesis_status"]])
+        for entry in json.loads(text)["results"]
+        for r in entry["report"]["reports"]
+    ]
 
 
 SPECIAL_PATH = os.path.join(GOLDEN_DIR, "special_instances.json")

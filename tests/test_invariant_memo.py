@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from linkage_lab import isomorphism, memo
+from linkage_lab.cache import DiskStore
 from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import corpus_pool, maximal_ideal
 from linkage_lab.dsl import parse
@@ -44,11 +45,16 @@ from linkage_lab.invariants import (
 )
 from linkage_lab.isomorphism import IsoVerdict, is_isomorphic
 from linkage_lab.modules import (
+    ModulePresentation,
     annihilator,
     cyclic_module,
     free_module,
     minimalize,
     twist_module,
+)
+from linkage_lab.resolutions import (
+    minimal_free_resolution,
+    set_resolution_store,
 )
 from linkage_lab.rings import make_ring
 from linkage_lab.runner import execute
@@ -259,6 +265,40 @@ def test_presentations_compare_and_hash_by_content_key(ring):
             if same:
                 assert hash(A) == hash(B)
     assert all(A == B and A is not B for A, B in zip(pool, copies))
+
+
+def test_near_miss_presentations_compare_unequal():
+    S = H.poly_ring
+    x, y, zero = S.parse("x"), S.parse("y"), S.zero()
+    M = ModulePresentation(H, [0, 0], [1, 1], [{0: x}, {0: y}])
+    near = {
+        "one coefficient": ModulePresentation(H, [0, 0], [1, 1],
+                                              [{0: x}, {0: S.parse("2*y")}]),
+        "one twist": ModulePresentation(H, [0, 1], [1, 1], [{0: x}, {0: y}]),
+        "another ring": ModulePresentation(H.ambient(), [0, 0], [1, 1],
+                                           [{0: x}, {0: y}]),
+    }
+    for what, B in near.items():
+        assert M != B and B != M, what
+        assert M.content_key() != B.content_key(), what
+    # zero entries are dropped on construction: an explicit zero is absent
+    Z = ModulePresentation(H, [0, 0], [1, 1], [{0: x, 1: zero}, {0: y}])
+    assert Z == M and hash(Z) == hash(M)
+    assert Z.content_key() == M.content_key()
+
+
+def test_resolution_without_a_store_never_derives_a_content_key(tmp_path):
+    k = cyclic_module(T, ["x", "y", "z"])
+    minimal_free_resolution(k, 3)
+    minimal_free_resolution(k, 5)  # an extension of the memoized cursor
+    assert minimalize(k)._key is None
+    memo.clear()
+    set_resolution_store(DiskStore(str(tmp_path)))
+    try:
+        minimal_free_resolution(k, 3)
+    finally:
+        set_resolution_store(None)
+    assert minimalize(k)._key is not None  # the store names its entries
 
 
 def test_equal_presentations_built_apart_share_one_ext_entry():

@@ -1,6 +1,12 @@
 """Linkage operator tests: stability, horizontal linkage with cross
 validation, the hypersurface swap, self-linkage, and ideal linkage."""
 
+import dataclasses
+
+import pytest
+
+from linkage_lab import memo
+from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import corpus_pool, maximal_ideal
 from linkage_lab.fields import QQ
 from linkage_lab.homops import lambda_module
@@ -95,3 +101,25 @@ def test_linkage_reports_are_deterministic():
     a = is_horizontally_linked(Rx)
     b = is_horizontally_linked(Rx)
     assert a.describe() == b.describe()
+
+
+def test_linkage_report_is_one_memo_entry_per_budgets_and_seed():
+    M = cyclic_module(H, ["x"])
+    rep = is_horizontally_linked(M)
+    assert is_horizontally_linked(cyclic_module(H, ["x"])) is rep
+    assert is_horizontally_linked(minimalize(M)) is rep
+    tight = dataclasses.replace(DEFAULT_BUDGETS, iso_search_tries=1)
+    assert is_horizontally_linked(M, budgets=DEFAULT_BUDGETS) is rep
+    other_budgets = is_horizontally_linked(M, budgets=tight)
+    other_seed = is_horizontally_linked(M, seed=1)
+    assert other_budgets is not rep and other_seed is not rep
+    assert other_budgets == rep and other_seed == rep
+    entries = [args for op, args in memo._TABLE if op == "horizontally-linked"]
+    assert len(entries) == 3
+
+
+def test_linkage_report_refuses_assignment():
+    rep = is_horizontally_linked(cyclic_module(H, ["x"]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.linked = False
+    assert rep.linked

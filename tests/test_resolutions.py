@@ -48,7 +48,7 @@ W = ModulePresentation(T, [0, 0], [1, 1, 1],
 def _store_key(M):
     """The key the engine files M's resolution under the default budgets
     in the store, through resolutions._key."""
-    return minimalize(M).content_key(), DEFAULT_BUDGETS
+    return minimalize(M), DEFAULT_BUDGETS
 
 
 def _terms(maps) -> list:
