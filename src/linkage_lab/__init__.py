@@ -22,9 +22,10 @@ _EXPORTS = {
     "dsl": ("DslError", "parse", "pretty_print"),
     "errors": ("BudgetError", "HomogeneityError", "InapplicableError"),
     "fields": ("GF", "QQ", "field_from_name"),
-    "homops": ("dual", "ext", "hom_module", "is_nth_cosyzygy_witness",
-               "lambda_module", "syzygy", "tensor", "tor", "transpose",
-               "transpose_wrt", "universal_pushforward"),
+    "homops": ("dual", "ext", "ext_vanishes", "hom_module",
+               "is_nth_cosyzygy_witness", "lambda_module", "syzygy",
+               "tensor", "tor", "transpose", "transpose_wrt",
+               "universal_pushforward"),
     "invariants": ("canonical_module", "depth", "gc_dim", "grade_module",
                    "in_auslander_class", "is_cm", "is_mcm",
                    "is_semidualizing", "krull_dim",
@@ -68,7 +69,8 @@ __all__ = [
     "DslError", "parse", "pretty_print",
     "BudgetError", "HomogeneityError", "InapplicableError",
     "GF", "QQ", "field_from_name",
-    "dual", "ext", "hom_module", "is_nth_cosyzygy_witness", "lambda_module",
+    "dual", "ext", "ext_vanishes", "hom_module", "is_nth_cosyzygy_witness",
+    "lambda_module",
     "syzygy", "tensor", "tor", "transpose", "transpose_wrt",
     "universal_pushforward",
     "canonical_module", "depth", "gc_dim", "grade_module",

@@ -18,10 +18,12 @@ spans Hom(A, B)_0 by monomial multiples of the cycles (see
 Ext into the canonical module (up to a twist) over a Cohen-Macaulay
 quotient ring is computed exactly through ambient duality over the
 polynomial ring, where resolutions are finite.  Three exact checks guard
-that route: the Euler characteristic identity of the ambient profile it
-reads (see `invariants`), a certificate per coefficient module and twist
-that the route sends the unit module to that coefficient module, and
-the direct computation as an oracle for i = 0.
+that route: the checks of the ambient profile and of every group it
+presents (see `invariants`), a certificate per coefficient module and
+twist that the route sends the unit module to that coefficient module,
+and the direct computation as an oracle for i = 0.  `ext_vanishes`
+answers "is Ext^i(M, N) zero" on that route from the profile's Hilbert
+series alone, with no group presented.
 
 The transpose with respect to C is the cokernel of Hom(d_1, C) for a
 minimal presentation d_1; the transpose is Tr = Tr_R, and the linkage
@@ -277,13 +279,14 @@ def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
     When R is a Cohen-Macaulay proper quotient of codimension c in n
     variables and N = omega_R(a) (see `invariants.canonical_twist`), the
     group is exact through ambient duality,
-    Ext^i_R(M, omega_R(a)) = Ext^(i+c)_S(M, S)(a - n), read from M's
-    ambient profile (whose Euler characteristic is checked once per
-    module).  Once per (N, a) the same formula at M = R must give N's
-    Hilbert series, which catches a wrong a; for i = 0 the direct route
-    runs as an oracle.  A disagreement raises ConsistencyError.  Every
-    other case is the cohomology of Hom(minimal resolution of M, N) over
-    R.
+    Ext^i_R(M, omega_R(a)) = Ext^(i+c)_S(M, S)(a - n), with the ambient
+    group presented by `invariants.ambient_ext`, which checks it against
+    the Hilbert series of M's ambient profile.  Once per (N, a) the same
+    formula at M = R must give N's Hilbert series, which catches a wrong
+    a; for i = 0 the direct route runs as an oracle.  A disagreement
+    raises ConsistencyError.  Every other case is the cohomology of
+    Hom(minimal resolution of M, N) over R.  A caller that only asks
+    whether the group is zero calls `ext_vanishes`.
     """
     if M.ring != N.ring:
         raise ValueError("ext over different rings")
@@ -317,16 +320,39 @@ def _ext(A: ModulePresentation, B: ModulePresentation, i: int,
 def _ambient_route(A: ModulePresentation, i: int, a: int,
                    budgets) -> ModulePresentation:
     """Ext^i_R(A, omega_R(a)) = Ext^(i+c)_S(A, S)(a - n) over a
-    Cohen-Macaulay R of codimension c in n variables, read from A's
-    ambient profile under the budgets (zero past i + c = n)."""
-    from .invariants import _ambient_profile, ring_codim
+    Cohen-Macaulay R of codimension c in n variables, presented by
+    `invariants.ambient_ext` under the budgets (zero past i + c = n)."""
+    from .invariants import ambient_ext, ring_codim
 
     ring = A.ring
-    exts, _ = _ambient_profile(A, budgets)
-    j = i + ring_codim(ring)
-    if j >= len(exts):
-        return zero_module(ring)
-    return minimalize(change_ring(twist_module(exts[j], a - ring.nvars), ring))
+    E = ambient_ext(A, i + ring_codim(ring), budgets)
+    return minimalize(change_ring(twist_module(E, a - ring.nvars), ring))
+
+
+def ext_vanishes(M: ModulePresentation, N: ModulePresentation, i: int, *,
+                 budgets=None) -> bool:
+    """Whether Ext^i(M, N) = 0: the answer of ext(M, N, i).is_zero(),
+    without presenting the group where the ambient route serves it.
+
+    For i > 0 and N = omega_R(a) (see `ext`) the twist certificate runs
+    and the Hilbert series of Ext^(i+c)_S(M, S) is read from M's ambient
+    profile, built by rank-nullity with no cycles computed.  Every other
+    case, the i = 0 oracle included, asks `ext`.
+    """
+    if M.ring != N.ring:
+        raise ValueError("ext over different rings")
+    if i > 0:
+        from .invariants import _ambient_profile, canonical_twist, ring_codim
+
+        B = minimalize(N)
+        a = canonical_twist(B)
+        if a is not None:
+            memo.cached("twist-certificate", _certify_twist, B, a)
+            j = i + ring_codim(M.ring)
+            series, _ = _ambient_profile(minimalize(M),
+                                         budgets or DEFAULT_BUDGETS)
+            return j >= len(series) or series[j].is_zero()
+    return ext(M, N, i, budgets=budgets).is_zero()
 
 
 def _certify_twist(B: ModulePresentation, a: int) -> bool:
@@ -467,8 +493,7 @@ def universal_pushforward(M: ModulePresentation, C: ModulePresentation, *,
     the first through an exact Hilbert-series identity.
     """
     budgets = budgets or DEFAULT_BUDGETS
-    obstruction = ext(transpose_wrt(M, C), C, 1, budgets=budgets)
-    if not obstruction.is_zero():
+    if not ext_vanishes(transpose_wrt(M, C), C, 1, budgets=budgets):
         raise InapplicableError(
             "universal pushforward needs a vanishing biduality kernel; "
             "Ext^1(Tr_C M, C) is nonzero"
@@ -489,7 +514,7 @@ def universal_pushforward(M: ModulePresentation, C: ModulePresentation, *,
         rhs = rhs + B.hilbert_series().shift(-taus[t])
     if lhs != rhs:
         raise ConsistencyError("pushforward failed the exactness series check")
-    if not ext(N, C, 1, budgets=budgets).is_zero():
+    if not ext_vanishes(N, C, 1, budgets=budgets):
         raise ConsistencyError("pushforward cokernel has nonvanishing Ext^1(-,C)")
     return Pushforward(cols, taus, N, m)
 
@@ -504,8 +529,7 @@ def is_nth_cosyzygy_witness(M: ModulePresentation, C: ModulePresentation,
     """
     X = minimalize(M)
     for step in range(1, n + 1):
-        if not ext(transpose_wrt(X, C), C, 1,
-                   budgets=budgets).is_zero():
+        if not ext_vanishes(transpose_wrt(X, C), C, 1, budgets=budgets):
             return False, step
         if X.is_zero():
             continue

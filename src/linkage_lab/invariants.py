@@ -26,19 +26,40 @@ coefficient module C (free of rank one; canonical over a CM ring) that
 `is_semidualizing`, `in_auslander_class`, `gc_dim` and the theorem
 checks read before any bounded scan.
 
-The groups Ext^j_S(M, S), j = 0..n, are computed once per presentation
-and kept in the memo as M's ambient profile, with the indices where they
-are nonzero.  Only the window grade <= j <= pd is computed: Ext^j_S(M, S)
-vanishes below grade(ann M, S) = n - dim M (Rees) and above pd_S M,
-which the minimal resolution of M over S gives (Auslander-Buchsbaum
-bounds it by n); the profile holds the zero module at every other j.
-The profile is checked when it is built: the alternating sum of the
-Hilbert series must be K_M(1/t) / (1-t)^n, where K_M is the numerator of
-HS(M); then, for M != 0, both ends of the window must be nonzero, since
-grade and pd are attained.  Either failure raises ConsistencyError.
-Ext into the canonical module, depth, dimension, local cohomology
-degrees, generalized CM-ness, the CM branch of `serre_tilde` and the
-support tests at probe primes all read from it.  The verdicts of
+M's ambient profile holds the Hilbert series of Ext^j_S(M, S), j = 0..n,
+computed once per presentation and budgets, with the indices where they
+are nonzero.  Only the window grade <= j <= pd is computed:
+Ext^j_S(M, S) vanishes below grade(ann M, S) = n - dim M (Rees) and
+above pd_S M, which the minimal resolution F. of M over S gives
+(Auslander-Buchsbaum bounds it by n).  No group is presented for it.
+With delta_j = d_j^T : F_(j-1)^* -> F_j^* and coker delta_0 = F_0^*,
+rank-nullity along the dual complex gives
+
+  HS(Ext^j_S(M, S)) = HS(coker delta_j) + HS(coker delta_(j+1))
+                      - HS(F_(j+1)^*),
+
+and each HS(coker delta_j) is one plain Groebner run on the transposed
+differential, kept out of the memo.  Four checks guard the series when
+they are built, and a fifth every group that is presented; each failure
+raises ConsistencyError:
+  1. Euler identity: sum (-1)^j HS(Ext^j_S(M, S)), which rank-nullity
+     makes sum (-1)^j HS(F_j^*), must be K_M(1/t) / (1-t)^n, where K_M is
+     the numerator of HS(M): the resolution's graded ranks against HS(M);
+  2. for M != 0 both ends of the window are nonzero, since grade and pd
+     are attained;
+  3. the series vanish below grade = n - dim M: then F_0^* -> ... ->
+     F_grade^* is exact up to its last spot, which fixes
+     HS(coker delta_grade), the run the window starts from;
+  4. dim Ext^j_S(M, S) <= n - j for every j (local duality: the group is
+     dual to H^(n-j)_m(M));
+  5. `ambient_ext` presents a group, under the same budgets, only where a
+     caller needs the module (the ambient route of `homops.ext`, the
+     annihilators at probe primes, the canonical module), and it must
+     have exactly the profile's series.
+Checks 1 to 4 are series arithmetic and need no kernel run.  Depth,
+dimension, local cohomology degrees, generalized CM-ness, the CM branch
+of `serre_tilde`, `homops.ext_vanishes` and the support tests at probe
+primes read the profile.  The verdicts of
 `is_semidualizing`, `in_auslander_class`, `serre_tilde`, `gc_dim` and
 `is_canonical_module` are memoized too, keyed by the minimal inputs,
 the bound, the budgets and the probe set, so a suite asking the same
@@ -60,11 +81,13 @@ from .errors import BudgetError, ConsistencyError, InapplicableError
 from .groebner import column_degree
 from .hilbert import HilbertSeries
 from .homops import (
+    _dual_map_images,
     _hom_cycles,
     _tensor_twists,
     _transpose_raw,
     ext,
     ext_to_ambient,
+    ext_vanishes,
     syzygy,
     tensor,
     tensor_raw,
@@ -77,6 +100,7 @@ from .modules import (
     annihilates,
     annihilator,
     change_ring,
+    cokernel_series,
     cyclic_module,
     free_module,
     minimalize,
@@ -93,46 +117,113 @@ from .rings import GradedRing
 
 
 def _ambient_profile(M: ModulePresentation, budgets=None) -> tuple:
-    """(exts, nonzero): exts[j] = Ext^j_S(M, S) for j = 0..n, and the
-    ascending j with exts[j] != 0; computed once per presentation and
-    budgets."""
+    """(series, nonzero): series[j] = HS(Ext^j_S(M, S)) for j = 0..n, and
+    the ascending j with series[j] != 0; computed once per presentation
+    and budgets."""
     budgets = budgets or DEFAULT_BUDGETS
-    return memo.cached("ambient-profile", _ambient_exts, M, budgets)
+    return memo.cached("ambient-profile", _ambient_series, M, budgets)
 
 
-def _ambient_exts(M: ModulePresentation, budgets) -> tuple:
+def _ambient_series(M: ModulePresentation, budgets) -> tuple:
     n = M.ring.nvars
-    # Ext^j_S(M, S) = 0 outside grade <= j <= pd (Rees; Auslander-Buchsbaum),
-    # and grade = n - dim M over the polynomial ring S
     res = minimal_free_resolution(M.over_ambient(), n + 1, budgets=budgets)
     pd = res.projective_dimension()
     if pd is None:
         raise ConsistencyError(
             f"the ambient resolution did not end within {n + 1} steps")
-    dim = M.hilbert_series().dimension()
-    lo = n - dim
-    zero = zero_module(res.ring)
-    exts = tuple(ext_to_ambient(M, j, budgets=budgets) if lo <= j <= pd
-                 else zero for j in range(n + 1))
+    S = res.ring
+    zero = HilbertSeries.zero(n)
+    # F_j^* = sum S(d) over the twists d of F_j
+    free = [HilbertSeries.free(n, [-d for d in res.twists[j]])
+            for j in range(pd + 1)] + [zero]
+    # Ext^j_S(M, S) = 0 outside grade <= j <= pd (Rees; Auslander-Buchsbaum),
+    # and grade = n - dim M over the polynomial ring S (n + 1 for M = 0)
+    lo = n - M.hilbert_series().dimension()
+    # HS(coker delta_j) for delta_j = d_j^T : F_(j-1)^* -> F_j^*, one plain
+    # run per map in the window; coker delta_0 = F_0^*, coker delta_(pd+1) = 0
+    coker = {0: free[0], pd + 1: zero}
+    for j in range(max(lo, 1), pd + 1):
+        images = _dual_map_images(res.maps[j - 1], len(res.twists[j - 1]), 1)
+        coker[j] = cokernel_series(
+            S, [c for c in images if c], [-d for d in res.twists[j]],
+            max_degree=budgets.max_degree)
+    # Ext^j = ker delta_(j+1) / im delta_j: rank-nullity on both maps
+    series = tuple(coker[j] + coker[j + 1] - free[j + 1] if lo <= j <= pd
+                   else zero for j in range(n + 1))
+    _check_profile(M, series, free, coker.get(lo), pd)
+    return series, tuple(j for j, E in enumerate(series) if not E.is_zero())
+
+
+def _check_profile(M: ModulePresentation, series, free, grade_coker,
+                   pd: int) -> None:
+    """The four series checks of the module docstring, on M's profile
+    `series`, the series `free` of F_0^*, ..., F_pd^* and HS(coker
+    delta_grade) (unread for M = 0); each failure raises
+    ConsistencyError."""
+    n = M.ring.nvars
     # Euler characteristic of Hom(F., S) for a free resolution F. of M:
-    # sum_j (-1)^j HS(Ext^j_S(M, S)) = K_M(1/t) / (1-t)^n, where K_M is the
+    # sum_j (-1)^j HS(Ext^j_S(M, S)) = sum_j (-1)^j HS(F_j^*) by
+    # rank-nullity, and that is K_M(1/t) / (1-t)^n, where K_M is the
     # numerator of HS(M); a free summand S(-e) of F_j gives t^e to K_M
     # and t^-e to the dual.
     euler = HilbertSeries.zero(n)
-    for j, E in enumerate(exts):
-        euler = euler + E.hilbert_series().scale((-1) ** j)
+    for j, F in enumerate(free):
+        euler = euler + F.scale((-1) ** j)
     dual = HilbertSeries(n, {-d: c for d, c in M.hilbert_series().num.items()})
     if euler != dual:
         raise ConsistencyError(
             f"ambient Ext profile fails the Euler characteristic: "
             f"sum (-1)^j HS(Ext^j_S(M, S)) = {euler}, K_M(1/t)/(1-t)^{n} "
             f"= {dual}")
+    dim = M.hilbert_series().dimension()
+    if dim < 0:
+        return
+    lo = n - dim
     # both ends of the window are attained: Ext^grade and Ext^pd are nonzero
-    if dim >= 0 and (exts[lo].is_zero() or exts[pd].is_zero()):
+    if series[lo].is_zero() or series[pd].is_zero():
         raise ConsistencyError(
             f"ambient Ext profile: Ext^{lo}_S(M, S) (grade = n - dim M) or "
             f"Ext^{pd}_S(M, S) (pd of the resolution) is zero")
-    return exts, tuple(j for j, E in enumerate(exts) if not E.is_zero())
+    # the groups below the grade are zero, so F_0^* -> ... -> F_grade^* is
+    # exact up to its last spot, which fixes the cokernel there
+    below = HilbertSeries.zero(n)
+    for j in range(lo + 1):
+        below = below + free[j].scale((-1) ** (lo - j))
+    if grade_coker != below:
+        raise ConsistencyError(
+            f"ambient Ext profile: the series vanish below the grade {lo} = "
+            f"n - dim M only if HS(coker delta_{lo}) = {below}, the run "
+            f"gives {grade_coker}")
+    # local duality: Ext^j_S(M, S) is dual to H^(n-j)_m(M), whose dimension
+    # is at most n - j
+    for j, E in enumerate(series):
+        if E.dimension() > n - j:
+            raise ConsistencyError(
+                f"ambient Ext profile: Ext^{j}_S(M, S) has dimension "
+                f"{E.dimension()} > n - j = {n - j}")
+
+
+def ambient_ext(M: ModulePresentation, j: int,
+                budgets=None) -> ModulePresentation:
+    """Ext^j_S(M, S) presented under the budgets, for a caller that needs
+    the module and not only its series.  The profile comes first; the
+    group is computed only where its series is nonzero (so never past n),
+    and must have that series (else ConsistencyError)."""
+    budgets = budgets or DEFAULT_BUDGETS
+    return memo.cached("ambient-ext", _ambient_ext, M, j, budgets)
+
+
+def _ambient_ext(M: ModulePresentation, j: int,
+                 budgets) -> ModulePresentation:
+    series, _ = _ambient_profile(M, budgets)
+    if j >= len(series) or series[j].is_zero():
+        return zero_module(M.ring.ambient())
+    E = ext_to_ambient(M, j, budgets=budgets)
+    if E.hilbert_series() != series[j]:
+        raise ConsistencyError(
+            f"ambient Ext profile: the presented Ext^{j}_S(M, S) has series "
+            f"{E.hilbert_series()}, the profile has {series[j]}")
+    return E
 
 
 def depth(M: ModulePresentation):
@@ -195,12 +286,8 @@ def is_generalized_cm(M: ModulePresentation) -> bool:
     if d < 1:
         return False
     n = M.ring.nvars
-    exts, _ = _ambient_profile(M)
-    for i in range(d):
-        E = exts[n - i]
-        if not E.is_zero() and E.hilbert_series().dimension() > 0:
-            return False
-    return True
+    series, _ = _ambient_profile(M)
+    return all(series[n - i].dimension() <= 0 for i in range(d))
 
 
 # -- ring-level facts ---------------------------------------------------------
@@ -240,7 +327,7 @@ def ring_is_gorenstein(R: GradedRing) -> bool:
 
 def _ring_is_gorenstein(R: GradedRing) -> bool:
     return ring_is_cm(R) and (
-        ext_to_ambient(_ring_unit(R), ring_codim(R)).n_gens() == 1)
+        ambient_ext(_ring_unit(R), ring_codim(R)).n_gens() == 1)
 
 
 def is_mcm(M: ModulePresentation) -> bool:
@@ -256,7 +343,7 @@ def canonical_module(R: GradedRing) -> ModulePresentation:
 
 
 def _canonical_module(R: GradedRing) -> ModulePresentation:
-    E = ext_to_ambient(_ring_unit(R), ring_codim(R))
+    E = ambient_ext(_ring_unit(R), ring_codim(R))
     return minimalize(change_ring(twist_module(E, -R.nvars), R))
 
 
@@ -426,8 +513,8 @@ def _supported_indices(M: ModulePresentation, prime: ProbePrime) -> tuple:
 
 
 def _supported(M: ModulePresentation, prime: ProbePrime) -> tuple:
-    exts, js = _ambient_profile(M)
-    return tuple(j for j in js if _ann_in_prime(exts[j], prime))
+    _, js = _ambient_profile(M)
+    return tuple(j for j in js if _ann_in_prime(ambient_ext(M, j), prime))
 
 
 def depth_at_prime(M: ModulePresentation, prime: ProbePrime):
@@ -513,11 +600,11 @@ def _serre_tilde_cm(M: ModulePresentation, k: int) -> BoundedVerdict:
     R = M.ring
     n = R.nvars
     c = ring_codim(R)
-    exts, js = _ambient_profile(M)
+    series, js = _ambient_profile(M)
     for j in js:
         if j <= c:
             continue
-        dim = exts[j].hilbert_series().dimension()
+        dim = series[j].dimension()
         if dim > n - j - k:
             return BoundedVerdict(
                 "false",
@@ -548,7 +635,7 @@ def grade_module(M: ModulePresentation) -> int:
         return ring_dim(R) - krull_dim(M)
     unit = _ring_unit(R)
     for i in range(ring_depth(R) + 1):
-        if not ext(A, unit, i).is_zero():
+        if not ext_vanishes(A, unit, i):
             return i
     raise ConsistencyError("grade exceeded the depth of the ring")
 
@@ -575,7 +662,7 @@ def reduced_grade(M: ModulePresentation, C: ModulePresentation, bound=None, *,
     if A.is_zero():
         return ReducedGrade(None, None)
     for i in range(1, bound + 1):
-        if not ext(A, C, i, budgets=budgets).is_zero():
+        if not ext_vanishes(A, C, i, budgets=budgets):
             return ReducedGrade(i, None)
     verdict = gc_dim(M, C, bound=bound, budgets=budgets)
     if verdict.kind == "zero":
@@ -588,7 +675,7 @@ def n_torsionfree_degree(M: ModulePresentation, cap: int, *, budgets=None):
     T = transpose(M)
     unit = _ring_unit(M.ring)
     for i in range(1, cap + 1):
-        if not ext(T, unit, i, budgets=budgets).is_zero():
+        if not ext_vanishes(T, unit, i, budgets=budgets):
             return i - 1, False
     return cap, True
 
@@ -744,7 +831,7 @@ def _semidualizing(Cmin: ModulePresentation, bound: int,
     if not ok:
         return SemidualizingCertificate(False, None, f"homothety: {reason}")
     for i in range(1, bound + 1):
-        if not ext(Cmin, Cmin, i, budgets=budgets).is_zero():
+        if not ext_vanishes(Cmin, Cmin, i, budgets=budgets):
             return SemidualizingCertificate(False, None, f"Ext^{i}(C,C) != 0")
     return SemidualizingCertificate(True, bound)
 
@@ -810,7 +897,7 @@ def _auslander(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
         for i in range(1, bound + 1):
             if not tor(A, Cmin, i, budgets=budgets).is_zero():
                 return BoundedVerdict("false", witness=f"Tor_{i}(M, C) != 0")
-            if not ext(Cmin, tensor(A, Cmin), i, budgets=budgets).is_zero():
+            if not ext_vanishes(Cmin, tensor(A, Cmin), i, budgets=budgets):
                 return BoundedVerdict("false",
                                       witness=f"Ext^{i}(C, M(x)C) != 0")
     except BudgetError as e:
@@ -899,12 +986,12 @@ def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
                                 "syzygy vanishes")
         TX = transpose_wrt(Xmin, Cmin)
         for i in range(1, bound + 1):
-            if not ext(Xmin, Cmin, i, budgets=budgets).is_zero():
+            if not ext_vanishes(Xmin, Cmin, i, budgets=budgets):
                 return GcDimVerdict(
                     "infinite", None, None,
                     f"Ext^{i + r}(M, C) != 0 beyond the depth gap {r}"
                 )
-            if not ext(TX, Cmin, i, budgets=budgets).is_zero():
+            if not ext_vanishes(TX, Cmin, i, budgets=budgets):
                 return GcDimVerdict(
                     "infinite", None, None,
                     f"Ext^{i}(Tr_C of the {r}-th syzygy, C) != 0"

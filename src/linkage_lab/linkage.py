@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import memo
 from .config import DEFAULT_BUDGETS
-from .homops import ext, evaluation_map, lambda_module, transpose
+from .homops import evaluation_map, ext_vanishes, lambda_module, transpose
 from .isomorphism import IsoVerdict, is_isomorphic
 from .modules import (
     ModulePresentation,
@@ -96,8 +96,8 @@ def is_horizontally_linked(M: ModulePresentation, *, budgets=None,
 def _horizontally_linked(A: ModulePresentation, budgets,
                          seed) -> LinkageReport:
     stable, free_rank = is_stable(A)
-    ext1_vanishes = ext(transpose(A), free_module(A.ring, [0]), 1,
-                        budgets=budgets).is_zero()
+    ext1_vanishes = ext_vanishes(transpose(A), free_module(A.ring, [0]), 1,
+                                 budgets=budgets)
     linked = stable and ext1_vanishes
     syz = is_syzygy_module(A, budgets=budgets)
     lam2 = lambda_module(lambda_module(A, budgets=budgets), budgets=budgets)

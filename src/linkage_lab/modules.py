@@ -257,6 +257,21 @@ def quotient_series(ring: GradedRing, columns, ambient_twists, *,
                     max_degree=None) -> HilbertSeries:
     """Hilbert series of F / (span(columns) + I*F)."""
     gb = span_gb(ring, columns, ambient_twists, max_degree=max_degree)
+    return _lead_series(ring, gb, ambient_twists)
+
+
+def cokernel_series(ring: GradedRing, columns, ambient_twists, *,
+                    max_degree) -> HilbertSeries:
+    """`quotient_series` by one plain run kept out of the memo, for a
+    caller that needs the series alone and never queries the basis."""
+    gb = ModuleGB(ring.poly_ring, list(columns), ambient_twists,
+                  quotient=ring, max_degree=max_degree)
+    return _lead_series(ring, gb, ambient_twists)
+
+
+def _lead_series(ring: GradedRing, gb: ModuleGB,
+                 ambient_twists) -> HilbertSeries:
+    """Hilbert series of F / span(gb) from the leading terms of the basis."""
     per_pos: dict = {}
     for pos, mono in gb.leading_terms():
         per_pos.setdefault(pos, []).append(mono)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .config import INFINITY
 from .corpus import generate_corpus
@@ -522,7 +523,47 @@ def report_json(result: RunResult) -> str:
         "declarations": result.declarations,
         "results": result.results,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out: list = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, indent: str, out: list) -> None:
+    """Append to `out` the text of json.dumps(value, sort_keys=True,
+    indent=2) for a value on a line that breaks and indents as `indent`,
+    without the encoder's pure-Python indenting path."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            out.append(sep)
+            out.append(encode_basestring_ascii(
+                key if isinstance(key, str) else json.dumps(key)))
+            out.append(": ")
+            _write_json(item, inner, out)
+            sep = comma
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = comma
+        out.append(indent + "]")
+    elif type(value) is int:
+        out.append(repr(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def _text_lines(result: RunResult):

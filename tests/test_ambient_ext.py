@@ -3,11 +3,15 @@
 Over a Cohen-Macaulay quotient R = S/I of codimension c in n variables,
 Ext^i_R(M, omega_R(a)) = Ext^(i+c)_S(M, S)(a - n).  These tests hold the
 ambient route against the direct computation over R, check that the
-route stays off where its hypotheses fail, that its twist certificate
-catches a wrong shift, and that the Euler characteristic identity of the
-ambient profile catches a wrong Ext^j_S(M, S).  The profile computes only
-its window grade <= j <= pd; it must equal Ext^j_S(M, S) computed at
-every j, and a wrong end of the window fails its end check.
+route stays off where its hypotheses fail, and that its twist
+certificate catches a wrong shift.  The ambient profile holds the
+Hilbert series of every Ext^j_S(M, S), read by rank-nullity from the
+dual of M's resolution over S: they must equal the series of
+Ext^j_S(M, S) computed at every j, `ext_vanishes` must answer as
+`ext(...).is_zero()` does, and each of the profile's five checks (Euler
+identity, window ends, vanishing below grade, local-duality dimension
+bound, the series of a presented group) must fire on a perturbation
+made for it.
 """
 
 import pytest
@@ -17,7 +21,8 @@ from linkage_lab.config import DEFAULT_BUDGETS, Budgets
 from linkage_lab.corpus import generate_corpus, maximal_ideal
 from linkage_lab.errors import BudgetError, ConsistencyError
 from linkage_lab.fields import GF, QQ
-from linkage_lab.homops import ext
+from linkage_lab.hilbert import HilbertSeries
+from linkage_lab.homops import ext, ext_vanishes
 from linkage_lab.invariants import (
     canonical_module,
     canonical_twist,
@@ -27,6 +32,7 @@ from linkage_lab.invariants import (
 from linkage_lab.modules import (
     ModulePresentation,
     cyclic_module,
+    direct_sum,
     free_module,
     minimalize,
     twist_module,
@@ -154,7 +160,9 @@ def _drop_first_generator(E):
 @pytest.mark.parametrize("name, j", [("k", 3), ("m", 2)])
 def test_perturbed_ambient_ext_fails_euler_identity(monkeypatch, fault,
                                                     name, j):
-    # the one nonzero Ext^j_S(M, S) of k and of the maximal ideal over T
+    # the one nonzero Ext^j_S(M, S) of k and of the maximal ideal over T;
+    # the profile reads no presented group, so depth is still right, and
+    # the group presented for Ext^(j - 2)(M, omega) fails its series check
     M = {"k": cyclic_module(T, list(T.names)), "m": maximal_ideal(T)}[name]
     true_ext = invariants.ext_to_ambient
 
@@ -167,12 +175,12 @@ def test_perturbed_ambient_ext_fails_euler_identity(monkeypatch, fault,
             else _drop_first_generator(E)
 
     memo.clear()
-    assert invariants.depth(M) == 3 - j
-    memo.clear()
+    omega = canonical_module(T)
     monkeypatch.setattr(invariants, "ext_to_ambient", perturbed)
     try:
-        with pytest.raises(ConsistencyError, match="Euler characteristic"):
-            invariants.depth(M)
+        assert invariants.depth(M) == 3 - j
+        with pytest.raises(ConsistencyError, match="presented Ext"):
+            ext(M, omega, j - 2)
     finally:
         memo.clear()
 
@@ -253,29 +261,120 @@ def _window_cases():
 
 @pytest.mark.parametrize("M", list(_window_cases()))
 def test_profile_window_matches_every_index(M):
-    # outside grade <= j <= pd the profile puts the zero module without
-    # computing; the reference computes Ext^j_S(M, S) at every j
-    exts, js = invariants._ambient_profile(M)
+    # the profile's series against Ext^j_S(M, S) computed at every j, and
+    # the group it presents on demand against the same computation
+    series, js = invariants._ambient_profile(M)
     ref = [homops.ext_to_ambient(M, j) for j in range(M.ring.nvars + 1)]
-    assert [E.content_key() for E in exts] == [E.content_key() for E in ref]
+    assert list(series) == [E.hilbert_series() for E in ref]
     assert js == tuple(j for j, E in enumerate(ref) if not E.is_zero())
+    zero = modules.zero_module(M.ring.ambient())
+    assert [invariants.ambient_ext(M, j) for j in range(len(ref))] == \
+        [E if j in js else zero for j, E in enumerate(ref)]
 
 
 def test_window_ends_are_checked(monkeypatch):
-    # a resolution claiming pd one too high puts the computed, zero,
-    # Ext^(pd + 1) at the end of the window: the Euler identity holds and
-    # the end check fails
+    # a resolution claiming pd one too high, with a zero free module and
+    # map appended, puts a zero Ext^(pd + 1) at the end of the window:
+    # the Euler identity holds and the end check fails
     true_resolution = invariants.minimal_free_resolution
 
     class OneTooLong:
         def __init__(self, res):
-            self.res = res
             self.ring = res.ring
+            self.twists = res.twists + [()]
+            self.maps = res.maps + [[]]
+            self.pd = res.projective_dimension()
 
         def projective_dimension(self):
-            return self.res.projective_dimension() + 1
+            return self.pd + 1
 
     monkeypatch.setattr(invariants, "minimal_free_resolution",
                         lambda *a, **kw: OneTooLong(true_resolution(*a, **kw)))
     with pytest.raises(ConsistencyError, match=r"Ext\^3_S\(M, S\) \(pd"):
         invariants.depth(maximal_ideal(T))
+
+
+def test_euler_identity_checks_the_resolution_ranks(monkeypatch):
+    # a resolution with a stray free summand S(-9) appended as F_(pd + 1)
+    # has graded ranks whose alternating sum is not the dual of HS(M)
+    true_resolution = invariants.minimal_free_resolution
+
+    class StraySummand:
+        def __init__(self, res):
+            self.ring = res.ring
+            self.twists = res.twists + [(9,)]
+            self.maps = res.maps + [[]]
+            self.pd = res.projective_dimension()
+
+        def projective_dimension(self):
+            return self.pd + 1
+
+    monkeypatch.setattr(invariants, "minimal_free_resolution",
+                        lambda *a, **kw: StraySummand(true_resolution(*a, **kw)))
+    with pytest.raises(ConsistencyError, match="Euler characteristic"):
+        invariants.depth(maximal_ideal(T))
+
+
+def _perturb_cokernel(monkeypatch, step, extra):
+    """Add `extra` to HS(coker delta_step) of the next profile built."""
+    memo.clear()
+    true_series = invariants.cokernel_series
+    calls = []
+
+    def perturbed(*a, **kw):
+        calls.append(None)
+        hs = true_series(*a, **kw)
+        return hs + extra if len(calls) == step else hs
+
+    monkeypatch.setattr(invariants, "cokernel_series", perturbed)
+
+
+def test_series_below_grade_are_checked(monkeypatch):
+    # k over T has grade 3: a length-one summand added to coker delta_3,
+    # the one run, keeps the ranks, the window ends and the dimension
+    # bounds, but is not what exactness below the grade forces
+    _perturb_cokernel(monkeypatch, 1, HilbertSeries(3, {0: 1, 3: -1}))
+    try:
+        with pytest.raises(ConsistencyError, match="vanish below the grade 3"):
+            invariants.depth(cyclic_module(T, list(T.names)))
+    finally:
+        memo.clear()
+
+
+def test_local_duality_dimension_bound_is_checked(monkeypatch):
+    # R + k over T: grade 2, pd 3, Ext^2 of dimension 1 and Ext^3 of
+    # dimension 0; a one-dimensional summand added to coker delta_3 (the
+    # second run) shows in both, and only Ext^2 keeps within n - j
+    M = direct_sum(free_module(T, [0]), cyclic_module(T, list(T.names)))
+    memo.clear()
+    assert invariants.local_cohomology_degrees(M) == [0, 1]
+    _perturb_cokernel(monkeypatch, 2, HilbertSeries(3, {0: 1, 1: -2, 2: 1}))
+    try:
+        with pytest.raises(ConsistencyError, match=r"Ext\^3_S\(M, S\) has "
+                                                   r"dimension 1 > n - j = 0"):
+            invariants.depth(M)
+    finally:
+        memo.clear()
+
+
+def _other_field(R):
+    return make_ring(GF(32003) if R.field == QQ else QQ, list(R.names),
+                     [str(r) for r in R.reduced_relations])
+
+
+# omega, the ring, and a coefficient module that is neither
+_COEFFICIENTS = {"omega": canonical_module,
+                 "R": lambda R: free_module(R, [0]),
+                 "m": maximal_ideal}
+
+
+@pytest.mark.parametrize("coefficient", list(_COEFFICIENTS))
+@pytest.mark.parametrize("other_field", [False, True], ids=["own", "other"])
+@pytest.mark.parametrize("name", ["H", "T", "N", "U"])
+def test_ext_vanishes_agrees_with_ext(name, other_field, coefficient):
+    R = {"H": H, "T": T, "N": N, "U": U}[name]
+    R = _other_field(R) if other_field else R
+    C = _COEFFICIENTS[coefficient](R)
+    for _, M in generate_corpus(R, 8):
+        for i in range(4):
+            assert ext_vanishes(M, C, i) == ext(M, C, i).is_zero(), i

@@ -1,6 +1,7 @@
 """Each invariant is computed once per module and reused.
 
-The ambient-Ext profile and the memoized verdicts (semidualizing
+The ambient-Ext profile (the Hilbert series of every Ext^j_S(M, S)),
+the groups it presents on demand and the memoized verdicts (semidualizing
 certificate, Auslander class, Serre-type condition, G_C-dimension,
 canonical-module recognition, isomorphism) must be indistinguishable
 from recomputation: a hit returns the stored object, and after
@@ -35,6 +36,7 @@ from linkage_lab.invariants import (
     GcDimVerdict,
     SemidualizingCertificate,
     _ambient_profile,
+    ambient_ext,
     canonical_module,
     gc_dim,
     in_auslander_class,
@@ -99,6 +101,9 @@ def _cases():
         # different minimal presentations: the search
         ("isomorphic", lambda: is_isomorphic(
             mH, lambda_module(lambda_module(mH)))),
+        # a group of the profile presented on demand
+        ("ambient-ext", lambda: ambient_ext(kT, 3)),
+        ("ambient-ext", lambda: ambient_ext(mN, 2)),
     ]
 
 
