@@ -4,7 +4,6 @@ Two subcommands:
 
     linkage-lab run <file> [--json] [--bound B] [--probe-primes SPEC]
                            [--cache-dir D] [--fail-fast] [--strict]
-                           [--seed N]
     linkage-lab check <THEOREM_ID> <file> --bind name=value ...
 
 `run` executes a script; `check` parses the script for its declarations
@@ -70,8 +69,6 @@ def _add_run_flags(p: argparse.ArgumentParser):
                    help="stop at the first failing statement")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when any check is Inapplicable")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized isomorphism search")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +101,6 @@ def _config(args) -> RunConfig:
     return RunConfig(
         bound=args.bound,
         probe_primes=parse_probe_spec(args.probe_primes),
-        seed=args.seed,
         fail_fast=args.fail_fast,
         strict=args.strict,
     )

@@ -19,7 +19,6 @@ INFINITY = float("inf")
 class Budgets:
     max_degree: int = 24
     max_rank: int = 512
-    iso_search_tries: int = 24
 
 
 DEFAULT_BUDGETS = Budgets()

@@ -249,10 +249,6 @@ def local_cohomology_degrees(M: ModulePresentation) -> list:
     return sorted(n - j for j in js)
 
 
-def is_finite_length(M: ModulePresentation) -> bool:
-    return M.hilbert_series().is_finite_length()
-
-
 def m_in_ass(M: ModulePresentation) -> bool:
     """Whether the irrelevant maximal ideal is an associated prime."""
     return not minimalize(M).is_zero() and depth(M) == 0

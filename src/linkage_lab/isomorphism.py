@@ -1,8 +1,8 @@
 """Graded isomorphism testing.
 
 Both modules are minimalized and the verdict is memoized per pair (op
-"isomorphic", keyed by the two minimal presentations, the seed and the
-budgets).  The steps, in order:
+"isomorphic", keyed by the two minimal presentations and the budgets):
+it is a function of the two modules.  The steps, in order:
 
 1. exact invariants: generator and relation degree multisets of the
    minimal presentations, then Hilbert series; a difference is an exact
@@ -18,19 +18,21 @@ budgets).  The steps, in order:
    -tau_t span Hom(A, B)_0; those that are zero in Hom(A, B) (every
    column in B's relations) are dropped, and none left is an exact
    NotIsomorphic.  Like the Auslander-class test, the search stops at
-   the cycles: it reads no minimal presentation of Hom.  One rank comes before any search: the constant part
-   of any degree-zero map is a combination of those of the spanning maps
-   (the constant parts of a spanning set span what those of a basis
-   span), so if together they have rank < the number of generators of B,
-   no map is onto B/mB = k^(number of generators of B) (graded Nakayama)
-   and the answer is an exact NotIsomorphic;
+   the cycles: it reads no minimal presentation of Hom.  Two ranks come
+   before any search: the constant part of any degree-zero map is a
+   combination of those of the spanning maps, and it must be bijective
+   (graded Nakayama; A and B have equally many generators), so constant
+   images of rank < the number of generators of B, or a kernel common
+   to all constant parts, is an exact NotIsomorphic;
 5. the search: hunt for a surjective map among the spanning maps and
-   seeded random combinations of them.  By the same lemma a degree-zero
-   map onto a minimal presentation B is onto iff the matrix of its
-   constant entries has full rank, a rank computation over the field
-   with no Groebner basis.  Surjectivity plus equal Hilbert series forces
-   bijectivity degreewise, so a hit yields both witness matrices.  When
-   the search finds none, the answer is Unknown, never a guess.
+   then `SEARCH_TRIES` combinations of them with coefficients in
+   {-2..2}, drawn from a generator that the two content keys determine.
+   By the same lemma a map is onto iff its constant entries have full
+   rank, and a combination's are the same combination of the maps' own,
+   so only the first hit is built.  Surjectivity plus equal Hilbert
+   series forces bijectivity degreewise, so a hit yields both witness
+   matrices.  When the search finds none, the answer is Unknown, never
+   a guess.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ from .modules import (
     span_gb,
 )
 
+# How many random combinations of the spanning maps the search tries.
+SEARCH_TRIES = 24
+
 
 @dataclass(frozen=True)
 class IsoVerdict:
@@ -62,9 +67,6 @@ class IsoVerdict:
 
     def resolved(self) -> bool:
         return self.kind in ("isomorphic", "not_isomorphic")
-
-    def witness(self):
-        return (self.forward, self.backward) if self.kind == "isomorphic" else None
 
 
 def _degree_multiset(twists):
@@ -144,13 +146,18 @@ def _constant_rows(ring, phi_cols):
             for col in phi_cols]
 
 
-def _is_surjective(ring, phi_cols, B: ModulePresentation) -> bool:
-    """Whether a degree-zero map onto the minimal presentation B is onto.
-
-    Graded Nakayama: it is iff the images span B/mB = k^(B.n_gens()),
-    i.e. iff the constant entries of phi_cols have rank B.n_gens().
-    """
-    return len(_echelon(_constant_rows(ring, phi_cols), ring.field)) == B.n_gens()
+def _combined_rows(f, rows, coeffs):
+    """The constant rows of sum_k coeffs[k] * maps[k], from rows[k], the
+    constant rows of maps[k]."""
+    out = []
+    for j in range(len(rows[0])):
+        acc: dict = {}
+        for r, c in zip(rows, coeffs):
+            c = f.from_int(c)
+            for i, v in r[j].items():
+                acc[i] = f.add(acc.get(i, f.zero()), f.mul(c, v))
+        out.append({i: v for i, v in acc.items() if v != f.zero()})
+    return out
 
 
 def _compose(ring, psi_cols, phi_cols):
@@ -178,17 +185,17 @@ def _is_identity_mod(ring, cols, M: ModulePresentation) -> bool:
 
 
 def is_isomorphic(M: ModulePresentation, N: ModulePresentation, *,
-                  budgets=None, seed: int = 0) -> IsoVerdict:
+                  budgets=None) -> IsoVerdict:
     """Exact NotIsomorphic certificates; witnessed Isomorphic; else Unknown."""
     budgets = budgets or DEFAULT_BUDGETS
     if M.ring != N.ring:
         return IsoVerdict("not_isomorphic", "different rings")
     A, B = minimalize(M), minimalize(N)
-    return memo.cached("isomorphic", _is_isomorphic, A, B, budgets, seed)
+    return memo.cached("isomorphic", _is_isomorphic, A, B, budgets)
 
 
-def _is_isomorphic(A: ModulePresentation, B: ModulePresentation, budgets,
-                   seed) -> IsoVerdict:
+def _is_isomorphic(A: ModulePresentation, B: ModulePresentation,
+                   budgets) -> IsoVerdict:
     ring = A.ring
     if A.n_gens() == 0 and B.n_gens() == 0:
         return IsoVerdict("isomorphic", "both zero")
@@ -229,46 +236,48 @@ def _is_isomorphic(A: ModulePresentation, B: ModulePresentation, budgets,
     if not maps:
         return IsoVerdict("not_isomorphic", "no nonzero degree-zero homomorphisms")
     # every degree-zero map's constant part is a combination of the spanning
-    # maps' ones: if those span less than B/mB, none is onto (Nakayama)
-    rows = [row for phi in maps for row in _constant_rows(ring, phi)]
-    rank = len(_echelon(rows, ring.field))
-    if rank < B.n_gens():
+    # maps' ones: if their images span less than B/mB, or a nonzero vector
+    # is in the kernel of all of them, none is bijective mod m (Nakayama)
+    f, q = ring.field, B.n_gens()
+    rows = [_constant_rows(ring, phi) for phi in maps]
+    rank = len(_echelon([col for r in rows for col in r], f))
+    if rank < q:
         return IsoVerdict(
             "not_isomorphic",
             f"no degree-zero map is onto: the constant parts of Hom_0 have "
-            f"rank {rank} < {B.n_gens()} generators",
+            f"rank {rank} < {q} generators",
         )
-    rng = random.Random((seed, A.content_key(), B.content_key()).__repr__())
-    candidates = list(maps)
-    for _ in range(budgets.iso_search_tries):
-        combo = _combine(ring, maps, [rng.randint(-2, 2) for _ in maps])
-        if any(combo):
-            candidates.append(combo)
-    for phi_cols in candidates:
-        if not _is_surjective(ring, phi_cols, B):
-            continue
-        # surjective + equal Hilbert series = isomorphism; build the inverse
-        psi_cols = []
-        one = ring.poly_ring.one()
-        ok = True
-        for i in range(B.n_gens()):
-            lifted = lift_over_columns(
-                ring, {i: one}, phi_cols, B.gen_twists, extra=list(B.columns)
-            )
-            if lifted is None:
-                ok = False
+    stacked = [{j: col[i] for j, col in enumerate(r) if i in col}
+               for r in rows for i in range(q)]
+    kernel = A.n_gens() - len(_echelon(stacked, f))
+    if kernel:
+        return IsoVerdict(
+            "not_isomorphic",
+            f"every degree-zero map is singular mod m: the constant parts "
+            f"of Hom_0 share a kernel of dimension {kernel}",
+        )
+    phi_cols = next((phi for phi, r in zip(maps, rows)
+                     if len(_echelon(r, f)) == q), None)
+    if phi_cols is None:
+        rng = random.Random(repr((A.content_key(), B.content_key())))
+        for _ in range(SEARCH_TRIES):
+            coeffs = [rng.randint(-2, 2) for _ in maps]
+            if len(_echelon(_combined_rows(f, rows, coeffs), f)) == q:
+                phi_cols = _combine(ring, maps, coeffs)
                 break
-            psi_cols.append(lifted)
-        if not ok:
-            raise ConsistencyError("surjective map with unliftable generator")
-        if not _is_identity_mod(ring, _compose(ring, psi_cols, phi_cols), A):
-            raise ConsistencyError("left inverse failed identity check")
-        if not _is_identity_mod(ring, _compose(ring, phi_cols, psi_cols), B):
-            raise ConsistencyError("right inverse failed identity check")
-        return IsoVerdict("isomorphic", "surjective degree-zero map with inverse",
-                          tuple(phi_cols), tuple(psi_cols))
-    return IsoVerdict(
-        "unknown",
-        f"no surjection among {len(candidates)} candidates "
-        f"(search budget {budgets.iso_search_tries})",
-    )
+        else:
+            return IsoVerdict("unknown", f"no surjection among "
+                              f"{len(maps) + SEARCH_TRIES} candidates")
+    # surjective + equal Hilbert series = isomorphism; build the inverse
+    one = ring.poly_ring.one()
+    psi_cols = [lift_over_columns(ring, {i: one}, phi_cols, B.gen_twists,
+                                  extra=list(B.columns))
+                for i in range(q)]
+    if None in psi_cols:
+        raise ConsistencyError("surjective map with unliftable generator")
+    if not _is_identity_mod(ring, _compose(ring, psi_cols, phi_cols), A):
+        raise ConsistencyError("left inverse failed identity check")
+    if not _is_identity_mod(ring, _compose(ring, phi_cols, psi_cols), B):
+        raise ConsistencyError("right inverse failed identity check")
+    return IsoVerdict("isomorphic", "surjective degree-zero map with inverse",
+                      tuple(phi_cols), tuple(psi_cols))

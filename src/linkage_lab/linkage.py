@@ -9,9 +9,9 @@ through the evaluation map into the bidual cover, and a direct
 isomorphism test against the double linkage image.  Disagreement among
 exact criteria is recorded on the report rather than raised, so the
 theorem harness can surface it as a refutation.  A report is frozen and
-memoized (op "horizontally-linked", keyed by the minimal presentation,
-the budgets and the seed), so every check that assumes M is linked
-reads one report.
+memoized (op "horizontally-linked", keyed by the minimal presentation
+and the budgets), so every check that assumes M is linked reads one
+report.
 """
 
 from __future__ import annotations
@@ -85,23 +85,22 @@ class LinkageReport:
         return "; ".join(bits)
 
 
-def is_horizontally_linked(M: ModulePresentation, *, budgets=None,
-                           seed=0) -> LinkageReport:
-    """The report for minimalize(M), memoized under its budgets and seed."""
+def is_horizontally_linked(M: ModulePresentation, *,
+                           budgets=None) -> LinkageReport:
+    """The report for minimalize(M), memoized under its budgets."""
     budgets = budgets or DEFAULT_BUDGETS
     return memo.cached("horizontally-linked", _horizontally_linked,
-                       minimalize(M), budgets, seed)
+                       minimalize(M), budgets)
 
 
-def _horizontally_linked(A: ModulePresentation, budgets,
-                         seed) -> LinkageReport:
+def _horizontally_linked(A: ModulePresentation, budgets) -> LinkageReport:
     stable, free_rank = is_stable(A)
     ext1_vanishes = ext_vanishes(transpose(A), free_module(A.ring, [0]), 1,
                                  budgets=budgets)
     linked = stable and ext1_vanishes
     syz = is_syzygy_module(A, budgets=budgets)
     lam2 = lambda_module(lambda_module(A, budgets=budgets), budgets=budgets)
-    double_link = is_isomorphic(A, lam2, budgets=budgets, seed=seed)
+    double_link = is_isomorphic(A, lam2, budgets=budgets)
     disagreements = []
     if (stable and syz) != linked:
         disagreements.append(
@@ -117,12 +116,12 @@ def link(M: ModulePresentation, *, budgets=None) -> ModulePresentation:
     return lambda_module(M, budgets=budgets)
 
 
-def is_self_linked(M: ModulePresentation, *, twist: int = 0, budgets=None,
-                   seed=0) -> IsoVerdict:
+def is_self_linked(M: ModulePresentation, *, twist: int = 0,
+                   budgets=None) -> IsoVerdict:
     """Compare the linkage image with M(twist); 0 means degree-for-degree."""
     return is_isomorphic(twist_module(minimalize(M), twist),
                          lambda_module(M, budgets=budgets),
-                         budgets=budgets, seed=seed)
+                         budgets=budgets)
 
 
 @dataclass
@@ -144,7 +143,7 @@ class IdealLinkageReport:
 
 
 def linked_by_ideal(M: ModulePresentation, N: ModulePresentation, ideal_gens,
-                    *, budgets=None, seed=0) -> IdealLinkageReport:
+                    *, budgets=None) -> IdealLinkageReport:
     """Linkage of M and N by an ideal inside both annihilators.
 
     The ideal must annihilate both modules (checked exactly; a failing
@@ -169,9 +168,9 @@ def linked_by_ideal(M: ModulePresentation, N: ModulePresentation, ideal_gens,
     Mc = minimalize(change_ring(minimalize(M), Rc))
     Nc = minimalize(change_ring(minimalize(N), Rc))
     forward = is_isomorphic(Nc, lambda_module(Mc, budgets=budgets),
-                            budgets=budgets, seed=seed)
+                            budgets=budgets)
     backward = is_isomorphic(Mc, lambda_module(Nc, budgets=budgets),
-                             budgets=budgets, seed=seed)
+                             budgets=budgets)
     if forward.is_isomorphic() and backward.is_isomorphic():
         verdict = "linked"
     elif forward.kind == "not_isomorphic" or backward.kind == "not_isomorphic":

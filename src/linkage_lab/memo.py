@@ -13,7 +13,8 @@ frozen dataclasses, a list of columns as a tuple of per-column (row,
 entry) items in the column's own order, ints, strings, bools, and
 tuples of these.  No key prints a presentation: its content key is
 derived only where a name must be the same in every process (the
-resolution store's file names and the isomorphism search's seed).
+resolution store's file names and the isomorphism search's random
+combinations).
 
 `homops.set_fault` empties the table whenever it is called, since the
 test-only faults change what transpose computes and no key names them.

@@ -71,7 +71,8 @@ class ModulePresentation:
 
     def content_key(self) -> str:
         """A name for the presentation that is the same in every process
-        (it names store entries and seeds the isomorphism search)."""
+        (it names store entries and draws the isomorphism search's
+        random combinations)."""
         if self._key is None:
             self._key = memo.content_hash(self.serialize())
         return self._key

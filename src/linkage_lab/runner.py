@@ -85,21 +85,18 @@ class ScriptError(Exception):
 class RunConfig:
     bound: int | None = None
     probe_primes: tuple = ()  # extra probe primes, tuples of generators
-    seed: int = 0
     fail_fast: bool = False
     strict: bool = False
 
     def harness(self):
         from .theorems import HarnessConfig
 
-        return HarnessConfig(bound=self.bound, seed=self.seed,
-                             extra_probes=self.probe_primes)
+        return HarnessConfig(bound=self.bound, extra_probes=self.probe_primes)
 
     def to_dict(self) -> dict:
         return {
             "bound": self.bound if self.bound is not None else "default",
             "probe_primes": [list(p) for p in self.probe_primes],
-            "seed": self.seed,
             "fail_fast": self.fail_fast,
             "strict": self.strict,
         }
@@ -256,7 +253,7 @@ class _Runner:
         if f == "is_horizontally_linked":
             from .linkage import is_horizontally_linked
 
-            rep = is_horizontally_linked(self._module(a[0]), seed=cfg.seed)
+            rep = is_horizontally_linked(self._module(a[0]))
             return rep.linked, rep.describe()
         if f == "is_stable":
             from .linkage import is_stable
@@ -266,8 +263,7 @@ class _Runner:
         if f == "iso":
             from .isomorphism import is_isomorphic
 
-            v = is_isomorphic(self._module(a[0]), self._module(a[1]),
-                              seed=cfg.seed)
+            v = is_isomorphic(self._module(a[0]), self._module(a[1]))
             detail = v.kind
             if v.certificate:
                 detail += f": {v.certificate}"

@@ -131,7 +131,6 @@ class TheoremId(str, enum.Enum):
 class HarnessConfig:
     bound: int | None = None  # None: each ring's default_bound
     budgets: Budgets = DEFAULT_BUDGETS
-    seed: int = 0
     extra_probes: tuple = ()  # extra probe primes, each a tuple of gens
 
     def __post_init__(self):
@@ -328,7 +327,7 @@ def _sd_hyp(C, cfg) -> HypothesisStatus:
 
 
 def _linked_hyp(M, cfg) -> HypothesisStatus:
-    report = is_horizontally_linked(M, budgets=cfg.budgets, seed=cfg.seed)
+    report = is_horizontally_linked(M, budgets=cfg.budgets)
     return _hyp("M is horizontally linked", report.linked, report.describe())
 
 
@@ -507,7 +506,7 @@ def _matches_canonical_ideal(ring, gens, cfg):
         return False, "the ideal is zero"
     a = min(omega.gen_twists) - min(O.gen_twists)
     v = is_isomorphic(O, twist_module(omega, a),
-                      budgets=cfg.budgets, seed=cfg.seed)
+                      budgets=cfg.budgets)
     if v.is_isomorphic():
         return True, f"ideal = canonical module twisted by {a}"
     return False, f"not isomorphic to the canonical module: {v.certificate}"
@@ -565,7 +564,7 @@ def _ng_probes(M, probes):
 
 def _check_thm_ms(cfg, M):
     yield []  # no hypotheses: one empty stage
-    r = is_horizontally_linked(M, budgets=cfg.budgets, seed=cfg.seed)
+    r = is_horizontally_linked(M, budgets=cfg.budgets)
     iso = r.double_link
     return _equivalence_claims([
         Side("M = lambda^2 M (horizontally linked)",
@@ -708,7 +707,7 @@ def _check_cor_cor7(cfg, M, C, n):
     ]
     budgets = cfg.budgets
     side_i = _serre_side("M", M, n, cfg.probes_for(M.ring))
-    report = is_horizontally_linked(M, budgets=budgets, seed=cfg.seed)
+    report = is_horizontally_linked(M, budgets=budgets)
     lam = lambda_module(M, budgets=budgets)
     if n >= 2:
         e_ok, e_wit, _ = _ext_window_vanishes(lam, C, 1, n - 1, cfg)
@@ -800,7 +799,7 @@ def _check_cor_theorem3(cfg, ring, I, omega_ideal, J=None):
                            "the linkage image or the candidate R/J is zero")]
     shift = min(RJ.gen_twists) - min(lam.gen_twists)
     link_iso = is_isomorphic(lam, twist_module(RJ, shift),
-                             budgets=budgets, seed=cfg.seed)
+                             budgets=budgets)
     hyps.append(_linked_hyp(RI, cfg))
     hyps.append(_hyp("the linkage image of R/I is R/J",
                      link_iso.is_isomorphic()
@@ -848,7 +847,7 @@ def _check_thm_prop_even(cfg, M, C, n, ideal, ideal2):
             continue
         Rq = R.quotient_by(gens)
         Mq = minimalize(change_ring(M, Rq))
-        rep = is_horizontally_linked(Mq, budgets=budgets, seed=cfg.seed)
+        rep = is_horizontally_linked(Mq, budgets=budgets)
         hyps.append(_hyp(f"M is linked by the {label} ideal", rep.linked,
                          rep.describe()))
         links.append(lambda_module(Mq, budgets=budgets))
@@ -877,7 +876,7 @@ def _check_thm_th1(cfg, M, C, n):
     lam, ausl = _lambda_auslander(M, C, cfg)
     yield hyps + [gh, ausl]
     probes = cfg.probes_for(ring)
-    report = is_horizontally_linked(M, budgets=cfg.budgets, seed=cfg.seed)
+    report = is_horizontally_linked(M, budgets=cfg.budgets)
     side_a = _serre_side("M", M, n, probes)
     rgr_ok, rgr_wit, _ = _ext_window_vanishes(lam, _ring_unit(ring), 1,
                                               n - 1, cfg)
@@ -907,7 +906,7 @@ def _check_cor_cor5(cfg, M, C):
     yield hyps + [gh, ausl]
     d = ring_dim(ring)
     probes = cfg.probes_for(ring)
-    report = is_horizontally_linked(M, budgets=cfg.budgets, seed=cfg.seed)
+    report = is_horizontally_linked(M, budgets=cfg.budgets)
     dep_m = depth(M)
     side_i = _side_bool("M is maximal Cohen-Macaulay", is_mcm(M),
                         f"depth {dep_m} vs dim {d}")
@@ -939,7 +938,7 @@ def _check_cor_cor6(cfg, M, C, ideal):
     yield hyps + [_hyp("the ideal annihilates M", inside)]
     Rq = R.quotient_by(gens)
     Mq = minimalize(change_ring(M, Rq))
-    rep = is_horizontally_linked(Mq, budgets=budgets, seed=cfg.seed)
+    rep = is_horizontally_linked(Mq, budgets=budgets)
     linked_h = _hyp("M is linked by the ideal", rep.linked, rep.describe())
     K = induced_semidualizing(R, gens, C, bound=bound, budgets=budgets)
     lamq = lambda_module(Mq, budgets=budgets)
@@ -996,8 +995,7 @@ def _check_thm_th2(cfg, M, C):
 
 def _check_cor_self(cfg, M, C, self_twist=0):
     ring = M.ring
-    self_iso = is_self_linked(M, twist=self_twist, budgets=cfg.budgets,
-                              seed=cfg.seed)
+    self_iso = is_self_linked(M, twist=self_twist, budgets=cfg.budgets)
     hyps = [_hyp("M is horizontally self-linked",
                  self_iso.is_isomorphic() if self_iso.resolved() else False,
                  self_iso.certificate)]
@@ -1229,7 +1227,7 @@ def _check_remark3_i(cfg, M, C):
     # search would only run if the constructions ever drifted apart.
     lhs = tensor(transpose(M), C)
     rhs = transpose_wrt(M, C)
-    v = is_isomorphic(lhs, rhs, budgets=cfg.budgets, seed=cfg.seed)
+    v = is_isomorphic(lhs, rhs, budgets=cfg.budgets)
     if not v.resolved():
         return [Claim("Tr M (x) C = Tr_C M", "open", v.certificate)]
     return [Claim("Tr M (x) C = Tr_C M",

@@ -80,7 +80,7 @@ def test_criterion_01_koszul_oracle():
         assert betti(k, n + 1) == {}
         E = ext(k, free_module(S, [0]), n)
         verdict = is_isomorphic(E, twist_module(k, n))
-        assert verdict.is_isomorphic() and verdict.witness() is not None
+        assert verdict.is_isomorphic() and verdict.forward and verdict.backward
     wall = time.perf_counter() - t0
     _emit(1, wall < 10.0,
           f"Koszul Betti rows and top Ext match for n<=4 in {wall:.2f}s")
@@ -119,7 +119,7 @@ def test_criterion_03_classical_linked_pair():
     bwd = is_isomorphic(lambda_module(Ry), Rx)
     wall = time.perf_counter() - t0
     ok = (fwd.is_isomorphic() and bwd.is_isomorphic()
-          and fwd.witness() is not None and bwd.witness() is not None)
+          and all((fwd.forward, fwd.backward, bwd.forward, bwd.backward)))
     _emit(3, ok and wall < 1.0,
           f"lambda swaps R/(x) and R/(y) with witnesses in {wall:.3f}s")
 

@@ -5,10 +5,11 @@ module-level function or class method that nothing references.
 Standard library only (`ast`).  A parameter counts as used when its name is
 read anywhere in the function, nested functions included; an import counts
 as used when its bound name appears anywhere in the module or in __all__.
-A function or method counts as used when its name appears as a name, an
-attribute or an imported name anywhere in src/, demos/ or perfbench/, or
-in an __all__ list; dunder methods are called implicitly and always count
-as used.  A reference from tests/ does not count: the library keeps no
+A function or method counts as used when its name appears as a name or
+an imported name anywhere in src/, demos/ or perfbench/, or in an
+__all__ list, or as an attribute: a method as any attribute, a
+module-level function of m.py only as m.<name>.  Dunder methods are
+called implicitly and always count as used.  A reference from tests/ does not count: the library keeps no
 API for its tests alone, except the documented fault hook in TEST_HOOKS.
 """
 
@@ -71,35 +72,47 @@ def unused_imports() -> list:
     return out
 
 
-def _referenced_names() -> set:
-    """Every name, attribute, imported name and __all__ entry in the tree."""
-    out = set()
+def _referencing_trees():
     for top in REFERENCING:
         for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
             for f in files:
-                if not f.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, f)
-                with open(path, encoding="utf-8") as fh:
-                    tree = ast.parse(fh.read(), filename=path)
-                for n in ast.walk(tree):
-                    if isinstance(n, ast.Name):
-                        out.add(n.id)
-                    elif isinstance(n, ast.Attribute):
-                        out.add(n.attr)
-                    elif isinstance(n, ast.alias):
-                        out.add(n.name.rsplit(".", 1)[-1])
-                    elif isinstance(n, ast.Assign) and any(
-                            isinstance(t, ast.Name) and t.id == "__all__"
-                            for t in n.targets):
-                        out.update(e.value for e in n.value.elts)
-    return out
+                if f.endswith(".py"):
+                    path = os.path.join(dirpath, f)
+                    with open(path, encoding="utf-8") as fh:
+                        yield ast.parse(fh.read(), filename=path)
 
 
-def unused_functions() -> list:
-    referenced = _referenced_names()
+def _references(trees) -> tuple:
+    """(names, attributes): every name, imported name and __all__ entry,
+    and every attribute as a (base, attr) pair, base the name it is read
+    from (None when that is not a plain name)."""
+    names, attrs = set(), set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                base = n.value.id if isinstance(n.value, ast.Name) else None
+                attrs.add((base, n.attr))
+            elif isinstance(n, ast.alias):
+                names.add(n.name.rsplit(".", 1)[-1])
+            elif isinstance(n, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in n.targets):
+                names.update(e.value for e in n.value.elts)
+    return names, attrs
+
+
+def dead_functions(modules, trees) -> list:
+    """The functions and methods of modules [(file name, tree)] that no
+    tree references.  A module-level function f of m.py counts as
+    referenced through an attribute only as m.f, so a method or field of
+    the same name does not hide it; a method, through any attribute."""
+    names, attrs = _references(trees)
+    attr_names = {a for _, a in attrs}
     out = []
-    for name, tree in _modules():
+    for name, tree in modules:
+        module = name[:-len(".py")]
         defs = []
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
@@ -109,9 +122,15 @@ def unused_functions() -> list:
         out += [f"{name}:{fn.lineno} {owner}{fn.name}" for owner, fn in defs
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not (fn.name.startswith("__") and fn.name.endswith("__"))
-                and fn.name not in referenced
+                and fn.name not in names
+                and not (fn.name in attr_names if owner
+                         else (module, fn.name) in attrs)
                 and f"{name}:{owner}{fn.name}" not in TEST_HOOKS]
     return out
+
+
+def unused_functions() -> list:
+    return dead_functions(_modules(), _referencing_trees())
 
 
 def test_no_unused_parameters():
@@ -124,3 +143,14 @@ def test_no_unused_imports():
 
 def test_no_unused_functions():
     assert unused_functions() == []
+
+
+def test_a_same_named_method_does_not_hide_a_dead_function():
+    lib = ast.parse("def f():\n    pass\n\n\nclass C:\n"
+                    "    def f(self):\n        pass\n")
+    modules = [("m.py", lib)]
+    assert dead_functions(modules, [ast.parse("C().f()")]) == ["m.py:1 f"]
+    assert dead_functions(modules, [ast.parse("x.f()")]) == ["m.py:1 f"]
+    assert dead_functions(modules, [ast.parse("m.f()\nC().f()")]) == []
+    assert dead_functions(modules, [ast.parse("from m import f\n"
+                                              "C().f()")]) == []

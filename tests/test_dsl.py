@@ -328,6 +328,16 @@ def test_cli_bound_below_one_exit_two(bound, tmp_path, capsys):
     assert f"--bound: {bound} is below 1" in capsys.readouterr().err
 
 
+def test_cli_has_no_seed_flag(tmp_path, capsys):
+    """No flag affects an isomorphism verdict: --seed is a usage error."""
+    script = tmp_path / "ok.link"
+    script.write_text(ONE_MODULE, encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--seed", "1", str(script)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_a_module_over_budget_is_a_check_report(tmp_path, capsys):
     """Minimalizing M itself runs out of budget: the check still reports,
     Inapplicable-by-budget, and the run exits 3."""

@@ -33,7 +33,6 @@ from linkage_lab.invariants import (
     in_auslander_class,
     is_canonical_module,
     is_cm,
-    is_finite_length,
     is_mcm,
     is_semidualizing,
     krull_dim,
@@ -98,8 +97,8 @@ def test_local_cohomology_window_matches_depth_and_dim():
 
 def test_finite_length_detection():
     k = cyclic_module(T, ["x", "y", "z"])
-    assert is_finite_length(k)
-    assert not is_finite_length(free_module(T, [0]))
+    assert k.hilbert_series().is_finite_length()
+    assert not free_module(T, [0]).hilbert_series().is_finite_length()
 
 
 def test_cm_and_mcm():

@@ -1,10 +1,11 @@
 """Surjectivity of degree-zero maps by graded Nakayama, and the
 identity certificate for identical minimal presentations.
 
-`isomorphism._is_surjective` decides whether a degree-zero map onto a
-minimal presentation B is onto from the rank of its constant entries.
-The Groebner membership test it replaced is kept here as the oracle:
-the map is onto iff every generator of B lies in the span of the image
+The search decides whether a degree-zero map onto a minimal
+presentation B is onto from the rank of its constant entries, and reads
+a combination's constant entries from the spanning maps' own.  The
+Groebner membership test it replaced is kept here as the oracle: the
+map is onto iff every generator of B lies in the span of the image
 columns and B's relations.
 
 Two presentations of one module with equal minimal presentations are
@@ -17,6 +18,7 @@ of the full Hom(A, B).
 
 import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,10 +29,11 @@ from linkage_lab.fields import GF, QQ
 from linkage_lab.homops import evaluation_map, hom_module
 from linkage_lab.isomorphism import (
     _combine,
+    _combined_rows,
     _compose,
+    _constant_rows,
     _echelon,
     _is_identity_mod,
-    _is_surjective,
     degree_zero_maps,
     is_isomorphic,
 )
@@ -74,6 +77,13 @@ def _hom_spaces():
                 if maps:
                     out.append((A, B, maps))
     return out
+
+
+def _is_onto(ring, phi_cols, B) -> bool:
+    """The search's test: the constant entries of phi_cols have rank
+    B.n_gens()."""
+    rows = _constant_rows(ring, phi_cols)
+    return len(_echelon(rows, ring.field)) == B.n_gens()
 
 
 def _rank_mod_relations(B, maps):
@@ -143,7 +153,10 @@ def test_nakayama_agrees_with_groebner_membership(data):
                                 max_size=len(maps)))
     ring = A.ring
     phi = _combine(ring, maps, coeffs)
-    assert _is_surjective(ring, phi, B) == _groebner_surjective(ring, phi, B)
+    assert _is_onto(ring, phi, B) == _groebner_surjective(ring, phi, B)
+    rows = [_constant_rows(ring, m) for m in maps]
+    assert (_combined_rows(ring.field, rows, coeffs)
+            == _constant_rows(ring, phi))
 
 
 def test_spanning_maps_cover_both_outcomes_without_a_groebner_basis(
@@ -162,7 +175,7 @@ def test_spanning_maps_cover_both_outcomes_without_a_groebner_basis(
 
     monkeypatch.setattr(modules, "ModuleGB", no_kernel)
     for ring, phi, B, want in maps:
-        assert _is_surjective(ring, phi, B) == want
+        assert _is_onto(ring, phi, B) == want
 
 
 def _padded(M):
@@ -230,20 +243,26 @@ def test_generators_in_another_order_get_a_degree_zero_witness():
     assert _is_identity_mod(H, _compose(H, v.backward, v.forward), A)
 
 
-def test_constant_parts_of_low_rank_prove_modules_apart(monkeypatch):
+@pytest.fixture
+def ranks(monkeypatch):
+    """The row lists the isomorphism test ranks, in order."""
+    calls = []
+
+    def counting(rows, f):
+        calls.append(rows)
+        return _echelon(rows, f)
+
+    monkeypatch.setattr(isomorphism, "_echelon", counting)
+    return calls
+
+
+def test_constant_parts_of_low_rank_prove_modules_apart(ranks):
     """R/(x) + R/(y)(-1) against R/(x)(-1) + R/(y) over H = QQ[x,y]/(xy):
     equal degree multisets and Hilbert series, but every degree-zero map
     sends the degree-0 generator R/(x) -> R/(y) to zero and the other
     one into the maximal ideal, so its constant part has rank < 2 and no
-    map is onto (graded Nakayama): an exact not_isomorphic, decided
-    before any candidate map is tried."""
-    tried = []
-
-    def counting(ring, phi_cols, B):
-        tried.append(phi_cols)
-        return _is_surjective(ring, phi_cols, B)
-
-    monkeypatch.setattr(isomorphism, "_is_surjective", counting)
+    map is onto (graded Nakayama): an exact not_isomorphic, decided by
+    the first rank, before any candidate map is tried."""
     kx, ky = cyclic_module(H, ["x"]), cyclic_module(H, ["y"])
     A = direct_sum(kx, twist_module(ky, -1))
     B = direct_sum(twist_module(kx, -1), ky)
@@ -252,8 +271,31 @@ def test_constant_parts_of_low_rank_prove_modules_apart(monkeypatch):
     assert v.kind == "not_isomorphic"
     assert v.certificate == ("no degree-zero map is onto: the constant parts "
                              "of Hom_0 have rank 0 < 2 generators")
-    assert tried == []
+    assert len(ranks) == 1
     # a pair that does reach the search still tries its candidates
     C = minimalize(direct_sum(free_module(H, [0, 1]), kx))
     D = minimalize(direct_sum(free_module(H, [1, 0]), kx))
-    assert is_isomorphic(C, D).is_isomorphic() and tried
+    assert is_isomorphic(C, D).is_isomorphic() and len(ranks) > 3
+
+
+def test_constant_parts_with_a_common_kernel_prove_modules_apart(ranks):
+    """S/(y) + S/(x) against S/(y) + S/(y) over S = QQ[x,y]: equal degree
+    multisets and Hilbert series, and Hom_0 is spanned by "a1 -> b1,
+    a2 -> 0" and "a1 -> b2, a2 -> 0", whose images span B/mB.  But both
+    kill a2, so every degree-zero map is singular mod m: an exact
+    not_isomorphic that names the kernel's dimension, decided by the
+    second rank, before any candidate map is tried."""
+    S = make_ring(QQ, ["x", "y"])
+    ky, kx = cyclic_module(S, ["y"]), cyclic_module(S, ["x"])
+    A, B = minimalize(direct_sum(ky, kx)), minimalize(direct_sum(ky, ky))
+    assert A.hilbert_series() == B.hilbert_series()
+    one = S.field.one()
+    maps = degree_zero_maps(A, B, DEFAULT_BUDGETS)
+    assert [_constant_rows(S, phi) for phi in maps] == [[{0: one}, {}],
+                                                        [{1: one}, {}]]
+    v = is_isomorphic(A, B)
+    assert v.kind == "not_isomorphic"
+    assert v.certificate == ("every degree-zero map is singular mod m: the "
+                             "constant parts of Hom_0 share a kernel of "
+                             "dimension 1")
+    assert len(ranks) == 2

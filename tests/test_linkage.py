@@ -103,19 +103,19 @@ def test_linkage_reports_are_deterministic():
     assert a.describe() == b.describe()
 
 
-def test_linkage_report_is_one_memo_entry_per_budgets_and_seed():
+def test_linkage_report_is_one_memo_entry_per_module_and_budgets():
     M = cyclic_module(H, ["x"])
     rep = is_horizontally_linked(M)
     assert is_horizontally_linked(cyclic_module(H, ["x"])) is rep
     assert is_horizontally_linked(minimalize(M)) is rep
-    tight = dataclasses.replace(DEFAULT_BUDGETS, iso_search_tries=1)
     assert is_horizontally_linked(M, budgets=DEFAULT_BUDGETS) is rep
-    other_budgets = is_horizontally_linked(M, budgets=tight)
-    other_seed = is_horizontally_linked(M, seed=1)
-    assert other_budgets is not rep and other_seed is not rep
-    assert other_budgets == rep and other_seed == rep
     entries = [args for op, args in memo._TABLE if op == "horizontally-linked"]
-    assert len(entries) == 3
+    assert entries == [(minimalize(M), DEFAULT_BUDGETS)]
+    wider = dataclasses.replace(DEFAULT_BUDGETS, max_degree=30)
+    other_budgets = is_horizontally_linked(M, budgets=wider)
+    assert other_budgets is not rep and other_budgets == rep
+    entries = [args for op, args in memo._TABLE if op == "horizontally-linked"]
+    assert len(entries) == 2
 
 
 def test_linkage_report_refuses_assignment():

@@ -94,8 +94,7 @@ def test_hypothesis_failure_gives_inapplicable():
 
 
 def test_budget_exhaustion_is_flagged_not_failed():
-    cfg = HarnessConfig(budgets=Budgets(max_degree=1, max_rank=4,
-                                        iso_search_tries=2))
+    cfg = HarnessConfig(budgets=Budgets(max_degree=1, max_rank=4))
     report = check("THM_MS", {"M": maximal_ideal(T)}, cfg)
     assert report.verdict == "Inapplicable"
     assert "Inapplicable-by-budget" in report.notes
