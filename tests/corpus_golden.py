@@ -7,11 +7,14 @@ battery over the first eight corpus modules of R, for
     T = QQ[x,y,z]/(yz,xz,xy)                  (CM, not Gorenstein)
     N = GF(32003)[x,y,z,w]/(xz,xw,yz,yw)      (not Cohen-Macaulay)
     U = T after y -> x+y, z -> x+y+z          (an ideal with tails)
+    P = GF(32003)[a,b,c,d,e]/(ac,ad,bd,be,ce) (the pentagon: Gorenstein)
+    Q = GF(32003)[a,b,c,d]/(ac,ad,bd)         (the path P_4: CM)
 
 and the `report_json` of each run is stored in tests/golden/corpus_R.json.
 
 What a report says must not depend on the field: the same script over
-the other field (`OTHER_FIELD`: H, T and U over GF(32003), N over QQ)
+the other field (`OTHER_FIELD`: H, T and U over GF(32003), N, P and Q
+over QQ)
 gives the same `field_free` part of every report, its theorem id,
 verdict, module label, and hypothesis names and labels.
 
@@ -22,7 +25,7 @@ stage of their hypotheses, are stored in tests/golden/special_instances.json.
 
     PYTHONPATH=src python tests/corpus_golden.py
 
-rewrites the five files from the library on the path.  Do that only for
+rewrites the seven files from the library on the path.  Do that only for
 an intended change of a verdict or a report; the test in
 tests/test_corpus_golden.py reruns them and byte-compares.
 """
@@ -40,11 +43,13 @@ RINGS = {
     "N": ("GF(32003)", "x, y, z, w", "x*z, x*w, y*z, y*w"),
     "U": ("QQ", "x, y, z",
           "x^2 + x*y, x^2 + x*y + x*z, x^2 + 2*x*y + x*z + y^2 + y*z"),
+    "P": ("GF(32003)", "a, b, c, d, e", "a*c, a*d, b*d, b*e, c*e"),
+    "Q": ("GF(32003)", "a, b, c, d", "a*c, a*d, b*d"),
 }
 
 
 OTHER_FIELD = {"H": "GF(32003)", "T": "GF(32003)", "N": "QQ",
-               "U": "GF(32003)"}
+               "U": "GF(32003)", "P": "QQ", "Q": "QQ"}
 
 
 def script(name: str, size: int = 8, field: str | None = None) -> str:

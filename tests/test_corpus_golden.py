@@ -1,12 +1,13 @@
 """Corpus report gate: the full corpus suites are byte-identical to golden.
 
-`suite [] on corpus(R, 8)` over H, T, N and U (see tests/corpus_golden.py)
-runs through parse -> execute -> report_json and is compared with
-tests/golden/corpus_R.json.  A change that moves any verdict, witness,
-certificate or note of the default battery fails here until the golden
-file is regenerated on purpose.  The same suites over the other field
-(GF(32003) for H, T and U, QQ for N) must agree with the golden on the
-theorem id, verdict, module label and hypotheses of every report.
+`suite [] on corpus(R, 8)` over H, T, N, U, P and Q (see
+tests/corpus_golden.py) runs through parse -> execute -> report_json and
+is compared with tests/golden/corpus_R.json.  A change that moves any
+verdict, witness, certificate or note of the default battery fails here
+until the golden file is regenerated on purpose.  The same suites over
+the other field (GF(32003) for H, T and U, QQ for N, P and Q) must agree
+with the golden on the theorem id, verdict, module label and hypotheses
+of every report.
 """
 
 import pytest
