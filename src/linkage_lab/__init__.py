@@ -29,8 +29,8 @@ _EXPORTS = {
     "invariants": ("canonical_module", "depth", "gc_dim", "grade_module",
                    "in_auslander_class", "is_cm", "is_mcm",
                    "is_semidualizing", "krull_dim",
-                   "local_cohomology_degrees", "probe_primes",
-                   "reduced_grade", "ring_depth", "ring_dim", "ring_is_cm",
+                   "local_cohomology_degrees", "reduced_grade",
+                   "ring_depth", "ring_dim", "ring_is_cm",
                    "ring_is_gorenstein", "serre_tilde"),
     "isomorphism": ("is_isomorphic",),
     "linkage": ("is_horizontally_linked", "is_self_linked", "link",
@@ -75,7 +75,7 @@ __all__ = [
     "universal_pushforward",
     "canonical_module", "depth", "gc_dim", "grade_module",
     "in_auslander_class", "is_cm", "is_mcm", "is_semidualizing", "krull_dim",
-    "local_cohomology_degrees", "probe_primes", "reduced_grade",
+    "local_cohomology_degrees", "reduced_grade",
     "ring_depth", "ring_dim", "ring_is_cm", "ring_is_gorenstein",
     "serre_tilde",
     "is_isomorphic",

@@ -2,8 +2,8 @@
 
 Two subcommands:
 
-    linkage-lab run <file> [--json] [--bound B] [--probe-primes SPEC]
-                           [--cache-dir D] [--fail-fast] [--strict]
+    linkage-lab run <file> [--json] [--bound B] [--cache-dir D]
+                           [--fail-fast] [--strict]
     linkage-lab check <THEOREM_ID> <file> --bind name=value ...
 
 `run` executes a script; `check` parses the script for its declarations
@@ -13,11 +13,8 @@ bracketed ideal lists).  Exit codes: 0 pass or partial, 1 refuted claim
 or failed assertion, 2 parse or usage error (a --bound below 1
 included), 3 budget exhausted, 4 an Inapplicable verdict under --strict.
 
-A probe-prime SPEC is semicolon-separated groups of comma-separated
-homogeneous generators of positive degree, e.g. "x,y;y,z"; each group's
-height is read from the Hilbert series of S/(group), and its primality
-is not checked.  The resolution cache directory comes from
---cache-dir or the LINKAGE_LAB_CACHE environment variable.
+The resolution cache directory comes from --cache-dir or the
+LINKAGE_LAB_CACHE environment variable.
 """
 
 from __future__ import annotations
@@ -37,16 +34,6 @@ from .runner import (
 )
 
 
-def parse_probe_spec(spec: str) -> tuple:
-    """"x,y;y,z" -> (("x", "y"), ("y", "z"))."""
-    groups = []
-    for chunk in spec.split(";"):
-        gens = tuple(g.strip() for g in chunk.split(",") if g.strip())
-        if gens:
-            groups.append(gens)
-    return tuple(groups)
-
-
 def positive_int(text: str) -> int:
     """An argparse type: an integer of at least 1."""
     value = int(text)
@@ -61,8 +48,6 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--bound", type=positive_int, default=None,
                    help="vanishing-scan bound, at least 1 "
                    "(default: ring-derived)")
-    p.add_argument("--probe-primes", default="", metavar="SPEC",
-                   help="extra probe primes, e.g. 'x,y;y,z'")
     p.add_argument("--cache-dir", default=None,
                    help="resolution cache directory")
     p.add_argument("--fail-fast", action="store_true",
@@ -100,7 +85,6 @@ def _read(path: str) -> str:
 def _config(args) -> RunConfig:
     return RunConfig(
         bound=args.bound,
-        probe_primes=parse_probe_spec(args.probe_primes),
         fail_fast=args.fail_fast,
         strict=args.strict,
     )

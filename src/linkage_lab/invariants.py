@@ -54,25 +54,27 @@ raises ConsistencyError:
      dual to H^(n-j)_m(M));
   5. `ambient_ext` presents a group, under the same budgets, only where a
      caller needs the module (the ambient route of `homops.ext`, the
-     annihilators at probe primes, the canonical module), and it must
+     annihilators of a prime locus, the canonical module), and it must
      have exactly the profile's series.
 Checks 1 to 4 are series arithmetic and need no kernel run.  Depth,
 dimension, local cohomology degrees, generalized CM-ness, the CM branch
-of `serre_tilde`, `homops.ext_vanishes` and the support tests at probe
-primes read the profile.  The verdicts of
+of `serre_tilde`, `homops.ext_vanishes` and the height bounds of a
+prime locus read the profile.  The verdicts of
 `is_semidualizing`, `in_auslander_class`, `serre_tilde`, `gc_dim` and
 `is_canonical_module` are memoized too, keyed by the minimal inputs,
-the bound, the budgets and the probe set, so a suite asking the same
-question in several checks computes it once.  A hit hands every caller
-the same object, which is why the verdict classes are frozen.
+the bound and the budgets, so a suite asking the same question in
+several checks computes it once.  A hit hands every caller the same
+object, which is why the verdict classes are frozen.
 
-Local data at primes is sampled on variable-subset primes P, where
-Ext^j_S(M, S) is supported exactly when `annihilates(S/P, g)` holds for
-every generator g of its annihilator.
+Local data at primes is exact: `locus_point` decides whether some prime
+of R meets a condition on the local depths and dimensions of a tuple of
+modules, stratum by stratum, from the annihilators of their ambient Ext
+groups, ideal quotients and Hilbert series.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import memo
@@ -101,6 +103,7 @@ from .modules import (
     annihilator,
     change_ring,
     cokernel_series,
+    column_syzygies,
     cyclic_module,
     free_module,
     minimalize,
@@ -108,6 +111,7 @@ from .modules import (
     span_gb,
     twist_module,
     zero_module,
+    _trimmed,
 )
 from .resolutions import minimal_free_resolution
 from .rings import GradedRing
@@ -429,108 +433,160 @@ def ext_vanishing_top(M: ModulePresentation, C: ModulePresentation):
     return ring_dim(M.ring) - depth(M)
 
 
-# -- probe primes -------------------------------------------------------------
+# -- exact prime loci ---------------------------------------------------------
+#
+# By local duality over the regular local ring S_p, a prime p of S
+# containing I, of height h = ht_S p, gives depth X_p = h - max J and
+# dim X_p = h - min J, where J = {j : p contains ann Ext^j_S(X, S)}
+# (Bruns-Herzog 3.5.11); J is empty exactly off the support of X.
+#
+# A stratum fixes, for each module X of a tuple, (min J, max J) or "off
+# the support".  It is V(A) minus V(B): A is I plus the annihilators of the
+# groups at min J and max J, and B the product of the annihilators at the
+# excluded indices (below min J or above max J, or all of them off the
+# support).  Its primes inside the maximal ideal m have exactly the heights
+# ht(A : B^inf) through n - 1, and n as well when B is empty, when m itself
+# lies in the stratum: every minimal prime q of A : B^inf misses B, so
+# q != m, and the nonempty open set D(B) of Spec S/q holds primes of every
+# height from ht q to n - 1.  A non-graded prime p inside m has the J of
+# the graded prime p* it contains, and ht p = ht p* + 1 <= n - 1, so it
+# adds no new (height, local data) pair (Bruns-Herzog 1.5.8-1.5.9).
 
 
 @dataclass(frozen=True)
-class ProbePrime:
-    label: str
-    gens: tuple  # polynomials over the ambient ring
+class LocusPoint:
+    """A prime p of R inside m: its height in S and each module's depth
+    at p (INFINITY off its support).  `over` generates A : B^inf for the
+    stratum p lies in; it is empty at m."""
+
     height: int
-    trusted: bool = True  # variable-subset primes are exact
+    depths: tuple
+    over: tuple = ()
 
     def __str__(self):
-        return self.label
+        if not self.over:
+            return "the maximal ideal"
+        gens = ", ".join(str(g) for g in self.over)
+        return f"a height-{self.height} prime over ({gens})"
 
 
-def probe_primes(R: GradedRing, extra=()):
-    """Variable-subset primes of S containing the defining ideal, plus extras.
+def locus_point(modules, condition):
+    """A prime of R inside m where condition(h, depths, dims) holds, as a
+    LocusPoint, else None; exact.  h is the height of the prime in S, and
+    depths and dims hold each module's depth and dimension there, in the
+    order of `modules` (INFINITY and -1 off its support).
 
-    For a subset W the ideal (W) is prime in S; it is a probe for R when
-    it contains every defining relation: `annihilates(S/(W), r)` for each
-    reduced relation r.  Extras (see `probe_generators`) are untrusted.
+    m comes first, since its data are the global ones, then m's stratum,
+    the one with B empty.  A stratum whose heights, bounded below by the
+    series of its chosen groups, never meet the condition is skipped
+    before any annihilator is read; the rest are saturated, each
+    saturation once per ideals.
     """
-    return memo.cached("probes", _probe_primes, R, tuple(map(tuple, extra)))
+    R = modules[0].ring
+    n = R.nvars
+    profiles = [_ambient_profile(X) for X in modules]
+    depths = tuple(depth(X) for X in modules)
+    dims = tuple(krull_dim(X) for X in modules)
+    if condition(n, depths, dims):
+        return LocusPoint(n, depths)
+    options = []
+    for _, js in profiles:
+        pairs = [(lo, hi) for lo in js for hi in js if lo <= hi]
+        # (min, max) of all indices first: the first stratum is m's
+        pairs.sort(key=lambda pair: pair != (js[0], js[-1]))
+        options.append(pairs + [None])
+    for stratum in itertools.product(*options):
+        point = _stratum_point(R, modules, profiles, stratum, condition)
+        if point is not None:
+            return point
+    return None
 
 
-def _probe_primes(R: GradedRing, extra) -> tuple:
-    S = R.poly_ring
-    names = S.names
+def _local_data(stratum, h) -> tuple:
+    """(depths, dims) at height h in the stratum."""
+    return (tuple(INFINITY if s is None else h - s[1] for s in stratum),
+            tuple(-1 if s is None else h - s[0] for s in stratum))
+
+
+def _stratum_point(R: GradedRing, modules, profiles, stratum, condition):
+    """The least-height prime of the stratum below m where the condition
+    holds, as a LocusPoint, else None."""
+    n = R.nvars
+    chosen, excluded = [], []
+    for X, (series, js), s in zip(modules, profiles, stratum):
+        for j in js:
+            if s is None or not s[0] <= j <= s[1]:
+                excluded.append((X, j))
+            elif j in s:
+                chosen.append((X, j, series[j]))
+    # V(A) lies in V(I) and in Supp Ext^j_S(X, S) for each chosen (X, j);
+    # height n is m's alone, tested already
+    floor = max([n - ring_dim(R)] + [n - E.dimension() for _, _, E in chosen])
+    heights = [h for h in range(floor, n)
+               if condition(h, *_local_data(stratum, h))]
+    if not heights:
+        return None
+    A = _ring_ideal(R, [g for X, j, _ in chosen for g in _ambient_ann(X, j)])
+    quotient = cyclic_module(R, A)
+    least = n - quotient.hilbert_series().dimension()
+    if heights[-1] < least:
+        return None
+    B = []
+    for X, j in excluded:
+        b = _ring_ideal(R, _ambient_ann(X, j))
+        if all(annihilates(quotient, g) for g in b):
+            return None  # V(A) lies in V(b)
+        if b not in B:
+            B.append(b)
+    over = A
+    if B:
+        over = memo.cached("saturation", _saturation, R, A, tuple(B))
+        least = n - cyclic_module(R, over).hilbert_series().dimension()
+    hit = next((h for h in heights if h >= least), None)
+    if hit is None:
+        return None
+    return LocusPoint(hit, _local_data(stratum, hit)[0], over)
+
+
+def _ambient_ann(X: ModulePresentation, j: int) -> list:
+    """Generators of ann Ext^j_S(X, S) over S."""
+    return annihilator(ambient_ext(X, j))
+
+
+def _ring_ideal(R: GradedRing, gens) -> tuple:
+    """The distinct nonzero normal forms mod I of `gens`, in order."""
     out = []
-    for mask in range(1 << len(names)):
-        subset = [i for i in range(len(names)) if mask >> i & 1]
-        gens = [S.var(i) for i in subset]
-        prime = cyclic_module(R.ambient(), gens)
-        if not all(annihilates(prime, r) for r in R.reduced_relations):
-            continue
-        label = "(" + ",".join(names[i] for i in subset) + ")" if subset else "(0)"
-        out.append(ProbePrime(label, tuple(gens), len(subset)))
-    out.sort(key=lambda p: (p.height, p.label))
-    for g in extra:
-        gens = probe_generators(S, g)
-        label = "(" + ",".join(str(p) for p in gens) + ")"
-        # the height of (gens) in S; primality is not checked
-        quotient = cyclic_module(R.ambient(), list(gens)).hilbert_series()
-        out.append(ProbePrime(label, gens, S.nvars - quotient.dimension(),
-                              trusted=False))
+    for g in gens:
+        g = R.nf(g)
+        if not g.is_zero() and g not in out:
+            out.append(g)
     return tuple(out)
 
 
-def probe_generators(S, group) -> tuple:
-    """One extra probe prime's generators over S.  ValueError names a
-    generator that does not parse over S, is zero, is not homogeneous or
-    has degree 0 (then it generates the unit ideal)."""
-    gens = []
-    for t in group:
-        try:
-            p = S.parse(t) if isinstance(t, str) else t
-        except ValueError as e:
-            raise ValueError(f"probe generator {str(t)!r}: {e}") from None
-        if p.is_zero() or not p.is_homogeneous():
-            raise ValueError(
-                f"probe generator {str(t)!r} is zero or not homogeneous")
-        if p.degree() == 0:
-            raise ValueError(
-                f"probe generator {str(t)!r} is a unit: the ideal is not proper")
-        gens.append(p)
-    return tuple(gens)
+def _saturation(R: GradedRing, A: tuple, B: tuple) -> tuple:
+    """Generators of A : (b_1 ... b_r)^inf in R, for the ideals b_i of B:
+    A : b_1^inf, then that saturated by b_2, and so on.  Each saturation
+    repeats the quotient by b_i until the series of R/(A) stops moving,
+    since a quotient only grows its ideal."""
+    for b in B:
+        series = cyclic_module(R, A).hilbert_series()
+        while series.dimension() >= 0:  # A is proper
+            Q = _ideal_quotient(R, A, b)
+            after = cyclic_module(R, Q).hilbert_series()
+            if after == series:
+                break
+            A, series = Q, after
+    return A
 
 
-def _ann_in_prime(E: ModulePresentation, prime: ProbePrime) -> bool:
-    if minimalize(E).is_zero():
-        return False
-    P = cyclic_module(E.ring.ambient(), prime.gens)
-    return all(annihilates(P, g) for g in annihilator(E))
-
-
-def _supported_indices(M: ModulePresentation, prime: ProbePrime) -> tuple:
-    """The j with Ext^j_S(M, S) supported at the prime, ascending."""
-    return memo.cached("supported", _supported, M, prime)
-
-
-def _supported(M: ModulePresentation, prime: ProbePrime) -> tuple:
-    _, js = _ambient_profile(M)
-    return tuple(j for j in js if _ann_in_prime(ambient_ext(M, j), prime))
-
-
-def depth_at_prime(M: ModulePresentation, prime: ProbePrime):
-    """Depth of M localized at the prime; INFINITY outside the support."""
-    js = _supported_indices(M, prime)
-    if not js:
-        return INFINITY
-    return prime.height - max(js)
-
-
-def dim_at_prime(M: ModulePresentation, prime: ProbePrime):
-    """Dimension of M localized at the prime; -1 outside the support."""
-    js = _supported_indices(M, prime)
-    if not js:
-        return -1
-    return prime.height - min(js)
-
-
-def ring_depth_at_prime(R: GradedRing, prime: ProbePrime):
-    return depth_at_prime(_ring_unit(R), prime)
+def _ideal_quotient(R: GradedRing, A: tuple, b: tuple) -> tuple:
+    """Generators of A : b in R: the h with h * (f_1, ..., f_r) in A^r,
+    syzygies of one column modulo A in every row (the route of
+    `modules._annihilator`), trimmed to a minimal generating set."""
+    col = {t: f for t, f in enumerate(b)}
+    extra = [{t: a} for t in range(len(b)) for a in A]
+    syz = column_syzygies(R, [col], [-f.degree() for f in b], extra=extra)
+    return _ring_ideal(R, _trimmed(R.poly_ring, [s[0] for s in syz]))
 
 
 # -- bounded verdicts ---------------------------------------------------------
@@ -538,13 +594,13 @@ def ring_depth_at_prime(R: GradedRing, prime: ProbePrime):
 
 @dataclass(frozen=True)
 class BoundedVerdict:
-    kind: str  # "true" | "false" | "bounded" | "probe" | "unknown"
+    kind: str  # "true" | "false" | "bounded" | "unknown"
     witness: str = ""
     bound: int | None = None
     note: str = ""
 
     def holds(self) -> bool:
-        return self.kind in ("true", "bounded", "probe")
+        return self.kind in ("true", "bounded")
 
     def exact(self) -> bool:
         return self.kind in ("true", "false")
@@ -556,8 +612,6 @@ class BoundedVerdict:
             return "Failed"
         if self.kind == "bounded":
             return f"BoundedTrue({self.bound})"
-        if self.kind == "probe":
-            return f"ProbeVerified({self.note or 'variable-subset primes'})"
         return "Unknown"
 
     def describe(self) -> str:
@@ -571,28 +625,28 @@ class BoundedVerdict:
         return ", ".join(bits)
 
 
-def serre_tilde(M: ModulePresentation, k: int, *, probes=None) -> BoundedVerdict:
+def serre_tilde(M: ModulePresentation, k: int) -> BoundedVerdict:
     """The depth condition depth M_p >= min(k, depth R_p) at every prime.
 
-    Over a CM base ring this is decided exactly by dimension bounds on
-    the ambient Ext modules; otherwise it is sampled on probe primes.
+    Exact.  Over a CM base ring it is read from dimension bounds on the
+    ambient Ext modules alone; otherwise `locus_point` looks for a prime
+    that violates it.
     """
     if k < 1:
         raise ValueError("the Serre-type condition needs k >= 1")
-    R = M.ring
     A = minimalize(M)
     if A.is_zero():
         return BoundedVerdict("true", note="zero module")
-    cm = ring_is_cm(R)
-    if not cm and probes is None:
-        probes = probe_primes(R)
-    if cm:
+    if ring_is_cm(M.ring):
         return memo.cached("serre-tilde", _serre_tilde_cm, A, k)
-    return memo.cached("serre-tilde", _serre_tilde_probes, A, k,
-                       tuple(probes))
+    return memo.cached("serre-tilde", _serre_tilde_locus, A, k)
 
 
 def _serre_tilde_cm(M: ModulePresentation, k: int) -> BoundedVerdict:
+    """S~_k over a CM ring of codimension c, where depth R_p = ht p - c:
+    it fails exactly when some j > c in the profile has a group of
+    dimension above n - j - k (then a minimal prime of its support
+    violates it)."""
     R = M.ring
     n = R.nvars
     c = ring_codim(R)
@@ -609,13 +663,15 @@ def _serre_tilde_cm(M: ModulePresentation, k: int) -> BoundedVerdict:
     return BoundedVerdict("true")
 
 
-def _serre_tilde_probes(M: ModulePresentation, k: int, probes) -> BoundedVerdict:
-    R = M.ring
-    for p in probes:
-        need = min(k, ring_depth_at_prime(R, p))
-        if depth_at_prime(M, p) < need:
-            return BoundedVerdict("false", witness=f"prime {p.label}")
-    return BoundedVerdict("probe", note=f"{len(probes)} probe primes")
+def _serre_tilde_locus(M: ModulePresentation, k: int) -> BoundedVerdict:
+    point = locus_point((M, _ring_unit(M.ring)),
+                        lambda h, d, _: d[0] < min(k, d[1]))
+    if point is None:
+        return BoundedVerdict("true")
+    dm, dr = point.depths
+    return BoundedVerdict(
+        "false", witness=f"depth M_p = {dm} < min({k}, depth R_p = {dr}) "
+        f"at {point}")
 
 
 # -- grade and reduced grade --------------------------------------------------

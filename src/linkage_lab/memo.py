@@ -8,10 +8,10 @@ construction (the dead-name test sees a key part that is never read),
 and a hit is indistinguishable from recomputation.  Keys are hashable
 and compare by structure, so a hit costs one dict lookup: presentations
 by ring, twists and entries (their hash computed once and kept), rings
-by `key()`, polynomials by ring and terms, `Budgets` and `ProbePrime` as
-frozen dataclasses, a list of columns as a tuple of per-column (row,
-entry) items in the column's own order, ints, strings, bools, and
-tuples of these.  No key prints a presentation: its content key is
+by `key()`, polynomials by ring and terms, `Budgets` as a frozen
+dataclass, a list of columns as a tuple of per-column (row, entry)
+items in the column's own order, ints, strings, bools, and tuples of
+these (an ideal as a tuple of its generators).  No key prints a presentation: its content key is
 derived only where a name must be the same in every process (the
 resolution store's file names and the isomorphism search's random
 combinations).

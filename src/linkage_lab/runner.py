@@ -84,19 +84,17 @@ class ScriptError(Exception):
 @dataclass
 class RunConfig:
     bound: int | None = None
-    probe_primes: tuple = ()  # extra probe primes, tuples of generators
     fail_fast: bool = False
     strict: bool = False
 
     def harness(self):
         from .theorems import HarnessConfig
 
-        return HarnessConfig(bound=self.bound, extra_probes=self.probe_primes)
+        return HarnessConfig(bound=self.bound)
 
     def to_dict(self) -> dict:
         return {
             "bound": self.bound if self.bound is not None else "default",
-            "probe_primes": [list(p) for p in self.probe_primes],
             "fail_fast": self.fail_fast,
             "strict": self.strict,
         }
@@ -280,7 +278,7 @@ class _Runner:
 
         if f == "serre_tilde":
             M = self._module(a[0])
-            v = serre_tilde(M, a[1], probes=cfg.harness().probes_for(M.ring))
+            v = serre_tilde(M, a[1])
             return v.holds(), v.describe()
         if f == "is_cm":
             M = self._module(a[0])
@@ -468,13 +466,6 @@ class _Runner:
         HomogeneityError."""
         if isinstance(s, RingPolyDecl):
             ring = make_ring(field_from_name(s.field_name), s.variables)
-            for group in self.config.probe_primes:
-                from .invariants import probe_generators
-
-                try:
-                    probe_generators(ring.poly_ring, group)
-                except ValueError as e:
-                    raise ScriptError(str(e)) from None
             self.rings[s.name] = ring
             self.result.declarations.append(
                 {"kind": "ring", "name": s.name, "key": ring.key()})

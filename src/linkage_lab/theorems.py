@@ -16,12 +16,10 @@ are evaluated only after every hypothesis holds: a Failed or Unknown
 hypothesis yields Inapplicable, never a vacuous confirmation, and the
 claims of such an instance are never computed.  An index n <= 0 fails
 the hypothesis n >= 1 and is Inapplicable.  Quantified claims over all
-primes are sampled on the probe-prime set unless they reduce to an
-exact global criterion; such claims verify at best partially, while a
-violation found at a probe prime is a genuine refutation.  A Refuted
-verdict reached while some hypothesis is only bounded or
-probe-verified carries the suspected-counterexample flag: the bound
-must be escalated before the refutation is trusted.
+primes are exact: `invariants.locus_point` decides whether some prime
+violates them.  A Refuted verdict reached while some hypothesis is only
+bounded carries the suspected-counterexample flag: the bound must be
+escalated before the refutation is trusted.
 """
 
 from __future__ import annotations
@@ -50,8 +48,6 @@ from .invariants import (
     coefficient_facts,
     cohomological_deficiency,
     depth,
-    depth_at_prime,
-    dim_at_prime,
     ext_vanishing_top,
     gc_dim,
     in_auslander_class,
@@ -66,13 +62,12 @@ from .invariants import (
     is_semidualizing,
     krull_dim,
     local_cohomology_degrees,
+    locus_point,
     m_in_ass,
     n_torsionfree_degree,
-    probe_primes,
     reduced_grade,
     ring_depth,
     ring_codim,
-    ring_depth_at_prime,
     ring_dim,
     ring_is_cm,
     ring_is_gorenstein,
@@ -131,7 +126,6 @@ class TheoremId(str, enum.Enum):
 class HarnessConfig:
     bound: int | None = None  # None: each ring's default_bound
     budgets: Budgets = DEFAULT_BUDGETS
-    extra_probes: tuple = ()  # extra probe primes, each a tuple of gens
 
     def __post_init__(self):
         if self.bound is not None and self.bound < 1:
@@ -140,14 +134,11 @@ class HarnessConfig:
     def resolve_bound(self, ring) -> int:
         return self.bound if self.bound is not None else default_bound(ring)
 
-    def probes_for(self, ring):
-        return probe_primes(ring, extra=self.extra_probes)
-
 
 @dataclass
 class HypothesisStatus:
     name: str
-    label: str  # Exact | Failed | BoundedTrue(B) | ProbeVerified(..) | Unknown
+    label: str  # Exact | Failed | BoundedTrue(B) | Unknown
     detail: str = ""
 
     def to_dict(self):
@@ -210,7 +201,7 @@ def _hyp(name: str, ok: bool, detail: str = "") -> HypothesisStatus:
 
 def _hyp_verdict(name: str, verdict) -> HypothesisStatus:
     """The verdict's own status label and description.  Every verdict's
-    label is Exact, its bound or its probes when it holds, Failed when it
+    label is Exact or its bound when it holds, Failed when it
     fails and Unknown when it is undetermined, so callers need no Failed
     branch of their own."""
     return HypothesisStatus(name, verdict.status_label(), verdict.describe())
@@ -251,7 +242,7 @@ def _equivalence_claims(sides) -> list:
             else:
                 claims.append(Claim(
                     name, "open",
-                    "sides disagree but one is only probe/bounded: "
+                    "sides disagree but one is only bounded: "
                     f"{a.name}={a.value}, {b.name}={b.value}"))
     return claims
 
@@ -265,7 +256,7 @@ def _implication_claim(a: Side, b: Side) -> Claim:
     if a.value is None or b.value is None:
         return Claim(name, "open", "a side is undetermined")
     if a.value and b.value:
-        return Claim(name, "partial-true", "holds up to probes/bounds")
+        return Claim(name, "partial-true", "holds up to bounds")
     if a.value and not b.value and a.exact and b.exact:
         return Claim(name, "exact-false",
                      f"{a.name} holds ({a.detail}) but {b.name} fails "
@@ -434,40 +425,33 @@ def _cosyzygy_side(name, X, C, n, cfg) -> Side:
         else f"pushforward obstructed at step {step}")
 
 
-def _serre_side(name, M, k, probes) -> Side:
-    v = serre_tilde(M, k, probes=probes)
-    return _side_verdict(f"{name} satisfies S~_{k}", v)
+def _serre_side(name, M, k) -> Side:
+    return _side_verdict(f"{name} satisfies S~_{k}", serre_tilde(M, k))
 
 
-def _probe_side(name, probes, violated, detail, base=True) -> Side:
-    """Holds when `base` holds and no probe prime is violated.
-
-    A True value rests on the probe set; a False one is exact, since a
-    violation at a probe prime is a genuine witness.  A prime outside a
-    module's support gives it depth INFINITY there, which violates no
-    depth inequality.  `detail` maps the violated labels to the detail.
-    """
-    bad = [p.label for p in probes if violated(p)]
-    value = base and not bad
-    return Side(name, value, exact=not value, detail=detail(bad))
+def _locus_side(name, modules, violated, detail="", base=True) -> Side:
+    """Holds when `base` holds and no prime of the ring violates the
+    condition (`invariants.locus_point` over `modules`); exact either
+    way.  A prime outside a module's support gives it depth INFINITY
+    there, which violates no depth inequality."""
+    point = locus_point(modules, violated) if base else None
+    if point is not None:
+        detail = ", ".join(filter(None, (detail, f"violated at {point}")))
+    return _side_bool(name, base and point is None, detail)
 
 
-def _violations(held):
-    """The detail of a probe side: its violations, else `held`."""
-    return lambda bad: f"violations at {bad}" if bad else held
-
-
-def _depth_sum_side(name, M, lam, other, probes, detail) -> Side:
+def _depth_sum_side(name, M, lam, other, detail) -> Side:
     """depth(lambda M) + other = dim R, with depth (lambda M)_p + other >
-    dim R at every probe prime off the maximal ideal where M is not
-    locally Cohen-Macaulay."""
+    dim R at every prime off the maximal ideal where M is not locally
+    Cohen-Macaulay."""
     R = M.ring
     d = ring_dim(R)
     dep = depth(lam)
-    return _probe_side(
-        name, [p for p in _ncm_probes(M, probes) if p.height != R.nvars],
-        lambda p: depth_at_prime(lam, p) + other <= d, detail,
-        base=INFINITY not in (dep, other) and dep + other == d)
+    return _locus_side(
+        name, (M, lam),
+        lambda h, dp, dm: (h < R.nvars and dp[0] not in (INFINITY, dm[0])
+                           and dp[1] + other <= d),
+        detail, base=INFINITY not in (dep, other) and dep + other == d)
 
 
 def _lcd_window_empty(M, lo_excl, hi_excl) -> tuple:
@@ -486,9 +470,8 @@ def _tensor_canonical(M):
     return tensor(M, canonical_module(M.ring))
 
 
-def _omega_s1_hyp(MW, probes) -> HypothesisStatus:
-    return _hyp_verdict("M (x) omega satisfies S~_1",
-                        serre_tilde(MW, 1, probes=probes))
+def _omega_s1_hyp(MW) -> HypothesisStatus:
+    return _hyp_verdict("M (x) omega satisfies S~_1", serre_tilde(MW, 1))
 
 
 def _ideal_as_module(ring, gens) -> ModulePresentation:
@@ -510,24 +493,6 @@ def _matches_canonical_ideal(ring, gens, cfg):
     if v.is_isomorphic():
         return True, f"ideal = canonical module twisted by {a}"
     return False, f"not isomorphic to the canonical module: {v.certificate}"
-
-
-def _ncm_probes(M, probes):
-    """Probe primes where M is supported and not locally Cohen-Macaulay."""
-    return [p for p in probes
-            if depth_at_prime(M, p) not in (INFINITY, dim_at_prime(M, p))]
-
-
-def _ng_probes(M, probes):
-    """Probe primes with nonzero local G-dimension.
-
-    Valid under a finite global G_C-dimension hypothesis, where the
-    local dimension is the local depth gap: nonzero exactly when
-    depth M_p < depth R_p (support misses, of depth INFINITY, count as
-    zero).
-    """
-    return [p for p in probes
-            if depth_at_prime(M, p) < ring_depth_at_prime(M.ring, p)]
 
 
 # -- the checks ---------------------------------------------------------------
@@ -555,9 +520,9 @@ def _ng_probes(M, probes):
 #   and `_optional_converse` adds one to the first stage when it is
 #   certified, or else notes that the converse is skipped.
 # * Sides: `_ext_side` (Ext^i(X, C) = 0 for 1..n), `_cosyzygy_side` (an
-#   n-th C-syzygy), `_serre_side` (S~_k), `_probe_side` (no probe prime
-#   violates an inequality) and `_depth_sum_side` (the depth-sum form of
-#   a probe side).
+#   n-th C-syzygy), `_serre_side` (S~_k), `_locus_side` (no prime
+#   violates a condition on local depths) and `_depth_sum_side` (the
+#   depth-sum form of a locus side).
 # * PROP_P3 and COR_C2 share one body, `_serre_versus_lcd`, with the
 #   roles of lambda M and M (x) omega exchanged.
 
@@ -588,7 +553,7 @@ def _check_prop_t1(cfg, M, C, n):
     yield [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1)] + converse
     side_i = _ext_side("Tr_C M, C", transpose_wrt(M, C), C, n, cfg)
     side_ii = _cosyzygy_side("M", M, C, n, cfg)
-    side_iii = _serre_side("M", M, n, cfg.probes_for(M.ring))
+    side_iii = _serre_side("M", M, n)
     claims = [
         _implication_claim(side_i, side_ii),
         _implication_claim(side_ii, side_iii),
@@ -605,14 +570,13 @@ def _serre_versus_lcd(cfg, M, n, serre_on_link):
     R = M.ring
     yield [_cm_ring_hyp(R), _hyp("n >= 1", n >= 1)]
     d = ring_dim(R)
-    probes = cfg.probes_for(R)
     linked_h = _linked_hyp(M, cfg)
     MW = _tensor_canonical(M)
-    yield [linked_h, _omega_s1_hyp(MW, probes)]
+    yield [linked_h, _omega_s1_hyp(MW)]
     lam = lambda_module(M, budgets=cfg.budgets)
     pair = [("lambda M", lam), ("M (x) omega", MW)]
     (s_name, S), (h_name, H) = pair if serre_on_link else pair[::-1]
-    side_i = _serre_side(s_name, S, n, probes)
+    side_i = _serre_side(s_name, S, n)
     empty, degs = _lcd_window_empty(H, d - n, d)
     side_ii = _side_bool(
         f"H^i_m({h_name}) = 0 for {d - n} < i < {d}", empty,
@@ -633,7 +597,7 @@ def _check_prop_t13(cfg, M, C, n):
     side_i = _ext_side("Tr M, C", transpose(M), C, n, cfg)
     MC = tensor(M, C)
     side_ii = _cosyzygy_side("M (x) C", MC, C, n, cfg)
-    side_iii = _serre_side("M (x) C", MC, n, cfg.probes_for(M.ring))
+    side_iii = _serre_side("M (x) C", MC, n)
     claims = [
         _implication_claim(side_i, side_ii),
         _implication_claim(side_ii, side_iii),
@@ -652,15 +616,14 @@ def _check_lem_lem2(cfg, M, C, n=1):
     n_hyps = [] if n >= 1 else [_hyp("n >= 1", False)]
     yield [_sd_hyp(C, cfg), *n_hyps,
            _auslander_hyp("M is in the Auslander class of C", M, C, cfg)]
-    probes = cfg.probes_for(M.ring)
     MC = tensor(M, C)
     claims = [
         _equality_claim("depth M = depth(M (x) C)", depth(M), depth(MC)),
         _equality_claim("dim M = dim(M (x) C)", krull_dim(M), krull_dim(MC)),
     ]
     claims.extend(_equivalence_claims([
-        _serre_side("M", M, n, probes),
-        _serre_side("M (x) C", MC, n, probes),
+        _serre_side("M", M, n),
+        _serre_side("M (x) C", MC, n),
     ]))
     claims.extend(_equivalence_claims([
         _side_bool("M is Cohen-Macaulay", is_cm(M)),
@@ -678,13 +641,12 @@ def _check_thm_th5(cfg, M, C, n):
     yield [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1),
            _auslander_hyp("M is in the Auslander class of C", M, C, cfg)
            ] + converse
-    probes = cfg.probes_for(ring)
     T = transpose(M)
     side_i = _ext_side("Tr M, R", T, _ring_unit(ring), n, cfg)
     side_ii = _ext_side("Tr M, C", T, C, n, cfg)
     MC = tensor(M, C)
-    side_iii = _serre_side("M (x) C", MC, n, probes)
-    side_iv = _serre_side("M", M, n, probes)
+    side_iii = _serre_side("M (x) C", MC, n)
+    side_iv = _serre_side("M", M, n)
     claims = [
         _implication_claim(side_i, side_ii),
         _implication_claim(side_ii, side_iii),
@@ -706,7 +668,7 @@ def _check_cor_cor7(cfg, M, C, n):
         _hyp("n >= 1", n >= 1),
     ]
     budgets = cfg.budgets
-    side_i = _serre_side("M", M, n, cfg.probes_for(M.ring))
+    side_i = _serre_side("M", M, n)
     report = is_horizontally_linked(M, budgets=budgets)
     lam = lambda_module(M, budgets=budgets)
     if n >= 2:
@@ -724,11 +686,10 @@ def _check_cor_cor7(cfg, M, C, n):
 def _check_thm_theorem1(cfg, M):
     R = M.ring
     yield [_cm_ring_hyp(R)]
-    probes = cfg.probes_for(R)
     d = ring_dim(R)
     linked_h = _linked_hyp(M, cfg)
     MW = _tensor_canonical(M)
-    yield [linked_h, _omega_s1_hyp(MW, probes)]
+    yield [linked_h, _omega_s1_hyp(MW)]
     lam = lambda_module(M, budgets=cfg.budgets)
     dep_lam = depth(lam)
     dep_mw = depth(MW)
@@ -742,10 +703,10 @@ def _check_thm_theorem1(cfg, M):
     t3 = d - dep_lam
     t4 = d - dep_mw
     side_iii = _serre_side(f"M (x) omega (at threshold {t3 + 1})",
-                           MW, t3 + 1, probes)
+                           MW, t3 + 1)
     side_iii.name = f"M (x) omega satisfies S_n for some n > {t3}"
     side_iv = _serre_side(f"lambda M (at threshold {t4 + 1})",
-                          lam, t4 + 1, probes)
+                          lam, t4 + 1)
     side_iv.name = f"lambda M satisfies S_n for some n > {t4}"
     return _equivalence_claims([side_i, side_ii, side_iii, side_iv])
 
@@ -758,10 +719,9 @@ def _check_thm_the1(cfg, M, omega_ideal):
     ok, why = _matches_canonical_ideal(R, gens, cfg)
     hyps.append(_hyp("the canonical module embeds as the given ideal",
                      ok, why))
-    probes = cfg.probes_for(R)
     hyps.append(_hyp("M is maximal Cohen-Macaulay", is_mcm(M)))
     hyps.append(_linked_hyp(M, cfg))
-    yield hyps + [_omega_s1_hyp(_tensor_canonical(M), probes)]
+    yield hyps + [_omega_s1_hyp(_tensor_canonical(M))]
     d = ring_dim(R)
     lam = lambda_module(M, budgets=cfg.budgets)
     side_i = _side_bool("lambda M is maximal Cohen-Macaulay", is_mcm(lam),
@@ -854,10 +814,8 @@ def _check_thm_prop_even(cfg, M, C, n, ideal, ideal2):
     yield hyps
     M1, M2 = links
     claims = _equivalence_claims([
-        _serre_side("M1 (link through the first ideal)", M1, n,
-                    cfg.probes_for(M1.ring)),
-        _serre_side("M2 (link through the second ideal)", M2, n,
-                    cfg.probes_for(M2.ring)),
+        _serre_side("M1 (link through the first ideal)", M1, n),
+        _serre_side("M2 (link through the second ideal)", M2, n),
     ])
     if ring_is_cm(R):
         claims.extend(_equivalence_claims([
@@ -875,9 +833,8 @@ def _check_thm_th1(cfg, M, C, n):
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     lam, ausl = _lambda_auslander(M, C, cfg)
     yield hyps + [gh, ausl]
-    probes = cfg.probes_for(ring)
     report = is_horizontally_linked(M, budgets=cfg.budgets)
-    side_a = _serre_side("M", M, n, probes)
+    side_a = _serre_side("M", M, n)
     rgr_ok, rgr_wit, _ = _ext_window_vanishes(lam, _ring_unit(ring), 1,
                                               n - 1, cfg)
     side_b = _side_bool(
@@ -889,7 +846,7 @@ def _check_thm_th1(cfg, M, C, n):
         c_ok, c_wit, _ = _ext_window_vanishes(M, C, 1, n - 1, cfg)
         side_c = _side_bool(f"rgr(M, C) >= {n}", c_ok,
                             "" if c_ok else f"Ext^{c_wit}(M, C) != 0")
-        side_d = _serre_side("lambda M", lam, n, probes)
+        side_d = _serre_side("lambda M", lam, n)
         claims.extend(_equivalence_claims([side_c, side_d]))
     else:
         yield "part (ii) skipped: M is not horizontally linked"
@@ -905,7 +862,6 @@ def _check_cor_cor5(cfg, M, C):
     lam, ausl = _lambda_auslander(M, C, cfg)
     yield hyps + [gh, ausl]
     d = ring_dim(ring)
-    probes = cfg.probes_for(ring)
     report = is_horizontally_linked(M, budgets=cfg.budgets)
     dep_m = depth(M)
     side_i = _side_bool("M is maximal Cohen-Macaulay", is_mcm(M),
@@ -915,7 +871,7 @@ def _check_cor_cor5(cfg, M, C):
         is_mcm(lam) and report.linked,
         f"mCM(lambda M)={is_mcm(lam)}, linked={report.linked}")
     t = d - dep_m if dep_m != INFINITY else 0
-    s = serre_tilde(lam, t + 1, probes=probes)
+    s = serre_tilde(lam, t + 1)
     side_iii = Side(
         f"lambda M satisfies S_n for some n > {t}, and M is linked",
         (s.holds() and report.linked) if s.kind != "unknown" else None,
@@ -965,12 +921,9 @@ def _check_thm_cor3(cfg, M):
         f"H^{cc}_m(M) is finitely generated",
         series[R.nvars - cc].is_finite_length(),
         "tested as dim of the ambient Ext module <= 0")
-    dep_lam = depth(lam)
     side_ii = _depth_sum_side(
         f"depth(lambda M) + cc(M) = {d} and strict inequality off the "
-        "maximal ideal", M, lam, cc, cfg.probes_for(R),
-        lambda bad: f"depth(lambda M)={dep_lam}, cc={cc}"
-        + (f", violated at probes {bad}" if bad else ""))
+        "maximal ideal", M, lam, cc, f"depth(lambda M)={depth(lam)}, cc={cc}")
     return _equivalence_claims([side_i, side_ii])
 
 
@@ -982,15 +935,11 @@ def _check_thm_th2(cfg, M, C):
     yield hyps + [gh, ausl]
     side_zero = Side("G_C-dimension of M is zero", gv.kind == "zero",
                      gv.exact(), str(gv))
-    probes = [p for p in cfg.probes_for(ring)
-              if ring_depth_at_prime(ring, p) >= 1]
-    side_probe = _probe_side(
+    side_locus = _locus_side(
         "depth M_p + depth (lambda M)_p > depth R_p off the depth-zero locus",
-        probes,
-        lambda p: (depth_at_prime(M, p) + depth_at_prime(lam, p)
-                   <= ring_depth_at_prime(ring, p)),
-        _violations(f"holds at all {len(probes)} probe primes"))
-    return _equivalence_claims([side_zero, side_probe])
+        (M, lam, _ring_unit(ring)),
+        lambda h, d, _: d[2] >= 1 and d[0] + d[1] <= d[2])
+    return _equivalence_claims([side_zero, side_locus])
 
 
 def _check_cor_self(cfg, M, C, self_twist=0):
@@ -1005,13 +954,11 @@ def _check_cor_self(cfg, M, C, self_twist=0):
                                  M, C, cfg)]
     side_zero = Side("G_C-dimension of M is zero", gv.kind == "zero",
                      gv.exact(), str(gv))
-    probes = [p for p in cfg.probes_for(ring)
-              if ring_depth_at_prime(ring, p) >= 1]
-    side_probe = _probe_side(
-        "depth M_p > (depth R_p)/2 off the depth-zero locus", probes,
-        lambda p: 2 * depth_at_prime(M, p) <= ring_depth_at_prime(ring, p),
-        _violations(f"holds at all {len(probes)} probe primes"))
-    return _equivalence_claims([side_zero, side_probe])
+    side_locus = _locus_side(
+        "depth M_p > (depth R_p)/2 off the depth-zero locus",
+        (M, _ring_unit(ring)),
+        lambda h, d, _: d[1] >= 1 and 2 * d[0] <= d[1])
+    return _equivalence_claims([side_zero, side_locus])
 
 
 _TH3_RATIONALE = (
@@ -1045,11 +992,9 @@ def _check_thm_th3(cfg, M, C):
     side_ii = _side_bool(
         f"the maximal ideal is associated to Ext^{t}(lambda M, R)",
         m_in_ass(Et))
-    side_iii = _probe_side(
+    side_iii = _locus_side(
         "depth(M) <= depth M_p on the nonzero-G-dimension locus",
-        _ng_probes(M, cfg.probes_for(ring)),
-        lambda p: depth_at_prime(M, p) < dep,
-        _violations("holds at all probes"))
+        (M, _ring_unit(ring)), lambda h, d, _: d[0] < d[1] and d[0] < dep)
     return _equivalence_claims([side_i, side_ii, side_iii])
 
 
@@ -1061,32 +1006,42 @@ def _check_thm_th6(cfg, M, C):
     lam, ausl = _lambda_auslander(M, C, cfg)
     yield hyps + [gh, ausl]
     claims = []
-    ng = _ng_probes(M, cfg.probes_for(ring))
     rg = reduced_grade(M, C, bound=cfg.bound, budgets=budgets)
+    triple = (M, lam, _ring_unit(ring))
+
+    def on_locus(holds):
+        """A prime with nonzero local G-dimension, depth M_p < depth R_p
+        under the finite G_C-dimension hypothesis, where
+        holds(depth (lambda M)_p); else None."""
+        return locus_point(triple, lambda h, d, _: d[0] < d[2]
+                           and holds(d[1]))
+
     if gv.kind == "zero":
+        ng = on_locus(lambda _: True)
         claims.append(Claim(
             "rgr(M, C) = inf over the empty nonzero-G-dimension locus",
-            "exact-true" if (rg.value is None and not ng) else "exact-false",
-            f"G_C-dim 0: rgr={rg}, nonzero-locus probes={len(ng)}"))
+            "exact-true" if (rg.value is None and ng is None)
+            else "exact-false",
+            f"G_C-dim 0: rgr={rg}, nonzero locus "
+            + ("empty" if ng is None else f"meets {ng}")))
     elif rg.value is None:
         claims.append(Claim("rgr(M, C) is finite", "open", str(rg)))
     else:
         r = rg.value
-        below = [p.label for p in ng if depth_at_prime(lam, p) < r]
-        attained = [p.label for p in ng if depth_at_prime(lam, p) == r]
+        below = on_locus(lambda dl: dl < r)
+        attained = None if below else on_locus(lambda dl: dl == r)
         if below:
             claims.append(Claim(
                 "rgr(M, C) <= depth (lambda M)_p on the nonzero locus",
-                "exact-false", f"probes {below} fall below rgr={r}"))
-        elif attained:
-            claims.append(Claim(
-                f"rgr(M, C) = {r} = min over probe primes of the nonzero "
-                "locus", "exact-true", f"attained at {attained}"))
+                "exact-false", f"depth (lambda M)_p = {below.depths[1]} < "
+                f"rgr={r} at {below}"))
         else:
             claims.append(Claim(
-                f"rgr(M, C) = {r} <= all probe values, infimum not attained "
-                "on probes", "partial-true",
-                "equality witnessed only up to the probe set"))
+                f"rgr(M, C) = {r} = min of depth (lambda M)_p over the "
+                "nonzero-G-dimension locus",
+                "exact-true" if attained else "exact-false",
+                f"attained at {attained}" if attained
+                else "not attained: the locus is empty or lies above it"))
     # rgr(M) <= rgr(M, C), equality under finite projective dimension
     if rg.value is not None:
         r = rg.value
@@ -1129,13 +1084,11 @@ def _check_prop_xtm(cfg, M, C):
             f"rgr(M, C)={rg_c}, rgr(lambda M)={rg_l}")]
     t_m = rg_c.value + rg_l.value
     yield f"t_M = rgr(M, C) + rgr(lambda M) = {t_m}"
-    probes = [p for p in cfg.probes_for(ring)
-              if ring_depth_at_prime(ring, p) <= t_m - 1]
-    side = _probe_side(
-        f"G_C-dimension of M vanishes at probe primes of depth <= {t_m - 1}",
-        probes, lambda p: depth_at_prime(M, p) < ring_depth_at_prime(ring, p),
-        _violations(f"holds at all {len(probes)} probe primes in the locus"))
-    return [Claim(side.name, "partial-true" if side.value else "exact-false",
+    side = _locus_side(
+        f"G_C-dimension of M vanishes at primes of depth <= {t_m - 1}",
+        (M, _ring_unit(ring)),
+        lambda h, d, _: d[1] <= t_m - 1 and d[0] < d[1])
+    return [Claim(side.name, "exact-true" if side.value else "exact-false",
                   side.detail)]
 
 
@@ -1175,7 +1128,7 @@ def _check_thm_th7(cfg, M, C):
         f"Ext vanishing below {n}: {ok}"
         + ("" if ok else f" (Ext^{wit} != 0)")
         + f", Ext^{n}(M, C) != 0: {top}")
-    side_serre = _serre_side("lambda M", lam, n, cfg.probes_for(ring))
+    side_serre = _serre_side("lambda M", lam, n)
     return _equivalence_claims([side_red, side_serre])
 
 
@@ -1191,7 +1144,7 @@ def _check_cor_cor1(cfg, M):
     side_em = _side_bool(
         "M is an Eilenberg-MacLane module", is_eilenberg_maclane(M),
         f"local cohomology degrees {local_cohomology_degrees(M)}")
-    side_serre = _serre_side("lambda M", lam, d - int(n), cfg.probes_for(R))
+    side_serre = _serre_side("lambda M", lam, d - int(n))
     return _equivalence_claims([side_em, side_serre])
 
 
@@ -1206,14 +1159,13 @@ def _check_cor_cor4(cfg, M):
     lam, gd = _lambda_finite_gdim(M, cfg)
     yield hyps + [gd]
     d = ring_dim(R)
-    dep_m, dep_l = depth(M), depth(lam)
+    dep_m = depth(M)
     side_gcm = _side_bool("M is generalized Cohen-Macaulay",
                           is_generalized_cm(M))
     side_rhs = _depth_sum_side(
         f"depth(lambda M) + depth(M) = {d} with strict local inequalities "
-        "off the maximal ideal", M, lam, dep_m, cfg.probes_for(R),
-        lambda bad: f"depth lambda M={dep_l}, depth M={dep_m}"
-        + (f", violations at {bad}" if bad else ""))
+        "off the maximal ideal", M, lam, dep_m,
+        f"depth lambda M={depth(lam)}, depth M={dep_m}")
     return _equivalence_claims([side_gcm, side_rhs])
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from linkage_lab import memo
 from linkage_lab.cache import DiskStore, install_cache, resolve_cache_dir
-from linkage_lab.cli import main, parse_probe_spec
+from linkage_lab.cli import main
 from linkage_lab.dsl import DslError, parse, pretty_print
 from linkage_lab.fields import QQ
 from linkage_lab.modules import cyclic_module
@@ -112,12 +112,6 @@ def test_gf_field_declaration():
     script = parse("ring S = poly(GF(7), x, y);")
     assert script.statements[0].field_name == "GF(7)"
     assert parse(pretty_print(script)) == script
-
-
-def test_probe_spec_parsing():
-    assert parse_probe_spec("x,y;y,z") == (("x", "y"), ("y", "z"))
-    assert parse_probe_spec("") == ()
-    assert parse_probe_spec(" x , y ") == (("x", "y"),)
 
 
 # -- execution and exit codes -------------------------------------------------
@@ -338,6 +332,17 @@ def test_cli_has_no_seed_flag(tmp_path, capsys):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+def test_cli_has_no_probe_primes_flag(tmp_path, capsys):
+    """Prime loci are exact, so no flag samples them: --probe-primes is a
+    usage error."""
+    script = tmp_path / "ok.link"
+    script.write_text(ONE_MODULE, encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--probe-primes", "x,y", str(script)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --probe-primes" in capsys.readouterr().err
+
+
 def test_a_module_over_budget_is_a_check_report(tmp_path, capsys):
     """Minimalizing M itself runs out of budget: the check still reports,
     Inapplicable-by-budget, and the run exits 3."""
@@ -377,30 +382,24 @@ def test_cli_bad_bind_exit_two(tmp_path, capsys):
 NONCM_SCRIPT = """\
 ring S = poly(GF(32003), x, y, z, w);
 ring N = quotient(S, [x*z, x*w, y*z, y*w]);
-module M = coker(N, twists=[0], matrix=[[x, y]]);
+module M = coker(N, twists=[0], matrix=[[{gens}]]);
 assert serre_tilde(M, 1);
 """
 
 
-@pytest.mark.parametrize("spec", ["v", "x-1", "x+y^2", "2"])
-def test_cli_bad_probe_generator_exit_two(tmp_path, capsys, spec):
-    # unknown variables, inhomogeneous generators and units (the unit
-    # ideal is no prime) are usage errors: the engine is graded, and no
-    # report is written
+def test_serre_tilde_assertions_over_a_non_cm_ring_are_exact(tmp_path,
+                                                              capsys):
+    """N/(x, y) satisfies S~_1 exactly; N/(x + y) fails it at the prime
+    (x + y, z, w), where depth M_p = 0 < depth R_p = 1."""
     script = tmp_path / "n.link"
-    script.write_text(NONCM_SCRIPT, encoding="utf-8")
-    assert main(["run", str(script), "--probe-primes", spec]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("script error: ")
-    assert repr(spec) in captured.err
-
-
-def test_cli_probe_primes_still_run(tmp_path, capsys):
-    script = tmp_path / "n.link"
-    script.write_text(NONCM_SCRIPT, encoding="utf-8")
-    assert main(["run", str(script), "--probe-primes", "x,y"]) == 0
-    assert "[probe, 8 probe primes]" in capsys.readouterr().out
+    script.write_text(NONCM_SCRIPT.format(gens="x, y"), encoding="utf-8")
+    assert main(["run", str(script)]) == 0
+    assert "ok   serre_tilde(M, 1)  [true]" in capsys.readouterr().out
+    script.write_text(NONCM_SCRIPT.format(gens="x + y"), encoding="utf-8")
+    assert main(["run", str(script)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL serre_tilde(M, 1)  [false, witness=depth M_p = 0 < " \
+        "min(1, depth R_p = 1) at a height-3 prime over (w, z, x + y)]" in out
 
 
 @pytest.mark.parametrize("source, message", [

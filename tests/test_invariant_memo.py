@@ -42,7 +42,6 @@ from linkage_lab.invariants import (
     in_auslander_class,
     is_canonical_module,
     is_semidualizing,
-    probe_primes,
     serre_tilde,
 )
 from linkage_lab.isomorphism import IsoVerdict, is_isomorphic
@@ -111,6 +110,10 @@ _CASES = [
     # a group of the profile presented on demand
     ("ambient-ext", lambda: ambient_ext(_kT(), 3)),
     ("ambient-ext", lambda: ambient_ext(maximal_ideal(N), 2)),
+    # a prime locus whose stratum off V(x, y) is saturated
+    ("saturation", lambda: serre_tilde(
+        cyclic_module(make_ring(GF(32003), ["x", "y", "z"],
+                                ["x^2", "x*y"]), ["y^2"]), 1)),
 ]
 
 
@@ -140,7 +143,7 @@ def test_verdicts_are_frozen():
         IsoVerdict("unknown").kind = "isomorphic"
 
 
-def test_keys_separate_bound_budgets_and_probes():
+def test_keys_separate_bound_and_budgets():
     memo.clear()
     # over A = QQ[x,y,z]/(x^2, y^2, yz, z^2), CM but not Gorenstein, x is
     # an exact zero-divisor: A/(x) has infinite projective dimension and
@@ -157,13 +160,6 @@ def test_keys_separate_bound_budgets_and_probes():
     M, C = maximal_ideal(H), free_module(H, [0])
     g2, g3 = gc_dim(M, C, bound=2), gc_dim(M, C, bound=3)
     assert g2 == g3 and g2 is not g3  # exact: equal, but separate entries
-    mN = maximal_ideal(N)
-    probes = probe_primes(N)
-    full = serre_tilde(mN, 1)
-    part = serre_tilde(mN, 1, probes=probes[:2])
-    assert full is serre_tilde(mN, 1, probes=probes)
-    assert (full.note, part.note) == (f"{len(probes)} probe primes",
-                                      "2 probe primes")
 
 
 def test_isomorphism_is_one_memo_entry_per_pair_and_budgets():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus_golden
+
 from linkage_lab import homops, invariants
 from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import (
@@ -15,7 +17,7 @@ from linkage_lab.corpus import (
     maximal_ideal,
 )
 from linkage_lab.errors import ConsistencyError
-from linkage_lab.fields import GF, QQ
+from linkage_lab.fields import GF, QQ, field_from_name
 from linkage_lab.homops import (
     _hom_cohomology,
     _per_slot_relations,
@@ -37,7 +39,6 @@ from linkage_lab.invariants import (
     is_semidualizing,
     krull_dim,
     local_cohomology_degrees,
-    probe_primes,
     reduced_grade,
     ring_depth,
     ring_dim,
@@ -119,24 +120,103 @@ def test_serre_tilde_exact_over_cm_rings():
     assert not v.holds() and v.exact()
 
 
-def test_serre_tilde_probe_extension():
-    extra = probe_primes(T, extra=(("x", "y"),))
-    base = probe_primes(T)
-    assert len(extra) > len(base)
-    v = serre_tilde(free_module(T, [0]), 2, probes=extra)
-    assert v.holds()
+N = make_ring(GF(32003), ["x", "y", "z", "w"], ["x*z", "x*w", "y*z", "y*w"])
+# (x) meets the line (y, z) in a point, and (x^2, xy) = (x) cap (x^2, y)
+# has the embedded prime (x, y): neither ring is Cohen-Macaulay
+PLANE_LINE = make_ring(GF(32003), ["x", "y", "z"], ["x*y", "x*z"])
+EMBEDDED = make_ring(GF(32003), ["x", "y", "z"], ["x^2", "x*y"])
 
 
-def test_extra_probe_height_comes_from_the_quotient_dimension():
-    """The height of an extra probe prime is nvars - dim S/(gens), not
-    the number of generators: a repeated generator adds nothing, and
-    (x^2, x*y) has height 1."""
-    N = make_ring(GF(32003), ["x", "y", "z", "w"],
-                  ["x*z", "x*w", "y*z", "y*w"])
-    extras = (("x", "y", "z", "w", "x"), ("x", "y"), ("x^2", "x*y"))
-    got = probe_primes(N, extra=extras)[-len(extras):]
-    assert [(p.height, p.trusted) for p in got] == [(4, False), (2, False),
-                                                    (1, False)]
+def test_serre_tilde_finds_the_non_monomial_prime_that_fails_it():
+    """M = N/(x + y) fails S~_1 at p = (x + y, z, w): there w and z are
+    killed, so R_p = S_p/(z, w) has depth 1 while M_p = R_p/(x + y) is a
+    field.  No variable-subset prime contains x + y without x and y."""
+    v = serre_tilde(cyclic_module(N, ["x + y"]), 1)
+    assert v.exact() and not v.holds()
+    assert v.witness == ("depth M_p = 0 < min(1, depth R_p = 1) at a "
+                         "height-3 prime over (w, z, x + y)")
+    assert serre_tilde(cyclic_module(N, ["x", "y"]), 3).kind == "true"
+
+
+def test_serre_tilde_at_an_embedded_prime_saturates_the_stratum():
+    """Over EMBEDDED, M = R/(y^2) = S/(x, y)^2 is supported on V(x, y)
+    alone.  Its only height-2 point is the embedded prime (x, y), where
+    depth R_p = 0, and m gives depth M = 1 = depth R: M satisfies S~_1.
+    A height-2 prime where M_p != 0 and depth R_p = 1 would lie in
+    V(x, y) off V(x^2, y), which is empty once saturated."""
+    v = serre_tilde(cyclic_module(EMBEDDED, ["y^2"]), 1)
+    assert v.kind == "true"
+
+
+def _local_points(M):
+    """Every (height, (depth, dim) of M, (depth, dim) of R) that a prime
+    of R inside m realizes, asked one candidate at a time."""
+    modules = (M, free_module(M.ring, [0]))
+    options = []
+    for X in modules:
+        _, js = invariants._ambient_profile(X)
+        options.append([None] + [(lo, hi) for lo in js for hi in js
+                                 if lo <= hi])
+    found = set()
+    for h in range(M.ring.nvars + 1):
+        for a in options[0]:
+            for b in options[1]:
+                want = tuple((INFINITY, -1) if c is None
+                             else (h - c[1], h - c[0]) for c in (a, b))
+                point = invariants.locus_point(
+                    modules, lambda hh, d, dm: hh == h and tuple(
+                        zip(d, dm)) == want)
+                if point is not None:
+                    found.add((h,) + want)
+    return found
+
+
+@pytest.mark.parametrize("ring, gens, points", [
+    # N: the two planes at height 2, the points of one plane off the
+    # other at height 3 (regular of dimension 1), and m (depth 1, dim 2)
+    (N, [], {(2, (0, 0), (0, 0)), (3, (1, 1), (1, 1)),
+             (4, (1, 2), (1, 2))}),
+    # the plane (x) at height 1; the line (y, z) and the plane's primes
+    # off it at height 2; m of depth 1
+    (PLANE_LINE, [], {(1, (0, 0), (0, 0)), (2, (0, 0), (0, 0)),
+                      (2, (1, 1), (1, 1)), (3, (1, 2), (1, 2))}),
+    # S/(x, y)^2: outside the support at (x) and at the height-2 primes
+    # other than the embedded (x, y), artinian at (x, y), CM at m
+    (EMBEDDED, ["y^2"], {(1, (INFINITY, -1), (0, 0)),
+                         (2, (0, 0), (0, 1)), (2, (INFINITY, -1), (1, 1)),
+                         (3, (1, 1), (1, 2))}),
+])
+def test_locus_point_realizes_exactly_the_local_data_of_the_primes(
+        ring, gens, points):
+    """Each stratum reaches every height from ht(A : B^inf) to n - 1, and
+    n only at m: checked against the primes of three small rings."""
+    M = cyclic_module(ring, gens) if gens else free_module(ring, [0])
+    assert _local_points(M) == points
+
+
+@pytest.mark.parametrize("name, size", [("H", 19), ("T", 28), ("U", 17),
+                                        ("P", 20), ("Q", 20)])
+def test_serre_tilde_by_strata_matches_the_cm_reading(name, size):
+    """Over a CM ring the stratum decider and the series-only reading of
+    `_serre_tilde_cm` agree on S~_1, S~_2 and S~_3 of every module of the
+    pool.  U's annihilators are not monomial; P and Q have dimension 2,
+    where an Ext group above the codimension can sit exactly at the bound
+    n - j - k."""
+    field, names, rels = corpus_golden.RINGS[name]
+    R = make_ring(field_from_name(field), names.split(", "), rels.split(", "))
+    assert ring_is_cm(R)
+    verdicts = []
+    for label, M in generate_corpus(R, size):
+        A = minimalize(M)
+        if A.is_zero():
+            continue
+        for k in (1, 2, 3):
+            cm = invariants._serre_tilde_cm(A, k)
+            by_strata = invariants._serre_tilde_locus(A, k)
+            assert by_strata.exact() and cm.exact()
+            assert by_strata.holds() == cm.holds(), (label, k)
+            verdicts.append(cm.holds())
+    assert True in verdicts and False in verdicts
 
 
 def test_gc_dim_over_gorenstein_is_ab_defect():

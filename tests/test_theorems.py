@@ -312,8 +312,8 @@ def test_nonpositive_n_in_a_script_is_a_report():
 
 
 CLAIM_HELPERS = ("_serre_side", "_ext_window_vanishes", "_ext_side",
-                 "_cosyzygy_side", "_probe_side", "_depth_sum_side",
-                 "_violations", "is_nth_cosyzygy_witness",
+                 "_cosyzygy_side", "_locus_side", "_depth_sum_side",
+                 "locus_point", "is_nth_cosyzygy_witness",
                  "_equivalence_claims", "_implication_claim",
                  "_equality_claim")
 
