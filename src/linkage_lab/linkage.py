@@ -4,9 +4,10 @@ A module is horizontally linked when it equals its double image under
 the linkage operator.  The working criterion is: stable (no nonzero
 free direct summand, detected by comparing generator counts against the
 double transpose) together with vanishing of Ext^1(Tr M, R).  Reports
-carry two independent cross-checks: an embedding-into-free test run
-through the evaluation map into the bidual cover, and a direct
-isomorphism test against the double linkage image.  Disagreement among
+carry two independent cross-checks: the embedding-into-free test,
+`homops.is_c_torsionless` with C = R (injectivity of the evaluation map
+into R^m), and a direct isomorphism test against the double linkage
+image.  Disagreement among
 exact criteria is recorded on the report rather than raised, so the
 theorem harness can surface it as a refutation.  A report is frozen and
 memoized (op "horizontally-linked", keyed by the minimal presentation
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from . import memo
 from .config import DEFAULT_BUDGETS
-from .homops import evaluation_map, ext_vanishes, lambda_module, transpose
+from .homops import ext_vanishes, is_c_torsionless, lambda_module, transpose
 from .isomorphism import IsoVerdict, is_isomorphic
 from .modules import (
     ModulePresentation,
@@ -28,7 +29,6 @@ from .modules import (
     change_ring,
     free_module,
     minimalize,
-    span_series,
     twist_module,
 )
 
@@ -43,23 +43,6 @@ def is_stable(M: ModulePresentation):
     A = minimalize(M)
     free_rank = A.n_gens() - minimalize(stable_part(M)).n_gens()
     return free_rank == 0, free_rank
-
-
-def is_syzygy_module(M: ModulePresentation, *, budgets=None) -> bool:
-    """Whether M embeds in a finite free module (is a first syzygy).
-
-    The evaluation map into R^(generators of M*) is injective exactly
-    when M is torsionless; injectivity is decided by comparing the
-    Hilbert series of the image span with that of M.
-    """
-    A = minimalize(M)
-    if A.is_zero():
-        return True
-    cols, taus = evaluation_map(A, free_module(A.ring, [0]), budgets=budgets)
-    if not taus:
-        return False
-    image = span_series(A.ring, [c for c in cols if c], [-t for t in taus])
-    return image == A.hilbert_series()
 
 
 @dataclass(frozen=True)
@@ -98,7 +81,7 @@ def _horizontally_linked(A: ModulePresentation, budgets) -> LinkageReport:
     ext1_vanishes = ext_vanishes(transpose(A), free_module(A.ring, [0]), 1,
                                  budgets=budgets)
     linked = stable and ext1_vanishes
-    syz = is_syzygy_module(A, budgets=budgets)
+    syz = is_c_torsionless(A, free_module(A.ring, [0]), budgets=budgets)
     lam2 = lambda_module(lambda_module(A, budgets=budgets), budgets=budgets)
     double_link = is_isomorphic(A, lam2, budgets=budgets)
     disagreements = []

@@ -284,12 +284,6 @@ def _lead_series(ring: GradedRing, gb: ModuleGB,
     return out
 
 
-def span_series(ring: GradedRing, columns, ambient_twists) -> HilbertSeries:
-    """Hilbert series of (span(columns) + I*F) / I*F inside F over R."""
-    free = quotient_series(ring, [], ambient_twists)
-    return free - quotient_series(ring, columns, ambient_twists)
-
-
 def lift_over_columns(ring: GradedRing, col, columns, ambient_twists, *,
                       extra=()):
     """Coefficients over columns (mod I) with col - sum coeffs*columns in

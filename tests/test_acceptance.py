@@ -16,6 +16,7 @@ from linkage_lab.dsl import parse
 from linkage_lab.fields import QQ
 from linkage_lab.homops import (
     ext,
+    is_c_torsionless,
     lambda_module,
     set_fault,
     tensor,
@@ -35,7 +36,7 @@ from linkage_lab.invariants import (
     serre_tilde,
 )
 from linkage_lab.isomorphism import is_isomorphic
-from linkage_lab.linkage import is_horizontally_linked, is_stable, is_syzygy_module
+from linkage_lab.linkage import is_horizontally_linked, is_stable
 from linkage_lab.modules import (
     cyclic_module,
     free_module,
@@ -96,7 +97,7 @@ def test_criterion_02_three_way_linkage_criterion():
             A = minimalize(M)
             stable, _ = is_stable(A)
             ext1 = ext(transpose(A), free_module(R, [0]), 1).is_zero()
-            syz = is_syzygy_module(A)
+            syz = is_c_torsionless(A, free_module(R, [0]))
             lam2 = lambda_module(lambda_module(A))
             iso = is_isomorphic(A, lam2)
             sides = [stable and ext1, stable and syz]

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus_golden
 from linkage_lab.corpus import corpus_pool, generate_corpus, maximal_ideal
 from linkage_lab.errors import InapplicableError
-from linkage_lab.fields import GF, QQ
+from linkage_lab.fields import GF, QQ, field_from_name
 from linkage_lab.hilbert import HilbertSeries
 from linkage_lab.homops import (
     dual,
     evaluation_map,
     ext,
+    ext_vanishes,
     fault_active,
     hom_module,
     hom_with_realizations,
+    is_c_torsionless,
     is_nth_cosyzygy_witness,
     lambda_module,
     set_fault,
@@ -223,7 +226,8 @@ def test_pushforward_exactness_and_twists():
 
 
 def test_pushforward_needs_ext_vanishing():
-    # k has Ext^1(Tr_C k, C) != 0 over the hypersurface, so no embedding
+    # Hom(k, R) = 0 over the hypersurface (depth R = 1), so m = 0 and
+    # k -> C^0 is not injective: Ext^1(Tr_C k, C) != 0, no embedding
     k = cyclic_module(H, ["x", "y"])
     with pytest.raises(InapplicableError):
         universal_pushforward(k, free_module(H, [0]))
@@ -249,6 +253,23 @@ def test_pushforward_respects_canonical_twists():
     for t in pf.codomain_twists:
         rhs = rhs + w.hilbert_series().shift(-t)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("name, size", [("H", 19), ("T", 28), ("P", 46),
+                                        ("Q", 36), ("U", 17)])
+def test_c_torsionless_matches_the_ext_route(name, size):
+    """The evaluation-map test equals Ext^1(Tr_C X, C) = 0 on every
+    module of the pool, for C = R(0) and C = omega_R."""
+    field, names, rels = corpus_golden.RINGS[name]
+    R = make_ring(field_from_name(field), names.split(", "), rels.split(", "))
+    disagree = [
+        (label, C_name)
+        for label, X in generate_corpus(R, size)
+        for C_name, C in (("R", free_module(R, [0])),
+                          ("omega", canonical_module(R)))
+        if is_c_torsionless(X, C) != ext_vanishes(transpose_wrt(X, C), C, 1)
+    ]
+    assert not disagree
 
 
 @settings(max_examples=8, deadline=None)
