@@ -16,7 +16,7 @@ import importlib
 # the first time one of its names is read (PEP 562), so a script pays
 # only for the layers it uses: `import linkage_lab` imports no submodule.
 _EXPORTS = {
-    "config": ("Budgets", "INFINITY", "default_bound"),
+    "config": ("INFINITY", "default_bound"),
     "corpus": ("classical_rings", "corpus_pool", "generate_corpus",
                "maximal_ideal"),
     "dsl": ("DslError", "parse", "pretty_print"),
@@ -33,7 +33,7 @@ _EXPORTS = {
                    "ring_depth", "ring_dim", "ring_is_cm",
                    "ring_is_gorenstein", "serre_tilde"),
     "isomorphism": ("is_isomorphic",),
-    "linkage": ("is_horizontally_linked", "is_self_linked", "link",
+    "linkage": ("is_horizontally_linked", "is_self_linked",
                 "linked_by_ideal", "stable_part"),
     "modules": ("ModulePresentation", "cyclic_module", "direct_sum",
                 "free_module", "from_matrix", "minimalize", "twist_module",
@@ -64,7 +64,7 @@ def __dir__():
 __version__ = "0.1.0"
 
 __all__ = [
-    "Budgets", "INFINITY", "default_bound",
+    "INFINITY", "default_bound",
     "classical_rings", "corpus_pool", "generate_corpus", "maximal_ideal",
     "DslError", "parse", "pretty_print",
     "BudgetError", "HomogeneityError", "InapplicableError",
@@ -79,7 +79,7 @@ __all__ = [
     "ring_depth", "ring_dim", "ring_is_cm", "ring_is_gorenstein",
     "serre_tilde",
     "is_isomorphic",
-    "is_horizontally_linked", "is_self_linked", "link", "linked_by_ideal",
+    "is_horizontally_linked", "is_self_linked", "linked_by_ideal",
     "stable_part",
     "ModulePresentation", "cyclic_module", "direct_sum", "free_module",
     "from_matrix", "minimalize", "twist_module", "zero_module",

@@ -3,9 +3,9 @@
 Entries are JSON files named by a content hash.  The resolution engine
 writes one map entry per step and one completion entry per resolution
 that ends, keyed by the minimal presentation (which is
-Groebner-canonicalized), the budgets and the step, so the same module
-declared through different matrices hits the same entries, and a store
-is per budget; resolutions.py
+Groebner-canonicalized), the two caps of `config` and the step, so the
+same module declared through different matrices hits the same entries,
+and an entry written under other caps is never read; resolutions.py
 documents their format, the checks a load runs and how a stored
 resolution is extended.  A valid entry is append-only: a second save under an
 existing key is a no-op, and writes go through a temporary file and an

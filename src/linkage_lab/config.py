@@ -1,27 +1,27 @@
-"""Computation budgets.
+"""Computation caps.
 
-Budgets exist to fail loudly, not to approximate: exceeding one raises
-BudgetError and never yields a partial answer.  The vanishing bound used
-by Ext/Tor-searching invariants defaults to 2*(n+1) per ring and lives in
-the calling layer; the caps here bound single kernel computations.
+Two constants bound single kernel computations: `MAX_DEGREE` caps the
+pair degree of every Groebner run over a module (the ring's own basis
+and the final basis of an annihilator run uncapped), and `MAX_RANK`
+caps the rank of every free module of a minimal resolution.  Caps exist
+to fail loudly, not to approximate: exceeding one raises BudgetError,
+which names the cap, and never yields a partial answer.  The library
+reads them at call time (`config.MAX_RANK`), and no memo key names
+them, so a caller that changes them, a test say, empties the memo
+first; the resolution store names them in its keys, so a store written
+under other caps is never read.  The vanishing bound used by
+Ext/Tor-searching invariants defaults to 2*(n+1) per ring and lives in
+the calling layer.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # The value of an infinite invariant (the depth of the zero module, say);
 # reports write it as the string "infinity".
 INFINITY = float("inf")
 
-
-@dataclass(frozen=True)
-class Budgets:
-    max_degree: int = 24
-    max_rank: int = 512
-
-
-DEFAULT_BUDGETS = Budgets()
+MAX_DEGREE = 24
+MAX_RANK = 512
 
 
 def default_bound(ring) -> int:

@@ -22,7 +22,7 @@ equal AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fields import QQ
 from .monomials import mono_deg, mono_str
@@ -130,16 +130,11 @@ def tokenize(source: str):
             col += j - i
             i = j
             continue
-        two = source[i:i + 2]
-        if two in _SYMBOLS:
-            tokens.append(Token("sym", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _SYMBOLS:
-            tokens.append(Token("sym", c, line, col))
-            i += 1
-            col += 1
+        sym = source[i:i + 2] if source[i:i + 2] in _SYMBOLS else c
+        if sym in _SYMBOLS:
+            tokens.append(Token("sym", sym, line, col))
+            i += len(sym)
+            col += len(sym)
             continue
         raise DslError(f"unexpected character {c!r}", line, col)
     tokens.append(Token("eof", "", line, col))
@@ -149,21 +144,15 @@ def tokenize(source: str):
 # -- AST ----------------------------------------------------------------------
 
 
-def _pos_field():
-    return field(default=(0, 0), compare=False, repr=False)
-
-
 @dataclass
 class Name:
     ident: str
-    pos: tuple = _pos_field()
 
 
 @dataclass
 class Call:
     fn: str
     args: list  # Name | Call | int | PolyList
-    pos: tuple = _pos_field()
 
 
 @dataclass
@@ -171,13 +160,11 @@ class Cmp:
     call: Call
     op: str
     value: int
-    pos: tuple = _pos_field()
 
 
 @dataclass
 class PolyList:
     polys: list  # canonical polynomial strings
-    pos: tuple = _pos_field()
 
 
 @dataclass
@@ -185,7 +172,6 @@ class RingPolyDecl:
     name: str
     field_name: str
     variables: list
-    pos: tuple = _pos_field()
 
 
 @dataclass
@@ -193,7 +179,6 @@ class RingQuotientDecl:
     name: str
     base: str
     polys: list  # canonical polynomial strings
-    pos: tuple = _pos_field()
 
 
 @dataclass
@@ -202,33 +187,28 @@ class ModuleDecl:
     ring: str
     twists: list
     matrix: list  # rows of canonical polynomial strings
-    pos: tuple = _pos_field()
 
 
 @dataclass
 class LetBinding:
     name: str
     expr: object  # Call | Name
-    pos: tuple = _pos_field()
 
 
 @dataclass
 class AssertStmt:
     predicate: object  # Call | Cmp
-    pos: tuple = _pos_field()
 
 
 @dataclass
 class PrintStmt:
     item: object  # Call | Name
-    pos: tuple = _pos_field()
 
 
 @dataclass
 class CheckStmt:
     theorem_id: str
     bindings: list  # (name, Name | Call | int | PolyList) in source order
-    pos: tuple = _pos_field()
 
 
 @dataclass
@@ -236,7 +216,6 @@ class SuiteStmt:
     theorem_ids: list
     ring: str
     size: int
-    pos: tuple = _pos_field()
 
 
 @dataclass
@@ -321,7 +300,7 @@ class _Parser:
         return t.value
 
     def ring_stmt(self):
-        kw = self.take()
+        self.take()
         name = self.expect_name("ring name")
         self.expect("sym", "=")
         head = self.expect_name("poly or quotient")
@@ -337,8 +316,7 @@ class _Parser:
             self.expect("sym", ")")
             self.expect("sym", ";")
             self._declare(name, self.rings, tuple(variables))
-            return RingPolyDecl(name.value, fieldname, variables,
-                                pos=(kw.line, kw.col))
+            return RingPolyDecl(name.value, fieldname, variables)
         if head.value == "quotient":
             self.expect("sym", "(")
             base = self._ring_ref()
@@ -347,8 +325,7 @@ class _Parser:
             self.expect("sym", ")")
             self.expect("sym", ";")
             self._declare(name, self.rings, self.rings[base])
-            return RingQuotientDecl(name.value, base, polys,
-                                    pos=(kw.line, kw.col))
+            return RingQuotientDecl(name.value, base, polys)
         self.error(f"found {head.value!r}", head, expected=("poly",
                                                             "quotient"))
 
@@ -386,8 +363,7 @@ class _Parser:
                 f"matrix has {len(matrix)} rows but {len(twists)} twists",
                 kw)
         self._declare(name, self.values, ring)
-        return ModuleDecl(name.value, ring, twists, matrix,
-                          pos=(kw.line, kw.col))
+        return ModuleDecl(name.value, ring, twists, matrix)
 
     def _int_list(self):
         self.expect("sym", "[")
@@ -478,7 +454,7 @@ class _Parser:
         self.take()
         if t.value not in self.values:
             self.error(f"undeclared module {t.value!r}", t)
-        return Name(t.value, pos=(t.line, t.col))
+        return Name(t.value)
 
     def _call(self, tables):
         t = self.expect_name("function")
@@ -503,18 +479,18 @@ class _Parser:
             else:
                 args.append(self._expr())
         self.expect("sym", ")")
-        return Call(t.value, args, pos=(t.line, t.col))
+        return Call(t.value, args)
 
     # ---- statements
 
     def let_stmt(self):
-        kw = self.take()
+        self.take()
         name = self.expect_name("value name")
         self.expect("sym", "=")
         expr = self._expr()
         self.expect("sym", ";")
         self._declare(name, self.values, self._ring_of(expr))
-        return LetBinding(name.value, expr, pos=(kw.line, kw.col))
+        return LetBinding(name.value, expr)
 
     def _ring_of(self, expr):
         if isinstance(expr, Name):
@@ -527,7 +503,7 @@ class _Parser:
         return None
 
     def assert_stmt(self):
-        kw = self.take()
+        self.take()
         pred = self._call((PREDICATE_FNS, SCALAR_FNS))
         if pred.fn in SCALAR_FNS:
             op = self.peek()
@@ -535,19 +511,19 @@ class _Parser:
                 self.error(f"found {op.value!r}", expected=CMP_OPS)
             self.take()
             value = self._signed_int()
-            pred = Cmp(pred, op.value, value, pos=pred.pos)
+            pred = Cmp(pred, op.value, value)
         self.expect("sym", ";")
-        return AssertStmt(pred, pos=(kw.line, kw.col))
+        return AssertStmt(pred)
 
     def print_stmt(self):
-        kw = self.take()
+        self.take()
         item = self._expr(tables=(EXPR_FNS, PREDICATE_FNS, SCALAR_FNS,
                                   PRINT_ONLY_FNS))
         self.expect("sym", ";")
-        return PrintStmt(item, pos=(kw.line, kw.col))
+        return PrintStmt(item)
 
     def check_stmt(self):
-        kw = self.take()
+        self.take()
         tid = self.expect_name("theorem id")
         self.expect("sym", "(")
         bindings = []
@@ -561,22 +537,19 @@ class _Parser:
                 self.take()
         self.expect("sym", ")")
         self.expect("sym", ";")
-        return CheckStmt(tid.value, bindings, pos=(kw.line, kw.col))
+        return CheckStmt(tid.value, bindings)
 
     def _binding_value(self, seen):
         t = self.peek()
         if t.kind == "int" or (t.kind == "sym" and t.value == "-"):
             return self._signed_int()
         if t.kind == "sym" and t.value == "[":
-            variables = self._binding_ring_vars(seen)
-            start = t
-            polys = self._poly_list(variables)
-            return PolyList(polys, pos=(start.line, start.col))
+            return PolyList(self._poly_list(self._binding_ring_vars(seen)))
         if t.kind == "name" and t.value in self.rings:
             nxt = self.tokens[self.i + 1]
             if not (nxt.kind == "sym" and nxt.value == "("):
                 self.take()
-                return Name(t.value, pos=(t.line, t.col))
+                return Name(t.value)
         return self._expr()
 
     def _binding_ring_vars(self, seen):
@@ -589,7 +562,7 @@ class _Parser:
                    "to fix the variables")
 
     def suite_stmt(self):
-        kw = self.take()
+        self.take()
         self.expect("sym", "[")
         ids = []
         if self.peek().value != "]":
@@ -607,7 +580,7 @@ class _Parser:
         size = self._int_at_least(0, "corpus size")
         self.expect("sym", ")")
         self.expect("sym", ";")
-        return SuiteStmt(ids, ring, size, pos=(kw.line, kw.col))
+        return SuiteStmt(ids, ring, size)
 
 
 def _join_poly(tokens) -> str:

@@ -1,7 +1,8 @@
 """Shared exception types.
 
-Budgets fail loudly: a truncated Groebner or resolution computation is a
-wrong answer, so exceeding a cap raises instead of returning partial data.
+The caps of `config` fail loudly: a truncated Groebner or resolution
+computation is a wrong answer, so exceeding a cap raises instead of
+returning partial data.
 """
 
 from __future__ import annotations

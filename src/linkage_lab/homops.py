@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import memo
-from .config import DEFAULT_BUDGETS
 from .errors import ConsistencyError, InapplicableError
 from .hilbert import HilbertSeries
 from .modules import (
@@ -88,19 +87,19 @@ def transpose(M: ModulePresentation) -> ModulePresentation:
     return _transpose_wrt(minimalize(M), unit)
 
 
-def syzygy(M: ModulePresentation, i: int, *, budgets=None) -> ModulePresentation:
+def syzygy(M: ModulePresentation, i: int) -> ModulePresentation:
     """i-th syzygy in the minimal resolution; syzygy(M, 0) = minimalize(M)."""
     if i < 0:
         raise ValueError("syzygy index must be >= 0")
     if i == 0:
         return minimalize(M)
-    res = minimal_free_resolution(M, i + 1, budgets=budgets)
+    res = minimal_free_resolution(M, i + 1)
     return res.syzygy_module(i)
 
 
-def lambda_module(M: ModulePresentation, *, budgets=None) -> ModulePresentation:
+def lambda_module(M: ModulePresentation) -> ModulePresentation:
     """The linkage operator: first syzygy of the transpose."""
-    return syzygy(transpose(M), 1, budgets=budgets)
+    return syzygy(transpose(M), 1)
 
 
 # -- Hom / tensor / Ext / Tor as presented subquotients ---------------------
@@ -158,33 +157,30 @@ def _tensor_map_images(d_cols, q):
     return out
 
 
-def _cycles(ring, images, image_twists, image_rels, budgets):
+def _cycles(ring, images, image_twists, image_rels):
     """The cycles at a free spot whose outgoing map sends coordinate k to
     images[k] in a free module with twists `image_twists`, modulo the
     columns `image_rels`: the kernel of that map (every coordinate when
     all images are zero)."""
-    return column_syzygies(ring, images, image_twists, extra=image_rels,
-                           max_degree=budgets.max_degree)
+    return column_syzygies(ring, images, image_twists, extra=image_rels)
 
 
-def _homology(ring, twists, cycles, rels, budgets):
+def _homology(ring, twists, cycles, rels):
     """(presentation, kept cycles) of the homology at a free spot with
     coordinate twists `twists`: the span of `cycles` modulo `rels`."""
-    return subquotient(ring, twists, cycles, rels,
-                       max_degree=budgets.max_degree)
+    return subquotient(ring, twists, cycles, rels)
 
 
-def _spots(A: ModulePresentation, i: int, budgets):
+def _spots(A: ModulePresentation, i: int):
     """(twists, maps) of a free resolution of A long enough for spot i:
     A's own presentation F_1 -> F_0 for i = 0, else the minimal one."""
     if i == 0:
         return [A.gen_twists, A.rel_twists], [A.columns]
-    res = minimal_free_resolution(A, i + 1, budgets=budgets)
+    res = minimal_free_resolution(A, i + 1)
     return res.twists, res.maps
 
 
-def _hom_cycles(A: ModulePresentation, B: ModulePresentation, i: int,
-                budgets):
+def _hom_cycles(A: ModulePresentation, B: ModulePresentation, i: int):
     """(coordinate twists, cycles, relations) of spot i of Hom(F., B) for
     a free resolution F. of A (see _spots): H^i is the span of the
     cycles modulo the relations, on the coordinates (t, r) -> t*q + r of
@@ -194,7 +190,7 @@ def _hom_cycles(A: ModulePresentation, B: ModulePresentation, i: int,
     q = B.n_gens()
     if q == 0 or A.n_gens() == 0:
         return [], [], []
-    twists, maps = _spots(A, i, budgets)
+    twists, maps = _spots(A, i)
     w_i = twists[i] if i < len(twists) else ()
     if not w_i:
         return [], [], []
@@ -207,27 +203,25 @@ def _hom_cycles(A: ModulePresentation, B: ModulePresentation, i: int,
                                                  len(twists[i - 1]), q) if img]
     cycles = _cycles(ring, _dual_map_images(d_next, len(w_i), q),
                      _hom_twists(w_next, B.gen_twists),
-                     _per_slot_relations(len(w_next), q, B), budgets)
+                     _per_slot_relations(len(w_next), q, B))
     return h_i, cycles, rels
 
 
-def _hom_cohomology(A: ModulePresentation, B: ModulePresentation, i: int,
-                    budgets):
+def _hom_cohomology(A: ModulePresentation, B: ModulePresentation, i: int):
     """H^i of Hom(F., B) for a free resolution F. of A (see _hom_cycles):
     (presentation, cocycle realizations, coordinate twists of Hom(F_i, B)).
 
     B may be any presentation.  For i = 0 this is Hom(A, B), each
     realization the matrix of a homomorphism.
     """
-    h_i, cycles, rels = _hom_cycles(A, B, i, budgets)
+    h_i, cycles, rels = _hom_cycles(A, B, i)
     if not h_i:
         return zero_module(A.ring), [], []
-    pres, kept = _homology(A.ring, h_i, cycles, rels, budgets)
+    pres, kept = _homology(A.ring, h_i, cycles, rels)
     return pres, kept, h_i
 
 
-def hom_with_realizations(M: ModulePresentation, N: ModulePresentation, *,
-                          budgets=None):
+def hom_with_realizations(M: ModulePresentation, N: ModulePresentation):
     """(presentation of Hom(M, N), generator matrices, coordinate twists).
 
     Each returned generator realization is a column on the coordinates
@@ -236,20 +230,20 @@ def hom_with_realizations(M: ModulePresentation, N: ModulePresentation, *,
     """
     if M.ring != N.ring:
         raise ValueError("hom over different rings")
-    return _hom(minimalize(M), minimalize(N), budgets or DEFAULT_BUDGETS)
+    return _hom(minimalize(M), minimalize(N))
 
 
-def _hom(A: ModulePresentation, B: ModulePresentation, budgets):
+def _hom(A: ModulePresentation, B: ModulePresentation):
     """hom_with_realizations for minimal A and B."""
-    return memo.cached("hom", _hom_cohomology, A, B, 0, budgets)
+    return memo.cached("hom", _hom_cohomology, A, B, 0)
 
 
-def hom_module(M, N, *, budgets=None) -> ModulePresentation:
-    return hom_with_realizations(M, N, budgets=budgets)[0]
+def hom_module(M, N) -> ModulePresentation:
+    return hom_with_realizations(M, N)[0]
 
 
-def dual(M: ModulePresentation, *, budgets=None) -> ModulePresentation:
-    return hom_module(M, free_module(M.ring, [0]), budgets=budgets)
+def dual(M: ModulePresentation) -> ModulePresentation:
+    return hom_module(M, free_module(M.ring, [0]))
 
 
 def tensor_raw(M: ModulePresentation, N: ModulePresentation):
@@ -277,8 +271,8 @@ def _tensor(A: ModulePresentation, B: ModulePresentation):
     return minimalize(tensor_raw(A, B)[0])
 
 
-def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
-        budgets=None) -> ModulePresentation:
+def ext(M: ModulePresentation, N: ModulePresentation,
+        i: int) -> ModulePresentation:
     """Ext^i(M, N) over the common ring R = S/I of M and N.
 
     When R is a Cohen-Macaulay proper quotient of codimension c in n
@@ -295,25 +289,24 @@ def ext(M: ModulePresentation, N: ModulePresentation, i: int, *,
     """
     if M.ring != N.ring:
         raise ValueError("ext over different rings")
-    budgets = budgets or DEFAULT_BUDGETS
     if i < 0:
         raise ValueError("ext index must be >= 0")
     A, B = minimalize(M), minimalize(N)
-    return memo.cached("ext", _ext, A, B, i, budgets)
+    return memo.cached("ext", _ext, A, B, i)
 
 
-def _ext(A: ModulePresentation, B: ModulePresentation, i: int,
-         budgets) -> ModulePresentation:
+def _ext(A: ModulePresentation, B: ModulePresentation,
+         i: int) -> ModulePresentation:
     """ext for minimal A and B."""
     from .invariants import canonical_twist
 
     a = canonical_twist(B)
     if a is None:
-        return _ext_direct(A, B, i, budgets)
+        return _ext_direct(A, B, i)
     memo.cached("twist-certificate", _certify_twist, B, a)
-    out = _ambient_route(A, i, a, budgets)
+    out = _ambient_route(A, i, a)
     if i == 0:
-        direct = _ext_direct(A, B, i, budgets).hilbert_series()
+        direct = _ext_direct(A, B, i).hilbert_series()
         if direct != out.hilbert_series():
             raise ConsistencyError(
                 f"Ext^0 into the canonical module: ambient series "
@@ -322,20 +315,19 @@ def _ext(A: ModulePresentation, B: ModulePresentation, i: int,
     return out
 
 
-def _ambient_route(A: ModulePresentation, i: int, a: int,
-                   budgets) -> ModulePresentation:
+def _ambient_route(A: ModulePresentation, i: int,
+                   a: int) -> ModulePresentation:
     """Ext^i_R(A, omega_R(a)) = Ext^(i+c)_S(A, S)(a - n) over a
     Cohen-Macaulay R of codimension c in n variables, presented by
-    `invariants.ambient_ext` under the budgets (zero past i + c = n)."""
+    `invariants.ambient_ext` (zero past i + c = n)."""
     from .invariants import ambient_ext, ring_codim
 
     ring = A.ring
-    E = ambient_ext(A, i + ring_codim(ring), budgets)
+    E = ambient_ext(A, i + ring_codim(ring))
     return minimalize(change_ring(twist_module(E, a - ring.nvars), ring))
 
 
-def ext_vanishes(M: ModulePresentation, N: ModulePresentation, i: int, *,
-                 budgets=None) -> bool:
+def ext_vanishes(M: ModulePresentation, N: ModulePresentation, i: int) -> bool:
     """Whether Ext^i(M, N) = 0: the answer of ext(M, N, i).is_zero(),
     without presenting the group where the ambient route serves it.
 
@@ -354,18 +346,16 @@ def ext_vanishes(M: ModulePresentation, N: ModulePresentation, i: int, *,
         if a is not None:
             memo.cached("twist-certificate", _certify_twist, B, a)
             j = i + ring_codim(M.ring)
-            series, _ = _ambient_profile(minimalize(M),
-                                         budgets or DEFAULT_BUDGETS)
+            series, _ = _ambient_profile(minimalize(M))
             return j >= len(series) or series[j].is_zero()
-    return ext(M, N, i, budgets=budgets).is_zero()
+    return ext(M, N, i).is_zero()
 
 
 def _certify_twist(B: ModulePresentation, a: int) -> bool:
     """The route at the unit module: Ext^0_R(R, omega_R(a)) is omega_R(a),
     which must have the series of B = omega_R(a).  A wrong a shifts it,
     even where every Ext^i(M, B) the route serves is zero."""
-    route = _ambient_route(free_module(B.ring, [0]), 0, a,
-                           DEFAULT_BUDGETS).hilbert_series()
+    route = _ambient_route(free_module(B.ring, [0]), 0, a).hilbert_series()
     if route != B.hilbert_series():
         raise ConsistencyError(
             f"canonical twist {a}: the ambient route gives omega with series "
@@ -374,34 +364,33 @@ def _certify_twist(B: ModulePresentation, a: int) -> bool:
     return True
 
 
-def _ext_direct(A: ModulePresentation, B: ModulePresentation, i: int,
-                budgets) -> ModulePresentation:
+def _ext_direct(A: ModulePresentation, B: ModulePresentation,
+                i: int) -> ModulePresentation:
     """Ext^i(A, B) for minimal A, B: cohomology of Hom(resolution of A, B)."""
-    return _hom_cohomology(A, B, i, budgets)[0]
+    return _hom_cohomology(A, B, i)[0]
 
 
-def tor(M: ModulePresentation, N: ModulePresentation, i: int, *,
-        budgets=None) -> ModulePresentation:
+def tor(M: ModulePresentation, N: ModulePresentation,
+        i: int) -> ModulePresentation:
     """Tor_i(M, N): homology of (minimal resolution of M) (x) N."""
     if M.ring != N.ring:
         raise ValueError("tor over different rings")
-    budgets = budgets or DEFAULT_BUDGETS
     if i < 0:
         raise ValueError("tor index must be >= 0")
     if i == 0:
         return tensor(M, N)
     A, B = minimalize(M), minimalize(N)
-    return memo.cached("tor", _tor, A, B, i, budgets)
+    return memo.cached("tor", _tor, A, B, i)
 
 
-def _tor(A: ModulePresentation, B: ModulePresentation, i: int,
-         budgets) -> ModulePresentation:
+def _tor(A: ModulePresentation, B: ModulePresentation,
+         i: int) -> ModulePresentation:
     """tor for minimal A and B and i >= 1."""
     ring = A.ring
     q = B.n_gens()
     if q == 0 or A.n_gens() == 0:
         return zero_module(ring)
-    twists, maps = _spots(A, i, budgets)
+    twists, maps = _spots(A, i)
     w_i = twists[i] if i < len(twists) else ()
     if not w_i:
         return zero_module(ring)
@@ -411,9 +400,8 @@ def _tor(A: ModulePresentation, B: ModulePresentation, i: int,
         rels += [img for img in _tensor_map_images(maps[i], q) if img]
     cycles = _cycles(ring, _tensor_map_images(maps[i - 1], q),
                      _tensor_twists(w_prev, B.gen_twists),
-                     _per_slot_relations(len(w_prev), q, B), budgets)
-    return _homology(ring, _tensor_twists(w_i, B.gen_twists), cycles, rels,
-                     budgets)[0]
+                     _per_slot_relations(len(w_prev), q, B))
+    return _homology(ring, _tensor_twists(w_i, B.gen_twists), cycles, rels)[0]
 
 
 def _transpose_raw(A: ModulePresentation, B: ModulePresentation):
@@ -448,19 +436,17 @@ def transpose_wrt(M: ModulePresentation,
     return _transpose_wrt(minimalize(M), minimalize(C))
 
 
-def ext_to_ambient(M: ModulePresentation, i: int, *,
-                   budgets=None) -> ModulePresentation:
+def ext_to_ambient(M: ModulePresentation, i: int) -> ModulePresentation:
     """Ext^i over the ambient polynomial ring S of M viewed as S-module."""
     amb = M.over_ambient()
     S = amb.ring
-    return ext(amb, free_module(S, [0]), i, budgets=budgets)
+    return ext(amb, free_module(S, [0]), i)
 
 
 # -- pushforward ------------------------------------------------------------
 
 
-def evaluation_map(M: ModulePresentation, N: ModulePresentation, *,
-                   budgets=None):
+def evaluation_map(M: ModulePresentation, N: ModulePresentation):
     """(columns, taus) of the evaluation map M -> sum_t N(tau_t).
 
     phi_1, ..., phi_m are the minimal generators of Hom(M, N), phi_t of
@@ -470,7 +456,7 @@ def evaluation_map(M: ModulePresentation, N: ModulePresentation, *,
     """
     A, B = minimalize(M), minimalize(N)
     q = B.n_gens()
-    _, kept, h0 = _hom(A, B, budgets or DEFAULT_BUDGETS)
+    _, kept, h0 = _hom(A, B)
     taus = []
     for phi in kept:
         idx, p = next(iter(phi.items()))
@@ -481,13 +467,12 @@ def evaluation_map(M: ModulePresentation, N: ModulePresentation, *,
     return columns, taus
 
 
-def _evaluation_cokernel(A: ModulePresentation, B: ModulePresentation,
-                         budgets):
+def _evaluation_cokernel(A: ModulePresentation, B: ModulePresentation):
     """(columns, taus, P) for minimal A and B: the evaluation map
     A -> sum_t B(-tau_t) and the unminimalized presentation P of its
     cokernel, with the relations of every copy of B."""
     q = B.n_gens()
-    cols, taus = evaluation_map(A, B, budgets=budgets)
+    cols, taus = evaluation_map(A, B)
     gen_twists = [B.gen_twists[r] - tau for tau in taus for r in range(q)]
     rel_twists = list(A.gen_twists) + [B.rel_twists[s] - tau for tau in taus
                                        for s in range(B.n_rels())]
@@ -496,8 +481,7 @@ def _evaluation_cokernel(A: ModulePresentation, B: ModulePresentation,
         cols + _per_slot_relations(len(taus), q, B))
 
 
-def is_c_torsionless(M: ModulePresentation, C: ModulePresentation, *,
-                     budgets=None) -> bool:
+def is_c_torsionless(M: ModulePresentation, C: ModulePresentation) -> bool:
     """Whether the evaluation map M -> C^m (`evaluation_map`) is injective:
     whether its image, read modulo the relations of every copy of C, has
     the Hilbert series of M.  Its kernel is that of M -> M^++, + = Hom(-, C).
@@ -506,7 +490,7 @@ def is_c_torsionless(M: ModulePresentation, C: ModulePresentation, *,
     for semidualizing C); for C = R, "M embeds in a free module".
     """
     A, B = minimalize(M), minimalize(C)
-    _, taus, P = _evaluation_cokernel(A, B, budgets or DEFAULT_BUDGETS)
+    _, taus, P = _evaluation_cokernel(A, B)
     image = sum((B.hilbert_series().shift(-tau) for tau in taus),
                 HilbertSeries.zero(A.ring.nvars)) - P.hilbert_series()
     return image == A.hilbert_series()
@@ -520,28 +504,26 @@ class Pushforward:
     m: int
 
 
-def universal_pushforward(M: ModulePresentation, C: ModulePresentation, *,
-                          budgets=None) -> Pushforward:
+def universal_pushforward(M: ModulePresentation,
+                          C: ModulePresentation) -> Pushforward:
     """Embedding M -> C^m from a minimal generating set of Hom(M, C).
 
     Requires the evaluation map into C^m to be injective
     (`is_c_torsionless`; for semidualizing C, Ext^1(Tr_C M, C) = 0).
     The cokernel N then satisfies Ext^1(N, C) = 0, which is verified.
     """
-    budgets = budgets or DEFAULT_BUDGETS
-    if not is_c_torsionless(M, C, budgets=budgets):
+    if not is_c_torsionless(M, C):
         raise InapplicableError("universal pushforward needs an injective "
                                 "evaluation map; M -> C^m is not injective")
-    cols, taus, P = _evaluation_cokernel(minimalize(M), minimalize(C),
-                                         budgets)
+    cols, taus, P = _evaluation_cokernel(minimalize(M), minimalize(C))
     N = minimalize(P)
-    if not ext_vanishes(N, C, 1, budgets=budgets):
+    if not ext_vanishes(N, C, 1):
         raise ConsistencyError("pushforward cokernel has nonvanishing Ext^1(-,C)")
     return Pushforward(cols, taus, N, len(taus))
 
 
 def is_nth_cosyzygy_witness(M: ModulePresentation, C: ModulePresentation,
-                            n: int, *, budgets=None):
+                            n: int):
     """Try to realize M as an n-th C-syzygy by iterated pushforward.
 
     Step k asks `is_c_torsionless` of the current module, then pushes it
@@ -551,9 +533,9 @@ def is_nth_cosyzygy_witness(M: ModulePresentation, C: ModulePresentation,
     """
     X = minimalize(M)
     for step in range(1, n + 1):
-        if not is_c_torsionless(X, C, budgets=budgets):
+        if not is_c_torsionless(X, C):
             return False, step
         if X.is_zero():
             continue
-        X = universal_pushforward(X, C, budgets=budgets).cokernel
+        X = universal_pushforward(X, C).cokernel
     return True, n

@@ -27,8 +27,8 @@ coefficient module C (free of rank one; canonical over a CM ring) that
 checks read before any bounded scan.
 
 M's ambient profile holds the Hilbert series of Ext^j_S(M, S), j = 0..n,
-computed once per presentation and budgets, with the indices where they
-are nonzero.  Only the window grade <= j <= pd is computed:
+computed once per presentation, with the indices where they are
+nonzero.  Only the window grade <= j <= pd is computed:
 Ext^j_S(M, S) vanishes below grade(ann M, S) = n - dim M (Rees) and
 above pd_S M, which the minimal resolution F. of M over S gives
 (Auslander-Buchsbaum bounds it by n).  No group is presented for it.
@@ -52,18 +52,18 @@ raises ConsistencyError:
      HS(coker delta_grade), the run the window starts from;
   4. dim Ext^j_S(M, S) <= n - j for every j (local duality: the group is
      dual to H^(n-j)_m(M));
-  5. `ambient_ext` presents a group, under the same budgets, only where a
-     caller needs the module (the ambient route of `homops.ext`, the
-     annihilators of a prime locus, the canonical module), and it must
-     have exactly the profile's series.
+  5. `ambient_ext` presents a group only where a caller needs the
+     module (the ambient route of `homops.ext`, the annihilators of a
+     prime locus, the canonical module), and it must have exactly the
+     profile's series.
 Checks 1 to 4 are series arithmetic and need no kernel run.  Depth,
 dimension, local cohomology degrees, generalized CM-ness, the CM branch
 of `serre_tilde`, `homops.ext_vanishes` and the height bounds of a
 prime locus read the profile.  The verdicts of
 `is_semidualizing`, `in_auslander_class`, `serre_tilde`, `gc_dim` and
-`is_canonical_module` are memoized too, keyed by the minimal inputs,
-the bound and the budgets, so a suite asking the same question in
-several checks computes it once.  A hit hands every caller the same
+`is_canonical_module` are memoized too, keyed by the minimal inputs and
+the bound, so a suite asking the same question in several checks
+computes it once.  A hit hands every caller the same
 object, which is why the verdict classes are frozen.
 
 Local data at primes is exact: `locus_point` decides whether some prime
@@ -78,7 +78,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import memo
-from .config import DEFAULT_BUDGETS, INFINITY, default_bound
+from .config import INFINITY, default_bound
 from .errors import BudgetError, ConsistencyError, InapplicableError
 from .groebner import column_degree
 from .hilbert import HilbertSeries
@@ -120,17 +120,15 @@ from .rings import GradedRing
 # -- depth, dimension and local cohomology degrees ---------------------------
 
 
-def _ambient_profile(M: ModulePresentation, budgets=None) -> tuple:
+def _ambient_profile(M: ModulePresentation) -> tuple:
     """(series, nonzero): series[j] = HS(Ext^j_S(M, S)) for j = 0..n, and
-    the ascending j with series[j] != 0; computed once per presentation
-    and budgets."""
-    budgets = budgets or DEFAULT_BUDGETS
-    return memo.cached("ambient-profile", _ambient_series, M, budgets)
+    the ascending j with series[j] != 0; computed once per presentation."""
+    return memo.cached("ambient-profile", _ambient_series, M)
 
 
-def _ambient_series(M: ModulePresentation, budgets) -> tuple:
+def _ambient_series(M: ModulePresentation) -> tuple:
     n = M.ring.nvars
-    res = minimal_free_resolution(M.over_ambient(), n + 1, budgets=budgets)
+    res = minimal_free_resolution(M.over_ambient(), n + 1)
     pd = res.projective_dimension()
     if pd is None:
         raise ConsistencyError(
@@ -149,8 +147,7 @@ def _ambient_series(M: ModulePresentation, budgets) -> tuple:
     for j in range(max(lo, 1), pd + 1):
         images = _dual_map_images(res.maps[j - 1], len(res.twists[j - 1]), 1)
         coker[j] = cokernel_series(
-            S, [c for c in images if c], [-d for d in res.twists[j]],
-            max_degree=budgets.max_degree)
+            S, [c for c in images if c], [-d for d in res.twists[j]])
     # Ext^j = ker delta_(j+1) / im delta_j: rank-nullity on both maps
     series = tuple(coker[j] + coker[j + 1] - free[j + 1] if lo <= j <= pd
                    else zero for j in range(n + 1))
@@ -207,22 +204,19 @@ def _check_profile(M: ModulePresentation, series, free, grade_coker,
                 f"{E.dimension()} > n - j = {n - j}")
 
 
-def ambient_ext(M: ModulePresentation, j: int,
-                budgets=None) -> ModulePresentation:
-    """Ext^j_S(M, S) presented under the budgets, for a caller that needs
-    the module and not only its series.  The profile comes first; the
+def ambient_ext(M: ModulePresentation, j: int) -> ModulePresentation:
+    """Ext^j_S(M, S) presented, for a caller that needs the module and
+    not only its series.  The profile comes first; the
     group is computed only where its series is nonzero (so never past n),
     and must have that series (else ConsistencyError)."""
-    budgets = budgets or DEFAULT_BUDGETS
-    return memo.cached("ambient-ext", _ambient_ext, M, j, budgets)
+    return memo.cached("ambient-ext", _ambient_ext, M, j)
 
 
-def _ambient_ext(M: ModulePresentation, j: int,
-                 budgets) -> ModulePresentation:
-    series, _ = _ambient_profile(M, budgets)
+def _ambient_ext(M: ModulePresentation, j: int) -> ModulePresentation:
+    series, _ = _ambient_profile(M)
     if j >= len(series) or series[j].is_zero():
         return zero_module(M.ring.ambient())
-    E = ext_to_ambient(M, j, budgets=budgets)
+    E = ext_to_ambient(M, j)
     if E.hilbert_series() != series[j]:
         raise ConsistencyError(
             f"ambient Ext profile: the presented Ext^{j}_S(M, S) has series "
@@ -705,8 +699,8 @@ class ReducedGrade:
         return f"InfinityUpTo({self.bound})"
 
 
-def reduced_grade(M: ModulePresentation, C: ModulePresentation, bound=None, *,
-                  budgets=None) -> ReducedGrade:
+def reduced_grade(M: ModulePresentation, C: ModulePresentation,
+                  bound=None) -> ReducedGrade:
     """Least i > 0 with Ext^i(M, C) != 0, scanned through the bound."""
     R = M.ring
     bound = bound if bound is not None else default_bound(R)
@@ -714,20 +708,20 @@ def reduced_grade(M: ModulePresentation, C: ModulePresentation, bound=None, *,
     if A.is_zero():
         return ReducedGrade(None, None)
     for i in range(1, bound + 1):
-        if not ext_vanishes(A, C, i, budgets=budgets):
+        if not ext_vanishes(A, C, i):
             return ReducedGrade(i, None)
-    verdict = gc_dim(M, C, bound=bound, budgets=budgets)
+    verdict = gc_dim(M, C, bound=bound)
     if verdict.kind == "zero":
         return ReducedGrade(None, None if verdict.exact() else bound)
     return ReducedGrade(None, bound)
 
 
-def n_torsionfree_degree(M: ModulePresentation, cap: int, *, budgets=None):
+def n_torsionfree_degree(M: ModulePresentation, cap: int):
     """max{n <= cap : Ext^i(Tr M, R) = 0 for 1 <= i <= n}, with saturation flag."""
     T = transpose(M)
     unit = _ring_unit(M.ring)
     for i in range(1, cap + 1):
-        if not ext_vanishes(T, unit, i, budgets=budgets):
+        if not ext_vanishes(T, unit, i):
             return i - 1, False
     return cap, True
 
@@ -735,8 +729,8 @@ def n_torsionfree_degree(M: ModulePresentation, cap: int, *, budgets=None):
 # -- the natural map M -> Hom(C, M (x) C) -------------------------------------
 
 
-def _natural_map_is_iso(A: ModulePresentation, Cmin: ModulePresentation,
-                        budgets) -> tuple:
+def _natural_map_is_iso(A: ModulePresentation,
+                        Cmin: ModulePresentation) -> tuple:
     """(is it an iso, reason) for the natural map A -> Hom(C, A (x) C),
     generator i to the identity onto slot i of A (x) C, on the coordinates
     (t, s) -> t*qT + s; at A = R it is the homothety R -> Hom(C, C).
@@ -756,24 +750,24 @@ def _natural_map_is_iso(A: ModulePresentation, Cmin: ModulePresentation,
     an iso.  Only when they agree does the kernel route run
     (`_natural_map_by_cycles`), whose own series must match.
     """
-    series = _image_side_series(A, Cmin, budgets)
+    series = _image_side_series(A, Cmin)
     if A.hilbert_series() != series:
         return False, "Hilbert series of source and target differ"
-    return _natural_map_by_cycles(A, Cmin, series, budgets)
+    return _natural_map_by_cycles(A, Cmin, series)
 
 
-def _image_side_series(A: ModulePresentation, Cmin: ModulePresentation,
-                       budgets) -> HilbertSeries:
+def _image_side_series(A: ModulePresentation,
+                       Cmin: ModulePresentation) -> HilbertSeries:
     """HS(Hom(C, X)) for X = A (x) C by the formula of `_natural_map_is_iso`,
     after the natural map's two consistency checks, slot by slot in X.
 
     X is the memoized minimal tensor; for minimal A and C it keeps every
     generator of `tensor_raw`, in order, so generator i*qc + t of X is
     the image in slot t of A's generator i.  The checks read the basis of
-    X's relations that HS(X) builds.  HS(Tr_X C) is one plain run, under
-    the budgets, over the columns of `_transpose_raw(Cmin, X)` with X
-    presented by that basis: the same span in every slot of Hom(F_1, X),
-    entering already a Groebner basis.
+    X's relations that HS(X) builds.  HS(Tr_X C) is one plain run over
+    the columns of `_transpose_raw(Cmin, X)` with X presented by that
+    basis: the same span in every slot of Hom(F_1, X), entering already
+    a Groebner basis.
     """
     ring = A.ring
     X = tensor(A, Cmin)
@@ -802,12 +796,11 @@ def _image_side_series(A: ModulePresentation, Cmin: ModulePresentation,
     tr = _transpose_raw(Cmin, ModulePresentation(
         ring, X.gen_twists, [column_degree(c, X.gen_twists) for c in basis],
         basis))
-    return out + quotient_series(ring, tr.columns, tr.gen_twists,
-                                 max_degree=budgets.max_degree)
+    return out + quotient_series(ring, tr.columns, tr.gen_twists)
 
 
 def _natural_map_by_cycles(A: ModulePresentation, Cmin: ModulePresentation,
-                           series: HilbertSeries, budgets) -> tuple:
+                           series: HilbertSeries) -> tuple:
     """The kernel route of `_natural_map_is_iso`, run when HS(A) equals
     the image-side `series`.  Hom is never presented: it is
     span(cycles + rels) / span(rels) on the coordinates of
@@ -819,7 +812,7 @@ def _natural_map_by_cycles(A: ModulePresentation, Cmin: ModulePresentation,
     ring = A.ring
     T_raw, _, Bc = tensor_raw(A, Cmin)
     qc, qT = Bc.n_gens(), T_raw.n_gens()
-    twists, cycles, rels = _hom_cycles(Bc, T_raw, 0, budgets)
+    twists, cycles, rels = _hom_cycles(Bc, T_raw, 0)
     hom_series = (quotient_series(ring, rels, twists)
                   - quotient_series(ring, cycles + rels, twists))
     if hom_series != series:
@@ -858,8 +851,8 @@ class SemidualizingCertificate:
                 else "homothety exact; self-Ext vanishing scanned")
 
 
-def is_semidualizing(C: ModulePresentation, bound=None, *,
-                     budgets=None) -> SemidualizingCertificate:
+def is_semidualizing(C: ModulePresentation,
+                     bound=None) -> SemidualizingCertificate:
     """Homothety R -> Hom(C, C) must be an iso and Ext^i(C,C) must vanish.
 
     The homothety test is exact; self-Ext vanishing is scanned through
@@ -867,11 +860,11 @@ def is_semidualizing(C: ModulePresentation, bound=None, *,
     """
     return _verdict("semidualizing", _semidualizing,
                     SemidualizingCertificate(False, None, "zero module"),
-                    (C,), bound, budgets)
+                    (C,), bound)
 
 
-def _semidualizing(Cmin: ModulePresentation, bound: int,
-                   budgets) -> SemidualizingCertificate:
+def _semidualizing(Cmin: ModulePresentation,
+                   bound: int) -> SemidualizingCertificate:
     facts = coefficient_facts(Cmin)
     if facts.free_rank_one or facts.canonical:
         return SemidualizingCertificate(True, None)
@@ -879,11 +872,11 @@ def _semidualizing(Cmin: ModulePresentation, bound: int,
         return SemidualizingCertificate(
             False, None, "free of rank > 1 is not semidualizing"
         )
-    ok, reason = _natural_map_is_iso(_ring_unit(Cmin.ring), Cmin, budgets)
+    ok, reason = _natural_map_is_iso(_ring_unit(Cmin.ring), Cmin)
     if not ok:
         return SemidualizingCertificate(False, None, f"homothety: {reason}")
     for i in range(1, bound + 1):
-        if not ext_vanishes(Cmin, Cmin, i, budgets=budgets):
+        if not ext_vanishes(Cmin, Cmin, i):
             return SemidualizingCertificate(False, None, f"Ext^{i}(C,C) != 0")
     return SemidualizingCertificate(True, bound)
 
@@ -891,21 +884,21 @@ def _semidualizing(Cmin: ModulePresentation, bound: int,
 # -- Auslander class ----------------------------------------------------------
 
 
-def _finite_pd(M: ModulePresentation, *, budgets=None):
+def _finite_pd(M: ModulePresentation):
     """Exact projective dimension if finite, else None (exact dichotomy).
 
     A module of finite pd has pd <= depth R, so incompleteness at
     depth R + 1 steps certifies infinite projective dimension.
     """
     R = M.ring
-    res = minimal_free_resolution(M, ring_depth(R) + 1, budgets=budgets)
+    res = minimal_free_resolution(M, ring_depth(R) + 1)
     if res.complete:
         return res.projective_dimension()
     return None
 
 
 def in_auslander_class(M: ModulePresentation, C: ModulePresentation,
-                       bound=None, *, budgets=None) -> BoundedVerdict:
+                       bound=None) -> BoundedVerdict:
     """Membership in the Auslander class of C.
 
     Exact True for finite projective dimension or a free C of rank one;
@@ -917,39 +910,38 @@ def in_auslander_class(M: ModulePresentation, C: ModulePresentation,
         raise ValueError("in_auslander_class over different rings")
     return _verdict("auslander", _auslander,
                     BoundedVerdict("true", note="zero module"), (M, C),
-                    bound, budgets)
+                    bound)
 
 
-def _verdict(op, compute, zero, modules, bound, budgets):
+def _verdict(op, compute, zero, modules, bound):
     """`zero` when the first module is zero, else the memoized
-    compute(*minimal presentations, bound, budgets)."""
+    compute(*minimal presentations, bound)."""
     mins = [minimalize(M) for M in modules]
     if mins[0].is_zero():
         return zero
-    budgets = budgets or DEFAULT_BUDGETS
     bound = bound if bound is not None else default_bound(mins[0].ring)
-    return memo.cached(op, compute, *mins, bound, budgets)
+    return memo.cached(op, compute, *mins, bound)
 
 
-def _auslander(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
-               budgets) -> BoundedVerdict:
-    pd = _finite_pd(A, budgets=budgets)
+def _auslander(A: ModulePresentation, Cmin: ModulePresentation,
+               bound: int) -> BoundedVerdict:
+    pd = _finite_pd(A)
     if pd is not None:
         return BoundedVerdict("true", note=f"finite projective dimension {pd}")
     # C = R(a): Tor_i(M, C) = 0, Ext^i(C, -) = 0 and M -> Hom(C, M(a)) is
     # the identity
     if coefficient_facts(Cmin).free_rank_one:
         return BoundedVerdict("true", note="free coefficient module of rank one")
-    ok, reason = _natural_map_is_iso(A, Cmin, budgets)
+    ok, reason = _natural_map_is_iso(A, Cmin)
     if not ok:
         return BoundedVerdict(
             "false", witness=f"natural map M -> Hom(C, M(x)C): {reason}"
         )
     try:
         for i in range(1, bound + 1):
-            if not tor(A, Cmin, i, budgets=budgets).is_zero():
+            if not tor(A, Cmin, i).is_zero():
                 return BoundedVerdict("false", witness=f"Tor_{i}(M, C) != 0")
-            if not ext_vanishes(Cmin, tensor(A, Cmin), i, budgets=budgets):
+            if not ext_vanishes(Cmin, tensor(A, Cmin), i):
                 return BoundedVerdict("false",
                                       witness=f"Ext^{i}(C, M(x)C) != 0")
     except BudgetError as e:
@@ -993,8 +985,8 @@ class GcDimVerdict:
     __str__ = describe
 
 
-def gc_dim(M: ModulePresentation, C: ModulePresentation, bound=None, *,
-           budgets=None) -> GcDimVerdict:
+def gc_dim(M: ModulePresentation, C: ModulePresentation,
+           bound=None) -> GcDimVerdict:
     """G-dimension of M with respect to C.
 
     When finite it equals depth R - depth M.  Exact certificates: the
@@ -1008,11 +1000,11 @@ def gc_dim(M: ModulePresentation, C: ModulePresentation, bound=None, *,
         raise ValueError("gc_dim over different rings")
     return _verdict("gc-dim", _gc_dim,
                     GcDimVerdict("zero", 0, None, "zero module"), (M, C),
-                    bound, budgets)
+                    bound)
 
 
-def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
-            budgets) -> GcDimVerdict:
+def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation,
+            bound: int) -> GcDimVerdict:
     r = ring_depth(A.ring) - depth(A)
     certificate = coefficient_facts(Cmin).certificate()
     if certificate is None and is_canonical_module(Cmin):
@@ -1020,7 +1012,7 @@ def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
         # kept until the suite-noncm-gf ledger is re-seeded (see ROADMAP.md).
         certificate = "canonical coefficient module"
     if certificate is None:
-        pd = _finite_pd(A, budgets=budgets)
+        pd = _finite_pd(A)
         if pd is not None:
             certificate = f"finite projective dimension {pd}"
     if certificate is not None:
@@ -1031,19 +1023,19 @@ def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
             "depth M exceeds depth R, impossible at finite G-dimension"
         )
     try:
-        X = syzygy(A, r, budgets=budgets)
+        X = syzygy(A, r)
         Xmin = minimalize(X)
         if Xmin.is_zero():
             return GcDimVerdict("finite" if r else "zero", r, None,
                                 "syzygy vanishes")
         TX = transpose_wrt(Xmin, Cmin)
         for i in range(1, bound + 1):
-            if not ext_vanishes(Xmin, Cmin, i, budgets=budgets):
+            if not ext_vanishes(Xmin, Cmin, i):
                 return GcDimVerdict(
                     "infinite", None, None,
                     f"Ext^{i + r}(M, C) != 0 beyond the depth gap {r}"
                 )
-            if not ext_vanishes(TX, Cmin, i, budgets=budgets):
+            if not ext_vanishes(TX, Cmin, i):
                 return GcDimVerdict(
                     "infinite", None, None,
                     f"Ext^{i}(Tr_C of the {r}-th syzygy, C) != 0"
@@ -1057,13 +1049,13 @@ def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation, bound: int,
 
 
 def is_gc_perfect_ideal(R: GradedRing, ideal_gens, C: ModulePresentation,
-                        bound=None, *, budgets=None):
+                        bound=None):
     """(verdict, grade) for the cyclic module R/(ideal)."""
     Q = cyclic_module(R, ideal_gens)
     if minimalize(Q).is_zero():
         raise InapplicableError("the ideal is the unit ideal")
     g = grade_module(Q)
-    v = gc_dim(Q, C, bound=bound, budgets=budgets)
+    v = gc_dim(Q, C, bound=bound)
     if not v.is_finite():
         return BoundedVerdict("false", witness=str(v)), g
     if (v.value or 0) != g:
@@ -1075,13 +1067,12 @@ def is_gc_perfect_ideal(R: GradedRing, ideal_gens, C: ModulePresentation,
 
 
 def is_gc_gorenstein_ideal(R: GradedRing, ideal_gens, C: ModulePresentation,
-                           bound=None, *, budgets=None) -> BoundedVerdict:
+                           bound=None) -> BoundedVerdict:
     """G_C-perfect with cyclic top Ext module."""
-    perfect, g = is_gc_perfect_ideal(R, ideal_gens, C, bound=bound,
-                                     budgets=budgets)
+    perfect, g = is_gc_perfect_ideal(R, ideal_gens, C, bound=bound)
     if not perfect.holds():
         return perfect
-    K = ext(cyclic_module(R, ideal_gens), C, g, budgets=budgets)
+    K = ext(cyclic_module(R, ideal_gens), C, g)
     if minimalize(K).n_gens() != 1:
         return BoundedVerdict(
             "false", witness=f"Ext^{g}(R/ideal, C) is not cyclic"
@@ -1090,30 +1081,29 @@ def is_gc_gorenstein_ideal(R: GradedRing, ideal_gens, C: ModulePresentation,
 
 
 def induced_semidualizing(R: GradedRing, ideal_gens, C: ModulePresentation,
-                          bound=None, *, budgets=None) -> ModulePresentation:
+                          bound=None) -> ModulePresentation:
     """K = Ext^g(R/a, C) presented over R/a.
 
     For a G_C-perfect ideal a this is semidualizing over R/a.
     """
-    perfect, g = is_gc_perfect_ideal(R, ideal_gens, C, bound=bound,
-                                     budgets=budgets)
+    perfect, g = is_gc_perfect_ideal(R, ideal_gens, C, bound=bound)
     if not perfect.holds():
         raise InapplicableError(
             f"ideal is not G_C-perfect: {perfect.describe()}"
         )
-    K = ext(cyclic_module(R, ideal_gens), C, g, budgets=budgets)
+    K = ext(cyclic_module(R, ideal_gens), C, g)
     return minimalize(change_ring(minimalize(K), R.quotient_by(ideal_gens)))
 
 
 def is_reduced_gc_perfect(M: ModulePresentation, C: ModulePresentation,
-                          bound=None, *, budgets=None):
+                          bound=None):
     """gcdim M = reduced grade, both finite and positive."""
-    v = gc_dim(M, C, bound=bound, budgets=budgets)
+    v = gc_dim(M, C, bound=bound)
     if v.kind != "finite" or not v.value:
         return BoundedVerdict(
             "false", witness=f"G-dimension {v} is not finite positive"
         ), v
-    rg = reduced_grade(M, C, bound=max(bound or 0, v.value), budgets=budgets)
+    rg = reduced_grade(M, C, bound=max(bound or 0, v.value))
     if rg.value != v.value:
         return BoundedVerdict(
             "false", witness=f"reduced grade {rg} != G-dimension {v.value}"

@@ -1,7 +1,7 @@
 """Graded isomorphism testing.
 
 Both modules are minimalized and the verdict is memoized per pair (op
-"isomorphic", keyed by the two minimal presentations and the budgets):
+"isomorphic", keyed by the two minimal presentations):
 it is a function of the two modules.  The steps, in order:
 
 1. exact invariants: generator and relation degree multisets of the
@@ -41,7 +41,6 @@ import random
 from dataclasses import dataclass
 
 from . import memo
-from .config import DEFAULT_BUDGETS
 from .errors import ConsistencyError
 from .homops import _hom_cycles
 from .modules import (
@@ -100,14 +99,13 @@ def _echelon(rows, f) -> list:
     return pivots
 
 
-def degree_zero_maps(A: ModulePresentation, B: ModulePresentation,
-                     budgets) -> list:
+def degree_zero_maps(A: ModulePresentation, B: ModulePresentation) -> list:
     """A spanning set of Hom(A, B)_0 for minimal A and B (step 4 above):
     maps as columns over A's generators into B's cover, none of them
     zero in Hom(A, B), and none at all exactly when Hom(A, B)_0 = 0."""
     ring = A.ring
     q = B.n_gens()
-    twists, cycles, _ = _hom_cycles(A, B, 0, budgets)
+    twists, cycles, _ = _hom_cycles(A, B, 0)
     gb = span_gb(ring, list(B.columns), B.gen_twists)
     maps = []
     for c in cycles:
@@ -184,18 +182,15 @@ def _is_identity_mod(ring, cols, M: ModulePresentation) -> bool:
     return True
 
 
-def is_isomorphic(M: ModulePresentation, N: ModulePresentation, *,
-                  budgets=None) -> IsoVerdict:
+def is_isomorphic(M: ModulePresentation, N: ModulePresentation) -> IsoVerdict:
     """Exact NotIsomorphic certificates; witnessed Isomorphic; else Unknown."""
-    budgets = budgets or DEFAULT_BUDGETS
     if M.ring != N.ring:
         return IsoVerdict("not_isomorphic", "different rings")
     A, B = minimalize(M), minimalize(N)
-    return memo.cached("isomorphic", _is_isomorphic, A, B, budgets)
+    return memo.cached("isomorphic", _is_isomorphic, A, B)
 
 
-def _is_isomorphic(A: ModulePresentation, B: ModulePresentation,
-                   budgets) -> IsoVerdict:
+def _is_isomorphic(A: ModulePresentation, B: ModulePresentation) -> IsoVerdict:
     ring = A.ring
     if A.n_gens() == 0 and B.n_gens() == 0:
         return IsoVerdict("isomorphic", "both zero")
@@ -232,7 +227,7 @@ def _is_isomorphic(A: ModulePresentation, B: ModulePresentation,
         identity = tuple({j: one} for j in range(A.n_gens()))
         return IsoVerdict("isomorphic", "surjective degree-zero map with inverse",
                           identity, identity)
-    maps = degree_zero_maps(A, B, budgets)
+    maps = degree_zero_maps(A, B)
     if not maps:
         return IsoVerdict("not_isomorphic", "no nonzero degree-zero homomorphisms")
     # every degree-zero map's constant part is a combination of the spanning

@@ -10,9 +10,8 @@ into R^m), and a direct isomorphism test against the double linkage
 image.  Disagreement among
 exact criteria is recorded on the report rather than raised, so the
 theorem harness can surface it as a refutation.  A report is frozen and
-memoized (op "horizontally-linked", keyed by the minimal presentation
-and the budgets), so every check that assumes M is linked reads one
-report.
+memoized (op "horizontally-linked", keyed by the minimal presentation),
+so every check that assumes M is linked reads one report.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import memo
-from .config import DEFAULT_BUDGETS
 from .homops import ext_vanishes, is_c_torsionless, lambda_module, transpose
 from .isomorphism import IsoVerdict, is_isomorphic
 from .modules import (
@@ -68,22 +66,19 @@ class LinkageReport:
         return "; ".join(bits)
 
 
-def is_horizontally_linked(M: ModulePresentation, *,
-                           budgets=None) -> LinkageReport:
-    """The report for minimalize(M), memoized under its budgets."""
-    budgets = budgets or DEFAULT_BUDGETS
+def is_horizontally_linked(M: ModulePresentation) -> LinkageReport:
+    """The report for minimalize(M), memoized."""
     return memo.cached("horizontally-linked", _horizontally_linked,
-                       minimalize(M), budgets)
+                       minimalize(M))
 
 
-def _horizontally_linked(A: ModulePresentation, budgets) -> LinkageReport:
+def _horizontally_linked(A: ModulePresentation) -> LinkageReport:
     stable, free_rank = is_stable(A)
-    ext1_vanishes = ext_vanishes(transpose(A), free_module(A.ring, [0]), 1,
-                                 budgets=budgets)
+    ext1_vanishes = ext_vanishes(transpose(A), free_module(A.ring, [0]), 1)
     linked = stable and ext1_vanishes
-    syz = is_c_torsionless(A, free_module(A.ring, [0]), budgets=budgets)
-    lam2 = lambda_module(lambda_module(A, budgets=budgets), budgets=budgets)
-    double_link = is_isomorphic(A, lam2, budgets=budgets)
+    syz = is_c_torsionless(A, free_module(A.ring, [0]))
+    lam2 = lambda_module(lambda_module(A))
+    double_link = is_isomorphic(A, lam2)
     disagreements = []
     if (stable and syz) != linked:
         disagreements.append(
@@ -95,16 +90,10 @@ def _horizontally_linked(A: ModulePresentation, budgets) -> LinkageReport:
                          double_link, "; ".join(disagreements))
 
 
-def link(M: ModulePresentation, *, budgets=None) -> ModulePresentation:
-    return lambda_module(M, budgets=budgets)
-
-
-def is_self_linked(M: ModulePresentation, *, twist: int = 0,
-                   budgets=None) -> IsoVerdict:
+def is_self_linked(M: ModulePresentation, *, twist: int = 0) -> IsoVerdict:
     """Compare the linkage image with M(twist); 0 means degree-for-degree."""
     return is_isomorphic(twist_module(minimalize(M), twist),
-                         lambda_module(M, budgets=budgets),
-                         budgets=budgets)
+                         lambda_module(M))
 
 
 @dataclass
@@ -125,8 +114,8 @@ class IdealLinkageReport:
         )
 
 
-def linked_by_ideal(M: ModulePresentation, N: ModulePresentation, ideal_gens,
-                    *, budgets=None) -> IdealLinkageReport:
+def linked_by_ideal(M: ModulePresentation, N: ModulePresentation,
+                    ideal_gens) -> IdealLinkageReport:
     """Linkage of M and N by an ideal inside both annihilators.
 
     The ideal must annihilate both modules (checked exactly; a failing
@@ -150,10 +139,8 @@ def linked_by_ideal(M: ModulePresentation, N: ModulePresentation, ideal_gens,
     Rc = ring.quotient_by(gens)
     Mc = minimalize(change_ring(minimalize(M), Rc))
     Nc = minimalize(change_ring(minimalize(N), Rc))
-    forward = is_isomorphic(Nc, lambda_module(Mc, budgets=budgets),
-                            budgets=budgets)
-    backward = is_isomorphic(Mc, lambda_module(Nc, budgets=budgets),
-                             budgets=budgets)
+    forward = is_isomorphic(Nc, lambda_module(Mc))
+    backward = is_isomorphic(Mc, lambda_module(Nc))
     if forward.is_isomorphic() and backward.is_isomorphic():
         verdict = "linked"
     elif forward.kind == "not_isomorphic" or backward.kind == "not_isomorphic":

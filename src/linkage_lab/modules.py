@@ -16,8 +16,7 @@ ambient ones of all the inputs.
 
 from __future__ import annotations
 
-from . import memo
-from .config import DEFAULT_BUDGETS
+from . import config, memo
 from .errors import ConsistencyError, HomogeneityError, InapplicableError
 from .groebner import ModuleGB, column_degree
 from .hilbert import HilbertSeries, monomial_quotient_numerator
@@ -225,16 +224,14 @@ def direct_sum(M: ModulePresentation, N: ModulePresentation) -> ModulePresentati
 
 
 def span_gb(ring: GradedRing, columns, ambient_twists, *, track=False,
-            extra=(), max_degree=None) -> ModuleGB:
+            extra=()) -> ModuleGB:
     """Groebner basis of span(columns) + span(extra) + I*F, memoized.
 
     With track=True it lifts over `columns` alone; `extra` and I*F
     (the ring's ideal) enter untracked.
     """
-    if max_degree is None:
-        max_degree = DEFAULT_BUDGETS.max_degree
     return memo.cached("span-gb", _span_gb, ring, _items(columns),
-                       tuple(ambient_twists), track, _items(extra), max_degree)
+                       tuple(ambient_twists), track, _items(extra))
 
 
 def _items(columns) -> tuple:
@@ -242,11 +239,11 @@ def _items(columns) -> tuple:
     return tuple(tuple(col.items()) for col in columns)
 
 
-def _span_gb(ring, columns, ambient_twists, track, extra, max_degree):
+def _span_gb(ring, columns, ambient_twists, track, extra):
     return ModuleGB(
         ring.poly_ring, [dict(c) for c in columns], ambient_twists,
         track=track, fixed=[dict(c) for c in extra], quotient=ring,
-        max_degree=max_degree,
+        max_degree=config.MAX_DEGREE,
     )
 
 
@@ -254,19 +251,19 @@ def _hilbert_series(M: ModulePresentation) -> HilbertSeries:
     return quotient_series(M.ring, M.columns, M.gen_twists)
 
 
-def quotient_series(ring: GradedRing, columns, ambient_twists, *,
-                    max_degree=None) -> HilbertSeries:
+def quotient_series(ring: GradedRing, columns,
+                    ambient_twists) -> HilbertSeries:
     """Hilbert series of F / (span(columns) + I*F)."""
-    gb = span_gb(ring, columns, ambient_twists, max_degree=max_degree)
+    gb = span_gb(ring, columns, ambient_twists)
     return _lead_series(ring, gb, ambient_twists)
 
 
-def cokernel_series(ring: GradedRing, columns, ambient_twists, *,
-                    max_degree) -> HilbertSeries:
+def cokernel_series(ring: GradedRing, columns,
+                    ambient_twists) -> HilbertSeries:
     """`quotient_series` by one plain run kept out of the memo, for a
     caller that needs the series alone and never queries the basis."""
     gb = ModuleGB(ring.poly_ring, list(columns), ambient_twists,
-                  quotient=ring, max_degree=max_degree)
+                  quotient=ring, max_degree=config.MAX_DEGREE)
     return _lead_series(ring, gb, ambient_twists)
 
 
@@ -306,7 +303,7 @@ def _reduced_entries(ring: GradedRing, col: dict) -> dict:
 
 
 def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
-                    extra=(), max_degree=None) -> list:
+                    extra=()) -> list:
     """Generators of {h : sum_t h[t] * columns[t] in span(extra) + I*F}.
 
     These are the syzygies over R of the columns modulo span(extra): the
@@ -319,10 +316,9 @@ def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
     if not any(columns):
         one = ring.poly_ring.one()
         return [{t: one} for t in range(len(columns))]
-    if max_degree is None:
-        max_degree = DEFAULT_BUDGETS.max_degree
     gb = ModuleGB(ring.poly_ring, list(columns), ambient_twists, track=True,
-                  fixed=list(extra), quotient=ring, max_degree=max_degree)
+                  fixed=list(extra), quotient=ring,
+                  max_degree=config.MAX_DEGREE)
     return _harvested(ring, gb)
 
 
@@ -338,20 +334,18 @@ def _harvested(ring: GradedRing, gb: ModuleGB) -> list:
 
 
 def _minimal_gb(ring: GradedRing, columns, ambient_twists, *, track,
-                extra=(), max_degree=None) -> ModuleGB:
+                extra=()) -> ModuleGB:
     """One minimal-admission run over `columns` with span(extra) + I*F
     fixed."""
-    if max_degree is None:
-        max_degree = DEFAULT_BUDGETS.max_degree
     return ModuleGB(
         ring.poly_ring, list(columns), ambient_twists, track=track,
         fixed=list(extra), quotient=ring,
-        max_degree=max_degree, minimal=True,
+        max_degree=config.MAX_DEGREE, minimal=True,
     )
 
 
 def mingens_columns(ring: GradedRing, columns, ambient_twists, *,
-                    extra_lower=(), max_degree=None) -> list:
+                    extra_lower=()) -> list:
     """Indices of a minimal generating subset of the column classes.
 
     Minimal generation of (span(columns) + U) / U with U = span(extra_lower)
@@ -359,11 +353,10 @@ def mingens_columns(ring: GradedRing, columns, ambient_twists, *,
     lies outside U + (the columns before it).  One plain minimal run.
     """
     return _minimal_gb(ring, columns, ambient_twists, track=False,
-                       extra=extra_lower, max_degree=max_degree).kept
+                       extra=extra_lower).kept
 
 
-def minimal_step(ring: GradedRing, columns, ambient_twists, *, harvest,
-                 max_degree=None):
+def minimal_step(ring: GradedRing, columns, ambient_twists, *, harvest):
     """(kept, syzygies): the indices mingens_columns keeps and, when
     `harvest` is set, generators over R of the syzygies of the kept
     columns modulo I*F, indexed by position in `kept` (else None).
@@ -371,8 +364,7 @@ def minimal_step(ring: GradedRing, columns, ambient_twists, *, harvest,
     One minimal run, tracked only to harvest.  Entries are reduced mod I
     and zero generators dropped.
     """
-    gb = _minimal_gb(ring, columns, ambient_twists, track=harvest,
-                     max_degree=max_degree)
+    gb = _minimal_gb(ring, columns, ambient_twists, track=harvest)
     if not harvest:
         return gb.kept, None
     return gb.kept, _harvested(ring, gb)
@@ -441,8 +433,7 @@ def _minimalize(M: ModulePresentation) -> ModulePresentation:
     )
 
 
-def subquotient(ring: GradedRing, ambient_twists, gens, rels, *,
-                max_degree=None):
+def subquotient(ring: GradedRing, ambient_twists, gens, rels):
     """(span(gens) + span(rels)) / span(rels) as a minimal presentation.
 
     Returns (presentation, kept_gens) where kept_gens are the columns of
@@ -450,17 +441,15 @@ def subquotient(ring: GradedRing, ambient_twists, gens, rels, *,
     realizations survive because generators are minimalized before the
     relation search rather than after.
     """
-    kept_idx = mingens_columns(
-        ring, list(gens), ambient_twists, extra_lower=list(rels),
-        max_degree=max_degree,
-    )
+    kept_idx = mingens_columns(ring, list(gens), ambient_twists,
+                               extra_lower=list(rels))
     gens_kept = [gens[i] for i in kept_idx]
     if not gens_kept:
         return zero_module(ring), []
     gen_twists = [column_degree(c, ambient_twists) for c in gens_kept]
-    rel_cols = column_syzygies(ring, gens_kept, ambient_twists, extra=list(rels),
-                               max_degree=max_degree)
-    kept_rels = mingens_columns(ring, rel_cols, gen_twists, max_degree=max_degree)
+    rel_cols = column_syzygies(ring, gens_kept, ambient_twists,
+                               extra=list(rels))
+    kept_rels = mingens_columns(ring, rel_cols, gen_twists)
     rel_cols = [rel_cols[j] for j in kept_rels]
     rel_twists = [column_degree(c, gen_twists) for c in rel_cols]
     for j, col in enumerate(rel_cols):
@@ -513,7 +502,7 @@ def _trimmed(S, gens) -> list:
     plain minimal run, so the next intersection starts from fewer
     generators."""
     gb = ModuleGB(S, [{0: g} for g in gens], [0], minimal=True,
-                  max_degree=DEFAULT_BUDGETS.max_degree)
+                  max_degree=config.MAX_DEGREE)
     return [gens[t] for t in gb.kept]
 
 

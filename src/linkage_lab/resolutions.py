@@ -22,11 +22,13 @@ before nor a disk-store load changes it.
 
 In process, a resolution's state is the one memo entry that grows in
 place, a cursor keyed, like every memo entry, by all it reads: the
-minimal presentation and the budgets.  Extending it appends maps and
+minimal presentation.  The caps it runs under (`config.MAX_DEGREE` on
+every Groebner run, `config.MAX_RANK` on every F_i) are constants, so
+no key names them in process.  Extending the state appends maps and
 replaces the candidates of its last step.  With a store installed,
 results also persist in a content-addressed cache keyed by the minimal
-presentation (which includes the ring), the budgets and the step, so a
-store is per budget:
+presentation (which includes the ring), the two caps and the step, so a
+store written under other caps is never read:
 
 - the map entry of step i >= 2 holds the twists of F_i and the columns
   of d_i; each polynomial entry is a list of terms [exponents,
@@ -56,19 +58,18 @@ A resolution served by the memo or the store raises the BudgetError a
 cold one would, and no check is replayed.  A cold computation of length
 L runs the harvest of step 1, the tracked runs of steps 2 ... L-1 and
 the plain run of step L, checking the rank of each F_i after its run.
-A state built under the same budgets to length at least L has passed
+A state built to length at least L, under the same caps, has passed
 those same steps, each run tracked or plain, with the same rank checks;
 and a plain minimal run never forms a higher pair degree than the
 tracked run over the same candidates (see groebner), so the plain run
-of step L stays within any degree budget its tracked run met.
+of step L stays within the degree cap its tracked run met.
 """
 
 from __future__ import annotations
 
 import sys
 
-from . import memo
-from .config import DEFAULT_BUDGETS
+from . import config, memo
 from .errors import BudgetError, ConsistencyError
 from .groebner import column_degree
 from .modules import (
@@ -154,14 +155,14 @@ class Resolution:
         raise ValueError(f"resolution only computed to length {self.length()}")
 
 
-def _key(kind: str, key, step: int = 0) -> str:
-    """The store key of an entry of the resolution filed under `key`,
-    (minimal presentation, budgets): named by the presentation's content
-    key, which is the same in every process and is derived only here, so
-    a run with no store attached never prints a presentation."""
-    Mmin, budgets = key
+def _key(kind: str, Mmin: ModulePresentation, step: int = 0) -> str:
+    """The store key of an entry of the resolution of the minimal
+    presentation `Mmin` under the caps: named by the presentation's
+    content key, which is the same in every process and is derived only
+    here, so a run with no store attached never prints a presentation."""
     return memo.content_hash("resolution-" + kind, Mmin.content_key(),
-                             repr(budgets), str(step))
+                             repr((config.MAX_DEGREE, config.MAX_RANK)),
+                             str(step))
 
 
 def _entry(columns, degrees) -> dict:
@@ -239,16 +240,17 @@ def _loaded(key: str, what: str, decode):
         return None
 
 
-def _load_maps(ring, key, state, length: int) -> None:
-    """Append the stored maps that follow the state's, up to `length`;
-    the state is complete when the store says it ends where they do."""
+def _load_maps(Mmin: ModulePresentation, state, length: int) -> None:
+    """Append the stored maps of the resolution of `Mmin` that follow the
+    state's, up to `length`; the state is complete when the store says it
+    ends where they do."""
     maps, twists = state["maps"], state["twists"]
     while len(maps) < length:
         step = len(maps) + 1
-        got = _loaded(_key("map", key, step), f"d_{step}",
-                      lambda entry: _decoded(ring, entry, twists[-1]))
+        got = _loaded(_key("map", Mmin, step), f"d_{step}",
+                      lambda entry: _decoded(Mmin.ring, entry, twists[-1]))
         if got is None:
-            if _loaded(_key("complete", key), "completion",
+            if _loaded(_key("complete", Mmin), "completion",
                        _completion) == len(maps):
                 state["complete"] = True
             return
@@ -257,32 +259,31 @@ def _load_maps(ring, key, state, length: int) -> None:
         state["candidates"] = None
 
 
-def _harvest(ring, state, budgets) -> list:
+def _harvest(ring, state) -> list:
     """The candidates of the step after the state's last one: the
     syzygies of d_1, or the harvest of the last step re-run tracked."""
     maps, twists, candidates = state["maps"], state["twists"], state["candidates"]
     if candidates is None:  # the last map is d_1
-        return column_syzygies(ring, maps[-1], twists[-2],
-                               max_degree=budgets.max_degree)
-    kept, following = minimal_step(ring, candidates, twists[-2], harvest=True,
-                                   max_degree=budgets.max_degree)
+        return column_syzygies(ring, maps[-1], twists[-2])
+    kept, following = minimal_step(ring, candidates, twists[-2], harvest=True)
     if [candidates[j] for j in kept] != maps[-1]:
         raise ConsistencyError(
             "a resolution step kept other columns on its re-run")
     return following
 
 
-def _start(Mmin: ModulePresentation, budgets) -> dict:
+def _start(Mmin: ModulePresentation) -> dict:
     """The state of a resolution before its first extension: d_1."""
     if Mmin.n_rels() == 0:
         return {"twists": [Mmin.gen_twists], "maps": [], "complete": True,
-                "candidates": None, "budgets": budgets}
+                "candidates": None}
     return {"twists": [Mmin.gen_twists, Mmin.rel_twists],
             "maps": [list(Mmin.columns)], "complete": False,
-            "candidates": None, "budgets": budgets}
+            "candidates": None}
 
 
-def _is_stored(key, stored: dict, step: int, rebuilt, length: int) -> bool:
+def _is_stored(Mmin: ModulePresentation, stored: dict, step: int, rebuilt,
+               length: int) -> bool:
     """Whether the rebuilt d_step (None when the resolution ends before
     it) is the stored map of that step.  On the first mismatch a warning
     names the entry, and it and the entries of every later step up to
@@ -291,67 +292,61 @@ def _is_stored(key, stored: dict, step: int, rebuilt, length: int) -> bool:
         return False
     if stored.pop(step) == rebuilt:
         return True
-    name = _key("map", key, step)
+    name = _key("map", Mmin, step)
     print(f"warning: discarding cache entry {name} (d_{step}): the rebuild "
           f"from d_1 computes another map", file=sys.stderr)
     stored.clear()
     if _STORE is not None:
         for later in range(step, length + 1):
-            _STORE.discard(_key("map", key, later))
+            _STORE.discard(_key("map", Mmin, later))
     return False
 
 
-def _extend(ring, key, state, length: int) -> None:
-    """Compute the state's steps up to `length` maps, or to completion,
-    under its budgets; `key` files them in the store.
+def _extend(Mmin: ModulePresentation, state, length: int) -> None:
+    """Compute the steps of the state of `Mmin` up to `length` maps, or
+    to completion, under the caps, and file them in the store.
 
     A state whose last maps came from the store is first cut back to d_1
     and rebuilt, each step checked against its stored map."""
     maps, twists = state["maps"], state["twists"]
     if state["complete"] or len(maps) >= length:
         return
-    budgets = state["budgets"]
     stored = {}
     if len(maps) > 1 and state["candidates"] is None:
         stored = {step: maps[step - 1] for step in range(2, len(maps) + 1)}
         del maps[1:], twists[2:]
-    candidates = _harvest(ring, state, budgets)
+    ring = Mmin.ring
+    candidates = _harvest(ring, state)
     while len(maps) < length:
         step = len(maps) + 1
         if not candidates:
-            _is_stored(key, stored, step, None, length)
+            _is_stored(Mmin, stored, step, None, length)
             state["complete"] = True
             if _STORE is not None:
-                _STORE.save(_key("complete", key), {"maps": len(maps)})
+                _STORE.save(_key("complete", Mmin), {"maps": len(maps)})
             return
-        kept, following = minimal_step(
-            ring, candidates, twists[-1], harvest=step < length,
-            max_degree=budgets.max_degree,
-        )
-        if len(kept) > budgets.max_rank:
-            raise BudgetError("resolution rank", budgets.max_rank)
+        kept, following = minimal_step(ring, candidates, twists[-1],
+                                       harvest=step < length)
+        if len(kept) > config.MAX_RANK:
+            raise BudgetError("resolution rank", config.MAX_RANK)
         new_cols = [candidates[j] for j in kept]
         maps.append(new_cols)
         state["candidates"] = candidates
         twists.append(tuple(column_degree(c, twists[-1]) for c in new_cols))
-        if not _is_stored(key, stored, step, new_cols, length) \
+        if not _is_stored(Mmin, stored, step, new_cols, length) \
                 and _STORE is not None:
-            _STORE.save(_key("map", key, step), _entry(new_cols, twists[-1]))
+            _STORE.save(_key("map", Mmin, step), _entry(new_cols, twists[-1]))
         candidates = following
 
 
-def minimal_free_resolution(M: ModulePresentation, length: int, *,
-                            budgets=None) -> Resolution:
+def minimal_free_resolution(M: ModulePresentation, length: int) -> Resolution:
     """Resolution with at least `length` maps, or complete with fewer."""
-    budgets = budgets or DEFAULT_BUDGETS
     Mmin = minimalize(M)
-    ring = Mmin.ring
     # the one memo entry that grows in place: see the module docstring
-    state = memo.cached("resolution", _start, Mmin, budgets)
-    key = (Mmin, budgets)
+    state = memo.cached("resolution", _start, Mmin)
     if _STORE is not None and not state["complete"] and len(state["maps"]) < length:
-        _load_maps(ring, key, state, length)
-    _extend(ring, key, state, length)
+        _load_maps(Mmin, state, length)
+    _extend(Mmin, state, length)
     return Resolution(Mmin, state["twists"], state["maps"], state["complete"])
 
 

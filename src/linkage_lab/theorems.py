@@ -28,7 +28,7 @@ import enum
 import inspect
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_BUDGETS, Budgets, default_bound
+from .config import default_bound
 from .errors import BudgetError, InapplicableError
 from .homops import (
     ext,
@@ -125,7 +125,6 @@ class TheoremId(str, enum.Enum):
 @dataclass
 class HarnessConfig:
     bound: int | None = None  # None: each ring's default_bound
-    budgets: Budgets = DEFAULT_BUDGETS
 
     def __post_init__(self):
         if self.bound is not None and self.bound < 1:
@@ -314,21 +313,21 @@ def _parse_ideal(ring, gens):
 
 def _sd_hyp(C, cfg) -> HypothesisStatus:
     return _hyp_verdict("C is semidualizing", is_semidualizing(
-        C, bound=cfg.bound, budgets=cfg.budgets))
+        C, bound=cfg.bound))
 
 
-def _linked_hyp(M, cfg) -> HypothesisStatus:
-    report = is_horizontally_linked(M, budgets=cfg.budgets)
+def _linked_hyp(M) -> HypothesisStatus:
+    report = is_horizontally_linked(M)
     return _hyp("M is horizontally linked", report.linked, report.describe())
 
 
 def _auslander_hyp(name, M, C, cfg) -> HypothesisStatus:
     return _hyp_verdict(name, in_auslander_class(
-        M, C, bound=cfg.bound, budgets=cfg.budgets))
+        M, C, bound=cfg.bound))
 
 
 def _gcdim_hyp(name, M, C, cfg, *, positive=False):
-    v = gc_dim(M, C, bound=cfg.bound, budgets=cfg.budgets)
+    v = gc_dim(M, C, bound=cfg.bound)
     if positive and v.kind == "zero":
         return _hyp(name, False, "G-dimension is zero, not positive"), v
     return _hyp_verdict(name, v), v
@@ -337,7 +336,7 @@ def _gcdim_hyp(name, M, C, cfg, *, positive=False):
 def _lambda_auslander(M, C, cfg):
     """The linked module lambda M and the hypothesis that it lies in the
     Auslander class of C."""
-    lam = lambda_module(M, budgets=cfg.budgets)
+    lam = lambda_module(M)
     return lam, _auslander_hyp("lambda M is in the Auslander class of C",
                                lam, C, cfg)
 
@@ -345,7 +344,7 @@ def _lambda_auslander(M, C, cfg):
 def _lambda_finite_gdim(M, cfg):
     """The linked module lambda M and the hypothesis that its G-dimension
     (coefficient R) is finite."""
-    lam = lambda_module(M, budgets=cfg.budgets)
+    lam = lambda_module(M)
     name = "G-dim of the linked module is finite"
     if ring_is_gorenstein(lam.ring):
         return lam, _hyp(name, True, "Gorenstein ring")
@@ -391,7 +390,7 @@ def _optional_converse(skipped, t, *routes):
     return []
 
 
-def _ext_window_vanishes(M, C, lo, hi, cfg):
+def _ext_window_vanishes(M, C, lo, hi):
     """(all Ext^i(M, C) = 0 for lo <= i <= hi, witness index or None, exact).
 
     When C is the canonical module up to a twist over a CM ring, Ext^i(M, C)
@@ -404,21 +403,21 @@ def _ext_window_vanishes(M, C, lo, hi, cfg):
     if top is not None:
         hi = min(hi, top)
     for i in range(lo, hi + 1):
-        if not ext_vanishes(M, C, i, budgets=cfg.budgets):
+        if not ext_vanishes(M, C, i):
             return False, i, True
     return True, None, top is not None
 
 
-def _ext_side(pair, X, C, n, cfg) -> Side:
+def _ext_side(pair, X, C, n) -> Side:
     """Ext^i(X, C) = 0 for 1 <= i <= n; `pair` names X and C."""
-    ok, wit, _ = _ext_window_vanishes(X, C, 1, n, cfg)
+    ok, wit, _ = _ext_window_vanishes(X, C, 1, n)
     return _side_bool(f"Ext^i({pair}) = 0 for 1..{n}", ok,
                       "" if ok else f"Ext^{wit} != 0")
 
 
-def _cosyzygy_side(name, X, C, n, cfg) -> Side:
+def _cosyzygy_side(name, X, C, n) -> Side:
     """X is an n-th C-syzygy, by iterated universal pushforward."""
-    ok, step = is_nth_cosyzygy_witness(X, C, n, budgets=cfg.budgets)
+    ok, step = is_nth_cosyzygy_witness(X, C, n)
     return _side_bool(
         f"{name} is an {n}th C-syzygy", ok,
         "iterated universal pushforward succeeds" if ok
@@ -476,20 +475,18 @@ def _omega_s1_hyp(MW) -> HypothesisStatus:
 
 def _ideal_as_module(ring, gens) -> ModulePresentation:
     cols = [{0: g} for g in gens]
-    pres, _ = subquotient(ring, [0], cols, [],
-                          max_degree=DEFAULT_BUDGETS.max_degree)
+    pres, _ = subquotient(ring, [0], cols, [])
     return pres
 
 
-def _matches_canonical_ideal(ring, gens, cfg):
+def _matches_canonical_ideal(ring, gens):
     """The ideal, as a submodule of R, is the canonical module up to shift."""
     omega = canonical_module(ring)
     O = minimalize(_ideal_as_module(ring, gens))
     if O.is_zero():
         return False, "the ideal is zero"
     a = min(omega.gen_twists) - min(O.gen_twists)
-    v = is_isomorphic(O, twist_module(omega, a),
-                      budgets=cfg.budgets)
+    v = is_isomorphic(O, twist_module(omega, a))
     if v.is_isomorphic():
         return True, f"ideal = canonical module twisted by {a}"
     return False, f"not isomorphic to the canonical module: {v.certificate}"
@@ -498,9 +495,9 @@ def _matches_canonical_ideal(ring, gens, cfg):
 # -- the checks ---------------------------------------------------------------
 #
 # Every check is a generator `_check_x(cfg, M, C, n, ...)` whose
-# parameters after cfg are the bindings it reads: a parameter without a
-# default is a required binding, and `_CHECKS` reads them from the
-# signature.  `_run` is the one prologue: it hands every check M and C
+# parameters are the bindings it reads, after the run's HarnessConfig
+# `cfg` when it reads one: a parameter without a default is a required
+# binding, and `_CHECKS` reads them from the signature.  `_run` is the one prologue: it hands every check M and C
 # minimalized and n as an int, and writes the instance line itself.
 # Each list a check yields is one stage of hypotheses (HypothesisStatus),
 # and a later stage may need what an earlier one computed; each string
@@ -527,9 +524,9 @@ def _matches_canonical_ideal(ring, gens, cfg):
 #   roles of lambda M and M (x) omega exchanged.
 
 
-def _check_thm_ms(cfg, M):
+def _check_thm_ms(M):
     yield []  # no hypotheses: one empty stage
-    r = is_horizontally_linked(M, budgets=cfg.budgets)
+    r = is_horizontally_linked(M)
     iso = r.double_link
     return _equivalence_claims([
         Side("M = lambda^2 M (horizontally linked)",
@@ -551,8 +548,8 @@ def _check_prop_t1(cfg, M, C, n):
         f"the depth <= {n - 1} locus not certified",
         n - 1, (_GCDIM_LOCUS, C))
     yield [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1)] + converse
-    side_i = _ext_side("Tr_C M, C", transpose_wrt(M, C), C, n, cfg)
-    side_ii = _cosyzygy_side("M", M, C, n, cfg)
+    side_i = _ext_side("Tr_C M, C", transpose_wrt(M, C), C, n)
+    side_ii = _cosyzygy_side("M", M, C, n)
     side_iii = _serre_side("M", M, n)
     claims = [
         _implication_claim(side_i, side_ii),
@@ -563,17 +560,17 @@ def _check_prop_t1(cfg, M, C, n):
     return claims
 
 
-def _serre_versus_lcd(cfg, M, n, serre_on_link):
+def _serre_versus_lcd(M, n, serre_on_link):
     """PROP_P3 (serre_on_link) and its mirror COR_C2: S~_n of one of
     lambda M and M (x) omega against a local cohomology window of the
     other."""
     R = M.ring
     yield [_cm_ring_hyp(R), _hyp("n >= 1", n >= 1)]
     d = ring_dim(R)
-    linked_h = _linked_hyp(M, cfg)
+    linked_h = _linked_hyp(M)
     MW = _tensor_canonical(M)
     yield [linked_h, _omega_s1_hyp(MW)]
-    lam = lambda_module(M, budgets=cfg.budgets)
+    lam = lambda_module(M)
     pair = [("lambda M", lam), ("M (x) omega", MW)]
     (s_name, S), (h_name, H) = pair if serre_on_link else pair[::-1]
     side_i = _serre_side(s_name, S, n)
@@ -584,8 +581,8 @@ def _serre_versus_lcd(cfg, M, n, serre_on_link):
     return _equivalence_claims([side_i, side_ii])
 
 
-def _check_prop_p3(cfg, M, n):
-    return (yield from _serre_versus_lcd(cfg, M, n, True))
+def _check_prop_p3(M, n):
+    return (yield from _serre_versus_lcd(M, n, True))
 
 
 def _check_prop_t13(cfg, M, C, n):
@@ -594,9 +591,9 @@ def _check_prop_t13(cfg, M, C, n):
         f"the depth <= {n - 1} locus not certified",
         n - 1, (_INJDIM_LOCUS, C))
     yield [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1)] + converse
-    side_i = _ext_side("Tr M, C", transpose(M), C, n, cfg)
+    side_i = _ext_side("Tr M, C", transpose(M), C, n)
     MC = tensor(M, C)
-    side_ii = _cosyzygy_side("M (x) C", MC, C, n, cfg)
+    side_ii = _cosyzygy_side("M (x) C", MC, C, n)
     side_iii = _serre_side("M (x) C", MC, n)
     claims = [
         _implication_claim(side_i, side_ii),
@@ -607,8 +604,8 @@ def _check_prop_t13(cfg, M, C, n):
     return claims
 
 
-def _check_cor_c2(cfg, M, n):
-    return (yield from _serre_versus_lcd(cfg, M, n, False))
+def _check_cor_c2(M, n):
+    return (yield from _serre_versus_lcd(M, n, False))
 
 
 def _check_lem_lem2(cfg, M, C, n=1):
@@ -642,8 +639,8 @@ def _check_thm_th5(cfg, M, C, n):
            _auslander_hyp("M is in the Auslander class of C", M, C, cfg)
            ] + converse
     T = transpose(M)
-    side_i = _ext_side("Tr M, R", T, _ring_unit(ring), n, cfg)
-    side_ii = _ext_side("Tr M, C", T, C, n, cfg)
+    side_i = _ext_side("Tr M, R", T, _ring_unit(ring), n)
+    side_ii = _ext_side("Tr M, C", T, C, n)
     MC = tensor(M, C)
     side_iii = _serre_side("M (x) C", MC, n)
     side_iv = _serre_side("M", M, n)
@@ -667,12 +664,11 @@ def _check_cor_cor7(cfg, M, C, n):
                    (_INJDIM_LOCUS, C)),
         _hyp("n >= 1", n >= 1),
     ]
-    budgets = cfg.budgets
     side_i = _serre_side("M", M, n)
-    report = is_horizontally_linked(M, budgets=budgets)
-    lam = lambda_module(M, budgets=budgets)
+    report = is_horizontally_linked(M)
+    lam = lambda_module(M)
     if n >= 2:
-        e_ok, e_wit, _ = _ext_window_vanishes(lam, C, 1, n - 1, cfg)
+        e_ok, e_wit, _ = _ext_window_vanishes(lam, C, 1, n - 1)
     else:
         e_ok, e_wit = True, None
     side_ii = _side_bool(
@@ -683,14 +679,14 @@ def _check_cor_cor7(cfg, M, C, n):
     return _equivalence_claims([side_i, side_ii])
 
 
-def _check_thm_theorem1(cfg, M):
+def _check_thm_theorem1(M):
     R = M.ring
     yield [_cm_ring_hyp(R)]
     d = ring_dim(R)
-    linked_h = _linked_hyp(M, cfg)
+    linked_h = _linked_hyp(M)
     MW = _tensor_canonical(M)
     yield [linked_h, _omega_s1_hyp(MW)]
-    lam = lambda_module(M, budgets=cfg.budgets)
+    lam = lambda_module(M)
     dep_lam = depth(lam)
     dep_mw = depth(MW)
     if dep_lam == INFINITY or dep_mw == INFINITY:
@@ -711,19 +707,19 @@ def _check_thm_theorem1(cfg, M):
     return _equivalence_claims([side_i, side_ii, side_iii, side_iv])
 
 
-def _check_thm_the1(cfg, M, omega_ideal):
+def _check_thm_the1(M, omega_ideal):
     R = M.ring
     gens = _parse_ideal(R, omega_ideal)
     hyps = [_cm_ring_hyp(R),
             _hyp("the ring is not Gorenstein", not ring_is_gorenstein(R))]
-    ok, why = _matches_canonical_ideal(R, gens, cfg)
+    ok, why = _matches_canonical_ideal(R, gens)
     hyps.append(_hyp("the canonical module embeds as the given ideal",
                      ok, why))
     hyps.append(_hyp("M is maximal Cohen-Macaulay", is_mcm(M)))
-    hyps.append(_linked_hyp(M, cfg))
+    hyps.append(_linked_hyp(M))
     yield hyps + [_omega_s1_hyp(_tensor_canonical(M))]
     d = ring_dim(R)
-    lam = lambda_module(M, budgets=cfg.budgets)
+    lam = lambda_module(M)
     side_i = _side_bool("lambda M is maximal Cohen-Macaulay", is_mcm(lam),
                         f"depth {depth(lam)} vs dim {d}")
     Q = tensor(M, cyclic_module(R, gens))
@@ -736,18 +732,17 @@ def _check_thm_the1(cfg, M, omega_ideal):
     return _equivalence_claims([side_i, side_ii])
 
 
-def _check_cor_theorem3(cfg, ring, I, omega_ideal, J=None):
+def _check_cor_theorem3(ring, I, omega_ideal, J=None):
     I_gens = _parse_ideal(ring, I)
     omega_gens = _parse_ideal(ring, omega_ideal)
-    budgets = cfg.budgets
     RI = minimalize(cyclic_module(ring, I_gens))
     hyps = [_cm_ring_hyp(ring),
             _hyp("the ring is not Gorenstein", not ring_is_gorenstein(ring))]
-    ok, why = _matches_canonical_ideal(ring, omega_gens, cfg)
+    ok, why = _matches_canonical_ideal(ring, omega_gens)
     hyps.append(_hyp("the canonical module embeds as the given ideal",
                      ok, why))
     # the linked ideal: lambda(R/I) must again be cyclic
-    lam = minimalize(lambda_module(RI, budgets=budgets))
+    lam = minimalize(lambda_module(RI))
     if J is not None:
         J_gens = _parse_ideal(ring, J)
     else:
@@ -758,9 +753,8 @@ def _check_cor_theorem3(cfg, ring, I, omega_ideal, J=None):
         yield hyps + [_hyp("R/I is linked to a cyclic module", False,
                            "the linkage image or the candidate R/J is zero")]
     shift = min(RJ.gen_twists) - min(lam.gen_twists)
-    link_iso = is_isomorphic(lam, twist_module(RJ, shift),
-                             budgets=budgets)
-    hyps.append(_linked_hyp(RI, cfg))
+    link_iso = is_isomorphic(lam, twist_module(RJ, shift))
+    hyps.append(_linked_hyp(RI))
     hyps.append(_hyp("the linkage image of R/I is R/J",
                      link_iso.is_isomorphic()
                      if link_iso.resolved() else False,
@@ -791,15 +785,13 @@ def _check_cor_theorem3(cfg, ring, I, omega_ideal, J=None):
 
 def _check_thm_prop_even(cfg, M, C, n, ideal, ideal2):
     R = M.ring
-    budgets = cfg.budgets
     hyps = [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1)]
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
     links = []
     for given, label in ((ideal, "first"), (ideal2, "second")):
         gens = _parse_ideal(R, given)
-        gor = is_gc_gorenstein_ideal(R, gens, C, bound=cfg.bound,
-                                     budgets=budgets)
+        gor = is_gc_gorenstein_ideal(R, gens, C, bound=cfg.bound)
         hyps.append(_hyp_verdict(f"the {label} ideal is G_C-Gorenstein", gor))
         inside = all(annihilates(M, f) for f in gens)
         hyps.append(_hyp(f"the {label} ideal annihilates M", inside))
@@ -807,10 +799,10 @@ def _check_thm_prop_even(cfg, M, C, n, ideal, ideal2):
             continue
         Rq = R.quotient_by(gens)
         Mq = minimalize(change_ring(M, Rq))
-        rep = is_horizontally_linked(Mq, budgets=budgets)
+        rep = is_horizontally_linked(Mq)
         hyps.append(_hyp(f"M is linked by the {label} ideal", rep.linked,
                          rep.describe()))
-        links.append(lambda_module(Mq, budgets=budgets))
+        links.append(lambda_module(Mq))
     yield hyps
     M1, M2 = links
     claims = _equivalence_claims([
@@ -833,17 +825,16 @@ def _check_thm_th1(cfg, M, C, n):
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     lam, ausl = _lambda_auslander(M, C, cfg)
     yield hyps + [gh, ausl]
-    report = is_horizontally_linked(M, budgets=cfg.budgets)
+    report = is_horizontally_linked(M)
     side_a = _serre_side("M", M, n)
-    rgr_ok, rgr_wit, _ = _ext_window_vanishes(lam, _ring_unit(ring), 1,
-                                              n - 1, cfg)
+    rgr_ok, rgr_wit, _ = _ext_window_vanishes(lam, _ring_unit(ring), 1, n - 1)
     side_b = _side_bool(
         f"linked and rgr(lambda M) >= {n}", report.linked and rgr_ok,
         f"linked={report.linked}"
         + ("" if rgr_ok else f", Ext^{rgr_wit}(lambda M, R) != 0"))
     claims = _equivalence_claims([side_a, side_b])
     if report.linked:
-        c_ok, c_wit, _ = _ext_window_vanishes(M, C, 1, n - 1, cfg)
+        c_ok, c_wit, _ = _ext_window_vanishes(M, C, 1, n - 1)
         side_c = _side_bool(f"rgr(M, C) >= {n}", c_ok,
                             "" if c_ok else f"Ext^{c_wit}(M, C) != 0")
         side_d = _serre_side("lambda M", lam, n)
@@ -862,7 +853,7 @@ def _check_cor_cor5(cfg, M, C):
     lam, ausl = _lambda_auslander(M, C, cfg)
     yield hyps + [gh, ausl]
     d = ring_dim(ring)
-    report = is_horizontally_linked(M, budgets=cfg.budgets)
+    report = is_horizontally_linked(M)
     dep_m = depth(M)
     side_i = _side_bool("M is maximal Cohen-Macaulay", is_mcm(M),
                         f"depth {dep_m} vs dim {d}")
@@ -883,21 +874,20 @@ def _check_cor_cor5(cfg, M, C):
 
 def _check_cor_cor6(cfg, M, C, ideal):
     R = M.ring
-    budgets, bound = cfg.budgets, cfg.bound
     gens = _parse_ideal(R, ideal)
     hyps = [_cm_ring_hyp(R), _sd_hyp(C, cfg)]
     gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     hyps.append(gh)
-    perf, _ = is_gc_perfect_ideal(R, gens, C, bound=bound, budgets=budgets)
+    perf, _ = is_gc_perfect_ideal(R, gens, C, bound=cfg.bound)
     hyps.append(_hyp_verdict("the ideal is G_C-perfect", perf))
     inside = all(annihilates(M, f) for f in gens)
     yield hyps + [_hyp("the ideal annihilates M", inside)]
     Rq = R.quotient_by(gens)
     Mq = minimalize(change_ring(M, Rq))
-    rep = is_horizontally_linked(Mq, budgets=budgets)
+    rep = is_horizontally_linked(Mq)
     linked_h = _hyp("M is linked by the ideal", rep.linked, rep.describe())
-    K = induced_semidualizing(R, gens, C, bound=bound, budgets=budgets)
-    lamq = lambda_module(Mq, budgets=budgets)
+    K = induced_semidualizing(R, gens, C, bound=cfg.bound)
+    lamq = lambda_module(Mq)
     yield [linked_h, _auslander_hyp(
         "the quotient link is in the Auslander class of the induced "
         "semidualizing module", lamq, K, cfg)]
@@ -910,13 +900,13 @@ def _check_cor_cor6(cfg, M, C, ideal):
 def _check_thm_cor3(cfg, M):
     R = M.ring
     yield [_cm_ring_hyp(R)]
-    hyps = [_linked_hyp(M, cfg),
+    hyps = [_linked_hyp(M),
             _hyp("M is not Cohen-Macaulay", not is_cm(M))]
     lam, gd = _lambda_finite_gdim(M, cfg)
     yield hyps + [gd]
     d = ring_dim(R)
     cc = cohomological_deficiency(M)
-    series, _ = _ambient_profile(M, cfg.budgets)
+    series, _ = _ambient_profile(M)
     side_i = _side_bool(
         f"H^{cc}_m(M) is finitely generated",
         series[R.nvars - cc].is_finite_length(),
@@ -929,7 +919,7 @@ def _check_thm_cor3(cfg, M):
 
 def _check_thm_th2(cfg, M, C):
     ring = M.ring
-    hyps = [_linked_hyp(M, cfg)]
+    hyps = [_linked_hyp(M)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     lam, ausl = _lambda_auslander(M, C, cfg)
     yield hyps + [gh, ausl]
@@ -944,7 +934,7 @@ def _check_thm_th2(cfg, M, C):
 
 def _check_cor_self(cfg, M, C, self_twist=0):
     ring = M.ring
-    self_iso = is_self_linked(M, twist=self_twist, budgets=cfg.budgets)
+    self_iso = is_self_linked(M, twist=self_twist)
     hyps = [_hyp("M is horizontally self-linked",
                  self_iso.is_isomorphic() if self_iso.resolved() else False,
                  self_iso.certificate)]
@@ -970,25 +960,24 @@ _TH3_RATIONALE = (
 
 def _check_thm_th3(cfg, M, C):
     yield _TH3_RATIONALE
-    budgets = cfg.budgets
     ring = M.ring
     gh, _ = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
                        positive=True)
     lam, ausl = _lambda_auslander(M, C, cfg)
-    yield [gh, ausl, _linked_hyp(M, cfg)]
-    rg = reduced_grade(lam, _ring_unit(ring), bound=cfg.bound, budgets=budgets)
+    yield [gh, ausl, _linked_hyp(M)]
+    rg = reduced_grade(lam, _ring_unit(ring), bound=cfg.bound)
     if rg.value is None:
         yield [_hyp_unknown("rgr(lambda M) is finite", str(rg))]
     t = rg.value
     dep = depth(M)
     cap = dep if dep != INFINITY else 0
-    ntf, _ = n_torsionfree_degree(M, cap, budgets=budgets)
+    ntf, _ = n_torsionfree_degree(M, cap)
     yield (f"computed chain: rgr(lambda M)={t} <= syz(M)={ntf} <= "
            f"depth(M)={dep}")
     side_i = _side_bool(
         "depth(M) = syz(M) = rgr(lambda M)",
         dep == ntf == t, f"depth={dep}, syz={ntf}, rgr(lambda M)={t}")
-    Et = ext(lam, _ring_unit(ring), t, budgets=budgets)
+    Et = ext(lam, _ring_unit(ring), t)
     side_ii = _side_bool(
         f"the maximal ideal is associated to Ext^{t}(lambda M, R)",
         m_in_ass(Et))
@@ -999,14 +988,13 @@ def _check_thm_th3(cfg, M, C):
 
 
 def _check_thm_th6(cfg, M, C):
-    budgets = cfg.budgets
     ring = M.ring
-    hyps = [_linked_hyp(M, cfg)]
+    hyps = [_linked_hyp(M)]
     gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
     lam, ausl = _lambda_auslander(M, C, cfg)
     yield hyps + [gh, ausl]
     claims = []
-    rg = reduced_grade(M, C, bound=cfg.bound, budgets=budgets)
+    rg = reduced_grade(M, C, bound=cfg.bound)
     triple = (M, lam, _ring_unit(ring))
 
     def on_locus(holds):
@@ -1046,9 +1034,9 @@ def _check_thm_th6(cfg, M, C):
     if rg.value is not None:
         r = rg.value
         unit = _ring_unit(ring)
-        ok, wit, _ = _ext_window_vanishes(M, unit, 1, r - 1, cfg)
+        ok, wit, _ = _ext_window_vanishes(M, unit, 1, r - 1)
         first = wit if not ok else (
-            r if not ext_vanishes(M, unit, r, budgets=budgets)
+            r if not ext_vanishes(M, unit, r)
             else None)
         if first is not None:
             claims.append(Claim(
@@ -1059,7 +1047,7 @@ def _check_thm_th6(cfg, M, C):
             claims.append(Claim("rgr(M) <= rgr(M, C)", "exact-false",
                                 f"Ext^i(M, R) = 0 through {r} so "
                                 f"rgr(M) > rgr(M, C) = {r}"))
-        pd = _finite_pd(lam, budgets=budgets)
+        pd = _finite_pd(lam)
         if pd is not None and first is not None:
             claims.append(_equality_claim(
                 "rgr(M) = rgr(M, C) when pd(lambda M) is finite",
@@ -1068,16 +1056,14 @@ def _check_thm_th6(cfg, M, C):
 
 
 def _check_prop_xtm(cfg, M, C):
-    budgets = cfg.budgets
     ring = M.ring
-    hyps = [_linked_hyp(M, cfg)]
+    hyps = [_linked_hyp(M)]
     gh, _ = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
                        positive=True)
     lam, ausl = _lambda_auslander(M, C, cfg)
     yield hyps + [gh, ausl]
-    rg_c = reduced_grade(M, C, bound=cfg.bound, budgets=budgets)
-    rg_l = reduced_grade(lam, _ring_unit(ring), bound=cfg.bound,
-                         budgets=budgets)
+    rg_c = reduced_grade(M, C, bound=cfg.bound)
+    rg_l = reduced_grade(lam, _ring_unit(ring), bound=cfg.bound)
     if rg_c.value is None or rg_l.value is None:
         yield [_hyp_unknown(
             "both reduced grades are finite",
@@ -1095,13 +1081,12 @@ def _check_prop_xtm(cfg, M, C):
 def _check_thm_th4(cfg, M, C):
     ring = M.ring
     hyps = [_cm_ring_hyp(ring)]
-    red, gv = is_reduced_gc_perfect(M, C, bound=cfg.resolve_bound(ring),
-                                       budgets=cfg.budgets)
+    red, gv = is_reduced_gc_perfect(M, C, bound=cfg.resolve_bound(ring))
     hyps.append(_hyp_verdict("M is reduced G_C-perfect", red))
     lam, ausl = _lambda_auslander(M, C, cfg)
     yield hyps + [ausl]
     n = gv.value
-    En = ext(M, C, n, budgets=cfg.budgets)
+    En = ext(M, C, n)
     dep_m, dep_l, dep_e = depth(M), depth(lam), depth(En)
     if INFINITY in (dep_m, dep_l, dep_e):
         yield [_hyp("all depth terms are finite", False,
@@ -1115,14 +1100,14 @@ def _check_thm_th4(cfg, M, C):
 
 def _check_thm_th7(cfg, M, C):
     ring = M.ring
-    hyps = [_linked_hyp(M, cfg)]
+    hyps = [_linked_hyp(M)]
     gh, gv = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
                         positive=True)
     lam, ausl = _lambda_auslander(M, C, cfg)
     yield hyps + [gh, ausl]
     n = gv.value
-    ok, wit, _ = _ext_window_vanishes(M, C, 1, n - 1, cfg)
-    top = not ext_vanishes(M, C, n, budgets=cfg.budgets)
+    ok, wit, _ = _ext_window_vanishes(M, C, 1, n - 1)
+    top = not ext_vanishes(M, C, n)
     side_red = _side_bool(
         f"M is reduced G_C-perfect (rgr(M, C) = {n})", ok and top,
         f"Ext vanishing below {n}: {ok}"
@@ -1134,7 +1119,7 @@ def _check_thm_th7(cfg, M, C):
 
 def _check_cor_cor1(cfg, M):
     R = M.ring
-    hyps = [_cm_ring_hyp(R), _linked_hyp(M, cfg)]
+    hyps = [_cm_ring_hyp(R), _linked_hyp(M)]
     d = ring_dim(R)
     n = depth(M)
     hyps.append(_hyp(f"depth M = {n} < dim R = {d}",
@@ -1150,7 +1135,7 @@ def _check_cor_cor1(cfg, M):
 
 def _check_cor_cor4(cfg, M):
     R = M.ring
-    hyps = [_cm_ring_hyp(R), _linked_hyp(M, cfg),
+    hyps = [_cm_ring_hyp(R), _linked_hyp(M),
             _hyp("M is not Cohen-Macaulay", not is_cm(M)),
             _hyp("M is an Eilenberg-MacLane module",
                  is_eilenberg_maclane(M),
@@ -1169,7 +1154,7 @@ def _check_cor_cor4(cfg, M):
     return _equivalence_claims([side_gcm, side_rhs])
 
 
-def _check_remark3_i(cfg, M, C):
+def _check_remark3_i(M, C):
     yield []  # no hypotheses: one empty stage
     # The two constructions meet: Hom(F_1, C) = F_1^* (x) C for the free
     # F_1 of M's minimal presentation d_1, so Tr M (x) C, presented by
@@ -1179,7 +1164,7 @@ def _check_remark3_i(cfg, M, C):
     # search would only run if the constructions ever drifted apart.
     lhs = tensor(transpose(M), C)
     rhs = transpose_wrt(M, C)
-    v = is_isomorphic(lhs, rhs, budgets=cfg.budgets)
+    v = is_isomorphic(lhs, rhs)
     if not v.resolved():
         return [Claim("Tr M (x) C = Tr_C M", "open", v.certificate)]
     return [Claim("Tr M (x) C = Tr_C M",
@@ -1188,7 +1173,6 @@ def _check_remark3_i(cfg, M, C):
 
 
 def _check_g3_ab_formula(cfg, M, C):
-    budgets = cfg.budgets
     ring = M.ring
     sd = _sd_hyp(C, cfg)
     if M.is_zero():
@@ -1200,15 +1184,15 @@ def _check_g3_ab_formula(cfg, M, C):
         "G_C-dim(M) = depth R - depth M",
         r, ring_depth(ring) - depth(M),
         f"depth R={ring_depth(ring)}, depth M={depth(M)}")]
-    top = not ext_vanishes(M, C, r, budgets=budgets)
+    top = not ext_vanishes(M, C, r)
     claims.append(Claim(
         f"Ext^{r}(M, C) != 0 (the supremum is attained)",
         "exact-true" if top else "exact-false",
         ""))
     tail = f"Ext^i(M, C) = 0 for i > {r}"
     bound = max(r + 1, cfg.resolve_bound(ring))
-    ok, wit, exact = _ext_window_vanishes(M, C, r + 1, bound, cfg)
-    pd = None if not ok or exact else _finite_pd(M, budgets=budgets)
+    ok, wit, exact = _ext_window_vanishes(M, C, r + 1, bound)
+    pd = None if not ok or exact else _finite_pd(M)
     if not ok:
         claims.append(Claim(
             tail, "exact-false",
@@ -1228,9 +1212,10 @@ def _check_g3_ab_formula(cfg, M, C):
 
 
 def _bindings(fn) -> tuple:
-    """(required, defaults) of a check: its parameters after cfg, those
+    """(required, defaults) of a check: its parameters but cfg, those
     without a default in order, and the others with their defaults."""
-    params = list(inspect.signature(fn).parameters.values())[1:]
+    params = [p for p in inspect.signature(fn).parameters.values()
+              if p.name != "cfg"]
     return (tuple(p.name for p in params if p.default is p.empty),
             {p.name: p.default for p in params if p.default is not p.empty})
 
@@ -1264,6 +1249,9 @@ _CHECKS = {tid: (fn, *_bindings(fn)) for tid, fn in {
     TheoremId.REMARK3_I: _check_remark3_i,
     TheoremId.G3_AB_FORMULA: _check_g3_ab_formula,
 }.items()}
+# the checks that read the run's HarnessConfig, their first parameter
+_READS_CFG = frozenset(fn for fn, *_ in _CHECKS.values()
+                       if "cfg" in inspect.signature(fn).parameters)
 
 
 def resolve_id(tid) -> TheoremId:
@@ -1314,7 +1302,7 @@ def _run(tid, bindings, cfg) -> TheoremReport:
         instance = _instance(label, args)
         if "C" in args:
             args["C"] = minimalize(args["C"])
-        stages = fn(cfg, **args)
+        stages = fn(cfg, **args) if fn in _READS_CFG else fn(**args)
         while _blocker(hyps) is None:
             step = next(stages)
             if isinstance(step, str):

@@ -17,9 +17,8 @@ made for it.
 import pytest
 
 from linkage_lab import homops, invariants, memo, modules
-from linkage_lab.config import DEFAULT_BUDGETS, Budgets
 from linkage_lab.corpus import generate_corpus, maximal_ideal
-from linkage_lab.errors import BudgetError, ConsistencyError
+from linkage_lab.errors import ConsistencyError
 from linkage_lab.fields import GF, QQ
 from linkage_lab.hilbert import HilbertSeries
 from linkage_lab.homops import ext, ext_vanishes
@@ -51,7 +50,7 @@ U = make_ring(QQ, ["x", "y", "z"],
 
 
 def _direct(M, C, i):
-    return homops._ext_direct(minimalize(M), minimalize(C), i, DEFAULT_BUDGETS)
+    return homops._ext_direct(minimalize(M), minimalize(C), i)
 
 
 def _count_direct_calls(monkeypatch, ring):
@@ -59,10 +58,10 @@ def _count_direct_calls(monkeypatch, ring):
     calls = []
     direct = homops._ext_direct
 
-    def counting(A, B, i, budgets):
+    def counting(A, B, i):
         if A.ring == ring:
             calls.append(i)
-        return direct(A, B, i, budgets)
+        return direct(A, B, i)
 
     memo.clear()
     monkeypatch.setattr(homops, "_ext_direct", counting)
@@ -202,15 +201,6 @@ def test_twist_certificate_runs_once_per_coefficient_twist(monkeypatch):
     ext(maximal_ideal(T), twist_module(omega, 1), 0)
     assert calls == [0, 1]
 
-
-def test_route_keeps_the_caller_budgets():
-    # the ambient groups are computed under the budgets of the call: the
-    # resolution of the maximal ideal over S forms a pair of degree 3
-    omega = canonical_module(T)
-    m = maximal_ideal(T)
-    with pytest.raises(BudgetError, match="groebner pair degree"):
-        ext(m, omega, 2, budgets=Budgets(max_degree=2))
-    assert ext(m, omega, 2, budgets=Budgets(max_degree=3)).is_zero()
 
 
 def test_ambient_route_on_non_monomial_ideal_builds_no_annihilator(

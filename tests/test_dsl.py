@@ -64,6 +64,18 @@ def test_parse_error_reports_line_and_column():
     assert ";" in e.value.expected
 
 
+@pytest.mark.parametrize("source, line, col", [
+    ("ring S = poly(", 1, 15),
+    ("ring S = poly(QQ,", 1, 18),
+    ("ring S = poly(QQ, x, y);\nring R = quotient(S, [", 2, 23)])
+def test_end_of_input_is_one_column_past_the_last_symbol(source, line, col):
+    """A one-character symbol at the very end of the source advances the
+    column by one, so the end of input is named right after it."""
+    with pytest.raises(DslError) as e:
+        parse(source)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_homogeneity_error_names_offending_monomial():
     with pytest.raises(DslError) as e:
         parse("ring S = poly(QQ, x, y);\nring R = quotient(S, [x^2 + y]);")

@@ -14,9 +14,8 @@ import sys
 
 import pytest
 
-from linkage_lab import isomorphism, memo
+from linkage_lab import config, isomorphism, memo
 from linkage_lab.cache import DiskStore
-from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import corpus_pool, maximal_ideal
 from linkage_lab.dsl import parse
 from linkage_lab.errors import BudgetError
@@ -143,7 +142,7 @@ def test_verdicts_are_frozen():
         IsoVerdict("unknown").kind = "isomorphic"
 
 
-def test_keys_separate_bound_and_budgets():
+def test_keys_separate_the_bound(set_caps):
     memo.clear()
     # over A = QQ[x,y,z]/(x^2, y^2, yz, z^2), CM but not Gorenstein, x is
     # an exact zero-divisor: A/(x) has infinite projective dimension and
@@ -154,48 +153,52 @@ def test_keys_separate_bound_and_budgets():
     v2 = in_auslander_class(M, C, bound=2)
     v3 = in_auslander_class(M, C, bound=3)
     assert (v2.bound, v3.bound) == (2, 3)
-    tight = dataclasses.replace(DEFAULT_BUDGETS, max_degree=4)
-    vt = in_auslander_class(M, C, bound=3, budgets=tight)
+    # no key names the caps: a tighter one empties the memo, and the scan
+    # stops where it runs out
+    set_caps(MAX_DEGREE=6)
+    vt = in_auslander_class(M, C, bound=3)
     assert vt is not v3 and vt.kind == "unknown"
     M, C = maximal_ideal(H), free_module(H, [0])
     g2, g3 = gc_dim(M, C, bound=2), gc_dim(M, C, bound=3)
     assert g2 == g3 and g2 is not g3  # exact: equal, but separate entries
 
 
-def test_isomorphism_is_one_memo_entry_per_pair_and_budgets():
+def test_isomorphism_is_one_memo_entry_per_pair(set_caps):
     mH = maximal_ideal(H)
     L2 = lambda_module(lambda_module(mH))
     assert minimalize(mH).content_key() != minimalize(L2).content_key()
     base = is_isomorphic(mH, L2)
     assert base.is_isomorphic()
-    assert is_isomorphic(mH, L2, budgets=DEFAULT_BUDGETS) is base
+    assert is_isomorphic(mH, L2) is base
     assert is_isomorphic(maximal_ideal(H), minimalize(L2)) is base
     assert sum(op == "isomorphic" for op, _ in memo._TABLE) == 1
-    wider = is_isomorphic(
-        mH, L2, budgets=dataclasses.replace(DEFAULT_BUDGETS, max_degree=30))
+    # a wider cap empties the memo and computes the same verdict again
+    set_caps(MAX_DEGREE=30)
+    wider = is_isomorphic(mH, L2)
     assert wider is not base and wider == base
-    assert sum(op == "isomorphic" for op, _ in memo._TABLE) == 2
+    assert sum(op == "isomorphic" for op, _ in memo._TABLE) == 1
 
 
 @pytest.mark.parametrize("group", ["hom", "ext", "tor"])
-def test_keys_separate_budgets_of_derived_groups(group):
-    """A call under tight budgets raises on a cold memo and still raises
-    after the same call under the default budgets has filled it."""
+def test_derived_groups_read_the_caps_at_call_time(group, set_caps):
+    """A call under a tight cap raises, the same call under the default
+    caps answers, and under the tight cap again it raises again."""
     kT = cyclic_module(T, ["x", "y", "z"])
     call, tight = {
-        "hom": (lambda b: hom_module(maximal_ideal(T), maximal_ideal(T),
-                                     budgets=b),
-                dataclasses.replace(DEFAULT_BUDGETS, max_degree=2)),
-        "ext": (lambda b: ext(kT, kT, 3, budgets=b),
-                dataclasses.replace(DEFAULT_BUDGETS, max_rank=4)),
-        "tor": (lambda b: tor(kT, kT, 3, budgets=b),
-                dataclasses.replace(DEFAULT_BUDGETS, max_rank=4)),
+        "hom": (lambda: hom_module(maximal_ideal(T), maximal_ideal(T)),
+                {"MAX_DEGREE": 2}),
+        "ext": (lambda: ext(kT, kT, 3), {"MAX_RANK": 4}),
+        "tor": (lambda: tor(kT, kT, 3), {"MAX_RANK": 4}),
     }[group]
+    defaults = {name: getattr(config, name) for name in tight}
+    set_caps(**tight)
     with pytest.raises(BudgetError):
-        call(tight)
-    assert not call(None).is_zero()
+        call()
+    set_caps(**defaults)
+    assert not call().is_zero()
+    set_caps(**tight)
     with pytest.raises(BudgetError):
-        call(tight)
+        call()
 
 
 def _iso_route(C):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import corpus_golden
 
 from linkage_lab import homops, invariants
-from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import (
     classical_rings,
     corpus_pool,
@@ -376,14 +375,14 @@ def test_depth_of_direct_sum_is_minimum():
     assert krull_dim(direct_sum(k, f)) == 1
 
 
-def _reference_natural_map_is_iso(A, Cmin, budgets):
+def _reference_natural_map_is_iso(A, Cmin):
     """The natural map test with Hom(C, A (x) C) presented by
     `_hom_cohomology`: its Hilbert series from the presentation, and
     surjectivity tested on the presentation's minimal generators."""
     ring = A.ring
     T_raw, _, Bc = tensor_raw(A, Cmin)
     qc, qT = Bc.n_gens(), T_raw.n_gens()
-    pres, kept, twists = _hom_cohomology(Bc, T_raw, 0, budgets)
+    pres, kept, twists = _hom_cohomology(Bc, T_raw, 0)
     rels = _per_slot_relations(qc, qT, T_raw)
     one = ring.poly_ring.one()
     img_cols = [{t * qT + i * qc + t: one for t in range(qc)}
@@ -406,8 +405,8 @@ def test_natural_map_reads_hom_from_its_cycles():
         for M in [M for _, M in generate_corpus(ring, 8)] + [
                 free_module(ring, [0])]:
             A = minimalize(M)
-            got = invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
-            want = _reference_natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+            got = invariants._natural_map_is_iso(A, Cmin)
+            want = _reference_natural_map_is_iso(A, Cmin)
             assert got == want, (str(ring), A.content_key())
             answers.append(got[0])
     # the homothety over T (omega is semidualizing) is an iso; over the
@@ -435,9 +434,9 @@ def test_image_side_series_is_the_series_of_hom(ring, size):
     # rank-nullity along 0 -> Hom(C, X) -> Hom(F_0, X) -> Hom(F_1, X)
     # -> Tr_X C -> 0 against Hom(C, X) presented from its cycles
     for A, Cmin in _natural_map_inputs(ring, size):
-        got = invariants._image_side_series(A, Cmin, DEFAULT_BUDGETS)
-        want = _hom_cohomology(Cmin, tensor_raw(A, Cmin)[0], 0,
-                               DEFAULT_BUDGETS)[0].hilbert_series()
+        got = invariants._image_side_series(A, Cmin)
+        want = _hom_cohomology(Cmin, tensor_raw(A, Cmin)[0],
+                               0)[0].hilbert_series()
         assert got == want, (str(ring), A.content_key())
 
 
@@ -445,7 +444,7 @@ def test_differing_series_run_no_cycles(monkeypatch):
     # over N every corpus answer is "the series differ", read from the
     # image side alone
     inputs = _natural_map_inputs(N4, 8)
-    want = [invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+    want = [invariants._natural_map_is_iso(A, Cmin)
             for A, Cmin in inputs]
     assert not any(ok for ok, _ in want)
 
@@ -454,7 +453,7 @@ def test_differing_series_run_no_cycles(monkeypatch):
 
     monkeypatch.setattr(invariants, "_hom_cycles", refuse)
     monkeypatch.setattr(homops, "_hom_cycles", refuse)
-    got = [invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+    got = [invariants._natural_map_is_iso(A, Cmin)
            for A, Cmin in inputs]
     assert got == want
 
@@ -463,12 +462,10 @@ def test_kernel_route_must_match_the_image_side_series():
     # the homothety R -> Hom(omega, omega) over T is an iso; a series off
     # by a factor t fails the cross-check of the cycles
     R, Cmin = _natural_map_inputs(T, 0)[0]
-    series = invariants._image_side_series(R, Cmin, DEFAULT_BUDGETS)
-    assert invariants._natural_map_by_cycles(R, Cmin, series,
-                                             DEFAULT_BUDGETS)[0]
+    series = invariants._image_side_series(R, Cmin)
+    assert invariants._natural_map_by_cycles(R, Cmin, series)[0]
     with pytest.raises(ConsistencyError, match="image side"):
-        invariants._natural_map_by_cycles(R, Cmin, series.shift(1),
-                                          DEFAULT_BUDGETS)
+        invariants._natural_map_by_cycles(R, Cmin, series.shift(1))
 
 
 def _split_tensor(A, Cmin):
@@ -492,13 +489,13 @@ def test_slot_checks_catch_a_wrong_target(monkeypatch):
     # without C's relations, Hom(d_1, X) moves an image off the cycles
     monkeypatch.setattr(invariants, "tensor", lambda M, N: from_a)
     with pytest.raises(ConsistencyError, match="leaves the target module"):
-        invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+        invariants._natural_map_is_iso(A, Cmin)
     # without A's relations, the map does not factor through A
     monkeypatch.setattr(invariants, "tensor", lambda M, N: from_c)
     with pytest.raises(ConsistencyError, match="not well defined"):
-        invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+        invariants._natural_map_is_iso(A, Cmin)
     # a tensor that lost or moved a generator
     monkeypatch.setattr(invariants, "tensor",
                         lambda M, N: twist_module(from_c, 1))
     with pytest.raises(ConsistencyError, match="generator"):
-        invariants._natural_map_is_iso(A, Cmin, DEFAULT_BUDGETS)
+        invariants._natural_map_is_iso(A, Cmin)

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkage_lab import isomorphism, memo, modules
-from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import corpus_pool
 from linkage_lab.fields import GF, QQ
 from linkage_lab.homops import evaluation_map, hom_module
@@ -73,7 +72,7 @@ def _hom_spaces():
         pool = [minimalize(M) for _, M in corpus_pool(ring)[:5]]
         for B in pool:
             for A in pool + [free_module(ring, B.gen_twists)]:
-                maps = degree_zero_maps(A, B, DEFAULT_BUDGETS)
+                maps = degree_zero_maps(A, B)
                 if maps:
                     out.append((A, B, maps))
     return out
@@ -130,7 +129,7 @@ def test_spanning_maps_span_degree_zero_hom():
              direct_sum(free_module(ring, [1, 0]), kx)))]
         for A, B in pairs:
             h0 = hom_module(A, B).hilbert_series().value(0)
-            maps = degree_zero_maps(A, B, DEFAULT_BUDGETS)
+            maps = degree_zero_maps(A, B)
             assert _rank_mod_relations(B, maps) == h0, (A, B)
             assert (maps == []) == (h0 == 0), (A, B)
             _, taus = evaluation_map(A, B)
@@ -290,7 +289,7 @@ def test_constant_parts_with_a_common_kernel_prove_modules_apart(ranks):
     A, B = minimalize(direct_sum(ky, kx)), minimalize(direct_sum(ky, ky))
     assert A.hilbert_series() == B.hilbert_series()
     one = S.field.one()
-    maps = degree_zero_maps(A, B, DEFAULT_BUDGETS)
+    maps = degree_zero_maps(A, B)
     assert [_constant_rows(S, phi) for phi in maps] == [[{0: one}, {}],
                                                         [{1: one}, {}]]
     v = is_isomorphic(A, B)

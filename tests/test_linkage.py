@@ -6,7 +6,6 @@ import dataclasses
 import pytest
 
 from linkage_lab import memo
-from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import corpus_pool, maximal_ideal
 from linkage_lab.fields import QQ
 from linkage_lab.homops import lambda_module
@@ -15,7 +14,6 @@ from linkage_lab.linkage import (
     is_horizontally_linked,
     is_self_linked,
     is_stable,
-    link,
     linked_by_ideal,
     stable_part,
 )
@@ -49,8 +47,8 @@ def test_hypersurface_swap_is_horizontal_linkage():
     assert rep.linked and rep.stable and rep.ext1_vanishes
     assert rep.inconsistency == ""
     assert rep.double_link is not None and rep.double_link.is_isomorphic()
-    assert is_isomorphic(link(Rx), Ry).is_isomorphic()
-    assert is_isomorphic(link(Ry), Rx).is_isomorphic()
+    assert is_isomorphic(lambda_module(Rx), Ry).is_isomorphic()
+    assert is_isomorphic(lambda_module(Ry), Rx).is_isomorphic()
 
 
 def test_free_module_is_not_linked():
@@ -103,19 +101,17 @@ def test_linkage_reports_are_deterministic():
     assert a.describe() == b.describe()
 
 
-def test_linkage_report_is_one_memo_entry_per_module_and_budgets():
+def test_linkage_report_is_one_memo_entry_per_module(set_caps):
     M = cyclic_module(H, ["x"])
     rep = is_horizontally_linked(M)
     assert is_horizontally_linked(cyclic_module(H, ["x"])) is rep
     assert is_horizontally_linked(minimalize(M)) is rep
-    assert is_horizontally_linked(M, budgets=DEFAULT_BUDGETS) is rep
     entries = [args for op, args in memo._TABLE if op == "horizontally-linked"]
-    assert entries == [(minimalize(M), DEFAULT_BUDGETS)]
-    wider = dataclasses.replace(DEFAULT_BUDGETS, max_degree=30)
-    other_budgets = is_horizontally_linked(M, budgets=wider)
-    assert other_budgets is not rep and other_budgets == rep
-    entries = [args for op, args in memo._TABLE if op == "horizontally-linked"]
-    assert len(entries) == 2
+    assert entries == [(minimalize(M),)]
+    # a wider cap empties the memo and computes the same report again
+    set_caps(MAX_DEGREE=30)
+    wider = is_horizontally_linked(M)
+    assert wider is not rep and wider == rep
 
 
 def test_linkage_report_refuses_assignment():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkage_lab.config import DEFAULT_BUDGETS
+from linkage_lab import config
 from linkage_lab.corpus import (
     classical_rings,
     corpus_pool,
@@ -290,14 +290,14 @@ def test_harvest_reduced_in_the_kernel_matches_nf(ring):
             continue
         ideal = ring.aug_columns(twists)
         plain = ModuleGB(S, cols, twists, track=True, fixed=ideal,
-                         max_degree=DEFAULT_BUDGETS.max_degree)
+                         max_degree=config.MAX_DEGREE)
         assert modules.column_syzygies(ring, cols, twists) == \
             _nf_harvest(ring, plain)
         reduced = ModuleGB(S, cols, twists, track=True, quotient=ring,
-                           max_degree=DEFAULT_BUDGETS.max_degree)
+                           max_degree=config.MAX_DEGREE)
         assert reduced.syzygies_reduced == monomial
         minimal = ModuleGB(S, cols, twists, track=True, fixed=ideal,
-                           max_degree=DEFAULT_BUDGETS.max_degree,
+                           max_degree=config.MAX_DEGREE,
                            minimal=True)
         kept, harvest = minimal_step(ring, cols, twists, harvest=True)
         assert kept == minimal.kept

@@ -5,16 +5,14 @@ the per-degree reference it replaced."""
 
 import json
 import os
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkage_lab import memo, resolutions
+from linkage_lab import config, memo, resolutions
 from linkage_lab.cache import DiskStore, install_cache
-from linkage_lab.config import DEFAULT_BUDGETS
 from linkage_lab.corpus import generate_corpus
 from linkage_lab.errors import BudgetError
 from linkage_lab.fields import GF, QQ
@@ -31,7 +29,11 @@ from linkage_lab.modules import (
     span_gb,
 )
 from linkage_lab.monomials import monomials_of_degree
-from linkage_lab.resolutions import minimal_free_resolution, set_resolution_store
+from linkage_lab.resolutions import (
+    betti,
+    minimal_free_resolution,
+    set_resolution_store,
+)
 from linkage_lab.rings import make_ring
 
 H = make_ring(QQ, ["x", "y"], ["x*y"])
@@ -46,9 +48,9 @@ W = ModulePresentation(T, [0, 0], [1, 1, 1],
 
 
 def _store_key(M):
-    """The key the engine files M's resolution under the default budgets
-    in the store, through resolutions._key."""
-    return minimalize(M), DEFAULT_BUDGETS
+    """The presentation the engine files M's resolution under in the
+    store, through resolutions._key."""
+    return minimalize(M)
 
 
 def _terms(maps) -> list:
@@ -320,45 +322,63 @@ def test_a_damaged_entry_is_repaired(kind, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("served_by", ["store", "memo"])
-def test_a_served_resolution_keeps_the_rank_budget(served_by, tmp_path):
-    """F_4 of K has rank 24: a rank budget of 20 stops K at length 6
-    whether its steps are computed, loaded or already in the memo."""
-    tight = replace(DEFAULT_BUDGETS, max_rank=20)
-    memo.clear()
+def test_a_served_resolution_keeps_the_rank_budget(served_by, tmp_path,
+                                                   set_caps):
+    """F_4 of K has rank 24: a rank cap of 20 stops K at length 6 whether
+    its first steps are computed, loaded or already in the memo."""
+    set_caps(MAX_RANK=20)
     with pytest.raises(BudgetError):
-        minimal_free_resolution(K, 6, budgets=tight)
+        minimal_free_resolution(K, 6)
     try:
         install_cache(str(tmp_path) if served_by == "store" else None)
         memo.clear()
-        minimal_free_resolution(K, 6)
+        minimal_free_resolution(K, 3)
         if served_by == "store":
             memo.clear()
         with pytest.raises(BudgetError, match="resolution rank"):
-            minimal_free_resolution(K, 6, budgets=tight)
-        # the steps within the budget are still served
-        assert minimal_free_resolution(K, 3, budgets=tight).rank(3) == 12
+            minimal_free_resolution(K, 6)
+        # the steps within the cap are still served
+        assert minimal_free_resolution(K, 3).rank(3) == 12
     finally:
         set_resolution_store(None)
         memo.clear()
 
 
 @pytest.mark.parametrize("served_by", ["store", "memo"])
-def test_a_served_resolution_keeps_the_degree_budget(served_by, tmp_path):
-    """With max_degree 3 the resolution of K to length 4 meets a pair of
-    degree 4: it stops whether its steps are computed, loaded or already
-    in the memo."""
-    tight = replace(DEFAULT_BUDGETS, max_degree=3)
-    memo.clear()
+def test_a_served_resolution_keeps_the_degree_budget(served_by, tmp_path,
+                                                     set_caps):
+    """Under a degree cap of 5 K resolves to length 3, and to length 4 it
+    meets a pair of degree 6: it stops whether its first steps are
+    computed, loaded or already in the memo."""
+    set_caps(MAX_DEGREE=5)
     with pytest.raises(BudgetError, match="groebner pair degree"):
-        minimal_free_resolution(K, 4, budgets=tight)
+        minimal_free_resolution(K, 4)
     try:
         install_cache(str(tmp_path) if served_by == "store" else None)
         memo.clear()
-        minimal_free_resolution(K, 4)
+        minimal_free_resolution(K, 3)
         if served_by == "store":
             memo.clear()
         with pytest.raises(BudgetError, match="groebner pair degree"):
-            minimal_free_resolution(K, 4, budgets=tight)
+            minimal_free_resolution(K, 4)
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+@pytest.mark.parametrize("served_by", ["store", "memo"])
+def test_the_residue_field_meets_the_rank_cap(served_by, tmp_path):
+    """F_9 of K has rank 768, above the cap of 512: betti(K, 9) raises
+    cold and again when its first steps are served."""
+    try:
+        install_cache(str(tmp_path) if served_by == "store" else None)
+        with pytest.raises(BudgetError, match=r"resolution rank \(limit 512\)"):
+            betti(K, 9)
+        if served_by == "store":
+            memo.clear()
+        with pytest.raises(BudgetError, match=r"resolution rank \(limit 512\)"):
+            betti(K, 9)
+        assert betti(K, 8) == {8: 384}
     finally:
         set_resolution_store(None)
         memo.clear()
@@ -370,67 +390,69 @@ HZ = make_ring(GF(101), ["x", "y", "z"], ["x*y - z^2"])
 G = cyclic_module(HZ, ["4*x^2*y + x^2*z + 6*x*z^2", "4*y*z + y^2"])
 
 
-def _outcome(M, length, budgets):
+def _outcome(M, length):
     try:
-        res = minimal_free_resolution(M, length, budgets=budgets)
+        res = minimal_free_resolution(M, length)
     except BudgetError as e:
         return str(e)
     return [res.rank(i) for i in range(length + 1)]
 
 
 @pytest.mark.parametrize("M", [K, G], ids=["K", "G"])
-def test_served_budgets_answer_as_a_cold_run(M, tmp_path):
-    """For every length and pair-degree or rank budget, a resolution
-    served by the memo (computed further, with every step tracked) or by
-    the store answers as a cold run does: the same ranks, or the same
-    BudgetError first."""
-    budgets = [replace(DEFAULT_BUDGETS, max_degree=d) for d in range(3, 11)]
-    budgets += [replace(DEFAULT_BUDGETS, max_rank=r) for r in (2, 6)]
+def test_served_budgets_answer_as_a_cold_run(M, tmp_path, set_caps):
+    """For every length and pair-degree or rank cap, a resolution served
+    by the memo (computed further under the same caps, with every step
+    up to the requested one tracked) or by the store answers as a cold
+    run does: the same ranks, or the same BudgetError first.  Over G the
+    tracked run of step 2 forms a pair of degree 10 where a plain run
+    stops at 8, so under a degree cap of 8 or 9 the longer run stops
+    where the cold one does not."""
+    caps = [{"MAX_DEGREE": d} for d in range(3, 11)]
+    caps += [{"MAX_RANK": r} for r in (2, 6)]
     try:
         for length in range(1, 5):
-            for tight in budgets:
+            for k, tight in enumerate(caps):
+                set_caps(**tight)
+                cold = _outcome(M, length)
                 memo.clear()
-                cold = _outcome(M, length, tight)
+                _outcome(M, 5)
+                assert _outcome(M, length) == cold, (length, tight)
+                install_cache(str(tmp_path / f"{length}-{k}"))
                 memo.clear()
-                minimal_free_resolution(M, 5)
-                assert _outcome(M, length, tight) == cold, (length, tight)
-                install_cache(str(tmp_path / f"{length}-{tight.max_degree}"
-                                  f"-{tight.max_rank}"))
+                _outcome(M, 5)
                 memo.clear()
-                minimal_free_resolution(M, 5)
-                memo.clear()
-                assert _outcome(M, length, tight) == cold, (length, tight)
+                assert _outcome(M, length) == cold, (length, tight)
                 set_resolution_store(None)
     finally:
         set_resolution_store(None)
         memo.clear()
 
 
-def test_a_budget_stop_leaves_the_store_extendable(tmp_path, capsys):
-    """A rank budget of 20 stops K at F_4 after d_2 and d_3: the store then
-    holds what a run to length 3 under that budget writes, the maps d_2
-    and d_3, so a rerun under it raises without a warning, and a run
-    under the default budgets builds the cold maps."""
-    tight = replace(DEFAULT_BUDGETS, max_rank=20)
-    memo.clear()
+def test_a_budget_stop_leaves_the_store_extendable(tmp_path, capsys,
+                                                   set_caps):
+    """A rank cap of 20 stops K at F_4 after d_2 and d_3: the store then
+    holds what a run to length 3 under that cap writes, the maps d_2 and
+    d_3, so a rerun under it raises without a warning, and a run under
+    the default caps builds the cold maps."""
     cold = _terms(minimal_free_resolution(K, 6).maps)
+    rank = config.MAX_RANK
     short, stopped = tmp_path / "short", tmp_path / "stopped"
     try:
+        set_caps(MAX_RANK=20)
         install_cache(str(short))
-        memo.clear()
-        minimal_free_resolution(K, 3, budgets=tight)
+        minimal_free_resolution(K, 3)
         install_cache(str(stopped))
         memo.clear()
         with pytest.raises(BudgetError, match="resolution rank"):
-            minimal_free_resolution(K, 6, budgets=tight)
+            minimal_free_resolution(K, 6)
         assert sorted(os.listdir(stopped)) == sorted(os.listdir(short))
         for name in os.listdir(short):
             assert (stopped / name).read_bytes() == (short / name).read_bytes()
         capsys.readouterr()
         memo.clear()
         with pytest.raises(BudgetError, match="resolution rank"):
-            minimal_free_resolution(K, 6, budgets=tight)
-        memo.clear()
+            minimal_free_resolution(K, 6)
+        set_caps(MAX_RANK=rank)
         assert _terms(minimal_free_resolution(K, 6).maps) == cold
         assert capsys.readouterr().err == ""
     finally:
@@ -438,14 +460,15 @@ def test_a_budget_stop_leaves_the_store_extendable(tmp_path, capsys):
         memo.clear()
 
 
-def test_a_store_is_per_budget(tmp_path, monkeypatch):
-    """A store filled under the default budgets serves nothing to a run
-    under a rank budget of 20: every load misses, and the run raises the
+def test_a_store_is_per_budget(tmp_path, monkeypatch, set_caps):
+    """A store filled under the default caps serves nothing to a run
+    under a rank cap of 20: every load misses, and the run raises the
     BudgetError a cold one does."""
-    tight = replace(DEFAULT_BUDGETS, max_rank=20)
-    memo.clear()
+    rank = config.MAX_RANK
+    set_caps(MAX_RANK=20)
     with pytest.raises(BudgetError) as cold:
-        minimal_free_resolution(K, 6, budgets=tight)
+        minimal_free_resolution(K, 6)
+    set_caps(MAX_RANK=rank)
     hits = []
     load = DiskStore.load
 
@@ -460,10 +483,10 @@ def test_a_store_is_per_budget(tmp_path, monkeypatch):
         install_cache(str(tmp_path))
         memo.clear()
         minimal_free_resolution(K, 6)
-        memo.clear()
+        set_caps(MAX_RANK=20)
         hits.clear()
         with pytest.raises(BudgetError) as served:
-            minimal_free_resolution(K, 6, budgets=tight)
+            minimal_free_resolution(K, 6)
         assert not hits
         assert str(served.value) == str(cold.value)
     finally:

@@ -6,7 +6,6 @@ import inspect
 import pytest
 
 from linkage_lab import isomorphism, memo, theorems
-from linkage_lab.config import Budgets
 from linkage_lab.corpus import (
     classical_rings,
     corpus_pool,
@@ -93,23 +92,25 @@ def test_hypothesis_failure_gives_inapplicable():
     assert "hypothesis failed" in report.witness
 
 
-def test_budget_exhaustion_is_flagged_not_failed():
-    cfg = HarnessConfig(budgets=Budgets(max_degree=1, max_rank=4))
-    report = check("THM_MS", {"M": maximal_ideal(T)}, cfg)
+def test_budget_exhaustion_is_flagged_not_failed(set_caps):
+    M = maximal_ideal(T)
+    set_caps(MAX_DEGREE=1, MAX_RANK=4)
+    report = check("THM_MS", {"M": M})
     assert report.verdict == "Inapplicable"
     assert "Inapplicable-by-budget" in report.notes
 
 
-def test_budget_exhaustion_keeps_the_instance_line():
+def test_budget_exhaustion_keeps_the_instance_line(set_caps):
     """A budget that runs out after the check named its instance reports
     that name, the ", n=..." suffix included."""
-    cfg = HarnessConfig(budgets=Budgets(max_degree=1, max_rank=4))
     bindings = {"M": maximal_ideal(T), "C": free_module(T, [0]), "n": 2}
-    for tid in ("PROP_T1", "THM_TH1"):
-        memo.clear()
-        report = check(tid, bindings, cfg)
+    want = {tid: check(tid, bindings).instance
+            for tid in ("PROP_T1", "THM_TH1")}
+    for tid, instance in want.items():
+        set_caps(MAX_DEGREE=1, MAX_RANK=4)
+        report = check(tid, bindings)
         assert "Inapplicable-by-budget" in report.notes
-        assert report.instance == check(tid, bindings).instance
+        assert report.instance == instance
         assert report.instance.endswith(", n=2")
 
 
@@ -136,7 +137,8 @@ def test_a_coefficient_over_budget_keeps_the_instance_line(tid):
 
 def test_required_bindings_are_the_parameters_without_default():
     for tid, (fn, required, defaults) in theorems._CHECKS.items():
-        params = list(inspect.signature(fn).parameters.values())[1:]
+        params = [p for p in inspect.signature(fn).parameters.values()
+                  if p.name != "cfg"]
         assert required == tuple(
             p.name for p in params if p.default is p.empty), tid
         assert defaults == {
