@@ -5,14 +5,17 @@ writes one map entry per step and one completion entry per resolution
 that ends, keyed by the minimal presentation (which is
 Groebner-canonicalized), the two caps of `config` and the step, so the
 same module declared through different matrices hits the same entries,
-and an entry written under other caps is never read; resolutions.py
-documents their format, the checks a load runs and how a stored
-resolution is extended.  A valid entry is append-only: a second save under an
-existing key is a no-op, and writes go through a temporary file and an
-atomic rename.  A rejected entry is discarded: a file that is not valid
-JSON is removed with a warning, as is an entry the engine's load checks
-reject, so the engine recomputes the step and its save writes the entry
-again.
+and an entry written under other caps is never read.  A map entry is
+dictionary-coded: a table of its distinct monomials, one of its
+distinct coefficients, and each term as integer indices into them; its
+key names that layout, so an entry written in an older layout is never
+read.  resolutions.py documents the format, the checks a load runs and
+how a stored resolution is extended.  A valid entry is append-only: a
+second save under an existing key is a no-op, and writes go through a
+temporary file and an atomic rename.  A missing file is a miss.  A
+rejected entry is discarded: a file that is not valid JSON is removed
+with a warning, as is an entry the engine's load checks reject, so the
+engine recomputes the step and its save writes the entry again.
 """
 
 from __future__ import annotations
@@ -32,12 +35,14 @@ class DiskStore:
         return os.path.join(self.root, f"{key}.json")
 
     def load(self, key: str):
+        """The entry under `key`, or None when there is none or it cannot
+        be read or parsed."""
         path = self._path(key)
-        if not os.path.exists(path):
-            return None
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
+        except FileNotFoundError:
+            return None
         except OSError as e:
             print(f"warning: ignoring unreadable cache entry {path}: {e}",
                   file=sys.stderr)
@@ -60,7 +65,6 @@ class DiskStore:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-
 
     def discard(self, key: str) -> None:
         """Remove the entry under `key`, if any: a rejected entry makes

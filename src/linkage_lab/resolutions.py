@@ -30,20 +30,24 @@ results also persist in a content-addressed cache keyed by the minimal
 presentation (which includes the ring), the two caps and the step, so a
 store written under other caps is never read:
 
-- the map entry of step i >= 2 holds the twists of F_i and the columns
-  of d_i; each polynomial entry is a list of terms [exponents,
-  numerator, denominator], so a load builds the polynomials directly,
-  with the field's own coefficient type, and never parses text;
+- the map entry of step i >= 2 holds the twists of F_i, a table of the
+  distinct monomials of d_i (exponent lists), a table of its distinct
+  coefficients [numerator, denominator], and the columns of d_i, each a
+  list of terms [row, monomial index, coefficient index]; a load builds
+  the polynomials directly, with the field's own coefficient type, and
+  never parses text;
 - the completion entry holds the number of maps of a resolution that
   ended.
 
 No entry depends on the length asked for, so a scan writes each step
 once and a shorter request is a pure load.  A loaded entry is checked,
-not trusted: its shape, and that every entry of every column is
-homogeneous of degree twist(F_i)[column] - twist(F_{i-1})[row] against
-the twists loaded before it.  A corrupt, malformed or inhomogeneous
-entry is a miss: a warning names it on stderr, it is discarded, and the
-step is recomputed and written again.
+not trusted: its shape, that every number is an int, each monomial and
+coefficient of its tables once (n exponents, none negative; a nonzero
+element of the field), and that every term is homogeneous of degree
+twist(F_i)[column] - twist(F_{i-1})[row] against the twists loaded
+before it, with no row or monomial repeated.  A corrupt, malformed or
+inhomogeneous entry is a miss: a warning names it on stderr, it is
+discarded, and the step is recomputed and written again.
 
 The store holds no candidates, so a state whose last maps came from it
 (more than one map and no candidates) is extended by rebuilding it from
@@ -155,23 +159,37 @@ class Resolution:
         raise ValueError(f"resolution only computed to length {self.length()}")
 
 
+# the tag of each kind of entry in its key; a map's names its layout,
+# so an entry written in an older layout is never read
+_TAGS = {"map": "resolution-map-dict", "complete": "resolution-complete"}
+
+
 def _key(kind: str, Mmin: ModulePresentation, step: int = 0) -> str:
     """The store key of an entry of the resolution of the minimal
     presentation `Mmin` under the caps: named by the presentation's
     content key, which is the same in every process and is derived only
     here, so a run with no store attached never prints a presentation."""
-    return memo.content_hash("resolution-" + kind, Mmin.content_key(),
+    return memo.content_hash(_TAGS[kind], Mmin.content_key(),
                              repr((config.MAX_DEGREE, config.MAX_RANK)),
                              str(step))
 
 
 def _entry(columns, degrees) -> dict:
-    """Columns with their degrees, in integer terms."""
+    """Columns with their degrees, dictionary-coded in integers: a table
+    of the distinct monomials, a table of the distinct coefficients as
+    [numerator, denominator], and each column as its terms [row,
+    monomial index, coefficient index], row by row, each polynomial's
+    terms in their order."""
+    monos, coeffs = {}, {}
+    columns = [[[row, monos.setdefault(mono, len(monos)),
+                 coeffs.setdefault(c, len(coeffs))]
+                for row, p in col.items() for mono, c in p.terms.items()]
+               for col in columns]
     return {
         "twists": list(degrees),
-        "columns": [[[row, [[mono, c.numerator, c.denominator]
-                            for mono, c in p.terms.items()]]
-                     for row, p in col.items()] for col in columns],
+        "monomials": list(monos),
+        "coefficients": [[c.numerator, c.denominator] for c in coeffs],
+        "columns": columns,
     }
 
 
@@ -179,40 +197,54 @@ def _decoded(ring, entry, lower):
     """(degrees, columns) of an entry whose columns live in the free
     module with twists `lower`.  Raises ValueError, TypeError, KeyError
     or ZeroDivisionError on any flaw: a shape other than _entry's, a
-    non-integer, an entry not homogeneous of the column's degree minus
-    the row's twist, a zero coefficient, a repeated monomial or row."""
+    number that is not an int, a monomial of another length or with a
+    negative exponent, a coefficient that is zero or not in the field,
+    an index outside its table, a term whose monomial's degree is not
+    the column's twist minus the row's, a repeated monomial or row.
+    Each table item is checked once; a term costs its index checks and
+    one comparison of degrees."""
     S = ring.poly_ring
     n, read, ctype = S.nvars, S.field.from_fraction, type(S.field.zero())
-    degrees, cols = entry["twists"], entry["columns"]
-    if type(degrees) is not list or type(cols) is not list \
+    degrees, monos, coeffs, cols = (entry["twists"], entry["monomials"],
+                                    entry["coefficients"], entry["columns"])
+    if type(degrees) is not list or type(monos) is not list \
+            or type(coeffs) is not list or type(cols) is not list \
             or len(degrees) != len(cols):
-        raise ValueError("twists and columns do not match")
+        raise ValueError("the tables or twists and columns do not match")
+    table, mono_degrees = [], []
+    for exps in monos:
+        if type(exps) is not list or len(exps) != n \
+                or any(type(e) is not int or e < 0 for e in exps):
+            raise ValueError(f"monomial {exps!r}")
+        table.append(tuple(exps))
+        mono_degrees.append(sum(exps))
+    values = []
+    for num, den in coeffs:
+        c = read(num, den) if type(num) is int and type(den) is int else None
+        if not c or type(c) is not ctype:
+            raise ValueError(f"coefficient {num!r}/{den!r}")
+        values.append(c)
+    n_monos, n_coeffs, n_rows = len(table), len(values), len(lower)
     out = []
     for degree, col in zip(degrees, cols):
         if type(degree) is not int or not col:
             raise ValueError("a twist is not an integer or a column is empty")
-        column = {}
-        for row, terms in col:
-            if type(row) is not int or not 0 <= row < len(lower) or not terms:
-                raise ValueError(f"bad row {row!r}")
-            want = degree - lower[row]
-            poly = {}
-            for exps, num, den in terms:
-                mono = tuple(exps)
-                d = sum(mono)
-                if d != want or type(d) is not int or len(mono) != n \
-                        or min(mono) < 0:
-                    raise ValueError(f"a term of degree {d!r} where the "
-                                     f"twists give {want}")
-                c = read(num, den)
-                if not c or type(c) is not ctype:
-                    raise ValueError(f"coefficient {num!r}/{den!r}")
-                poly[mono] = c
-            if len(poly) != len(terms):
-                raise ValueError("a repeated monomial")
-            column[row] = Poly(S, poly)
-        if len(column) != len(col):
-            raise ValueError("a repeated row")
+        column, row = {}, None
+        for r, m, c in col:
+            if type(r) is not int or type(m) is not int or type(c) is not int \
+                    or not 0 <= m < n_monos or not 0 <= c < n_coeffs:
+                raise ValueError(f"term {[r, m, c]!r}")
+            if r != row:
+                if not 0 <= r < n_rows or r in column:
+                    raise ValueError(f"bad or repeated row {r!r}")
+                row, want, terms = r, degree - lower[r], {}
+                column[r] = Poly(S, terms)
+            mono = table[m]
+            if mono_degrees[m] != want or mono in terms:
+                raise ValueError(f"a repeated monomial, or one of degree "
+                                 f"{mono_degrees[m]} where the twists give "
+                                 f"{want}")
+            terms[mono] = values[c]
         out.append(column)
     return tuple(degrees), out
 

@@ -5,7 +5,6 @@ Every criterion prints `criterion NN PASS/FAIL: detail` so a plain
 pytest -v run shows one line per criterion and the printed detail
 surfaces on failure."""
 
-import json
 import math
 import time
 
@@ -30,10 +29,8 @@ from linkage_lab.invariants import (
     is_mcm,
     krull_dim,
     local_cohomology_degrees,
-    reduced_grade,
     ring_depth,
     ring_is_gorenstein,
-    serre_tilde,
 )
 from linkage_lab.isomorphism import is_isomorphic
 from linkage_lab.linkage import is_horizontally_linked, is_stable

@@ -1,6 +1,7 @@
 """Dead-name guard for the library: no unused parameter of a module-level
-function, no unused import outside a package's __init__.py, and no
-module-level function or class method that nothing references.
+function, no unused import outside a package's __init__.py (in the tests
+too), and no module-level function or class method that nothing
+references.
 
 Standard library only (`ast`).  A parameter counts as used when its name is
 read anywhere in the function, nested functions included; an import counts
@@ -18,15 +19,16 @@ import os
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src", "linkage_lab")
+TESTS = os.path.join(ROOT, "tests")
 REFERENCING = ("src", "demos", "perfbench")
 # test-only functions the library keeps on purpose: module:function
 TEST_HOOKS = {"homops.py:set_fault"}
 
 
-def _modules():
-    for name in sorted(os.listdir(SRC)):
+def _modules(directory=SRC):
+    for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
-            path = os.path.join(SRC, name)
+            path = os.path.join(directory, name)
             with open(path, encoding="utf-8") as fh:
                 yield name, ast.parse(fh.read(), filename=path)
 
@@ -52,8 +54,10 @@ def unused_parameters() -> list:
 
 
 def unused_imports() -> list:
+    """Over the library's modules and tests/*.py."""
     out = []
-    for name, tree in _modules():
+    tests = [(f"tests/{name}", tree) for name, tree in _modules(TESTS)]
+    for name, tree in [*_modules(), *tests]:
         if name == "__init__.py":
             continue
         read = _names_read(tree)

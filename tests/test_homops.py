@@ -35,7 +35,6 @@ from linkage_lab.modules import (
     cyclic_module,
     direct_sum,
     free_module,
-    from_matrix,
     minimalize,
     span_gb,
     twist_module,

@@ -45,7 +45,6 @@ from linkage_lab.invariants import (
     ring_is_gorenstein,
     serre_tilde,
 )
-from linkage_lab.isomorphism import is_isomorphic
 from linkage_lab.modules import (
     ModulePresentation,
     cyclic_module,

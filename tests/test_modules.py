@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from linkage_lab import config
 from linkage_lab.corpus import (
-    classical_rings,
     corpus_pool,
     generate_corpus,
     maximal_ideal,

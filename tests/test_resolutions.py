@@ -1,7 +1,8 @@
 """Minimal free resolutions: exactness, Froberg's ranks, independence of
 history, the disk store's per-step entries (round trips, one write per
-step, damaged entries as misses), and the minimal-admission run against
-the per-degree reference it replaced."""
+step, damaged or flawed entries as misses, old layouts never read), and
+the minimal-admission run against the per-degree reference it
+replaced."""
 
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkage_lab import config, memo, resolutions
+from linkage_lab import cache, config, memo, resolutions
 from linkage_lab.cache import DiskStore, install_cache
 from linkage_lab.corpus import generate_corpus
 from linkage_lab.errors import BudgetError
@@ -227,11 +228,11 @@ def _damage(kind, store, key):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     entry = json.loads(text)
-    if kind == "degree":
-        entry["columns"][0][0][1][0][0][0] += 1
+    if kind == "degree":  # the monomial of the first term
+        entry["monomials"][0][0] += 1
     elif kind == "twists":
         entry["twists"][0] += 1
-    elif kind == "row":
+    elif kind == "row":  # the row of the first term
         entry["columns"][0][0][0] = -1
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text[:len(text) // 2] if kind == "truncated"
@@ -264,7 +265,8 @@ def test_a_damaged_entry_is_a_miss(kind, tmp_path, capsys):
 
 
 def _drop_last_column(store, key, step) -> str:
-    """Drop the last column of the store's d_step: the entry stays well
+    """Drop the last column of the store's d_step (its monomials and
+    coefficients stay in the tables, unread): the entry stays well
     formed and homogeneous, so only its use can show it is wrong."""
     name = resolutions._key("map", key, step)
     with open(store._path(name), encoding="utf-8") as fh:
@@ -319,6 +321,171 @@ def test_a_damaged_entry_is_repaired(kind, tmp_path, capsys, monkeypatch):
     finally:
         set_resolution_store(None)
         memo.clear()
+
+
+# T after y -> x+y, z -> x+y+z: coefficients other than +-1 in its maps
+U = make_ring(QQ, ["x", "y", "z"],
+              ["x^2+x*y", "x^2+x*y+x*z", "x^2+2*x*y+x*z+y^2+y*z"])
+
+
+@pytest.mark.parametrize("M, length", [
+    (K, 8), (W, 8), (cyclic_module(N, ["x + y", "z^2 - 2*w^2"]), 5),
+    (cyclic_module(U, ["x", "y"]), 6)], ids=["K", "W", "GF", "U"])
+def test_a_served_resolution_is_the_cold_one(M, length, tmp_path, monkeypatch):
+    """A resolution served from the store, with no Groebner step, has the
+    cold run's twists and maps, term by term and row by row; over GF and
+    U the coefficient tables hold entries other than +-1."""
+    steps = []
+    for name in ("minimal_step", "column_syzygies"):
+        fn = getattr(resolutions, name)
+        monkeypatch.setattr(resolutions, name,
+                            lambda *a, _fn=fn, **k: steps.append(1) or _fn(*a, **k))
+    try:
+        install_cache(str(tmp_path))
+        cold = minimal_free_resolution(M, length)
+        memo.clear()
+        steps.clear()
+        served = minimal_free_resolution(M, length)
+        assert not steps
+        assert served.twists == cold.twists and not served.complete
+        assert _terms(served.maps) == _terms(cold.maps)
+        field = M.ring.poly_ring.field
+        coeffs = {c for cols in cold.maps for col in cols
+                  for p in col.values() for c in p.terms.values()}
+        assert bool(coeffs - {field.one(), field.neg(field.one())}) \
+            == (M.ring in (N, U))
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+def _leaves(node, path=()):
+    """The paths of the leaves of a JSON value, in document order."""
+    if isinstance(node, (list, dict)):
+        for k in (range(len(node)) if isinstance(node, list) else sorted(node)):
+            yield from _leaves(node[k], path + (k,))
+    else:
+        yield path
+
+
+def _leaf(node, path):
+    for k in path:
+        node = node[k]
+    return node
+
+
+def _replaced(entry, path, value):
+    """A copy of the JSON value `entry` with the leaf at `path` replaced."""
+    copy = json.loads(json.dumps(entry))
+    _leaf(copy, path[:-1])[path[-1]] = value
+    return copy
+
+
+@pytest.mark.parametrize("poly, leaf, value", [
+    ("5*y", 5, "5"), ("5*y", 5, 5.0), ("5/7*x*y^2*z^3", 1, True)],
+    ids=["text-numerator", "float-numerator", "boolean-exponent"])
+def test_a_number_that_is_not_an_int_is_refused(poly, leaf, value):
+    """An entry's numbers are ints, even where Fraction or sum() would
+    read another value as the int it stands for: the one leaf of the
+    entry equal to `leaf` (the numerator 5, or the exponent of x) is
+    replaced by `value`."""
+    p = T.poly_ring.parse(poly)
+    (degree,) = {sum(mono) for mono in p.terms}
+    entry = json.loads(json.dumps(resolutions._entry([{0: p}], [degree])))
+    assert resolutions._decoded(T, entry, (0,)) == ((degree,), [{0: p}])
+    (path,) = [path for path in _leaves(entry)
+               if type(_leaf(entry, path)) is int and _leaf(entry, path) == leaf]
+    with pytest.raises(ValueError):
+        resolutions._decoded(T, _replaced(entry, path, value), (0,))
+
+
+def test_no_flaw_escapes_a_load(tmp_path, capsys):
+    """Each leaf of the stored d_3 of W, replaced in turn by -1, a too
+    large int, 1.5, "1", null and true: the load serves the entry, or
+    names it in a warning and discards it; no exception escapes, and a
+    value that is not an int is always a miss."""
+    key = _store_key(W)
+    try:
+        store = install_cache(str(tmp_path))
+        lower = minimal_free_resolution(W, 3).twists[2]
+        name = resolutions._key("map", key, 3)
+        path = store._path(name)
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+        def load():
+            return resolutions._loaded(
+                name, "d_3", lambda e: resolutions._decoded(T, e, lower))
+        assert load() is not None
+        leaves = list(_leaves(entry))
+        assert len(leaves) > 20
+        capsys.readouterr()
+        for leaf in leaves:
+            for value in (-1, 2 ** 64, 1.5, "1", None, True):
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(_replaced(entry, leaf, value), fh)
+                got, err = load(), capsys.readouterr().err
+                if got is None:
+                    assert name in err and "d_3" in err, (leaf, value)
+                    assert not os.path.exists(path)
+                else:
+                    assert err == "" and type(value) is int, (leaf, value)
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+def _old_entry(columns, degrees) -> dict:
+    """An entry in the layout before dictionary coding: each polynomial
+    a list of terms [exponents, numerator, denominator]."""
+    return {"twists": list(degrees),
+            "columns": [[[row, [[list(mono), c.numerator, c.denominator]
+                                for mono, c in p.terms.items()]]
+                         for row, p in col.items()] for col in columns]}
+
+
+def test_an_entry_in_the_old_layout_is_never_opened(tmp_path, capsys,
+                                                    monkeypatch):
+    """Maps of W written in the old layout, under the old keys: a run
+    with the store opens none of them, computes and writes its own
+    entries, and leaves the old files as they were."""
+    cold = minimal_free_resolution(W, 4)
+    Mmin = _store_key(W)
+    caps = repr((config.MAX_DEGREE, config.MAX_RANK))
+    store = DiskStore(str(tmp_path))
+    old = {}
+    for step in (2, 3, 4):
+        name = memo.content_hash("resolution-map", Mmin.content_key(), caps,
+                                 str(step))
+        store.save(name, _old_entry(cold.maps[step - 1], cold.twists[step]))
+        with open(store._path(name), "rb") as fh:
+            old[store._path(name)] = fh.read()
+    opened = []
+    monkeypatch.setattr(cache, "open", lambda path, *a, **k:
+                        opened.append(path) or open(path, *a, **k),
+                        raising=False)
+    try:
+        set_resolution_store(store)
+        memo.clear()
+        assert _terms(minimal_free_resolution(W, 4).maps) == _terms(cold.maps)
+        assert opened and not set(opened) & set(old)
+        assert capsys.readouterr().err == ""
+        for path, text in old.items():
+            with open(path, "rb") as fh:
+                assert fh.read() == text
+        assert len(os.listdir(str(tmp_path))) == 6
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
+def test_a_missing_entry_is_a_silent_miss(tmp_path, capsys, monkeypatch):
+    """A load of a key with no file is a miss with no warning, even when
+    the file was there a moment before: a stat that still sees it does
+    not turn the miss into an unreadable entry."""
+    store = DiskStore(str(tmp_path))
+    monkeypatch.setattr(os.path, "exists", lambda path: True)
+    assert store.load("0" * 64) is None
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("served_by", ["store", "memo"])

@@ -7,7 +7,6 @@ import pytest
 
 from linkage_lab import isomorphism, memo, theorems
 from linkage_lab.corpus import (
-    classical_rings,
     corpus_pool,
     generate_corpus,
     maximal_ideal,
