@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 
 from .fields import QQ
-from .homops import lambda_module, syzygy, transpose
 from .modules import (
     ModulePresentation,
     cyclic_module,
@@ -48,6 +47,8 @@ def classical_rings(field=QQ):
 
 def maximal_ideal(ring: GradedRing) -> ModulePresentation:
     """The irrelevant maximal ideal as a module: first syzygy of k."""
+    from .homops import syzygy
+
     k = cyclic_module(ring, list(ring.names))
     return minimalize(syzygy(k, 1))
 
@@ -71,6 +72,8 @@ def _base_layer(ring: GradedRing):
 
 
 def _derived_layer(ring: GradedRing, by_name):
+    from .homops import lambda_module, syzygy, transpose
+
     m = by_name["max-ideal"]
     k = by_name["residue-field"]
     free = by_name["free[0]"]

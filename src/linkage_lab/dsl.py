@@ -22,8 +22,6 @@ equal AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import QQ
 from .monomials import mono_deg, mono_str
 from .polynomials import PolyRing, parse_poly
@@ -87,8 +85,41 @@ class DslError(Exception):
         super().__init__(f"line {line}, col {col}: {message}{suffix}")
 
 
-@dataclass(frozen=True)
-class Token:
+class _Node:
+    """A record of the fields named by `__slots__`, built positionally.
+
+    Two records are equal when they have the same type and equal fields,
+    and none is hashable; the repr is the dataclass one, e.g.
+    `Call(fn='lambda', args=[Name(ident='M')])`.  Not a dataclass, whose
+    code generation would run in every fresh interpreter that parses.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes "
+                            f"{len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Token(_Node):
+    __slots__ = ("kind", "value", "line", "col")
     kind: str  # "name" | "int" | "sym" | "eof"
     value: str
     line: int
@@ -144,82 +175,82 @@ def tokenize(source: str):
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass
-class Name:
+class Name(_Node):
+    __slots__ = ("ident",)
     ident: str
 
 
-@dataclass
-class Call:
+class Call(_Node):
+    __slots__ = ("fn", "args")
     fn: str
     args: list  # Name | Call | int | PolyList
 
 
-@dataclass
-class Cmp:
+class Cmp(_Node):
+    __slots__ = ("call", "op", "value")
     call: Call
     op: str
     value: int
 
 
-@dataclass
-class PolyList:
+class PolyList(_Node):
+    __slots__ = ("polys",)
     polys: list  # canonical polynomial strings
 
 
-@dataclass
-class RingPolyDecl:
+class RingPolyDecl(_Node):
+    __slots__ = ("name", "field_name", "variables")
     name: str
     field_name: str
     variables: list
 
 
-@dataclass
-class RingQuotientDecl:
+class RingQuotientDecl(_Node):
+    __slots__ = ("name", "base", "polys")
     name: str
     base: str
     polys: list  # canonical polynomial strings
 
 
-@dataclass
-class ModuleDecl:
+class ModuleDecl(_Node):
+    __slots__ = ("name", "ring", "twists", "matrix")
     name: str
     ring: str
     twists: list
     matrix: list  # rows of canonical polynomial strings
 
 
-@dataclass
-class LetBinding:
+class LetBinding(_Node):
+    __slots__ = ("name", "expr")
     name: str
     expr: object  # Call | Name
 
 
-@dataclass
-class AssertStmt:
+class AssertStmt(_Node):
+    __slots__ = ("predicate",)
     predicate: object  # Call | Cmp
 
 
-@dataclass
-class PrintStmt:
+class PrintStmt(_Node):
+    __slots__ = ("item",)
     item: object  # Call | Name
 
 
-@dataclass
-class CheckStmt:
+class CheckStmt(_Node):
+    __slots__ = ("theorem_id", "bindings")
     theorem_id: str
     bindings: list  # (name, Name | Call | int | PolyList) in source order
 
 
-@dataclass
-class SuiteStmt:
+class SuiteStmt(_Node):
+    __slots__ = ("theorem_ids", "ring", "size")
     theorem_ids: list
     ring: str
     size: int
 
 
-@dataclass
-class Script:
+class Script(_Node):
+    __slots__ = ("statements",)
     statements: list
 
 

@@ -38,8 +38,6 @@ harness demonstrate that it detects false statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import memo
 from .errors import ConsistencyError, InapplicableError
 from .hilbert import HilbertSeries
@@ -496,12 +494,14 @@ def is_c_torsionless(M: ModulePresentation, C: ModulePresentation) -> bool:
     return image == A.hilbert_series()
 
 
-@dataclass
 class Pushforward:
-    map_columns: list  # per M-generator: column over codomain coordinates
-    codomain_twists: list  # twist of each C-copy
-    cokernel: ModulePresentation
-    m: int
+    def __init__(self, map_columns: list, codomain_twists: list,
+                 cokernel: ModulePresentation, m: int):
+        # per M-generator: column over codomain coordinates
+        self.map_columns = map_columns
+        self.codomain_twists = codomain_twists  # twist of each C-copy
+        self.cokernel = cokernel
+        self.m = m
 
 
 def universal_pushforward(M: ModulePresentation,

@@ -33,12 +33,14 @@ query needs wider keys; either way it answers every query as before.
 
 from __future__ import annotations
 
-import hashlib
-
 _TABLE: dict = {}
 
 
 def content_hash(*parts: str) -> str:
+    # Only process-stable names hash content, so a run with no store and
+    # no isomorphism search never loads hashlib.
+    import hashlib
+
     h = hashlib.sha256()
     for p in parts:
         h.update(p.encode())

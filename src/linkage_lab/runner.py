@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .config import INFINITY
-from .corpus import generate_corpus
 from .dsl import (
     PREDICATE_FNS,
     SCALAR_FNS,
@@ -38,25 +36,14 @@ from .dsl import (
 )
 from .errors import BudgetError, HomogeneityError, InapplicableError
 from .fields import field_from_name
-from .homops import (
-    dual,
-    ext,
-    hom_module,
-    lambda_module,
-    syzygy,
-    tensor,
-    tor,
-    transpose,
-    transpose_wrt,
-    universal_pushforward,
-)
 from .modules import from_matrix
-from .resolutions import betti
 from .rings import make_ring
 
-# The theorem, invariant, isomorphism and linkage layers are imported in
-# the branches that use them, so a script that only declares, resolves or
-# prints presentations never loads them.
+# The homops, resolution, corpus, theorem, invariant, isomorphism and
+# linkage layers are imported in the branches that use them: a module
+# operator loads homops, `betti` resolutions, a suite the corpus, and the
+# rest as each predicate, scalar or check needs it.  A script that only
+# declares and prints presentations loads none of them.
 
 VERSION = "0.1.0"
 
@@ -81,11 +68,12 @@ class ScriptError(Exception):
     operator that refuses its operands."""
 
 
-@dataclass
 class RunConfig:
-    bound: int | None = None
-    fail_fast: bool = False
-    strict: bool = False
+    def __init__(self, bound: int | None = None, fail_fast: bool = False,
+                 strict: bool = False):
+        self.bound = bound
+        self.fail_fast = fail_fast
+        self.strict = strict
 
     def harness(self):
         from .theorems import HarnessConfig
@@ -100,14 +88,16 @@ class RunConfig:
         }
 
 
-@dataclass
 class RunResult:
-    config: RunConfig
-    declarations: list = field(default_factory=list)
-    results: list = field(default_factory=list)
-    budget_hit: bool = False
-    failed: bool = False
-    inapplicable_seen: bool = False
+    def __init__(self, config: RunConfig, declarations: list | None = None,
+                 results: list | None = None, budget_hit: bool = False,
+                 failed: bool = False, inapplicable_seen: bool = False):
+        self.config = config
+        self.declarations = [] if declarations is None else declarations
+        self.results = [] if results is None else results
+        self.budget_hit = budget_hit
+        self.failed = failed
+        self.inapplicable_seen = inapplicable_seen
 
     def exit_code(self) -> int:
         if self.budget_hit:
@@ -216,32 +206,35 @@ class _Runner:
             raise ScriptError(f"{expr.ident!r} is not a module")
         if not isinstance(expr, Call):
             raise ScriptError(f"expected a module expression, got {expr!r}")
+        from . import homops
+
         f, a = expr.fn, expr.args
         if f == "lambda":
-            return lambda_module(self._module(a[0]))
+            return homops.lambda_module(self._module(a[0]))
         if f == "transpose":
-            return transpose(self._module(a[0]))
+            return homops.transpose(self._module(a[0]))
         if f == "transpose_wrt":
-            return transpose_wrt(self._module(a[0]), self._module(a[1]))
+            return homops.transpose_wrt(self._module(a[0]),
+                                        self._module(a[1]))
         if f == "syzygy":
-            return syzygy(self._module(a[0]), a[1])
+            return homops.syzygy(self._module(a[0]), a[1])
         if f == "ext":
-            return ext(self._module(a[0]), self._module(a[1]), a[2])
+            return homops.ext(self._module(a[0]), self._module(a[1]), a[2])
         if f == "tor":
-            return tor(self._module(a[0]), self._module(a[1]), a[2])
+            return homops.tor(self._module(a[0]), self._module(a[1]), a[2])
         if f == "tensor":
-            return tensor(self._module(a[0]), self._module(a[1]))
+            return homops.tensor(self._module(a[0]), self._module(a[1]))
         if f == "hom":
-            return hom_module(self._module(a[0]), self._module(a[1]))
+            return homops.hom_module(self._module(a[0]), self._module(a[1]))
         if f == "canonical":
             from .invariants import canonical_module
 
             return canonical_module(self.rings[a[0].ident])
         if f == "dual":
-            return dual(self._module(a[0]))
+            return homops.dual(self._module(a[0]))
         if f == "pushforward":
-            return universal_pushforward(self._module(a[0]),
-                                         self._module(a[1])).cokernel
+            return homops.universal_pushforward(self._module(a[0]),
+                                                self._module(a[1])).cokernel
         raise ScriptError(f"unknown operator {f!r}")
 
     def _predicate(self, call: Call):
@@ -327,6 +320,8 @@ class _Runner:
             if item.fn == "hilbert":
                 return str(self._module(item.args[0]).hilbert_series()), ""
             if item.fn == "betti":
+                from .resolutions import betti
+
                 row = betti(self._module(item.args[0]), item.args[1])
                 return _jsonable(row), ""
         M = self._module(item)
@@ -436,6 +431,7 @@ class _Runner:
             return self._note_report(report)
         if isinstance(s, SuiteStmt):
             from . import theorems
+            from .corpus import generate_corpus
 
             ring = self.rings[s.ring]
             modules = generate_corpus(ring, s.size)

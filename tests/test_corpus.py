@@ -3,7 +3,7 @@ to the k-th and agrees with the full pool `corpus_pool(R)`."""
 
 import pytest
 
-from linkage_lab import corpus
+from linkage_lab import homops
 from linkage_lab.corpus import corpus_pool, generate_corpus
 from linkage_lab.fields import GF, QQ
 from linkage_lab.modules import twist_module
@@ -38,8 +38,9 @@ def test_a_base_layer_prefix_builds_no_derived_module(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("syzygy, transpose or lambda_module called")
 
+    # corpus imports these from homops when it builds a module with them
     for name in ("syzygy", "transpose", "lambda_module"):
-        monkeypatch.setattr(corpus, name, refuse)
+        monkeypatch.setattr(homops, name, refuse)
     T = RINGS["T"]
     assert [name for name, _ in generate_corpus(T, 2)] == \
         ["free[0]", "residue-field"]

@@ -10,7 +10,19 @@ import pytest
 from linkage_lab import memo
 from linkage_lab.cache import DiskStore, install_cache, resolve_cache_dir
 from linkage_lab.cli import main
-from linkage_lab.dsl import DslError, parse, pretty_print
+from linkage_lab.dsl import (
+    Call,
+    Cmp,
+    DslError,
+    Name,
+    PolyList,
+    PrintStmt,
+    Script,
+    Token,
+    parse,
+    pretty_print,
+    tokenize,
+)
 from linkage_lab.fields import QQ
 from linkage_lab.modules import cyclic_module
 from linkage_lab.resolutions import (
@@ -18,8 +30,16 @@ from linkage_lab.resolutions import (
     set_resolution_store,
 )
 from linkage_lab.rings import make_ring
-from linkage_lab.runner import RunConfig, execute, report_json, report_text
+from linkage_lab.runner import (
+    RunConfig,
+    ScriptError,
+    execute,
+    report_json,
+    report_text,
+)
 
+DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                     "demos")
 FULL_SCRIPT = """\
 # exercises every statement form
 ring S = poly(QQ, x, y);
@@ -126,6 +146,49 @@ def test_gf_field_declaration():
     assert parse(pretty_print(script)) == script
 
 
+def test_nodes_are_equal_by_type_and_fields():
+    assert Name("x") == Name("x")
+    assert Name("x") != Name("y")
+    assert Name("x") != PolyList("x")
+    assert Call("lambda", [Name("M")]) == Call("lambda", [Name("M")])
+    assert Call("lambda", [Name("M")]) != Call("dual", [Name("M")])
+    assert tokenize("x") == [Token("name", "x", 1, 1),
+                             Token("eof", "", 1, 2)]
+
+
+def test_nodes_are_unhashable():
+    for node in (Name("x"), Token("name", "x", 1, 1), Script([])):
+        with pytest.raises(TypeError):
+            hash(node)
+
+
+def test_nodes_print_as_their_constructor_calls():
+    node = Cmp(Call("depth", [Call("lambda", [Name("M")])]), ">=", 1)
+    assert repr(node) == ("Cmp(call=Call(fn='depth', args=[Call(fn='lambda', "
+                          "args=[Name(ident='M')])]), op='>=', value=1)")
+    with pytest.raises(TypeError):
+        Name()
+
+
+@pytest.mark.parametrize("demo", sorted(
+    name for name in os.listdir(DEMOS) if name.endswith(".link")))
+def test_every_demo_round_trips_through_the_pretty_printer(demo):
+    with open(os.path.join(DEMOS, demo), encoding="utf-8") as fh:
+        script = parse(fh.read())
+    again = parse(pretty_print(script))
+    assert again == script
+    assert repr(again) == repr(script)
+
+
+def test_a_script_error_names_the_node_it_cannot_evaluate():
+    item = Cmp(Call("depth", [Name("M")]), ">=", 1)
+    with pytest.raises(ScriptError) as e:
+        execute(Script([PrintStmt(item)]))
+    assert str(e.value) == (
+        "expected a module expression, got Cmp(call=Call(fn='depth', "
+        "args=[Name(ident='M')]), op='>=', value=1)")
+
+
 # -- execution and exit codes -------------------------------------------------
 
 
@@ -226,7 +289,6 @@ def test_text_report_has_one_line_per_result():
 
 
 def test_unknown_theorem_id_is_script_error():
-    from linkage_lab.runner import ScriptError
     with pytest.raises(ScriptError) as e:
         _run("ring S = poly(QQ, x, y);\n"
              "module M = coker(S, twists=[0], matrix=[[x]]);\n"
@@ -508,7 +570,6 @@ module N = coker(Q, twists=[0], matrix=[[y]]);
 ])
 def test_operands_over_different_rings_are_a_script_error(stmt, message,
                                                          tmp_path, capsys):
-    from linkage_lab.runner import ScriptError
     with pytest.raises(ScriptError) as e:
         _run(CROSS_RING + stmt + "\n")
     assert str(e.value) == message
@@ -536,7 +597,6 @@ def test_malformed_check_bindings_are_a_script_error(stmt, message, tmp_path,
                                                      capsys):
     # each binding is a name the check takes, of the kind that name asks
     # for; anything else stops the script before any statement runs
-    from linkage_lab.runner import ScriptError
     with pytest.raises(ScriptError) as e:
         _run(CROSS_RING + stmt + "\n")
     assert str(e.value) == message

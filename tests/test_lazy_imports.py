@@ -1,9 +1,11 @@
 """The package imports a layer only when a script first uses it.
 
 `import linkage_lab` binds its public names lazily (PEP 562), and the
-runner imports the theorem, invariant, isomorphism and linkage layers in
-the branches that need them.  Each test that watches `sys.modules` runs
-in a fresh interpreter, since this one has long imported everything.
+runner imports the homops, resolution, corpus, theorem, invariant,
+isomorphism and linkage layers in the branches that need them; nothing on
+the set-up path defines a dataclass.  Each test that watches
+`sys.modules` runs in a fresh interpreter, since this one has long
+imported everything.
 """
 
 import importlib
@@ -18,8 +20,12 @@ import linkage_lab
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
-LAYERS = ("linkage_lab.theorems", "linkage_lab.invariants",
-          "linkage_lab.isomorphism", "linkage_lab.linkage")
+# The layers a script loads only when it uses them, and `dataclasses`,
+# which only the theorem, invariant, isomorphism and linkage layers use.
+WATCHED = ("linkage_lab.theorems", "linkage_lab.invariants",
+           "linkage_lab.isomorphism", "linkage_lab.linkage",
+           "linkage_lab.homops", "linkage_lab.resolutions",
+           "linkage_lab.corpus", "dataclasses")
 DECLARATIONS = """\
 ring S = poly(QQ, x, y);
 ring H = quotient(S, [x*y]);
@@ -42,12 +48,17 @@ import json, sys
 import linkage_lab
 from linkage_lab import execute, parse, report_json
 report_json(execute(parse({script!r})))
-print(json.dumps([m for m in {LAYERS!r} if m in sys.modules]))
+print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))
 """)
 
 
+def test_a_declaration_script_loads_none_of_the_layers():
+    assert _layers_loaded_by("print M;\n") == []
+
+
 def test_a_betti_script_loads_none_of_the_upper_layers():
-    assert _layers_loaded_by("print betti(M, 3);\nprint M;\n") == []
+    assert _layers_loaded_by("print betti(M, 3);\nprint M;\n") == \
+        ["linkage_lab.resolutions"]
 
 
 @pytest.mark.parametrize("body", [
@@ -55,7 +66,10 @@ def test_a_betti_script_loads_none_of_the_upper_layers():
     "suite [THM_MS] on corpus(H, 1);\n",
 ])
 def test_a_check_or_suite_script_loads_them(body):
-    assert _layers_loaded_by(body) == list(LAYERS)
+    """Every layer; the corpus only for a suite, which builds one."""
+    assert _layers_loaded_by(body) == [
+        m for m in WATCHED
+        if m != "linkage_lab.corpus" or body.startswith("suite")]
 
 
 def test_star_import_binds_each_name_of_its_defining_module():
