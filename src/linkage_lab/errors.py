@@ -2,7 +2,10 @@
 
 The caps of `config` fail loudly: a truncated Groebner or resolution
 computation is a wrong answer, so exceeding a cap raises instead of
-returning partial data.
+returning partial data.  A Groebner run limited to a degree on request
+(`ModuleGB(..., through=d)`) is not such a truncation: it is exact
+through d, answers only its syzygies of degree <= d, and raises at a
+cap as the full run would for its pairs at or below d.
 """
 
 from __future__ import annotations

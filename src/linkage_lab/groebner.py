@@ -91,6 +91,20 @@ degree by degree, and every two elements at one position form a pair.
 So the plain run's .top_degree is at most the tracked run's, and a
 degree budget the tracked run stays within, the plain run does too.
 
+A tracked, non-minimal run can be limited to degree d (through=d): the
+graded Buchberger truncation of Kreuzer and Robbiano, Computational
+Commutative Algebra 2, sec. 4.5 (Macaulay2's DegreeLimit).  A pair of
+degree above d is neither queued nor formed, so .top_degree <= d, and
+max_degree raises only for a pair at or below d.  Pairs are popped in
+increasing degree, and an element born of a pair of degree e forms only
+pairs of degree >= e, so through d the limited run adds the same
+elements, pops the same pairs and reduces them alike, in the same order,
+as the full run.  Its .syzygies are therefore exact through d: the full
+run's harvest of degree <= d, in the same order.  A zero tracked column
+has no degree the kernel can read, so its unit syzygy is kept whatever
+the column's degree.  The run answers nothing else: its basis is a
+Groebner basis only through d, and every query raises.
+
 Inside the kernel a term (pos, mono) is a plain int, its term key (see
 _TermKeys): integer order is the module order, and multiplying a term by
 x^q adds the key of q.  A column is packed straight into keys on the way
@@ -116,6 +130,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations
+from math import inf
 from operator import mul
 
 from .errors import BudgetError
@@ -343,14 +359,23 @@ class ModuleGB:
     and .syzygies is over the positions of .kept, rows ascending.  Such
     an instance answers nothing else; its basis is not reduced, and not
     complete unless tracked.
+
+    With through=d (track=True, minimal=False) the run stops at degree d:
+    .syzygies is the full run's harvest of degree <= d (see the module
+    doc), and every query raises.
     """
 
     def __init__(self, ring: PolyRing, columns, twists, *, track=False,
-                 fixed=(), quotient=None, max_degree=None, minimal=False):
+                 fixed=(), quotient=None, max_degree=None, minimal=False,
+                 through=None):
+        if through is not None and (not track or minimal):
+            raise ValueError("a degree limit needs a tracked, non-minimal run")
         self.ring = ring
         self.twists = tuple(twists)
         self.track = track
         self.max_degree = max_degree
+        self.through = through
+        self._limit = inf if through is None else through
         self.top_degree = None
         self.syzygies: list = []
         self.kept: list = []
@@ -539,7 +564,7 @@ class ModuleGB:
             where = {t: i for i, t in enumerate(self.kept)}
             self.syzygies = [{where[t]: s[t] for t in sorted(s, key=where.get)}
                              for s in self.syzygies]
-        else:
+        elif self.through is None:
             self._minimize()
             self._tails_pending = True
 
@@ -556,15 +581,19 @@ class ModuleGB:
         base = [_Elem(keys, self._encode({0: f}), None)
                 for f in q.reduced_relations]
         gens = list(zip(base, leads, monomial))
-        ideal_top = max((mono_deg(m) for m, inert_f in zip(leads, monomial)
-                         if inert_f), default=None)
+        ideal_monos = [m for m, inert_f in zip(leads, monomial) if inert_f]
+        ideal_top = max(map(mono_deg, ideal_monos), default=None)
         elems, track, push = self._elems, self.track, self._push_pairs
         for p, twist in enumerate(self.twists):
             by_pos = self._by_pos.setdefault(p, [])
             live_p, inert_p = live.setdefault(p, []), inert.setdefault(p, [])
             fixed, fixed_top = list(inert_p), inert_top.get(p)
             if q._pair_top is not None:
-                self._form(q._pair_top + twist)
+                if q._pair_top + twist <= self._limit:
+                    self._form(q._pair_top + twist)
+                else:
+                    self._form_max(sum(map(max, a, b)) + twist
+                                   for a, b in combinations(ideal_monos, 2))
             for e0, mono, inert_f in gens:
                 idx = len(elems)
                 elems.append(e0.moved(p, {} if track else None))
@@ -590,18 +619,31 @@ class ModuleGB:
         if others_top is not None and (
                 self.top_degree is None
                 or mono_deg(mono) + others_top + twist > self.top_degree):
-            self._form(max(sum(map(max, monos[other], mono)) + twist
-                           for other in others))
+            self._form_max(sum(map(max, monos[other], mono)) + twist
+                           for other in others)
 
     def _push_pairs(self, pairs, idx, mono, twist, others, monos):
-        """Queue (other, idx) pairs by degree: deg lcm of leads + twist."""
-        top = self.top_degree
+        """Queue (other, idx) pairs by degree: deg lcm of leads + twist.
+        A limited run neither queues nor forms a pair above its limit;
+        .top_degree never exceeds the limit, so only a pair above the top
+        can."""
+        top, limit = self.top_degree, self._limit
         for other in others:
             degree = sum(map(max, monos[other], mono)) + twist
             if top is None or degree > top:
+                if degree > limit:
+                    continue
                 self._form(degree)
                 top = degree
             heappush(pairs, (degree, other, idx))
+
+    def _form_max(self, degrees):
+        """Form the highest of these pair degrees that the run forms: all
+        of them, or in a limited run those at or below the limit."""
+        limit = self._limit
+        top = max((d for d in degrees if d <= limit), default=None)
+        if top is not None:
+            self._form(top)
 
     def _form(self, degree):
         """Record a pair of this degree as formed: above max_degree it
@@ -734,18 +776,28 @@ class ModuleGB:
 
     # queries ---------------------------------------------------------
 
+    def _refuse_limited(self):
+        """Refuse a query that a run limited in degree cannot answer."""
+        if self.through is not None:
+            raise ValueError(f"a run limited to degree {self.through} "
+                             f"answers only .syzygies")
+
     def basis_columns(self):
+        self._refuse_limited()
         self._reduce_tails()
         return [self._column(e.vec()) for e in self._elems]
 
     def leading_terms(self):
+        self._refuse_limited()
         return [self._keys.term(e.lead) for e in self._elems]
 
     def normal_form(self, col: dict) -> dict:
+        self._refuse_limited()
         nf, _ = self._reduce(self._encode(col), None)
         return self._column(nf)
 
     def contains(self, col: dict) -> bool:
+        self._refuse_limited()
         nf, _ = self._reduce(self._encode(col), None)
         return not nf
 
@@ -757,6 +809,7 @@ class ModuleGB:
         """
         if not self.track:
             raise ValueError("lift requires a tracked basis")
+        self._refuse_limited()
         self._reduce_tails()
         nf, rep = self._reduce(self._encode(col, self._excess), {})
         if nf:

@@ -13,7 +13,8 @@ after the first step, for the natural-map and homothety test, which
 needs only the cycles and relations of Hom(C, M (x) C), and runs it only
 once the series of Hom read from the image side has matched HS(M) (see
 `invariants._natural_map_is_iso`), and for the isomorphism search, which
-spans Hom(A, B)_0 by monomial multiples of the cycles (see
+spans Hom(A, B)_0 by monomial multiples of the cycles of degree <= 0 and
+asks for no others: its Groebner run stops at degree 0 (see
 `isomorphism.degree_zero_maps`).
 
 Ext into the canonical module (up to a twist) over a Cohen-Macaulay
@@ -155,12 +156,14 @@ def _tensor_map_images(d_cols, q):
     return out
 
 
-def _cycles(ring, images, image_twists, image_rels):
+def _cycles(ring, images, image_twists, image_rels, through=None):
     """The cycles at a free spot whose outgoing map sends coordinate k to
     images[k] in a free module with twists `image_twists`, modulo the
     columns `image_rels`: the kernel of that map (every coordinate when
-    all images are zero)."""
-    return column_syzygies(ring, images, image_twists, extra=image_rels)
+    all images are zero); with `through`, its generators of degree at
+    most that (see `column_syzygies`)."""
+    return column_syzygies(ring, images, image_twists, extra=image_rels,
+                           through=through)
 
 
 def _homology(ring, twists, cycles, rels):
@@ -178,12 +181,17 @@ def _spots(A: ModulePresentation, i: int):
     return res.twists, res.maps
 
 
-def _hom_cycles(A: ModulePresentation, B: ModulePresentation, i: int):
+def _hom_cycles(A: ModulePresentation, B: ModulePresentation, i: int,
+                through=None):
     """(coordinate twists, cycles, relations) of spot i of Hom(F., B) for
     a free resolution F. of A (see _spots): H^i is the span of the
     cycles modulo the relations, on the coordinates (t, r) -> t*q + r of
     Hom(F_i, B) over the generators of B.  No twists when the spot is
-    zero."""
+    zero.  The map Hom(F_i, B) -> Hom(F_{i+1}, B) has degree 0, so a
+    cycle's twisted degree is the degree of its Groebner pair: with
+    through=d the run stops at degree d and the cycles are those of
+    degree <= d among the full run's, in its order (and the unit cycle
+    of every coordinate whose image is zero, whatever its degree)."""
     ring = A.ring
     q = B.n_gens()
     if q == 0 or A.n_gens() == 0:
@@ -201,7 +209,7 @@ def _hom_cycles(A: ModulePresentation, B: ModulePresentation, i: int):
                                                  len(twists[i - 1]), q) if img]
     cycles = _cycles(ring, _dual_map_images(d_next, len(w_i), q),
                      _hom_twists(w_next, B.gen_twists),
-                     _per_slot_relations(len(w_next), q, B))
+                     _per_slot_relations(len(w_next), q, B), through)
     return h_i, cycles, rels
 
 

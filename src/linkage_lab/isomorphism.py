@@ -17,8 +17,11 @@ it is a function of the two modules.  The steps, in order:
    mono * phi_t for tau_t <= 0 and the standard monomials mono of degree
    -tau_t span Hom(A, B)_0; those that are zero in Hom(A, B) (every
    column in B's relations) are dropped, and none left is an exact
-   NotIsomorphic.  Like the Auslander-class test, the search stops at
-   the cycles: it reads no minimal presentation of Hom.  Two ranks come
+   NotIsomorphic.  Only the cycles of degree <= 0 are read, so the
+   Groebner run behind them stops at degree 0 (`through=0`): it yields
+   exactly the full run's cycles of degree <= 0, in the same order.
+   Like the Auslander-class test, the search stops at the cycles: it
+   reads no minimal presentation of Hom.  Two ranks come
    before any search: the constant part of any degree-zero map is a
    combination of those of the spanning maps, and it must be bijective
    (graded Nakayama; A and B have equally many generators), so constant
@@ -105,7 +108,7 @@ def degree_zero_maps(A: ModulePresentation, B: ModulePresentation) -> list:
     zero in Hom(A, B), and none at all exactly when Hom(A, B)_0 = 0."""
     ring = A.ring
     q = B.n_gens()
-    twists, cycles, _ = _hom_cycles(A, B, 0)
+    twists, cycles, _ = _hom_cycles(A, B, 0, through=0)
     gb = span_gb(ring, list(B.columns), B.gen_twists)
     maps = []
     for c in cycles:

@@ -303,7 +303,7 @@ def _reduced_entries(ring: GradedRing, col: dict) -> dict:
 
 
 def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
-                    extra=()) -> list:
+                    extra=(), through=None) -> list:
     """Generators of {h : sum_t h[t] * columns[t] in span(extra) + I*F}.
 
     These are the syzygies over R of the columns modulo span(extra): the
@@ -311,14 +311,16 @@ def column_syzygies(ring: GradedRing, columns, ambient_twists, *,
     Entries are reduced mod I and zero generators dropped.
     Column degrees [column_degree(c)] are the twists of the ambient free
     module the result lives in.  When every column is zero, the result
-    is the unit vectors.
+    is the unit vectors.  With through=d only the generators of degree
+    <= d are computed (a run limited to d, see `ModuleGB`), and the unit
+    vectors of zero columns.
     """
     if not any(columns):
         one = ring.poly_ring.one()
         return [{t: one} for t in range(len(columns))]
     gb = ModuleGB(ring.poly_ring, list(columns), ambient_twists, track=True,
                   fixed=list(extra), quotient=ring,
-                  max_degree=config.MAX_DEGREE)
+                  max_degree=config.MAX_DEGREE, through=through)
     return _harvested(ring, gb)
 
 

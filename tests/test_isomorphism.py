@@ -13,7 +13,9 @@ isomorphic by the identity, with no search for a homomorphism.
 
 The maps the search reads from the cycles of Hom(A, B) are checked to
 span Hom(A, B)_0 against the degree-0 coefficient of the Hilbert series
-of the full Hom(A, B).
+of the full Hom(A, B).  Their cycles come from a Groebner run that stops
+at degree 0; over whole corpus pools the maps are checked against the
+reference kept here, which reads them from every cycle of the full run.
 """
 
 import functools
@@ -22,10 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus_golden
 from linkage_lab import isomorphism, memo, modules
-from linkage_lab.corpus import corpus_pool
-from linkage_lab.fields import GF, QQ
-from linkage_lab.homops import evaluation_map, hom_module
+from linkage_lab.corpus import corpus_pool, generate_corpus
+from linkage_lab.fields import GF, QQ, field_from_name
+from linkage_lab.homops import _hom_cycles, evaluation_map, hom_module
+from linkage_lab.linkage import is_horizontally_linked
 from linkage_lab.isomorphism import (
     _combine,
     _combined_rows,
@@ -298,3 +302,66 @@ def test_constant_parts_with_a_common_kernel_prove_modules_apart(ranks):
                              "constant parts of Hom_0 share a kernel of "
                              "dimension 1")
     assert len(ranks) == 2
+
+
+# -- the run that stops at degree 0 against the full run -----------------------
+
+
+def _reference_maps(A, B) -> list:
+    """degree_zero_maps as it was before its run stopped at degree 0: the
+    same maps, read from every cycle of the full run of Hom(A, B)."""
+    ring = A.ring
+    q = B.n_gens()
+    twists, cycles, _ = _hom_cycles(A, B, 0)
+    gb = span_gb(ring, list(B.columns), B.gen_twists)
+    maps = []
+    for c in cycles:
+        i, p = next(iter(c.items()))
+        tau = p.degree() + twists[i]
+        if tau > 0:
+            continue
+        for mono in ring.standard_monomials(-tau):
+            m = ring.poly_ring.monomial(mono)
+            phi = [{r: e for r in range(q)
+                    if (p := c.get(j * q + r)) is not None
+                    and not (e := ring.nf(m * p)).is_zero()}
+                   for j in range(A.n_gens())]
+            if any(col and not gb.contains(col) for col in phi):
+                maps.append(phi)
+    return maps
+
+
+def _map_terms(maps) -> list:
+    """Maps as their columns' entries and terms, in order."""
+    return [[[(r, list(p.terms.items())) for r, p in col.items()]
+             for col in phi] for phi in maps]
+
+
+def test_degree_zero_maps_equal_the_full_run_reference_on_whole_pools(
+        monkeypatch):
+    """Every degree_zero_maps call that the horizontal-linkage test of
+    each module of the whole pools H 19, T 28, N 40, P 46, Q 36 and U 17
+    makes (M against lambda^2 M) returns the reference's maps, term by
+    term and in order."""
+    calls = []
+
+    def recording(A, B):
+        maps = degree_zero_maps(A, B)
+        calls.append((A, B, maps))
+        return maps
+
+    monkeypatch.setattr(isomorphism, "degree_zero_maps", recording)
+    per_pool = {}
+    for name, size in (("H", 19), ("T", 28), ("N", 40), ("P", 46),
+                       ("Q", 36), ("U", 17)):
+        field, names, rels = corpus_golden.RINGS[name]
+        ring = make_ring(field_from_name(field), names.split(", "),
+                         rels.split(", "))
+        before = len(calls)
+        for _, M in generate_corpus(ring, size):
+            is_horizontally_linked(M)
+        per_pool[name] = len(calls) - before
+    assert min(per_pool.values()) >= 2, per_pool
+    assert any(maps for _, _, maps in calls)
+    for A, B, maps in calls:
+        assert _map_terms(maps) == _map_terms(_reference_maps(A, B)), (A, B)

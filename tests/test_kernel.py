@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from linkage_lab.fields import GF, QQ
 from linkage_lab.groebner import ModuleGB, _TermKeys, column_degree
 from linkage_lab.hilbert import HilbertSeries, monomial_quotient_numerator
+from linkage_lab.modules import column_syzygies
 from linkage_lab.monomials import grevlex_key, monomials_of_degree
 from linkage_lab.polynomials import PolyRing
 from linkage_lab.rings import make_ring
@@ -532,3 +533,138 @@ def test_budget_error_on_an_inert_pair():
         ModuleGB(R, [], [0], track=True, fixed=cubes, max_degree=5)
     assert sorted(ModuleGB(R, cubes, [0], max_degree=6).leading_terms()) == \
         [(0, (0, 3)), (0, (3, 0))]
+
+
+# -- runs limited to a degree -------------------------------------------------
+
+_LIMIT_RINGS = [
+    make_ring(field, ["x", "y", "z"], rels)
+    for field in (QQ, GF(32003))
+    for rels in (["y*z", "x*z", "x*y"],
+                 ["x^2 + x*y", "x^2 + x*y + x*z",
+                  "x^2 + 2*x*y + x*z + y^2 + y*z"])
+]
+
+
+@st.composite
+def _quotient_columns(draw):
+    """(ring, twists, columns, fixed): random homogeneous columns over a
+    monomial or a non-monomial quotient of QQ[x,y,z] or GF(32003)[x,y,z],
+    zero columns among them, and no fixed columns or some."""
+    R = draw(st.sampled_from(_LIMIT_RINGS))
+    S = R.poly_ring
+    twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+
+    def column():
+        if draw(st.integers(0, 4)) == 0:
+            return {}
+        degree = max(twists) + draw(st.integers(0, 2))
+        positions = draw(st.lists(st.integers(0, len(twists) - 1),
+                                  min_size=1, unique=True))
+        out = {}
+        for pos in sorted(positions):
+            monos = monomials_of_degree(3, degree - twists[pos])
+            p = S.zero()
+            for m in draw(st.lists(st.sampled_from(monos), min_size=1,
+                                   max_size=3, unique=True)):
+                p = p + S.monomial(m, S.field.from_int(
+                    draw(st.integers(-3, 3).filter(bool))))
+            out[pos] = p
+        return out
+
+    columns = [column() for _ in range(draw(st.integers(1, 4)))]
+    fixed = [column() for _ in range(draw(st.sampled_from([0, 0, 1, 2])))]
+    return R, twists, columns, fixed
+
+
+def _syzygy_degree(s, columns, twists):
+    """Twisted degree of a syzygy of the columns; None for the unit
+    syzygy of a zero column, whose degree no column tells."""
+    for t, p in s.items():
+        if columns[t]:
+            return p.degree() + column_degree(columns[t], twists)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotient_columns(), st.integers(-1, 5))
+def test_a_limited_run_harvests_the_full_run_through_its_limit(case, d):
+    R, twists, columns, fixed = case
+    full = column_syzygies(R, columns, twists, extra=fixed)
+    want = [s for s in full
+            if (e := _syzygy_degree(s, columns, twists)) is None or e <= d]
+    got = column_syzygies(R, columns, twists, extra=fixed, through=d)
+    assert [_terms(s) for s in got] == [_terms(s) for s in want]
+    if any(columns):
+        gb = ModuleGB(R.poly_ring, columns, twists, track=True, fixed=fixed,
+                      quotient=R, through=d)
+        assert gb.top_degree is None or gb.top_degree <= d
+
+
+def _capped_case():
+    """Columns x, x, y^2 over QQ[x,y,z]/(yz, xz, xy): one syzygy in
+    degree 1, the others and the ideal's own pairs higher."""
+    R = _LIMIT_RINGS[0]
+    S = R.poly_ring
+    return R, [{0: S.parse("x")}, {0: S.parse("x")}, {0: S.parse("y^2")}]
+
+
+def test_a_limited_run_stays_within_a_cap_the_full_run_exceeds(set_caps):
+    from linkage_lab.errors import BudgetError
+
+    R, columns = _capped_case()
+    full = column_syzygies(R, columns, [0])
+    top = ModuleGB(R.poly_ring, columns, [0], track=True, quotient=R).top_degree
+    assert top >= 3
+    set_caps(MAX_DEGREE=top - 1)
+    with pytest.raises(BudgetError, match="groebner pair degree"):
+        column_syzygies(R, columns, [0])
+    got = column_syzygies(R, columns, [0], through=1)
+    assert [_terms(s) for s in got] == \
+        [_terms(s) for s in full if _syzygy_degree(s, columns, [0]) <= 1]
+    assert len(got) == 1
+
+
+def test_a_limit_above_a_tight_cap_raises_as_the_full_run(set_caps):
+    from linkage_lab.errors import BudgetError
+
+    R, columns = _capped_case()
+    set_caps(MAX_DEGREE=0)
+    with pytest.raises(BudgetError) as limited:
+        column_syzygies(R, columns, [0], through=1)
+    with pytest.raises(BudgetError) as full:
+        column_syzygies(R, columns, [0])
+    assert str(limited.value) == str(full.value) == \
+        "budget exceeded: groebner pair degree (limit 0)"
+
+
+def test_an_inert_pair_at_or_below_the_limit_counts_against_the_cap():
+    """An inert pair of degree 3 <= d = 3 exceeds the cap 2, while the
+    largest inert pair of its element, or of the ideal, lies above d: a
+    run limited to 3 raises, one limited to 2 does not.  Once with the
+    monomials fixed, once as the ideal of a quotient."""
+    from linkage_lab.errors import BudgetError
+
+    S = ring_xy()
+    x = [col(S.parse("x"))]
+    fixed = [col(S.parse(m)) for m in ("x^2", "y^3", "x*y")]
+    R = make_ring(QQ, ["x", "y"], ["x^2", "y^3", "x*y"])
+    runs = [dict(fixed=fixed), dict(quotient=R)]
+    for kwargs in runs:
+        with pytest.raises(BudgetError, match="groebner pair degree"):
+            ModuleGB(S, x, [0], track=True, max_degree=2, through=3, **kwargs)
+        gb = ModuleGB(S, x, [0], track=True, max_degree=2, through=2, **kwargs)
+        assert gb.top_degree == 2
+
+
+def test_a_limited_run_answers_only_its_syzygies():
+    R, columns = _capped_case()
+    gb = ModuleGB(R.poly_ring, columns, [0], track=True, quotient=R, through=1)
+    probe = columns[0]
+    for query in (lambda: gb.contains(probe), lambda: gb.normal_form(probe),
+                  lambda: gb.lift(probe), gb.basis_columns, gb.leading_terms):
+        with pytest.raises(ValueError, match="limited to degree 1"):
+            query()
+    for kwargs in ({"track": False}, {"track": True, "minimal": True}):
+        with pytest.raises(ValueError, match="degree limit"):
+            ModuleGB(R.poly_ring, columns, [0], through=1, **kwargs)
