@@ -12,6 +12,8 @@ bounded evidence for every claim.
 
 import importlib
 
+__version__ = "0.1.0"
+
 # Each public name and the module that defines it.  A module is imported
 # the first time one of its names is read (PEP 562), so a script pays
 # only for the layers it uses: `import linkage_lab` imports no submodule.
@@ -41,8 +43,8 @@ _EXPORTS = {
     "resolutions": ("betti", "minimal_free_resolution"),
     "rings": ("GradedRing", "make_ring"),
     "runner": ("RunConfig", "execute", "report_json", "report_text"),
-    "theorems": ("HarnessConfig", "TheoremId", "TheoremReport", "check",
-                 "default_instances", "run_suite", "special_instances"),
+    "theorems": ("TheoremId", "TheoremReport", "check", "default_instances",
+                 "run_suite", "special_instances"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}
@@ -61,32 +63,4 @@ def __dir__():
     return sorted(set(globals()) | set(_MODULE_OF))
 
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "INFINITY", "default_bound",
-    "classical_rings", "corpus_pool", "generate_corpus", "maximal_ideal",
-    "DslError", "parse", "pretty_print",
-    "BudgetError", "HomogeneityError", "InapplicableError",
-    "GF", "QQ", "field_from_name",
-    "dual", "ext", "ext_vanishes", "hom_module", "is_nth_cosyzygy_witness",
-    "lambda_module",
-    "syzygy", "tensor", "tor", "transpose", "transpose_wrt",
-    "universal_pushforward",
-    "canonical_module", "depth", "gc_dim", "grade_module",
-    "in_auslander_class", "is_cm", "is_mcm", "is_semidualizing", "krull_dim",
-    "local_cohomology_degrees", "reduced_grade",
-    "ring_depth", "ring_dim", "ring_is_cm", "ring_is_gorenstein",
-    "serre_tilde",
-    "is_isomorphic",
-    "is_horizontally_linked", "is_self_linked", "linked_by_ideal",
-    "stable_part",
-    "ModulePresentation", "cyclic_module", "direct_sum", "free_module",
-    "from_matrix", "minimalize", "twist_module", "zero_module",
-    "betti", "minimal_free_resolution",
-    "GradedRing", "make_ring",
-    "RunConfig", "execute", "report_json", "report_text",
-    "HarnessConfig", "TheoremId", "TheoremReport", "check",
-    "default_instances", "run_suite", "special_instances",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]

@@ -10,8 +10,11 @@ reads them at call time (`config.MAX_RANK`), and no memo key names
 them, so a caller that changes them, a test say, empties the memo
 first; the resolution store names them in its keys, so a store written
 under other caps is never read.  The vanishing bound used by
-Ext/Tor-searching invariants defaults to 2*(n+1) per ring and lives in
-the calling layer.
+Ext/Tor-searching invariants is an int passed by the caller:
+`default_bound`, 2*(n+1) for a ring in n variables, when a run gives
+none.  A theorem check resolves it once, for M's ring, in
+`theorems._run`; the invariants resolve a bound left at None the same
+way for the ring of their first module.
 """
 
 from __future__ import annotations

@@ -716,14 +716,14 @@ def reduced_grade(M: ModulePresentation, C: ModulePresentation,
     return ReducedGrade(None, bound)
 
 
-def n_torsionfree_degree(M: ModulePresentation, cap: int):
-    """max{n <= cap : Ext^i(Tr M, R) = 0 for 1 <= i <= n}, with saturation flag."""
+def n_torsionfree_degree(M: ModulePresentation, cap: int) -> int:
+    """max{n <= cap : Ext^i(Tr M, R) = 0 for 1 <= i <= n}."""
     T = transpose(M)
     unit = _ring_unit(M.ring)
     for i in range(1, cap + 1):
         if not ext_vanishes(T, unit, i):
-            return i - 1, False
-    return cap, True
+            return i - 1
+    return cap
 
 
 # -- the natural map M -> Hom(C, M (x) C) -------------------------------------
@@ -1049,13 +1049,13 @@ def _gc_dim(A: ModulePresentation, Cmin: ModulePresentation,
 
 
 def is_gc_perfect_ideal(R: GradedRing, ideal_gens, C: ModulePresentation,
-                        bound=None):
+                        bound: int):
     """(verdict, grade) for the cyclic module R/(ideal)."""
     Q = cyclic_module(R, ideal_gens)
     if minimalize(Q).is_zero():
         raise InapplicableError("the ideal is the unit ideal")
     g = grade_module(Q)
-    v = gc_dim(Q, C, bound=bound)
+    v = gc_dim(Q, C, bound)
     if not v.is_finite():
         return BoundedVerdict("false", witness=str(v)), g
     if (v.value or 0) != g:
@@ -1067,9 +1067,9 @@ def is_gc_perfect_ideal(R: GradedRing, ideal_gens, C: ModulePresentation,
 
 
 def is_gc_gorenstein_ideal(R: GradedRing, ideal_gens, C: ModulePresentation,
-                           bound=None) -> BoundedVerdict:
+                           bound: int) -> BoundedVerdict:
     """G_C-perfect with cyclic top Ext module."""
-    perfect, g = is_gc_perfect_ideal(R, ideal_gens, C, bound=bound)
+    perfect, g = is_gc_perfect_ideal(R, ideal_gens, C, bound)
     if not perfect.holds():
         return perfect
     K = ext(cyclic_module(R, ideal_gens), C, g)
@@ -1081,12 +1081,12 @@ def is_gc_gorenstein_ideal(R: GradedRing, ideal_gens, C: ModulePresentation,
 
 
 def induced_semidualizing(R: GradedRing, ideal_gens, C: ModulePresentation,
-                          bound=None) -> ModulePresentation:
+                          bound: int) -> ModulePresentation:
     """K = Ext^g(R/a, C) presented over R/a.
 
     For a G_C-perfect ideal a this is semidualizing over R/a.
     """
-    perfect, g = is_gc_perfect_ideal(R, ideal_gens, C, bound=bound)
+    perfect, g = is_gc_perfect_ideal(R, ideal_gens, C, bound)
     if not perfect.holds():
         raise InapplicableError(
             f"ideal is not G_C-perfect: {perfect.describe()}"
@@ -1096,14 +1096,14 @@ def induced_semidualizing(R: GradedRing, ideal_gens, C: ModulePresentation,
 
 
 def is_reduced_gc_perfect(M: ModulePresentation, C: ModulePresentation,
-                          bound=None):
+                          bound: int):
     """gcdim M = reduced grade, both finite and positive."""
-    v = gc_dim(M, C, bound=bound)
+    v = gc_dim(M, C, bound)
     if v.kind != "finite" or not v.value:
         return BoundedVerdict(
             "false", witness=f"G-dimension {v} is not finite positive"
         ), v
-    rg = reduced_grade(M, C, bound=max(bound or 0, v.value))
+    rg = reduced_grade(M, C, max(bound, v.value))
     if rg.value != v.value:
         return BoundedVerdict(
             "false", witness=f"reduced grade {rg} != G-dimension {v.value}"

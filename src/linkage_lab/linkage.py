@@ -125,9 +125,8 @@ def linked_by_ideal(M: ModulePresentation, N: ModulePresentation,
     ring = M.ring
     if N.ring != ring:
         raise ValueError("modules must share a ring")
-    gens = [ring.poly_ring.parse(g) if isinstance(g, str) else g
-            for g in ideal_gens]
-    gens = [g for g in gens if not ring.nf(g).is_zero()]
+    gens = [g for g in ring.poly_ring.as_polys(ideal_gens)
+            if not ring.nf(g).is_zero()]
     for target, label in ((M, "first"), (N, "second")):
         for g in gens:
             if not annihilates(target, g):

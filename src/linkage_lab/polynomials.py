@@ -63,6 +63,11 @@ class PolyRing:
     def parse(self, text: str) -> "Poly":
         return parse_poly(self, text)
 
+    def as_polys(self, items) -> list:
+        """Each item as a Poly: a string parsed, a Poly as it is; neither
+        is reduced by any ideal."""
+        return [self.parse(p) if isinstance(p, str) else p for p in items]
+
     def key(self) -> str:
         return f"{self.field.name}[{','.join(self.names)}]"
 

@@ -38,9 +38,7 @@ class GradedRing:
         self.names = poly_ring.names
         self.nvars = poly_ring.nvars
         rels = []
-        for p in relations:
-            if isinstance(p, str):
-                p = poly_ring.parse(p)
+        for p in poly_ring.as_polys(relations):
             if p.is_zero():
                 continue
             if not p.is_homogeneous():
@@ -141,13 +139,9 @@ class GradedRing:
         return self.nf(self.poly_ring.parse(text))
 
     def quotient_by(self, extra) -> "GradedRing":
-        """R/(extra) as a quotient of the same ambient ring."""
-        polys = []
-        for p in extra:
-            if isinstance(p, str):
-                p = self.poly_ring.parse(p)
-            polys.append(p)
-        return GradedRing(self.poly_ring, list(self.relations) + polys)
+        """R/(extra) as a quotient of the same ambient ring; `extra` holds
+        strings or Polys, as the relations of `GradedRing` do."""
+        return GradedRing(self.poly_ring, [*self.relations, *extra])
 
 
 def _ring_series(R: GradedRing) -> HilbertSeries:

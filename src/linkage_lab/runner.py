@@ -14,6 +14,7 @@ import json
 import operator
 from json.encoder import encode_basestring_ascii
 
+from . import __version__ as VERSION
 from .config import INFINITY
 from .dsl import (
     PREDICATE_FNS,
@@ -45,8 +46,6 @@ from .rings import make_ring
 # rest as each predicate, scalar or check needs it.  A script that only
 # declares and prints presentations loads none of them.
 
-VERSION = "0.1.0"
-
 _CMP = {
     "==": operator.eq,
     "!=": operator.ne,
@@ -74,11 +73,6 @@ class RunConfig:
         self.bound = bound
         self.fail_fast = fail_fast
         self.strict = strict
-
-    def harness(self):
-        from .theorems import HarnessConfig
-
-        return HarnessConfig(bound=self.bound)
 
     def to_dict(self) -> dict:
         return {
@@ -420,7 +414,7 @@ class _Runner:
 
             tid = theorems.resolve_id(s.theorem_id)
             bindings = {k: self._binding(v) for k, v in s.bindings}
-            report = theorems.check(tid, bindings, cfg.harness())
+            report = theorems.check(tid, bindings, cfg.bound)
             shown = ", ".join(f"{k} = {_fmt_value(v)}"
                               for k, v in s.bindings)
             self.result.results.append({
@@ -438,7 +432,7 @@ class _Runner:
             ids = ([theorems.resolve_id(t) for t in s.theorem_ids]
                    or list(theorems.SUITE_DEFAULT_IDS))
             instances = theorems.default_instances(ring, modules, ids)
-            reports, summary = theorems.run_suite(instances, cfg.harness())
+            reports, summary = theorems.run_suite(instances, cfg.bound)
             failed = False
             for r in reports:
                 failed = self._note_report(r) or failed

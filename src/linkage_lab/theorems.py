@@ -123,18 +123,6 @@ class TheoremId(str, enum.Enum):
 
 
 @dataclass
-class HarnessConfig:
-    bound: int | None = None  # None: each ring's default_bound
-
-    def __post_init__(self):
-        if self.bound is not None and self.bound < 1:
-            raise ValueError(f"bound {self.bound} is below 1")
-
-    def resolve_bound(self, ring) -> int:
-        return self.bound if self.bound is not None else default_bound(ring)
-
-
-@dataclass
 class HypothesisStatus:
     name: str
     label: str  # Exact | Failed | BoundedTrue(B) | Unknown
@@ -303,17 +291,8 @@ def _finish(tid, instance, hyps, claims, notes) -> TheoremReport:
 # -- shared sub-evaluations ---------------------------------------------------
 
 
-def _parse_ideal(ring, gens):
-    out = []
-    for g in gens:
-        p = ring.poly_ring.parse(g) if isinstance(g, str) else g
-        out.append(p)
-    return out
-
-
-def _sd_hyp(C, cfg) -> HypothesisStatus:
-    return _hyp_verdict("C is semidualizing", is_semidualizing(
-        C, bound=cfg.bound))
+def _sd_hyp(C, bound) -> HypothesisStatus:
+    return _hyp_verdict("C is semidualizing", is_semidualizing(C, bound))
 
 
 def _linked_hyp(M) -> HypothesisStatus:
@@ -321,34 +300,52 @@ def _linked_hyp(M) -> HypothesisStatus:
     return _hyp("M is horizontally linked", report.linked, report.describe())
 
 
-def _auslander_hyp(name, M, C, cfg) -> HypothesisStatus:
-    return _hyp_verdict(name, in_auslander_class(
-        M, C, bound=cfg.bound))
+def _stable_hyp(M) -> HypothesisStatus:
+    stable, free_rank = is_stable(M)
+    return _hyp("M is stable", stable, f"free rank {free_rank}")
 
 
-def _gcdim_hyp(name, M, C, cfg, *, positive=False):
-    v = gc_dim(M, C, bound=cfg.bound)
+def _auslander_hyp(M, C, bound, name="M is in the Auslander class of C"):
+    return _hyp_verdict(name, in_auslander_class(M, C, bound))
+
+
+def _gcdim_hyp(M, C, bound, *, positive=False):
+    """(the hypothesis that M has finite, or finite positive, G_C-dimension,
+    the G_C-dimension verdict)."""
+    v = gc_dim(M, C, bound)
+    name = f"M has finite {'positive ' if positive else ''}G_C-dimension"
     if positive and v.kind == "zero":
         return _hyp(name, False, "G-dimension is zero, not positive"), v
     return _hyp_verdict(name, v), v
 
 
-def _lambda_auslander(M, C, cfg):
+def _lambda_auslander(M, C, bound):
     """The linked module lambda M and the hypothesis that it lies in the
     Auslander class of C."""
     lam = lambda_module(M)
-    return lam, _auslander_hyp("lambda M is in the Auslander class of C",
-                               lam, C, cfg)
+    return lam, _auslander_hyp(lam, C, bound,
+                               "lambda M is in the Auslander class of C")
 
 
-def _lambda_finite_gdim(M, cfg):
+def _linked_gcdim_stage(M, C, bound, *, positive=False):
+    """Generator for the stage [M is linked, M has finite (positive)
+    G_C-dimension, lambda M is in the Auslander class of C]; returns the
+    G_C-dimension verdict and lambda M."""
+    linked = _linked_hyp(M)
+    gh, gv = _gcdim_hyp(M, C, bound, positive=positive)
+    lam, ausl = _lambda_auslander(M, C, bound)
+    yield [linked, gh, ausl]
+    return gv, lam
+
+
+def _lambda_finite_gdim(M, bound):
     """The linked module lambda M and the hypothesis that its G-dimension
     (coefficient R) is finite."""
     lam = lambda_module(M)
     name = "G-dim of the linked module is finite"
     if ring_is_gorenstein(lam.ring):
         return lam, _hyp(name, True, "Gorenstein ring")
-    return lam, _gcdim_hyp(name, lam, _ring_unit(lam.ring), cfg)[0]
+    return lam, _hyp_verdict(name, gc_dim(lam, _ring_unit(lam.ring), bound))
 
 
 # A locus claim and its detail when C is the canonical module of a CM ring.
@@ -428,6 +425,12 @@ def _serre_side(name, M, k) -> Side:
     return _side_verdict(f"{name} satisfies S~_{k}", serre_tilde(M, k))
 
 
+def _gc_zero_side(gv) -> Side:
+    """The G_C-dimension of M is zero, from its verdict `gv`."""
+    return Side("G_C-dimension of M is zero", gv.kind == "zero", gv.exact(),
+                str(gv))
+
+
 def _locus_side(name, modules, violated, detail="", base=True) -> Side:
     """Holds when `base` holds and no prime of the ring violates the
     condition (`invariants.locus_point` over `modules`); exact either
@@ -494,11 +497,12 @@ def _matches_canonical_ideal(ring, gens):
 
 # -- the checks ---------------------------------------------------------------
 #
-# Every check is a generator `_check_x(cfg, M, C, n, ...)` whose
-# parameters are the bindings it reads, after the run's HarnessConfig
-# `cfg` when it reads one: a parameter without a default is a required
-# binding, and `_CHECKS` reads them from the signature.  `_run` is the one prologue: it hands every check M and C
-# minimalized and n as an int, and writes the instance line itself.
+# Every check is a generator `_check_x(bound, M, C, n, ...)` whose
+# parameters are the bindings it reads, after the vanishing `bound` when
+# it scans: a parameter without a default is a required binding, and
+# `_CHECKS` reads them from the signature.  `_run` is the one prologue:
+# it hands every check M and C minimalized, n as an int and the bound
+# resolved for M's ring, and writes the instance line itself.
 # Each list a check yields is one stage of hypotheses (HypothesisStatus),
 # and a later stage may need what an earlier one computed; each string
 # it yields is a report note.  After its last stage it returns its
@@ -511,17 +515,22 @@ def _matches_canonical_ideal(ring, gens):
 # * Hypotheses: every verdict becomes one through `_hyp_verdict`, and
 #   `_sd_hyp` states "C is semidualizing".
 #   `_lambda_auslander` and `_lambda_finite_gdim` compute lambda M with
-#   its Auslander-class or finite G-dimension hypothesis; `_gcdim_hyp`,
-#   `_linked_hyp` and `_cm_ring_hyp` state the others.  `_locus_hyp`
+#   its Auslander-class or finite G-dimension hypothesis; `_gcdim_hyp`
+#   (finite or finite positive G_C-dimension), `_auslander_hyp`,
+#   `_stable_hyp`, `_linked_hyp` and `_cm_ring_hyp` state the others.
+#   `_linked_gcdim_stage` yields the stage [linked, finite (positive)
+#   G_C-dimension, lambda M in the Auslander class].  `_locus_hyp`
 #   states every locus hypothesis from `invariants.coefficient_facts`,
 #   and `_optional_converse` adds one to the first stage when it is
 #   certified, or else notes that the converse is skipped.
 # * Sides: `_ext_side` (Ext^i(X, C) = 0 for 1..n), `_cosyzygy_side` (an
-#   n-th C-syzygy), `_serre_side` (S~_k), `_locus_side` (no prime
-#   violates a condition on local depths) and `_depth_sum_side` (the
-#   depth-sum form of a locus side).
+#   n-th C-syzygy), `_serre_side` (S~_k), `_gc_zero_side` (G_C-dim M is
+#   zero), `_locus_side` (no prime violates a condition on local depths)
+#   and `_depth_sum_side` (the depth-sum form of a locus side).
 # * PROP_P3 and COR_C2 share one body, `_serre_versus_lcd`, with the
-#   roles of lambda M and M (x) omega exchanged.
+#   roles of lambda M and M (x) omega exchanged; PROP_T1 and PROP_T13
+#   share `_transpose_chain`, with Tr_C M against M or Tr M against
+#   M (x) C.
 
 
 def _check_thm_ms(M):
@@ -542,15 +551,29 @@ def _check_thm_ms(M):
     ])
 
 
-def _check_prop_t1(cfg, M, C, n):
+def _transpose_chain(bound, M, C, n, over_c):
+    """PROP_T1 (over_c) and its mirror PROP_T13: Ext^i(Tr_C M, C) = 0,
+    resp. Ext^i(Tr M, C) = 0, for 1..n => X is an n-th C-syzygy => X
+    satisfies S~_n, for X = M, resp. M (x) C, and back to the first when
+    the locus hypothesis is certified."""
+    if over_c:
+        locus, skipped = _GCDIM_LOCUS, (
+            "converse (S~_n => Ext vanishing) skipped: finite G_C-dimension")
+    else:
+        locus, skipped = _INJDIM_LOCUS, (
+            "converse skipped: finite injective dimension of C")
     converse = yield from _optional_converse(
-        "converse (S~_n => Ext vanishing) skipped: finite G_C-dimension on "
-        f"the depth <= {n - 1} locus not certified",
-        n - 1, (_GCDIM_LOCUS, C))
-    yield [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1)] + converse
-    side_i = _ext_side("Tr_C M, C", transpose_wrt(M, C), C, n)
-    side_ii = _cosyzygy_side("M", M, C, n)
-    side_iii = _serre_side("M", M, n)
+        f"{skipped} on the depth <= {n - 1} locus not certified",
+        n - 1, (locus, C))
+    yield [_sd_hyp(C, bound), _hyp("n >= 1", n >= 1)] + converse
+    if over_c:
+        side_i = _ext_side("Tr_C M, C", transpose_wrt(M, C), C, n)
+        name, X = "M", M
+    else:
+        side_i = _ext_side("Tr M, C", transpose(M), C, n)
+        name, X = "M (x) C", tensor(M, C)
+    side_ii = _cosyzygy_side(name, X, C, n)
+    side_iii = _serre_side(name, X, n)
     claims = [
         _implication_claim(side_i, side_ii),
         _implication_claim(side_ii, side_iii),
@@ -558,6 +581,10 @@ def _check_prop_t1(cfg, M, C, n):
     if converse:
         claims.append(_implication_claim(side_iii, side_i))
     return claims
+
+
+def _check_prop_t1(bound, M, C, n):
+    return (yield from _transpose_chain(bound, M, C, n, True))
 
 
 def _serre_versus_lcd(M, n, serre_on_link):
@@ -585,34 +612,18 @@ def _check_prop_p3(M, n):
     return (yield from _serre_versus_lcd(M, n, True))
 
 
-def _check_prop_t13(cfg, M, C, n):
-    converse = yield from _optional_converse(
-        "converse skipped: finite injective dimension of C on "
-        f"the depth <= {n - 1} locus not certified",
-        n - 1, (_INJDIM_LOCUS, C))
-    yield [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1)] + converse
-    side_i = _ext_side("Tr M, C", transpose(M), C, n)
-    MC = tensor(M, C)
-    side_ii = _cosyzygy_side("M (x) C", MC, C, n)
-    side_iii = _serre_side("M (x) C", MC, n)
-    claims = [
-        _implication_claim(side_i, side_ii),
-        _implication_claim(side_ii, side_iii),
-    ]
-    if converse:
-        claims.append(_implication_claim(side_iii, side_i))
-    return claims
+def _check_prop_t13(bound, M, C, n):
+    return (yield from _transpose_chain(bound, M, C, n, False))
 
 
 def _check_cor_c2(M, n):
     return (yield from _serre_versus_lcd(M, n, False))
 
 
-def _check_lem_lem2(cfg, M, C, n=1):
+def _check_lem_lem2(bound, M, C, n=1):
     # n is optional here and defaults to 1, so only a failing n gets a line
     n_hyps = [] if n >= 1 else [_hyp("n >= 1", False)]
-    yield [_sd_hyp(C, cfg), *n_hyps,
-           _auslander_hyp("M is in the Auslander class of C", M, C, cfg)]
+    yield [_sd_hyp(C, bound), *n_hyps, _auslander_hyp(M, C, bound)]
     MC = tensor(M, C)
     claims = [
         _equality_claim("depth M = depth(M (x) C)", depth(M), depth(MC)),
@@ -629,15 +640,14 @@ def _check_lem_lem2(cfg, M, C, n=1):
     return claims
 
 
-def _check_thm_th5(cfg, M, C, n):
+def _check_thm_th5(bound, M, C, n):
     ring = M.ring
     converse = yield from _optional_converse(
         "full four-way equivalence skipped: finite G-dimension "
         f"on the depth <= {n - 1} locus not certified",
         n - 1, (_GCDIM_LOCUS, _ring_unit(ring)), (_INJDIM_LOCUS, C))
-    yield [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1),
-           _auslander_hyp("M is in the Auslander class of C", M, C, cfg)
-           ] + converse
+    yield [_sd_hyp(C, bound), _hyp("n >= 1", n >= 1),
+           _auslander_hyp(M, C, bound)] + converse
     T = transpose(M)
     side_i = _ext_side("Tr M, R", T, _ring_unit(ring), n)
     side_ii = _ext_side("Tr M, C", T, C, n)
@@ -654,12 +664,12 @@ def _check_thm_th5(cfg, M, C, n):
     return claims
 
 
-def _check_cor_cor7(cfg, M, C, n):
-    stable, free_rank = is_stable(M)
+def _check_cor_cor7(bound, M, C, n):
+    stable = _stable_hyp(M)
     yield [
-        _sd_hyp(C, cfg),
-        _hyp("M is stable", stable, f"free rank {free_rank}"),
-        _auslander_hyp("M is in the Auslander class of C", M, C, cfg),
+        _sd_hyp(C, bound),
+        stable,
+        _auslander_hyp(M, C, bound),
         _locus_hyp(n - 1, (_GCDIM_LOCUS, _ring_unit(M.ring)),
                    (_INJDIM_LOCUS, C)),
         _hyp("n >= 1", n >= 1),
@@ -709,7 +719,7 @@ def _check_thm_theorem1(M):
 
 def _check_thm_the1(M, omega_ideal):
     R = M.ring
-    gens = _parse_ideal(R, omega_ideal)
+    gens = R.poly_ring.as_polys(omega_ideal)
     hyps = [_cm_ring_hyp(R),
             _hyp("the ring is not Gorenstein", not ring_is_gorenstein(R))]
     ok, why = _matches_canonical_ideal(R, gens)
@@ -733,8 +743,8 @@ def _check_thm_the1(M, omega_ideal):
 
 
 def _check_cor_theorem3(ring, I, omega_ideal, J=None):
-    I_gens = _parse_ideal(ring, I)
-    omega_gens = _parse_ideal(ring, omega_ideal)
+    I_gens = ring.poly_ring.as_polys(I)
+    omega_gens = ring.poly_ring.as_polys(omega_ideal)
     RI = minimalize(cyclic_module(ring, I_gens))
     hyps = [_cm_ring_hyp(ring),
             _hyp("the ring is not Gorenstein", not ring_is_gorenstein(ring))]
@@ -744,7 +754,7 @@ def _check_cor_theorem3(ring, I, omega_ideal, J=None):
     # the linked ideal: lambda(R/I) must again be cyclic
     lam = minimalize(lambda_module(RI))
     if J is not None:
-        J_gens = _parse_ideal(ring, J)
+        J_gens = ring.poly_ring.as_polys(J)
     else:
         J_gens = [g for g in annihilator(lam)
                   if not ring.nf(g).is_zero()]
@@ -783,15 +793,14 @@ def _check_cor_theorem3(ring, I, omega_ideal, J=None):
     return _equivalence_claims([side_i, side_ii])
 
 
-def _check_thm_prop_even(cfg, M, C, n, ideal, ideal2):
+def _check_thm_prop_even(bound, M, C, n, ideal, ideal2):
     R = M.ring
-    hyps = [_sd_hyp(C, cfg), _hyp("n >= 1", n >= 1)]
-    gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    hyps.append(gh)
+    hyps = [_sd_hyp(C, bound), _hyp("n >= 1", n >= 1),
+            _gcdim_hyp(M, C, bound)[0]]
     links = []
     for given, label in ((ideal, "first"), (ideal2, "second")):
-        gens = _parse_ideal(R, given)
-        gor = is_gc_gorenstein_ideal(R, gens, C, bound=cfg.bound)
+        gens = R.poly_ring.as_polys(given)
+        gor = is_gc_gorenstein_ideal(R, gens, C, bound)
         hyps.append(_hyp_verdict(f"the {label} ideal is G_C-Gorenstein", gor))
         inside = all(annihilates(M, f) for f in gens)
         hyps.append(_hyp(f"the {label} ideal annihilates M", inside))
@@ -817,14 +826,12 @@ def _check_thm_prop_even(cfg, M, C, n, ideal, ideal2):
     return claims
 
 
-def _check_thm_th1(cfg, M, C, n):
+def _check_thm_th1(bound, M, C, n):
     ring = M.ring
-    stable, free_rank = is_stable(M)
-    hyps = [_hyp("M is stable", stable, f"free rank {free_rank}"),
-            _hyp("n >= 1", n >= 1)]
-    gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    lam, ausl = _lambda_auslander(M, C, cfg)
-    yield hyps + [gh, ausl]
+    hyps = [_stable_hyp(M), _hyp("n >= 1", n >= 1),
+            _gcdim_hyp(M, C, bound)[0]]
+    lam, ausl = _lambda_auslander(M, C, bound)
+    yield hyps + [ausl]
     report = is_horizontally_linked(M)
     side_a = _serre_side("M", M, n)
     rgr_ok, rgr_wit, _ = _ext_window_vanishes(lam, _ring_unit(ring), 1, n - 1)
@@ -844,14 +851,11 @@ def _check_thm_th1(cfg, M, C, n):
     return claims
 
 
-def _check_cor_cor5(cfg, M, C):
+def _check_cor_cor5(bound, M, C):
     ring = M.ring
-    hyps = [_cm_ring_hyp(ring)]
-    stable, free_rank = is_stable(M)
-    hyps.append(_hyp("M is stable", stable, f"free rank {free_rank}"))
-    gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    lam, ausl = _lambda_auslander(M, C, cfg)
-    yield hyps + [gh, ausl]
+    hyps = [_cm_ring_hyp(ring), _stable_hyp(M), _gcdim_hyp(M, C, bound)[0]]
+    lam, ausl = _lambda_auslander(M, C, bound)
+    yield hyps + [ausl]
     d = ring_dim(ring)
     report = is_horizontally_linked(M)
     dep_m = depth(M)
@@ -872,13 +876,11 @@ def _check_cor_cor5(cfg, M, C):
     return _equivalence_claims([side_i, side_ii, side_iii])
 
 
-def _check_cor_cor6(cfg, M, C, ideal):
+def _check_cor_cor6(bound, M, C, ideal):
     R = M.ring
-    gens = _parse_ideal(R, ideal)
-    hyps = [_cm_ring_hyp(R), _sd_hyp(C, cfg)]
-    gh, _ = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    hyps.append(gh)
-    perf, _ = is_gc_perfect_ideal(R, gens, C, bound=cfg.bound)
+    gens = R.poly_ring.as_polys(ideal)
+    hyps = [_cm_ring_hyp(R), _sd_hyp(C, bound), _gcdim_hyp(M, C, bound)[0]]
+    perf, _ = is_gc_perfect_ideal(R, gens, C, bound)
     hyps.append(_hyp_verdict("the ideal is G_C-perfect", perf))
     inside = all(annihilates(M, f) for f in gens)
     yield hyps + [_hyp("the ideal annihilates M", inside)]
@@ -886,23 +888,23 @@ def _check_cor_cor6(cfg, M, C, ideal):
     Mq = minimalize(change_ring(M, Rq))
     rep = is_horizontally_linked(Mq)
     linked_h = _hyp("M is linked by the ideal", rep.linked, rep.describe())
-    K = induced_semidualizing(R, gens, C, bound=cfg.bound)
+    K = induced_semidualizing(R, gens, C, bound)
     lamq = lambda_module(Mq)
     yield [linked_h, _auslander_hyp(
-        "the quotient link is in the Auslander class of the induced "
-        "semidualizing module", lamq, K, cfg)]
+        lamq, K, bound, "the quotient link is in the Auslander class of "
+        "the induced semidualizing module")]
     return _equivalence_claims([
         _side_bool("M is Cohen-Macaulay", is_cm(M)),
         _side_bool("the quotient link of M is Cohen-Macaulay", is_cm(lamq)),
     ])
 
 
-def _check_thm_cor3(cfg, M):
+def _check_thm_cor3(bound, M):
     R = M.ring
     yield [_cm_ring_hyp(R)]
     hyps = [_linked_hyp(M),
             _hyp("M is not Cohen-Macaulay", not is_cm(M))]
-    lam, gd = _lambda_finite_gdim(M, cfg)
+    lam, gd = _lambda_finite_gdim(M, bound)
     yield hyps + [gd]
     d = ring_dim(R)
     cc = cohomological_deficiency(M)
@@ -917,38 +919,27 @@ def _check_thm_cor3(cfg, M):
     return _equivalence_claims([side_i, side_ii])
 
 
-def _check_thm_th2(cfg, M, C):
-    ring = M.ring
-    hyps = [_linked_hyp(M)]
-    gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    lam, ausl = _lambda_auslander(M, C, cfg)
-    yield hyps + [gh, ausl]
-    side_zero = Side("G_C-dimension of M is zero", gv.kind == "zero",
-                     gv.exact(), str(gv))
+def _check_thm_th2(bound, M, C):
+    gv, lam = yield from _linked_gcdim_stage(M, C, bound)
     side_locus = _locus_side(
         "depth M_p + depth (lambda M)_p > depth R_p off the depth-zero locus",
-        (M, lam, _ring_unit(ring)),
+        (M, lam, _ring_unit(M.ring)),
         lambda h, d, _: d[2] >= 1 and d[0] + d[1] <= d[2])
-    return _equivalence_claims([side_zero, side_locus])
+    return _equivalence_claims([_gc_zero_side(gv), side_locus])
 
 
-def _check_cor_self(cfg, M, C, self_twist=0):
-    ring = M.ring
+def _check_cor_self(bound, M, C, self_twist=0):
     self_iso = is_self_linked(M, twist=self_twist)
     hyps = [_hyp("M is horizontally self-linked",
                  self_iso.is_isomorphic() if self_iso.resolved() else False,
                  self_iso.certificate)]
-    gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    hyps.append(gh)
-    yield hyps + [_auslander_hyp("M is in the Auslander class of C",
-                                 M, C, cfg)]
-    side_zero = Side("G_C-dimension of M is zero", gv.kind == "zero",
-                     gv.exact(), str(gv))
+    gh, gv = _gcdim_hyp(M, C, bound)
+    yield hyps + [gh, _auslander_hyp(M, C, bound)]
     side_locus = _locus_side(
         "depth M_p > (depth R_p)/2 off the depth-zero locus",
-        (M, _ring_unit(ring)),
+        (M, _ring_unit(M.ring)),
         lambda h, d, _: d[1] >= 1 and 2 * d[0] <= d[1])
-    return _equivalence_claims([side_zero, side_locus])
+    return _equivalence_claims([_gc_zero_side(gv), side_locus])
 
 
 _TH3_RATIONALE = (
@@ -958,20 +949,19 @@ _TH3_RATIONALE = (
     "syz(M) <= depth(M) is asserted on the computed values")
 
 
-def _check_thm_th3(cfg, M, C):
+def _check_thm_th3(bound, M, C):
     yield _TH3_RATIONALE
     ring = M.ring
-    gh, _ = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
-                       positive=True)
-    lam, ausl = _lambda_auslander(M, C, cfg)
+    gh, _ = _gcdim_hyp(M, C, bound, positive=True)
+    lam, ausl = _lambda_auslander(M, C, bound)
     yield [gh, ausl, _linked_hyp(M)]
-    rg = reduced_grade(lam, _ring_unit(ring), bound=cfg.bound)
+    rg = reduced_grade(lam, _ring_unit(ring), bound)
     if rg.value is None:
         yield [_hyp_unknown("rgr(lambda M) is finite", str(rg))]
     t = rg.value
     dep = depth(M)
     cap = dep if dep != INFINITY else 0
-    ntf, _ = n_torsionfree_degree(M, cap)
+    ntf = n_torsionfree_degree(M, cap)
     yield (f"computed chain: rgr(lambda M)={t} <= syz(M)={ntf} <= "
            f"depth(M)={dep}")
     side_i = _side_bool(
@@ -987,14 +977,11 @@ def _check_thm_th3(cfg, M, C):
     return _equivalence_claims([side_i, side_ii, side_iii])
 
 
-def _check_thm_th6(cfg, M, C):
+def _check_thm_th6(bound, M, C):
     ring = M.ring
-    hyps = [_linked_hyp(M)]
-    gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
-    lam, ausl = _lambda_auslander(M, C, cfg)
-    yield hyps + [gh, ausl]
+    gv, lam = yield from _linked_gcdim_stage(M, C, bound)
     claims = []
-    rg = reduced_grade(M, C, bound=cfg.bound)
+    rg = reduced_grade(M, C, bound)
     triple = (M, lam, _ring_unit(ring))
 
     def on_locus(holds):
@@ -1055,15 +1042,11 @@ def _check_thm_th6(cfg, M, C):
     return claims
 
 
-def _check_prop_xtm(cfg, M, C):
+def _check_prop_xtm(bound, M, C):
     ring = M.ring
-    hyps = [_linked_hyp(M)]
-    gh, _ = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
-                       positive=True)
-    lam, ausl = _lambda_auslander(M, C, cfg)
-    yield hyps + [gh, ausl]
-    rg_c = reduced_grade(M, C, bound=cfg.bound)
-    rg_l = reduced_grade(lam, _ring_unit(ring), bound=cfg.bound)
+    _, lam = yield from _linked_gcdim_stage(M, C, bound, positive=True)
+    rg_c = reduced_grade(M, C, bound)
+    rg_l = reduced_grade(lam, _ring_unit(ring), bound)
     if rg_c.value is None or rg_l.value is None:
         yield [_hyp_unknown(
             "both reduced grades are finite",
@@ -1078,12 +1061,12 @@ def _check_prop_xtm(cfg, M, C):
                   side.detail)]
 
 
-def _check_thm_th4(cfg, M, C):
+def _check_thm_th4(bound, M, C):
     ring = M.ring
     hyps = [_cm_ring_hyp(ring)]
-    red, gv = is_reduced_gc_perfect(M, C, bound=cfg.resolve_bound(ring))
+    red, gv = is_reduced_gc_perfect(M, C, bound)
     hyps.append(_hyp_verdict("M is reduced G_C-perfect", red))
-    lam, ausl = _lambda_auslander(M, C, cfg)
+    lam, ausl = _lambda_auslander(M, C, bound)
     yield hyps + [ausl]
     n = gv.value
     En = ext(M, C, n)
@@ -1098,13 +1081,8 @@ def _check_thm_th4(cfg, M, C):
         f"{ring_depth(ring)}, depth Ext^{n}={dep_e}")]
 
 
-def _check_thm_th7(cfg, M, C):
-    ring = M.ring
-    hyps = [_linked_hyp(M)]
-    gh, gv = _gcdim_hyp("M has finite positive G_C-dimension", M, C, cfg,
-                        positive=True)
-    lam, ausl = _lambda_auslander(M, C, cfg)
-    yield hyps + [gh, ausl]
+def _check_thm_th7(bound, M, C):
+    gv, lam = yield from _linked_gcdim_stage(M, C, bound, positive=True)
     n = gv.value
     ok, wit, _ = _ext_window_vanishes(M, C, 1, n - 1)
     top = not ext_vanishes(M, C, n)
@@ -1117,14 +1095,14 @@ def _check_thm_th7(cfg, M, C):
     return _equivalence_claims([side_red, side_serre])
 
 
-def _check_cor_cor1(cfg, M):
+def _check_cor_cor1(bound, M):
     R = M.ring
     hyps = [_cm_ring_hyp(R), _linked_hyp(M)]
     d = ring_dim(R)
     n = depth(M)
     hyps.append(_hyp(f"depth M = {n} < dim R = {d}",
                      n != INFINITY and n < d))
-    lam, gd = _lambda_finite_gdim(M, cfg)
+    lam, gd = _lambda_finite_gdim(M, bound)
     yield hyps + [gd]
     side_em = _side_bool(
         "M is an Eilenberg-MacLane module", is_eilenberg_maclane(M),
@@ -1133,7 +1111,7 @@ def _check_cor_cor1(cfg, M):
     return _equivalence_claims([side_em, side_serre])
 
 
-def _check_cor_cor4(cfg, M):
+def _check_cor_cor4(bound, M):
     R = M.ring
     hyps = [_cm_ring_hyp(R), _linked_hyp(M),
             _hyp("M is not Cohen-Macaulay", not is_cm(M)),
@@ -1141,7 +1119,7 @@ def _check_cor_cor4(cfg, M):
                  is_eilenberg_maclane(M),
                  f"local cohomology degrees "
                  f"{local_cohomology_degrees(M)}")]
-    lam, gd = _lambda_finite_gdim(M, cfg)
+    lam, gd = _lambda_finite_gdim(M, bound)
     yield hyps + [gd]
     d = ring_dim(R)
     dep_m = depth(M)
@@ -1172,12 +1150,12 @@ def _check_remark3_i(M, C):
                   v.certificate)]
 
 
-def _check_g3_ab_formula(cfg, M, C):
+def _check_g3_ab_formula(bound, M, C):
     ring = M.ring
-    sd = _sd_hyp(C, cfg)
+    sd = _sd_hyp(C, bound)
     if M.is_zero():
         yield [sd, _hyp("M is nonzero", False)]
-    gh, gv = _gcdim_hyp("M has finite G_C-dimension", M, C, cfg)
+    gh, gv = _gcdim_hyp(M, C, bound)
     yield [sd, gh]
     r = gv.value
     claims = [_equality_claim(
@@ -1190,8 +1168,8 @@ def _check_g3_ab_formula(cfg, M, C):
         "exact-true" if top else "exact-false",
         ""))
     tail = f"Ext^i(M, C) = 0 for i > {r}"
-    bound = max(r + 1, cfg.resolve_bound(ring))
-    ok, wit, exact = _ext_window_vanishes(M, C, r + 1, bound)
+    hi = max(r + 1, bound)
+    ok, wit, exact = _ext_window_vanishes(M, C, r + 1, hi)
     pd = None if not ok or exact else _finite_pd(M)
     if not ok:
         claims.append(Claim(
@@ -1207,15 +1185,15 @@ def _check_g3_ab_formula(cfg, M, C):
             tail, "exact-true",
             f"finite projective dimension {pd} truncates the resolution"))
     else:
-        claims.append(Claim(tail, "partial-true", f"scanned through {bound}"))
+        claims.append(Claim(tail, "partial-true", f"scanned through {hi}"))
     return claims
 
 
 def _bindings(fn) -> tuple:
-    """(required, defaults) of a check: its parameters but cfg, those
+    """(required, defaults) of a check: its parameters but bound, those
     without a default in order, and the others with their defaults."""
     params = [p for p in inspect.signature(fn).parameters.values()
-              if p.name != "cfg"]
+              if p.name != "bound"]
     return (tuple(p.name for p in params if p.default is p.empty),
             {p.name: p.default for p in params if p.default is not p.empty})
 
@@ -1249,9 +1227,9 @@ _CHECKS = {tid: (fn, *_bindings(fn)) for tid, fn in {
     TheoremId.REMARK3_I: _check_remark3_i,
     TheoremId.G3_AB_FORMULA: _check_g3_ab_formula,
 }.items()}
-# the checks that read the run's HarnessConfig, their first parameter
-_READS_CFG = frozenset(fn for fn, *_ in _CHECKS.values()
-                       if "cfg" in inspect.signature(fn).parameters)
+# the checks that scan through the vanishing bound, their first parameter
+_SCANS = frozenset(fn for fn, *_ in _CHECKS.values()
+                   if "bound" in inspect.signature(fn).parameters)
 
 
 def resolve_id(tid) -> TheoremId:
@@ -1266,7 +1244,7 @@ def _instance(label, args) -> str:
     which binds no M, is named by its ideal."""
     if "M" not in args:
         ring = args["ring"]
-        gens = ", ".join(str(g) for g in _parse_ideal(ring, args["I"]))
+        gens = ", ".join(str(g) for g in ring.poly_ring.as_polys(args["I"]))
         return f"ideal ({gens}) over {ring.key()}"
     M = args["M"]
     name = label or f"module({M.n_gens()} gens, twists {list(M.gen_twists)})"
@@ -1274,11 +1252,14 @@ def _instance(label, args) -> str:
     return f"{line}, n={args['n']}" if "n" in args else line
 
 
-def _run(tid, bindings, cfg) -> TheoremReport:
+def _run(tid, bindings, bound) -> TheoremReport:
     """The one prologue and driver of every check.
 
     The prologue reads the check's bindings, defaults filled in, makes n
-    an int, minimalizes M and names the instance, then minimalizes C.
+    an int, resolves the vanishing bound of a check that scans (None:
+    `default_bound` of M's ring; every ring a check reaches is a quotient
+    of M's polynomial ring, so it is the default there too), minimalizes
+    M and names the instance, then minimalizes C.
     The driver runs the hypothesis stages in order, then the claims,
     which are computed only when every stage holds.  A budget or an
     inapplicability met anywhere, minimalizing M included, ends the check
@@ -1294,6 +1275,9 @@ def _run(tid, bindings, cfg) -> TheoremReport:
         raise ValueError(f"{tid.value} over different rings")
     if "n" in args:
         args["n"] = int(args["n"])
+    if fn in _SCANS:
+        args["bound"] = (default_bound(args["M"].ring) if bound is None
+                         else bound)
     label = bindings.get("label")
     hyps, notes = [], []
     try:
@@ -1302,7 +1286,7 @@ def _run(tid, bindings, cfg) -> TheoremReport:
         instance = _instance(label, args)
         if "C" in args:
             args["C"] = minimalize(args["C"])
-        stages = fn(cfg, **args) if fn in _READS_CFG else fn(**args)
+        stages = fn(**args)
         while _blocker(hyps) is None:
             step = next(stages)
             if isinstance(step, str):
@@ -1327,30 +1311,32 @@ def _stopped(tid, instance, e) -> TheoremReport:
                          witness=str(e))
 
 
-def check(tid, bindings, config: HarnessConfig | None = None) -> TheoremReport:
-    """Run one named check; missing bindings and modules over different
-    rings raise, and a budget or an inapplicability degrades to an
-    Inapplicable report."""
+def check(tid, bindings, bound: int | None = None) -> TheoremReport:
+    """Run one named check, scanning Ext/Tor vanishing through `bound`
+    (None: `default_bound` of M's ring); a bound below 1, missing
+    bindings and modules over different rings raise, and a budget or an
+    inapplicability degrades to an Inapplicable report."""
     tid = resolve_id(tid)
-    cfg = config or HarnessConfig()
+    if bound is not None and bound < 1:
+        raise ValueError(f"bound {bound} is below 1")
     missing = [k for k in _CHECKS[tid][1] if k not in bindings]
     if missing:
         raise KeyError(
             f"{tid.value} needs bindings {missing}; got "
             f"{sorted(bindings.keys())}")
-    return _run(tid, bindings, cfg)
+    return _run(tid, bindings, bound)
 
 
-def run_suite(instances, config: HarnessConfig | None = None):
-    """Run (theorem id, bindings) pairs in order; aggregate a summary.
+def run_suite(instances, bound: int | None = None):
+    """Run (theorem id, bindings) pairs in order through `check` with the
+    same bound; aggregate a summary.
 
     The summary counts verdicts; the suite fails if any report is
     Refuted with every hypothesis exact.
     """
-    cfg = config or HarnessConfig()
     reports = []
     for tid, bindings in instances:
-        reports.append(check(tid, bindings, cfg))
+        reports.append(check(tid, bindings, bound))
     counts = {"Verified": 0, "Refuted": 0, "Inapplicable": 0,
               "PartiallyVerified": 0}
     hard_failures = []

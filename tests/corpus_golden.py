@@ -23,15 +23,22 @@ THM_PROP_EVEN) are not in the default battery.  Their reports, from
 `special_instances` over S = QQ[x,y] and T plus bindings that stop at each
 stage of their hypotheses, are stored in tests/golden/special_instances.json.
 
+Each whole pool (`POOLS`, the sizes CI's field step runs: each pool's
+length, and for N its 36 entries and four twists) is too large to store
+report by report; its reports over the ring's own field are stored as
+one SHA-256 each, keyed by theorem id and instance line, in
+tests/golden/pool_digests.json.
+
     PYTHONPATH=src python tests/corpus_golden.py
 
-rewrites the seven files from the library on the path.  Do that only for
+rewrites the eight files from the library on the path.  Do that only for
 an intended change of a verdict or a report; the test in
 tests/test_corpus_golden.py reruns them and byte-compares.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -125,6 +132,36 @@ def special_bindings() -> list:
     ]
 
 
+POOLS = {"H": 19, "T": 28, "N": 40, "U": 28, "P": 46, "Q": 36}
+DIGESTS_PATH = os.path.join(GOLDEN_DIR, "pool_digests.json")
+
+
+def pool_digests(name: str) -> dict:
+    """{"theorem id | instance": SHA-256 of the report's sorted JSON} over
+    the whole pool of R.  A key met again (a pool past its end repeats a
+    label) gets " #2", " #3", ... in order.  The memo is emptied first,
+    so a pool costs the same whatever ran before it."""
+    from linkage_lab import memo
+
+    memo.clear()
+    out = {}
+    for entry in json.loads(report(name, POOLS[name]))["results"]:
+        for r in entry["report"]["reports"]:
+            key = base = f"{r['theorem_id']} | {r['instance']}"
+            k = 1
+            while key in out:
+                k += 1
+                key = f"{base} #{k}"
+            text = json.dumps(r, sort_keys=True)
+            out[key] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return out
+
+
+def pool_digests_json() -> str:
+    digests = {name: pool_digests(name) for name in POOLS}
+    return json.dumps(digests, sort_keys=True, indent=1) + "\n"
+
+
 def special_report() -> str:
     from linkage_lab.theorems import check
 
@@ -138,6 +175,8 @@ def main() -> None:
             fh.write(report(name))
     with open(SPECIAL_PATH, "w", encoding="utf-8") as fh:
         fh.write(special_report())
+    with open(DIGESTS_PATH, "w", encoding="utf-8") as fh:
+        fh.write(pool_digests_json())
 
 
 if __name__ == "__main__":

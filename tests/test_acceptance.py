@@ -44,7 +44,6 @@ from linkage_lab.resolutions import betti, set_resolution_store
 from linkage_lab.rings import make_ring
 from linkage_lab.runner import RunConfig, execute, report_json
 from linkage_lab.theorems import (
-    HarnessConfig,
     TheoremId,
     check,
     default_instances,
@@ -300,7 +299,7 @@ def test_criterion_11_fault_negative_control():
     instances = default_instances(H, pool, [TheoremId.THM_MS])
     set_fault("skip-minimalize-transpose", True)
     try:
-        reports, summary = run_suite(instances, HarnessConfig())
+        reports, summary = run_suite(instances)
     finally:
         set_fault("skip-minimalize-transpose", False)
     refuted = summary["counts"].get("Refuted", 0)

@@ -7,8 +7,8 @@ Standard library only (`ast`).  A parameter counts as used when its name is
 read anywhere in the function, nested functions included; an import counts
 as used when its bound name appears anywhere in the module or in __all__.
 A function or method counts as used when its name appears as a name or
-an imported name anywhere in src/, demos/ or perfbench/, or in an
-__all__ list, or as an attribute: a method as any attribute, a
+an imported name anywhere in src/, demos/ or perfbench/, or in the
+package's `_EXPORTS` table, or as an attribute: a method as any attribute, a
 module-level function of m.py only as m.<name>.  Dunder methods are
 called implicitly and always count as used.  A reference from tests/ does not count: the library keeps no
 API for its tests alone, except the documented fault hook in TEST_HOOKS.
@@ -87,7 +87,7 @@ def _referencing_trees():
 
 
 def _references(trees) -> tuple:
-    """(names, attributes): every name, imported name and __all__ entry,
+    """(names, attributes): every name, imported name and `_EXPORTS` entry,
     and every attribute as a (base, attr) pair, base the name it is read
     from (None when that is not a plain name)."""
     names, attrs = set(), set()
@@ -101,9 +101,10 @@ def _references(trees) -> tuple:
             elif isinstance(n, ast.alias):
                 names.add(n.name.rsplit(".", 1)[-1])
             elif isinstance(n, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__"
+                    isinstance(t, ast.Name) and t.id == "_EXPORTS"
                     for t in n.targets):
-                names.update(e.value for e in n.value.elts)
+                names.update(e.value for t in n.value.values
+                             for e in t.elts)
     return names, attrs
 
 

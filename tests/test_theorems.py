@@ -21,10 +21,9 @@ from linkage_lab.modules import (
     free_module,
 )
 from linkage_lab.rings import make_ring
-from linkage_lab.runner import execute
+from linkage_lab.runner import RunConfig, execute
 from linkage_lab.theorems import (
     SUITE_DEFAULT_IDS,
-    HarnessConfig,
     TheoremId,
     check,
     default_coefficient,
@@ -137,7 +136,7 @@ def test_a_coefficient_over_budget_keeps_the_instance_line(tid):
 def test_required_bindings_are_the_parameters_without_default():
     for tid, (fn, required, defaults) in theorems._CHECKS.items():
         params = [p for p in inspect.signature(fn).parameters.values()
-                  if p.name != "cfg"]
+                  if p.name != "bound"]
         assert required == tuple(
             p.name for p in params if p.default is p.empty), tid
         assert defaults == {
@@ -172,9 +171,31 @@ def test_a_module_over_budget_is_one_inapplicable_report_of_a_suite():
 
 
 @pytest.mark.parametrize("bound", [0, -3])
-def test_a_bound_below_one_is_refused(bound):
-    with pytest.raises(ValueError, match="below 1"):
-        HarnessConfig(bound=bound)
+def test_check_and_run_suite_refuse_a_bound_below_one(bound):
+    instance = (TheoremId.THM_MS, {"M": cyclic_module(H, ["x"])})
+    with pytest.raises(ValueError, match=f"bound {bound} is below 1"):
+        check(*instance, bound)
+    with pytest.raises(ValueError, match=f"bound {bound} is below 1"):
+        run_suite([instance], bound)
+
+
+@pytest.mark.parametrize("bound, label", [(None, "BoundedTrue(10)"),
+                                          (3, "BoundedTrue(3)")])
+def test_a_run_bound_reaches_the_checks(bound, label):
+    """Over E = QQ[x,y,z,t]/(x^2, y^2, yz, z^2), which is not Gorenstein,
+    the finite G-dimension of lambda(quot(x)) is only scanned: through the
+    ring's default bound 2*(4+1) = 10, or through the run's bound."""
+    script = ("ring E0 = poly(QQ, x, y, z, t);\n"
+              "ring E = quotient(E0, [x^2, y^2, y*z, z^2]);\n"
+              "suite [THM_COR3, COR_COR1, COR_COR4] on corpus(E, 12);\n")
+    (entry,) = execute(parse(script), RunConfig(bound=bound)).results
+    hyps = [h for r in entry["report"]["reports"]
+            if r["instance"].startswith("quot(x) ")
+            for h in r["hypothesis_status"]
+            if h["name"] == "G-dim of the linked module is finite"]
+    tag = "bound 10" if bound is None else f"bound {bound}"
+    assert len(hyps) == 3
+    assert {(h["label"], h["detail"]) for h in hyps} == {(label, f"0 ({tag})")}
 
 
 def test_fault_injection_refutes_ms_criterion():
@@ -220,7 +241,7 @@ def test_default_instances_give_n_to_every_check_that_takes_it():
     instances = default_instances(H, free0, [TheoremId.PROP_T1,
                                              TheoremId.LEM_LEM2], n=2)
     assert [b["n"] for _, b in instances] == [2, 2]
-    reports, _ = run_suite(instances, HarnessConfig())
+    reports, _ = run_suite(instances)
     assert [r.instance for r in reports] == [
         "free[0] over QQ[x,y]/(x*y), n=2"] * 2
 
@@ -228,7 +249,7 @@ def test_default_instances_give_n_to_every_check_that_takes_it():
 def test_run_suite_counts_and_pass_flag():
     instances = default_instances(H, corpus_pool(H)[:4],
                                   [TheoremId.THM_MS, TheoremId.PROP_T1])
-    reports, summary = run_suite(instances, HarnessConfig())
+    reports, summary = run_suite(instances)
     assert summary["total"] == len(reports) == len(instances)
     assert sum(summary["counts"].values()) == summary["total"]
     assert summary["suite_passed"]
@@ -240,7 +261,7 @@ def test_suite_flags_hard_refutation_under_fault():
     instances = [(TheoremId.THM_MS, {"M": M, "label": "planted"})]
     set_fault("skip-minimalize-transpose", True)
     try:
-        reports, summary = run_suite(instances, HarnessConfig())
+        reports, summary = run_suite(instances)
     finally:
         set_fault("skip-minimalize-transpose", False)
     assert not summary["suite_passed"]
