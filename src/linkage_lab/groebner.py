@@ -8,17 +8,19 @@ position with lower index greater.
 Two modes:
 
 * plain: reduced Groebner basis for normal forms and membership.  The
-  coprime-lead skip is applied only to rank-1 inputs (its proof does not
-  survive in modules); the lcm chain criterion is applied everywhere.
+  lcm chain criterion is applied everywhere, the product criterion (below)
+  to every pair of a rank-1 run and to the pairs with a monomial of I*F.
 * tracked: every basis element carries a representation over the tracked
-  input columns, no criterion skips a pair, and each S-pair that reduces
-  to zero donates its representation as a syzygy.  Inputs enter the basis
-  unreduced, which makes the harvested set generate the full syzygy module
-  of the inputs.  Fixed input columns join the span after the tracked
-  ones with an empty representation; representation arithmetic is linear
-  with coefficients taken from the vectors, so every representation is
-  the projection onto the tracked columns of the one a run tracking every
-  input would carry, and a syzygy whose projection is 0 is never built.
+  input columns, and each S-pair that reduces to zero donates its
+  representation as a syzygy.  No criterion skips a pair, except the
+  product criterion for I*F in a minimal run (below).  Inputs enter the
+  basis unreduced, which makes the harvested set generate the full
+  syzygy module of the inputs.  Fixed input columns join the span after
+  the tracked ones with an empty representation; representation
+  arithmetic is linear with coefficients taken from the vectors, so every
+  representation is the projection onto the tracked columns of the one a
+  run tracking every input would carry, and a syzygy whose projection is
+  0 is never built.
 
 Either mode can admit its columns minimally (minimal=True; La Scala and
 Stillman, JSC 26, 1998).  The fixed columns enter first; the others are
@@ -78,6 +80,23 @@ with the other inert elements of its position are formed by an exact
 scan of their lcm degrees, run only when the sum of the lead degrees
 could raise .top_degree.
 
+The product criterion (Buchberger, 1979) forms a pair but does not queue
+it.  In a plain rank-1 run it covers every pair of coprime leads.  In
+modules it covers an element g with lead c*m*e_p and a monomial f*e_p of
+I*F with gcd(m, f) = 1.  Their S-vector is (f/c)*tail(g), and the run
+admitted f*e_q at every position q, so every term of it is a multiple of
+an inert element: it has a standard representation, and the pair adds
+nothing to a Groebner basis.  So a plain run skips it, and its outputs
+do not change: the reduced basis, .kept, and .top_degree, since the leads
+each degree adds are fixed by the span and the top is the largest lcm
+degree among them.  A tracked minimal run with no fixed columns over a
+monomial I skips it too.  There I*F comes first in every position's
+_by_pos, so the S-vector reduces to zero by inert elements alone, and its
+representation (f/c)*rep(g) lies in I*F, which the harvest drops.
+Elsewhere a tracked run queues the pair, because a fixed column or a live
+element can reduce first and leave a representation outside I, and over
+an I with tails the harvest keeps the multiples of f.
+
 All inputs are assumed homogeneous with respect to the given twists;
 pair degrees then increase monotonically and max_degree is an honest cap:
 forming any pair above it, queued or not, raises BudgetError.  A run
@@ -107,17 +126,18 @@ Groebner basis only through d, and every query raises.
 
 Inside the kernel a term (pos, mono) is a plain int, its term key (see
 _TermKeys): integer order is the module order, and multiplying a term by
-x^q adds the key of q.  A column is packed straight into keys on the way
-in and unpacked into a column on the way out; no other module sees a
-key.  Reduction pops the largest live term from a heap of keys
-(Monagan-Pearce, CASC 2007) and pushes only the terms each subtraction
-creates.  Divisibility of a term by a leading term is one
-guard-bit test on packed exponents.  The keys stay exact while every
-monomial degree is below the key width's limit.  Before an S-pair, the
-tail reduction, or a query, the kernel bounds the largest degree the step
-can create (the lcm's degree, or the input's, plus the largest excess of
-a representation's degree over its element's lead) and re-encodes its
-basis at a wider width when the bound reaches the limit.
+x^q adds the key of q.  A column is packed into keys on the way in and
+unpacked into a column on the way out, through per-width tables of the
+monomials met; no other module sees a key.  Reduction pops the largest
+live term from a heap of keys (Monagan-Pearce, CASC 2007) and pushes
+only the terms each subtraction creates.  Divisibility of a term by a
+leading term is one guard-bit test on packed exponents.  The keys stay
+exact while every monomial degree is below the key width's limit.
+Before an S-pair, the tail reduction, or a query, the kernel bounds the
+largest degree the step can create (the lcm's degree, or the input's,
+plus the largest excess of a representation's degree over its element's
+lead) and re-encodes its basis at a wider width when the bound reaches
+the limit.
 
 Coefficient arithmetic is specialised per field and never goes through
 the Field object in the inner loops: GF(p) uses ints with one `% p` per
@@ -148,6 +168,37 @@ def column_degree(col: dict, twists) -> int | None:
     return None
 
 
+class _Parts(dict):
+    """monomial -> key part under `weights`, filled on first use."""
+
+    __slots__ = ("weights",)
+
+    def __missing__(self, mono):
+        part = self[mono] = sum(map(mul, mono, self.weights))
+        return part
+
+
+class _Monos(dict):
+    """key part -> monomial: the partial sums in fields of `fbits` bits
+    above `pbits` bits, undone; filled on first use."""
+
+    __slots__ = ("nvars", "fbits", "pbits")
+
+    def __missing__(self, part):
+        fbits, fmask = self.fbits, (1 << self.fbits) - 1
+        rest = part >> self.pbits
+        mono, prev = [], 0
+        for _ in range(self.nvars - 1):
+            s = rest & fmask
+            mono.append(s - prev)
+            prev = s
+            rest >>= fbits
+        if self.nvars:
+            mono.append(rest - prev)
+        mono = self[part] = tuple(mono)
+        return mono
+
+
 class _TermKeys:
     """Integer keys of terms (pos, mono) for one kernel instance.
 
@@ -159,10 +210,17 @@ class _TermKeys:
     bit of each field is spare and serves as the guard bit of the packed
     exponent form `exps` used for divisibility.  The width is chosen so
     that `limit` exceeds twice the `degree` asked for, and is at least 32.
+
+    A key is the part of its monomial plus pmask - pos; the part has its
+    low `pbits` bits zero, so key - (key & pmask) recovers it.  Two tables,
+    filled on first use, spare the arithmetic for a monomial met again:
+    `parts` maps a monomial to its part and `monos` a part to its
+    monomial.  Both belong to this width alone: a wider instance starts
+    with empty tables.
     """
 
     __slots__ = ("nvars", "fbits", "pbits", "pmask", "limit", "dshift",
-                 "weights", "lowmask", "guard")
+                 "weights", "lowmask", "guard", "parts", "monos")
 
     def __init__(self, nvars: int, degree: int, positions: int):
         fbits = max(6, degree.bit_length() + 2)
@@ -177,27 +235,22 @@ class _TermKeys:
                         for i in range(nvars)]
         self.lowmask = (1 << (fbits * max(nvars - 1, 0))) - 1
         self.guard = sum(1 << (fbits * k + fbits - 1) for k in range(nvars))
+        self.parts = parts = _Parts()
+        parts.weights = self.weights
+        self.monos = monos = _Monos()
+        monos.nvars, monos.fbits, monos.pbits = nvars, fbits, self.pbits
 
     def covers(self, degree: int, pos: int) -> bool:
         return degree < self.limit and pos <= self.pmask
 
     def key(self, term) -> int:
         pos, mono = term
-        return sum(map(mul, mono, self.weights)) + self.pmask - pos
+        return self.parts[mono] + self.pmask - pos
 
     def term(self, key: int):
         """The (pos, mono) a key encodes."""
-        pos = self.pmask - (key & self.pmask)
-        rest = key >> self.pbits
-        mono, prev, fmask = [], 0, (1 << self.fbits) - 1
-        for _ in range(self.nvars - 1):
-            s = rest & fmask
-            mono.append(s - prev)
-            prev = s
-            rest >>= self.fbits
-        if self.nvars:
-            mono.append(rest - prev)
-        return pos, tuple(mono)
+        low = key & self.pmask
+        return self.pmask - low, self.monos[key - low]
 
     def exps(self, key: int) -> int:
         """Packed exponents a_1 + a_2 B + .. of a key's monomial, B = 2**fbits."""
@@ -381,13 +434,19 @@ class ModuleGB:
         self.kept: list = []
         self._elems: list[_Elem] = []
         self._by_pos: dict = {}
-        self._rank_one = len(self.twists) <= 1
         columns = list(columns)
         self._tracked = len(columns)
         self._input_columns = columns + list(fixed)
         q = None if quotient is None or quotient.is_polynomial else quotient
         self._quotient = q
         self.syzygies_reduced = q is None or q._monomial
+        # where the product criterion drops a coprime pair (module doc):
+        # any pair of a plain rank-one run, and a pair with a monomial of
+        # I*F in a plain run or a tracked minimal one with no fixed
+        # columns over a monomial I
+        self._coprime_any = not track and len(self.twists) <= 1
+        self._coprime_ideal = not track or (
+            minimal and not fixed and q is not None and q._monomial)
         # the monomials whose multiples a harvest drops, and their packed
         # exponents under the term keys they were last packed with
         self._harvest_leads = q._leads if q is not None and track \
@@ -433,12 +492,12 @@ class ModuleGB:
         keys = self._keys
         top = max(col, default=-1)
         if top <= keys.pmask:
-            w, pmask, enter = keys.weights, keys.pmask, self._ar.entering
+            parts, pmask, enter = keys.parts, keys.pmask, self._ar.entering
             if enter is None:
-                out = {sum(map(mul, m, w)) + pmask - pos: c
+                out = {parts[m] + pmask - pos: c
                        for pos, poly in col.items() for m, c in poly.terms.items()}
             else:
-                out = {sum(map(mul, m, w)) + pmask - pos: enter(c)
+                out = {parts[m] + pmask - pos: enter(c)
                        for pos, poly in col.items() for m, c in poly.terms.items()}
             if not out or keys.degree(max(out)) + extra_degree < keys.limit:
                 return out
@@ -448,11 +507,13 @@ class ModuleGB:
 
     def _column(self, vec: dict) -> dict:
         """Kernel dict -> column {row: Poly}, rows ascending."""
-        term, leaving = self._keys.term, self._ar.leaving
+        monos, pmask = self._keys.monos, self._keys.pmask
+        leaving = self._ar.leaving
         cols: dict = {}
         for k, c in vec.items():
-            pos, m = term(k)
-            cols.setdefault(pos, {})[m] = c if leaving is None else leaving(c)
+            low = k & pmask
+            cols.setdefault(pmask - low, {})[monos[k - low]] = \
+                c if leaving is None else leaving(c)
         return {pos: Poly(self.ring, terms) for pos, terms in sorted(cols.items())}
 
     # construction ---------------------------------------------------
@@ -470,11 +531,15 @@ class ModuleGB:
         columns = self._input_columns
         pairs: list = []
         monos: list = []  # lead monomials, parallel to self._elems
-        # per position: indices of the live (not inert) and inert elements,
-        # and the largest lead degree among the inert ones
+        # per position: indices of the live (not inert) elements, of the
+        # inert ones outside I*F and of the monomials of I*F, and the
+        # largest lead degree among the last two
         live: dict = {}
         inert: dict = {}
+        ideal: dict = {}
         inert_top: dict = {}
+        push = self._push_pairs
+        coprime_any, coprime_ideal = self._coprime_any, self._coprime_ideal
 
         def add(e, mono):
             """Append e (lead monomial mono) and queue or form its pairs.
@@ -486,13 +551,17 @@ class ModuleGB:
             self._by_pos.setdefault(pos, []).append(idx)
             monos.append(mono)
             twist = self.twists[pos]
-            self._push_pairs(pairs, idx, mono, twist, live.get(pos, ()), monos)
+            push(pairs, idx, mono, twist, live.get(pos, ()), monos, coprime_any)
             if e.tail or e.rep:
-                self._push_pairs(pairs, idx, mono, twist, inert.get(pos, ()), monos)
+                if pos in inert:
+                    push(pairs, idx, mono, twist, inert[pos], monos, coprime_any)
+                push(pairs, idx, mono, twist, ideal.get(pos, ()), monos,
+                     coprime_ideal)
                 live.setdefault(pos, []).append(idx)
                 return
             deg, top = mono_deg(mono), inert_top.get(pos)
-            self._form_inert(mono, twist, inert.get(pos, ()), top, monos)
+            self._form_inert(mono, twist, top, monos, inert.get(pos, ()),
+                             ideal.get(pos, ()))
             inert.setdefault(pos, []).append(idx)
             inert_top[pos] = deg if top is None else max(deg, top)
 
@@ -519,7 +588,7 @@ class ModuleGB:
             if self.track:
                 rep = {self._keys.key((t, one)): 1} if t < ntracked else {}
             add_vec(vec, rep)
-        self._admit_ideal(pairs, live, inert, inert_top, monos)
+        self._admit_ideal(pairs, live, inert, ideal, inert_top, monos)
         # a plain minimal run ends with its last admission
         drain = self.track or not minimal
         while waiting or (pairs and drain):
@@ -537,9 +606,7 @@ class ModuleGB:
             lcm = mono_lcm(monos[i], monos[j])
             # every term this pair creates has degree <= deg(lcm) + excess
             self._ensure(mono_deg(lcm) + self._excess)
-            if not self.track and (
-                    self._chain_skip(i, j, lcm, monos)
-                    or self._rank_one and mono_coprime(monos[i], monos[j])):
+            if not self.track and self._chain_skip(i, j, lcm, monos):
                 continue
             top = self._keys.key((gi.pos, lcm))
             qi, qj = top - gi.lead, top - gj.lead
@@ -568,7 +635,7 @@ class ModuleGB:
             self._minimize()
             self._tails_pending = True
 
-    def _admit_ideal(self, pairs, live, inert, inert_top, monos):
+    def _admit_ideal(self, pairs, live, inert, ideal, inert_top, monos):
         """Admit I*F after the fixed columns (see the module doc): per
         position, one loop appends the copies and does `add`'s pair work."""
         q = self._quotient
@@ -584,10 +651,11 @@ class ModuleGB:
         ideal_monos = [m for m, inert_f in zip(leads, monomial) if inert_f]
         ideal_top = max(map(mono_deg, ideal_monos), default=None)
         elems, track, push = self._elems, self.track, self._push_pairs
+        coprime_any, coprime_ideal = self._coprime_any, self._coprime_ideal
         for p, twist in enumerate(self.twists):
             by_pos = self._by_pos.setdefault(p, [])
-            live_p, inert_p = live.setdefault(p, []), inert.setdefault(p, [])
-            fixed, fixed_top = list(inert_p), inert_top.get(p)
+            live_p, ideal_p = live.setdefault(p, []), ideal.setdefault(p, [])
+            fixed, fixed_top = inert.get(p, ()), inert_top.get(p)
             if q._pair_top is not None:
                 if q._pair_top + twist <= self._limit:
                     self._form(q._pair_top + twist)
@@ -599,34 +667,37 @@ class ModuleGB:
                 elems.append(e0.moved(p, {} if track else None))
                 by_pos.append(idx)
                 monos.append(mono)
-                push(pairs, idx, mono, twist, live_p, monos)
+                push(pairs, idx, mono, twist, live_p, monos,
+                     coprime_ideal if inert_f else coprime_any)
                 if inert_f:
-                    self._form_inert(mono, twist, fixed, fixed_top, monos)
-                    inert_p.append(idx)
+                    self._form_inert(mono, twist, fixed_top, monos, fixed)
+                    ideal_p.append(idx)
                 else:
-                    push(pairs, idx, mono, twist, inert_p, monos)
+                    push(pairs, idx, mono, twist, fixed, monos, coprime_any)
+                    push(pairs, idx, mono, twist, ideal_p, monos, coprime_ideal)
                     live_p.append(idx)
             if ideal_top is not None:
                 inert_top[p] = ideal_top if fixed_top is None \
                     else max(ideal_top, fixed_top)
 
-    def _form_inert(self, mono, twist, others, others_top, monos):
+    def _form_inert(self, mono, twist, others_top, monos, *groups):
         """Form the pairs of an inert element (lead monomial mono) with
-        the inert elements `others` of its position, whose largest lead
-        degree is others_top.  Their S-vectors are 0, so none is queued;
-        deg lcm <= the sum of the lead degrees, and only a sum above
-        .top_degree calls for the exact lcm degrees."""
+        the inert elements in `groups` (lists of indices) of its position,
+        whose largest lead degree is others_top.  Their S-vectors are 0,
+        so none is queued; deg lcm <= the sum of the lead degrees, and
+        only a sum above .top_degree calls for the exact lcm degrees."""
         if others_top is not None and (
                 self.top_degree is None
                 or mono_deg(mono) + others_top + twist > self.top_degree):
             self._form_max(sum(map(max, monos[other], mono)) + twist
-                           for other in others)
+                           for others in groups for other in others)
 
-    def _push_pairs(self, pairs, idx, mono, twist, others, monos):
+    def _push_pairs(self, pairs, idx, mono, twist, others, monos, coprime):
         """Queue (other, idx) pairs by degree: deg lcm of leads + twist.
-        A limited run neither queues nor forms a pair above its limit;
-        .top_degree never exceeds the limit, so only a pair above the top
-        can."""
+        With coprime=True a pair of coprime leads is formed but not
+        queued: the product criterion (module doc).  A limited run
+        neither queues nor forms a pair above its limit; .top_degree never
+        exceeds the limit, so only a pair above the top can."""
         top, limit = self.top_degree, self._limit
         for other in others:
             degree = sum(map(max, monos[other], mono)) + twist
@@ -635,6 +706,8 @@ class ModuleGB:
                     continue
                 self._form(degree)
                 top = degree
+            if coprime and mono_coprime(monos[other], mono):
+                continue
             heappush(pairs, (degree, other, idx))
 
     def _form_max(self, degrees):

@@ -5,12 +5,15 @@ monomial ideals.
 in the reduced basis of I right after the fixed columns.  It must be the
 same run as one given those products as the last fixed columns
 (`ring.aug_columns(twists)`): the same basis, leading terms, kept
-candidates, syzygies, pair tops and budget errors.  Over a monomial I the
-run with `quotient` drops the terms in I from its harvest, and a syzygy
-that is 0 there; its syzygies are those of the other run reduced mod I.  A basis reduces its
-tails on the first read of tails or representations; membership, normal
-forms and leading terms read before that must be the ones the reduced
-basis gives.  Over a monomial ideal, `GradedRing.nf` drops the terms a
+candidates, syzygies, pair tops and budget errors.  The same outputs, not
+the same work: the run with `quotient` forms but does not queue some
+coprime pairs with a monomial of I*F (the product criterion, see
+`groebner`), which the other run reduces.  Over a monomial I the run with
+`quotient` drops the terms in I from its harvest, and a syzygy that is 0
+there; its syzygies are those of the other run reduced mod I.  A basis
+reduces its tails on the first read of tails or representations;
+membership, normal forms and leading terms read before that must be the
+ones the reduced basis gives.  Over a monomial ideal, `GradedRing.nf` drops the terms a
 lead divides instead of running the kernel; it must agree with the
 kernel's normal form.
 """

@@ -22,6 +22,7 @@ from linkage_lab.polynomials import PolyRing
 from linkage_lab.rings import make_ring
 
 import kernel_golden
+from test_ideal_admission import _reduced
 
 
 def ring_xy():
@@ -668,3 +669,186 @@ def test_a_limited_run_answers_only_its_syzygies():
     for kwargs in ({"track": False}, {"track": True, "minimal": True}):
         with pytest.raises(ValueError, match="degree limit"):
             ModuleGB(R.poly_ring, columns, [0], through=1, **kwargs)
+
+
+# -- the product criterion for I*F --------------------------------------------
+
+@pytest.fixture
+def counted(monkeypatch):
+    """counted(make) -> (make(), the ModuleGB._reduce calls it made)."""
+    calls = []
+    reduce = ModuleGB._reduce
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return reduce(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleGB, "_reduce", counting)
+
+    def counted(make):
+        start = len(calls)
+        out = make()
+        return out, len(calls) - start
+
+    return counted
+
+
+def _runs_of(monkeypatch, compute):
+    """(columns, twists, keyword arguments) of every kernel run over a
+    quotient ring that compute() makes."""
+    runs = []
+    init = ModuleGB.__init__
+
+    def recording(self, ring, columns, twists, **kwargs):
+        columns = list(columns)
+        if kwargs.get("quotient") is not None:
+            runs.append((columns, list(twists), kwargs))
+        init(self, ring, columns, twists, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ModuleGB, "__init__", recording)
+        compute()
+    return runs
+
+
+def _outputs(gb, R=None):
+    """What a run answers: leading terms (none for a run limited in
+    degree), kept candidates, syzygies (reduced mod the ideal of R when
+    given) and the top pair degree."""
+    leads = None if gb.through is not None else gb.leading_terms()
+    syzygies = gb.syzygies if R is None else _reduced(R, gb.syzygies)
+    return leads, gb.kept, syzygies, gb.top_degree
+
+
+def _with_and_without_criterion(counted, R, columns, twists, **kwargs):
+    """The reduction counts of the run with quotient=R and of the same run
+    with I*F as its last fixed columns (where no criterion reads I*F),
+    after checking that the two answer alike."""
+    S, fixed = R.poly_ring, list(kwargs.pop("fixed", ()))
+    ideal, fewer = counted(lambda: ModuleGB(S, columns, twists, fixed=fixed,
+                                            quotient=R, **kwargs))
+    aug, full = counted(lambda: ModuleGB(S, columns, twists,
+                                         fixed=fixed + R.aug_columns(twists),
+                                         **kwargs))
+    assert _outputs(ideal) == _outputs(aug, R if R._monomial else None)
+    assert fewer <= full
+    return fewer, full
+
+
+@pytest.mark.parametrize("R, length", [(_T, 5), (_N, 3)], ids=["T", "N"])
+def test_the_product_criterion_spares_reductions_of_resolution_steps(
+        monkeypatch, counted, R, length):
+    from linkage_lab.corpus import generate_corpus
+    from linkage_lab.resolutions import minimal_free_resolution
+
+    K = dict(generate_corpus(R, 8))["residue-field"]
+    runs = _runs_of(monkeypatch, lambda: minimal_free_resolution(K, length))
+    assert any(kw.get("minimal") and kw.get("track") for _c, _t, kw in runs)
+    fewer = full = 0
+    for columns, twists, kwargs in runs:
+        kwargs = {k: v for k, v in kwargs.items() if k != "quotient"}
+        a, b = _with_and_without_criterion(counted, R, columns, twists, **kwargs)
+        fewer, full = fewer + a, full + b
+    assert fewer < full
+
+
+_U = _LIMIT_RINGS[1]  # over QQ, with tails and one monomial generator
+
+
+def test_the_product_criterion_spares_reductions_of_plain_runs(counted):
+    """Over the whole pools of T, N and U (whose ideal has one monomial
+    generator); the chain criterion already skips most coprime pairs at
+    pop time, so the smaller pools spare none."""
+    from linkage_lab.corpus import generate_corpus
+
+    fewer = full = 0
+    for R, size in ((_T, 28), (_N, 40), (_U, 28)):
+        for _label, M in generate_corpus(R, size):
+            columns, twists = list(M.columns), list(M.gen_twists)
+            for minimal in (False, True):
+                a, b = _with_and_without_criterion(counted, R, columns, twists,
+                                                   minimal=minimal)
+                fewer, full = fewer + a, full + b
+            gb = ModuleGB(R.poly_ring, columns, twists, quotient=R)
+            aug = ModuleGB(R.poly_ring, columns, twists,
+                           fixed=R.aug_columns(twists))
+            assert gb.basis_columns() == aug.basis_columns()
+    assert fewer < full
+
+
+def test_a_tracked_minimal_run_with_fixed_columns_queues_its_coprime_pairs(
+        counted):
+    """A fixed column enters _by_pos before I*F, so it can reduce the
+    S-vector of a coprime pair with a monomial of I*F and leave a
+    representation outside I: over T this run harvests -y^2 e_1 twice,
+    and the criterion would drop one of the two."""
+    S = _T.poly_ring
+    columns = [{0: S.one(), 1: S.parse("z")}, {0: S.one()}, {}]
+    fixed = [{0: S.parse("x + y")}]
+    _with_and_without_criterion(counted, _T, columns, [1, 0], fixed=fixed,
+                                track=True, minimal=True)
+    gb = ModuleGB(S, columns, [1, 0], fixed=fixed, quotient=_T, track=True,
+                  minimal=True)
+    assert gb.syzygies[-2:] == [{1: S.parse("-y^2")}] * 2
+
+
+# -- term tables --------------------------------------------------------------
+
+def _packed(keys, term):
+    """A term's key by the arithmetic of the _TermKeys doc, no table read:
+    the partial sums of the exponents in fields of fbits bits above the
+    pbits bits that hold pmask - pos."""
+    pos, mono = term
+    key, s = 0, 0
+    for k, a in enumerate(mono):
+        s += a
+        key += s << (keys.pbits + keys.fbits * k)
+    return key + keys.pmask - pos
+
+
+@st.composite
+def _table_columns(draw):
+    """(ring, twists, a column of small degree, one of a degree beyond the
+    narrowest key width), over QQ or GF(32003) in 1 to 4 variables."""
+    field = draw(st.sampled_from([QQ, GF(32003)]))
+    nvars = draw(st.integers(1, 4))
+    S = PolyRing(field, ["x", "y", "z", "w"][:nvars])
+    twists = [0] * draw(st.integers(1, 3))
+
+    def column(low, high):
+        out = {}
+        for pos in draw(st.lists(st.integers(0, len(twists) - 1), min_size=1,
+                                 unique=True)):
+            p = S.zero()
+            for _ in range(draw(st.integers(1, 4))):
+                mono = tuple(draw(st.integers(0, high)) for _ in range(nvars))
+                if sum(mono) >= low:
+                    c = draw(st.integers(-7, 7).filter(bool))
+                    p = p + S.monomial(mono, field.from_int(c))
+            if not p.is_zero():
+                out[pos] = p
+        return dict(sorted(out.items()))
+
+    return S, twists, column(0, 4), column(40, 60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_columns())
+def test_term_tables_agree_with_the_key_arithmetic_across_widening(case):
+    S, twists, small, big = case
+    gb = ModuleGB(S, [], twists)
+    narrow = gb._keys
+    for col in (small, big, small):
+        vec = gb._encode(col)
+        keys = gb._keys
+        assert vec == {_packed(keys, (pos, m)): c for pos, p in col.items()
+                       for m, c in p.terms.items()}
+        assert gb._column(vec) == col
+        for k in vec:
+            assert keys.key(keys.term(k)) == k
+    if any(sum(m) >= narrow.limit for p in big.values() for m in p.terms):
+        assert gb._keys is not narrow
+    keys = gb._keys
+    assert all(part == _packed(keys, (keys.pmask, m))
+               for m, part in keys.parts.items())
+    assert all(keys.parts[m] == part for part, m in keys.monos.items())
