@@ -14,7 +14,8 @@ residue field, maximal ideal, cyclic quotients), then the derived layer
 built from it.  `generate_corpus(R, k)` stops at the k-th distinct
 entry, so a prefix of the base layer builds no syzygy, transpose or
 linkage image; only a k past the end of the pool builds the whole pool,
-which it extends by twists.  `corpus_pool` is the whole list.
+which it extends by the twists that are not already in it.  `corpus_pool`
+is the whole list.
 """
 
 from __future__ import annotations
@@ -128,16 +129,22 @@ def corpus_pool(ring: GradedRing):
 
 def generate_corpus(ring: GradedRing, size: int):
     """First `size` corpus entries, built only up to the last one kept;
-    past the pool's end the pool is extended by twisting."""
+    past the pool's end come the pool's twists by 1, 2, ... in pool
+    order, each skipped when its minimal presentation is already listed."""
     if size < 0:
         raise ValueError(f"corpus size must be >= 0, got {size}")
     out = list(itertools.islice(_entries(ring), size))
     pool = tuple(out)
+    seen = {M for _, M in pool}
     shift = 1
     while len(out) < size:
         for name, M in pool:
             if len(out) >= size:
                 break
-            out.append((f"twist({name},{shift})", twist_module(M, shift)))
+            twisted = twist_module(M, shift)
+            key = minimalize(twisted)
+            if key not in seen:
+                seen.add(key)
+                out.append((f"twist({name},{shift})", twisted))
         shift += 1
     return out

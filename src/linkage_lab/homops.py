@@ -32,9 +32,7 @@ minimal presentation d_1; the transpose is Tr = Tr_R, and the linkage
 operator is the first syzygy of the transpose.  Each step of the
 C-syzygy chain (`is_nth_cosyzygy_witness`) is decided by the evaluation
 map, not by Ext^1(Tr_C X, C); Tr_C remains for the Ext scans that need
-it (PROP_T1's side (i), `invariants._gc_dim`).  A test-only fault hook
-can disable the minimalization inside transpose to let the theorem
-harness demonstrate that it detects false statements.
+it (PROP_T1's side (i), `invariants._gc_dim`).
 """
 
 from __future__ import annotations
@@ -54,36 +52,12 @@ from .modules import (
 )
 from .resolutions import minimal_free_resolution
 
-# Test-only fault injection: when "skip-minimalize-transpose" is active,
-# transpose dualizes the raw presentation and returns it unminimalized.
-_ACTIVE_FAULTS: set = set()
-
-
-def set_fault(name: str, active: bool):
-    """Switch a fault on or off.  Memo entries computed through transpose
-    (the linkage report, say) do not name the faults in their keys, so
-    the memo is emptied: no value computed on one side is served on the
-    other."""
-    memo.clear()
-    if active:
-        _ACTIVE_FAULTS.add(name)
-    else:
-        _ACTIVE_FAULTS.discard(name)
-
-
-def fault_active(name: str) -> bool:
-    return name in _ACTIVE_FAULTS
-
-
 # -- transpose and the linkage operator -------------------------------------
 
 
 def transpose(M: ModulePresentation) -> ModulePresentation:
     """Tr M = Tr_R M: the transpose with respect to the ring itself."""
-    unit = free_module(M.ring, [0])
-    if fault_active("skip-minimalize-transpose"):
-        return _transpose_raw(M.reduce_entries(), unit)
-    return _transpose_wrt(minimalize(M), unit)
+    return _transpose_wrt(minimalize(M), free_module(M.ring, [0]))
 
 
 def syzygy(M: ModulePresentation, i: int) -> ModulePresentation:

@@ -266,11 +266,14 @@ def _is_isomorphic(A: ModulePresentation, B: ModulePresentation) -> IsoVerdict:
         else:
             return IsoVerdict("unknown", f"no surjection among "
                               f"{len(maps) + SEARCH_TRIES} candidates")
-    # surjective + equal Hilbert series = isomorphism; build the inverse
+    # surjective + equal Hilbert series = isomorphism; build the inverse.
+    # phi is a degree-zero map between minimal covers with invertible
+    # constant part, so its matrix is block triangular by generator degree
+    # with invertible diagonal blocks: phi is invertible over R, and every
+    # e_i lifts over its columns in F_B itself, with no relation of B
     one = ring.poly_ring.one()
-    psi_cols = [lift_over_columns(ring, {i: one}, phi_cols, B.gen_twists,
-                                  extra=list(B.columns))
-                for i in range(q)]
+    psi_cols = lift_over_columns(ring, [{i: one} for i in range(q)],
+                                 phi_cols, B.gen_twists)
     if None in psi_cols:
         raise ConsistencyError("surjective map with unliftable generator")
     if not _is_identity_mod(ring, _compose(ring, psi_cols, phi_cols), A):

@@ -7,18 +7,16 @@ So a key covers every input the computation reads, by construction (the
 dead-name test sees a key part that is never read), and a hit is
 indistinguishable from recomputation.  The two caps of `config` are the
 exception: they are constants and in no key, so a caller that changes
-them, a test say, empties the table first.  Keys are hashable and compare by structure,
-so a hit costs one dict lookup: presentations by ring, twists and
-entries (their hash computed once and kept), rings by `key()`,
-polynomials by ring and terms, a list of columns as a tuple of
-per-column (row, entry) items in the column's own order, ints, strings,
-bools, and tuples of these (an ideal as a tuple of its generators).  No
-key prints a presentation: its content key is derived only where a name
+them, a test say, empties the table first; so does a test that rebinds a
+function a computation calls, and again when it restores it.  Keys are
+hashable and compare by structure, so a hit costs one dict lookup:
+presentations by ring, twists and entries (their hash computed once and
+kept), rings by `key()`, polynomials by ring and terms, a list of
+columns as a tuple of per-column (row, entry) items in the column's own
+order, ints, strings, bools, and tuples of these (an ideal as a tuple of
+its generators).  No key prints a presentation: its content key is derived only where a name
 must be the same in every process (the resolution store's file names
 and the isomorphism search's random combinations).
-
-`homops.set_fault` empties the table whenever it is called, since the
-test-only faults change what transpose computes and no key names them.
 
 Entries are never replaced, but two kinds change in place.  The state of
 a resolution (op "resolution", keyed by the minimal presentation) is a

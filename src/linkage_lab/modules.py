@@ -104,14 +104,6 @@ class ModulePresentation:
     def n_rels(self) -> int:
         return len(self.rel_twists)
 
-    def reduce_entries(self) -> "ModulePresentation":
-        """Entries normal-formed mod I; zero columns kept (degrees known)."""
-        cols = [
-            {i: self.ring.nf(p) for i, p in col.items()}
-            for col in self.columns
-        ]
-        return ModulePresentation(self.ring, self.gen_twists, self.rel_twists, cols)
-
     def hilbert_series(self) -> HilbertSeries:
         return memo.cached("hs", _hilbert_series, self)
 
@@ -223,15 +215,10 @@ def direct_sum(M: ModulePresentation, N: ModulePresentation) -> ModulePresentati
 # -- span machinery ---------------------------------------------------------
 
 
-def span_gb(ring: GradedRing, columns, ambient_twists, *, track=False,
-            extra=()) -> ModuleGB:
-    """Groebner basis of span(columns) + span(extra) + I*F, memoized.
-
-    With track=True it lifts over `columns` alone; `extra` and I*F
-    (the ring's ideal) enter untracked.
-    """
+def span_gb(ring: GradedRing, columns, ambient_twists) -> ModuleGB:
+    """Groebner basis of span(columns) + I*F, memoized."""
     return memo.cached("span-gb", _span_gb, ring, _items(columns),
-                       tuple(ambient_twists), track, _items(extra))
+                       tuple(ambient_twists))
 
 
 def _items(columns) -> tuple:
@@ -239,11 +226,10 @@ def _items(columns) -> tuple:
     return tuple(tuple(col.items()) for col in columns)
 
 
-def _span_gb(ring, columns, ambient_twists, track, extra):
+def _span_gb(ring, columns, ambient_twists):
     return ModuleGB(
         ring.poly_ring, [dict(c) for c in columns], ambient_twists,
-        track=track, fixed=[dict(c) for c in extra], quotient=ring,
-        max_degree=config.MAX_DEGREE,
+        quotient=ring, max_degree=config.MAX_DEGREE,
     )
 
 
@@ -281,15 +267,15 @@ def _lead_series(ring: GradedRing, gb: ModuleGB,
     return out
 
 
-def lift_over_columns(ring: GradedRing, col, columns, ambient_twists, *,
-                      extra=()):
-    """Coefficients over columns (mod I) with col - sum coeffs*columns in
-    span(extra) + I*F, or None."""
-    gb = span_gb(ring, columns, ambient_twists, track=True, extra=extra)
-    lifted = gb.lift(col)
-    if lifted is None:
-        return None
-    return _reduced_entries(ring, lifted)
+def lift_over_columns(ring: GradedRing, targets, columns,
+                      ambient_twists) -> list:
+    """Per target, coefficients over columns (mod I) with target - sum
+    coeffs*columns in I*F, or None: every target lifts from one tracked
+    run, kept out of the memo."""
+    gb = ModuleGB(ring.poly_ring, list(columns), ambient_twists, track=True,
+                  quotient=ring, max_degree=config.MAX_DEGREE)
+    lifts = [gb.lift(col) for col in targets]
+    return [None if c is None else _reduced_entries(ring, c) for c in lifts]
 
 
 def _reduced_entries(ring: GradedRing, col: dict) -> dict:

@@ -134,10 +134,6 @@ class GradedRing:
     def hilbert_series(self) -> HilbertSeries:
         return memo.cached("ring-hs", _ring_series, self)
 
-    def parse(self, text: str) -> Poly:
-        """Parse and reduce mod I."""
-        return self.nf(self.poly_ring.parse(text))
-
     def quotient_by(self, extra) -> "GradedRing":
         """R/(extra) as a quotient of the same ambient ring; `extra` holds
         strings or Polys, as the relations of `GradedRing` do."""

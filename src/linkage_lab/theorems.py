@@ -92,36 +92,6 @@ from .modules import (
 )
 
 
-class TheoremId(str, enum.Enum):
-    THM_MS = "THM_MS"
-    PROP_T1 = "PROP_T1"
-    PROP_P3 = "PROP_P3"
-    PROP_T13 = "PROP_T13"
-    COR_C2 = "COR_C2"
-    LEM_LEM2 = "LEM_LEM2"
-    THM_TH5 = "THM_TH5"
-    COR_COR7 = "COR_COR7"
-    THM_THEOREM1 = "THM_THEOREM1"
-    THM_THE1 = "THM_THE1"
-    COR_THEOREM3 = "COR_THEOREM3"
-    THM_PROP_EVEN = "THM_PROP_EVEN"
-    THM_TH1 = "THM_TH1"
-    COR_COR5 = "COR_COR5"
-    COR_COR6 = "COR_COR6"
-    THM_COR3 = "THM_COR3"
-    THM_TH2 = "THM_TH2"
-    COR_SELF = "COR_SELF"
-    THM_TH3 = "THM_TH3"
-    THM_TH6 = "THM_TH6"
-    PROP_XTM = "PROP_XTM"
-    THM_TH4 = "THM_TH4"
-    THM_TH7 = "THM_TH7"
-    COR_COR1 = "COR_COR1"
-    COR_COR4 = "COR_COR4"
-    REMARK3_I = "REMARK3_I"
-    G3_AB_FORMULA = "G3_AB_FORMULA"
-
-
 @dataclass
 class HypothesisStatus:
     name: str
@@ -1198,35 +1168,42 @@ def _bindings(fn) -> tuple:
             {p.name: p.default for p in params if p.default is not p.empty})
 
 
-_CHECKS = {tid: (fn, *_bindings(fn)) for tid, fn in {
-    TheoremId.THM_MS: _check_thm_ms,
-    TheoremId.PROP_T1: _check_prop_t1,
-    TheoremId.PROP_P3: _check_prop_p3,
-    TheoremId.PROP_T13: _check_prop_t13,
-    TheoremId.COR_C2: _check_cor_c2,
-    TheoremId.LEM_LEM2: _check_lem_lem2,
-    TheoremId.THM_TH5: _check_thm_th5,
-    TheoremId.COR_COR7: _check_cor_cor7,
-    TheoremId.THM_THEOREM1: _check_thm_theorem1,
-    TheoremId.THM_THE1: _check_thm_the1,
-    TheoremId.COR_THEOREM3: _check_cor_theorem3,
-    TheoremId.THM_PROP_EVEN: _check_thm_prop_even,
-    TheoremId.THM_TH1: _check_thm_th1,
-    TheoremId.COR_COR5: _check_cor_cor5,
-    TheoremId.COR_COR6: _check_cor_cor6,
-    TheoremId.THM_COR3: _check_thm_cor3,
-    TheoremId.THM_TH2: _check_thm_th2,
-    TheoremId.COR_SELF: _check_cor_self,
-    TheoremId.THM_TH3: _check_thm_th3,
-    TheoremId.THM_TH6: _check_thm_th6,
-    TheoremId.PROP_XTM: _check_prop_xtm,
-    TheoremId.THM_TH4: _check_thm_th4,
-    TheoremId.THM_TH7: _check_thm_th7,
-    TheoremId.COR_COR1: _check_cor_cor1,
-    TheoremId.COR_COR4: _check_cor_cor4,
-    TheoremId.REMARK3_I: _check_remark3_i,
-    TheoremId.G3_AB_FORMULA: _check_g3_ab_formula,
-}.items()}
+# The one list of theorem ids: `TheoremId` is built from its keys, in
+# order, and `_CHECKS` holds each check and its bindings under its member,
+# in the members' order, which is the order suites run them in.
+_CHECK_FUNCTIONS = {
+    "THM_MS": _check_thm_ms,
+    "PROP_T1": _check_prop_t1,
+    "PROP_P3": _check_prop_p3,
+    "PROP_T13": _check_prop_t13,
+    "COR_C2": _check_cor_c2,
+    "LEM_LEM2": _check_lem_lem2,
+    "THM_TH5": _check_thm_th5,
+    "COR_COR7": _check_cor_cor7,
+    "THM_THEOREM1": _check_thm_theorem1,
+    "THM_THE1": _check_thm_the1,
+    "COR_THEOREM3": _check_cor_theorem3,
+    "THM_PROP_EVEN": _check_thm_prop_even,
+    "THM_TH1": _check_thm_th1,
+    "COR_COR5": _check_cor_cor5,
+    "COR_COR6": _check_cor_cor6,
+    "THM_COR3": _check_thm_cor3,
+    "THM_TH2": _check_thm_th2,
+    "COR_SELF": _check_cor_self,
+    "THM_TH3": _check_thm_th3,
+    "THM_TH6": _check_thm_th6,
+    "PROP_XTM": _check_prop_xtm,
+    "THM_TH4": _check_thm_th4,
+    "THM_TH7": _check_thm_th7,
+    "COR_COR1": _check_cor_cor1,
+    "COR_COR4": _check_cor_cor4,
+    "REMARK3_I": _check_remark3_i,
+    "G3_AB_FORMULA": _check_g3_ab_formula,
+}
+TheoremId = enum.Enum("TheoremId", [(t, t) for t in _CHECK_FUNCTIONS],
+                      type=str, module=__name__)
+_CHECKS = {tid: (_CHECK_FUNCTIONS[tid], *_bindings(_CHECK_FUNCTIONS[tid]))
+           for tid in TheoremId}
 # the checks that scan through the vanishing bound, their first parameter
 _SCANS = frozenset(fn for fn, *_ in _CHECKS.values()
                    if "bound" in inspect.signature(fn).parameters)

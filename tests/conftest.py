@@ -1,9 +1,13 @@
 """Every test starts from an empty memo, so no outcome depends on which
 tests ran before it."""
 
+import contextlib
+import sys
+
 import pytest
 
-from linkage_lab import config, memo
+from linkage_lab import config, homops, memo
+from linkage_lab.modules import ModulePresentation, free_module
 
 
 @pytest.fixture(autouse=True)
@@ -23,3 +27,39 @@ def set_caps(monkeypatch):
         memo.clear()
 
     return set_caps
+
+
+def _unminimized_transpose(M):
+    """The planted fault: the dual of M's own presentation, entries
+    reduced mod I, with no minimalization before or after."""
+    cols = [{i: M.ring.nf(p) for i, p in col.items()} for col in M.columns]
+    M = ModulePresentation(M.ring, M.gen_twists, M.rel_twists, cols)
+    return homops._transpose_raw(M, free_module(M.ring, [0]))
+
+
+@contextlib.contextmanager
+def _transpose_fault():
+    clean = homops.transpose
+    bound = [m for name, m in sys.modules.items()
+             if name.split(".")[0] == "linkage_lab"
+             and vars(m).get("transpose") is clean]
+    memo.clear()
+    for m in bound:
+        m.transpose = _unminimized_transpose
+    try:
+        yield
+    finally:
+        for m in bound:
+            m.transpose = clean
+        memo.clear()
+
+
+@pytest.fixture
+def transpose_fault():
+    """`with transpose_fault(): ...` is the negative controls' fault:
+    inside the block, every loaded linkage_lab module whose `transpose`
+    is `homops.transpose` (homops itself, so `lambda_module` too) has it
+    rebound to `_unminimized_transpose`, and the memo, whose keys do not
+    name the rebinding, is emptied on entry and on exit.  A test's own
+    imported `transpose` is not rebound: call `homops.transpose`."""
+    return _transpose_fault

@@ -24,7 +24,8 @@ THM_PROP_EVEN) are not in the default battery.  Their reports, from
 stage of their hypotheses, are stored in tests/golden/special_instances.json.
 
 Each whole pool (`POOLS`, the sizes CI's field step runs: each pool's
-length, and for N its 36 entries and four twists) is too large to store
+length, and for N its 36 entries and the first four of their twists that
+are not already among them) is too large to store
 report by report; its reports over the ring's own field are stored as
 one SHA-256 each, keyed by theorem id and instance line, in
 tests/golden/pool_digests.json.
@@ -138,20 +139,18 @@ DIGESTS_PATH = os.path.join(GOLDEN_DIR, "pool_digests.json")
 
 def pool_digests(name: str) -> dict:
     """{"theorem id | instance": SHA-256 of the report's sorted JSON} over
-    the whole pool of R.  A key met again (a pool past its end repeats a
-    label) gets " #2", " #3", ... in order.  The memo is emptied first,
-    so a pool costs the same whatever ran before it."""
+    the whole pool of R; a key met twice raises, since no two corpus
+    entries share a label.  The memo is emptied first, so a pool costs the
+    same whatever ran before it."""
     from linkage_lab import memo
 
     memo.clear()
     out = {}
     for entry in json.loads(report(name, POOLS[name]))["results"]:
         for r in entry["report"]["reports"]:
-            key = base = f"{r['theorem_id']} | {r['instance']}"
-            k = 1
-            while key in out:
-                k += 1
-                key = f"{base} #{k}"
+            key = f"{r['theorem_id']} | {r['instance']}"
+            if key in out:
+                raise ValueError(f"report key met twice: {key}")
             text = json.dumps(r, sort_keys=True)
             out[key] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return out

@@ -17,7 +17,6 @@ from linkage_lab.homops import (
     ext,
     is_c_torsionless,
     lambda_module,
-    set_fault,
     tensor,
     transpose,
 )
@@ -294,14 +293,11 @@ def test_criterion_10_determinism_and_cache(tmp_path, monkeypatch):
           f"warm {warm_steps}")
 
 
-def test_criterion_11_fault_negative_control():
+def test_criterion_11_fault_negative_control(transpose_fault):
     _, H, pool = _classical_pools()[1]
     instances = default_instances(H, pool, [TheoremId.THM_MS])
-    set_fault("skip-minimalize-transpose", True)
-    try:
+    with transpose_fault():
         reports, summary = run_suite(instances)
-    finally:
-        set_fault("skip-minimalize-transpose", False)
     refuted = summary["counts"].get("Refuted", 0)
     _emit(11, refuted >= 1 and not summary["suite_passed"],
           f"minimalization-skip fault produces {refuted} refuted "

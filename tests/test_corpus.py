@@ -6,7 +6,7 @@ import pytest
 from linkage_lab import homops
 from linkage_lab.corpus import corpus_pool, generate_corpus
 from linkage_lab.fields import GF, QQ
-from linkage_lab.modules import twist_module
+from linkage_lab.modules import minimalize, twist_module
 from linkage_lab.rings import make_ring
 
 RINGS = {
@@ -27,11 +27,23 @@ def test_prefixes_of_the_pool_and_its_twists(label):
     pool = corpus_pool(ring)
     for k in range(len(pool) + 1):
         assert _keys(generate_corpus(ring, k)) == _keys(pool[:k]), k
-    # past the pool's end, the pool again twisted by 1
-    twisted = [(f"twist({name},1)", twist_module(M, 1)) for name, M in pool]
+    # past the pool's end, the twists by 1 not already present, in pool order
+    present = {M for _, M in pool}
+    twisted = [(f"twist({name},1)", twist_module(M, 1)) for name, M in pool
+               if minimalize(twist_module(M, 1)) not in present]
     for extra in (1, 2, 3):
         assert _keys(generate_corpus(ring, len(pool) + extra)) == \
             _keys(pool + twisted[:extra]), extra
+
+
+@pytest.mark.parametrize("label", sorted(RINGS))
+def test_the_padding_past_the_pool_repeats_no_module_and_no_label(label):
+    ring = RINGS[label]
+    entries = generate_corpus(ring, len(corpus_pool(ring)) + 3)
+    names = [name for name, _ in entries]
+    modules = [minimalize(M) for _, M in entries]
+    assert len(set(names)) == len(names)
+    assert len(set(modules)) == len(modules)
 
 
 def test_a_base_layer_prefix_builds_no_derived_module(monkeypatch):

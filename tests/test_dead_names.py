@@ -9,9 +9,11 @@ as used when its bound name appears anywhere in the module or in __all__.
 A function or method counts as used when its name appears as a name or
 an imported name anywhere in src/, demos/ or perfbench/, or in the
 package's `_EXPORTS` table, or as an attribute: a method as any attribute, a
-module-level function of m.py only as m.<name>.  Dunder methods are
-called implicitly and always count as used.  A reference from tests/ does not count: the library keeps no
-API for its tests alone, except the documented fault hook in TEST_HOOKS.
+module-level function of m.py only as m.<name>.  So a method counts as
+used whenever any attribute anywhere has its name, whatever object it is
+read from.  Dunder methods are called implicitly and always count as
+used.  A reference from tests/ does not count: the library keeps no API
+for its tests alone, with no exceptions.
 """
 
 import ast
@@ -21,8 +23,6 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src", "linkage_lab")
 TESTS = os.path.join(ROOT, "tests")
 REFERENCING = ("src", "demos", "perfbench")
-# test-only functions the library keeps on purpose: module:function
-TEST_HOOKS = {"homops.py:set_fault"}
 
 
 def _modules(directory=SRC):
@@ -129,8 +129,7 @@ def dead_functions(modules, trees) -> list:
                 and not (fn.name.startswith("__") and fn.name.endswith("__"))
                 and fn.name not in names
                 and not (fn.name in attr_names if owner
-                         else (module, fn.name) in attrs)
-                and f"{name}:{owner}{fn.name}" not in TEST_HOOKS]
+                         else (module, fn.name) in attrs)]
     return out
 
 

@@ -1,11 +1,14 @@
 """Homological operator tests: transpose, dual, Ext, Tor, tensor, hom,
 syzygies, and the universal pushforward along a semidualizing module."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_golden
+from linkage_lab import homops, linkage, memo
 from linkage_lab.corpus import corpus_pool, generate_corpus, maximal_ideal
 from linkage_lab.errors import InapplicableError
 from linkage_lab.fields import GF, QQ, field_from_name
@@ -15,13 +18,11 @@ from linkage_lab.homops import (
     evaluation_map,
     ext,
     ext_vanishes,
-    fault_active,
     hom_module,
     hom_with_realizations,
     is_c_torsionless,
     is_nth_cosyzygy_witness,
     lambda_module,
-    set_fault,
     syzygy,
     tensor,
     tor,
@@ -76,23 +77,34 @@ def test_transpose_is_minimal_without_fault():
     assert A == minimalize(A)
 
 
-def test_fault_hook_skips_minimalization():
+def test_fault_hook_skips_minimalization(transpose_fault):
     # the raw dualized presentation keeps junk relations, and the free
     # summand of M stops being detected by the double transpose
-    from linkage_lab.linkage import is_stable
     m = maximal_ideal(H)
     M = direct_sum(free_module(H, [0]), m)
     clean = transpose(M)
-    assert not fault_active("skip-minimalize-transpose")
-    assert is_stable(M) == (False, 1)
-    set_fault("skip-minimalize-transpose", True)
-    try:
-        raw = transpose(M)
+    assert linkage.is_stable(M) == (False, 1)
+    with transpose_fault():
+        raw = homops.transpose(M)
         assert raw.n_rels() > clean.n_rels()
-        assert is_stable(M) == (True, 0)  # the fault hides the summand
-    finally:
-        set_fault("skip-minimalize-transpose", False)
-    assert is_stable(M) == (False, 1)
+        # the fault hides the summand
+        assert linkage.is_stable(M) == (True, 0)
+    assert linkage.is_stable(M) == (False, 1)
+
+
+def test_fault_block_restores_every_binding_and_empties_the_memo(
+        transpose_fault):
+    clean = homops.transpose
+    bound = [m for name, m in sys.modules.items()
+             if name.split(".")[0] == "linkage_lab"
+             and vars(m).get("transpose") is clean]
+    assert homops in bound and linkage in bound
+    with transpose_fault():
+        assert all(m.transpose is not clean for m in bound)
+        lambda_module(maximal_ideal(H))
+        assert memo._TABLE
+    assert all(m.transpose is clean for m in bound)
+    assert not memo._TABLE
 
 
 def test_syzygy_exactness_via_series():

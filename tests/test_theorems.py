@@ -13,7 +13,6 @@ from linkage_lab.corpus import (
 )
 from linkage_lab.dsl import parse
 from linkage_lab.fields import GF, QQ
-from linkage_lab.homops import set_fault
 from linkage_lab.invariants import canonical_module, coefficient_facts
 from linkage_lab.modules import (
     cyclic_module,
@@ -198,17 +197,14 @@ def test_a_run_bound_reaches_the_checks(bound, label):
     assert {(h["label"], h["detail"]) for h in hyps} == {(label, f"0 ({tag})")}
 
 
-def test_fault_injection_refutes_ms_criterion():
+def test_fault_injection_refutes_ms_criterion(transpose_fault):
     # with transpose minimalization disabled, a module with a free
     # summand passes the stability test but fails double linkage
     M = direct_sum(free_module(H, [0]), maximal_ideal(H))
     clean = check("THM_MS", {"M": M})
     assert clean.verdict == "Verified"
-    set_fault("skip-minimalize-transpose", True)
-    try:
+    with transpose_fault():
         faulty = check("THM_MS", {"M": M})
-    finally:
-        set_fault("skip-minimalize-transpose", False)
     assert faulty.verdict == "Refuted"
     assert not faulty.suspected_counterexample  # hypotheses stayed exact
 
@@ -256,14 +252,11 @@ def test_run_suite_counts_and_pass_flag():
     assert summary["hard_refutations"] == []
 
 
-def test_suite_flags_hard_refutation_under_fault():
+def test_suite_flags_hard_refutation_under_fault(transpose_fault):
     M = direct_sum(free_module(H, [0]), maximal_ideal(H))
     instances = [(TheoremId.THM_MS, {"M": M, "label": "planted"})]
-    set_fault("skip-minimalize-transpose", True)
-    try:
+    with transpose_fault():
         reports, summary = run_suite(instances)
-    finally:
-        set_fault("skip-minimalize-transpose", False)
     assert not summary["suite_passed"]
     assert summary["counts"]["Refuted"] == 1
     assert summary["hard_refutations"] != []
