@@ -6,10 +6,11 @@ that ends, keyed by the minimal presentation (which is
 Groebner-canonicalized), the two caps of `config` and the step, so the
 same module declared through different matrices hits the same entries,
 and an entry written under other caps is never read.  A map entry is
-dictionary-coded: a table of its distinct monomials, one of its
-distinct coefficients, and each term as integer indices into them; its
-key names that layout, so an entry written in an older layout is never
-read.  resolutions.py documents the format, the checks a load runs and
+coded in integers: a table of its distinct monomials, one of its
+distinct coefficients, one of its distinct polynomials, each term as
+indices into the first two, and each column's cells as a row and an
+index into the third; its key names that layout, so an entry written
+in an older layout is never read.  resolutions.py documents the format, the checks a load runs and
 how a stored resolution is extended.  A valid entry is append-only: a
 second save under an existing key is a no-op, and writes go through a
 temporary file and an atomic rename.  A missing file is a miss.  A

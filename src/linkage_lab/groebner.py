@@ -230,11 +230,14 @@ class _TermKeys:
         self.pmask = (1 << self.pbits) - 1
         self.limit = 1 << (fbits - 1)
         self.dshift = self.pbits + fbits * max(nvars - 1, 0)
-        # x_i contributes 1 to the fields s_i .. s_n
-        self.weights = [sum(1 << (fbits * k) for k in range(i, nvars)) << self.pbits
+        # x_i contributes 1 to the fields s_i .. s_n: the weight is
+        # B**i + .. + B**(n-1) = (B**n - B**i) / (B - 1), B = 2**fbits
+        top, base = 1 << (fbits * nvars), (1 << fbits) - 1
+        self.weights = [(top - (1 << (fbits * i))) // base << self.pbits
                         for i in range(nvars)]
         self.lowmask = (1 << (fbits * max(nvars - 1, 0))) - 1
-        self.guard = sum(1 << (fbits * k + fbits - 1) for k in range(nvars))
+        # the top bit of every field: 2**(fbits-1) * (1 + B + .. + B**(n-1))
+        self.guard = (top - 1) // base << (fbits - 1)
         self.parts = parts = _Parts()
         parts.weights = self.weights
         self.monos = monos = _Monos()

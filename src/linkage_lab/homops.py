@@ -346,8 +346,9 @@ def _certify_twist(B: ModulePresentation, a: int) -> bool:
 
 def _ext_direct(A: ModulePresentation, B: ModulePresentation,
                 i: int) -> ModulePresentation:
-    """Ext^i(A, B) for minimal A, B: cohomology of Hom(resolution of A, B)."""
-    return _hom_cohomology(A, B, i)[0]
+    """Ext^i(A, B) for minimal A, B: cohomology of Hom(resolution of A, B),
+    the memo entry `_hom` reads at i = 0."""
+    return memo.cached("hom", _hom_cohomology, A, B, i)[0]
 
 
 def tor(M: ModulePresentation, N: ModulePresentation,

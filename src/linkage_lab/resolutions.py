@@ -32,22 +32,29 @@ store written under other caps is never read:
 
 - the map entry of step i >= 2 holds the twists of F_i, a table of the
   distinct monomials of d_i (exponent lists), a table of its distinct
-  coefficients [numerator, denominator], and the columns of d_i, each a
-  list of terms [row, monomial index, coefficient index]; a load builds
-  the polynomials directly, with the field's own coefficient type, and
+  coefficients [numerator, denominator], a table of its distinct
+  entries (polynomials), each a list of terms [monomial index,
+  coefficient index] in the polynomial's own term order, and the
+  columns of d_i, each a list of cells [row, entry index] in the
+  column's row order; a load builds each distinct polynomial once,
+  directly, with the field's own coefficient type, shares it among the
+  cells that name it (polynomials are immutable by convention), and
   never parses text;
 - the completion entry holds the number of maps of a resolution that
   ended.
 
 No entry depends on the length asked for, so a scan writes each step
 once and a shorter request is a pure load.  A loaded entry is checked,
-not trusted: its shape, that every number is an int, each monomial and
-coefficient of its tables once (n exponents, none negative; a nonzero
-element of the field), and that every term is homogeneous of degree
-twist(F_i)[column] - twist(F_{i-1})[row] against the twists loaded
-before it, with no row or monomial repeated.  A corrupt, malformed or
-inhomogeneous entry is a miss: a warning names it on stderr, it is
-discarded, and the step is recomputed and written again.
+not trusted: its shape and that every number is an int; each item of
+its tables once: a monomial has n exponents, none negative; a
+coefficient is a nonzero element of the field; a polynomial is a
+nonempty list of terms whose indices are in range, with no monomial
+repeated and all of one degree; and each cell by its indices (the row
+in F_{i-1} and not repeated in its column, the entry in its table) and
+one comparison: the entry's degree must be twist(F_i)[column] -
+twist(F_{i-1})[row], against the twists loaded before it.  A corrupt,
+malformed or inhomogeneous entry is a miss: a warning names it on
+stderr, it is discarded, and the step is recomputed and written again.
 
 The store holds no candidates, so a state whose last maps came from it
 (more than one map and no candidates) is extended by rebuilding it from
@@ -161,7 +168,7 @@ class Resolution:
 
 # the tag of each kind of entry in its key; a map's names its layout,
 # so an entry written in an older layout is never read
-_TAGS = {"map": "resolution-map-dict", "complete": "resolution-complete"}
+_TAGS = {"map": "resolution-map-entries", "complete": "resolution-complete"}
 
 
 def _key(kind: str, Mmin: ModulePresentation, step: int = 0) -> str:
@@ -175,20 +182,25 @@ def _key(kind: str, Mmin: ModulePresentation, step: int = 0) -> str:
 
 
 def _entry(columns, degrees) -> dict:
-    """Columns with their degrees, dictionary-coded in integers: a table
-    of the distinct monomials, a table of the distinct coefficients as
-    [numerator, denominator], and each column as its terms [row,
-    monomial index, coefficient index], row by row, each polynomial's
-    terms in their order."""
+    """Columns with their degrees, coded in integers: a table of the
+    distinct monomials, a table of the distinct coefficients as
+    [numerator, denominator], a table of the distinct polynomials, each
+    its terms [monomial index, coefficient index] in its own order, and
+    each column as its cells [row, entry index], row by row.  Two
+    polynomials are one entry only when they hold the same terms in the
+    same order (Poly equality ignores the order)."""
+    polys = {}
+    columns = [[[row, polys.setdefault(tuple(p.terms.items()), len(polys))]
+                for row, p in col.items()] for col in columns]
     monos, coeffs = {}, {}
-    columns = [[[row, monos.setdefault(mono, len(monos)),
-                 coeffs.setdefault(c, len(coeffs))]
-                for row, p in col.items() for mono, c in p.terms.items()]
-               for col in columns]
+    entries = [[[monos.setdefault(mono, len(monos)),
+                 coeffs.setdefault(c, len(coeffs))] for mono, c in terms]
+               for terms in polys]
     return {
         "twists": list(degrees),
         "monomials": list(monos),
         "coefficients": [[c.numerator, c.denominator] for c in coeffs],
+        "entries": entries,
         "columns": columns,
     }
 
@@ -199,17 +211,20 @@ def _decoded(ring, entry, lower):
     or ZeroDivisionError on any flaw: a shape other than _entry's, a
     number that is not an int, a monomial of another length or with a
     negative exponent, a coefficient that is zero or not in the field,
-    an index outside its table, a term whose monomial's degree is not
-    the column's twist minus the row's, a repeated monomial or row.
-    Each table item is checked once; a term costs its index checks and
-    one comparison of degrees."""
+    an empty polynomial or one whose terms repeat a monomial or have
+    two degrees, an index outside its table, a repeated row, or a cell
+    whose polynomial's degree is not the column's twist minus the row's.
+    Each table item is checked and each polynomial built once, shared
+    by every cell that names it; a cell costs its index checks and one
+    comparison of degrees."""
     S = ring.poly_ring
     n, read, ctype = S.nvars, S.field.from_fraction, type(S.field.zero())
-    degrees, monos, coeffs, cols = (entry["twists"], entry["monomials"],
-                                    entry["coefficients"], entry["columns"])
+    degrees, monos, coeffs, polys, cols = (
+        entry["twists"], entry["monomials"], entry["coefficients"],
+        entry["entries"], entry["columns"])
     if type(degrees) is not list or type(monos) is not list \
-            or type(coeffs) is not list or type(cols) is not list \
-            or len(degrees) != len(cols):
+            or type(coeffs) is not list or type(polys) is not list \
+            or type(cols) is not list or len(degrees) != len(cols):
         raise ValueError("the tables or twists and columns do not match")
     table, mono_degrees = [], []
     for exps in monos:
@@ -224,27 +239,40 @@ def _decoded(ring, entry, lower):
         if not c or type(c) is not ctype:
             raise ValueError(f"coefficient {num!r}/{den!r}")
         values.append(c)
-    n_monos, n_coeffs, n_rows = len(table), len(values), len(lower)
+    n_monos, n_coeffs = len(table), len(values)
+    built, built_degrees = [], []
+    for e, poly in enumerate(polys):
+        if type(poly) is not list or not poly:
+            raise ValueError(f"entry {e} is not a nonempty list of terms")
+        terms, degree = {}, None
+        for m, c in poly:
+            if type(m) is not int or type(c) is not int \
+                    or not 0 <= m < n_monos or not 0 <= c < n_coeffs:
+                raise ValueError(f"term {[m, c]!r} of entry {e}")
+            mono = table[m]
+            if mono in terms \
+                    or degree is not None and mono_degrees[m] != degree:
+                raise ValueError(f"entry {e} repeats a monomial or has "
+                                 f"terms of two degrees")
+            degree = mono_degrees[m]
+            terms[mono] = values[c]
+        built.append(Poly(S, terms))
+        built_degrees.append(degree)
+    n_entries, n_rows = len(built), len(lower)
     out = []
     for degree, col in zip(degrees, cols):
         if type(degree) is not int or not col:
             raise ValueError("a twist is not an integer or a column is empty")
-        column, row = {}, None
-        for r, m, c in col:
-            if type(r) is not int or type(m) is not int or type(c) is not int \
-                    or not 0 <= m < n_monos or not 0 <= c < n_coeffs:
-                raise ValueError(f"term {[r, m, c]!r}")
-            if r != row:
-                if not 0 <= r < n_rows or r in column:
-                    raise ValueError(f"bad or repeated row {r!r}")
-                row, want, terms = r, degree - lower[r], {}
-                column[r] = Poly(S, terms)
-            mono = table[m]
-            if mono_degrees[m] != want or mono in terms:
-                raise ValueError(f"a repeated monomial, or one of degree "
-                                 f"{mono_degrees[m]} where the twists give "
-                                 f"{want}")
-            terms[mono] = values[c]
+        column = {}
+        for r, e in col:
+            if type(r) is not int or type(e) is not int \
+                    or not 0 <= e < n_entries or not 0 <= r < n_rows \
+                    or r in column:
+                raise ValueError(f"bad cell or repeated row {[r, e]!r}")
+            if built_degrees[e] != degree - lower[r]:
+                raise ValueError(f"entry {e} has degree {built_degrees[e]} "
+                                 f"where the twists give {degree - lower[r]}")
+            column[r] = built[e]
         out.append(column)
     return tuple(degrees), out
 

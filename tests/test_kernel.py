@@ -852,3 +852,20 @@ def test_term_tables_agree_with_the_key_arithmetic_across_widening(case):
     assert all(part == _packed(keys, (keys.pmask, m))
                for m, part in keys.parts.items())
     assert all(keys.parts[m] == part for part, m in keys.monos.items())
+
+
+def test_term_key_weights_and_guard_are_the_summed_fields():
+    """The closed forms of `weights` and `guard` are the sums they stand
+    for: x_i adds 1 to each field s_i .. s_n, and the guard is the top
+    bit of every field."""
+    for nvars in range(7):
+        for degree in (0, 5, 31, 100, 1000):
+            for positions in (1, 5, 40, 513):
+                keys = _TermKeys(nvars, degree, positions)
+                f, p = keys.fbits, keys.pbits
+                assert keys.weights == [
+                    sum(1 << (f * k) for k in range(i, nvars)) << p
+                    for i in range(nvars)]
+                assert keys.guard == sum(1 << (f * k + f - 1)
+                                         for k in range(nvars))
+                assert keys.lowmask == (1 << (f * max(nvars - 1, 0))) - 1

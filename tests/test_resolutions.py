@@ -232,7 +232,7 @@ def _damage(kind, store, key):
         entry["monomials"][0][0] += 1
     elif kind == "twists":
         entry["twists"][0] += 1
-    elif kind == "row":  # the row of the first term
+    elif kind == "row":  # the row of the first cell
         entry["columns"][0][0][0] = -1
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text[:len(text) // 2] if kind == "truncated"
@@ -265,9 +265,10 @@ def test_a_damaged_entry_is_a_miss(kind, tmp_path, capsys):
 
 
 def _drop_last_column(store, key, step) -> str:
-    """Drop the last column of the store's d_step (its monomials and
-    coefficients stay in the tables, unread): the entry stays well
-    formed and homogeneous, so only its use can show it is wrong."""
+    """Drop the last column of the store's d_step (its tables stay
+    whole, checked on load though some items go unnamed): the entry
+    stays well formed and homogeneous, so only its use can show it is
+    wrong."""
     name = resolutions._key("map", key, step)
     with open(store._path(name), encoding="utf-8") as fh:
         entry = json.load(fh)
@@ -381,6 +382,65 @@ def _replaced(entry, path, value):
     return copy
 
 
+def _flawed(kind, entry):
+    """Mutate the stored entry `entry` in place by one flaw of its
+    polynomial table or of a cell: the first polynomial made empty, given
+    a term of one degree more, or given its first monomial again under a
+    second index of the monomial table; the first cell naming a
+    polynomial past the table, or a new polynomial of one degree more
+    than the cell's twists give."""
+    monos, polys, cols = entry["monomials"], entry["entries"], entry["columns"]
+    m, c = polys[0][0]
+    higher = [monos[m][0] + 1] + monos[m][1:]
+    if kind == "empty":
+        polys[0] = []
+    elif kind == "two-degrees":
+        monos.append(higher)
+        polys[0].append([len(monos) - 1, c])
+    elif kind == "repeated-monomial":
+        monos.append(list(monos[m]))
+        polys[0].append([len(monos) - 1, c])
+    elif kind == "entry-index":
+        cols[0][0][1] = len(polys)
+    elif kind == "entry-degree":
+        monos.append(higher)
+        polys.append([[len(monos) - 1, c]])
+        cols[0][0][1] = len(polys) - 1
+
+
+@pytest.mark.parametrize("kind", ["empty", "two-degrees", "repeated-monomial",
+                                  "entry-index", "entry-degree"])
+def test_a_flawed_polynomial_or_cell_is_a_miss(kind, tmp_path, capsys):
+    """W's stored d_3 with one flaw of its polynomial table or of a cell:
+    a pure load of length 3 names the entry in a warning, computes the
+    cold maps and writes the entry again as it was."""
+    memo.clear()
+    cold = _terms(minimal_free_resolution(W, 3).maps)
+    key = _store_key(W)
+    try:
+        store = install_cache(str(tmp_path))
+        memo.clear()
+        minimal_free_resolution(W, 3)
+        name = resolutions._key("map", key, 3)
+        path = store._path(name)
+        with open(path, "rb") as fh:
+            text = fh.read()
+        entry = json.loads(text)
+        _flawed(kind, entry)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh)
+        capsys.readouterr()
+        memo.clear()
+        assert _terms(minimal_free_resolution(W, 3).maps) == cold
+        err = capsys.readouterr().err
+        assert name in err and "d_3" in err
+        with open(path, "rb") as fh:
+            assert fh.read() == text
+    finally:
+        set_resolution_store(None)
+        memo.clear()
+
+
 @pytest.mark.parametrize("poly, leaf, value", [
     ("5*y", 5, "5"), ("5*y", 5, 5.0), ("5/7*x*y^2*z^3", 1, True)],
     ids=["text-numerator", "float-numerator", "boolean-exponent"])
@@ -443,22 +503,41 @@ def _old_entry(columns, degrees) -> dict:
                          for row, p in col.items()] for col in columns]}
 
 
+def _dict_entry(columns, degrees) -> dict:
+    """An entry in the dictionary-coded layout before the polynomial
+    table: a table of the distinct monomials, one of the distinct
+    coefficients, and each column as its terms [row, monomial index,
+    coefficient index]."""
+    monos, coeffs = {}, {}
+    columns = [[[row, monos.setdefault(mono, len(monos)),
+                 coeffs.setdefault(c, len(coeffs))]
+                for row, p in col.items() for mono, c in p.terms.items()]
+               for col in columns]
+    return {
+        "twists": list(degrees),
+        "monomials": list(monos),
+        "coefficients": [[c.numerator, c.denominator] for c in coeffs],
+        "columns": columns,
+    }
+
+
 def test_an_entry_in_the_old_layout_is_never_opened(tmp_path, capsys,
                                                     monkeypatch):
-    """Maps of W written in the old layout, under the old keys: a run
-    with the store opens none of them, computes and writes its own
+    """Maps of W written in the two older layouts, under their keys: a
+    run with the store opens none of them, computes and writes its own
     entries, and leaves the old files as they were."""
     cold = minimal_free_resolution(W, 4)
     Mmin = _store_key(W)
     caps = repr((config.MAX_DEGREE, config.MAX_RANK))
     store = DiskStore(str(tmp_path))
     old = {}
-    for step in (2, 3, 4):
-        name = memo.content_hash("resolution-map", Mmin.content_key(), caps,
-                                 str(step))
-        store.save(name, _old_entry(cold.maps[step - 1], cold.twists[step]))
-        with open(store._path(name), "rb") as fh:
-            old[store._path(name)] = fh.read()
+    for tag, layout in (("resolution-map", _old_entry),
+                        ("resolution-map-dict", _dict_entry)):
+        for step in (2, 3, 4):
+            name = memo.content_hash(tag, Mmin.content_key(), caps, str(step))
+            store.save(name, layout(cold.maps[step - 1], cold.twists[step]))
+            with open(store._path(name), "rb") as fh:
+                old[store._path(name)] = fh.read()
     opened = []
     monkeypatch.setattr(cache, "open", lambda path, *a, **k:
                         opened.append(path) or open(path, *a, **k),
@@ -472,7 +551,7 @@ def test_an_entry_in_the_old_layout_is_never_opened(tmp_path, capsys,
         for path, text in old.items():
             with open(path, "rb") as fh:
                 assert fh.read() == text
-        assert len(os.listdir(str(tmp_path))) == 6
+        assert len(os.listdir(str(tmp_path))) == 9
     finally:
         set_resolution_store(None)
         memo.clear()
